@@ -2,15 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sort"
-	"strings"
 
-	"repro/internal/anonymity"
-	"repro/internal/binning"
 	"repro/internal/crypt"
-	"repro/internal/dht"
 	"repro/internal/relation"
 	"repro/internal/watermark"
 )
@@ -44,12 +37,12 @@ func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.Watermar
 // the incremental-ingestion path: the repository already published a
 // protected table (ApplyContext filled the plan's bin record) and new
 // patient records have arrived since. Each delta row is resolved to the
-// planned leaves (per distinct dictionary code, like the full
-// transform), its identifier encrypted, its quasi values generalized to
-// the planned frontiers, and the same mark embedded with the same
+// planned leaves, its identifier encrypted, its quasi values generalized
+// to the planned frontiers, and the same mark embedded with the same
 // per-value hash addressing — so DetectContext over the union of old
 // and new rows still votes on the same wmd positions. No binning search
-// runs: appending a batch costs one transform plus one embed.
+// runs: appending a batch costs one transform plus one embed. It is the
+// write loop of AppendStream over the delta as a single segment.
 //
 // Safety: the published union must keep every bin at or above k. Rows
 // joining bins the plan already published only grow them; a value
@@ -58,133 +51,27 @@ func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.Watermar
 // returns an error wrapping ErrPlanDrift — as it does for delta values
 // that fall outside the planned frontiers — when the batch no longer
 // fits the frozen plan; the caller should then re-plan over the
-// combined table rather than force the append.
+// combined table rather than force the append. The §5.1 fallback never
+// triggers here: the plan's boundary-permutation decision is frozen.
 //
 // The input delta is not modified. On success, publish Appended.Table
 // (append its rows to the outsourced copy) and retain Appended.Plan for
 // the next batch.
 func (f *Framework) AppendContext(ctx context.Context, delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Appended, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if plan == nil {
-		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if len(plan.Bins) == 0 {
-		return nil, fmt.Errorf(
-			"core: plan carries no published bin record; apply it first (ApplyContext/ProtectContext) and retain the returned plan: %w", ErrBadProvenance)
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	if _, err := delta.Schema().Index(plan.IdentCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	// The delta's quasi columns must match the plan's recorded set and
-	// order exactly: the bin keys below are assembled in that order, and
-	// a re-classified column (quasi demoted to "other") would both skip
-	// generalization and void the combined-bin comparison.
-	if err := checkQuasiCols(delta.Schema(), plan); err != nil {
-		return nil, err
-	}
-	quasi := delta.Schema().QuasiColumns()
-	columns, err := f.SpecsFromProvenance(plan.Provenance)
+	var marked *relation.Table
+	p, err := f.write(ctx, &oneSegment{tbl: delta}, []output{{plan: plan, key: key, sink: keep(&marked)}}, true)
 	if err != nil {
 		return nil, err
 	}
-	ultiGens := make(map[string]dht.GenSet, len(columns))
-	for col, spec := range columns {
-		ultiGens[col] = spec.UltiGen
-	}
-
-	// Replay the plan's aggressive-rule suppression on the delta, then
-	// resolve the batch to the planned leaves. The per-batch k check is
-	// disabled (effective k 0): a delta bin may be small as long as the
-	// published union stays safe — verified below, after embedding.
-	work := delta
-	suppressed := 0
-	if len(plan.Suppress) > 0 {
-		work = delta.Clone()
-		if suppressed, err = binning.Suppress(work, f.trees, plan.Suppress); err != nil {
-			return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-		}
-	}
-	marked, err := binning.TransformContext(ctx, work, ultiGens, 0, cipher, f.cfg.Workers)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: delta outside planned frontiers: %w: %w", err, ErrPlanDrift)
-	}
-
-	// Embed the planned mark. The §5.1 fallback never triggers here: the
-	// plan's effective boundary-permutation decision is frozen, and
-	// detection over the union mirrors exactly it.
-	params, err := paramsFromProvenance(plan.Provenance, key)
+	res, err := appendVerdict(plan, p)
 	if err != nil {
 		return nil, err
 	}
-	params.Workers = f.cfg.Workers
-	embedStats, err := watermark.EmbedContext(ctx, marked, plan.IdentCol, columns, params)
-	if err != nil {
-		return nil, err
-	}
-
-	// Combined-bin k-safety on the published union: existing bins only
-	// grow; brand-new bins must carry at least K delta rows themselves.
-	// Under §5.1 boundary permutation the guarantee is already the
-	// relaxed one — permuted boundary tuples may open thin sibling bins,
-	// and ApplyContext publishes them (its seamlessness check is skipped
-	// the same way) — so a permutation plan must not dead-end the
-	// incremental path on a bin a full re-protect would have published.
-	deltaBins, err := anonymity.Bins(marked, quasi)
-	if err != nil {
-		return nil, err
-	}
-	newBins := 0
-	var thin []string
-	for bin, n := range deltaBins {
-		if plan.Bins[bin] > 0 {
-			continue
-		}
-		newBins++
-		if n < plan.K && !plan.BoundaryPermutation {
-			thin = append(thin, fmt.Sprintf("%s (%d)", strings.ReplaceAll(bin, "\x1f", "|"), n))
-		}
-	}
-	if len(thin) > 0 {
-		sort.Strings(thin)
-		return nil, fmt.Errorf(
-			"core: appending would publish %d new bin(s) below k=%d — %s; re-plan over the combined table: %w",
-			len(thin), plan.K, strings.Join(thin, ", "), ErrPlanDrift)
-	}
-
-	// Advance the plan: the union's bin record is the next append's
-	// baseline.
-	eff := *plan
-	eff.rt = nil
-	bins := make(map[string]int, len(plan.Bins)+newBins)
-	for bin, n := range plan.Bins {
-		bins[bin] = n
-	}
-	for bin, n := range deltaBins {
-		bins[bin] += n
-	}
-	eff.Bins = bins
-	eff.Rows = plan.Rows + marked.NumRows()
-
 	return &Appended{
 		Table:      marked,
-		Plan:       eff,
-		Embed:      embedStats,
-		NewBins:    newBins,
-		Suppressed: suppressed,
+		Plan:       res.Plan,
+		Embed:      res.Embed,
+		NewBins:    res.NewBins,
+		Suppressed: res.Suppressed,
 	}, nil
 }

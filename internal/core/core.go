@@ -123,7 +123,10 @@ type Protected struct {
 	// superset of Provenance) to protect later batches with
 	// AppendContext.
 	Plan Plan
-	// Binning exposes the binning agent's result (frontiers, losses).
+	// Binning exposes the binning agent's result as the plan records it:
+	// frontiers, losses, effective k and the suppressed row count. Its
+	// Table, MonoStats and MultiStats are always zero — applying a plan
+	// runs no search.
 	Binning *binning.Result
 	// Embed exposes the watermarking agent's statistics.
 	Embed watermark.EmbedStats
@@ -243,247 +246,18 @@ func (f *Framework) Apply(tbl *relation.Table, plan *Plan, key crypt.WatermarkKe
 // ApplyContext executes a plan on tbl — the transform half of the
 // Figure 2 pipeline, with no search: encrypt the identifying columns,
 // generalize the quasi columns to the planned frontiers, and embed the
-// planned mark (§5.1 boundary-permutation fallback included). The input
-// table is not modified. The returned Protected carries the effective
-// plan (Protected.Plan) with the published bin record filled in — the
+// planned mark (§5.1 boundary-permutation fallback included). It is the
+// write loop of ApplyStream over tbl as a single segment, so the marked
+// table is byte-identical to ApplyStream's CSV. The input table is not
+// modified. The returned Protected carries the effective plan
+// (Protected.Plan) with the published bin record filled in — the
 // document AppendContext later verifies delta batches against.
-//
-// The plan is usually the one PlanContext produced for this very table
-// (the same-process fast path reuses the search state); a deserialized
-// plan (ParsePlan) applies identically, minus the search statistics in
-// Protected.Binning.
 func (f *Framework) ApplyContext(ctx context.Context, tbl *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Protected, error) {
-	prep, err := f.applyPrepare(ctx, tbl, plan, key)
+	prots, err := f.applyTable(ctx, tbl, []output{{plan: plan, key: key}})
 	if err != nil {
 		return nil, err
 	}
-	return f.applyEmbed(ctx, prep, plan, key, nil)
-}
-
-// applyPrepared is the recipient-independent half of an apply: the
-// suppressed, encrypted and generalized table (k-verified at the plan's
-// effective k) plus the spec and bookkeeping state every embed pass
-// reads. It depends on the key only through the encryption key Enc —
-// never on the plan's mark or the selection/position keys — so one
-// prepared state serves every recipient of a fingerprint fan-out when
-// the keys come from crypt.RecipientWatermarkKey.
-type applyPrepared struct {
-	columns    map[string]watermark.ColumnSpec
-	ultiGens   map[string]dht.GenSet
-	maxGens    map[string]dht.GenSet
-	binned     *relation.Table
-	quasi      []string
-	before     map[string]int
-	suppressed int
-	minGens    map[string]dht.GenSet
-	monoStats  map[string]binning.MonoStats
-	multiStats binning.MultiStats
-}
-
-// applyPrepare runs the transform stage of ApplyContext: validate the
-// plan and key, replay the recorded suppression (or reuse the plan's
-// same-process search state), encrypt the identifying column and
-// generalize the quasi columns to the planned frontiers, and record the
-// pre-watermark bins. The returned state is immutable — applyEmbed
-// clones the binned table before mutating it — so it is safe to share
-// across several embed passes.
-func (f *Framework) applyPrepare(ctx context.Context, tbl *relation.Table, plan *Plan, key crypt.WatermarkKey) (*applyPrepared, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if plan == nil {
-		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	identCol := plan.IdentCol
-	if _, err := tbl.Schema().Index(identCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	if err := checkQuasiCols(tbl.Schema(), plan); err != nil {
-		return nil, err
-	}
-	columns, err := f.SpecsFromProvenance(plan.Provenance)
-	if err != nil {
-		return nil, err
-	}
-	ultiGens := make(map[string]dht.GenSet, len(columns))
-	maxGens := make(map[string]dht.GenSet, len(columns))
-	for col, spec := range columns {
-		ultiGens[col] = spec.UltiGen
-		maxGens[col] = spec.MaxGen
-	}
-
-	// Same-process fast path: when this plan was computed from this very
-	// table, reuse the search state (already-suppressed work table plus
-	// algorithm statistics). A cold plan replays the recorded
-	// suppression instead.
-	var search *binning.SearchResult
-	if plan.rt != nil && plan.rt.source == tbl {
-		search = plan.rt.search
-	}
-	work := tbl
-	suppressed := 0
-	var minGens map[string]dht.GenSet
-	var monoStats map[string]binning.MonoStats
-	var multiStats binning.MultiStats
-	if search != nil {
-		suppressed = search.Suppressed
-		monoStats = search.MonoStats
-		multiStats = search.MultiStats
-		minGens = search.MinGens
-		if w := search.Work(); w != nil {
-			work = w
-		} else if len(plan.Suppress) > 0 {
-			// Sketch-backed search: no materialized work table was
-			// retained, so replay the recorded suppression like a
-			// cold plan would.
-			work = tbl.Clone()
-			if suppressed, err = binning.Suppress(work, f.trees, plan.Suppress); err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-		}
-	} else {
-		if minGens, err = f.minGensFromPlan(plan); err != nil {
-			return nil, err
-		}
-		if len(plan.Suppress) > 0 {
-			work = tbl.Clone()
-			if suppressed, err = binning.Suppress(work, f.trees, plan.Suppress); err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-		}
-	}
-
-	binned, err := binning.TransformContext(ctx, work, ultiGens, plan.EffectiveK, cipher, f.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	quasi := tbl.Schema().QuasiColumns()
-	before, err := anonymity.Bins(binned, quasi)
-	if err != nil {
-		return nil, err
-	}
-	return &applyPrepared{
-		columns:    columns,
-		ultiGens:   ultiGens,
-		maxGens:    maxGens,
-		binned:     binned,
-		quasi:      quasi,
-		before:     before,
-		suppressed: suppressed,
-		minGens:    minGens,
-		monoStats:  monoStats,
-		multiStats: multiStats,
-	}, nil
-}
-
-// applyEmbed runs the per-recipient embed stage of ApplyContext over a
-// prepared transform: clone the binned table, embed the plan's mark
-// under the key (§5.1 boundary-permutation fallback included), verify
-// seamlessness, and assemble the Protected outcome. prep is not
-// mutated; the plan must agree with the one prep was built from on
-// everything but the mark.
-func (f *Framework) applyEmbed(ctx context.Context, prep *applyPrepared, plan *Plan, key crypt.WatermarkKey, sel *watermark.Selection) (*Protected, error) {
-	// Watermarking agent on the binned table. A non-nil sel is a
-	// precomputed Equation (5) selection over prep.binned (the
-	// fingerprint fan-out shares one per (K1, eta) across recipients);
-	// the embedded bytes and statistics are identical either way.
-	params, err := paramsFromProvenance(plan.Provenance, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-	embed := func(marked *relation.Table, p watermark.Params) (watermark.EmbedStats, error) {
-		if sel != nil {
-			return watermark.EmbedSelectedContext(ctx, marked, sel, prep.columns, p)
-		}
-		return watermark.EmbedContext(ctx, marked, plan.IdentCol, prep.columns, p)
-	}
-	marked := prep.binned.Clone()
-	embedStats, err := embed(marked, params)
-	if err != nil {
-		return nil, err
-	}
-	if embedStats.BitsEmbedded == 0 && !params.BoundaryPermutation {
-		// §5.1 special case: k-anonymity forced the ultimate
-		// generalization nodes all the way up to the maximal nodes, so
-		// the hierarchical channel is empty. Apply the paper's remedy —
-		// permute boundary values among sibling frontier nodes, accepting
-		// a slight usage-metric overshoot for a small tuple fraction.
-		params.BoundaryPermutation = true
-		marked = prep.binned.Clone()
-		if embedStats, err = embed(marked, params); err != nil {
-			return nil, err
-		}
-	}
-	if embedStats.BitsEmbedded == 0 && embedStats.TuplesSelected > 0 {
-		return nil, fmt.Errorf(
-			"core: no watermark bandwidth: every frontier sits at the usage metrics with no permutable siblings; relax the metrics or lower K: %w", ErrUnsatisfiable)
-	}
-	after, err := anonymity.Bins(marked, prep.quasi)
-	if err != nil {
-		return nil, err
-	}
-	binStats := anonymity.Compare(prep.before, after, plan.K)
-
-	// The seamlessness guarantee: no bin below K after watermarking.
-	if binStats.BelowK > 0 && !params.BoundaryPermutation {
-		return nil, fmt.Errorf(
-			"core: watermarking pushed %d bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
-			binStats.BelowK, plan.K, ErrUnsatisfiable)
-	}
-
-	// The effective plan: the §5.1 fallback may have enabled boundary
-	// permutation (detection must mirror it), and the published bin
-	// record is the baseline later appends verify against.
-	eff := *plan
-	eff.rt = nil
-	eff.BoundaryPermutation = params.BoundaryPermutation
-	eff.Bins = after
-	eff.Rows = marked.NumRows()
-
-	return &Protected{
-		Table:      marked,
-		Provenance: eff.Provenance,
-		Plan:       eff,
-		Binning: &binning.Result{
-			Table:      prep.binned,
-			MinGens:    prep.minGens,
-			MaxGens:    prep.maxGens,
-			UltiGens:   prep.ultiGens,
-			ColumnLoss: plan.ColumnLoss,
-			AvgLoss:    plan.AvgLoss,
-			EffectiveK: plan.EffectiveK,
-			Suppressed: prep.suppressed,
-			MonoStats:  prep.monoStats,
-			MultiStats: prep.multiStats,
-		},
-		Embed:    embedStats,
-		BinStats: binStats,
-	}, nil
-}
-
-// columnSpecs builds the watermark column specs straight from a binning
-// result (the in-process twin of SpecsFromProvenance).
-func (f *Framework) columnSpecs(res *binning.Result) map[string]watermark.ColumnSpec {
-	out := make(map[string]watermark.ColumnSpec, len(res.UltiGens))
-	for col, ulti := range res.UltiGens {
-		out[col] = watermark.ColumnSpec{
-			Tree:    f.trees[col],
-			MaxGen:  res.MaxGens[col],
-			UltiGen: ulti,
-		}
-	}
-	return out
+	return prots[0], nil
 }
 
 // ownershipMark derives the §5.4 ownership mark, wrapping failures in
@@ -551,33 +325,15 @@ func (f *Framework) Detect(tbl *relation.Table, prov Provenance, key crypt.Water
 	return f.DetectContext(context.Background(), tbl, prov, key)
 }
 
-// DetectContext is Detect under a context: the sharded vote-harvesting
-// scan aborts promptly with the context's error on cancellation.
+// DetectContext is Detect under a context: DetectStream over tbl as a
+// single segment, so its vote-harvesting scan aborts promptly with the
+// context's error on cancellation.
 func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) (*Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	columns, err := f.SpecsFromProvenance(prov)
+	det, err := f.DetectStream(ctx, &oneSegment{tbl: tbl}, prov, key)
 	if err != nil {
 		return nil, err
 	}
-	params, err := paramsFromProvenance(prov, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-	res, err := watermark.DetectContext(ctx, tbl, prov.IdentCol, columns, params)
-	if err != nil {
-		return nil, err
-	}
-	loss, err := params.Mark.LossFraction(res.Mark)
-	if err != nil {
-		return nil, err
-	}
-	return &Detection{Result: res, MarkLoss: loss, Match: loss <= f.cfg.LossThreshold}, nil
+	return &det.Detection, nil
 }
 
 // Dispute arbitrates ownership of a disputed table (§5.4). The owner's

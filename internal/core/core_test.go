@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
 	"repro/internal/anonymity"
 	"repro/internal/attack"
+	"repro/internal/binning"
 	"repro/internal/crypt"
 	"repro/internal/datagen"
-	"repro/internal/infoloss"
+	"repro/internal/dht"
 	"repro/internal/ontology"
 	"repro/internal/ownership"
 	"repro/internal/relation"
@@ -267,26 +271,29 @@ func TestProtectValidation(t *testing.T) {
 }
 
 func TestProtectBoundaryFallback(t *testing.T) {
-	// Tight joint k-anonymity over five quasi columns pushes every
-	// ultimate frontier onto the maximal nodes; Protect must fall back to
-	// §5.1 boundary permutation, record it in the provenance, and still
-	// roundtrip detection.
-	metrics := &infoloss.Metrics{
-		PerColumn: map[string]float64{ontology.ColAge: 0.45},
-		Avg:       1,
+	// Usage metrics at the leaves pin every maximal node to a leaf, so
+	// every ultimate frontier node is its own maximal node and the
+	// hierarchical channel is empty. The in-memory paths must fall back
+	// to §5.1 boundary permutation, record it in the effective plan, and
+	// still roundtrip detection; the streams cannot replay their input
+	// and report ErrUnsatisfiable instead.
+	tbl := testData(t, 5000)
+	trees := ontology.Trees()
+	maxGens := make(map[string]dht.GenSet)
+	for _, col := range tbl.Schema().QuasiColumns() {
+		maxGens[col] = dht.LeafGenSet(trees[col])
 	}
-	fw, err := New(ontology.Trees(), Config{K: 25, AutoEpsilon: true, Metrics: metrics})
+	fw, err := New(trees, Config{K: 1, MaxGens: maxGens})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := testData(t, 5000)
 	key := crypt.NewWatermarkKeyFromSecret("boundary-owner", 30)
 	p, err := fw.Protect(tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Provenance.BoundaryPermutation {
-		t.Log("note: hierarchical bandwidth existed; boundary fallback not needed for this draw")
+	if !p.Plan.BoundaryPermutation || !p.Provenance.BoundaryPermutation {
+		t.Fatal("effective plan does not record the boundary-permutation fallback")
 	}
 	if p.Embed.BitsEmbedded == 0 {
 		t.Fatal("no bits embedded even after fallback")
@@ -297,6 +304,32 @@ func TestProtectBoundaryFallback(t *testing.T) {
 	}
 	if !det.Match {
 		t.Errorf("boundary-mode detection failed: loss %v", det.MarkLoss)
+	}
+
+	recipients := []Recipient{
+		{ID: "a", Key: crypt.RecipientWatermarkKey("boundary-owner", "a", 30)},
+		{ID: "b", Key: crypt.RecipientWatermarkKey("boundary-owner", "b", 30)},
+	}
+	copies, err := fw.Fingerprint(tbl, recipients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range copies {
+		if !c.Protected.Plan.BoundaryPermutation {
+			t.Errorf("recipient %s: copy does not record the boundary-permutation fallback", c.RecipientID)
+		}
+	}
+
+	plan, err := fw.Plan(tbl, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.ApplyStream(context.Background(), tbl.Segments(1000), plan, key, io.Discard); !errors.Is(err, ErrUnsatisfiable) {
+		t.Errorf("ApplyStream: err = %v, want ErrUnsatisfiable", err)
+	}
+	outs := []io.Writer{io.Discard, io.Discard}
+	if _, err := fw.FingerprintStream(context.Background(), tbl, recipients, outs); !errors.Is(err, ErrUnsatisfiable) {
+		t.Errorf("FingerprintStream: err = %v, want ErrUnsatisfiable", err)
 	}
 }
 
@@ -326,4 +359,18 @@ func TestFrameworkAccessors(t *testing.T) {
 	if fw.Config().K != 15 {
 		t.Errorf("Config.K = %d", fw.Config().K)
 	}
+}
+
+// columnSpecs builds the watermark column specs straight from a binning
+// result — the reference SpecsFromProvenance is checked against.
+func (f *Framework) columnSpecs(res *binning.Result) map[string]watermark.ColumnSpec {
+	out := make(map[string]watermark.ColumnSpec, len(res.UltiGens))
+	for col, ulti := range res.UltiGens {
+		out[col] = watermark.ColumnSpec{
+			Tree:    f.trees[col],
+			MaxGen:  res.MaxGens[col],
+			UltiGen: ulti,
+		}
+	}
+	return out
 }

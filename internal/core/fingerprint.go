@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 
-	"repro/internal/anonymity"
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
 	"repro/internal/ownership"
 	"repro/internal/relation"
-	"repro/internal/watermark"
 )
 
 // Recipient names one party a marked copy is outsourced to, together
@@ -42,10 +39,9 @@ type FingerprintResult struct {
 }
 
 // RecipientPlan derives one recipient's plan from a base plan: the same
-// frozen frontiers, statistic and watermark parameters, with the mark
-// replaced by the recipient-salted commitment F(v, recipientID). The
-// base plan's same-process search state is shared, so applying N
-// recipient plans to the planned table repeats no binning work.
+// frozen frontiers, suppression record, statistic and watermark
+// parameters, with the mark replaced by the recipient-salted commitment
+// F(v, recipientID). Applying it needs no binning search.
 func RecipientPlan(base *Plan, recipientID string) (*Plan, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
@@ -74,12 +70,10 @@ func (f *Framework) Fingerprint(tbl *relation.Table, recipients []Recipient) ([]
 // FingerprintContext protects one source table for N recipients — the
 // paper's motivating outsourcing scenario, where the owner hands a
 // marked copy to every partner and later asks whose copy a leak came
-// from. The binning search runs once (PlanContext) and the transform
-// stage — identifier encryption, generalization, the k check — runs
-// once per distinct encryption key (once, when the keys come from
-// crypt.RecipientWatermarkKey); each recipient then gets an embed-only
-// pass over the shared immutable transformed table, cloning into fresh
-// code vectors before embedding the recipient-salted mark
+// from. The binning search runs once (PlanContext); then one write run
+// over the table transforms it once per distinct encryption key (once,
+// when the keys come from crypt.RecipientWatermarkKey), selects once
+// per distinct (K1, η), and embeds each recipient's salted mark
 // F(v, recipientID) under the recipient's key. All copies share the
 // frontiers, the encrypted identifiers and the published bin record —
 // only the watermark differs — so any copy remains detectable and
@@ -89,56 +83,44 @@ func (f *Framework) Fingerprint(tbl *relation.Table, recipients []Recipient) ([]
 // Register each result (internal/registry) to enable TracebackContext
 // on a leaked table later.
 func (f *Framework) FingerprintContext(ctx context.Context, tbl *relation.Table, recipients []Recipient) ([]FingerprintResult, error) {
+	outs, err := f.fingerprintOutputs(ctx, tbl, recipients)
+	if err != nil {
+		return nil, err
+	}
+	prots, err := f.applyTable(ctx, tbl, outs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]FingerprintResult, len(recipients))
+	for i, r := range recipients {
+		out[i] = FingerprintResult{RecipientID: r.ID, KeyFingerprint: r.Key.Fingerprint(), Protected: prots[i]}
+	}
+	return out, nil
+}
+
+// fingerprintOutputs plans tbl once and derives one write output per
+// recipient — the shared front half of the fingerprint entry points.
+func (f *Framework) fingerprintOutputs(ctx context.Context, tbl *relation.Table, recipients []Recipient) ([]output, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := validateRecipients(recipients); err != nil {
 		return nil, err
 	}
-
-	// Progress counts one unit for the shared plan, one for the shared
-	// transform, and one per recipient embed.
-	total := len(recipients) + 2
-	reportProgress(ctx, Progress{Stage: "plan", Done: 0, Total: total})
+	reportProgress(ctx, Progress{Stage: "plan", Done: 0})
 	plan, err := f.PlanContext(ctx, tbl, recipients[0].Key)
 	if err != nil {
 		return nil, err
 	}
-	reportProgress(ctx, Progress{Stage: "transform", Done: 1, Total: total})
-	preps := make(map[string]*applyPrepared, 1)
-	sels := make(map[string]*watermark.Selection, 1)
-	out := make([]FingerprintResult, 0, len(recipients))
+	outs := make([]output, len(recipients))
 	for i, r := range recipients {
-		prep, err := f.prepareForKey(ctx, preps, tbl, plan, r)
-		if err != nil {
-			return nil, err
-		}
-		// The Equation (5) selection depends only on the transformed
-		// identifiers, K1 and η — RecipientWatermarkKey-derived keys
-		// share all three, so one scan serves every embed.
-		sel, err := f.selectForKey(ctx, sels, prep, plan, r)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			reportProgress(ctx, Progress{Stage: "embed", Done: 2, Total: total})
-		}
 		rp, err := RecipientPlan(plan, r.ID)
 		if err != nil {
 			return nil, err
 		}
-		prot, err := f.applyEmbed(ctx, prep, rp, r.Key, sel)
-		if err != nil {
-			return nil, fmt.Errorf("core: fingerprinting for recipient %q: %w", r.ID, err)
-		}
-		out = append(out, FingerprintResult{
-			RecipientID:    r.ID,
-			KeyFingerprint: r.Key.Fingerprint(),
-			Protected:      prot,
-		})
-		reportProgress(ctx, Progress{Stage: "embed", Done: i + 3, Total: total})
+		outs[i] = output{plan: rp, key: r.Key, recipient: r.ID}
 	}
-	return out, nil
+	return outs, nil
 }
 
 // validateRecipients rejects empty, duplicate or badly-keyed recipient
@@ -163,39 +145,6 @@ func validateRecipients(recipients []Recipient) error {
 	return nil
 }
 
-// prepareForKey returns the shared transform state for a recipient's
-// encryption key, running the transform stage on first use. Keys
-// derived by crypt.RecipientWatermarkKey share one encryption key, so
-// the usual fan-out pays exactly one transform.
-func (f *Framework) prepareForKey(ctx context.Context, preps map[string]*applyPrepared, tbl *relation.Table, plan *Plan, r Recipient) (*applyPrepared, error) {
-	if prep, ok := preps[string(r.Key.Enc)]; ok {
-		return prep, nil
-	}
-	prep, err := f.applyPrepare(ctx, tbl, plan, r.Key)
-	if err != nil {
-		return nil, fmt.Errorf("core: fingerprinting for recipient %q: %w", r.ID, err)
-	}
-	preps[string(r.Key.Enc)] = prep
-	return prep, nil
-}
-
-// selectForKey returns the shared Equation (5) selection over a
-// transform's output for a recipient's (K1, η), scanning on first use.
-// The cache key includes the encryption key — a different cipher
-// yields different encrypted identifiers, hence a different selection.
-func (f *Framework) selectForKey(ctx context.Context, sels map[string]*watermark.Selection, prep *applyPrepared, plan *Plan, r Recipient) (*watermark.Selection, error) {
-	key := string(r.Key.Enc) + "\x00" + string(r.Key.K1) + "\x00" + strconv.FormatUint(r.Key.Eta, 10)
-	if sel, ok := sels[key]; ok {
-		return sel, nil
-	}
-	sel, err := watermark.SelectForEmbedContext(ctx, prep.binned, plan.IdentCol, r.Key.K1, r.Key.Eta, f.cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: fingerprinting for recipient %q: %w", r.ID, err)
-	}
-	sels[key] = sel
-	return sel, nil
-}
-
 // FingerprintStreamed is one recipient's outcome of FingerprintStream:
 // the effective plan and statistics of that recipient's copy — the copy
 // itself went to the recipient's writer as CSV.
@@ -203,33 +152,24 @@ type FingerprintStreamed struct {
 	RecipientID    string
 	KeyFingerprint string
 	// Streamed carries the recipient copy's effective plan, embedding
-	// statistics and bin comparison, exactly as ApplyContext would
-	// report them for the materialized copy.
+	// statistics and bin comparison.
 	Streamed Streamed
 }
 
-// FingerprintStream is the bounded-memory fingerprint fan-out: plan and
-// transform run once (exactly as FingerprintContext), then the shared
-// transformed table is re-segmented and every segment is cloned,
-// embedded and written per recipient through a relation.SegmentWriter —
-// so peak memory is one transformed table plus one segment per copy,
-// never N materialized tables. outs[i] receives recipient i's protected
-// CSV, byte-identical to WriteCSV of the FingerprintContext copy under
-// the same recipient plan and key, for every Config.Chunk.
+// FingerprintStream is the bounded-memory fingerprint fan-out: the
+// FingerprintContext write run over tbl.Segments(Config.Chunk), with
+// each recipient's marked segments written through its own
+// relation.SegmentWriter — so besides the source table, peak memory is
+// one segment per copy, never N materialized tables. outs[i] receives
+// recipient i's protected CSV, byte-identical to WriteCSV of the
+// FingerprintContext copy, for every Config.Chunk.
 //
-// One difference is inherited from the streaming data plane: the §5.1
-// boundary-permutation fallback would re-embed whole copies, which the
-// segment writers cannot replay — FingerprintStream reports
+// As with ApplyStream, the §5.1 boundary-permutation fallback cannot
+// replay the written copies — FingerprintStream reports
 // ErrUnsatisfiable instead (re-plan with Config.BoundaryPermutation, or
 // use the in-memory FingerprintContext). On any error the CSV already
 // written to the outs is partial and must be discarded by the caller.
 func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, recipients []Recipient, outs []io.Writer) ([]FingerprintStreamed, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := validateRecipients(recipients); err != nil {
-		return nil, err
-	}
 	if len(outs) != len(recipients) {
 		return nil, fmt.Errorf("core: %d recipients but %d output writers: %w", len(recipients), len(outs), ErrBadConfig)
 	}
@@ -238,121 +178,29 @@ func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, 
 			return nil, fmt.Errorf("core: nil output writer for recipient %q: %w", recipients[i].ID, ErrBadConfig)
 		}
 	}
-
-	reportProgress(ctx, Progress{Stage: "plan", Done: 0})
-	plan, err := f.PlanContext(ctx, tbl, recipients[0].Key)
+	outputs, err := f.fingerprintOutputs(ctx, tbl, recipients)
 	if err != nil {
 		return nil, err
 	}
-	reportProgress(ctx, Progress{Stage: "transform", Done: 0})
-	preps := make(map[string]*applyPrepared, 1)
-	type fanout struct {
-		prep   *applyPrepared
-		plan   *Plan
-		params watermark.Params
-		sw     *relation.SegmentWriter
-		after  map[string]int
-		res    Streamed
+	writers := make([]*relation.SegmentWriter, len(outs))
+	for i, out := range outs {
+		writers[i] = relation.NewSegmentWriter(out, tbl.Schema())
+		outputs[i].sink = writers[i].WriteSegment
 	}
-	states := make([]*fanout, len(recipients))
+	p, err := f.write(ctx, tbl.Segments(f.cfg.Chunk), outputs, false)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]FingerprintStreamed, len(recipients))
 	for i, r := range recipients {
-		prep, err := f.prepareForKey(ctx, preps, tbl, plan, r)
-		if err != nil {
+		if err := writers[i].Flush(); err != nil {
 			return nil, err
 		}
-		rp, err := RecipientPlan(plan, r.ID)
+		st, err := applyVerdict(outputs[i].plan, p, i)
 		if err != nil {
-			return nil, err
+			return nil, outputs[i].wrap(err)
 		}
-		params, err := paramsFromProvenance(rp.Provenance, r.Key)
-		if err != nil {
-			return nil, fmt.Errorf("core: fingerprinting for recipient %q: %w", r.ID, err)
-		}
-		params.Workers = f.cfg.Workers
-		states[i] = &fanout{
-			prep:   prep,
-			plan:   rp,
-			params: params,
-			sw:     relation.NewSegmentWriter(outs[i], prep.binned.Schema()),
-			after:  make(map[string]int),
-		}
+		res[i] = FingerprintStreamed{RecipientID: r.ID, KeyFingerprint: r.Key.Fingerprint(), Streamed: *st}
 	}
-
-	// Fan the shared transformed table out segment-at-a-time: each
-	// recipient embeds into a fresh clone of the segment's code vectors
-	// (copy-on-embed) and appends it to its own CSV stream.
-	rows := 0
-	for i, st := range states {
-		src := st.prep.binned.Segments(f.cfg.Chunk)
-		for {
-			seg, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			marked := seg.Clone()
-			segStats, err := watermark.EmbedContext(ctx, marked, st.plan.IdentCol, st.prep.columns, st.params)
-			if err != nil {
-				return nil, fmt.Errorf("core: fingerprinting for recipient %q: %w", recipients[i].ID, err)
-			}
-			addEmbed(&st.res.Embed, segStats)
-			if err := addBins(st.after, marked, st.prep.quasi); err != nil {
-				return nil, err
-			}
-			if err := st.sw.WriteSegment(marked); err != nil {
-				return nil, err
-			}
-			st.res.Rows += marked.NumRows()
-			st.res.Segments++
-			rows += seg.NumRows()
-			reportProgress(ctx, Progress{Stage: "embed", Done: rows})
-		}
-		if err := st.sw.Flush(); err != nil {
-			return nil, err
-		}
-	}
-
-	out := make([]FingerprintStreamed, 0, len(recipients))
-	for i, st := range states {
-		r := recipients[i]
-		// End-of-stream verdicts per copy, mirroring ApplyStream: the
-		// transform already enforced the planned k+ε floor, so only the
-		// bandwidth and seamlessness checks remain.
-		params := st.params
-		if st.res.Embed.BitsEmbedded == 0 {
-			switch {
-			case st.res.Embed.TuplesSelected > 0 && !params.BoundaryPermutation:
-				return nil, fmt.Errorf(
-					"core: fingerprinting for recipient %q: no watermark bandwidth under the planned frontiers, and the §5.1 boundary-permutation fallback cannot replay the streamed copies; re-plan with Config.BoundaryPermutation or use the in-memory fingerprint: %w", r.ID, ErrUnsatisfiable)
-			case st.res.Embed.TuplesSelected > 0:
-				return nil, fmt.Errorf(
-					"core: fingerprinting for recipient %q: no watermark bandwidth: every frontier sits at the usage metrics with no permutable siblings; relax the metrics or lower K: %w", r.ID, ErrUnsatisfiable)
-			case !params.BoundaryPermutation:
-				// No tuple selected at all: the in-memory path flips the
-				// fallback on with no observable table change; mirror its
-				// effective plan.
-				params.BoundaryPermutation = true
-			}
-		}
-		st.res.BinStats = anonymity.Compare(st.prep.before, st.after, st.plan.K)
-		if st.res.BinStats.BelowK > 0 && !params.BoundaryPermutation {
-			return nil, fmt.Errorf(
-				"core: fingerprinting for recipient %q: watermarking pushed %d bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
-				r.ID, st.res.BinStats.BelowK, st.plan.K, ErrUnsatisfiable)
-		}
-		eff := *st.plan
-		eff.rt = nil
-		eff.BoundaryPermutation = params.BoundaryPermutation
-		eff.Bins = st.after
-		eff.Rows = st.res.Rows
-		st.res.Plan = eff
-		out = append(out, FingerprintStreamed{
-			RecipientID:    r.ID,
-			KeyFingerprint: r.Key.Fingerprint(),
-			Streamed:       st.res,
-		})
-	}
-	return out, nil
+	return res, nil
 }

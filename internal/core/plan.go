@@ -64,19 +64,6 @@ type Plan struct {
 	// ApplyContext runs and grow with every AppendContext.
 	Rows int            `json:"rows,omitempty"`
 	Bins map[string]int `json:"bins,omitempty"`
-
-	// rt is the same-process fast path: the search state of the
-	// PlanContext run that produced this plan. ApplyContext reuses it
-	// (suppressed work table, algorithm stats) only when applied to the
-	// very table the plan was computed from; it never serializes.
-	rt *planRuntime
-}
-
-// planRuntime carries the non-serialized search state from PlanContext
-// to ApplyContext.
-type planRuntime struct {
-	source *relation.Table
-	search *binning.SearchResult
 }
 
 // Validate checks the plan's internal consistency — version, required
@@ -175,11 +162,9 @@ func (f *Framework) Plan(tbl *relation.Table, key crypt.WatermarkKey) (*Plan, er
 // table) or AppendContext (later delta batches) execute without
 // repeating the search. ProtectContext is exactly PlanContext followed
 // by ApplyContext.
-// PlanContext runs over a binning.Sketch of the table rather than the
-// table itself: the search cost then scales with distinct quasi-tuples
-// instead of rows, and the streaming PlanStream shares the identical
-// search path — both produce byte-identical plans to the historical
-// materialized search.
+//
+// The search runs over a binning.Sketch of the table, shared with
+// PlanStream: its cost scales with distinct quasi-tuples, not rows.
 func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key crypt.WatermarkKey) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -205,15 +190,13 @@ func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key cr
 	if err := sk.Add(tbl); err != nil {
 		return nil, err
 	}
-	return f.planFromSketch(ctx, sk, tbl.Schema().QuasiColumns(), identCol, mark, v, tbl)
+	return f.planFromSketch(ctx, sk, tbl.Schema().QuasiColumns(), identCol, mark, v)
 }
 
 // planFromSketch is the planning core PlanContext and PlanStream share:
 // the frontier search (optionally twice, for the conservative ε) over a
-// quasi-tuple sketch, frozen into a Plan. source is the materialized
-// table the sketch was built from, when one exists — it arms the
-// same-process ApplyContext fast path; the streaming caller passes nil.
-func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quasiCols []string, identCol string, mark bitstr.Bits, v float64, source *relation.Table) (*Plan, error) {
+// quasi-tuple sketch, frozen into a Plan.
+func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quasiCols []string, identCol string, mark bitstr.Bits, v float64) (*Plan, error) {
 	binCfg := binning.Config{
 		K:          f.cfg.K,
 		Epsilon:    f.cfg.Epsilon,
@@ -265,9 +248,6 @@ func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quas
 		ColumnLoss:    search.ColumnLoss,
 		AvgLoss:       search.AvgLoss,
 	}
-	if source != nil {
-		plan.rt = &planRuntime{source: source, search: search}
-	}
 	for col, ulti := range search.UltiGens {
 		plan.Columns[col] = ColumnProvenance{
 			Ulti: ulti.Values(),
@@ -311,8 +291,7 @@ func checkQuasiCols(schema *relation.Schema, plan *Plan) error {
 }
 
 // minGensFromPlan rebuilds the minimal-frontier GenSets recorded in the
-// plan (empty map when the plan carries none — the cold-path stats are
-// then simply absent).
+// plan (an empty map when the plan carries none).
 func (f *Framework) minGensFromPlan(plan *Plan) (map[string]dht.GenSet, error) {
 	out := make(map[string]dht.GenSet, len(plan.MinGens))
 	for col, values := range plan.MinGens {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/crypt"
+	"repro/internal/datagen"
 	"repro/internal/ontology"
 	"repro/internal/relation"
 )
@@ -257,5 +260,34 @@ func TestApplyValidation(t *testing.T) {
 	}
 	if _, err := fw.Apply(tbl, plan, crypt.WatermarkKey{}); !errors.Is(err, ErrBadKey) {
 		t.Errorf("bad key: %v, want ErrBadKey", err)
+	}
+}
+
+// TestApplyBelowKUnsatisfiable applies a plan to a table too small for
+// its frontiers: the in-memory apply must classify the k+ε violation as
+// ErrUnsatisfiable, exactly as the streamed apply does.
+func TestApplyBelowKUnsatisfiable(t *testing.T) {
+	big, err := datagen.Generate(datagen.Config{Rows: 5000, Seed: 7, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := datagen.Generate(datagen.Config{Rows: 60, Seed: 8, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := New(ontology.Trees(), Config{K: 20, AutoEpsilon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := crypt.NewWatermarkKeyFromSecret("below k", 25)
+	plan, err := fw.Plan(big, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.ApplyContext(context.Background(), small, plan, key); !errors.Is(err, ErrUnsatisfiable) {
+		t.Errorf("ApplyContext: err = %v, want ErrUnsatisfiable", err)
+	}
+	if _, err := fw.ApplyStream(context.Background(), small.Segments(16), plan, key, io.Discard); !errors.Is(err, ErrUnsatisfiable) {
+		t.Errorf("ApplyStream: err = %v, want ErrUnsatisfiable", err)
 	}
 }

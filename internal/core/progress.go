@@ -7,13 +7,12 @@ import "context"
 // front (streaming sources); Done then counts processed units (rows,
 // segments) monotonically.
 type Progress struct {
-	// Stage names the pipeline stage: "plan", "apply", "append",
-	// "transform", "embed", "detect", "traceback", "stream".
+	// Stage names the pipeline stage: "plan", "apply", "stream" (the
+	// write loop), "detect", "traceback".
 	Stage string `json:"stage"`
 	// Done and Total count stage units: stages for protect (plan+apply),
-	// the shared transform then per-recipient embeds for fingerprint,
-	// candidates for traceback, rows for the streaming data plane
-	// (detect/traceback streams included).
+	// rows for every segment loop — the write loop and the detect and
+	// traceback loops, whether over a stream or one in-memory table.
 	Done  int `json:"done"`
 	Total int `json:"total,omitempty"`
 }
@@ -26,8 +25,7 @@ type progressKey struct{}
 // FingerprintContext, TracebackContext, ApplyStream, AppendStream)
 // report coarse-grained progress through it — the async job layer
 // threads this into per-job SSE streams. fn must be cheap, must not
-// block, and must be safe for concurrent use: fan-out stages (the
-// traceback candidate scan) report from worker goroutines.
+// block, and must be safe for concurrent use.
 func WithProgress(ctx context.Context, fn func(Progress)) context.Context {
 	if fn == nil {
 		return ctx

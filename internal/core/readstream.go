@@ -13,17 +13,18 @@ import (
 	"repro/internal/watermark"
 )
 
-// This file is the read side of the streaming data plane: detection and
-// traceback over a Segments source, mirroring what ApplyStream and
-// PlanStream do for the write side. The voting walks of Figure 9 are
-// segmentation-safe — every vote carries integer weight 1 and lands on
-// a position derived only from the tuple's encrypted identifier — so
-// per-segment walks accumulated into one persistent vote board, folded
-// once at end-of-stream, reproduce the in-memory results bit for bit
-// while the resident row set stays bounded by the segment size.
+// This file is the one read path of the pipeline: detection and
+// traceback over a Segments source. DetectContext and TracebackContext
+// run these loops over their table as a single segment. The voting
+// walks of Figure 9 are segmentation-safe — every vote carries integer
+// weight 1 and lands on a position derived only from the tuple's
+// encrypted identifier — so per-segment walks accumulated into one
+// persistent vote board, folded once at end-of-stream, give the same
+// verdict for every segmentation while the resident row set stays
+// bounded by the segment size.
 
-// DetectStreamed is DetectStream's report: the in-memory Detection
-// verdict plus ingest counters.
+// DetectStreamed is DetectStream's report: the Detection verdict plus
+// ingest counters.
 type DetectStreamed struct {
 	Detection
 	// Rows and Segments count the consumed suspect input.
@@ -35,9 +36,9 @@ type DetectStreamed struct {
 // are built, its votes harvested into one persistent replicated board,
 // and the segment dropped — so peak memory is bounded by the segment
 // size, not the suspect size. The recovered mark, confidences,
-// statistics and match verdict are bit-identical to DetectContext over
-// the materialized concatenation of the segments, for every segment
-// size and worker count.
+// statistics and match verdict are bit-identical to watermark.Detect
+// over the concatenation of the segments, for every segment size and
+// worker count.
 func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provenance, key crypt.WatermarkKey) (*DetectStreamed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -94,8 +95,8 @@ func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provena
 	return out, nil
 }
 
-// TracebackStreamed is TracebackStream's report: the ranked in-memory
-// Traceback plus ingest counters.
+// TracebackStreamed is TracebackStream's report: the ranked Traceback
+// plus ingest counters.
 type TracebackStreamed struct {
 	Traceback
 	// Rows and Segments count the consumed suspect input.
@@ -106,15 +107,15 @@ type TracebackStreamed struct {
 // consumed segment-at-a-time. Per segment it rebuilds the shared
 // suspect-side state — one verdict-table set per distinct
 // frontier/policy group, one Equation (5) selection per distinct
-// (K1, η) pair, exactly the sharing TracebackContext exploits — then
-// walks every candidate's votes into that candidate's persistent
-// replicated board. Boards fold once at end-of-stream, so resident
-// state between segments is |candidates| boards of |wmd| positions
-// while the verdict tables and selections stay segment-bounded.
+// (K1, η) pair — then walks every candidate's votes into that
+// candidate's persistent replicated board. Boards fold once at
+// end-of-stream, so resident state between segments is |candidates|
+// boards of |wmd| positions while the verdict tables and selections
+// stay segment-bounded.
 //
-// Verdicts, ranking, culprit and match ratios are bit-identical to
-// TracebackContext over the materialized concatenation of the
-// segments, for every segment size and worker count.
+// Verdicts, ranking, culprit and match ratios are the same for every
+// segment size and worker count, and each verdict is bit-identical to
+// DetectStream under that candidate's provenance and key.
 func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidates []Candidate) (*TracebackStreamed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -208,8 +209,7 @@ func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidate
 		reportProgress(ctx, Progress{Stage: "traceback", Done: out.Rows})
 	}
 
-	// Fold each candidate's accumulated board into its verdict — the
-	// same final step Suspect.DetectContext performs per candidate.
+	// Fold each candidate's accumulated board into its verdict.
 	verdicts := make([]TracebackVerdict, len(candidates))
 	for i, c := range candidates {
 		folded, err := boards[i].FoldInto(params[i].Mark.Len())

@@ -5,36 +5,32 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"repro/internal/anonymity"
 	"repro/internal/binning"
 	"repro/internal/crypt"
-	"repro/internal/dht"
 	"repro/internal/ownership"
 	"repro/internal/relation"
 	"repro/internal/watermark"
 )
 
-// Segments is the streaming-table source ApplyStream and AppendStream
-// consume: a sequence of bounded *relation.Table segments over one
-// schema, terminated by io.EOF. relation.SegmentReader (CSV ingest) and
+// Segments is the segment source every pipeline loop consumes: a
+// sequence of bounded *relation.Table segments over one schema,
+// terminated by io.EOF. relation.SegmentReader (CSV ingest) and
 // relation.TableSegments (an in-memory table) both satisfy it.
 //
 // Segments may share dictionary backing (as SegmentReader's do); the
-// consumers below never mutate a yielded segment in place.
+// pipeline never mutates a yielded segment in place.
 type Segments interface {
 	Schema() *relation.Schema
 	Next() (*relation.Table, error)
 }
 
-// Streamed is the outcome of a streaming run: the statistics and the
-// advanced plan of the in-memory counterpart, minus the materialized
-// table — the protected rows went to the output writer.
+// Streamed is the outcome of a write run whose marked rows went to a
+// writer: the effective or advanced plan and the run's statistics.
 type Streamed struct {
 	// Plan is the effective (ApplyStream) or advanced (AppendStream)
-	// plan, exactly as ApplyContext/AppendContext would return it.
+	// plan.
 	Plan Plan
 	// Embed accumulates the watermarking agent's statistics over every
 	// segment.
@@ -52,323 +48,66 @@ type Streamed struct {
 	Suppressed int
 }
 
-// addBins accumulates tbl's joint quasi-column bins into dst.
-func addBins(dst map[string]int, tbl *relation.Table, quasi []string) error {
-	bins, err := anonymity.Bins(tbl, quasi)
-	if err != nil {
-		return err
-	}
-	for bin, n := range bins {
-		dst[bin] += n
-	}
-	return nil
-}
-
-// addEmbed accumulates per-segment embedding counters.
-func addEmbed(dst *watermark.EmbedStats, s watermark.EmbedStats) {
-	dst.TuplesSelected += s.TuplesSelected
-	dst.BitsEmbedded += s.BitsEmbedded
-	dst.CellsChanged += s.CellsChanged
-	dst.ZeroBandwidth += s.ZeroBandwidth
-}
-
 // ApplyStream executes a plan segment-at-a-time: each segment from src
 // is suppressed (per the plan's record), transformed to the planned
 // frontiers, watermarked, and written to out as CSV — so peak memory is
-// bounded by the segment size, not the table size. The protected CSV is
-// byte-identical to WriteCSV of ApplyContext's table on the same rows,
-// for every segment size and worker count: the frozen plan makes the
-// whole transform a pure per-row function.
+// bounded by the segment size, not the table size. The frozen plan
+// makes the whole transform a pure per-row function, so the CSV is the
+// same for every segment size and worker count, and ApplyContext is
+// this loop over one segment.
 //
-// The verdicts ApplyContext issues on the full table are deferred to
-// end-of-stream and checked on the combined bins: the planned k+ε
-// floor, the no-bandwidth error, and the seamlessness guarantee. One
-// difference is inherent to streaming: the §5.1 boundary-permutation
-// fallback re-embeds the whole table, which a consumed stream cannot
-// replay — ApplyStream reports ErrUnsatisfiable instead (re-plan with
-// Config.BoundaryPermutation, or use the in-memory ApplyContext).
+// The verdicts run at end-of-stream on the combined bins: the planned
+// k+ε floor, the no-bandwidth error, and the seamlessness guarantee.
+// The §5.1 boundary-permutation fallback re-embeds with permutation on,
+// which a consumed stream cannot replay — ApplyStream reports
+// ErrUnsatisfiable instead (re-plan with Config.BoundaryPermutation, or
+// use the in-memory ApplyContext).
 //
 // On any error the CSV already written to out is partial and must be
 // discarded by the caller.
 func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer) (*Streamed, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, fmt.Errorf("core: nil segment source: %w", ErrBadConfig)
-	}
-	if plan == nil {
-		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	schema := src.Schema()
-	identCol := plan.IdentCol
-	if _, err := schema.Index(identCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	if err := checkQuasiCols(schema, plan); err != nil {
-		return nil, err
-	}
-	columns, err := f.SpecsFromProvenance(plan.Provenance)
+	p, err := f.writeStream(ctx, src, plan, key, out, false)
 	if err != nil {
 		return nil, err
 	}
-	ultiGens := make(map[string]dht.GenSet, len(columns))
-	for col, spec := range columns {
-		ultiGens[col] = spec.UltiGen
-	}
-	params, err := paramsFromProvenance(plan.Provenance, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-	quasi := schema.QuasiColumns()
-
-	res := &Streamed{}
-	sw := relation.NewSegmentWriter(out, schema)
-	before := make(map[string]int)
-	after := make(map[string]int)
-	for {
-		seg, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		work := seg
-		if len(plan.Suppress) > 0 {
-			work = seg.Clone()
-			n, err := binning.Suppress(work, f.trees, plan.Suppress)
-			if err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-			res.Suppressed += n
-		}
-		// The per-segment k check is disabled (effective k 0): a
-		// segment's bins may be thin as long as the combined table is
-		// safe — verified below, at end-of-stream.
-		binned, err := binning.TransformContext(ctx, work, ultiGens, 0, cipher, f.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := addBins(before, binned, quasi); err != nil {
-			return nil, err
-		}
-		// The embed mutates the (private) transform output in place; the
-		// per-row walk depends only on the encrypted identifier cell, so
-		// segmentation cannot change which bits land where.
-		segStats, err := watermark.EmbedContext(ctx, binned, identCol, columns, params)
-		if err != nil {
-			return nil, err
-		}
-		addEmbed(&res.Embed, segStats)
-		if err := addBins(after, binned, quasi); err != nil {
-			return nil, err
-		}
-		if err := sw.WriteSegment(binned); err != nil {
-			return nil, err
-		}
-		res.Rows += binned.NumRows()
-		res.Segments++
-		reportProgress(ctx, Progress{Stage: "stream", Done: res.Rows})
-	}
-	if err := sw.Flush(); err != nil {
-		return nil, err
-	}
-
-	// End-of-stream verdicts, on the combined bins.
-	if plan.EffectiveK > 0 && res.Rows > 0 {
-		for _, n := range before {
-			if n < plan.EffectiveK {
-				return nil, fmt.Errorf("core: streamed output violates k=%d anonymity: %w", plan.EffectiveK, ErrUnsatisfiable)
-			}
-		}
-	}
-	if res.Embed.BitsEmbedded == 0 {
-		switch {
-		case res.Embed.TuplesSelected > 0 && !params.BoundaryPermutation:
-			return nil, fmt.Errorf(
-				"core: no watermark bandwidth under the planned frontiers, and the §5.1 boundary-permutation fallback cannot replay a consumed stream; re-plan with Config.BoundaryPermutation or use the in-memory apply: %w", ErrUnsatisfiable)
-		case res.Embed.TuplesSelected > 0:
-			return nil, fmt.Errorf(
-				"core: no watermark bandwidth: every frontier sits at the usage metrics with no permutable siblings; relax the metrics or lower K: %w", ErrUnsatisfiable)
-		case !params.BoundaryPermutation:
-			// No tuple was selected at all: the in-memory path would
-			// flip the fallback on with no observable table change;
-			// mirror its effective plan.
-			params.BoundaryPermutation = true
-		}
-	}
-	res.BinStats = anonymity.Compare(before, after, plan.K)
-	if res.BinStats.BelowK > 0 && !params.BoundaryPermutation {
-		return nil, fmt.Errorf(
-			"core: watermarking pushed %d bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
-			res.BinStats.BelowK, plan.K, ErrUnsatisfiable)
-	}
-
-	eff := *plan
-	eff.rt = nil
-	eff.BoundaryPermutation = params.BoundaryPermutation
-	eff.Bins = after
-	eff.Rows = res.Rows
-	res.Plan = eff
-	return res, nil
+	return applyVerdict(plan, p, 0)
 }
 
 // AppendStream protects a new batch of rows under an existing plan,
 // segment-at-a-time — AppendContext with bounded memory: each segment
 // is suppressed, transformed, watermarked and written to out as CSV,
 // and the combined-bin k-safety verdict is issued at end-of-stream over
-// the union of all segments, exactly as AppendContext issues it over
-// the whole delta. The emitted CSV is byte-identical to WriteCSV of
-// AppendContext's table on the same rows.
+// the union of all segments.
 //
 // On any error — including the end-of-stream ErrPlanDrift verdict — the
 // CSV already written to out is partial (or unsafe to publish) and must
 // be discarded by the caller.
 func (f *Framework) AppendStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer) (*Streamed, error) {
+	p, err := f.writeStream(ctx, src, plan, key, out, true)
+	if err != nil {
+		return nil, err
+	}
+	return appendVerdict(plan, p)
+}
+
+// writeStream runs the write loop with one CSV SegmentWriter sink.
+func (f *Framework) writeStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer, appending bool) (*pass, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if src == nil {
 		return nil, fmt.Errorf("core: nil segment source: %w", ErrBadConfig)
 	}
-	if plan == nil {
-		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if len(plan.Bins) == 0 {
-		return nil, fmt.Errorf(
-			"core: plan carries no published bin record; apply it first (ApplyContext/ProtectContext) and retain the returned plan: %w", ErrBadProvenance)
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	schema := src.Schema()
-	if _, err := schema.Index(plan.IdentCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	if err := checkQuasiCols(schema, plan); err != nil {
-		return nil, err
-	}
-	quasi := schema.QuasiColumns()
-	columns, err := f.SpecsFromProvenance(plan.Provenance)
+	sw := relation.NewSegmentWriter(out, src.Schema())
+	p, err := f.write(ctx, src, []output{{plan: plan, key: key, sink: sw.WriteSegment}}, appending)
 	if err != nil {
 		return nil, err
 	}
-	ultiGens := make(map[string]dht.GenSet, len(columns))
-	for col, spec := range columns {
-		ultiGens[col] = spec.UltiGen
-	}
-	params, err := paramsFromProvenance(plan.Provenance, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-
-	res := &Streamed{}
-	sw := relation.NewSegmentWriter(out, schema)
-	deltaBins := make(map[string]int)
-	for {
-		seg, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		work := seg
-		if len(plan.Suppress) > 0 {
-			work = seg.Clone()
-			n, err := binning.Suppress(work, f.trees, plan.Suppress)
-			if err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-			res.Suppressed += n
-		}
-		marked, err := binning.TransformContext(ctx, work, ultiGens, 0, cipher, f.cfg.Workers)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: delta outside planned frontiers: %w: %w", err, ErrPlanDrift)
-		}
-		segStats, err := watermark.EmbedContext(ctx, marked, plan.IdentCol, columns, params)
-		if err != nil {
-			return nil, err
-		}
-		addEmbed(&res.Embed, segStats)
-		if err := addBins(deltaBins, marked, quasi); err != nil {
-			return nil, err
-		}
-		if err := sw.WriteSegment(marked); err != nil {
-			return nil, err
-		}
-		res.Rows += marked.NumRows()
-		res.Segments++
-		reportProgress(ctx, Progress{Stage: "stream", Done: res.Rows})
-	}
-	if err := sw.Flush(); err != nil {
-		return nil, err
-	}
-
-	// Combined-bin k-safety on the published union, exactly as
-	// AppendContext verifies it: existing bins only grow; brand-new bins
-	// must carry at least K streamed rows of their own.
-	newBins := 0
-	var thin []string
-	for bin, n := range deltaBins {
-		if plan.Bins[bin] > 0 {
-			continue
-		}
-		newBins++
-		if n < plan.K && !plan.BoundaryPermutation {
-			thin = append(thin, fmt.Sprintf("%s (%d)", strings.ReplaceAll(bin, "\x1f", "|"), n))
-		}
-	}
-	if len(thin) > 0 {
-		sort.Strings(thin)
-		return nil, fmt.Errorf(
-			"core: appending would publish %d new bin(s) below k=%d — %s; re-plan over the combined table: %w",
-			len(thin), plan.K, strings.Join(thin, ", "), ErrPlanDrift)
-	}
-	res.NewBins = newBins
-
-	eff := *plan
-	eff.rt = nil
-	bins := make(map[string]int, len(plan.Bins)+newBins)
-	for bin, n := range plan.Bins {
-		bins[bin] = n
-	}
-	for bin, n := range deltaBins {
-		bins[bin] += n
-	}
-	eff.Bins = bins
-	eff.Rows = plan.Rows + res.Rows
-	res.Plan = eff
-	return res, nil
+	return p, sw.Flush()
 }
 
 // PlannedStream is the outcome of PlanStream: the plan plus ingest
-// counters. Unlike PlanContext's result, the plan carries no runtime
-// fast path — applying it (ApplyContext or ApplyStream) replays the
-// recorded suppression.
+// counters.
 type PlannedStream struct {
 	// Plan is byte-identical (MarshalPlan) to the plan PlanContext
 	// would produce over the materialized concatenation of the
@@ -445,7 +184,7 @@ func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.Wate
 		return nil, fmt.Errorf("core: deriving ownership mark: %w: %w", err, ErrBadSchema)
 	}
 
-	plan, err := f.planFromSketch(ctx, sk, schema.QuasiColumns(), identCol, mark, v, nil)
+	plan, err := f.planFromSketch(ctx, sk, schema.QuasiColumns(), identCol, mark, v)
 	if err != nil {
 		return nil, err
 	}

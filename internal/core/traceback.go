@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/crypt"
-	"repro/internal/pool"
 	"repro/internal/relation"
-	"repro/internal/watermark"
 )
 
 // Candidate is one registered recipient a suspect table is tested
@@ -64,106 +60,26 @@ func (f *Framework) Traceback(suspect *relation.Table, candidates []Candidate) (
 }
 
 // TracebackContext answers the leak question: given a suspect table and
-// the registered recipients of its source, whose copy was leaked? It
-// runs detection for every candidate concurrently over the worker pool,
-// sharing the suspect-side work across them — the per-column verdict
-// tables are built once per distinct frontier/policy group, and the
-// Equation (5) selection scan runs once per distinct (K1, η) pair (one
-// scan total when the keys come from crypt.RecipientWatermarkKey) — so
-// tracing N recipients costs one table scan plus N cheap per-candidate
-// vote walks instead of N full detections.
-//
-// The per-candidate verdicts are bit-identical to independent
-// DetectContext calls under the same provenance and key.
+// the registered recipients of its source, whose copy was leaked? It is
+// TracebackStream over the suspect as a single segment: the suspect-side
+// work is shared across candidates — the per-column verdict tables are
+// built once per distinct frontier/policy group, and the Equation (5)
+// selection scan runs once per distinct (K1, η) pair (one scan total
+// when the keys come from crypt.RecipientWatermarkKey) — so tracing N
+// recipients costs one table scan plus N cheap per-candidate vote walks
+// instead of N full detections. The per-candidate verdicts are
+// bit-identical to independent DetectContext calls under the same
+// provenance and key.
 func (f *Framework) TracebackContext(ctx context.Context, suspect *relation.Table, candidates []Candidate) (*Traceback, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := validateCandidates(candidates); err != nil {
-		return nil, err
-	}
-
-	// Group candidates whose provenance shares the suspect-side state
-	// (identifying column, frontiers, vote policy): one fingerprint run
-	// yields a single group, but a registry may hold recipients from
-	// several plans. Each group prepares its verdict tables once; within
-	// a group, each distinct (K1, η) computes its selection once.
-	type group struct {
-		suspectState *watermark.Suspect
-		selections   map[string]*watermark.Selection
-	}
-	groups := make(map[string]*group)
-	groupOf := make([]*group, len(candidates))
-	params := make([]watermark.Params, len(candidates))
-	for i, c := range candidates {
-		p, err := paramsFromProvenance(c.Provenance, c.Key)
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", c.ID, err)
-		}
-		params[i] = p
-		sig := suspectSignature(c.Provenance)
-		g := groups[sig]
-		if g == nil {
-			columns, err := f.SpecsFromProvenance(c.Provenance)
-			if err != nil {
-				return nil, fmt.Errorf("core: candidate %q: %w", c.ID, err)
-			}
-			state, err := watermark.PrepareSuspectContext(ctx, suspect, c.Provenance.IdentCol, columns,
-				p.BoundaryPermutation, p.WeightedVoting, f.cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("core: candidate %q: %w: %w", c.ID, err, ErrBadSchema)
-			}
-			g = &group{suspectState: state, selections: make(map[string]*watermark.Selection)}
-			groups[sig] = g
-		}
-		groupOf[i] = g
-		selKey := string(c.Key.K1) + "\x00" + strconv.FormatUint(c.Key.Eta, 10)
-		if _, ok := g.selections[selKey]; !ok {
-			sel, err := g.suspectState.SelectContext(ctx, c.Key.K1, c.Key.Eta, f.cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			g.selections[selKey] = sel
-		}
-	}
-
-	// Per-candidate progress: scanned counts completions across the
-	// pool's worker goroutines (the callback contract allows concurrent
-	// reports; Done is monotone per report, not globally ordered).
-	var scanned atomic.Int64
-	reportProgress(ctx, Progress{Stage: "traceback", Done: 0, Total: len(candidates)})
-	verdicts, err := pool.MapCtx(ctx, f.cfg.Workers, len(candidates), func(i int) (TracebackVerdict, error) {
-		c := candidates[i]
-		g := groupOf[i]
-		selKey := string(c.Key.K1) + "\x00" + strconv.FormatUint(c.Key.Eta, 10)
-		res, err := g.suspectState.DetectContext(ctx, g.selections[selKey], params[i])
-		if err != nil {
-			return TracebackVerdict{}, fmt.Errorf("core: candidate %q: %w", c.ID, err)
-		}
-		reportProgress(ctx, Progress{Stage: "traceback", Done: int(scanned.Add(1)), Total: len(candidates)})
-		loss, err := params[i].Mark.LossFraction(res.Mark)
-		if err != nil {
-			return TracebackVerdict{}, fmt.Errorf("core: candidate %q: %w", c.ID, err)
-		}
-		return TracebackVerdict{
-			RecipientID: c.ID,
-			Mark:        res.Mark.String(),
-			MarkLoss:    loss,
-			MatchRatio:  1 - loss,
-			Match:       loss <= f.cfg.LossThreshold,
-			Confidence:  meanConfidence(res.Confidence),
-			VotesCast:   res.Stats.VotesCast,
-		}, nil
-	})
+	tb, err := f.TracebackStream(ctx, &oneSegment{tbl: suspect}, candidates)
 	if err != nil {
 		return nil, err
 	}
-
-	return rankVerdicts(verdicts), nil
+	return &tb.Traceback, nil
 }
 
 // validateCandidates rejects empty, duplicate or badly-keyed candidate
-// sets — the shared front door of the traceback entry points.
+// sets.
 func validateCandidates(candidates []Candidate) error {
 	if len(candidates) == 0 {
 		return fmt.Errorf("core: no traceback candidates: %w", ErrBadConfig)
@@ -186,7 +102,7 @@ func validateCandidates(candidates []Candidate) error {
 
 // rankVerdicts orders the verdicts (descending MatchRatio, descending
 // Confidence, ascending recipient ID) and derives the culprit and match
-// count — the shared tail of the in-memory and streamed tracebacks.
+// count.
 func rankVerdicts(verdicts []TracebackVerdict) *Traceback {
 	sort.SliceStable(verdicts, func(a, b int) bool {
 		if verdicts[a].MatchRatio != verdicts[b].MatchRatio {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/crypt"
+	"repro/internal/datagen"
 	"repro/internal/ontology"
 	"repro/internal/relation"
 )
@@ -525,4 +526,57 @@ func TestHTTPPlanStreamErrors(t *testing.T) {
 			t.Fatalf("plan mode must not use the error trailer: %s", e)
 		}
 	})
+}
+
+// TestHTTPApplyBelowKUnsatisfiable applies a plan to a table too small
+// for its frontiers: both modes of /v1/apply classify the k+ε violation
+// as unsatisfiable — the JSON mode with a 422 envelope, the text/csv
+// mode in the error trailer, since its verdict follows the body.
+func TestHTTPApplyBelowKUnsatisfiable(t *testing.T) {
+	ts := testServer(t, Config{Defaults: core.Config{K: 20, AutoEpsilon: true}})
+	big, err := datagen.Generate(datagen.Config{Rows: 5000, Seed: 7, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := datagen.Generate(datagen.Config{Rows: 60, Seed: 8, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := crypt.NewWatermarkKeyFromSecret("below k", 25)
+	fw, err := core.New(ontology.Trees(), core.Config{K: 20, AutoEpsilon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fw.PlanContext(context.Background(), big, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codeOf := func(raw []byte) string {
+		var e api.ErrorResponse
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatalf("non-envelope error body: %s", raw)
+		}
+		return e.Error.Code
+	}
+
+	wire, err := api.EncodeTable(small, api.OutputCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, raw := postJSON(t, ts.URL+"/v1/apply", api.ApplyRequest{
+		Table: wire, Plan: *plan, Key: api.Key{Secret: "below k", Eta: 25},
+	}, nil)
+	if status != http.StatusUnprocessableEntity || codeOf(raw) != api.CodeUnsatisfiable {
+		t.Fatalf("json mode: %d %s", status, raw)
+	}
+
+	h := streamHeaders(t, plan, small.Schema(), "below k", 25, 0)
+	resp, _ := postCSV(t, ts.URL+"/v1/apply", h, csvBytes(t, small))
+	var wireErr api.Error
+	if err := json.Unmarshal([]byte(resp.Trailer.Get(api.ErrorTrailer)), &wireErr); err != nil {
+		t.Fatalf("csv mode error trailer: %v (%q)", err, resp.Trailer.Get(api.ErrorTrailer))
+	}
+	if wireErr.Code != api.CodeUnsatisfiable {
+		t.Fatalf("csv mode error trailer code = %q, want %q (%s)", wireErr.Code, api.CodeUnsatisfiable, wireErr.Message)
+	}
 }
