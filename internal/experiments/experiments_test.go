@@ -358,3 +358,53 @@ func TestReIdentificationShape(t *testing.T) {
 		}
 	}
 }
+
+// assertRows compares every row of an experiment table with a golden
+// literal, cell by cell.
+func assertRows(t *testing.T, tbl *Table, want [][]string) {
+	t.Helper()
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(want))
+	}
+	for i, row := range want {
+		if strings.Join(tbl.Rows[i], "|") != strings.Join(row, "|") {
+			t.Errorf("row %d = %q, want %q", i, tbl.Rows[i], row)
+		}
+	}
+}
+
+// TestFigure11Golden pins the E1 sweep on the small fixture: the mono-
+// and multi-attribute losses at every k.
+func TestFigure11Golden(t *testing.T) {
+	tbl, err := Figure11(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"10", "2.5", "79.4"},
+		{"20", "3.6", "79.4"},
+		{"45", "8.8", "81.0"},
+		{"100", "12.0", "82.8"},
+		{"150", "12.3", "82.8"},
+		{"200", "30.7", "82.8"},
+		{"250", "32.3", "82.8"},
+		{"300", "36.0", "81.8"},
+		{"350", "49.7", "81.8"},
+	})
+}
+
+// TestReIdentificationGolden pins the E12 linking attack on the small
+// fixture: the naive release and the binned release at every k.
+func TestReIdentificationGolden(t *testing.T) {
+	tbl, err := ReIdentification(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"de-identified only", "3959", "99.0", "1", "3"},
+		{"binned k=5", "0", "0.0", "28", "1303"},
+		{"binned k=10", "0", "0.0", "28", "1303"},
+		{"binned k=25", "0", "0.0", "28", "1303"},
+		{"binned k=50", "0", "0.0", "50", "1303"},
+	})
+}
