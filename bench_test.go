@@ -162,29 +162,7 @@ func BenchmarkMonoBinUpward(b *testing.B) {
 	}
 }
 
-func BenchmarkMultiBinGreedy(b *testing.B) {
-	tbl := benchTable(b, 20000)
-	trees := ontology.Trees()
-	quasi := tbl.Schema().QuasiColumns()
-	ming := map[string]dht.GenSet{}
-	maxg := map[string]dht.GenSet{}
-	for _, col := range quasi {
-		values, _ := tbl.Column(col)
-		mg := dht.RootGenSet(trees[col])
-		g, _, err := binning.MonoBin(trees[col], mg, values, 25, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ming[col] = g
-		maxg[col] = mg
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := binning.MultiBin(tbl, quasi, ming, maxg, 25, binning.StrategyGreedy, 0, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkMultiBinGreedy(b *testing.B) { benchmarkMultiBinGreedyWorkers(b, 1) }
 
 func BenchmarkProtect20k(b *testing.B) {
 	tbl := benchTable(b, 20000)
@@ -646,25 +624,29 @@ func benchmarkDetectWorkers(b *testing.B, workers int) {
 func BenchmarkDetect20kWorkers1(b *testing.B)   { benchmarkDetectWorkers(b, 1) }
 func BenchmarkDetect20kWorkersMax(b *testing.B) { benchmarkDetectWorkers(b, runtime.GOMAXPROCS(0)) }
 
+// benchmarkMultiBinGreedyWorkers times the Figure 8 search over a
+// 20k-row sketch built before the timer starts: mono-attribute binning
+// and the greedy multi-attribute ascent at K=25 under root usage
+// metrics.
 func benchmarkMultiBinGreedyWorkers(b *testing.B, workers int) {
 	tbl := benchTable(b, 20000)
 	trees := ontology.Trees()
-	quasi := tbl.Schema().QuasiColumns()
-	ming := map[string]dht.GenSet{}
-	maxg := map[string]dht.GenSet{}
-	for _, col := range quasi {
-		values, _ := tbl.Column(col)
-		mg := dht.RootGenSet(trees[col])
-		g, _, err := binning.MonoBin(trees[col], mg, values, 25, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ming[col] = g
-		maxg[col] = mg
+	sk, err := binning.NewSketch(tbl.Schema(), trees)
+	if err != nil {
+		b.Fatal(err)
 	}
+	if err := sk.Add(tbl); err != nil {
+		b.Fatal(err)
+	}
+	maxg := map[string]dht.GenSet{}
+	for _, col := range sk.Quasi() {
+		maxg[col] = dht.RootGenSet(trees[col])
+	}
+	cfg := binning.Config{K: 25, Trees: trees, MaxGens: maxg, Strategy: binning.StrategyGreedy, Workers: workers}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := binning.MultiBin(tbl, quasi, ming, maxg, 25, binning.StrategyGreedy, 0, workers); err != nil {
+		if _, err := binning.SearchSketch(ctx, sk, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ package anonymity
 import (
 	"fmt"
 
-	"repro/internal/dht"
 	"repro/internal/relation"
 )
 
@@ -18,8 +17,8 @@ import (
 const keySep = "\x1f"
 
 // appendBinKey appends the keySep-joined bin key of the given cell
-// values to dst — the single definition of the key shape that BinKey,
-// Bins and Flow all share.
+// values to dst — the single definition of the key shape that Bins and
+// Flow share.
 func appendBinKey(dst []byte, cellAt func(i int) string, n int) []byte {
 	for i := 0; i < n; i++ {
 		if i > 0 {
@@ -28,11 +27,6 @@ func appendBinKey(dst []byte, cellAt func(i int) string, n int) []byte {
 		dst = append(dst, cellAt(i)...)
 	}
 	return dst
-}
-
-// BinKey builds the bin identity of a row over the given column indices.
-func BinKey(row []string, colIdx []int) string {
-	return string(appendBinKey(nil, func(i int) string { return row[colIdx[i]] }, len(colIdx)))
 }
 
 // Bins returns the bin-size map of the table over the given columns:
@@ -57,58 +51,6 @@ func Bins(tbl *relation.Table, cols []string) (map[string]int, error) {
 	var key []byte
 	for row := 0; row < n; row++ {
 		key = appendBinKey(key[:0], func(c int) string { return dicts[c][codes[c][row]] }, len(idx))
-		out[string(key)]++
-	}
-	return out, nil
-}
-
-// GeneralizedBins returns the bin-size map tbl would have after
-// generalizing each of cols to its frontier in gens — Bins of the
-// would-be transformed table, computed without materializing it. The
-// generalization is resolved once per distinct dictionary entry; rows
-// contribute by code. Keys are identical to Bins over the transformed
-// table, so the two maps are interchangeable.
-func GeneralizedBins(tbl *relation.Table, cols []string, gens map[string]dht.GenSet) (map[string]int, error) {
-	dicts := make([][]string, len(cols))
-	codes := make([][]uint32, len(cols))
-	for i, c := range cols {
-		ci, err := tbl.Schema().Index(c)
-		if err != nil {
-			return nil, err
-		}
-		gen, ok := gens[c]
-		if !ok {
-			return nil, fmt.Errorf("anonymity: no generalization frontier for column %s", c)
-		}
-		colCodes := tbl.Codes(ci)
-		dict := tbl.DictValues(ci)
-		// Only entries some row still uses are generalized — deletions
-		// can orphan dictionary entries, and an orphan must not be able
-		// to fail the scan (MapColumnCtx skips them the same way on the
-		// real transform path).
-		inUse := make([]bool, len(dict))
-		for _, code := range colCodes {
-			inUse[code] = true
-		}
-		mapped := make([]string, len(dict))
-		for code, v := range dict {
-			if !inUse[code] {
-				continue
-			}
-			g, err := gen.GeneralizeValue(v)
-			if err != nil {
-				return nil, fmt.Errorf("anonymity: column %s value %q: %w", c, v, err)
-			}
-			mapped[code] = g
-		}
-		dicts[i] = mapped
-		codes[i] = colCodes
-	}
-	out := make(map[string]int)
-	n := tbl.NumRows()
-	var key []byte
-	for row := 0; row < n; row++ {
-		key = appendBinKey(key[:0], func(c int) string { return dicts[c][codes[c][row]] }, len(cols))
 		out[string(key)]++
 	}
 	return out, nil

@@ -3,7 +3,6 @@ package anonymity
 import (
 	"testing"
 
-	"repro/internal/dht"
 	"repro/internal/relation"
 )
 
@@ -41,104 +40,6 @@ func TestBins(t *testing.T) {
 	}
 	if _, err := Bins(tbl, []string{"missing"}); err == nil {
 		t.Error("missing column accepted")
-	}
-}
-
-func TestGeneralizedBins(t *testing.T) {
-	roleTree, err := dht.NewCategorical("role", dht.Spec{Value: "AnyRole", Children: []dht.Spec{
-		{Value: "Medical", Children: []dht.Spec{{Value: "Nurse"}, {Value: "Doctor"}}},
-		{Value: "Admin", Children: []dht.Spec{{Value: "Clerk"}}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ageTree, err := dht.NewNumeric("age", 0, 100, []float64{50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	roleGen, err := dht.NewGenSetFromValues(roleTree, []string{"Medical", "Admin"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens := map[string]dht.GenSet{"role": roleGen, "age": dht.RootGenSet(ageTree)}
-
-	tbl := makeTable(t, [][]string{
-		{"1", "34", "Nurse"},
-		{"2", "67", "Doctor"},
-		{"3", "12", "Clerk"},
-		{"4", "45", "Nurse"},
-	})
-	cols := []string{"age", "role"}
-	got, err := GeneralizedBins(tbl, cols, gens)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The contract: identical to Bins over the actually transformed
-	// table.
-	transformed := tbl.Clone()
-	for _, col := range cols {
-		ci, err := transformed.Schema().Index(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := gens[col]
-		if _, err := transformed.MapColumn(ci, gen.GeneralizeValue); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := Bins(transformed, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("bins = %v, want %v", got, want)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("bin %q = %d, want %d", k, got[k], n)
-		}
-	}
-	// Medical covers Nurse+Doctor: 3 tuples under (root age, Medical).
-	foundMedical := false
-	for k, n := range got {
-		if n == 3 {
-			foundMedical = true
-			_ = k
-		}
-	}
-	if !foundMedical {
-		t.Errorf("expected a merged Medical bin of 3 tuples: %v", got)
-	}
-
-	// Error paths: missing frontier, unresolvable value.
-	if _, err := GeneralizedBins(tbl, cols, map[string]dht.GenSet{"age": dht.RootGenSet(ageTree)}); err == nil {
-		t.Error("missing frontier accepted")
-	}
-	bad := makeTable(t, [][]string{{"1", "34", "Astronaut"}})
-	if _, err := GeneralizedBins(bad, cols, gens); err == nil {
-		t.Error("out-of-domain value accepted")
-	}
-
-	// An orphaned out-of-domain dictionary entry — a value no surviving
-	// row uses (here: the Astronaut row was deleted) — must not fail the
-	// scan, exactly as the real transform path skips unused entries.
-	orphan := makeTable(t, [][]string{
-		{"1", "34", "Nurse"},
-		{"2", "67", "Astronaut"},
-	})
-	if n := orphan.DeleteWhereView(func(v relation.RowView) bool {
-		ci, _ := orphan.Schema().Index("role")
-		return v.Cell(ci) == "Astronaut"
-	}); n != 1 {
-		t.Fatalf("deleted %d rows, want 1", n)
-	}
-	got2, err := GeneralizedBins(orphan, cols, gens)
-	if err != nil {
-		t.Fatalf("orphan dictionary entry failed the scan: %v", err)
-	}
-	if len(got2) != 1 {
-		t.Fatalf("orphan-table bins = %v, want one bin", got2)
 	}
 }
 
@@ -251,15 +152,5 @@ func TestFlowErrors(t *testing.T) {
 	}
 	if _, err := Flow(a, a, []string{"missing"}); err == nil {
 		t.Error("missing column accepted")
-	}
-}
-
-func TestBinKey(t *testing.T) {
-	row := []string{"a", "b", "c"}
-	if BinKey(row, []int{0, 2}) != "a\x1fc" {
-		t.Errorf("BinKey = %q", BinKey(row, []int{0, 2}))
-	}
-	if BinKey(row, nil) != "" {
-		t.Error("empty column set should give empty key")
 	}
 }

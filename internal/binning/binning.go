@@ -10,7 +10,6 @@ import (
 	"repro/internal/crypt"
 	"repro/internal/dht"
 	"repro/internal/infoloss"
-	"repro/internal/pool"
 	"repro/internal/relation"
 )
 
@@ -101,20 +100,10 @@ type SearchResult struct {
 	// MonoStats and MultiStats expose algorithm work counters.
 	MonoStats  map[string]MonoStats
 	MultiStats MultiStats
-	// work is the table the search ran over: the input itself under the
-	// conservative rule (never mutated), or a suppressed clone under the
-	// aggressive rule. It is nil for sketch-backed results (SearchSketch),
-	// which retain tuples instead.
-	work *relation.Table
-	// tuples is the post-suppression quasi-tuple state of a sketch-backed
-	// search — what GeneralizedBins consumes when no work table exists.
+	// tuples is the post-suppression quasi-tuple state of the search —
+	// what GeneralizedBins consumes.
 	tuples *sketchTuples
 }
-
-// Work returns the table the search result describes: the input table
-// under the conservative rule, or the suppressed clone the aggressive
-// rule produced. Callers must treat it as read-only.
-func (s *SearchResult) Work() *relation.Table { return s.work }
 
 // EpsilonForMark returns the paper's conservative ε (Section 6):
 // ε = (s/S)·|wmd|, where s is the biggest bin size, S the sum of all bin
@@ -147,24 +136,39 @@ func Run(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*Result, error)
 	return RunContext(context.Background(), tbl, cfg, cipher)
 }
 
-// RunContext is Run under a context: the column setup, the
+// RunContext is Run under a context: the sketch ingest, the
 // multi-attribute search and the encrypt/generalize scans all stop
 // dispatching work once ctx is done, and long row scans poll ctx at
 // pool.CtxStride boundaries, so a cancelled binning run aborts promptly
 // with the context's error.
 //
-// RunContext is exactly SearchContext followed by TransformContext —
-// the staged pipeline core.PlanContext / core.ApplyContext invokes the
-// two halves independently.
+// RunContext sketches tbl, searches the sketch (SearchSketch), replays
+// the aggressive rule's suppression on a clone (Suppress) and transforms
+// the survivors (TransformContext) — the stages core.PlanContext and
+// core.ApplyContext run separately.
 func RunContext(ctx context.Context, tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*Result, error) {
 	if len(tbl.Schema().IdentColumns()) > 0 && cipher == nil {
 		return nil, fmt.Errorf("binning: schema has identifying columns but no cipher")
 	}
-	search, err := SearchContext(ctx, tbl, cfg)
+	sk, err := NewSketch(tbl.Schema(), cfg.Trees)
 	if err != nil {
 		return nil, err
 	}
-	out, err := TransformContext(ctx, search.work, search.UltiGens, search.EffectiveK, cipher, cfg.Workers)
+	if err := sk.Add(tbl); err != nil {
+		return nil, err
+	}
+	search, err := SearchSketch(ctx, sk, cfg)
+	if err != nil {
+		return nil, err
+	}
+	work := tbl
+	if len(search.SuppressValues) > 0 {
+		work = tbl.Clone()
+		if _, err := Suppress(work, cfg.Trees, search.SuppressValues); err != nil {
+			return nil, err
+		}
+	}
+	out, err := TransformContext(ctx, work, search.UltiGens, search.EffectiveK, cipher, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -179,185 +183,6 @@ func RunContext(ctx context.Context, tbl *relation.Table, cfg Config, cipher *cr
 		Suppressed: search.Suppressed,
 		MonoStats:  search.MonoStats,
 		MultiStats: search.MultiStats,
-	}, nil
-}
-
-// SearchContext runs stages 1–3 of the Figure 8 algorithm — usage-metric
-// derivation, mono-attribute binning, multi-attribute binning — and
-// returns the searched frontiers without transforming the table. Under
-// the conservative rule the input is never touched; the aggressive rule
-// interleaves row suppression with the per-column searches, so it works
-// on a private clone (SearchResult.Work).
-func SearchContext(ctx context.Context, tbl *relation.Table, cfg Config) (*SearchResult, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("binning: K must be >= 1, got %d", cfg.K)
-	}
-	if cfg.Epsilon < 0 {
-		return nil, fmt.Errorf("binning: Epsilon must be >= 0, got %d", cfg.Epsilon)
-	}
-	schema := tbl.Schema()
-	quasi := schema.QuasiColumns()
-	if len(quasi) == 0 {
-		return nil, fmt.Errorf("binning: schema has no quasi-identifying columns")
-	}
-	effectiveK := cfg.K + cfg.Epsilon
-
-	// 1. Usage metrics in maximal-generalization-node form. Each column
-	// resolves its histogram and maximal nodes independently.
-	maxGens := make(map[string]dht.GenSet, len(quasi))
-	histograms := make(map[string][]int, len(quasi))
-	type colSetup struct {
-		hist []int
-		maxg dht.GenSet
-	}
-	setups, err := pool.MapCtx(ctx, cfg.Workers, len(quasi), func(i int) (colSetup, error) {
-		col := quasi[i]
-		tree, ok := cfg.Trees[col]
-		if !ok || tree == nil {
-			return colSetup{}, fmt.Errorf("binning: no DHT for quasi column %s", col)
-		}
-		ci, err := schema.Index(col)
-		if err != nil {
-			return colSetup{}, err
-		}
-		// Dictionary-encoded histogram: one leaf resolution per distinct
-		// value, integer counting per row.
-		hist, err := infoloss.LeafHistogramCodes(tree, tbl.DictValues(ci), tbl.Codes(ci))
-		if err != nil {
-			return colSetup{}, fmt.Errorf("binning: column %s: %w", col, err)
-		}
-		if g, ok := cfg.MaxGens[col]; ok {
-			if g.Tree() != tree {
-				return colSetup{}, fmt.Errorf("binning: maximal nodes for %s belong to a different tree", col)
-			}
-			return colSetup{hist: hist, maxg: g}, nil
-		}
-		if cfg.Metrics != nil {
-			g, err := infoloss.DeriveMaxGen(tree, hist, cfg.Metrics.Bound(col))
-			if err != nil {
-				return colSetup{}, err
-			}
-			return colSetup{hist: hist, maxg: g}, nil
-		}
-		return colSetup{hist: hist, maxg: dht.RootGenSet(tree)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, col := range quasi {
-		histograms[col] = setups[i].hist
-		maxGens[col] = setups[i].maxg
-	}
-
-	// 2. Mono-attribute binning (downward from the maximal nodes).
-	minGens := make(map[string]dht.GenSet, len(quasi))
-	monoStats := make(map[string]MonoStats, len(quasi))
-	suppressed := 0
-	suppressValues := make(map[string][]string)
-	work := tbl
-
-	// Under the conservative rule no bin is ever deficient, so no rows
-	// are suppressed and the columns bin independently — fan them out.
-	// The aggressive rule suppresses rows between columns (column i's
-	// deletions change column i+1's histogram), so it stays sequential
-	// and works on a private clone.
-	if !cfg.Aggressive {
-		type monoOut struct {
-			gen   dht.GenSet
-			stats MonoStats
-		}
-		outs, err := pool.MapCtx(ctx, cfg.Workers, len(quasi), func(i int) (monoOut, error) {
-			// The conservative rule never suppresses, so work's histogram
-			// equals the setup histogram — no second table scan.
-			col := quasi[i]
-			g, st, err := MonoBinHist(cfg.Trees[col], maxGens[col], setups[i].hist, effectiveK, false)
-			if err != nil {
-				return monoOut{}, err
-			}
-			return monoOut{gen: g, stats: st}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, col := range quasi {
-			minGens[col] = outs[i].gen
-			monoStats[col] = outs[i].stats
-		}
-	} else {
-		work = tbl.Clone()
-		for _, col := range quasi {
-			tree := cfg.Trees[col]
-			colIdx, err := work.Schema().Index(col)
-			if err != nil {
-				return nil, err
-			}
-			hist, err := infoloss.LeafHistogramCodes(tree, work.DictValues(colIdx), work.Codes(colIdx))
-			if err != nil {
-				return nil, fmt.Errorf("binning: column %s: %w", col, err)
-			}
-			g, st, err := MonoBinHist(tree, maxGens[col], hist, effectiveK, true)
-			if err != nil {
-				return nil, err
-			}
-			if len(st.Deficient) > 0 {
-				// Aggressive rule produced under-k bins: suppress their rows
-				// (the "suppression" half of generalization and suppression).
-				// The deficient frontier values are recorded so the same
-				// suppression replays on later batches (Suppress).
-				values := make([]string, len(st.Deficient))
-				for i, d := range st.Deficient {
-					values[i] = tree.Value(d)
-				}
-				suppressValues[col] = values
-				n, err := suppressColumn(work, colIdx, tree, values)
-				if err != nil {
-					return nil, fmt.Errorf("binning: column %s: %w", col, err)
-				}
-				suppressed += n
-			}
-			minGens[col] = g
-			monoStats[col] = st
-		}
-	}
-
-	// 3. Multi-attribute binning.
-	ultiGens, multiStats, err := MultiBinContext(ctx, work, quasi, minGens, maxGens, effectiveK, cfg.Strategy, cfg.EnumLimit, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Information loss per Equations (1)-(3), measured on the original
-	// histograms (suppression notwithstanding, the metric describes the
-	// published generalization).
-	colLoss := make(map[string]float64, len(quasi))
-	losses := make([]float64, 0, len(quasi))
-	for _, col := range quasi {
-		l, err := infoloss.ColumnLoss(ultiGens[col], histograms[col])
-		if err != nil {
-			return nil, err
-		}
-		colLoss[col] = l
-		losses = append(losses, l)
-	}
-	avg := infoloss.NormalizedLoss(losses)
-	if cfg.Metrics != nil {
-		if err := cfg.Metrics.Check(colLoss); err != nil {
-			return nil, err
-		}
-	}
-
-	return &SearchResult{
-		MinGens:        minGens,
-		MaxGens:        maxGens,
-		UltiGens:       ultiGens,
-		ColumnLoss:     colLoss,
-		AvgLoss:        avg,
-		EffectiveK:     effectiveK,
-		Suppressed:     suppressed,
-		SuppressValues: suppressValues,
-		MonoStats:      monoStats,
-		MultiStats:     multiStats,
-		work:           work,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package binning
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -282,7 +283,7 @@ func TestMultiBinExhaustiveAndGreedy(t *testing.T) {
 	}
 
 	for _, strat := range []Strategy{StrategyExhaustive, StrategyGreedy, StrategyAuto} {
-		ulti, stats, err := MultiBin(tbl, cols, mingends, maxgends, k, strat, 0, 1)
+		ulti, stats, err := multiBinTable(tbl, cols, mingends, maxgends, k, strat, 0, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -332,11 +333,11 @@ func TestMultiBinExhaustiveMatchesGreedyValidity(t *testing.T) {
 		mingends[col] = g
 		maxgends[col] = maxg
 	}
-	ex, _, err := MultiBin(tbl, cols, mingends, maxgends, k, StrategyExhaustive, 0, 1)
+	ex, _, err := multiBinTable(tbl, cols, mingends, maxgends, k, StrategyExhaustive, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, _, err := MultiBin(tbl, cols, mingends, maxgends, k, StrategyGreedy, 0, 1)
+	gr, _, err := multiBinTable(tbl, cols, mingends, maxgends, k, StrategyGreedy, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,32 +348,28 @@ func TestMultiBinExhaustiveMatchesGreedyValidity(t *testing.T) {
 	}
 }
 
+// TestMultiBinValidation pins the multi-attribute search's rejections
+// as SearchSketch reaches them: K below 1, a negative ε, a column
+// without a tree, a tree other than the sketch's, maximal nodes over a
+// different tree and an unknown strategy.
 func TestMultiBinValidation(t *testing.T) {
 	tbl, trees := twoColumnTable(t)
-	cols := []string{"age", "role"}
-	ming := map[string]dht.GenSet{"age": dht.LeafGenSet(trees["age"]), "role": dht.LeafGenSet(trees["role"])}
-	maxg := map[string]dht.GenSet{"age": dht.RootGenSet(trees["age"]), "role": dht.RootGenSet(trees["role"])}
-
-	if _, _, err := MultiBin(tbl, cols, ming, maxg, 0, StrategyAuto, 0, 1); err == nil {
-		t.Error("k=0 accepted")
+	sk := sketchFromSegments(t, tbl, trees, 5)
+	otherAge, err := dht.NewNumeric("age", 0, 80, []float64{40})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := MultiBin(tbl, nil, ming, maxg, 2, StrategyAuto, 0, 1); err == nil {
-		t.Error("no columns accepted")
-	}
-	if _, _, err := MultiBin(tbl, cols, map[string]dht.GenSet{}, maxg, 2, StrategyAuto, 0, 1); err == nil {
-		t.Error("missing mingends accepted")
-	}
-	if _, _, err := MultiBin(tbl, cols, ming, map[string]dht.GenSet{}, 2, StrategyAuto, 0, 1); err == nil {
-		t.Error("missing maxgends accepted")
-	}
-	// reversed bounds
-	rev := map[string]dht.GenSet{"age": dht.RootGenSet(trees["age"]), "role": dht.LeafGenSet(trees["role"])}
-	revMax := map[string]dht.GenSet{"age": dht.LeafGenSet(trees["age"]), "role": dht.RootGenSet(trees["role"])}
-	if _, _, err := MultiBin(tbl, cols, rev, revMax, 2, StrategyAuto, 0, 1); err == nil {
-		t.Error("reversed bounds accepted")
-	}
-	if _, _, err := MultiBin(tbl, cols, ming, maxg, 2, Strategy(99), 0, 1); err == nil {
-		t.Error("unknown strategy accepted")
+	for name, cfg := range map[string]Config{
+		"k=0":              {K: 0, Trees: trees},
+		"negative epsilon": {K: 2, Epsilon: -1, Trees: trees},
+		"missing tree":     {K: 2, Trees: map[string]*dht.Tree{"role": trees["role"]}},
+		"other tree":       {K: 2, Trees: map[string]*dht.Tree{"age": otherAge, "role": trees["role"]}},
+		"foreign maxgens":  {K: 2, Trees: trees, MaxGens: map[string]dht.GenSet{"age": dht.RootGenSet(otherAge)}},
+		"unknown strategy": {K: 2, Trees: trees, Strategy: Strategy(99)},
+	} {
+		if _, err := SearchSketch(context.Background(), sk, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -382,7 +379,7 @@ func TestMultiBinEmptyTable(t *testing.T) {
 	cols := []string{"age", "role"}
 	ming := map[string]dht.GenSet{"age": dht.LeafGenSet(trees["age"]), "role": dht.LeafGenSet(trees["role"])}
 	maxg := map[string]dht.GenSet{"age": dht.RootGenSet(trees["age"]), "role": dht.RootGenSet(trees["role"])}
-	ulti, _, err := MultiBin(empty, cols, ming, maxg, 5, StrategyAuto, 0, 1)
+	ulti, _, err := multiBinTable(empty, cols, ming, maxg, 5, StrategyAuto, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +456,13 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSearchTransformEqualsRun pins the staged decomposition: the
-// search stage followed by the transform stage must reproduce Run
-// exactly — frontiers, losses, suppression and the binned table — and
-// the recorded SuppressValues must replay the aggressive rule's row
-// removal on a fresh clone of the input.
+// TestSearchTransformEqualsRun pins Run against the row-scan reference:
+// the reference search followed by the transform of the table it
+// searched must reproduce Run exactly — frontiers, losses, suppression
+// and the binned table. Under the aggressive rule the reference
+// suppresses rows between its per-column searches, while Run replays
+// the recorded SuppressValues after searching the sketch; both must
+// remove the same rows.
 func TestSearchTransformEqualsRun(t *testing.T) {
 	tbl, err := datagen.Generate(datagen.Config{Rows: 1500, Seed: 2, Correlate: true, ZipfS: 1.2})
 	if err != nil {
@@ -479,7 +478,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		search, err := SearchContext(t.Context(), tbl, cfg)
+		search, work, err := searchTable(t.Context(), tbl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +493,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 		if search.AvgLoss != run.AvgLoss || search.EffectiveK != run.EffectiveK || search.Suppressed != run.Suppressed {
 			t.Errorf("aggressive=%v: search metrics differ from Run", aggressive)
 		}
-		out, err := TransformContext(t.Context(), search.Work(), search.UltiGens, search.EffectiveK, cipher, 0)
+		out, err := TransformContext(t.Context(), work, search.UltiGens, search.EffectiveK, cipher, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +505,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.String() != b.String() {
-			t.Errorf("aggressive=%v: staged transform differs from Run", aggressive)
+			t.Errorf("aggressive=%v: reference search + transform differs from Run", aggressive)
 		}
 		if !aggressive {
 			if len(search.SuppressValues) != 0 {
@@ -514,32 +513,10 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 			}
 			continue
 		}
-		// Replay: the recorded deficient values must remove exactly the
-		// rows the interleaved search removed. (The fixture must keep
-		// the path honest: some rows have to fall.)
+		// The fixture must keep the replay honest: some rows have to
+		// fall.
 		if search.Suppressed == 0 {
 			t.Fatal("aggressive fixture suppressed nothing; the replay check is vacuous")
-		}
-		replay := tbl.Clone()
-		n, err := Suppress(replay, cfg.Trees, search.SuppressValues)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != search.Suppressed {
-			t.Errorf("replayed suppression removed %d rows, search removed %d", n, search.Suppressed)
-		}
-		if replay.NumRows() != search.Work().NumRows() {
-			t.Errorf("replayed table has %d rows, search work has %d", replay.NumRows(), search.Work().NumRows())
-		}
-		var c, d strings.Builder
-		if err := replay.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		if err := search.Work().WriteCSV(&d); err != nil {
-			t.Fatal(err)
-		}
-		if c.String() != d.String() {
-			t.Error("replayed suppression differs from the search's interleaved suppression")
 		}
 	}
 }
@@ -617,18 +594,5 @@ func TestEpsilonForMark(t *testing.T) {
 	}
 	if got := EpsilonForMark(map[string]int{}, 60); got != 0 {
 		t.Errorf("empty bins eps = %d, want 0", got)
-	}
-}
-
-func TestSortedColumns(t *testing.T) {
-	tbl, _ := datagen.Generate(datagen.Config{Rows: 10, Seed: 1, Correlate: true, ZipfS: 1.2})
-	cols := SortedColumns(tbl)
-	if len(cols) != 5 {
-		t.Fatalf("cols = %v", cols)
-	}
-	for i := 1; i < len(cols); i++ {
-		if cols[i-1] >= cols[i] {
-			t.Errorf("not sorted: %v", cols)
-		}
 	}
 }

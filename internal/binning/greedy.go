@@ -93,8 +93,8 @@ func coverNodes(gen dht.GenSet) []uint64 {
 // buildJointHist scans the rows once, sharded over workers, and returns
 // the joint histogram keyed by covering-NodeID radix. Shards count into
 // hash-partitioned maps merged partition-parallel, then the partitions
-// fold into one map — counts are (weight) sums, so every worker count
-// yields the same histogram. weights nil counts every position once.
+// fold into one map — counts are weight sums, so every worker count
+// yields the same histogram.
 func buildJointHist(ctx context.Context, workers int, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, places []uint64) (map[uint64]int, error) {
 	rows := len(rowLeaves[0])
 	chunks := pool.Chunks(workers, rows)
@@ -113,11 +113,7 @@ func buildJointHist(ctx context.Context, workers int, rowLeaves [][]dht.NodeID, 
 			for ci := range cover {
 				key += cover[ci][rowLeaves[ci][row]] * places[ci]
 			}
-			w := 1
-			if weights != nil {
-				w = weights[row]
-			}
-			parts[key%uint64(nParts)][key] += w
+			parts[key%uint64(nParts)][key] += weights[row]
 		}
 		shardParts[si] = parts
 		return nil

@@ -13,19 +13,42 @@ import (
 	"repro/internal/relation"
 )
 
+// ascent is the outcome of one greedy lattice ascent.
+type ascent struct {
+	gens  map[string]dht.GenSet
+	stats MultiStats
+	err   error
+}
+
 // greedyBoth runs the incremental and the rescan ascent on the same
-// inputs and returns both outcomes.
-func greedyBoth(t *testing.T, tbl *relation.Table, cols []string, ming, maxg map[string]dht.GenSet, k, workers int) (inc, ref map[string]dht.GenSet, incStats, refStats MultiStats, incErr, refErr error) {
-	t.Helper()
+// weighted positions and returns both outcomes.
+func greedyBoth(cols []string, ming, maxg map[string]dht.GenSet, k, workers int, leaves [][]dht.NodeID, weights []int) (inc, ref ascent) {
 	ctx := context.Background()
-	rowLeaves, err := resolveRowLeaves(ctx, tbl, cols, ming)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var s1, s2 MultiStats
-	inc, incStats, incErr = multiGreedy(ctx, cols, ming, maxg, k, workers, rowLeaves, nil, &s1)
-	ref, refStats, refErr = multiGreedyRescan(ctx, cols, ming, maxg, k, workers, rowLeaves, nil, &s2)
-	return inc, ref, incStats, refStats, incErr, refErr
+	inc.gens, inc.stats, inc.err = multiGreedy(ctx, cols, ming, maxg, k, workers, leaves, weights, &s1)
+	ref.gens, ref.stats, ref.err = multiGreedyRescan(ctx, cols, ming, maxg, k, workers, leaves, weights, &s2)
+	return inc, ref
+}
+
+// sameAscent reports how two ascents differ: verdict, error text,
+// frontiers or merge count.
+func sameAscent(a, b ascent) error {
+	if (a.err == nil) != (b.err == nil) {
+		return fmt.Errorf("verdicts differ: %v vs %v", a.err, b.err)
+	}
+	if a.err != nil {
+		if a.err.Error() != b.err.Error() {
+			return fmt.Errorf("error text differs:\n  %v\n  %v", a.err, b.err)
+		}
+		return nil
+	}
+	if err := gensEqual(a.gens, b.gens); err != nil {
+		return fmt.Errorf("frontiers differ: %w", err)
+	}
+	if a.stats.GreedyMerges != b.stats.GreedyMerges {
+		return fmt.Errorf("merges %d vs %d", a.stats.GreedyMerges, b.stats.GreedyMerges)
+	}
+	return nil
 }
 
 func gensEqual(a, b map[string]dht.GenSet) error {
@@ -54,7 +77,8 @@ func gensEqual(a, b map[string]dht.GenSet) error {
 // incremental ascent: on random trees, random skewed data and random k,
 // the delta-updated histogram walk must take exactly the merge sequence
 // of the full-rescan reference — same frontiers, same merge count, same
-// unsatisfiability verdicts.
+// unsatisfiability verdicts — over the rows and over the weighted
+// tuples of the table's sketch alike.
 func TestMultiGreedyMatchesRescan(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -94,26 +118,34 @@ func TestMultiGreedyMatchesRescan(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		workers := 1 + rng.Intn(4)
 
-		inc, ref, incStats, refStats, incErr, refErr := greedyBoth(t, tbl, cols, ming, maxg, k, workers)
-		if (incErr == nil) != (refErr == nil) {
-			t.Fatalf("seed %d: verdicts differ: incremental %v, rescan %v", seed, incErr, refErr)
+		rowLeaves, err := resolveRowLeaves(context.Background(), tbl, cols, ming)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if incErr != nil {
-			if incErr.Error() != refErr.Error() {
-				t.Fatalf("seed %d: error text differs:\n  inc: %v\n  ref: %v", seed, incErr, refErr)
-			}
-			continue
+		inc, ref := greedyBoth(cols, ming, maxg, k, workers, rowLeaves, ones(rows))
+		if err := sameAscent(inc, ref); err != nil {
+			t.Fatalf("seed %d: incremental vs rescan: %v", seed, err)
 		}
-		if err := gensEqual(inc, ref); err != nil {
-			t.Fatalf("seed %d: frontiers differ: %v", seed, err)
+
+		// The weighted form production searches: the table's distinct
+		// quasi-tuples with their counts must drive both ascents to the
+		// outcomes of the row form.
+		sk := sketchFromSegments(t, tbl, trees, 64)
+		leaves, counts, err := sk.decodeTuples()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if incStats.GreedyMerges != refStats.GreedyMerges {
-			t.Fatalf("seed %d: merges %d vs %d", seed, incStats.GreedyMerges, refStats.GreedyMerges)
+		tupInc, tupRef := greedyBoth(cols, ming, maxg, k, workers, leaves, counts)
+		if err := sameAscent(tupInc, inc); err != nil {
+			t.Fatalf("seed %d: incremental, tuples vs rows: %v", seed, err)
+		}
+		if err := sameAscent(tupRef, ref); err != nil {
+			t.Fatalf("seed %d: rescan, tuples vs rows: %v", seed, err)
 		}
 	}
 }
 
-// greedyBenchInputs builds the BenchmarkMultiBinGreedy fixture: 20k
+// greedyBenchInputs builds the greedy ascent fixture: 20k
 // synthetic rows, per-column mono frontiers at k=25.
 func greedyBenchInputs(tb testing.TB) (*relation.Table, []string, map[string]dht.GenSet, map[string]dht.GenSet) {
 	tb.Helper()
@@ -155,6 +187,7 @@ func TestMultiGreedyIncrementalFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	weights := ones(tbl.NumRows())
 	timeOf := func(fn func() error) time.Duration {
 		best := time.Duration(0)
 		for i := 0; i < 2; i++ {
@@ -170,12 +203,12 @@ func TestMultiGreedyIncrementalFaster(t *testing.T) {
 	}
 	incDur := timeOf(func() error {
 		var s MultiStats
-		_, _, err := multiGreedy(ctx, cols, ming, maxg, 25, 1, rowLeaves, nil, &s)
+		_, _, err := multiGreedy(ctx, cols, ming, maxg, 25, 1, rowLeaves, weights, &s)
 		return err
 	})
 	refDur := timeOf(func() error {
 		var s MultiStats
-		_, _, err := multiGreedyRescan(ctx, cols, ming, maxg, 25, 1, rowLeaves, nil, &s)
+		_, _, err := multiGreedyRescan(ctx, cols, ming, maxg, 25, 1, rowLeaves, weights, &s)
 		return err
 	})
 	if incDur*13 > refDur*10 {
@@ -192,7 +225,7 @@ func TestMultiGreedyWorkersIdentical(t *testing.T) {
 	tbl, cols, ming, maxg := greedyBenchInputs(t)
 	var baseline map[string]dht.GenSet
 	for _, workers := range []int{1, 2, 8} {
-		out, _, err := MultiBin(tbl, cols, ming, maxg, 25, StrategyGreedy, 0, workers)
+		out, _, err := multiBinTable(tbl, cols, ming, maxg, 25, StrategyGreedy, 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/dht"
 	"repro/internal/pool"
-	"repro/internal/relation"
 )
 
 // Strategy selects how multi-attribute binning searches the space of
@@ -58,91 +56,22 @@ type MultiStats struct {
 // DefaultEnumLimit bounds the exhaustive candidate product in Auto mode.
 const DefaultEnumLimit = 4096
 
-// MultiBin implements GenUltiNd of Figure 7: given per-column minimal and
-// maximal generalization nodes, it chooses the ultimate generalization —
-// a per-column frontier between the bounds whose joint table satisfies
-// k-anonymity with minimal specificity loss ((N−Ng)/N averaged over
-// columns, the paper's efficient estimate).
+// multiBinLeaves implements GenUltiNd of Figure 7: given per-column
+// minimal and maximal generalization nodes, it chooses the ultimate
+// generalization — a per-column frontier between the bounds whose joint
+// distribution satisfies k-anonymity with minimal specificity loss
+// ((N−Ng)/N averaged over columns, the paper's efficient estimate).
 //
-// cols fixes the column order; every col must appear in trees, mingends
-// and maxgends. Rows of tbl provide the joint distribution.
+// The joint distribution is a Sketch's distinct quasi-tuples: position
+// i of every rowLeaves column is one tuple's leaf, and weights[i] its
+// multiplicity. Bin sizes are weight sums, so the tuples yield exactly
+// the histograms, violating sets and merge sequences of the rows they
+// summarize.
 //
-// workers bounds the goroutines used by the exhaustive search (each
-// candidate frontier needs a full k-anonymity check over the table, so
-// the search is embarrassingly parallel); <= 0 means GOMAXPROCS, 1 runs
-// sequentially. The result is byte-identical for every worker count:
-// candidates are ranked by (specificity loss, enumeration index).
-func MultiBin(
-	tbl *relation.Table,
-	cols []string,
-	mingends, maxgends map[string]dht.GenSet,
-	k int,
-	strategy Strategy,
-	enumLimit int,
-	workers int,
-) (map[string]dht.GenSet, MultiStats, error) {
-	return MultiBinContext(context.Background(), tbl, cols, mingends, maxgends, k, strategy, enumLimit, workers)
-}
-
-// MultiBinContext is MultiBin under a context: candidate evaluation
-// (exhaustive) and the per-iteration table scans (greedy) stop once ctx
-// is done and the context's error is returned. An exhaustive search over
-// thousands of candidates — each a full-table k-anonymity check — aborts
-// at the next candidate boundary; greedy scans abort at the next
-// pool.CtxStride row batch.
-func MultiBinContext(
-	ctx context.Context,
-	tbl *relation.Table,
-	cols []string,
-	mingends, maxgends map[string]dht.GenSet,
-	k int,
-	strategy Strategy,
-	enumLimit int,
-	workers int,
-) (map[string]dht.GenSet, MultiStats, error) {
-	var stats MultiStats
-	if k < 1 {
-		return nil, stats, fmt.Errorf("binning: k must be >= 1, got %d", k)
-	}
-	if len(cols) == 0 {
-		return nil, stats, fmt.Errorf("binning: no columns to bin")
-	}
-	if enumLimit <= 0 {
-		enumLimit = DefaultEnumLimit
-	}
-	for _, c := range cols {
-		lo, ok := mingends[c]
-		if !ok {
-			return nil, stats, fmt.Errorf("binning: no minimal generalization nodes for %s", c)
-		}
-		hi, ok := maxgends[c]
-		if !ok {
-			return nil, stats, fmt.Errorf("binning: no maximal generalization nodes for %s", c)
-		}
-		if lo.Tree() != hi.Tree() || lo.Tree() == nil {
-			return nil, stats, fmt.Errorf("binning: bounds for %s not over one tree", c)
-		}
-		if !lo.AtOrBelow(hi) {
-			return nil, stats, fmt.Errorf("binning: minimal nodes for %s not below maximal nodes", c)
-		}
-	}
-
-	rowLeaves, err := resolveRowLeaves(ctx, tbl, cols, mingends)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	return multiBinLeaves(ctx, cols, mingends, maxgends, k, strategy, enumLimit, workers, rowLeaves, nil, &stats)
-}
-
-// multiBinLeaves is the strategy core MultiBinContext and SearchSketch
-// share: the multi-attribute search over pre-resolved per-column leaf
-// vectors. Each position of rowLeaves is one unit of the joint
-// distribution — a table row (weights nil, every unit counts once) or a
-// distinct quasi-tuple of a Sketch (weights holds its multiplicity).
-// Bin sizes are weight sums, so the weighted tuple form yields exactly
-// the histograms, violating sets and merge sequences of the expanded
-// rows.
+// workers bounds the goroutines used by the search (<= 0 means
+// GOMAXPROCS, 1 runs sequentially). The result is identical for every
+// worker count: exhaustive candidates are ranked by (specificity loss,
+// enumeration index), and the greedy scans merge order-independent sums.
 func multiBinLeaves(
 	ctx context.Context,
 	cols []string,
@@ -153,20 +82,20 @@ func multiBinLeaves(
 	workers int,
 	rowLeaves [][]dht.NodeID,
 	weights []int,
-	stats *MultiStats,
 ) (map[string]dht.GenSet, MultiStats, error) {
+	var stats MultiStats
 	if enumLimit <= 0 {
 		enumLimit = DefaultEnumLimit
 	}
 
-	// An empty table satisfies any k vacuously: keep the minimal nodes.
+	// An empty sketch satisfies any k vacuously: keep the minimal nodes.
 	if len(rowLeaves) == 0 || len(rowLeaves[0]) == 0 {
 		out := make(map[string]dht.GenSet, len(cols))
 		for _, c := range cols {
 			out[c] = mingends[c]
 		}
 		stats.Strategy = strategy
-		return out, *stats, nil
+		return out, stats, nil
 	}
 
 	// Resolve Auto by counting the candidate product with a cap.
@@ -176,7 +105,7 @@ func multiBinLeaves(
 		for _, c := range cols {
 			n, err := dht.CountBetween(mingends[c], maxgends[c], enumLimit+1)
 			if err != nil {
-				return nil, *stats, err
+				return nil, stats, err
 			}
 			product *= n
 			if product > enumLimit {
@@ -193,52 +122,12 @@ func multiBinLeaves(
 
 	switch resolved {
 	case StrategyExhaustive:
-		return multiExhaustive(ctx, cols, mingends, maxgends, k, enumLimit, workers, rowLeaves, weights, stats)
+		return multiExhaustive(ctx, cols, mingends, maxgends, k, enumLimit, workers, rowLeaves, weights, &stats)
 	case StrategyGreedy:
-		return multiGreedy(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, stats)
+		return multiGreedy(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, &stats)
 	default:
-		return nil, *stats, fmt.Errorf("binning: unknown strategy %v", strategy)
+		return nil, stats, fmt.Errorf("binning: unknown strategy %v", strategy)
 	}
-}
-
-// resolveRowLeaves maps every row and column to its DHT leaf once, so
-// candidate evaluation is pure array work. Resolution runs per distinct
-// dictionary entry — the paper's "essentially categorical" observation —
-// and rows fan out by integer code.
-func resolveRowLeaves(ctx context.Context, tbl *relation.Table, cols []string, gens map[string]dht.GenSet) ([][]dht.NodeID, error) {
-	out := make([][]dht.NodeID, len(cols))
-	for ci, col := range cols {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tree := gens[col].Tree()
-		colIdx, err := tbl.Schema().Index(col)
-		if err != nil {
-			return nil, err
-		}
-		dict, codes := tbl.DictValues(colIdx), tbl.Codes(colIdx)
-		used := make([]bool, len(dict))
-		for _, code := range codes {
-			used[code] = true
-		}
-		leafOf := make([]dht.NodeID, len(dict))
-		for code, v := range dict {
-			if !used[code] {
-				continue
-			}
-			leaf, err := tree.ResolveLeaf(v)
-			if err != nil {
-				return nil, fmt.Errorf("binning: column %s value %q: %w", col, v, err)
-			}
-			leafOf[code] = leaf
-		}
-		leaves := make([]dht.NodeID, len(codes))
-		for i, code := range codes {
-			leaves[i] = leafOf[code]
-		}
-		out[ci] = leaves
-	}
-	return out, nil
 }
 
 // coverTable maps every tree node to the index (into gen.Nodes()) of its
@@ -315,9 +204,8 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// jointMinBin computes the minimum non-empty joint bin size of the table
-// under the per-column frontiers. weights nil counts every position once;
-// otherwise position i contributes weights[i].
+// jointMinBin computes the minimum non-empty joint bin size under the
+// per-column frontiers; position i contributes weights[i].
 func jointMinBin(rowLeaves [][]dht.NodeID, covers [][]int32, weights []int) int {
 	if len(rowLeaves) == 0 || len(rowLeaves[0]) == 0 {
 		return 0
@@ -327,11 +215,7 @@ func jointMinBin(rowLeaves [][]dht.NodeID, covers [][]int32, weights []int) int 
 	if bases, fits := binKeyBases(covers); fits {
 		counts := make(map[uint64]int, rows/4+1)
 		for row := 0; row < rows; row++ {
-			w := 1
-			if weights != nil {
-				w = weights[row]
-			}
-			counts[radixKeyAt(rowLeaves, covers, bases, row)] += w
+			counts[radixKeyAt(rowLeaves, covers, bases, row)] += weights[row]
 		}
 		for _, n := range counts {
 			if min < 0 || n < min {
@@ -342,11 +226,7 @@ func jointMinBin(rowLeaves [][]dht.NodeID, covers [][]int32, weights []int) int 
 	}
 	counts := make(map[string]int, rows/4+1)
 	for row := 0; row < rows; row++ {
-		w := 1
-		if weights != nil {
-			w = weights[row]
-		}
-		counts[stringKeyAt(rowLeaves, covers, row)] += w
+		counts[stringKeyAt(rowLeaves, covers, row)] += weights[row]
 	}
 	for _, n := range counts {
 		if min < 0 || n < min {
@@ -362,7 +242,6 @@ func jointMinBin(rowLeaves [][]dht.NodeID, covers [][]int32, weights []int) int 
 // counts are partitioned by key hash so the merge parallelizes too; bin
 // counting is a (weight) sum and member collection a set union — both
 // order-independent — so every worker count yields the same sets.
-// weights nil counts every position once.
 func scanViolating[K comparable](ctx context.Context, workers, k int, rowLeaves [][]dht.NodeID, covers [][]int32, weights []int, sizes []int, keyAt func(row int) K, hashOf func(K) uint64) ([][]bool, error) {
 	rows := len(rowLeaves[0])
 	chunks := pool.Chunks(workers, rows)
@@ -382,11 +261,7 @@ func scanViolating[K comparable](ctx context.Context, workers, k int, rowLeaves 
 			}
 			key := keyAt(row)
 			keys[row] = key
-			w := 1
-			if weights != nil {
-				w = weights[row]
-			}
-			parts[hashOf(key)%uint64(nParts)][key] += w
+			parts[hashOf(key)%uint64(nParts)][key] += weights[row]
 		}
 		shardParts[si] = parts
 		return nil
@@ -689,15 +564,4 @@ func multiGreedyRescan(
 		out[col] = cur[ci]
 	}
 	return out, *stats, nil
-}
-
-// SortedColumns returns the quasi-identifying column names of the schema
-// in deterministic (schema) order — the canonical cols argument for
-// MultiBin and Run.
-func SortedColumns(tbl *relation.Table) []string {
-	cols := tbl.Schema().QuasiColumns()
-	sorted := make([]string, len(cols))
-	copy(sorted, cols)
-	sort.Strings(sorted)
-	return sorted
 }

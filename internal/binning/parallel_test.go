@@ -66,7 +66,7 @@ func TestMultiBinExhaustiveParallelDeterminism(t *testing.T) {
 	tbl, cols, ming, maxg := exhaustiveFixture(t, 600)
 	const k = 8
 
-	baseUlti, baseStats, err := MultiBin(tbl, cols, ming, maxg, k, StrategyExhaustive, 0, 1)
+	baseUlti, baseStats, err := multiBinTable(tbl, cols, ming, maxg, k, StrategyExhaustive, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMultiBinExhaustiveParallelDeterminism(t *testing.T) {
 		t.Fatalf("fixture too small: only %d candidates enumerated", baseStats.Candidates)
 	}
 	for _, workers := range []int{2, 8} {
-		ulti, stats, err := MultiBin(tbl, cols, ming, maxg, k, StrategyExhaustive, 0, workers)
+		ulti, stats, err := multiBinTable(tbl, cols, ming, maxg, k, StrategyExhaustive, 0, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -95,7 +95,7 @@ func TestMultiBinExhaustiveParallelDeterminism(t *testing.T) {
 func TestMultiBinWorkerCountDoesNotChangeAuto(t *testing.T) {
 	tbl, cols, ming, maxg := exhaustiveFixture(t, 200)
 	for _, workers := range []int{1, 8} {
-		_, stats, err := MultiBin(tbl, cols, ming, maxg, 8, StrategyAuto, 0, workers)
+		_, stats, err := multiBinTable(tbl, cols, ming, maxg, 8, StrategyAuto, 0, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/anonymity"
 	"repro/internal/dht"
 	"repro/internal/infoloss"
 	"repro/internal/pool"
@@ -37,8 +36,8 @@ type Sketch struct {
 	// leafCache memoizes value → leaf per column across segments.
 	leafCache []map[string]dht.NodeID
 	// hist is the pristine per-column leaf histogram (pre-suppression;
-	// information loss is measured against it, exactly as SearchContext
-	// measures against the original table's histograms).
+	// information loss is measured against it, so the metric describes
+	// the published generalization of every ingested row).
 	hist [][]int
 	// bases/places compose the mixed-radix tuple key; fits reports
 	// whether the product stays within uint64.
@@ -180,7 +179,7 @@ func (s *Sketch) Add(seg *relation.Table) error {
 
 // decodeTuples materializes the distinct quasi-tuples as per-column
 // leaf vectors plus a parallel count vector — the weighted form the
-// shared multi-attribute core consumes. Map iteration order varies
+// multi-attribute search consumes. Map iteration order varies
 // between runs, but every downstream computation (histograms, bin
 // minima, violating sets, bin maps) is a sum or set union over the
 // tuples, so the search outcome is order-independent.
@@ -223,9 +222,9 @@ func (s *Sketch) decodeTuples() ([][]dht.NodeID, []int, error) {
 	return leaves, counts, nil
 }
 
-// sketchTuples is the post-suppression tuple state a sketch-backed
-// SearchResult retains in place of a work table: enough to compute the
-// generalized bin statistics AutoEpsilon needs without any rows.
+// sketchTuples is the post-suppression tuple state a SearchResult
+// retains: enough to compute the generalized bin statistics AutoEpsilon
+// needs without any rows.
 type sketchTuples struct {
 	cols   []string
 	trees  []*dht.Tree
@@ -233,13 +232,15 @@ type sketchTuples struct {
 	counts []int
 }
 
-// SearchSketch runs stages 1–3 of the Figure 8 algorithm entirely over
-// a sketch — the streaming counterpart of SearchContext. The search
-// consumes only the sketch's histograms and tuple counts, so its cost
-// scales with distinct quasi-tuples instead of rows, and the outcome
-// (frontiers, losses, suppression, stats) is identical to SearchContext
-// on the materialized table. The sketch itself is never mutated; the
-// aggressive rule's suppression runs on a private decoded copy.
+// SearchSketch runs stages 1–3 of the Figure 8 algorithm — usage-metric
+// derivation, mono-attribute binning, multi-attribute binning — over a
+// sketch and returns the searched frontiers. The search consumes only
+// the sketch's histograms and tuple counts, so its cost scales with
+// distinct quasi-tuples instead of rows, and the outcome (frontiers,
+// losses, suppression, stats) is what a row-by-row search of the
+// ingested table would find. The sketch itself is never mutated, so
+// concurrent searches may share it; the aggressive rule's suppression
+// runs on a private decoded copy.
 func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("binning: K must be >= 1, got %d", cfg.K)
@@ -291,8 +292,7 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 	// counts, so the columns fan out over the pristine marginals. The
 	// aggressive rule suppresses tuples between columns (column i's
 	// deletions change column i+1's marginal), so it decodes the joint
-	// tuples once and walks the columns sequentially over the live set —
-	// the weighted mirror of SearchContext's clone-and-suppress loop.
+	// tuples once and walks the columns sequentially over the live set.
 	minGens := make(map[string]dht.GenSet, len(quasi))
 	monoStats := make(map[string]MonoStats, len(quasi))
 	suppressed := 0
@@ -394,18 +394,16 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 		}
 	}
 
-	// 3. Multi-attribute binning over the weighted tuples — the same
-	// strategy core MultiBinContext drives, with tuple multiplicities as
-	// weights instead of one row per position.
-	var multiStats MultiStats
+	// 3. Multi-attribute binning over the weighted tuples.
 	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, minGens, maxGens, effectiveK,
-		cfg.Strategy, cfg.EnumLimit, cfg.Workers, tupleLeaves, tupleCounts, &multiStats)
+		cfg.Strategy, cfg.EnumLimit, cfg.Workers, tupleLeaves, tupleCounts)
 	if err != nil {
 		return nil, err
 	}
 
 	// Information loss per Equations (1)-(3), measured on the pristine
-	// histograms (as SearchContext measures on the original table's).
+	// histograms (suppression notwithstanding, the metric describes the
+	// published generalization).
 	colLoss := make(map[string]float64, len(quasi))
 	losses := make([]float64, 0, len(quasi))
 	for i, col := range quasi {
@@ -434,7 +432,6 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 		SuppressValues: suppressValues,
 		MonoStats:      monoStats,
 		MultiStats:     multiStats,
-		work:           nil,
 		tuples: &sketchTuples{
 			cols:   quasi,
 			trees:  sk.trees,
@@ -446,15 +443,11 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 
 // GeneralizedBins returns the bin-size map the searched table would
 // have after generalizing each of cols to its frontier in gens — the
-// statistic EpsilonForMark consumes. A table-backed result defers to
-// anonymity.GeneralizedBins over the work table; a sketch-backed result
-// computes the identical map from its retained post-suppression tuple
-// counts (keys match because a generalized cell value is exactly the
-// value of the frontier member covering the cell's leaf).
+// statistic EpsilonForMark consumes. It is computed from the retained
+// post-suppression tuple counts, and its keys equal anonymity.Bins over
+// the transformed table: a generalized cell value is exactly the value
+// of the frontier member covering the cell's leaf.
 func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet) (map[string]int, error) {
-	if s.work != nil {
-		return anonymity.GeneralizedBins(s.work, cols, gens)
-	}
 	if s.tuples == nil {
 		return nil, fmt.Errorf("binning: search result retains no data for bin statistics")
 	}
@@ -470,10 +463,10 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 			}
 		}
 		if ci < 0 {
-			return nil, fmt.Errorf("anonymity: no generalization frontier for column %s", c)
+			return nil, fmt.Errorf("binning: column %s is not a searched quasi column", c)
 		}
 		if _, ok := gens[c]; !ok {
-			return nil, fmt.Errorf("anonymity: no generalization frontier for column %s", c)
+			return nil, fmt.Errorf("binning: no generalization frontier for column %s", c)
 		}
 		colAt[i] = ci
 		genVal[i] = make(map[dht.NodeID]string)
@@ -491,7 +484,7 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 				tree := st.trees[ci]
 				member, covered := gens[c].CoverOf(leaf)
 				if !covered {
-					return nil, fmt.Errorf("anonymity: column %s value %q: %w", c, tree.Value(leaf),
+					return nil, fmt.Errorf("binning: column %s value %q: %w", c, tree.Value(leaf),
 						fmt.Errorf("dht: value %q sits above the generalization frontier of %s", tree.Value(leaf), tree.Attr()))
 				}
 				g = tree.Value(member)

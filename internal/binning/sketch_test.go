@@ -7,9 +7,9 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/anonymity"
+	"repro/internal/crypt"
 	"repro/internal/datagen"
 	"repro/internal/dht"
 	"repro/internal/infoloss"
@@ -41,9 +41,8 @@ func sketchFromSegments(tb testing.TB, tbl *relation.Table, trees map[string]*dh
 }
 
 // searchResultsEqual compares every published field of two search
-// results (the sketch result has no work table; everything else must
-// match exactly, floats included — both paths run the same integer
-// histograms through the same loss formulas).
+// results. Everything must match exactly, floats included: both paths
+// run the same integer histograms through the same loss formulas.
 func searchResultsEqual(a, b *SearchResult) error {
 	for name, pair := range map[string][2]map[string]dht.GenSet{
 		"MinGens":  {a.MinGens, b.MinGens},
@@ -106,17 +105,34 @@ func searchResultsEqual(a, b *SearchResult) error {
 }
 
 // TestSearchSketchMatchesSearchContext is the core differential guard:
-// the sketch search must reproduce the table search exactly — same
-// frontiers, losses, suppression, stats — for every chunking of the
-// input, worker count, minimality rule and strategy.
+// the sketch search must reproduce the row-scan reference search
+// exactly — same frontiers, losses, suppression, stats — for every
+// chunking of the input, worker count, minimality rule and strategy.
+// Its bin statistic, AutoEpsilon's input, must equal the bins of the
+// table the reference actually transforms.
 func TestSearchSketchMatchesSearchContext(t *testing.T) {
 	tbl, trees := twoColumnTable(t)
+	cipher, err := crypt.NewCipher([]byte("oracle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quasi := tbl.Schema().QuasiColumns()
 	ctx := context.Background()
 	for _, k := range []int{1, 2, 3, 6} {
 		for _, aggressive := range []bool{false, true} {
 			for _, strategy := range []Strategy{StrategyAuto, StrategyExhaustive, StrategyGreedy} {
 				cfg := Config{K: k, Trees: trees, Strategy: strategy, Aggressive: aggressive}
-				ref, refErr := SearchContext(ctx, tbl, cfg)
+				ref, work, refErr := searchTable(ctx, tbl, cfg)
+				var refBins map[string]int
+				if refErr == nil {
+					out, err := TransformContext(ctx, work, ref.UltiGens, ref.EffectiveK, cipher, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if refBins, err = anonymity.Bins(out, quasi); err != nil {
+						t.Fatal(err)
+					}
+				}
 				for _, chunk := range []int{1, 3, 5, 12, 100} {
 					for _, workers := range []int{1, 2, 8} {
 						cfg.Workers = workers
@@ -133,12 +149,7 @@ func TestSearchSketchMatchesSearchContext(t *testing.T) {
 						if err := searchResultsEqual(ref, got); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						// AutoEpsilon's input statistic must agree too.
-						refBins, err := anonymity.GeneralizedBins(ref.Work(), tbl.Schema().QuasiColumns(), ref.UltiGens)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						gotBins, err := got.GeneralizedBins(tbl.Schema().QuasiColumns(), got.UltiGens)
+						gotBins, err := got.GeneralizedBins(quasi, got.UltiGens)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -154,6 +165,28 @@ func TestSearchSketchMatchesSearchContext(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSearchResultGeneralizedBinsErrors pins the bin statistic's
+// rejections: a column without a frontier in gens, and a column the
+// search never saw.
+func TestSearchResultGeneralizedBinsErrors(t *testing.T) {
+	tbl, trees := twoColumnTable(t)
+	sk := sketchFromSegments(t, tbl, trees, 4)
+	res, err := SearchSketch(context.Background(), sk, Config{K: 2, Trees: trees})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"age", "role"}
+	if _, err := res.GeneralizedBins(cols, map[string]dht.GenSet{"age": res.UltiGens["age"]}); err == nil {
+		t.Error("missing frontier accepted")
+	}
+	if _, err := res.GeneralizedBins([]string{"age", "ward"}, res.UltiGens); err == nil {
+		t.Error("unknown column accepted")
+	}
+	if _, err := (&SearchResult{}).GeneralizedBins(cols, res.UltiGens); err == nil {
+		t.Error("result without tuples accepted")
 	}
 }
 
@@ -173,7 +206,7 @@ func TestSearchSketchMatchesOn20k(t *testing.T) {
 	ctx := context.Background()
 	for _, aggressive := range []bool{false, true} {
 		cfg := Config{K: 25, Trees: trees, Aggressive: aggressive, Workers: 2}
-		ref, err := SearchContext(ctx, tbl, cfg)
+		ref, _, err := searchTable(ctx, tbl, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,57 +218,6 @@ func TestSearchSketchMatchesOn20k(t *testing.T) {
 		if err := searchResultsEqual(ref, got); err != nil {
 			t.Fatalf("aggressive=%v: %v", aggressive, err)
 		}
-	}
-}
-
-// TestSearchSketchNotSlower is the acceptance guard for rebasing the
-// in-memory planner onto the sketch: searching via sketch build +
-// SearchSketch must not be materially slower than SearchContext on the
-// 20k benchmark fixture (the search scales with distinct quasi-tuples
-// instead of rows). The two paths measure within a few percent of each
-// other, so the guard allows a 15% scheduling-noise margin — it exists
-// to catch a gross regression, not to referee microtiming.
-func TestSearchSketchNotSlower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("20k-row search x4 in -short mode")
-	}
-	tbl, err := datagen.Generate(datagen.Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trees := ontology.Trees()
-	cfg := Config{K: 25, Trees: trees, Workers: 1}
-	ctx := context.Background()
-	timeOf := func(fn func() error) time.Duration {
-		best := time.Duration(0)
-		for i := 0; i < 2; i++ {
-			start := time.Now()
-			if err := fn(); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	tblDur := timeOf(func() error {
-		_, err := SearchContext(ctx, tbl, cfg)
-		return err
-	})
-	skDur := timeOf(func() error {
-		sk, err := NewSketch(tbl.Schema(), trees)
-		if err != nil {
-			return err
-		}
-		if err := sk.Add(tbl); err != nil {
-			return err
-		}
-		_, err = SearchSketch(ctx, sk, cfg)
-		return err
-	})
-	if float64(skDur) > float64(tblDur)*1.15 {
-		t.Errorf("sketch search = %v vs table search = %v; want <= 1.15x", skDur, tblDur)
 	}
 }
 
@@ -279,10 +261,12 @@ func TestSketchEmptyAndErrors(t *testing.T) {
 }
 
 // TestSketchStringKeyFallback forces the degenerate radix-overflow path
-// by sketching many copies of one wide-tree column set.
+// by sketching many copies of one column set.
 func TestSketchStringKeyFallback(t *testing.T) {
-	// 11 quasi columns over the role tree: 10^11 * ... exceeds uint64
-	// only with deep products, so use 25 columns (10^25 >> 2^64).
+	// The role tree has 11 nodes, so a tuple key needs one base-11 digit
+	// per column (base 12 for the greedy ascent's covering-node keys).
+	// 25 role columns need 11^25 >> 2^64: the sketch falls back to
+	// string keys and the greedy ascent to multiGreedyRescan.
 	ncols := 25
 	cols := make([]relation.Column, 0, ncols)
 	trees := map[string]*dht.Tree{}
@@ -311,17 +295,29 @@ func TestSketchStringKeyFallback(t *testing.T) {
 	if sk.fits {
 		t.Fatal("expected radix overflow fallback")
 	}
-	ctx := context.Background()
-	cfg := Config{K: 4, Trees: trees, Strategy: StrategyGreedy}
-	ref, refErr := SearchContext(ctx, tbl, cfg)
-	got, gotErr := SearchSketch(ctx, sk, cfg)
-	if (refErr == nil) != (gotErr == nil) {
-		t.Fatalf("verdicts differ: table %v, sketch %v", refErr, gotErr)
+	leafGens := make(map[string]dht.GenSet, ncols)
+	for name, tree := range trees {
+		leafGens[name] = dht.LeafGenSet(tree)
 	}
-	if refErr == nil {
-		if err := searchResultsEqual(ref, got); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, fits := nodeBases(sk.Quasi(), leafGens); fits {
+		t.Fatal("expected the greedy ascent's rescan fallback")
+	}
+	ctx := context.Background()
+	// Every distinct tuple holds 4 rows, so k=8 needs lattice merges.
+	cfg := Config{K: 8, Trees: trees, Strategy: StrategyGreedy}
+	ref, _, err := searchTable(ctx, tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SearchSketch(ctx, sk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MultiStats.GreedyMerges == 0 {
+		t.Fatal("fixture needed no merges; the rescan fallback is vacuous")
+	}
+	if err := searchResultsEqual(ref, got); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/binning"
@@ -34,7 +35,8 @@ func Figure11(cfg Config) (*Table, error) {
 		maxGens[col] = dht.RootGenSet(trees[col])
 	}
 
-	// Histograms once, straight off the dictionary-encoded columns.
+	// Histograms once, straight off the dictionary-encoded columns, for
+	// the mono-attribute losses; the sketch feeds every k's search.
 	hists := make(map[string][]int, len(quasi))
 	for _, col := range quasi {
 		ci, err := tbl.Schema().Index(col)
@@ -47,6 +49,13 @@ func Figure11(cfg Config) (*Table, error) {
 		}
 		hists[col] = h
 	}
+	sk, err := binning.NewSketch(tbl.Schema(), trees)
+	if err != nil {
+		return nil, err
+	}
+	if err := sk.Add(tbl); err != nil {
+		return nil, err
+	}
 
 	out := &Table{
 		ID:     "E1 / Figure 11",
@@ -57,41 +66,26 @@ func Figure11(cfg Config) (*Table, error) {
 		},
 	}
 
-	// Every k of the sweep bins the same read-only table independently,
-	// so the points run concurrently; pool.Map returns rows in k order.
+	// Every k of the sweep searches the same read-only sketch
+	// independently, so the points run concurrently; pool.Map returns
+	// rows in k order.
 	rows, err := pool.Map(cfg.Workers, len(ks), func(ki int) ([]string, error) {
 		k := ks[ki]
-		minGens := make(map[string]dht.GenSet, len(quasi))
-		var monoLosses []float64
+		res, err := binning.SearchSketch(context.TODO(), sk, binning.Config{
+			K: k, Trees: trees, MaxGens: maxGens, Strategy: binning.StrategyGreedy, Workers: 1,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("k=%d: %w", k, err)
+		}
+		monoLosses := make([]float64, 0, len(quasi))
 		for _, col := range quasi {
-			g, _, err := binning.MonoBinHist(trees[col], maxGens[col], hists[col], k, false)
-			if err != nil {
-				return nil, fmt.Errorf("k=%d column %s: %w", k, col, err)
-			}
-			minGens[col] = g
-			l, err := infoloss.ColumnLoss(g, hists[col])
+			l, err := infoloss.ColumnLoss(res.MinGens[col], hists[col])
 			if err != nil {
 				return nil, err
 			}
 			monoLosses = append(monoLosses, l)
 		}
-		monoAvg := infoloss.NormalizedLoss(monoLosses)
-
-		ulti, _, err := binning.MultiBin(tbl, quasi, minGens, maxGens, k, binning.StrategyGreedy, 0, 1)
-		if err != nil {
-			return nil, fmt.Errorf("k=%d multi: %w", k, err)
-		}
-		var multiLosses []float64
-		for _, col := range quasi {
-			l, err := infoloss.ColumnLoss(ulti[col], hists[col])
-			if err != nil {
-				return nil, err
-			}
-			multiLosses = append(multiLosses, l)
-		}
-		multiAvg := infoloss.NormalizedLoss(multiLosses)
-
-		return []string{fmt.Sprintf("%d", k), pct(monoAvg), pct(multiAvg)}, nil
+		return []string{fmt.Sprintf("%d", k), pct(infoloss.NormalizedLoss(monoLosses)), pct(res.AvgLoss)}, nil
 	})
 	if err != nil {
 		return nil, err
