@@ -652,6 +652,34 @@ func benchmarkMultiBinGreedyWorkers(b *testing.B, workers int) {
 	}
 }
 
+// BenchmarkSearchSketch1M is the binning search layer at the release
+// workload's shape: one SearchSketch at K=20 under the core defaults
+// (root usage metrics, Auto strategy) over the sketch of a million
+// synthetic rows, built before the timer starts.
+func BenchmarkSearchSketch1M(b *testing.B) {
+	tbl, err := datagen.Generate(datagen.Config{Rows: 1000000, Seed: 1, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trees := ontology.Trees()
+	sk, err := binning.NewSketch(tbl.Schema(), trees)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sk.Add(tbl); err != nil {
+		b.Fatal(err)
+	}
+	tbl = nil
+	cfg := binning.Config{K: 20, Trees: trees, Workers: runtime.GOMAXPROCS(0)}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := binning.SearchSketch(ctx, sk, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMultiBinGreedyWorkers1(b *testing.B) { benchmarkMultiBinGreedyWorkers(b, 1) }
 func BenchmarkMultiBinGreedyWorkersMax(b *testing.B) {
 	benchmarkMultiBinGreedyWorkers(b, runtime.GOMAXPROCS(0))

@@ -3,7 +3,8 @@ package binning
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dht"
 	"repro/internal/pool"
@@ -19,14 +20,20 @@ import (
 // offers parents whose children are all frontier members, so the set of
 // covered leaves is invariant under the ascent and every other key
 // component is untouched. multiGreedy therefore scans the rows once, to
-// build a joint histogram keyed by per-column covering NodeIDs (stable
-// across merges, unlike frontier member indices), and then delta-updates
-// it between neighbouring lattice nodes in O(bins) per merge.
+// build the joint histogram's bins keyed by bit-packed per-column
+// covering NodeIDs (stable across merges, unlike frontier member
+// indices).
 //
-// The violating member sets fall out of the histogram (decode the keys
-// of bins below k), so the move selection sees exactly the sets the
-// rescan derives and takes the identical merge sequence: same frontier,
-// same stats, byte-identical downstream output.
+// Beside the bins it keeps, per column and component, the number of
+// bins below k: a member violates exactly when its count is non-zero,
+// so the move selection reads the sets the rescan derives without
+// touching a bin, and takes the identical merge sequence: same
+// frontier, same stats, byte-identical downstream output. A merge costs
+// one filtering pass over the live bins plus work for the bins it
+// moves: they leave the thin counts and re-key to the parent, a radix
+// sort groups those that collide (no bin carries the parent before the
+// merge, so only moved bins can), and the summed bins rejoin the live
+// set and the counts.
 
 // greedyMove is one candidate lattice step.
 type greedyMove struct {
@@ -52,94 +59,96 @@ func betterGreedyMove(a, b *greedyMove) bool {
 	return a.parent < b.parent
 }
 
-// nodeBases returns the per-column radix bases (tree size + 1, so 0 can
-// encode "uncovered") and place values for composing a joint bin key
-// from covering NodeIDs, and whether the product fits in uint64.
-func nodeBases(cols []string, mingends map[string]dht.GenSet) (bases, places []uint64, fits bool) {
-	bases = make([]uint64, len(cols))
-	places = make([]uint64, len(cols))
-	prod := uint64(1)
+// nodeShifts returns the bit offset of every column's field in a joint
+// bin key packed from covering NodeID + 1 (0 encodes "uncovered"), plus
+// the total width as a final entry, and whether the fields fit in 64
+// bits.
+func nodeShifts(cols []string, mingends map[string]dht.GenSet) (shifts []uint, fits bool) {
+	shifts = make([]uint, len(cols)+1)
 	for ci, col := range cols {
-		base := uint64(mingends[col].Tree().Size()) + 1
-		bases[ci] = base
-		if prod > math.MaxUint64/base {
-			return nil, nil, false
-		}
-		prod *= base
+		shifts[ci+1] = shifts[ci] + uint(bits.Len(uint(mingends[col].Tree().Size())))
 	}
-	place := uint64(1)
-	for ci := len(cols) - 1; ci >= 0; ci-- {
-		places[ci] = place
-		place *= bases[ci]
-	}
-	return bases, places, true
+	return shifts, shifts[len(cols)] <= 64
 }
 
 // coverNodes maps every tree node to its covering frontier member's
-// NodeID + 1, or 0 when uncovered — coverTable with stable node
-// identities instead of frontier indices.
-func coverNodes(gen dht.GenSet) []uint64 {
+// NodeID + 1, or 0 when uncovered, shifted into the column's key field
+// — coverTable with stable node identities instead of frontier indices.
+func coverNodes(gen dht.GenSet, shift uint) []uint64 {
 	tree := gen.Tree()
 	table := make([]uint64, tree.Size())
 	for _, m := range gen.Nodes() {
 		for _, leaf := range tree.LeavesUnder(m) {
-			table[leaf] = uint64(m) + 1
+			table[leaf] = (uint64(m) + 1) << shift
 		}
-		table[m] = uint64(m) + 1
+		table[m] = (uint64(m) + 1) << shift
 	}
 	return table
 }
 
-// buildJointHist scans the rows once, sharded over workers, and returns
-// the joint histogram keyed by covering-NodeID radix. Shards count into
-// hash-partitioned maps merged partition-parallel, then the partitions
-// fold into one map — counts are weight sums, so every worker count
-// yields the same histogram.
-func buildJointHist(ctx context.Context, workers int, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, places []uint64) (map[uint64]int, error) {
-	rows := len(rowLeaves[0])
-	chunks := pool.Chunks(workers, rows)
-	nParts := len(chunks)
-	shardParts := make([][]map[uint64]int, nParts)
-	if err := pool.ForEachChunkCtx(ctx, workers, rows, func(si, lo, hi int) error {
-		parts := make([]map[uint64]int, nParts)
-		for p := range parts {
-			parts[p] = make(map[uint64]int, (hi-lo)/(4*nParts)+1)
-		}
+// jointBin is one bin of the joint histogram: its packed key and
+// weight.
+type jointBin struct {
+	key uint64
+	n   int
+}
+
+// jointBins scans the rows once, sharded over workers, and returns the
+// joint histogram's bins keyed by packed covering NodeIDs, grouped by
+// groupBins. Counts are weight sums, so every worker count yields the
+// same bins.
+func jointBins(ctx context.Context, workers int, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, width uint) ([]jointBin, error) {
+	bins := make([]jointBin, len(weights))
+	if err := pool.ForEachChunkCtx(ctx, workers, len(bins), func(_, lo, hi int) error {
 		for row := lo; row < hi; row++ {
 			if err := pool.CtxAt(ctx, row-lo); err != nil {
 				return err
 			}
 			var key uint64
 			for ci := range cover {
-				key += cover[ci][rowLeaves[ci][row]] * places[ci]
+				key |= cover[ci][rowLeaves[ci][row]]
 			}
-			parts[key%uint64(nParts)][key] += weights[row]
+			bins[row] = jointBin{key, weights[row]}
 		}
-		shardParts[si] = parts
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	parts := make([]map[uint64]int, nParts)
-	if err := pool.ForEachCtx(ctx, workers, nParts, func(p int) error {
-		merged := shardParts[0][p]
-		for si := 1; si < nParts; si++ {
-			for key, n := range shardParts[si][p] {
-				merged[key] += n
-			}
+	bins, _ = groupBins(bins, nil, width)
+	return bins, nil
+}
+
+// groupBins orders bins by their low width key bits with an LSD radix
+// sort over bytes, using spare as scratch, and sums the weights of
+// equal keys into one bin. It returns the grouped bins and the other
+// buffer.
+func groupBins(bins, spare []jointBin, width uint) (grouped, other []jointBin) {
+	spare = slices.Grow(spare[:0], len(bins))[:len(bins)]
+	for shift := uint(0); shift < width; shift += 8 {
+		var start [256]int
+		for _, bin := range bins {
+			start[bin.key>>shift&0xff]++
 		}
-		parts[p] = merged
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	hist := parts[0]
-	for _, part := range parts[1:] {
-		for key, n := range part {
-			hist[key] += n
+		for d, sum := 0, 0; d < 256; d++ {
+			start[d], sum = sum, sum+start[d]
 		}
+		for _, bin := range bins {
+			d := bin.key >> shift & 0xff
+			spare[start[d]] = bin
+			start[d]++
+		}
+		bins, spare = spare, bins
 	}
-	return hist, nil
+	n := 0
+	for i, bin := range bins {
+		if i+1 < len(bins) && bins[i+1].key == bin.key {
+			bins[i+1].n += bin.n
+			continue
+		}
+		bins[n] = bin
+		n++
+	}
+	return bins[:n], spare
 }
 
 // greedyMoveCand is one memoized candidate merge of a column: the
@@ -161,47 +170,46 @@ func multiGreedy(
 	weights []int,
 	stats *MultiStats,
 ) (map[string]dht.GenSet, MultiStats, error) {
-	bases, places, fits := nodeBases(cols, mingends)
+	shifts, fits := nodeShifts(cols, mingends)
 	if !fits {
 		return multiGreedyRescan(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, stats)
 	}
 
 	cur := make([]dht.GenSet, len(cols))
 	cover := make([][]uint64, len(cols))
+	thin := make([][]int, len(cols))
 	for ci, col := range cols {
 		cur[ci] = mingends[col]
-		cover[ci] = coverNodes(cur[ci])
+		cover[ci] = coverNodes(cur[ci], shifts[ci])
+		thin[ci] = make([]int, cur[ci].Tree().Size()+1)
 	}
-	hist, err := buildJointHist(ctx, workers, rowLeaves, weights, cover, places)
+	bins, err := jointBins(ctx, workers, rowLeaves, weights, cover, shifts[len(cols)])
 	if err != nil {
 		return nil, *stats, err
 	}
-
-	viol := make([][]bool, len(cols))
-	for ci := range cols {
-		viol[ci] = make([]bool, cur[ci].Tree().Size())
+	// thin[ci][comp] counts the bins below k whose column-ci component
+	// is comp.
+	markThin := func(bin jointBin, d int) {
+		if bin.n < k {
+			for ci := range thin {
+				thin[ci][bin.key>>shifts[ci]&(1<<(shifts[ci+1]-shifts[ci])-1)] += d
+			}
+		}
 	}
-	memo := make([][]greedyMoveCand, len(cols))
+	for _, bin := range bins {
+		markThin(bin, 1)
+	}
 
+	memo := make([][]greedyMoveCand, len(cols))
+	var moved, spare []jointBin
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, *stats, err
 		}
-		// Violating members, decoded from the histogram's thin bins.
+		// The ascent stops once no bin below k has a covered component.
 		anyViolation := false
-		for ci := range viol {
-			clear(viol[ci])
-		}
-		for key, n := range hist {
-			if n >= k {
-				continue
-			}
-			for ci := range cols {
-				if comp := (key / places[ci]) % bases[ci]; comp != 0 {
-					viol[ci][comp-1] = true
-					anyViolation = true
-				}
-			}
+		for ci := range thin {
+			anyViolation = anyViolation || slices.ContainsFunc(thin[ci][1:], func(n int) bool { return n > 0 })
 		}
 		if !anyViolation {
 			break
@@ -227,7 +235,7 @@ func multiGreedy(
 			for _, cand := range memo[ci] {
 				helps := false
 				for _, c := range tree.Children(cand.parent) {
-					if viol[ci][c] {
+					if thin[ci][c+1] > 0 {
 						helps = true
 						break
 					}
@@ -246,35 +254,38 @@ func multiGreedy(
 				"binning: greedy ascent exhausted at k=%d without satisfying k-anonymity: %w", k, ErrUnsatisfiable)
 		}
 
-		// Apply the merge: frontier, cover table, and the histogram
-		// delta-update — bins keyed by a child of the merged parent
-		// re-key to the parent and sum; every other bin is untouched.
+		// Apply the merge: the bins keyed by a child of the merged parent
+		// leave the live set and the thin counts and re-key to the
+		// parent; sorted by key, those that collide sum, and the bins
+		// they form rejoin the live set and re-enter the counts.
 		ci, p := bestMove.ci, bestMove.parent
 		next, err := cur[ci].MergeAt(p)
 		if err != nil {
 			return nil, *stats, fmt.Errorf("binning: internal: %w", err)
 		}
 		cur[ci] = next
-		tree := next.Tree()
-		childComp := make(map[uint64]bool, len(tree.Children(p)))
-		for _, c := range tree.Children(p) {
-			childComp[uint64(c)+1] = true
-			cover[ci][c] = uint64(p) + 1
+		isChild := make([]bool, len(thin[ci]))
+		for _, c := range next.Tree().Children(p) {
+			isChild[c+1] = true
 		}
-		for _, leaf := range tree.LeavesUnder(p) {
-			cover[ci][leaf] = uint64(p) + 1
-		}
-		cover[ci][p] = uint64(p) + 1
-		moved := make(map[uint64]int)
-		for key, n := range hist {
-			if comp := (key / places[ci]) % bases[ci]; childComp[comp] {
-				delete(hist, key)
-				moved[key-comp*places[ci]+(uint64(p)+1)*places[ci]] += n
+		shift, width := shifts[ci], shifts[ci+1]-shifts[ci]
+		field, parent := (uint64(1)<<width-1)<<shift, (uint64(p)+1)<<shift
+		live := bins[:0]
+		moved = moved[:0]
+		for _, bin := range bins {
+			if !isChild[(bin.key&field)>>shift] {
+				live = append(live, bin)
+				continue
 			}
+			markThin(bin, -1)
+			moved = append(moved, jointBin{bin.key&^field | parent, bin.n})
 		}
-		for key, n := range moved {
-			hist[key] += n
+		moved, spare = groupBins(moved, spare, shifts[len(cols)])
+		for _, bin := range moved {
+			markThin(bin, 1)
+			live = append(live, bin)
 		}
+		bins = live
 		memo[ci] = nil
 		stats.GreedyMerges++
 	}

@@ -442,9 +442,9 @@ func multiExhaustive(
 
 // multiGreedyRescan is the row-rescan reference ascent: every iteration
 // re-derives the violating members with a full-table scan. It remains
-// the fallback for degenerate tree sets whose joint NodeID radix
-// overflows uint64, and the differential oracle the incremental ascent
-// (multiGreedy) is tested against.
+// the fallback for degenerate tree sets whose packed per-column NodeID
+// fields need more than 64 bits, and the differential oracle the
+// incremental ascent (multiGreedy) is tested against.
 func multiGreedyRescan(
 	ctx context.Context,
 	cols []string,

@@ -299,7 +299,7 @@ func TestSketchStringKeyFallback(t *testing.T) {
 	for name, tree := range trees {
 		leafGens[name] = dht.LeafGenSet(tree)
 	}
-	if _, _, fits := nodeBases(sk.Quasi(), leafGens); fits {
+	if _, fits := nodeShifts(sk.Quasi(), leafGens); fits {
 		t.Fatal("expected the greedy ascent's rescan fallback")
 	}
 	ctx := context.Background()

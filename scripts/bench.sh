@@ -15,7 +15,10 @@
 # plane (Fingerprint16: one shared transform fanned out to 16
 # recipients; DetectStream1M: segment-at-a-time detection over a
 # million rows — its bytes_op is the read-side bounded-memory claim)
-# with
+# and the binning search layer at the release shape (SearchSketch1M:
+# one search over a million-row sketch) and the greedy ascent pair
+# (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture, from
+# internal/binning) with
 # -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
 # and allocs/op) per benchmark to BENCH_pipeline.json at the repo root,
 # so representation regressions show up as a diff in review.
@@ -24,7 +27,9 @@
 # recorded entry: a >15% ns/op regression on Protect20k, Detect20k,
 # MultiBinGreedy, Traceback50, Append2k or JobThroughput fails the
 # script, so a slowdown on the core pipeline or the serving layer
-# cannot be recorded silently.
+# cannot be recorded silently. The incremental greedy ascent must also
+# stay >= 1.3x faster than the rescan reference it is tested against,
+# or the script fails.
 #
 # Usage: scripts/bench.sh [label]
 #   label   entry label (default: git describe of HEAD)
@@ -36,10 +41,26 @@ cd "$(dirname "$0")/.."
 LABEL="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}"
 COUNT="${COUNT:-3}"
 OUT="BENCH_pipeline.json"
-PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$'
+PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$'
 
-RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" .)"
+RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" .)
+$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$' -benchmem -count "$COUNT" ./internal/binning)"
 echo "$RAW"
+
+best_ns() {
+  echo "$RAW" | awk -v n="$1" '
+    $1 ~ "^"n"(-[0-9]+)?$" { if (best == "" || $3 + 0 < best + 0) best = $3 }
+    END { print best }'
+}
+
+# Ratio gate: the incremental greedy ascent must beat its rescan oracle
+# by >= 1.3x (best-of-N ns/op each).
+inc="$(best_ns BenchmarkMultiGreedyIncremental)"
+ref="$(best_ns BenchmarkMultiGreedyRescan)"
+if [ -z "$inc" ] || [ -z "$ref" ] || awk -v i="$inc" -v r="$ref" 'BEGIN { exit !(i * 1.3 > r + 0) }'; then
+  echo "bench.sh: incremental greedy ascent ${inc:-?} ns/op vs rescan ${ref:-?} ns/op; want >= 1.3x speedup; entry not appended" >&2
+  exit 1
+fi
 
 ENTRY="$(echo "$RAW" | awk -v label="$LABEL" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
   /^Benchmark/ {
@@ -76,9 +97,7 @@ if [ -f "$OUT" ]; then
               BenchmarkTraceback50 BenchmarkAppend2k BenchmarkJobThroughput; do
     last="$(grep -o "\"$name\": {\"ns_op\": [0-9]*" "$OUT" | tail -1 | grep -o '[0-9]*$' || true)"
     [ -z "$last" ] && continue
-    fresh="$(echo "$RAW" | awk -v n="$name" '
-      $1 ~ "^"n"(-[0-9]+)?$" { if (best == "" || $3 + 0 < best + 0) best = $3 }
-      END { print best }')"
+    fresh="$(best_ns "$name")"
     [ -z "$fresh" ] && continue
     if awk -v f="$fresh" -v l="$last" 'BEGIN { exit !(f + 0 > l * 1.15) }'; then
       echo "bench.sh: $name regressed: $fresh ns/op vs $last ns/op last recorded (>15%); entry not appended" >&2
