@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -197,6 +198,20 @@ func (c *column) intern(v string) uint32 {
 	}
 	code := uint32(len(c.dict))
 	v = strings.Clone(v)
+	c.dict = append(c.dict, v)
+	c.index[v] = code
+	return code
+}
+
+// internBytes is intern for a value held in a caller's buffer: looking
+// up a value already in the dictionary allocates nothing. The caller
+// builds the index first (ensureIndex).
+func (c *column) internBytes(b []byte) uint32 {
+	if code, ok := c.index[string(b)]; ok {
+		return code
+	}
+	code := uint32(len(c.dict))
+	v := string(b)
 	c.dict = append(c.dict, v)
 	c.index[v] = code
 	return code
@@ -739,34 +754,33 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV reads a table from r. The CSV header must contain exactly the
-// schema's column names (in any order); cells are mapped by name. The
-// reader streams: each record is interned straight into the column
-// dictionaries and code vectors, so no [][]string row store is ever
-// built and repeated values share one dictionary entry.
+// schema's column names (in any order); cells are mapped by name. It
+// drains a SegmentReader whose dictionaries are never retired, so the
+// segments share one dictionary per column and the table is their code
+// vectors concatenated: no [][]string row store is ever built and
+// repeated values share one dictionary entry.
 func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("relation: reading header: %w", err)
-	}
-	perm, err := headerPerm(header, schema) // perm[csvCol] = schemaCol
+	sr, err := NewSegmentReader(r, schema, DefaultChunk)
 	if err != nil {
 		return nil, err
 	}
+	sr.dictCap = math.MaxInt
 	t := NewTable(schema)
-	for lineNo := 2; ; lineNo++ {
-		rec, err := cr.Read()
+	for {
+		seg, err := sr.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("relation: line %d: %w", lineNo, err)
+			return nil, err
 		}
-		for i, v := range rec {
-			c := &t.cols[perm[i]]
-			c.codes = append(c.codes, c.intern(v))
+		for ci := range t.cols {
+			t.cols[ci].codes = append(t.cols[ci].codes, seg.cols[ci].codes...)
 		}
+	}
+	for ci := range t.cols {
+		t.cols[ci].dict = sr.cols[ci].dict
+		t.cols[ci].index = sr.cols[ci].index
 	}
 	return t, nil
 }

@@ -1,10 +1,15 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
+
+	"repro/internal/pool"
 )
 
 // SegmentReader streams a CSV input as a sequence of bounded *Table
@@ -19,27 +24,87 @@ import (
 // dictionaries are capacity-capped views of the shared ones: reads are
 // plain lookups, and a consumer that interns new values (SetCellAt,
 // MapColumn) re-allocates privately without clobbering the shared
-// backing — earlier segments and the reader itself stay valid. Quoted
-// fields, embedded newlines and multi-byte runes are handled by the
-// record-level CSV decoding, so a logical record never straddles two
-// segments regardless of where its bytes fall.
+// backing — earlier segments and the reader itself stay valid.
+//
+// The reader decodes bytes, not records, and builds each segment piece
+// by piece (at most pieceRows records at a time). It reads the source
+// in blocks of at most readBlock bytes into one buffer that holds the
+// current piece and is reused for the next. Record ends are found
+// sequentially: a newline ends a record only when the record's quotes
+// so far are balanced, so quoted newlines never split a record. The
+// piece's records are then decoded in place into field spans
+// (parseRecord, with encoding/csv's rules and errors), spread over
+// workers by row range, and the fields are interned into the shared
+// dictionaries with one goroutine per column walking the rows in order,
+// so codes and dictionary order match a sequential read.
 type SegmentReader struct {
 	schema  *Schema
-	cr      *csv.Reader
+	src     io.Reader
 	perm    []int // perm[csvCol] = schemaCol
 	cols    []column
 	chunk   int
 	dictCap int
-	lineNo  int
+	lineNo  int // logical line of the next record; the header is line 1
 	rows    int
 	done    bool
 	err     error
+
+	// piece caps the records decoded at a time (pieceRows); workers
+	// bounds the goroutines that decode and intern a piece (<= 0 means
+	// GOMAXPROCS), and pieces under inlineBelow records use none. Tests
+	// shrink them to reach every path on small inputs.
+	piece       int
+	workers     int
+	inlineBelow int
+
+	// Byte-level scan state. buf[:recLo] holds the records found for
+	// the current piece, buf[recLo:pos] the scanned part of the next
+	// record, buf[pos:] bytes not yet scanned.
+	buf     []byte
+	pos     int
+	recLo   int
+	quotes  int // '"' bytes in buf[recLo:pos]
+	line    int // newlines before pos
+	recLine int // physical line recLo starts on
+	guard   int // pending record length that triggers the next runaway check
+	empties int // consecutive empty reads
+	srcErr  error
+
+	recs  []record
+	tail  error  // parseRecord's end for the last of recs; nil if it has its newline
+	cells []span // cells[row*len(cols)+schemaCol]
 }
 
-// minDictCap floors the shared-dictionary retirement threshold so that
-// low-cardinality columns keep full cross-stream sharing even under
-// tiny chunk sizes.
-const minDictCap = 16384
+// record is one record's raw bytes, buf[lo:hi], whose first line is
+// physical line line.
+type record struct{ lo, hi, line int }
+
+// span locates one decoded field in the reader's buffer.
+type span struct{ lo, hi int }
+
+const (
+	// minDictCap floors the shared-dictionary retirement threshold so
+	// that low-cardinality columns keep full cross-stream sharing even
+	// under tiny chunk sizes.
+	minDictCap = 16384
+	// readBlock caps one source read — the window encoding/csv's
+	// bufio.Reader reads with — so a caller metering the source per
+	// segment sees at most one block read beyond the segment's records.
+	readBlock = 4096
+	// pieceRows caps the records decoded and interned at a time: a
+	// segment is built piece by piece, so the byte buffer and the field
+	// spans stay bounded whatever the chunk size.
+	pieceRows = 2048
+	// inlineRows is the piece size below which decoding and interning
+	// run on the calling goroutine.
+	inlineRows = 2048
+	// guardMin is the length a record with an open quote may reach
+	// before its complete lines are checked for a parse error, so a
+	// stray quote cannot make the reader buffer the rest of the input.
+	guardMin = 64 << 10
+	// maxEmptyReads matches bufio's tolerance for (0, nil) reads.
+	maxEmptyReads = 100
+)
 
 // NewSegmentReader prepares streaming ingest of r against schema,
 // yielding at most chunk rows per segment (DefaultChunk when
@@ -50,25 +115,37 @@ func NewSegmentReader(r io.Reader, schema *Schema, chunk int) (*SegmentReader, e
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	sr := &SegmentReader{
+		schema:      schema,
+		src:         r,
+		cols:        make([]column, schema.NumColumns()),
+		chunk:       chunk,
+		dictCap:     max(4*chunk, minDictCap),
+		lineNo:      2,
+		piece:       pieceRows,
+		inlineBelow: inlineRows,
+		recLine:     1,
+		guard:       guardMin,
+	}
+	recs := sr.scan(1)
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("relation: reading header: %w", io.EOF)
+	}
+	h := recs[0]
+	ends, err := parseRecord(sr.buf[h.lo:h.hi:h.hi], sr.tail, h.line, nil)
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading header: %w", err)
 	}
-	perm, err := headerPerm(header, schema)
-	if err != nil {
+	header := make([]string, len(ends))
+	prev := h.lo
+	for i, e := range ends {
+		header[i] = string(sr.buf[prev : h.lo+e])
+		prev = h.lo + e
+	}
+	if sr.perm, err = headerPerm(header, schema); err != nil {
 		return nil, err
 	}
-	return &SegmentReader{
-		schema:  schema,
-		cr:      cr,
-		perm:    perm,
-		cols:    make([]column, schema.NumColumns()),
-		chunk:   chunk,
-		dictCap: max(4*chunk, minDictCap),
-		lineNo:  2,
-	}, nil
+	return sr, nil
 }
 
 // headerPerm maps CSV column positions to schema positions, enforcing
@@ -96,7 +173,8 @@ func headerPerm(header []string, schema *Schema) ([]int, error) {
 // Next returns the next segment of at most the configured chunk rows,
 // or (nil, io.EOF) once the input is exhausted. A malformed record
 // fails with the same "relation: line N" error ReadCSV reports, and
-// the failure is sticky.
+// the failure is sticky; so is a read error from the source, which the
+// returned error wraps.
 func (sr *SegmentReader) Next() (*Table, error) {
 	if sr.err != nil {
 		return nil, sr.err
@@ -109,25 +187,31 @@ func (sr *SegmentReader) Next() (*Table, error) {
 		codes[ci] = make([]uint32, 0, sr.chunk)
 	}
 	n := 0
-	for ; n < sr.chunk; n++ {
-		rec, err := sr.cr.Read()
-		if err == io.EOF {
-			sr.done = true
+	for n < sr.chunk {
+		want := min(sr.chunk-n, sr.piece)
+		recs := sr.scan(want)
+		if len(recs) == 0 {
 			break
 		}
-		if err != nil {
-			sr.err = fmt.Errorf("relation: line %d: %w", sr.lineNo, err)
-			return nil, sr.err
+		workers := sr.workers
+		if len(recs) < sr.inlineBelow {
+			workers = 1
 		}
-		sr.lineNo++
-		for i, v := range rec {
-			ci := sr.perm[i]
-			codes[ci] = append(codes[ci], sr.cols[ci].intern(v))
+		if err := sr.decode(workers, sr.lineNo+n, recs); err != nil {
+			sr.err = err
+			return nil, err
+		}
+		sr.intern(workers, len(recs), codes)
+		n += len(recs)
+		if len(recs) < want {
+			break // the input is over
 		}
 	}
 	if n == 0 {
+		sr.done = true
 		return nil, io.EOF
 	}
+	sr.lineNo += n
 	sr.rows += n
 	seg := &Table{schema: sr.schema, cols: make([]column, len(sr.cols))}
 	for ci := range sr.cols {
@@ -154,6 +238,180 @@ func (sr *SegmentReader) Next() (*Table, error) {
 		}
 	}
 	return seg, nil
+}
+
+// scan finds up to limit records, reading the source as needed. The
+// bytes of the previous call's records are dropped first, so the
+// buffer holds one piece plus at most one read block beyond it.
+func (sr *SegmentReader) scan(limit int) []record {
+	if sr.recLo > 0 {
+		sr.buf = sr.buf[:copy(sr.buf, sr.buf[sr.recLo:])]
+		sr.pos -= sr.recLo
+		sr.recLo = 0
+	}
+	recs := sr.recs[:0]
+	sr.tail = nil
+	for len(recs) < limit {
+		i := bytes.IndexByte(sr.buf[sr.pos:], '\n')
+		if i < 0 {
+			sr.quotes += bytes.Count(sr.buf[sr.pos:], quote)
+			sr.pos = len(sr.buf)
+			if sr.srcErr == nil && sr.quotes&1 != 0 && sr.pos-sr.recLo >= sr.guard {
+				sr.checkRunaway()
+			}
+			if sr.srcErr == nil {
+				sr.fill()
+				continue
+			}
+			// The input is over: whatever follows the last record is one
+			// more, unless it is an empty line at a clean end of input.
+			if rest := sr.buf[sr.recLo:]; sr.srcErr != io.EOF || !blankLine(rest) {
+				recs = append(recs, record{lo: sr.recLo, hi: len(sr.buf), line: sr.recLine})
+				sr.tail = sr.srcErr
+			}
+			sr.recLo = len(sr.buf)
+			break
+		}
+		nl := sr.pos + i
+		sr.quotes += bytes.Count(sr.buf[sr.pos:nl], quote)
+		sr.pos = nl + 1
+		sr.line++
+		if sr.quotes&1 != 0 {
+			continue // a newline inside a quoted field
+		}
+		if !blankLine(sr.buf[sr.recLo:nl]) {
+			recs = append(recs, record{lo: sr.recLo, hi: sr.pos, line: sr.recLine})
+		}
+		sr.recLo, sr.recLine, sr.quotes, sr.guard = sr.pos, sr.line+1, 0, guardMin
+	}
+	sr.recs = recs
+	return recs
+}
+
+var quote = []byte{'"'}
+
+// blankLine reports whether b, a line without its "\n", is one that
+// encoding/csv skips.
+func blankLine(b []byte) bool { return len(b) == 0 || len(b) == 1 && b[0] == '\r' }
+
+// checkRunaway decodes (in a copy) the complete lines of a long record
+// whose quote is still open. If they already hold a parse error, the
+// input ends there for the reader, so that record is the last one and
+// fails with that error, as encoding/csv's would without reading on;
+// otherwise the next check waits until the record has doubled.
+func (sr *SegmentReader) checkRunaway() {
+	sr.guard *= 2
+	last := bytes.LastIndexByte(sr.buf[sr.recLo:sr.pos], '\n')
+	if last < 0 {
+		return
+	}
+	hi := sr.recLo + last + 1
+	scratch := append([]byte(nil), sr.buf[sr.recLo:hi]...)
+	if _, err := parseRecord(scratch, errNeedMore, sr.recLine, nil); err == nil || err == errNeedMore {
+		return
+	}
+	sr.srcErr = errNeedMore
+	sr.buf = sr.buf[:hi]
+	sr.pos = hi
+}
+
+// fill reads one block from the source into the buffer.
+func (sr *SegmentReader) fill() {
+	sr.buf = slices.Grow(sr.buf, readBlock)
+	n, err := sr.src.Read(sr.buf[len(sr.buf) : len(sr.buf)+readBlock])
+	sr.buf = sr.buf[:len(sr.buf)+n]
+	switch {
+	case err != nil:
+		sr.srcErr = err
+	case n > 0:
+		sr.empties = 0
+	default:
+		if sr.empties++; sr.empties >= maxEmptyReads {
+			sr.srcErr = io.ErrNoProgress
+		}
+	}
+}
+
+// decode splits every record into field spans, by row range over
+// workers; line is the logical line of the first record. The error of
+// the lowest failing row wins.
+func (sr *SegmentReader) decode(workers, line int, recs []record) error {
+	ncols := len(sr.cols)
+	if need := len(recs) * ncols; cap(sr.cells) < need {
+		sr.cells = make([]span, need)
+	}
+	cells := sr.cells[:len(recs)*ncols]
+	return pool.ForEachChunk(workers, len(recs), func(_, lo, hi int) error {
+		ends := make([]int, 0, ncols)
+		for r := lo; r < hi; r++ {
+			rec := recs[r]
+			var end error
+			if r == len(recs)-1 {
+				end = sr.tail
+			}
+			var err error
+			ends, err = parseRecord(sr.buf[rec.lo:rec.hi:rec.hi], end, rec.line, ends[:0])
+			if err == nil && len(ends) != ncols {
+				err = &csv.ParseError{StartLine: rec.line, Line: rec.line, Column: 1, Err: csv.ErrFieldCount}
+			}
+			if err != nil {
+				return fmt.Errorf("relation: line %d: %w", line+r, err)
+			}
+			prev := rec.lo
+			for i, e := range ends {
+				cells[r*ncols+sr.perm[i]] = span{prev, rec.lo + e}
+				prev = rec.lo + e
+			}
+		}
+		return nil
+	})
+}
+
+// intern appends the codes of n decoded rows to codes, one goroutine
+// per column walking the rows in order. A value new to an identifying
+// column becomes a substring of one string holding the column's bytes
+// for all n rows, instead of an allocation of its own.
+func (sr *SegmentReader) intern(workers, n int, codes [][]uint32) {
+	ncols := len(sr.cols)
+	cells := sr.cells
+	_ = pool.ForEach(workers, ncols, func(ci int) error {
+		c := &sr.cols[ci]
+		c.ensureIndex()
+		out := codes[ci]
+		if sr.schema.Column(ci).Kind == Identifying {
+			size := 0
+			for r := 0; r < n; r++ {
+				s := cells[r*ncols+ci]
+				size += s.hi - s.lo
+			}
+			var arena strings.Builder
+			arena.Grow(size)
+			for r := 0; r < n; r++ {
+				s := cells[r*ncols+ci]
+				arena.Write(sr.buf[s.lo:s.hi])
+			}
+			str, off := arena.String(), 0
+			for r := 0; r < n; r++ {
+				s := cells[r*ncols+ci]
+				v := str[off : off+s.hi-s.lo]
+				off += len(v)
+				code, ok := c.index[v]
+				if !ok {
+					code = uint32(len(c.dict))
+					c.dict = append(c.dict, v)
+					c.index[v] = code
+				}
+				out = append(out, code)
+			}
+		} else {
+			for r := 0; r < n; r++ {
+				s := cells[r*ncols+ci]
+				out = append(out, c.internBytes(sr.buf[s.lo:s.hi]))
+			}
+		}
+		codes[ci] = out
+		return nil
+	})
 }
 
 // Rows returns the number of data rows ingested so far.

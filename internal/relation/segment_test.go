@@ -2,7 +2,9 @@ package relation
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -274,4 +276,241 @@ func FuzzSegmentIngest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSegmentReaderErrorText pins the full text of the malformed-record
+// errors the server's 400s expose: ReadCSV's "relation: line N" prefix,
+// where N counts records, wrapping encoding/csv's *csv.ParseError,
+// whose lines are physical.
+func TestSegmentReaderErrorText(t *testing.T) {
+	const h = "ssn,age,doctor,note\n"
+	cases := []struct {
+		name, input string
+		line        int
+		pe          csv.ParseError
+		want        string
+	}{
+		{
+			"ragged record", h + "s1,34,Nurse,a\nonly,two\n", 3,
+			csv.ParseError{StartLine: 3, Line: 3, Column: 1, Err: csv.ErrFieldCount},
+			"relation: line 3: record on line 3: wrong number of fields",
+		},
+		{
+			"bare quote", h + "s1,34,Nu\"rse,a\n", 2,
+			csv.ParseError{StartLine: 2, Line: 2, Column: 9, Err: csv.ErrBareQuote},
+			"relation: line 2: parse error on line 2, column 9: bare \" in non-quoted-field",
+		},
+		{
+			"unterminated quote", h + "s1,34,Nurse,\"abc\nde\n", 2,
+			csv.ParseError{StartLine: 2, Line: 3, Column: 4, Err: csv.ErrQuote},
+			"relation: line 2: record on line 2; parse error on line 3, column 4: extraneous or missing \" in quoted-field",
+		},
+		{
+			"quote then junk", h + "s1,34,\"Nurse\"x,a\n", 2,
+			csv.ParseError{StartLine: 2, Line: 2, Column: 13, Err: csv.ErrQuote},
+			"relation: line 2: parse error on line 2, column 13: extraneous or missing \" in quoted-field",
+		},
+		{
+			"after a multi-line field", h + "s1,34,Nurse,\"a\nb\"\ns2,34,Nu\"rse,c\n", 3,
+			csv.ParseError{StartLine: 4, Line: 4, Column: 9, Err: csv.ErrBareQuote},
+			"relation: line 3: parse error on line 4, column 9: bare \" in non-quoted-field",
+		},
+		{
+			"multi-line field then junk", h + "s1,34,Nurse,\"a\nb\"\ns2,34,Nurse,\"c\nd\"x\n", 3,
+			csv.ParseError{StartLine: 4, Line: 5, Column: 2, Err: csv.ErrQuote},
+			"relation: line 3: record on line 4; parse error on line 5, column 2: extraneous or missing \" in quoted-field",
+		},
+		{
+			"ragged after blank lines", h + "s1,34,Nurse,\"a\nb\"\n\n\ns2,34\n", 3,
+			csv.ParseError{StartLine: 6, Line: 6, Column: 1, Err: csv.ErrFieldCount},
+			"relation: line 3: record on line 6: wrong number of fields",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if built := fmt.Sprintf("relation: line %d: %v", tc.line, &tc.pe); built != tc.want {
+				t.Fatalf("built text %q, want %q", built, tc.want)
+			}
+			sr, err := NewSegmentReader(strings.NewReader(tc.input), segSchema(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for err == nil {
+				_, err = sr.Next()
+			}
+			_, readErr := ReadCSV(strings.NewReader(tc.input), segSchema())
+			for _, got := range []error{err, readErr} {
+				if got == nil || got.Error() != tc.want {
+					t.Fatalf("error %v, want %q", got, tc.want)
+				}
+				var pe *csv.ParseError
+				if !errors.As(got, &pe) || *pe != tc.pe {
+					t.Fatalf("parse error %+v, want %+v", pe, tc.pe)
+				}
+			}
+		})
+	}
+
+	_, err := NewSegmentReader(strings.NewReader("ssn,age,\"doc\n"), segSchema(), 1)
+	const want = "relation: reading header: parse error on line 1, column 14: extraneous or missing \" in quoted-field"
+	if err == nil || err.Error() != want {
+		t.Fatalf("header error %v, want %q", err, want)
+	}
+}
+
+// countingSource counts the bytes a reader hands out and, when failAt
+// is non-negative, fails with errSource once failAt bytes are out.
+type countingSource struct {
+	r      io.Reader
+	n      int
+	failAt int
+}
+
+var errSource = errors.New("source failed")
+
+func (c *countingSource) Read(p []byte) (int, error) {
+	if c.failAt >= 0 {
+		if c.n >= c.failAt {
+			return 0, errSource
+		}
+		p = p[:min(len(p), c.failAt-c.n)]
+	}
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestSegmentReaderReadAhead pins the read-ahead contract a caller
+// metering the source per segment relies on: after each Next the
+// reader has consumed at most one 4 KiB block beyond the end of the
+// last record it yielded. A source that fails mid-stream fails the
+// same Next the record-level oracle fails, with an error that wraps
+// the source's and stays sticky.
+func TestSegmentReaderReadAhead(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("ssn,age,doctor,note\r\n")
+	for i := 0; i < 1500; i++ {
+		fmt.Fprintf(&b, "s%d,%d,Nurse,", i, i%90)
+		switch i % 5 {
+		case 0:
+			fmt.Fprintf(&b, "\"multi\nline %d\"\n", i)
+		case 1:
+			b.WriteString(strings.Repeat("wide ", i%60) + "\r\n")
+		case 2:
+			b.WriteString("\n\n")
+		default:
+			b.WriteString("\"q\"\"uote\"\n")
+		}
+	}
+	input := b.String()
+
+	for _, chunk := range []int{1, 7, 100, 0} {
+		// The oracle's InputOffset marks where each record ends.
+		oracle := csv.NewReader(strings.NewReader(input))
+		if _, err := oracle.Read(); err != nil {
+			t.Fatal(err)
+		}
+		src := &countingSource{r: strings.NewReader(input), failAt: -1}
+		sr, err := NewSegmentReader(src, segSchema(), chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ahead := int64(src.n) - oracle.InputOffset(); ahead > 4096 {
+			t.Fatalf("chunk %d: header read %d bytes ahead", chunk, ahead)
+		}
+		for {
+			seg, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < seg.NumRows(); i++ {
+				if _, err := oracle.Read(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ahead := int64(src.n) - oracle.InputOffset(); ahead < 0 || ahead > 4096 {
+				t.Fatalf("chunk %d: %d bytes read past the last record", chunk, ahead)
+			}
+		}
+	}
+
+	for _, chunk := range []int{1, 7, 0} {
+		for failAt := 0; failAt < len(input); failAt += 389 {
+			src := &countingSource{r: strings.NewReader(input), failAt: failAt}
+			want, wantErr := newCSVSegments(&countingSource{r: strings.NewReader(input), failAt: failAt}, segSchema(), chunk)
+			sr, err := NewSegmentReader(src, segSchema(), chunk)
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("fail at %d: header error %v, want %v", failAt, err, wantErr)
+			}
+			if err != nil {
+				if !errors.Is(err, errSource) {
+					t.Fatalf("fail at %d: header error %v does not wrap the source error", failAt, err)
+				}
+				continue
+			}
+			for call := 0; ; call++ {
+				_, err := sr.Next()
+				_, wantErr := want.Next()
+				if errText(err) != errText(wantErr) {
+					t.Fatalf("chunk %d, fail at %d, Next #%d: %v, want %v", chunk, failAt, call, err, wantErr)
+				}
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, errSource) {
+					t.Fatalf("chunk %d, fail at %d: %v does not wrap the source error", chunk, failAt, err)
+				}
+				if _, again := sr.Next(); again != err {
+					t.Fatalf("chunk %d, fail at %d: error not sticky: %v", chunk, failAt, again)
+				}
+				break
+			}
+		}
+	}
+}
+
+// emptyReads returns (0, nil) forever.
+type emptyReads struct{}
+
+func (emptyReads) Read([]byte) (int, error) { return 0, nil }
+
+// TestSegmentReaderStrayQuote covers the inputs that never close a
+// record: a stray quote followed by far more quote-free lines than the
+// runaway check's threshold fails with encoding/csv's error after
+// reading a bounded prefix, not the whole input; a long quoted field
+// that does close is still one record; and a source that keeps
+// returning nothing fails like bufio does.
+func TestSegmentReaderStrayQuote(t *testing.T) {
+	const h = "ssn,age,doctor,note\n"
+	filler := strings.Repeat("s9,40,Clerk,plain text without quotes\n", 40000)
+	stray := h + "s1,34,Nurse,a\ns2,34,Nu\"rse,b\n" + filler
+	src := &countingSource{r: strings.NewReader(stray), failAt: -1}
+	sr, err := NewSegmentReader(src, segSchema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sr.Next()
+	const want = "relation: line 3: parse error on line 3, column 9: bare \" in non-quoted-field"
+	if err == nil || err.Error() != want {
+		t.Fatalf("stray quote: %v, want %q", err, want)
+	}
+	if src.n > 256<<10 {
+		t.Fatalf("stray quote: read %d of %d bytes before failing", src.n, len(stray))
+	}
+
+	long := h + "s1,34,Nurse,\"" + strings.Repeat("a long\nquoted field\n", 20000) + "\"\ns2,5,Clerk,b\n"
+	if diff := matchOracle(long, 1, 2, func(r io.Reader) io.Reader { return r }); diff != "" {
+		t.Fatalf("long quoted field: %s", diff)
+	}
+
+	sr, err = NewSegmentReader(io.MultiReader(strings.NewReader(h), emptyReads{}), segSchema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sr.Next(); !errors.Is(err, io.ErrNoProgress) {
+		t.Fatalf("empty reads: %v, want io.ErrNoProgress", err)
+	}
 }

@@ -215,22 +215,34 @@ func TestHTTPDetectStreamErrors(t *testing.T) {
 	}
 
 	// A malformed record midway through the suspect: still the ordinary
-	// envelope, with the segment context preserved.
-	t.Run("mid-body csv error", func(t *testing.T) {
-		lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
-		lines[len(lines)/2] = "not,enough"
-		resp, got := postCSV(t, ts.URL+"/v1/detect", good(), []byte(strings.Join(lines, "\n")+"\n"))
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("bad CSV detected successfully:\n%s", got)
-		}
-		var envelope api.ErrorResponse
-		if err := json.Unmarshal(got, &envelope); err != nil || envelope.Error.Code == "" {
-			t.Fatalf("envelope: %s", got)
-		}
-		if !strings.Contains(envelope.Error.Message, "reading segment") {
-			t.Fatalf("error lost the segment context: %s", envelope.Error.Message)
-		}
-	})
+	// envelope, with the segment context preserved and the reader's
+	// error text verbatim.
+	for _, tc := range []struct {
+		name   string
+		record func(string) string
+		want   string
+	}{
+		{"mid-body csv error", func(string) string { return "not,enough" },
+			"core: reading segment 0: relation: line 101: record on line 101: wrong number of fields"},
+		{"mid-body bare quote", func(rec string) string { return "a\"b" + rec },
+			"core: reading segment 0: relation: line 101: parse error on line 101, column 2: bare \" in non-quoted-field"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+			lines[len(lines)/2] = tc.record(lines[len(lines)/2])
+			resp, got := postCSV(t, ts.URL+"/v1/detect", good(), []byte(strings.Join(lines, "\n")+"\n"))
+			if resp.StatusCode == http.StatusOK {
+				t.Fatalf("bad CSV detected successfully:\n%s", got)
+			}
+			var envelope api.ErrorResponse
+			if err := json.Unmarshal(got, &envelope); err != nil || envelope.Error.Code == "" {
+				t.Fatalf("envelope: %s", got)
+			}
+			if envelope.Error.Message != tc.want {
+				t.Fatalf("message %q, want %q", envelope.Error.Message, tc.want)
+			}
+		})
+	}
 }
 
 // TestHTTPTracebackStream fingerprints a fleet with Output=csv (the

@@ -506,26 +506,38 @@ func TestHTTPPlanStreamErrors(t *testing.T) {
 
 	// A malformed record midway through the body: still the ordinary
 	// envelope (an error status and a JSON body, never an ErrorTrailer),
-	// since the plan mode commits no early bytes.
-	t.Run("mid-body csv error", func(t *testing.T) {
-		lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
-		lines[len(lines)/2] = "not,enough"
-		h := planStreamHeaders(t, tbl.Schema(), "plan secret", 25, 32)
-		resp, got := postCSV(t, ts.URL+"/v1/plan", h, []byte(strings.Join(lines, "\n")+"\n"))
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("bad CSV planned successfully:\n%s", got)
-		}
-		var envelope api.ErrorResponse
-		if err := json.Unmarshal(got, &envelope); err != nil || envelope.Error.Code == "" {
-			t.Fatalf("envelope: %s", got)
-		}
-		if !strings.Contains(envelope.Error.Message, "reading segment") {
-			t.Fatalf("error lost the segment context: %s", envelope.Error.Message)
-		}
-		if e := resp.Trailer.Get(api.ErrorTrailer); e != "" {
-			t.Fatalf("plan mode must not use the error trailer: %s", e)
-		}
-	})
+	// since the plan mode commits no early bytes, with the segment
+	// context and the reader's error text verbatim.
+	for _, tc := range []struct {
+		name   string
+		record func(string) string
+		want   string
+	}{
+		{"mid-body csv error", func(string) string { return "not,enough" },
+			"core: reading segment 4: relation: line 151: record on line 151: wrong number of fields"},
+		{"mid-body bare quote", func(rec string) string { return "a\"b" + rec },
+			"core: reading segment 4: relation: line 151: parse error on line 151, column 2: bare \" in non-quoted-field"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+			lines[len(lines)/2] = tc.record(lines[len(lines)/2])
+			h := planStreamHeaders(t, tbl.Schema(), "plan secret", 25, 32)
+			resp, got := postCSV(t, ts.URL+"/v1/plan", h, []byte(strings.Join(lines, "\n")+"\n"))
+			if resp.StatusCode == http.StatusOK {
+				t.Fatalf("bad CSV planned successfully:\n%s", got)
+			}
+			var envelope api.ErrorResponse
+			if err := json.Unmarshal(got, &envelope); err != nil || envelope.Error.Code == "" {
+				t.Fatalf("envelope: %s", got)
+			}
+			if envelope.Error.Message != tc.want {
+				t.Fatalf("message %q, want %q", envelope.Error.Message, tc.want)
+			}
+			if e := resp.Trailer.Get(api.ErrorTrailer); e != "" {
+				t.Fatalf("plan mode must not use the error trailer: %s", e)
+			}
+		})
+	}
 }
 
 // TestHTTPApplyBelowKUnsatisfiable applies a plan to a table too small
