@@ -237,3 +237,22 @@ func oracleReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 		}
 	}
 }
+
+// TestSegmentReaderMatchesCSVAcrossRetirement runs the differential
+// over enough distinct identifiers to retire the shared dictionary
+// several times and double the identifier column's index table.
+func TestSegmentReaderMatchesCSVAcrossRetirement(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("ssn,age,doctor,note\n")
+	for i := 0; i < 60000; i++ {
+		fmt.Fprintf(&b, "id-%07d,%d,\"Dr, %d\",n%d\n", i*7919%60000, i%97, i%13, i%5000)
+	}
+	input := b.String()
+	for _, chunk := range []int{0, 3000} {
+		for _, workers := range []int{1, 2} {
+			if diff := matchOracle(input, chunk, workers, iotest.HalfReader); diff != "" {
+				t.Fatalf("chunk %d, %d workers: %s", chunk, workers, diff)
+			}
+		}
+	}
+}

@@ -203,20 +203,6 @@ func (c *column) intern(v string) uint32 {
 	return code
 }
 
-// internBytes is intern for a value held in a caller's buffer: looking
-// up a value already in the dictionary allocates nothing. The caller
-// builds the index first (ensureIndex).
-func (c *column) internBytes(b []byte) uint32 {
-	if code, ok := c.index[string(b)]; ok {
-		return code
-	}
-	code := uint32(len(c.dict))
-	v := string(b)
-	c.dict = append(c.dict, v)
-	c.index[v] = code
-	return code
-}
-
 // Table is an in-memory relation: a schema plus one dictionary-encoded
 // code vector per column.
 type Table struct {
@@ -780,7 +766,6 @@ func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
 	}
 	for ci := range t.cols {
 		t.cols[ci].dict = sr.cols[ci].dict
-		t.cols[ci].index = sr.cols[ci].index
 	}
 	return t, nil
 }

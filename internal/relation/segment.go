@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"strings"
@@ -42,6 +43,7 @@ type SegmentReader struct {
 	src     io.Reader
 	perm    []int // perm[csvCol] = schemaCol
 	cols    []column
+	index   []codeIndex // index[ci] finds values in cols[ci].dict
 	chunk   int
 	dictCap int
 	lineNo  int // logical line of the next record; the header is line 1
@@ -119,6 +121,7 @@ func NewSegmentReader(r io.Reader, schema *Schema, chunk int) (*SegmentReader, e
 		schema:      schema,
 		src:         r,
 		cols:        make([]column, schema.NumColumns()),
+		index:       make([]codeIndex, schema.NumColumns()),
 		chunk:       chunk,
 		dictCap:     max(4*chunk, minDictCap),
 		lineNo:      2,
@@ -126,6 +129,9 @@ func NewSegmentReader(r io.Reader, schema *Schema, chunk int) (*SegmentReader, e
 		inlineBelow: inlineRows,
 		recLine:     1,
 		guard:       guardMin,
+	}
+	for ci := range sr.index {
+		sr.index[ci] = newCodeIndex()
 	}
 	recs := sr.scan(1)
 	if len(recs) == 0 {
@@ -231,10 +237,13 @@ func (sr *SegmentReader) Next() (*Table, error) {
 	// segment's dictionary view would pay for the whole stream's history.
 	// Subsequent segments start that column from an empty dictionary; the
 	// segment just built keeps its capped view of the retired backing,
-	// and low-cardinality columns never hit the cap.
+	// and low-cardinality columns never hit the cap. The retired column
+	// keeps its index table, emptied, and gets a dictionary sized for
+	// its next fill (at most one segment past the cap).
 	for ci := range sr.cols {
 		if len(sr.cols[ci].dict) > sr.dictCap {
-			sr.cols[ci] = column{}
+			sr.cols[ci] = column{dict: make([]string, 0, sr.dictCap+sr.chunk)}
+			sr.index[ci].reset()
 		}
 	}
 	return seg, nil
@@ -349,6 +358,9 @@ func (sr *SegmentReader) decode(workers, line int, recs []record) error {
 			if r == len(recs)-1 {
 				end = sr.tail
 			}
+			if end == nil && sr.splitPlain(rec, cells[r*ncols:(r+1)*ncols]) {
+				continue
+			}
 			var err error
 			ends, err = parseRecord(sr.buf[rec.lo:rec.hi:rec.hi], end, rec.line, ends[:0])
 			if err == nil && len(ends) != ncols {
@@ -367,6 +379,62 @@ func (sr *SegmentReader) decode(workers, line int, recs []record) error {
 	})
 }
 
+// splitPlain is parseRecord's fast path for a record closed by its own
+// newline whose fields need no unescaping, the common case: each field
+// is either unquoted and quote-free, or quoted with no "" and no "\r"
+// inside, so its value is a run of the buffer and nothing is copied (a
+// "\r" before the record's newline is dropped, as encoding/csv does).
+// It reports false, after writing only spans parseRecord will
+// overwrite, for any other record, well-formed or not, and for a
+// record with the wrong number of fields, leaving parseRecord to
+// decide.
+func (sr *SegmentReader) splitPlain(rec record, cells []span) bool {
+	buf := sr.buf
+	p, end := rec.lo, rec.hi-1 // buf[end] is the newline
+	if end > p && buf[end-1] == '\r' {
+		end--
+	}
+	last := len(sr.perm) - 1
+	for i, ci := range sr.perm {
+		var lo, hi int
+		if p < end && buf[p] == '"' {
+			j := bytes.IndexByte(buf[p+1:end], '"')
+			if j < 0 {
+				return false
+			}
+			lo, hi = p+1, p+1+j
+			if bytes.IndexByte(buf[lo:hi], '\r') >= 0 {
+				return false
+			}
+			p = hi + 1
+		} else {
+			j := bytes.IndexByte(buf[p:end], ',')
+			if j < 0 {
+				j = end - p
+			}
+			lo, hi = p, p+j
+			if bytes.IndexByte(buf[lo:hi], '"') >= 0 {
+				return false
+			}
+			p = hi
+		}
+		// p is at the field's separator: a comma, or the record's end
+		// after the last field.
+		if i == last {
+			if p != end {
+				return false
+			}
+		} else {
+			if p == end || buf[p] != ',' {
+				return false
+			}
+			p++
+		}
+		cells[ci] = span{lo, hi}
+	}
+	return true
+}
+
 // intern appends the codes of n decoded rows to codes, one goroutine
 // per column walking the rows in order. A value new to an identifying
 // column becomes a substring of one string holding the column's bytes
@@ -375,43 +443,98 @@ func (sr *SegmentReader) intern(workers, n int, codes [][]uint32) {
 	ncols := len(sr.cols)
 	cells := sr.cells
 	_ = pool.ForEach(workers, ncols, func(ci int) error {
-		c := &sr.cols[ci]
-		c.ensureIndex()
-		out := codes[ci]
+		c, x := &sr.cols[ci], &sr.index[ci]
+		var arena string
 		if sr.schema.Column(ci).Kind == Identifying {
 			size := 0
 			for r := 0; r < n; r++ {
-				s := cells[r*ncols+ci]
-				size += s.hi - s.lo
+				size += cells[r*ncols+ci].hi - cells[r*ncols+ci].lo
 			}
-			var arena strings.Builder
-			arena.Grow(size)
+			var sb strings.Builder
+			sb.Grow(size)
 			for r := 0; r < n; r++ {
 				s := cells[r*ncols+ci]
-				arena.Write(sr.buf[s.lo:s.hi])
+				sb.Write(sr.buf[s.lo:s.hi])
 			}
-			str, off := arena.String(), 0
-			for r := 0; r < n; r++ {
-				s := cells[r*ncols+ci]
-				v := str[off : off+s.hi-s.lo]
-				off += len(v)
-				code, ok := c.index[v]
-				if !ok {
-					code = uint32(len(c.dict))
-					c.dict = append(c.dict, v)
-					c.index[v] = code
+			arena = sb.String()
+		}
+		out, off := codes[ci], 0
+		for r := 0; r < n; r++ {
+			s := cells[r*ncols+ci]
+			b := sr.buf[s.lo:s.hi]
+			code, slot, ok := x.find(c.dict, b)
+			if !ok {
+				var v string
+				if arena != "" {
+					v = arena[off : off+len(b)]
+				} else {
+					v = string(b)
 				}
-				out = append(out, code)
+				code = uint32(len(c.dict))
+				c.dict = append(c.dict, v)
+				x.add(c.dict, slot)
 			}
-		} else {
-			for r := 0; r < n; r++ {
-				s := cells[r*ncols+ci]
-				out = append(out, c.internBytes(sr.buf[s.lo:s.hi]))
-			}
+			off += len(b)
+			out = append(out, code)
 		}
 		codes[ci] = out
 		return nil
 	})
+}
+
+// codeIndex is the reader's value → code index over one column's shared
+// dictionary, in place of the column's map: open addressing over codes
+// keyed by the value's hash, so a lookup takes a field's bytes where
+// they lie in the buffer and an insert allocates nothing until the
+// table doubles.
+type codeIndex struct {
+	seed  maphash.Seed
+	slots []uint32 // code+1, or 0 for an empty slot; a power of two long
+	n     int
+}
+
+func newCodeIndex() codeIndex {
+	return codeIndex{seed: maphash.MakeSeed(), slots: make([]uint32, 64)}
+}
+
+// find returns the code of b in dict or, when b is absent, the slot
+// where add records it.
+func (x *codeIndex) find(dict []string, b []byte) (code uint32, slot int, ok bool) {
+	mask := len(x.slots) - 1
+	for i := int(maphash.Bytes(x.seed, b)) & mask; ; i = (i + 1) & mask {
+		c := x.slots[i]
+		if c == 0 {
+			return 0, i, false
+		}
+		if dict[c-1] == string(b) {
+			return c - 1, 0, true
+		}
+	}
+}
+
+// add records the last entry of dict, just appended for a value find
+// missed, at the slot find returned. The table stays at most half full.
+func (x *codeIndex) add(dict []string, slot int) {
+	x.n++
+	if 2*x.n <= len(x.slots) {
+		x.slots[slot] = uint32(len(dict))
+		return
+	}
+	x.slots = make([]uint32, 2*len(x.slots))
+	mask := len(x.slots) - 1
+	for code, v := range dict {
+		i := int(maphash.String(x.seed, v)) & mask
+		for x.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = uint32(code) + 1
+	}
+}
+
+// reset empties the index for a retired dictionary, keeping its table.
+func (x *codeIndex) reset() {
+	clear(x.slots)
+	x.n = 0
 }
 
 // Rows returns the number of data rows ingested so far.

@@ -16,7 +16,10 @@
 # recipients; DetectStream1M: segment-at-a-time detection over a
 # million rows — its bytes_op is the read-side bounded-memory claim)
 # and the binning search layer at the release shape (SearchSketch1M:
-# one search over a million-row sketch) and the greedy ascent pair
+# one search over a million-row sketch) and the relation ingest layer
+# (SegmentReader1M: one byte-level segment reader drained over a
+# million-row release CSV in memory; it also reports rows/s, which the
+# entry does not record) and the greedy ascent pair
 # (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture, from
 # internal/binning) with
 # -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
@@ -41,7 +44,7 @@ cd "$(dirname "$0")/.."
 LABEL="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}"
 COUNT="${COUNT:-3}"
 OUT="BENCH_pipeline.json"
-PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$'
+PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$'
 
 RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" .)
 $(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$' -benchmem -count "$COUNT" ./internal/binning)"
@@ -66,7 +69,11 @@ ENTRY="$(echo "$RAW" | awk -v label="$LABEL" -v date="$(date -u +%Y-%m-%dT%H:%M:
   /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)          # strip -GOMAXPROCS suffix if present
-    ns = $3; bytes = $5; allocs = $7
+    for (i = 3; i < NF; i++) {          # values precede their units
+      if ($(i+1) == "ns/op") ns = $i
+      else if ($(i+1) == "B/op") bytes = $i
+      else if ($(i+1) == "allocs/op") allocs = $i
+    }
     if (!(name in best) || ns + 0 < best[name] + 0) {
       best[name] = ns; b[name] = bytes; a[name] = allocs
     }
