@@ -45,7 +45,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -324,22 +323,17 @@ func countCSVRows(path string) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	cr := csv.NewReader(bufio.NewReader(f))
-	cr.ReuseRecord = true
-	n := -1 // the header record
+	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), 0)
+	if err != nil {
+		return 0, fmt.Errorf("counting rows of %s: %w", path, err)
+	}
 	for {
-		if _, err := cr.Read(); err != nil {
-			if err == io.EOF {
-				break
-			}
+		if _, err := sr.Next(); err == io.EOF {
+			return sr.Rows(), nil
+		} else if err != nil {
 			return 0, fmt.Errorf("counting rows of %s: %w", path, err)
 		}
-		n++
 	}
-	if n < 0 {
-		return 0, fmt.Errorf("counting rows of %s: empty file (missing header)", path)
-	}
-	return n, nil
 }
 
 // appendCSVBody appends the data records of src (its header skipped) to

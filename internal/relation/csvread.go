@@ -26,7 +26,7 @@ var errNeedMore = errors.New("relation: record continues past the bytes read")
 type lineReader struct {
 	data    []byte // unread bytes
 	end     error  // what the source reported after data
-	numLine int    // physical lines handed out so far, plus the record's offset
+	numLine int    // physical line number of the last line handed out
 }
 
 func (lr *lineReader) readLine() ([]byte, error) {

@@ -96,10 +96,10 @@ const (
 	// pieceRows caps the records decoded and interned at a time: a
 	// segment is built piece by piece, so the byte buffer and the field
 	// spans stay bounded whatever the chunk size.
-	pieceRows = 2048
+	pieceRows = 1024
 	// inlineRows is the piece size below which decoding and interning
 	// run on the calling goroutine.
-	inlineRows = 2048
+	inlineRows = 1024
 	// guardMin is the length a record with an open quote may reach
 	// before its complete lines are checked for a parse error, so a
 	// stray quote cannot make the reader buffer the rest of the input.
@@ -238,11 +238,10 @@ func (sr *SegmentReader) Next() (*Table, error) {
 	// Subsequent segments start that column from an empty dictionary; the
 	// segment just built keeps its capped view of the retired backing,
 	// and low-cardinality columns never hit the cap. The retired column
-	// keeps its index table, emptied, and gets a dictionary sized for
-	// its next fill (at most one segment past the cap).
+	// keeps its index table, emptied.
 	for ci := range sr.cols {
 		if len(sr.cols[ci].dict) > sr.dictCap {
-			sr.cols[ci] = column{dict: make([]string, 0, sr.dictCap+sr.chunk)}
+			sr.cols[ci] = column{}
 			sr.index[ci].reset()
 		}
 	}
