@@ -155,7 +155,7 @@ func matchOracle(input string, chunk, workers int, feed func(io.Reader) io.Reade
 	if err != nil {
 		return ""
 	}
-	sr.workers, sr.piece, sr.inlineBelow = workers, 4-workers, 0
+	sr.workers, sr.piece = workers, 4-workers
 	for call := 0; ; call++ {
 		got, err := sr.Next()
 		exp, wantErr := want.Next()

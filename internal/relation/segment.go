@@ -52,12 +52,11 @@ type SegmentReader struct {
 	err     error
 
 	// piece caps the records decoded at a time (pieceRows); workers
-	// bounds the goroutines that decode and intern a piece (<= 0 means
-	// GOMAXPROCS), and pieces under inlineBelow records use none. Tests
-	// shrink them to reach every path on small inputs.
-	piece       int
-	workers     int
-	inlineBelow int
+	// bounds the goroutines that decode and intern a full piece (<= 0
+	// means GOMAXPROCS), and a shorter one runs on the calling
+	// goroutine. Tests shrink piece to reach every path on small inputs.
+	piece   int
+	workers int
 
 	// Byte-level scan state. buf[:recLo] holds the records found for
 	// the current piece, buf[recLo:pos] the scanned part of the next
@@ -95,11 +94,9 @@ const (
 	readBlock = 4096
 	// pieceRows caps the records decoded and interned at a time: a
 	// segment is built piece by piece, so the byte buffer and the field
-	// spans stay bounded whatever the chunk size.
+	// spans stay bounded whatever the chunk size, and a segment or
+	// remainder shorter than one piece spawns no goroutines.
 	pieceRows = 1024
-	// inlineRows is the piece size below which decoding and interning
-	// run on the calling goroutine.
-	inlineRows = 1024
 	// guardMin is the length a record with an open quote may reach
 	// before its complete lines are checked for a parse error, so a
 	// stray quote cannot make the reader buffer the rest of the input.
@@ -118,17 +115,16 @@ func NewSegmentReader(r io.Reader, schema *Schema, chunk int) (*SegmentReader, e
 		chunk = DefaultChunk
 	}
 	sr := &SegmentReader{
-		schema:      schema,
-		src:         r,
-		cols:        make([]column, schema.NumColumns()),
-		index:       make([]codeIndex, schema.NumColumns()),
-		chunk:       chunk,
-		dictCap:     max(4*chunk, minDictCap),
-		lineNo:      2,
-		piece:       pieceRows,
-		inlineBelow: inlineRows,
-		recLine:     1,
-		guard:       guardMin,
+		schema:  schema,
+		src:     r,
+		cols:    make([]column, schema.NumColumns()),
+		index:   make([]codeIndex, schema.NumColumns()),
+		chunk:   chunk,
+		dictCap: max(4*chunk, minDictCap),
+		lineNo:  2,
+		piece:   pieceRows,
+		recLine: 1,
+		guard:   guardMin,
 	}
 	for ci := range sr.index {
 		sr.index[ci] = newCodeIndex()
@@ -200,7 +196,7 @@ func (sr *SegmentReader) Next() (*Table, error) {
 			break
 		}
 		workers := sr.workers
-		if len(recs) < sr.inlineBelow {
+		if len(recs) < sr.piece {
 			workers = 1
 		}
 		if err := sr.decode(workers, sr.lineNo+n, recs); err != nil {
