@@ -3,7 +3,6 @@ package binning
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/dht"
@@ -20,9 +19,9 @@ import (
 // offers parents whose children are all frontier members, so the set of
 // covered leaves is invariant under the ascent and every other key
 // component is untouched. multiGreedy therefore scans the rows once, to
-// build the joint histogram's bins keyed by bit-packed per-column
-// covering NodeIDs (stable across merges, unlike frontier member
-// indices).
+// build the joint histogram's bins keyed by per-column covering NodeIDs
+// packed into the sketch's keyLayout (stable across merges, unlike
+// frontier member indices).
 //
 // Beside the bins it keeps, per column and component, the number of
 // bins below k: a member violates exactly when its count is non-zero,
@@ -59,21 +58,8 @@ func betterGreedyMove(a, b *greedyMove) bool {
 	return a.parent < b.parent
 }
 
-// nodeShifts returns the bit offset of every column's field in a joint
-// bin key packed from covering NodeID + 1 (0 encodes "uncovered"), plus
-// the total width as a final entry, and whether the fields fit in 64
-// bits.
-func nodeShifts(cols []string, mingends map[string]dht.GenSet) (shifts []uint, fits bool) {
-	shifts = make([]uint, len(cols)+1)
-	for ci, col := range cols {
-		shifts[ci+1] = shifts[ci] + uint(bits.Len(uint(mingends[col].Tree().Size())))
-	}
-	return shifts, shifts[len(cols)] <= 64
-}
-
 // coverNodes maps every tree node to its covering frontier member's
-// NodeID + 1, or 0 when uncovered, shifted into the column's key field
-// — coverTable with stable node identities instead of frontier indices.
+// NodeID + 1, or 0 when uncovered, shifted into the column's key field.
 func coverNodes(gen dht.GenSet, shift uint) []uint64 {
 	tree := gen.Tree()
 	table := make([]uint64, tree.Size())
@@ -164,26 +150,22 @@ type greedyMoveCand struct {
 func multiGreedy(
 	ctx context.Context,
 	cols []string,
+	layout keyLayout,
 	mingends, maxgends map[string]dht.GenSet,
 	k, workers int,
 	rowLeaves [][]dht.NodeID,
 	weights []int,
 	stats *MultiStats,
 ) (map[string]dht.GenSet, MultiStats, error) {
-	shifts, fits := nodeShifts(cols, mingends)
-	if !fits {
-		return multiGreedyRescan(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, stats)
-	}
-
 	cur := make([]dht.GenSet, len(cols))
 	cover := make([][]uint64, len(cols))
 	thin := make([][]int, len(cols))
 	for ci, col := range cols {
 		cur[ci] = mingends[col]
-		cover[ci] = coverNodes(cur[ci], shifts[ci])
+		cover[ci] = coverNodes(cur[ci], layout[ci])
 		thin[ci] = make([]int, cur[ci].Tree().Size()+1)
 	}
-	bins, err := jointBins(ctx, workers, rowLeaves, weights, cover, shifts[len(cols)])
+	bins, err := jointBins(ctx, workers, rowLeaves, weights, cover, layout.width())
 	if err != nil {
 		return nil, *stats, err
 	}
@@ -192,7 +174,7 @@ func multiGreedy(
 	markThin := func(bin jointBin, d int) {
 		if bin.n < k {
 			for ci := range thin {
-				thin[ci][bin.key>>shifts[ci]&(1<<(shifts[ci+1]-shifts[ci])-1)] += d
+				thin[ci][layout.field(bin.key, ci)] += d
 			}
 		}
 	}
@@ -268,7 +250,7 @@ func multiGreedy(
 		for _, c := range next.Tree().Children(p) {
 			isChild[c+1] = true
 		}
-		shift, width := shifts[ci], shifts[ci+1]-shifts[ci]
+		shift, width := layout[ci], layout[ci+1]-layout[ci]
 		field, parent := (uint64(1)<<width-1)<<shift, (uint64(p)+1)<<shift
 		live := bins[:0]
 		moved = moved[:0]
@@ -280,7 +262,7 @@ func multiGreedy(
 			markThin(bin, -1)
 			moved = append(moved, jointBin{bin.key&^field | parent, bin.n})
 		}
-		moved, spare = groupBins(moved, spare, shifts[len(cols)])
+		moved, spare = groupBins(moved, spare, layout.width())
 		for _, bin := range moved {
 			markThin(bin, 1)
 			live = append(live, bin)

@@ -19,12 +19,22 @@ type ascent struct {
 	err   error
 }
 
+// incremental runs multiGreedy with the key layout of the minimal
+// frontiers' trees, in the rescan oracle's signature.
+func incremental(ctx context.Context, cols []string, ming, maxg map[string]dht.GenSet, k, workers int, leaves [][]dht.NodeID, weights []int, stats *MultiStats) (map[string]dht.GenSet, MultiStats, error) {
+	layout, err := layoutOf(cols, ming)
+	if err != nil {
+		return nil, *stats, err
+	}
+	return multiGreedy(ctx, cols, layout, ming, maxg, k, workers, leaves, weights, stats)
+}
+
 // greedyBoth runs the incremental and the rescan ascent on the same
 // weighted positions and returns both outcomes.
 func greedyBoth(cols []string, ming, maxg map[string]dht.GenSet, k, workers int, leaves [][]dht.NodeID, weights []int) (inc, ref ascent) {
 	ctx := context.Background()
 	var s1, s2 MultiStats
-	inc.gens, inc.stats, inc.err = multiGreedy(ctx, cols, ming, maxg, k, workers, leaves, weights, &s1)
+	inc.gens, inc.stats, inc.err = incremental(ctx, cols, ming, maxg, k, workers, leaves, weights, &s1)
 	ref.gens, ref.stats, ref.err = multiGreedyRescan(ctx, cols, ming, maxg, k, workers, leaves, weights, &s2)
 	return inc, ref
 }
@@ -129,11 +139,7 @@ func TestMultiGreedyMatchesRescan(t *testing.T) {
 		// The weighted form production searches: the table's distinct
 		// quasi-tuples with their counts must drive both ascents to the
 		// outcomes of the row form.
-		sk := sketchFromSegments(t, tbl, trees, 64)
-		leaves, counts, err := sk.decodeTuples()
-		if err != nil {
-			t.Fatal(err)
-		}
+		leaves, counts := sketchFromSegments(t, tbl, trees, 64).decodeTuples()
 		tupInc, tupRef := greedyBoth(cols, ming, maxg, k, workers, leaves, counts)
 		if err := sameAscent(tupInc, inc); err != nil {
 			t.Fatalf("seed %d: incremental, tuples vs rows: %v", seed, err)
@@ -186,10 +192,7 @@ func TestMultiGreedyMatchesRescanOn20k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tupleLeaves, counts, err := sketchFromSegments(t, tbl, ontology.Trees(), 4096).decodeTuples()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tupleLeaves, counts := sketchFromSegments(t, tbl, ontology.Trees(), 4096).decodeTuples()
 	for _, k := range []int{5, 25, 100} {
 		for _, workers := range []int{1, 2} {
 			inc, ref := greedyBoth(cols, ming, maxg, k, workers, rowLeaves, ones(tbl.NumRows()))
@@ -216,10 +219,15 @@ func TestMultiGreedyMatchesRescanOn20k(t *testing.T) {
 // bins start on both sides of k and cross it as merges collide them.
 // Each column's ascent is capped at the root's children half the time,
 // so it can exhaust. Frontiers, merge counts and error text must be identical.
+// On random frontiers, the exhaustive search's packed-key minimum bin
+// must also equal the map-based count over cover indices.
 func FuzzGreedyMatchesRescan(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(3))
 	f.Add(int64(2), []byte("weighted tuples around k"), uint8(7))
 	f.Add(int64(3), []byte{}, uint8(0))
+	// Tuples that share their low key fields: only a grouping sorted on
+	// every field brings equal keys together.
+	f.Add(int64(57), []byte("0000!10000"), uint8('e'))
 	f.Fuzz(func(t *testing.T, seed int64, data []byte, kRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		cols := make([]string, 2+rng.Intn(2))
@@ -256,6 +264,34 @@ func FuzzGreedyMatchesRescan(f *testing.F) {
 		if err := sameAscent(inc, ref); err != nil {
 			t.Fatalf("k=%d, %d tuples: %v", k, len(weights), err)
 		}
+
+		layout, err := layoutOf(cols, ming)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covers := make([][]int32, len(cols))
+		cover := make([][]uint64, len(cols))
+		for ci, col := range cols {
+			g := ming[col]
+			for merges := rng.Intn(4); merges > 0; merges-- {
+				cands := g.MergeCandidates()
+				if len(cands) == 0 {
+					break
+				}
+				if g, err = g.MergeAt(cands[rng.Intn(len(cands))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			covers[ci] = coverTable(g)
+			cover[ci] = coverNodes(g, layout[ci])
+		}
+		got, err := minJointBin(context.Background(), tuples, weights, cover, layout.width())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := jointMinBin(tuples, covers, weights); got != want {
+			t.Fatalf("%d tuples: packed-key minimum bin %d, map count %d", len(weights), got, want)
+		}
 	})
 }
 
@@ -279,7 +315,7 @@ func benchmarkGreedyAscent(b *testing.B, ascend func(context.Context, []string, 
 	}
 }
 
-func BenchmarkMultiGreedyIncremental(b *testing.B) { benchmarkGreedyAscent(b, multiGreedy) }
+func BenchmarkMultiGreedyIncremental(b *testing.B) { benchmarkGreedyAscent(b, incremental) }
 func BenchmarkMultiGreedyRescan(b *testing.B)      { benchmarkGreedyAscent(b, multiGreedyRescan) }
 
 // TestMultiGreedyWorkersIdentical pins determinism of the incremental

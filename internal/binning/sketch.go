@@ -3,9 +3,7 @@ package binning
 import (
 	"context"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
+	"math/bits"
 
 	"repro/internal/dht"
 	"repro/internal/infoloss"
@@ -22,12 +20,10 @@ import (
 // identifying and other columns are never retained, and rows collapse
 // into tuple counts the moment a segment is ingested.
 //
-// Tuples are keyed by the mixed-radix composition of their per-column
-// leaf NodeIDs (base = tree size); degenerate tree sets whose radix
-// product overflows uint64 fall back to string keys. Leaf resolution
-// runs once per distinct value via a per-column cache keyed by the
-// value string — segment dictionaries are segment-local, so codes are
-// never trusted across segments.
+// Tuples are keyed by their per-column leaf NodeIDs packed into the
+// sketch's keyLayout. Leaf resolution runs once per distinct value via a
+// per-column cache keyed by the value string — segment dictionaries are
+// segment-local, so codes are never trusted across segments.
 type Sketch struct {
 	schema *relation.Schema
 	quasi  []string
@@ -39,17 +35,46 @@ type Sketch struct {
 	// information loss is measured against it, so the metric describes
 	// the published generalization of every ingested row).
 	hist [][]int
-	// bases/places compose the mixed-radix tuple key; fits reports
-	// whether the product stays within uint64.
-	bases, places []uint64
-	fits          bool
-	tuples        map[uint64]int
-	tuplesStr     map[string]int
-	rows          int
+	// layout packs a tuple's leaf NodeIDs into its key in tuples; the
+	// search keys its joint bins with the same layout.
+	layout keyLayout
+	tuples map[uint64]int
+	rows   int
+}
+
+// keyLayout is the one packing of a joint bin into a uint64 key. Column
+// ci owns the bit field [l[ci], l[ci+1]), bits.Len(tree.Size()) wide, so
+// the field holds a leaf NodeID (the sketch's tuples) or a covering
+// NodeID+1, with 0 for "uncovered" (the search's bins); the last entry
+// is the total width.
+type keyLayout []uint
+
+// newKeyLayout lays out the fields of trees in order. It refuses a set
+// of trees whose fields need more than 64 bits.
+func newKeyLayout(trees []*dht.Tree) (keyLayout, error) {
+	l := make(keyLayout, len(trees)+1)
+	for ci, tree := range trees {
+		l[ci+1] = l[ci] + uint(bits.Len(uint(tree.Size())))
+	}
+	if l.width() > 64 {
+		return nil, fmt.Errorf("binning: %d quasi columns need a %d-bit joint-bin key; the limit is 64 bits", len(trees), l.width())
+	}
+	return l, nil
+}
+
+// width is the number of key bits the fields use.
+func (l keyLayout) width() uint { return l[len(l)-1] }
+
+// field extracts column ci's field from key.
+func (l keyLayout) field(key uint64, ci int) uint64 {
+	return key >> l[ci] & (1<<(l[ci+1]-l[ci]) - 1)
 }
 
 // NewSketch prepares an empty sketch for the schema's quasi columns.
-// Every quasi column must have a DHT in trees.
+// Every quasi column must have a DHT in trees, and the joint-bin key
+// must fit in 64 bits: each quasi column takes bits.Len(tree.Size())
+// bits (the builtin schema's five trees take 35), and NewSketch refuses
+// a schema whose columns need more.
 func NewSketch(schema *relation.Schema, trees map[string]*dht.Tree) (*Sketch, error) {
 	quasi := schema.QuasiColumns()
 	if len(quasi) == 0 {
@@ -62,11 +87,8 @@ func NewSketch(schema *relation.Schema, trees map[string]*dht.Tree) (*Sketch, er
 		trees:     make([]*dht.Tree, len(quasi)),
 		leafCache: make([]map[string]dht.NodeID, len(quasi)),
 		hist:      make([][]int, len(quasi)),
-		bases:     make([]uint64, len(quasi)),
-		places:    make([]uint64, len(quasi)),
-		fits:      true,
+		tuples:    make(map[uint64]int),
 	}
-	prod := uint64(1)
 	for ci, col := range quasi {
 		tree, ok := trees[col]
 		if !ok || tree == nil {
@@ -80,24 +102,12 @@ func NewSketch(schema *relation.Schema, trees map[string]*dht.Tree) (*Sketch, er
 		s.trees[ci] = tree
 		s.leafCache[ci] = make(map[string]dht.NodeID)
 		s.hist[ci] = make([]int, tree.Size())
-		base := uint64(tree.Size())
-		s.bases[ci] = base
-		if prod > math.MaxUint64/base {
-			s.fits = false
-		} else {
-			prod *= base
-		}
 	}
-	if s.fits {
-		place := uint64(1)
-		for ci := len(quasi) - 1; ci >= 0; ci-- {
-			s.places[ci] = place
-			place *= s.bases[ci]
-		}
-		s.tuples = make(map[uint64]int)
-	} else {
-		s.tuplesStr = make(map[string]int)
+	layout, err := newKeyLayout(s.trees)
+	if err != nil {
+		return nil, err
 	}
+	s.layout = layout
 	return s, nil
 }
 
@@ -150,28 +160,14 @@ func (s *Sketch) Add(seg *relation.Table) error {
 		colCodes[ci] = codes
 	}
 	n := seg.NumRows()
-	if s.fits {
-		for row := 0; row < n; row++ {
-			var key uint64
-			for ci := range s.quasi {
-				leaf := colLeaves[ci][colCodes[ci][row]]
-				s.hist[ci][leaf]++
-				key += uint64(leaf) * s.places[ci]
-			}
-			s.tuples[key]++
+	for row := 0; row < n; row++ {
+		var key uint64
+		for ci := range s.quasi {
+			leaf := colLeaves[ci][colCodes[ci][row]]
+			s.hist[ci][leaf]++
+			key |= uint64(leaf) << s.layout[ci]
 		}
-	} else {
-		var buf []byte
-		for row := 0; row < n; row++ {
-			buf = buf[:0]
-			for ci := range s.quasi {
-				leaf := colLeaves[ci][colCodes[ci][row]]
-				s.hist[ci][leaf]++
-				buf = strconv.AppendInt(buf, int64(leaf), 10)
-				buf = append(buf, '|')
-			}
-			s.tuplesStr[string(buf)]++
-		}
+		s.tuples[key]++
 	}
 	s.rows += n
 	return nil
@@ -183,43 +179,19 @@ func (s *Sketch) Add(seg *relation.Table) error {
 // between runs, but every downstream computation (histograms, bin
 // minima, violating sets, bin maps) is a sum or set union over the
 // tuples, so the search outcome is order-independent.
-func (s *Sketch) decodeTuples() ([][]dht.NodeID, []int, error) {
-	ncols := len(s.quasi)
-	var size int
-	if s.fits {
-		size = len(s.tuples)
-	} else {
-		size = len(s.tuplesStr)
-	}
-	leaves := make([][]dht.NodeID, ncols)
+func (s *Sketch) decodeTuples() ([][]dht.NodeID, []int) {
+	leaves := make([][]dht.NodeID, len(s.quasi))
 	for ci := range leaves {
-		leaves[ci] = make([]dht.NodeID, 0, size)
+		leaves[ci] = make([]dht.NodeID, 0, len(s.tuples))
 	}
-	counts := make([]int, 0, size)
-	if s.fits {
-		for key, n := range s.tuples {
-			for ci := range leaves {
-				leaves[ci] = append(leaves[ci], dht.NodeID((key/s.places[ci])%s.bases[ci]))
-			}
-			counts = append(counts, n)
-		}
-		return leaves, counts, nil
-	}
-	for key, n := range s.tuplesStr {
-		parts := strings.Split(strings.TrimSuffix(key, "|"), "|")
-		if len(parts) != ncols {
-			return nil, nil, fmt.Errorf("binning: internal: malformed sketch tuple key %q", key)
-		}
-		for ci, p := range parts {
-			id, err := strconv.ParseInt(p, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("binning: internal: malformed sketch tuple key %q: %w", key, err)
-			}
-			leaves[ci] = append(leaves[ci], dht.NodeID(id))
+	counts := make([]int, 0, len(s.tuples))
+	for key, n := range s.tuples {
+		for ci := range leaves {
+			leaves[ci] = append(leaves[ci], dht.NodeID(s.layout.field(key, ci)))
 		}
 		counts = append(counts, n)
 	}
-	return leaves, counts, nil
+	return leaves, counts
 }
 
 // sketchTuples is the post-suppression tuple state a SearchResult
@@ -320,15 +292,9 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 			minGens[col] = outs[i].gen
 			monoStats[col] = outs[i].stats
 		}
-		tupleLeaves, tupleCounts, err = sk.decodeTuples()
-		if err != nil {
-			return nil, err
-		}
+		tupleLeaves, tupleCounts = sk.decodeTuples()
 	} else {
-		leaves, counts, err := sk.decodeTuples()
-		if err != nil {
-			return nil, err
-		}
+		leaves, counts := sk.decodeTuples()
 		alive := make([]bool, len(counts))
 		for t := range alive {
 			alive[t] = true
@@ -395,7 +361,7 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 	}
 
 	// 3. Multi-attribute binning over the weighted tuples.
-	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, minGens, maxGens, effectiveK,
+	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, sk.layout, minGens, maxGens, effectiveK,
 		cfg.Strategy, cfg.EnumLimit, cfg.Workers, tupleLeaves, tupleCounts)
 	if err != nil {
 		return nil, err

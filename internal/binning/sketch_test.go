@@ -260,18 +260,14 @@ func TestSketchEmptyAndErrors(t *testing.T) {
 	}
 }
 
-// TestSketchStringKeyFallback forces the degenerate radix-overflow path
-// by sketching many copies of one column set.
-func TestSketchStringKeyFallback(t *testing.T) {
-	// The role tree has 11 nodes, so a tuple key needs one base-11 digit
-	// per column (base 12 for the greedy ascent's covering-node keys).
-	// 25 role columns need 11^25 >> 2^64: the sketch falls back to
-	// string keys and the greedy ascent to multiGreedyRescan.
-	ncols := 25
-	cols := make([]relation.Column, 0, ncols)
+// roleColumns builds a schema of n quasi columns that all use the role
+// tree, plus the tree map.
+func roleColumns(t *testing.T, n int) (*relation.Schema, map[string]*dht.Tree) {
+	t.Helper()
+	cols := make([]relation.Column, 0, n)
 	trees := map[string]*dht.Tree{}
 	roles := roleTree(t)
-	for i := 0; i < ncols; i++ {
+	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("q%d", i)
 		cols = append(cols, relation.Column{Name: name, Kind: relation.QuasiCategorical})
 		trees[name] = roles
@@ -280,10 +276,19 @@ func TestSketchStringKeyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return schema, trees
+}
+
+// TestSketchKeyWidthBoundary pins the 64-bit joint-bin key limit. The
+// role tree has 11 nodes, so every role column takes a 4-bit field: 16
+// columns fill the key exactly and search like the row oracle, and 17
+// columns need 68 bits and are refused.
+func TestSketchKeyWidthBoundary(t *testing.T) {
+	schema, trees := roleColumns(t, 16)
 	tbl := relation.NewTable(schema)
 	leaves := []string{"Physician", "Surgeon", "Nurse", "Pharmacist", "Clerk", "Manager"}
 	for r := 0; r < 40; r++ {
-		row := make([]string, ncols)
+		row := make([]string, len(trees))
 		for c := range row {
 			row[c] = leaves[(r/4+c)%len(leaves)]
 		}
@@ -292,18 +297,11 @@ func TestSketchStringKeyFallback(t *testing.T) {
 		}
 	}
 	sk := sketchFromSegments(t, tbl, trees, 7)
-	if sk.fits {
-		t.Fatal("expected radix overflow fallback")
-	}
-	leafGens := make(map[string]dht.GenSet, ncols)
-	for name, tree := range trees {
-		leafGens[name] = dht.LeafGenSet(tree)
-	}
-	if _, fits := nodeShifts(sk.Quasi(), leafGens); fits {
-		t.Fatal("expected the greedy ascent's rescan fallback")
+	if w := sk.layout.width(); w != 64 {
+		t.Fatalf("16 role columns laid out in %d bits, want 64", w)
 	}
 	ctx := context.Background()
-	// Every distinct tuple holds 4 rows, so k=8 needs lattice merges.
+	// Groups of 4 rows share a tuple, so k=8 needs lattice merges.
 	cfg := Config{K: 8, Trees: trees, Strategy: StrategyGreedy}
 	ref, _, err := searchTable(ctx, tbl, cfg)
 	if err != nil {
@@ -314,11 +312,60 @@ func TestSketchStringKeyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.MultiStats.GreedyMerges == 0 {
-		t.Fatal("fixture needed no merges; the rescan fallback is vacuous")
+		t.Fatal("fixture needed no merges; the full-width keys are never re-keyed")
 	}
 	if err := searchResultsEqual(ref, got); err != nil {
 		t.Fatal(err)
 	}
+
+	wide, wideTrees := roleColumns(t, 17)
+	_, err = NewSketch(wide, wideTrees)
+	if err == nil || !strings.Contains(err.Error(), "68-bit") {
+		t.Fatalf("17 role columns: got %v, want a refusal naming the 68-bit key", err)
+	}
+}
+
+// BenchmarkSketchAdd1M is the sketch ingest layer: one NewSketch and
+// one Add per segment over a million datagen rows (seed 1), cut into
+// relation.DefaultChunk segments before the timer starts. It reports
+// rows/s and allocations.
+func BenchmarkSketchAdd1M(b *testing.B) {
+	tbl, err := datagen.Generate(datagen.Config{Rows: 1000000, Seed: 1, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, schema := tbl.NumRows(), tbl.Schema()
+	var segs []*relation.Table
+	src := tbl.Segments(relation.DefaultChunk)
+	for {
+		seg, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	tbl = nil
+	trees := ontology.Trees()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk, err := NewSketch(schema, trees)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, seg := range segs {
+			if err := sk.Add(seg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if sk.Rows() != rows {
+			b.Fatalf("sketched %d rows, want %d", sk.Rows(), rows)
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // FuzzSketchIngest cross-checks segment-at-a-time sketch ingest against
@@ -441,10 +488,7 @@ func FuzzSketchIngest(f *testing.F) {
 			}
 			refTuples[sb.String()]++
 		}
-		gotLeaves, gotCounts, err := sk.decodeTuples()
-		if err != nil {
-			t.Fatal(err)
-		}
+		gotLeaves, gotCounts := sk.decodeTuples()
 		gotTuples := map[string]int{}
 		for ti := range gotCounts {
 			sb.Reset()

@@ -3,12 +3,43 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/binning"
 	"repro/internal/crypt"
+	"repro/internal/dht"
 	"repro/internal/ontology"
+	"repro/internal/relation"
 )
+
+// tooWideSchema returns trees and a 20-row table whose quasi columns all
+// use the doctor tree, one column more than a 64-bit joint-bin key holds.
+func tooWideSchema(t *testing.T) (map[string]*dht.Tree, *relation.Table) {
+	t.Helper()
+	doctor := ontology.Doctor()
+	n := 64/bits.Len(uint(doctor.Size())) + 1
+	cols := []relation.Column{{Name: "ssn", Kind: relation.Identifying}}
+	trees := make(map[string]*dht.Tree, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("q%d", i)
+		cols = append(cols, relation.Column{Name: name, Kind: relation.QuasiCategorical})
+		trees[name] = doctor
+	}
+	tbl := relation.NewTable(relation.MustSchema(cols...))
+	leaves := doctor.Leaves()
+	for r := 0; r < 20; r++ {
+		row := []string{fmt.Sprint(100000 + r)}
+		for i := 0; i < n; i++ {
+			row = append(row, doctor.Value(leaves[(r+i)%len(leaves)]))
+		}
+		if err := tbl.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return trees, tbl
+}
 
 // TestSentinelErrors pins the errors.Is contract the service layer
 // depends on: every classifiable failure wraps exactly one sentinel, so
@@ -49,6 +80,30 @@ func TestSentinelErrors(t *testing.T) {
 		}
 		if _, err := fw.Protect(testData(t, 200), key); !errors.Is(err, ErrBadSchema) {
 			t.Fatalf("missing ident col: got %v, want ErrBadSchema", err)
+		}
+
+		// Both planners refuse a quasi column without a DHT, and a schema
+		// whose joint-bin key needs more than 64 bits.
+		noDoctor := ontology.Trees()
+		delete(noDoctor, ontology.ColDoctor)
+		wideTrees, wide := tooWideSchema(t)
+		for name, c := range map[string]struct {
+			trees map[string]*dht.Tree
+			tbl   *relation.Table
+		}{
+			"no DHT":      {noDoctor, testData(t, 200)},
+			"64-bit keys": {wideTrees, wide},
+		} {
+			fw, err := New(c.trees, Config{K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fw.Protect(c.tbl, key); !errors.Is(err, ErrBadSchema) {
+				t.Fatalf("%s: Protect got %v, want ErrBadSchema", name, err)
+			}
+			if _, err := fw.PlanStream(context.Background(), c.tbl.Segments(0), key); !errors.Is(err, ErrBadSchema) {
+				t.Fatalf("%s: PlanStream got %v, want ErrBadSchema", name, err)
+			}
 		}
 	})
 

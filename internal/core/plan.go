@@ -185,7 +185,7 @@ func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key cr
 
 	sk, err := binning.NewSketch(tbl.Schema(), f.trees)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
 	}
 	if err := sk.Add(tbl); err != nil {
 		return nil, err

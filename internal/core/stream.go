@@ -147,7 +147,7 @@ func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.Wate
 	}
 	sk, err := binning.NewSketch(schema, f.trees)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
 	}
 
 	var accum ownership.StatAccum

@@ -57,6 +57,11 @@
 // Failures wrap typed sentinels (ErrBadConfig, ErrBadSchema, ErrBadKey,
 // ErrBadProvenance, ErrUnsatisfiable, ErrKeyMismatch) classifiable with
 // errors.Is.
+//
+// A schema's quasi-identifying columns must fit one 64-bit joint-bin
+// key: each takes bits.Len(tree.Size()) bits for its domain hierarchy
+// tree (the builtin schema takes 35). Planning refuses a schema whose
+// columns need more with ErrBadSchema, naming the width.
 package medshield
 
 import (

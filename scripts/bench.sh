@@ -19,9 +19,10 @@
 # one search over a million-row sketch) and the relation ingest layer
 # (SegmentReader1M: one byte-level segment reader drained over a
 # million-row release CSV in memory; it also reports rows/s, which the
-# entry does not record) and the greedy ascent pair
-# (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture, from
-# internal/binning) with
+# entry does not record) and, from internal/binning, the greedy ascent
+# pair (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture)
+# and the sketch ingest layer (SketchAdd1M: one sketch built from the
+# segments of a million rows; also reports rows/s, not recorded) with
 # -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
 # and allocs/op) per benchmark to BENCH_pipeline.json at the repo root,
 # so representation regressions show up as a diff in review.
@@ -47,7 +48,7 @@ OUT="BENCH_pipeline.json"
 PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$'
 
 RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" .)
-$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$' -benchmem -count "$COUNT" ./internal/binning)"
+$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$|BenchmarkSketchAdd1M$' -benchmem -count "$COUNT" ./internal/binning)"
 echo "$RAW"
 
 best_ns() {
