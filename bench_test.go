@@ -1175,6 +1175,7 @@ func BenchmarkEncryptIdentifier(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.EncryptString("123-45-6789")

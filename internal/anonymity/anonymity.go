@@ -30,30 +30,73 @@ func appendBinKey(dst []byte, cellAt func(i int) string, n int) []byte {
 }
 
 // Bins returns the bin-size map of the table over the given columns:
-// bin value-combination → number of tuples. The scan is columnar: bin
-// keys assemble from dictionary codes into a reused buffer, so steady
-// state allocates only on first sight of a bin.
+// bin value-combination → number of tuples. It is one Counter over the
+// table.
 func Bins(tbl *relation.Table, cols []string) (map[string]int, error) {
-	idx := make([]int, len(cols))
+	var c Counter
+	if err := c.Add(tbl, cols); err != nil {
+		return nil, err
+	}
+	return c.Bins(), nil
+}
+
+// Counter accumulates bin sizes over a sequence of tables sharing the
+// counted columns — a streamed write run counts every segment into one
+// Counter. The scan is columnar: bin keys assemble from dictionary codes
+// into a reused buffer and are looked up in a map from key to slot in a
+// counts slice. A lookup m[string(b)] does not allocate where an
+// increment or assignment would, so the key string is allocated once
+// per distinct bin, not once per row. The zero value is ready to use.
+type Counter struct {
+	slot   map[string]int32
+	counts []int
+	key    []byte
+}
+
+// Add counts tbl's tuples into their bins over cols.
+func (c *Counter) Add(tbl *relation.Table, cols []string) error {
 	dicts := make([][]string, len(cols))
 	codes := make([][]uint32, len(cols))
-	for i, c := range cols {
-		ci, err := tbl.Schema().Index(c)
+	for i, col := range cols {
+		ci, err := tbl.Schema().Index(col)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		idx[i] = ci
 		dicts[i] = tbl.DictValues(ci)
 		codes[i] = tbl.Codes(ci)
 	}
-	out := make(map[string]int)
 	n := tbl.NumRows()
-	var key []byte
+	key := c.key
 	for row := 0; row < n; row++ {
-		key = appendBinKey(key[:0], func(c int) string { return dicts[c][codes[c][row]] }, len(idx))
-		out[string(key)]++
+		key = appendBinKey(key[:0], func(i int) string { return dicts[i][codes[i][row]] }, len(cols))
+		c.AddKey(key, 1)
 	}
-	return out, nil
+	c.key = key
+	return nil
+}
+
+// AddKey adds n tuples to the bin whose key is key. key is not
+// retained.
+func (c *Counter) AddKey(key []byte, n int) {
+	s, ok := c.slot[string(key)]
+	if !ok {
+		if c.slot == nil {
+			c.slot = make(map[string]int32)
+		}
+		s = int32(len(c.counts))
+		c.slot[string(key)] = s
+		c.counts = append(c.counts, 0)
+	}
+	c.counts[s] += n
+}
+
+// Bins returns the counted bin-size map, keyed as Bins keys it.
+func (c *Counter) Bins() map[string]int {
+	out := make(map[string]int, len(c.counts))
+	for key, s := range c.slot {
+		out[key] = c.counts[s]
+	}
+	return out
 }
 
 // MinBinSize returns the smallest bin size of the table over cols.

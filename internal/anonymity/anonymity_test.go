@@ -1,6 +1,7 @@
 package anonymity
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/relation"
@@ -19,6 +20,40 @@ func makeTable(t *testing.T, rows [][]string) *relation.Table {
 		}
 	}
 	return tbl
+}
+
+// TestCounterAcrossTables: a Counter fed a table in segments counts
+// what Bins counts over the whole table, and re-counting bins it has
+// seen allocates nothing.
+func TestCounterAcrossTables(t *testing.T) {
+	rows := [][]string{
+		{"1", "[20,40)", "Nurse"},
+		{"2", "[40,60)", "Nurse"},
+		{"3", "[20,40)", "Doctor"},
+		{"4", "[20,40)", "Nurse"},
+		{"5", "[40,60)", "Nurse"},
+	}
+	cols := []string{"age", "role"}
+	want, err := Bins(makeTable(t, rows), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Counter
+	for _, seg := range [][][]string{rows[:2], rows[2:3], rows[3:]} {
+		if err := c.Add(makeTable(t, seg), cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Bins(); !maps.Equal(got, want) {
+		t.Errorf("Counter bins = %v, want %v", got, want)
+	}
+	seen := makeTable(t, rows)
+	if n := testing.AllocsPerRun(10, func() { _ = c.Add(seen, cols) }); n > 2 {
+		t.Errorf("Counter.Add over seen bins: %v allocs, want only its per-call column slices", n)
+	}
+	if err := c.Add(seen, []string{"nope"}); err == nil {
+		t.Error("unknown column accepted")
+	}
 }
 
 func TestBins(t *testing.T) {

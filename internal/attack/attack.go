@@ -179,14 +179,14 @@ func Generalize(tbl *relation.Table, col string, tree *dht.Tree, ceiling dht.Gen
 	// The climb is a pure function of the cell value, so it rewrites the
 	// column dictionary: one AncestorAtDepth walk per distinct value, and
 	// every row remaps by integer code.
-	return tbl.MapColumn(ci, func(old string) (string, error) {
+	return tbl.MapColumn(ci, func(dst []byte, old string) ([]byte, error) {
 		id, err := tree.ResolveValue(old)
 		if err != nil {
-			return old, nil // not in domain; nothing to generalize
+			return append(dst, old...), nil // not in domain; nothing to generalize
 		}
 		ceil, ok := ceiling.CoverOf(id)
 		if !ok {
-			return old, nil // already above the ceiling
+			return append(dst, old...), nil // already above the ceiling
 		}
 		targetDepth := tree.Node(id).Depth - levels
 		if ceilDepth := tree.Node(ceil).Depth; targetDepth < ceilDepth {
@@ -194,9 +194,9 @@ func Generalize(tbl *relation.Table, col string, tree *dht.Tree, ceiling dht.Gen
 		}
 		anc, err := tree.AncestorAtDepth(id, targetDepth)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return tree.Value(anc), nil
+		return append(dst, tree.Value(anc)...), nil
 	})
 }
 

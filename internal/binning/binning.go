@@ -280,8 +280,8 @@ func TransformContext(ctx context.Context, tbl *relation.Table, ultiGens map[str
 	out := tbl.Clone()
 	for _, col := range idents {
 		colIdx, _ := out.Schema().Index(col)
-		if _, err := out.MapColumnCtx(ctx, workers, colIdx, func(v string) (string, error) {
-			return cipher.EncryptString(v), nil
+		if _, err := out.MapColumnCtx(ctx, workers, colIdx, func(dst []byte, v string) ([]byte, error) {
+			return cipher.AppendEncryptString(dst, v), nil
 		}); err != nil {
 			return nil, err
 		}
@@ -289,12 +289,12 @@ func TransformContext(ctx context.Context, tbl *relation.Table, ultiGens map[str
 	for _, col := range quasi {
 		gen := ultiGens[col]
 		colIdx, _ := out.Schema().Index(col)
-		if _, err := out.MapColumnCtx(ctx, workers, colIdx, func(v string) (string, error) {
+		if _, err := out.MapColumnCtx(ctx, workers, colIdx, func(dst []byte, v string) ([]byte, error) {
 			g, err := gen.GeneralizeValue(v)
 			if err != nil {
-				return "", fmt.Errorf("binning: column %s value %q: %w", col, v, err)
+				return nil, fmt.Errorf("binning: column %s value %q: %w", col, v, err)
 			}
-			return g, nil
+			return append(dst, g...), nil
 		}); err != nil {
 			return nil, err
 		}

@@ -596,3 +596,46 @@ func TestEpsilonForMark(t *testing.T) {
 		t.Errorf("empty bins eps = %d, want 0", got)
 	}
 }
+
+// BenchmarkTransformContext1M is the transform layer of the write path:
+// TransformContext with the k check off over the relation.DefaultChunk
+// segments of a million datagen rows (seed 1), as ApplyStream runs it —
+// identifier encryption plus generalization to the frontiers of one
+// K=20 SearchSketch. Segments, frontiers and cipher are built before
+// the timer starts. It reports rows/s and allocations.
+func BenchmarkTransformContext1M(b *testing.B) {
+	tbl, err := datagen.Generate(datagen.Config{Rows: 1000000, Seed: 1, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trees := ontology.Trees()
+	sk, err := NewSketch(tbl.Schema(), trees)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sk.Add(tbl); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := SearchSketch(ctx, sk, Config{K: 20, Trees: trees})
+	if err != nil {
+		b.Fatal(err)
+	}
+	segs := segmentsOf(b, tbl)
+	rows := tbl.NumRows()
+	tbl = nil
+	cipher, err := crypt.NewCipher([]byte("bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, seg := range segs {
+			if _, err := TransformContext(ctx, seg, res.UltiGens, 0, cipher, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}

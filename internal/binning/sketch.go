@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/anonymity"
 	"repro/internal/dht"
 	"repro/internal/infoloss"
 	"repro/internal/pool"
@@ -437,7 +438,7 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 		colAt[i] = ci
 		genVal[i] = make(map[dht.NodeID]string)
 	}
-	out := make(map[string]int)
+	var out anonymity.Counter
 	var key []byte
 	ntuples := len(st.counts)
 	for t := 0; t < ntuples; t++ {
@@ -461,7 +462,7 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 			}
 			key = append(key, g...)
 		}
-		out[string(key)] += st.counts[t]
+		out.AddKey(key, st.counts[t])
 	}
-	return out, nil
+	return out.Bins(), nil
 }

@@ -335,18 +335,7 @@ func BenchmarkSketchAdd1M(b *testing.B) {
 		b.Fatal(err)
 	}
 	rows, schema := tbl.NumRows(), tbl.Schema()
-	var segs []*relation.Table
-	src := tbl.Segments(relation.DefaultChunk)
-	for {
-		seg, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		segs = append(segs, seg)
-	}
+	segs := segmentsOf(b, tbl)
 	tbl = nil
 	trees := ontology.Trees()
 	b.ReportAllocs()
@@ -366,6 +355,22 @@ func BenchmarkSketchAdd1M(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// segmentsOf cuts tbl into its relation.DefaultChunk segments.
+func segmentsOf(tb testing.TB, tbl *relation.Table) []*relation.Table {
+	var segs []*relation.Table
+	src := tbl.Segments(relation.DefaultChunk)
+	for {
+		seg, err := src.Next()
+		if err == io.EOF {
+			return segs
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
 }
 
 // FuzzSketchIngest cross-checks segment-at-a-time sketch ingest against

@@ -406,12 +406,12 @@ func (f *Framework) DecryptIdentifiers(ctx context.Context, tbl *relation.Table,
 	// Decryption is deterministic per value, so it rewrites the column
 	// dictionary: one DecryptString per distinct ciphertext (fanned out
 	// over workers), and rows remap by code.
-	if _, err := out.MapColumnCtx(ctx, f.cfg.Workers, colIdx, func(token string) (string, error) {
+	if _, err := out.MapColumnCtx(ctx, f.cfg.Workers, colIdx, func(dst []byte, token string) ([]byte, error) {
 		pt, err := cipher.DecryptString(token)
 		if err != nil {
-			return "", fmt.Errorf("core: identifier %q: %w: %w", token, err, ErrKeyMismatch)
+			return nil, fmt.Errorf("core: identifier %q: %w: %w", token, err, ErrKeyMismatch)
 		}
-		return pt, nil
+		return append(dst, pt...), nil
 	}); err != nil {
 		return nil, err
 	}

@@ -144,13 +144,11 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 	}
 	quasi := schema.QuasiColumns()
 
-	p := &pass{columns: columns, embed: make([]watermark.EmbedStats, len(outs)), after: make([]map[string]int, len(outs))}
-	for i := range outs {
-		p.after[i] = make(map[string]int)
-	}
-	if !appending {
-		p.before = make(map[string]int)
-	}
+	// The bin counters live for the whole run, so a bin's key is
+	// allocated once, however many segments it recurs in.
+	p := &pass{columns: columns, embed: make([]watermark.EmbedStats, len(outs))}
+	var before anonymity.Counter
+	after := make([]anonymity.Counter, len(outs))
 	for {
 		seg, err := src.Next()
 		if err == io.EOF {
@@ -180,8 +178,8 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 					}
 					return nil, err
 				}
-				if p.before != nil && len(binned) == 0 {
-					if err := addBins(p.before, tbl, quasi); err != nil {
+				if !appending && len(binned) == 0 {
+					if err := before.Add(tbl, quasi); err != nil {
 						return nil, err
 					}
 				}
@@ -207,7 +205,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 				return nil, o.wrap(err)
 			}
 			addEmbed(&p.embed[i], stats)
-			if err := addBins(p.after[i], marked, quasi); err != nil {
+			if err := after[i].Add(marked, quasi); err != nil {
 				return nil, err
 			}
 			if err := o.sink(marked); err != nil {
@@ -218,19 +216,14 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 		p.segments++
 		reportProgress(ctx, Progress{Stage: "stream", Done: p.rows})
 	}
+	if !appending {
+		p.before = before.Bins()
+	}
+	p.after = make([]map[string]int, len(outs))
+	for i := range after {
+		p.after[i] = after[i].Bins()
+	}
 	return p, nil
-}
-
-// addBins accumulates tbl's joint quasi-column bins into dst.
-func addBins(dst map[string]int, tbl *relation.Table, quasi []string) error {
-	bins, err := anonymity.Bins(tbl, quasi)
-	if err != nil {
-		return err
-	}
-	for bin, n := range bins {
-		dst[bin] += n
-	}
-	return nil
 }
 
 // addEmbed accumulates per-segment embedding counters.

@@ -15,6 +15,11 @@
 //     identifier is a stable embedding anchor) and tampering is detected
 //     on decryption. Determinism over unique identifiers (SSNs) leaks
 //     nothing beyond equality, and identifiers are unique by definition.
+//
+// Both run once per tuple on the write path, so neither allocates per
+// call: PRF.Uint64, Mod and Selects evaluate H on pooled state, and
+// Cipher.AppendEncryptString encrypts into the caller's buffer on pooled
+// scratch. Sum and EncryptString allocate only the result they return.
 package crypt
 
 import (
@@ -41,14 +46,23 @@ var (
 // PRF is the keyed hash H of the paper. It is safe for concurrent use.
 type PRF struct {
 	key []byte
-	// macs pools keyed HMAC states: hmac.New re-hashes the key into the
-	// inner/outer pads on every call (~2 extra compressions plus several
-	// allocations), which dominates hot loops that evaluate H once per
-	// tuple (watermark selection, position addressing). A pooled state is
-	// Reset between uses — crypto/hmac restores the precomputed pads from
-	// their marshaled form, so the output is bit-identical to a fresh
-	// HMAC while skipping the key schedule.
-	macs sync.Pool
+	// states pools one evaluation's state: a keyed HMAC plus its
+	// length-prefix and digest buffers. hmac.New re-hashes the key into
+	// the inner/outer pads on every call (~2 extra compressions plus
+	// several allocations), which dominates hot loops that evaluate H
+	// once per tuple (watermark selection, position addressing). A pooled
+	// HMAC is Reset between uses — crypto/hmac restores the precomputed
+	// pads from their marshaled form, so the output is bit-identical to a
+	// fresh HMAC while skipping the key schedule — and the buffers living
+	// beside it keep an evaluation free of allocations.
+	states sync.Pool
+}
+
+// prfState is one pooled evaluation of H.
+type prfState struct {
+	mac    hash.Hash
+	prefix [8]byte
+	sum    [sha256.Size]byte
 }
 
 // NewPRF returns a PRF keyed with key. The key may be any length; it is
@@ -57,23 +71,31 @@ func NewPRF(key []byte) *PRF {
 	k := make([]byte, len(key))
 	copy(k, key)
 	p := &PRF{key: k}
-	p.macs.New = func() any { return hmac.New(sha256.New, p.key) }
+	p.states.New = func() any { return &prfState{mac: hmac.New(sha256.New, p.key)} }
 	return p
 }
 
-// Sum returns HMAC-SHA256(key, parts[0] || 0x00 || parts[1] || 0x00 ...).
-// Parts are length-prefixed to avoid ambiguity between concatenations.
-func (p *PRF) Sum(parts ...[]byte) []byte {
-	mac := p.macs.Get().(hash.Hash)
-	var lenBuf [8]byte
+// digest writes the first len(dst) bytes (at most sha256.Size) of
+// Sum(parts...) into dst, allocating nothing.
+func (p *PRF) digest(dst []byte, parts ...[]byte) {
+	st := p.states.Get().(*prfState)
 	for _, part := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(part)))
-		mac.Write(lenBuf[:])
-		mac.Write(part)
+		binary.BigEndian.PutUint64(st.prefix[:], uint64(len(part)))
+		st.mac.Write(st.prefix[:])
+		st.mac.Write(part)
 	}
-	out := mac.Sum(nil)
-	mac.Reset()
-	p.macs.Put(mac)
+	copy(dst, st.mac.Sum(st.sum[:0]))
+	st.mac.Reset()
+	p.states.Put(st)
+}
+
+// Sum returns HMAC-SHA256(key, len(parts[0]) || parts[0] || len(parts[1])
+// || parts[1] ...), each length an 8-byte big-endian prefix that keeps
+// concatenations unambiguous. The result is a fresh slice the caller
+// owns.
+func (p *PRF) Sum(parts ...[]byte) []byte {
+	out := make([]byte, sha256.Size)
+	p.digest(out, parts...)
 	return out
 }
 
@@ -81,7 +103,9 @@ func (p *PRF) Sum(parts ...[]byte) []byte {
 // unsigned integer. This is the H(·) value used modulo η or |S| in the
 // watermarking algorithms.
 func (p *PRF) Uint64(parts ...[]byte) uint64 {
-	return binary.BigEndian.Uint64(p.Sum(parts...))
+	var b [8]byte
+	p.digest(b[:], parts...)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // Mod returns Uint64(parts...) mod m. m must be positive.
@@ -108,6 +132,17 @@ type Cipher struct {
 	block  cipher.Block
 	ivPRF  *PRF
 	tagPRF *PRF
+	// scratch pools sealScratch buffers, so encrypting into a caller's
+	// buffer allocates nothing.
+	scratch sync.Pool
+}
+
+// sealScratch is one encryption's working memory: the iv || ciphertext
+// || tag buffer and the CTR counter and keystream blocks.
+type sealScratch struct {
+	raw []byte
+	ctr [aes.BlockSize]byte
+	ks  [aes.BlockSize]byte
 }
 
 // NewCipher derives a Cipher from a master key of any length. Independent
@@ -120,20 +155,39 @@ func NewCipher(masterKey []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypt: %w", err)
 	}
-	return &Cipher{
+	c := &Cipher{
 		block:  block,
 		ivPRF:  NewPRF(root.Sum([]byte("medshield/iv/v1"))),
 		tagPRF: NewPRF(root.Sum([]byte("medshield/tag/v1"))),
-	}, nil
+	}
+	c.scratch.New = func() any { return new(sealScratch) }
+	return c, nil
 }
 
 const tagLen = 16
+
+// zeroBlock is the room seal's callers leave for the IV (and, sliced to
+// tagLen, the room seal appends for the tag).
+var zeroBlock [aes.BlockSize]byte
 
 // EncryptString encrypts a cell value, returning a compact base64 token.
 // Equal plaintexts yield equal tokens (deterministic one-to-one
 // replacement, as the binning algorithm requires).
 func (c *Cipher) EncryptString(plaintext string) string {
-	return base64.RawURLEncoding.EncodeToString(c.Encrypt([]byte(plaintext)))
+	var buf [128]byte // room for the token of a plaintext of up to 64 bytes
+	return string(c.AppendEncryptString(buf[:0], plaintext))
+}
+
+// AppendEncryptString appends EncryptString(plaintext) to dst and
+// returns the extended buffer. It allocates nothing when dst has room
+// for the token.
+func (c *Cipher) AppendEncryptString(dst []byte, plaintext string) []byte {
+	s := c.scratch.Get().(*sealScratch)
+	s.raw = append(append(s.raw[:0], zeroBlock[:]...), plaintext...)
+	s.raw = c.seal(s, s.raw)
+	dst = base64.RawURLEncoding.AppendEncode(dst, s.raw)
+	c.scratch.Put(s)
+	return dst
 }
 
 // DecryptString reverses EncryptString.
@@ -153,13 +207,44 @@ func (c *Cipher) DecryptString(token string) (string, error) {
 // plaintext (synthetic IV), making encryption deterministic; the tag
 // authenticates iv||ciphertext.
 func (c *Cipher) Encrypt(plaintext []byte) []byte {
-	iv := c.ivPRF.Sum(plaintext)[:aes.BlockSize]
-	out := make([]byte, aes.BlockSize+len(plaintext)+tagLen)
-	copy(out, iv)
-	cipher.NewCTR(c.block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
-	tag := c.tagPRF.Sum(out[:aes.BlockSize+len(plaintext)])[:tagLen]
-	copy(out[aes.BlockSize+len(plaintext):], tag)
-	return out
+	raw := make([]byte, aes.BlockSize, aes.BlockSize+len(plaintext)+tagLen)
+	s := c.scratch.Get().(*sealScratch)
+	raw = c.seal(s, append(raw, plaintext...))
+	c.scratch.Put(s)
+	return raw
+}
+
+// seal is the one SIV construction behind Encrypt and
+// AppendEncryptString. raw holds aes.BlockSize bytes of room for the IV
+// followed by the plaintext; seal writes the synthetic IV into the room,
+// encrypts the plaintext in place and appends the tag, returning
+// iv || ctr(plaintext) || tag.
+func (c *Cipher) seal(s *sealScratch, raw []byte) []byte {
+	c.ivPRF.digest(raw[:aes.BlockSize], raw[aes.BlockSize:])
+	s.ctr = [aes.BlockSize]byte(raw[:aes.BlockSize])
+	c.xorKeyStream(s, raw[aes.BlockSize:])
+	n := len(raw)
+	raw = append(raw, zeroBlock[:tagLen]...)
+	c.tagPRF.digest(raw[n:], raw[:n])
+	return raw
+}
+
+// xorKeyStream XORs buf in place with the AES-CTR keystream starting at
+// counter block s.ctr — crypto/cipher's CTR mode, whose counter is the
+// whole block read as one big-endian integer, run on the scratch's
+// blocks instead of a fresh cipher.Stream.
+func (c *Cipher) xorKeyStream(s *sealScratch, buf []byte) {
+	for len(buf) > 0 {
+		c.block.Encrypt(s.ks[:], s.ctr[:])
+		n := subtle.XORBytes(buf, buf, s.ks[:])
+		buf = buf[n:]
+		for i := len(s.ctr) - 1; i >= 0; i-- {
+			s.ctr[i]++
+			if s.ctr[i] != 0 {
+				break
+			}
+		}
+	}
 }
 
 // Decrypt verifies and reverses Encrypt.

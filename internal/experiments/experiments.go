@@ -269,14 +269,17 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mono-binning %s at k=%d: %w", col, k, err)
 		}
-		if _, err := binned.MapColumn(ci, ulti.GeneralizeValue); err != nil {
+		if _, err := binned.MapColumn(ci, func(dst []byte, v string) ([]byte, error) {
+			g, err := ulti.GeneralizeValue(v)
+			return append(dst, g...), err
+		}); err != nil {
 			return nil, err
 		}
 		columns[col] = watermark.ColumnSpec{Tree: trees[col], MaxGen: maxGens[col], UltiGen: ulti}
 	}
 	identIdx, _ := binned.Schema().Index(identCol)
-	if _, err := binned.MapColumn(identIdx, func(v string) (string, error) {
-		return cipher.EncryptString(v), nil
+	if _, err := binned.MapColumn(identIdx, func(dst []byte, v string) ([]byte, error) {
+		return cipher.AppendEncryptString(dst, v), nil
 	}); err != nil {
 		return nil, err
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
@@ -111,24 +110,25 @@ func (a *StatAccum) Statistic() (float64, error) {
 	return a.sum / float64(a.n), nil
 }
 
+// numericOf gathers the first maxIdentDigits ASCII digits of s and
+// parses them as a float64, allocating nothing.
 func numericOf(s string) (float64, bool) {
-	var digits strings.Builder
-	for _, r := range s {
-		if r >= '0' && r <= '9' {
-			digits.WriteRune(r)
-			if digits.Len() == maxIdentDigits {
-				break
-			}
+	var digits [maxIdentDigits]byte
+	n := 0
+	for i := 0; i < len(s) && n < maxIdentDigits; i++ {
+		if c := s[i]; c >= '0' && c <= '9' {
+			digits[n] = c
+			n++
 		}
 	}
-	if digits.Len() == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	v, err := strconv.ParseFloat(digits.String(), 64)
-	if err != nil {
-		return 0, false
+	var u uint64
+	for _, c := range digits[:n] {
+		u = 10*u + uint64(c-'0')
 	}
-	return v, true
+	return float64(u), true
 }
 
 // MarkFromStatistic is the one-way function F: it derives a markLen-bit

@@ -42,6 +42,21 @@ func TestNumericOfCapsLongDigitStrings(t *testing.T) {
 	if got3 != want {
 		t.Errorf("separator form = %v, want %v", got3, want)
 	}
+
+	// Only ASCII digits count, whatever surrounds them; and the
+	// streaming planner's per-row StatAccum.Add allocates nothing.
+	for _, tc := range []struct {
+		s    string
+		want float64
+	}{{"٣4\xff5é6", 456}, {"ssn:000-00-0007", 7}} {
+		if got, ok := numericOf(tc.s); !ok || got != tc.want {
+			t.Errorf("numericOf(%q) = %v, %v; want %v", tc.s, got, ok, tc.want)
+		}
+	}
+	var acc StatAccum
+	if n := testing.AllocsPerRun(100, func() { acc.Add("1234-5678-9012-3456-7890") }); n != 0 {
+		t.Errorf("StatAccum.Add: %v allocs per call, want 0", n)
+	}
 }
 
 // TestIdentStatisticShortValuesUnchanged guards backward compatibility:

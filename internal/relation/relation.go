@@ -635,20 +635,26 @@ func (t *Table) ForEachRowChunk(chunk int, fn func(lo, hi int) error) error {
 
 // MapColumn rewrites one column through fn, calling fn once per distinct
 // value in use instead of once per row: fn transforms dictionary
-// entries, rows only have their codes remapped. The dictionary is
+// entries, rows only have their codes remapped. fn appends the output
+// for value to dst and returns the extended buffer. The dictionary is
 // compacted (unused entries dropped, equal outputs merged) and the
 // number of rows whose value changed is returned. fn must be
 // deterministic; a row-level scan applying a deterministic fn yields
 // exactly the same table.
-func (t *Table) MapColumn(col int, fn func(value string) (string, error)) (int, error) {
+func (t *Table) MapColumn(col int, fn func(dst []byte, value string) ([]byte, error)) (int, error) {
 	return t.MapColumnCtx(context.Background(), 1, col, fn)
 }
 
 // MapColumnCtx is MapColumn with the per-entry fn calls fanned out over
-// workers (0 = GOMAXPROCS, 1 = sequential) under ctx. The rebuilt
-// dictionary is ordered by first use regardless of worker count, and the
-// error of the lowest failing dictionary entry is reported.
-func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(value string) (string, error)) (int, error) {
+// workers (0 = GOMAXPROCS, 1 = sequential) under ctx. The dictionary is
+// split into one contiguous range per worker, and each range appends
+// its outputs to one arena, converted to a string once: the rebuilt
+// dictionary holds substrings of the arenas, deduplicated through a
+// codeIndex, so a column of unique values (encrypted identifiers) costs
+// no allocation per entry. The rebuilt dictionary is ordered by first
+// use regardless of worker count, and the error of the lowest failing
+// dictionary entry is reported.
+func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(dst []byte, value string) ([]byte, error)) (int, error) {
 	c := &t.cols[col]
 	n := len(c.dict)
 	if n == 0 {
@@ -658,30 +664,53 @@ func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(valu
 	for _, code := range c.codes {
 		rowsPer[code]++
 	}
-	results := make([]string, n)
-	if err := pool.ForEachCtx(ctx, workers, n, func(k int) error {
-		if rowsPer[k] == 0 {
-			return nil
+	// ends[k] is where entry k's output ends in its range's arena; it
+	// starts where the previous entry of the range ends.
+	chunks := pool.Chunks(workers, n)
+	arenas := make([][]byte, len(chunks))
+	ends := make([]int, n)
+	if err := pool.ForEachChunkCtx(ctx, workers, n, func(si, lo, hi int) error {
+		var arena []byte
+		for k := lo; k < hi; k++ {
+			if err := pool.CtxAt(ctx, k-lo); err != nil {
+				return err
+			}
+			if rowsPer[k] > 0 {
+				var err error
+				if arena, err = fn(arena, c.dict[k]); err != nil {
+					return err
+				}
+			}
+			ends[k] = len(arena)
 		}
-		out, err := fn(c.dict[k])
-		if err != nil {
-			return err
-		}
-		results[k] = out
+		arenas[si] = arena
 		return nil
 	}); err != nil {
 		return 0, err
 	}
 	next := column{}
+	index := newCodeIndex(n)
 	remap := make([]uint32, n)
 	changed := 0
-	for k := 0; k < n; k++ {
-		if rowsPer[k] == 0 {
-			continue
-		}
-		remap[k] = next.intern(results[k])
-		if results[k] != c.dict[k] {
-			changed += rowsPer[k]
+	for si, ch := range chunks {
+		arena, str := arenas[si], string(arenas[si])
+		start := 0
+		for k := ch.Lo; k < ch.Hi; k++ {
+			b, v := arena[start:ends[k]], str[start:ends[k]]
+			start = ends[k]
+			if rowsPer[k] == 0 {
+				continue
+			}
+			code, slot, ok := index.find(next.dict, b)
+			if !ok {
+				code = uint32(len(next.dict))
+				next.dict = append(next.dict, v)
+				index.add(next.dict, slot)
+			}
+			remap[k] = code
+			if v != c.dict[k] {
+				changed += rowsPer[k]
+			}
 		}
 	}
 	next.codes = c.codes

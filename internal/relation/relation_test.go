@@ -2,8 +2,10 @@ package relation
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -482,11 +484,11 @@ func TestMapColumn(t *testing.T) {
 	tbl := testTable(t)
 	ci, _ := tbl.Schema().Index("doctor")
 	// Merge Nurse and Surgeon into Staff; Clerk unchanged.
-	changed, err := tbl.MapColumn(ci, func(v string) (string, error) {
+	changed, err := tbl.MapColumn(ci, func(dst []byte, v string) ([]byte, error) {
 		if v == "Nurse" || v == "Surgeon" {
-			return "Staff", nil
+			return append(dst, "Staff"...), nil
 		}
-		return v, nil
+		return append(dst, v...), nil
 	})
 	if err != nil || changed != 3 {
 		t.Fatalf("MapColumn = %d, %v; want 3 changed", changed, err)
@@ -501,8 +503,8 @@ func TestMapColumn(t *testing.T) {
 		t.Errorf("DictLen = %d, want 2", tbl.DictLen(ci))
 	}
 	// Errors abort without committing.
-	if _, err := tbl.MapColumn(ci, func(v string) (string, error) {
-		return "", fmt.Errorf("boom")
+	if _, err := tbl.MapColumn(ci, func(dst []byte, v string) ([]byte, error) {
+		return nil, fmt.Errorf("boom")
 	}); err == nil {
 		t.Error("MapColumn error not propagated")
 	}
@@ -512,13 +514,65 @@ func TestMapColumn(t *testing.T) {
 	// Unused dictionary entries are skipped: delete all Clerk rows, then
 	// map with a fn that rejects Clerk — it must never see the value.
 	tbl.DeleteWhereView(func(v RowView) bool { return v.Cell(ci) == "Clerk" })
-	if _, err := tbl.MapColumn(ci, func(v string) (string, error) {
+	if _, err := tbl.MapColumn(ci, func(dst []byte, v string) ([]byte, error) {
 		if v == "Clerk" {
-			return "", fmt.Errorf("stale entry visited")
+			return nil, fmt.Errorf("stale entry visited")
 		}
-		return v, nil
+		return append(dst, v...), nil
 	}); err != nil {
 		t.Errorf("MapColumn visited a stale dictionary entry: %v", err)
+	}
+}
+
+// TestMapColumnCtxWorkers: whatever the worker count, and so however
+// the dictionary is split into arenas, MapColumnCtx merges equal outputs
+// across ranges into the same first-use-ordered dictionary, skips
+// unused entries and reports the lowest failing entry.
+func TestMapColumnCtxWorkers(t *testing.T) {
+	build := func() *Table {
+		tbl := NewTable(testSchema(t))
+		for i := 0; i < 300; i++ {
+			row := []string{fmt.Sprintf("s%03d", i), "34", "Nurse", "a"}
+			if err := tbl.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl.DeleteWhereView(func(v RowView) bool { return strings.HasSuffix(v.Cell(0), "7") })
+		return tbl
+	}
+	// Keep the first two characters: "s0", "s1", "s2" merge entries
+	// from far-apart dictionary ranges.
+	prefix := func(dst []byte, v string) ([]byte, error) {
+		if strings.HasSuffix(v, "7") {
+			return nil, fmt.Errorf("unused entry %q visited", v)
+		}
+		return append(dst, v[:2]...), nil
+	}
+	want := build()
+	if _, err := want.MapColumnCtx(context.Background(), 1, 0, prefix); err != nil {
+		t.Fatal(err)
+	}
+	if got := want.DictValues(0); !slices.Equal(got, []string{"s0", "s1", "s2"}) {
+		t.Fatalf("dictionary = %q, want [s0 s1 s2]", got)
+	}
+	for _, workers := range []int{2, 3, 8, 0} {
+		tbl := build()
+		changed, err := tbl.MapColumnCtx(context.Background(), workers, 0, prefix)
+		if err != nil || changed != tbl.NumRows() {
+			t.Fatalf("workers=%d: MapColumnCtx = %d, %v; want %d changed", workers, changed, err, tbl.NumRows())
+		}
+		if !slices.Equal(tbl.DictValues(0), want.DictValues(0)) || !slices.Equal(tbl.Codes(0), want.Codes(0)) {
+			t.Errorf("workers=%d: dictionary or codes differ from the sequential run", workers)
+		}
+		_, err = build().MapColumnCtx(context.Background(), workers, 0, func(dst []byte, v string) ([]byte, error) {
+			if v >= "s150" {
+				return nil, fmt.Errorf("entry %s", v)
+			}
+			return append(dst, v...), nil
+		})
+		if err == nil || err.Error() != "entry s150" {
+			t.Errorf("workers=%d: error = %v, want the lowest failing entry s150", workers, err)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func NewSegmentReader(r io.Reader, schema *Schema, chunk int) (*SegmentReader, e
 		guard:   guardMin,
 	}
 	for ci := range sr.index {
-		sr.index[ci] = newCodeIndex()
+		sr.index[ci] = newCodeIndex(0)
 	}
 	recs := sr.scan(1)
 	if len(recs) == 0 {
@@ -488,8 +488,13 @@ type codeIndex struct {
 	n     int
 }
 
-func newCodeIndex() codeIndex {
-	return codeIndex{seed: maphash.MakeSeed(), slots: make([]uint32, 64)}
+// newCodeIndex sizes the table for hint values without a doubling.
+func newCodeIndex(hint int) codeIndex {
+	size := 64
+	for size < 2*hint {
+		size *= 2
+	}
+	return codeIndex{seed: maphash.MakeSeed(), slots: make([]uint32, size)}
 }
 
 // find returns the code of b in dict or, when b is absent, the slot

@@ -24,7 +24,7 @@ type cellVerdict struct {
 // distinct dictionary entry and the row scan reduces to integer lookups
 // plus vote accumulation.
 type detectPlan struct {
-	col      string
+	colKey   []byte // the column name's bytes, an H input
 	idx      int
 	verdicts []cellVerdict
 }
@@ -134,7 +134,7 @@ func scanVotes(ctx context.Context, tbl *relation.Table, identIdx int, vkeys *vi
 					shard.SkippedCells++
 					continue
 				}
-				pos := p.positionOf(prf2, ident, plan.col)
+				pos := p.positionOf(prf2, ident, plan.colKey)
 				shardBoard.Vote(pos, v.bit, 1)
 				shard.VotesCast++
 			}
@@ -247,7 +247,7 @@ func buildDetectPlans(ctx context.Context, tbl *relation.Table, columns map[stri
 			bit, read, ok := detectCell(spec, value, p)
 			verdicts[code] = cellVerdict{bit: bit, read: read, ok: ok}
 		}
-		plans[i] = detectPlan{col: col, idx: ci, verdicts: verdicts}
+		plans[i] = detectPlan{colKey: []byte(col), idx: ci, verdicts: verdicts}
 		return nil
 	})
 	if err != nil {

@@ -32,6 +32,7 @@ type embedPrelude struct {
 // node → dictionary code table the walk endpoints decode through.
 type embedPlan struct {
 	col        string
+	colKey     []byte // col's bytes, an H input
 	idx        int
 	spec       ColumnSpec
 	pre        []embedPrelude
@@ -42,7 +43,7 @@ type embedPlan struct {
 // frontier members and boundary sets) so the sharded writers below touch
 // only code vectors, then computes the per-code preludes.
 func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, boundaryPermutation bool) embedPlan {
-	plan := embedPlan{col: col, idx: ci, spec: spec}
+	plan := embedPlan{col: col, colKey: []byte(col), idx: ci, spec: spec}
 	tree := spec.Tree
 	plan.codeOfNode = make([]uint32, tree.Size())
 	for _, nd := range spec.UltiGen.Nodes() {
@@ -168,6 +169,7 @@ func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, col
 	shardStats := make([]EmbedStats, len(pool.Chunks(p.Workers, tbl.NumRows())))
 	err := pool.ForEachChunkCtx(ctx, p.Workers, tbl.NumRows(), func(si, lo, hi int) error {
 		shard := &shardStats[si]
+		var identBuf []byte // reused across rows; PRF calls do not retain it
 		for row := lo; row < hi; row++ {
 			if err := pool.CtxAt(ctx, row-lo); err != nil {
 				return err
@@ -176,7 +178,8 @@ func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, col
 			if p.UseVirtualIdent {
 				ident = vkeys.identOf(tbl, row)
 			} else {
-				ident = []byte(tbl.CellAt(row, identIdx))
+				identBuf = append(identBuf[:0], tbl.CellAt(row, identIdx)...)
+				ident = identBuf
 			}
 			if !prf1.Selects(ident, p.Key.Eta) {
 				continue
@@ -185,7 +188,7 @@ func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, col
 			for pi := range plans {
 				plan := &plans[pi]
 				code := tbl.CodeAt(row, plan.idx)
-				newCode, embedded, err := embedCode(plan, code, prf2, ident, wmd.Get(p.positionOf(prf2, ident, plan.col)))
+				newCode, embedded, err := embedCode(plan, code, prf2, ident, wmd.Get(p.positionOf(prf2, ident, plan.colKey)))
 				if err != nil {
 					return fmt.Errorf("watermark: row %d column %s: %w", row, plan.col, err)
 				}
@@ -263,7 +266,7 @@ func EmbedSelectedContext(ctx context.Context, tbl *relation.Table, sel *Selecti
 		for pi := range plans {
 			plan := &plans[pi]
 			code := tbl.CodeAt(int(row), plan.idx)
-			newCode, embedded, err := embedCode(plan, code, prf2, ident, wmd.Get(p.positionOf(prf2, ident, plan.col)))
+			newCode, embedded, err := embedCode(plan, code, prf2, ident, wmd.Get(p.positionOf(prf2, ident, plan.colKey)))
 			if err != nil {
 				return stats, fmt.Errorf("watermark: row %d column %s: %w", row, plan.col, err)
 			}
@@ -296,7 +299,7 @@ func embedCode(plan *embedPlan, code uint32, prf2 *crypt.PRF, ident []byte, bit 
 		if len(pre.setCodes) == 0 {
 			return code, 0, nil
 		}
-		idx := int(prf2.Mod(uint64(len(pre.set)), ident, []byte("perm"), []byte(plan.col), []byte("boundary")))
+		idx := int(prf2.Mod(uint64(len(pre.set)), ident, labelPerm, plan.colKey, labelBoundary))
 		idx = setMuBit(idx, bit, len(pre.set))
 		return pre.setCodes[idx], 1, nil
 	}
@@ -316,8 +319,8 @@ func embedCode(plan *embedPlan, code uint32, prf2 *crypt.PRF, ident []byte, bit 
 		}
 		idx := 0
 		if len(children) >= 2 {
-			depth := tree.Node(cur).Depth
-			idx = int(prf2.Mod(uint64(len(children)), ident, []byte("perm"), []byte(plan.col), []byte{byte(depth)}))
+			depth := int(byte(tree.Node(cur).Depth))
+			idx = int(prf2.Mod(uint64(len(children)), ident, labelPerm, plan.colKey, levelLabels[depth:depth+1]))
 			idx = setMuBit(idx, bit, len(children))
 			embedded++
 		}

@@ -93,8 +93,8 @@ func EmbedSingleLevel(tbl *relation.Table, identCol string, columns map[string]C
 				stats.ZeroBandwidth++
 				continue
 			}
-			bit := wmd.Get(p.positionOf(prf2, ident, col))
-			idx := int(prf2.Mod(uint64(len(siblings)), ident, []byte("perm"), []byte(col)))
+			bit := wmd.Get(p.positionOf(prf2, ident, []byte(col)))
+			idx := int(prf2.Mod(uint64(len(siblings)), ident, labelPerm, []byte(col)))
 			idx = setMuBit(idx, bit, len(siblings))
 			stats.BitsEmbedded++
 			newVal := spec.Tree.Value(siblings[idx])
@@ -164,7 +164,7 @@ func DetectSingleLevel(tbl *relation.Table, identCol string, columns map[string]
 				continue
 			}
 			res.Stats.BitsRead++
-			board.Vote(p.positionOf(prf2, ident, col), idx&1 == 1, 1)
+			board.Vote(p.positionOf(prf2, ident, []byte(col)), idx&1 == 1, 1)
 			res.Stats.VotesCast++
 		}
 	}

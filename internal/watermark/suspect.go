@@ -177,7 +177,7 @@ func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Param
 				stats.SkippedCells++
 				continue
 			}
-			pos := p.positionOf(prf2, ident, plan.col)
+			pos := p.positionOf(prf2, ident, plan.colKey)
 			board.Vote(pos, v.bit, 1)
 			stats.VotesCast++
 		}

@@ -104,13 +104,29 @@ func (p Params) wmdLen() int { return p.Mark.Len() * p.Duplication }
 // count streaming callers size their persistent vote boards with.
 func (p Params) WmdLen() int { return p.wmdLen() }
 
+// The domain labels of the keyed H calls. They are package variables,
+// so no per-tuple call converts a constant.
+var (
+	labelPos      = []byte("pos")
+	labelPerm     = []byte("perm")
+	labelBoundary = []byte("boundary")
+	// levelLabels[d:d+1] is the one-byte salt of walk depth d.
+	levelLabels = func() (t [256]byte) {
+		for i := range t {
+			t[i] = byte(i)
+		}
+		return t
+	}()
+)
+
 // positionOf returns the wmd position addressed by a tuple (and column,
-// when salting is on): the paper's H(ti.ident, k2) mod |wmd|.
-func (p Params) positionOf(prf2 *crypt.PRF, ident []byte, col string) int {
+// when salting is on): the paper's H(ti.ident, k2) mod |wmd|. col is
+// the column name's bytes.
+func (p Params) positionOf(prf2 *crypt.PRF, ident, col []byte) int {
 	if p.SaltPositionWithColumn {
-		return int(prf2.Mod(uint64(p.wmdLen()), ident, []byte("pos"), []byte(col)))
+		return int(prf2.Mod(uint64(p.wmdLen()), ident, labelPos, col))
 	}
-	return int(prf2.Mod(uint64(p.wmdLen()), ident, []byte("pos")))
+	return int(prf2.Mod(uint64(p.wmdLen()), ident, labelPos))
 }
 
 // EmbedStats reports embedding work.

@@ -22,7 +22,12 @@
 # entry does not record) and, from internal/binning, the greedy ascent
 # pair (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture)
 # and the sketch ingest layer (SketchAdd1M: one sketch built from the
-# segments of a million rows; also reports rows/s, not recorded) with
+# segments of a million rows; also reports rows/s, not recorded) and
+# the transform layer (TransformContext1M: identifier encryption plus
+# generalization over the segments of a million rows), and, from
+# internal/watermark, the Equation (5) selection layer
+# (SelectForEmbed1M: selection over the segments of a million rows with
+# encrypted identifiers) — both also report rows/s, not recorded — with
 # -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
 # and allocs/op) per benchmark to BENCH_pipeline.json at the repo root,
 # so representation regressions show up as a diff in review.
@@ -48,7 +53,8 @@ OUT="BENCH_pipeline.json"
 PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$'
 
 RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" .)
-$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$|BenchmarkSketchAdd1M$' -benchmem -count "$COUNT" ./internal/binning)"
+$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$|BenchmarkSketchAdd1M$|BenchmarkTransformContext1M$' -benchmem -count "$COUNT" ./internal/binning)
+$(go test -run '^$' -bench 'BenchmarkSelectForEmbed1M$' -benchmem -count "$COUNT" ./internal/watermark)"
 echo "$RAW"
 
 best_ns() {
@@ -97,9 +103,10 @@ fi
 
 # Regression gate: compare the fresh best-of-N ns/op for the core
 # pipeline and serving-layer benchmarks against the last recorded entry
-# and refuse to append a >15% slowdown. (The streaming benchmarks are
-# capacity numbers, not latency gates, so they are recorded but not
-# enforced.)
+# and refuse to append a >15% slowdown. (The streaming benchmarks and
+# the per-layer ones — SearchSketch1M, SegmentReader1M, SketchAdd1M,
+# TransformContext1M, SelectForEmbed1M — are capacity numbers, not
+# latency gates, so they are recorded but not enforced.)
 if [ -f "$OUT" ]; then
   for name in BenchmarkProtect20k BenchmarkDetect20k BenchmarkMultiBinGreedy \
               BenchmarkTraceback50 BenchmarkAppend2k BenchmarkJobThroughput; do
