@@ -110,25 +110,19 @@ func (a *StatAccum) Statistic() (float64, error) {
 	return a.sum / float64(a.n), nil
 }
 
-// numericOf gathers the first maxIdentDigits ASCII digits of s and
-// parses them as a float64, allocating nothing.
+// numericOf reads the first maxIdentDigits ASCII digits of s as one
+// decimal integer, allocating nothing. The integer is below 2^53, so its
+// float64 is exact.
 func numericOf(s string) (float64, bool) {
-	var digits [maxIdentDigits]byte
+	var u uint64
 	n := 0
 	for i := 0; i < len(s) && n < maxIdentDigits; i++ {
 		if c := s[i]; c >= '0' && c <= '9' {
-			digits[n] = c
+			u = 10*u + uint64(c-'0')
 			n++
 		}
 	}
-	if n == 0 {
-		return 0, false
-	}
-	var u uint64
-	for _, c := range digits[:n] {
-		u = 10*u + uint64(c-'0')
-	}
-	return float64(u), true
+	return float64(u), n > 0
 }
 
 // MarkFromStatistic is the one-way function F: it derives a markLen-bit
