@@ -11,15 +11,16 @@ import (
 )
 
 // This file defines the streaming half of the wire contract: a text/csv
-// request/response mode for POST /v1/apply and POST /v1/append. The
-// request body is one CSV document (header + records) consumed
-// segment-at-a-time — the server never buffers the table — and the
-// response body is the protected CSV, emitted incrementally. Everything
-// that is not cell data rides in headers (request metadata) and HTTP
-// trailers (run statistics and the effective/advanced plan, which only
-// exist once the stream has drained).
+// request/response mode for POST /v1/plan, /v1/apply, /v1/append,
+// /v1/detect and /v1/traceback. The request body is one CSV document
+// (header + records) consumed segment-at-a-time — the server never
+// buffers the table. Everything that is not cell data rides in headers
+// (request metadata) and HTTP trailers (run statistics, plans and
+// verdicts, which only exist once the stream has drained). On
+// /v1/apply and /v1/append the response body is the protected CSV,
+// emitted incrementally.
 //
-// Because the response streams, a failure discovered mid-body (a
+// Because that response streams, a failure discovered mid-body (a
 // source-side CSV error, or an end-of-stream verdict like plan drift)
 // cannot change the already-committed 200 status. Such failures are
 // reported in the ErrorTrailer instead, and the emitted CSV must be
@@ -133,19 +134,6 @@ type PlanStreamStats struct {
 	Epsilon    int     `json:"epsilon"`
 	EffectiveK int     `json:"effective_k"`
 	AvgLoss    float64 `json:"avg_loss"`
-}
-
-// PlanStreamStatsOf projects a streamed planning result to its wire
-// summary.
-func PlanStreamStatsOf(res *core.PlannedStream) PlanStreamStats {
-	return PlanStreamStats{
-		Rows:       res.Rows,
-		Segments:   res.Segments,
-		K:          res.Plan.K,
-		Epsilon:    res.Plan.Epsilon,
-		EffectiveK: res.Plan.EffectiveK,
-		AvgLoss:    res.Plan.AvgLoss,
-	}
 }
 
 // ApplyRequest is the JSON mode of POST /v1/apply: execute a saved plan

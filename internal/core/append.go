@@ -59,7 +59,7 @@ func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.Watermar
 // the next batch.
 func (f *Framework) AppendContext(ctx context.Context, delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Appended, error) {
 	var marked *relation.Table
-	p, err := f.write(ctx, &oneSegment{tbl: delta}, []output{{plan: plan, key: key, sink: keep(&marked)}}, true)
+	p, err := f.write(ctx, &relation.OneSegment{Table: delta}, []output{{plan: plan, key: key, sink: keep(&marked)}}, true)
 	if err != nil {
 		return nil, err
 	}

@@ -329,7 +329,7 @@ func (f *Framework) Detect(tbl *relation.Table, prov Provenance, key crypt.Water
 // single segment, so its vote-harvesting scan aborts promptly with the
 // context's error on cancellation.
 func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) (*Detection, error) {
-	det, err := f.DetectStream(ctx, &oneSegment{tbl: tbl}, prov, key)
+	det, err := f.DetectStream(ctx, &relation.OneSegment{Table: tbl}, prov, key)
 	if err != nil {
 		return nil, err
 	}

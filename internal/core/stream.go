@@ -16,8 +16,9 @@ import (
 
 // Segments is the segment source every pipeline loop consumes: a
 // sequence of bounded *relation.Table segments over one schema,
-// terminated by io.EOF. relation.SegmentReader (CSV ingest) and
-// relation.TableSegments (an in-memory table) both satisfy it.
+// terminated by io.EOF. relation.SegmentReader (CSV ingest),
+// relation.TableSegments (an in-memory table in bounded segments) and
+// relation.OneSegment (an in-memory table whole) all satisfy it.
 //
 // Segments may share dictionary backing (as SegmentReader's do); the
 // pipeline never mutates a yielded segment in place.

@@ -71,7 +71,7 @@ func (f *Framework) Traceback(suspect *relation.Table, candidates []Candidate) (
 // bit-identical to independent DetectContext calls under the same
 // provenance and key.
 func (f *Framework) TracebackContext(ctx context.Context, suspect *relation.Table, candidates []Candidate) (*Traceback, error) {
-	tb, err := f.TracebackStream(ctx, &oneSegment{tbl: suspect}, candidates)
+	tb, err := f.TracebackStream(ctx, &relation.OneSegment{Table: suspect}, candidates)
 	if err != nil {
 		return nil, err
 	}

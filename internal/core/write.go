@@ -23,23 +23,6 @@ import (
 // — is the write loop below plus a sink and a verdict. The in-memory
 // forms feed their table as a single segment and keep the marked table.
 
-// oneSegment yields a whole table as a single segment, even when it has
-// no rows. Unlike Table.Segments it does not re-encode the table.
-type oneSegment struct {
-	tbl  *relation.Table
-	done bool
-}
-
-func (s *oneSegment) Schema() *relation.Schema { return s.tbl.Schema() }
-
-func (s *oneSegment) Next() (*relation.Table, error) {
-	if s.done {
-		return nil, io.EOF
-	}
-	s.done = true
-	return s.tbl, nil
-}
-
 // output is one marked copy a write run produces: the plan and key it
 // is embedded under, and the sink its marked segments go to. Several
 // outputs share one run only when their plans share frontiers and
@@ -326,7 +309,7 @@ func (f *Framework) applyTable(ctx context.Context, tbl *relation.Table, outs []
 	for i := range outs {
 		outs[i].sink = keep(&kept[i])
 	}
-	p, err := f.write(ctx, &oneSegment{tbl: tbl}, outs, false)
+	p, err := f.write(ctx, &relation.OneSegment{Table: tbl}, outs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +325,7 @@ func (f *Framework) applyTable(ctx context.Context, tbl *relation.Table, outs []
 		}
 	}
 	if len(retry) > 0 {
-		rp, err := f.write(ctx, &oneSegment{tbl: tbl}, retry, false)
+		rp, err := f.write(ctx, &relation.OneSegment{Table: tbl}, retry, false)
 		if err != nil {
 			return nil, err
 		}

@@ -543,6 +543,26 @@ func (sr *SegmentReader) Rows() int { return sr.rows }
 // Schema returns the schema segments are yielded over.
 func (sr *SegmentReader) Schema() *Schema { return sr.schema }
 
+// OneSegment yields a whole table as a single segment, even when it has
+// no rows. Unlike Table.Segments it does not re-encode the table: it is
+// the source the in-memory pipeline forms run their segment loops over.
+type OneSegment struct {
+	Table *Table
+	done  bool
+}
+
+// Schema returns the table's schema.
+func (s *OneSegment) Schema() *Schema { return s.Table.schema }
+
+// Next returns the table on the first call and (nil, io.EOF) after.
+func (s *OneSegment) Next() (*Table, error) {
+	if s.done {
+		return nil, io.EOF
+	}
+	s.done = true
+	return s.Table, nil
+}
+
 // TableSegments streams an in-memory table as bounded segments — the
 // in-memory twin of SegmentReader for callers that already hold a Table
 // but want the bounded-memory code path, and for tests comparing the

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -17,24 +19,25 @@ import (
 	"repro/internal/tenant"
 )
 
-// This file is the async job surface of the service: POST
-// /v1/jobs/{kind} submits the corresponding synchronous endpoint's JSON
-// body as a queued job and returns 202 immediately; GET /v1/jobs lists,
-// GET /v1/jobs/{id} polls (the result document is byte-identical to the
-// sync response), DELETE /v1/jobs/{id} cancels and GET
+// This file is the async job transport of the service: POST
+// /v1/jobs/{kind} stores the corresponding synchronous endpoint's JSON
+// body as a queued job and returns 202 immediately; a worker later runs
+// it through that endpoint's JSON transport (ops) — the same core — so
+// the result GET /v1/jobs/{id} returns is byte-identical to the sync
+// response. GET /v1/jobs lists, DELETE /v1/jobs/{id} cancels and GET
 // /v1/jobs/{id}/events streams progress over SSE. Job routes run
 // OUTSIDE the in-flight semaphore — submission and polling must stay
 // fast while the pool grinds; the jobs.Config.Workers bound is what
 // limits pipeline concurrency on the async path.
 
-// jobKinds are the async job kinds served; each maps to the sync
-// endpoint of the same name (apply in its JSON mode).
+// jobKinds are the async job kinds served; each runs the JSON transport
+// (ops) of the sync endpoint of the same name.
 var jobKinds = []string{"protect", "plan", "apply", "detect", "fingerprint", "traceback"}
 
-// jobRunner adapts the server's transport-free handler cores to
-// jobs.Runner. It threads the manager's progress callback into the
-// pipeline via core.WithProgress, so segment and recipient loops report
-// through to SSE subscribers.
+// jobRunner adapts the operations' JSON transports to jobs.Runner. It
+// threads the manager's progress callback into the pipeline via
+// core.WithProgress, so segment and recipient loops report through to
+// SSE subscribers.
 type jobRunner struct{ s *Server }
 
 func (jr jobRunner) Run(ctx context.Context, job jobs.Job, progress func(jobs.Progress)) (json.RawMessage, error) {
@@ -56,50 +59,10 @@ func (jr jobRunner) Run(ctx context.Context, job jobs.Job, progress func(jobs.Pr
 		rec = live
 	}
 	ctx = withRequestInfo(ctx, &requestInfo{tenant: rec})
-	var (
-		resp any
-		err  error
-	)
-	switch job.Kind {
-	case "protect":
-		var req api.ProtectRequest
-		if err := decodeJobRequest(job.Request, &req); err != nil {
-			return nil, err
-		}
-		resp, err = jr.s.runProtect(ctx, req)
-	case "plan":
-		var req api.PlanRequest
-		if err := decodeJobRequest(job.Request, &req); err != nil {
-			return nil, err
-		}
-		resp, err = jr.s.runPlan(ctx, req)
-	case "apply":
-		var req api.ApplyRequest
-		if err := decodeJobRequest(job.Request, &req); err != nil {
-			return nil, err
-		}
-		resp, err = jr.s.runApplyJSON(ctx, req)
-	case "detect":
-		var req api.DetectRequest
-		if err := decodeJobRequest(job.Request, &req); err != nil {
-			return nil, err
-		}
-		resp, err = jr.s.runDetect(ctx, req)
-	case "fingerprint":
-		var req api.FingerprintRequest
-		if err := decodeJobRequest(job.Request, &req); err != nil {
-			return nil, err
-		}
-		resp, err = jr.s.runFingerprint(ctx, req)
-	case "traceback":
-		var req api.TracebackRequest
-		if err := decodeJobRequest(job.Request, &req); err != nil {
-			return nil, err
-		}
-		resp, err = jr.s.runTraceback(ctx, req)
-	default:
+	if !slices.Contains(jobKinds, job.Kind) {
 		return nil, fmt.Errorf("%w: %q", jobs.ErrUnknownKind, job.Kind)
 	}
+	resp, err := ops[job.Kind](jr.s, ctx, bytes.NewReader(job.Request))
 	if err != nil {
 		return nil, err
 	}
@@ -129,16 +92,6 @@ func (jr jobRunner) Secret(job jobs.Job) string {
 	return ""
 }
 
-// decodeJobRequest decodes a stored job request under the same strict
-// rules as the sync endpoints, tagged bad_request (permanent — a
-// malformed body never deserves a retry).
-func decodeJobRequest(data json.RawMessage, v any) error {
-	if err := api.DecodeJSON(bytes.NewReader(data), v); err != nil {
-		return badRequest(err)
-	}
-	return nil
-}
-
 // encodeJobResult marshals a response document exactly as writeJSON
 // puts it on the wire (no HTML escaping), minus the encoder's trailing
 // newline — so the stored result is byte-identical to the sync response
@@ -157,7 +110,7 @@ func encodeJobResult(v any) (json.RawMessage, error) {
 // logging — but neither the in-flight semaphore nor the request
 // deadline. Submitting or polling a job must not queue behind running
 // pipelines (202 in milliseconds regardless of what the pool is doing).
-func (s *Server) control(h func(w http.ResponseWriter, r *http.Request) (int, error)) http.HandlerFunc {
+func (s *Server) control(h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		if _, err := h(w, r); err != nil {
@@ -169,7 +122,7 @@ func (s *Server) control(h func(w http.ResponseWriter, r *http.Request) (int, er
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (int, error) {
 	kind := r.PathValue("kind")
 	tid := tenantIDFrom(r.Context())
-	body, err := readAll(r.Body)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return 0, err
 	}
@@ -391,16 +344,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ReadyResponse{Ready: true, Status: "ok"})
-}
-
-// readAll drains a request body, mapping the MaxBytesReader trip to its
-// usual 413.
-func readAll(r interface{ Read([]byte) (int, error) }) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 func queryInt(s string, def int) (int, error) {

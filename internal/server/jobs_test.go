@@ -17,8 +17,10 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
+	"repro/internal/crypt"
 	"repro/internal/datagen"
 	"repro/internal/jobs"
+	"repro/internal/ontology"
 )
 
 // newJobServer builds a server plus its httptest frontend, returning
@@ -150,17 +152,115 @@ func TestJobProtectMatchesSync(t *testing.T) {
 	}
 }
 
+// TestJobKindsMatchSync runs every job kind both ways: the async result
+// must be the sync JSON response body minus its trailing newline. The
+// traceback case ranks the fleet the fingerprint case registered.
+func TestJobKindsMatchSync(t *testing.T) {
+	_, ts := newJobServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
+	tbl := testTable(t, 500)
+	rows, err := api.EncodeTable(tbl, api.OutputRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := api.Key{Secret: "kinds secret", Eta: 25}
+	fw, err := core.New(ontology.Trees(), core.Config{K: 15, AutoEpsilon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := fw.Protect(tbl, crypt.NewWatermarkKeyFromSecret(key.Secret, key.Eta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fw.Plan(tbl, crypt.NewWatermarkKeyFromSecret(key.Secret, key.Eta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked, err := api.EncodeTable(prot.Table, api.OutputCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leak api.Table // hospital-b's copy, from the fingerprint case
+	cases := []struct {
+		kind string
+		req  func() any
+	}{
+		{"protect", func() any { return api.ProtectRequest{Table: rows, Key: key, Output: api.OutputCSV} }},
+		{"plan", func() any { return api.PlanRequest{Table: rows, Key: key} }},
+		{"apply", func() any { return api.ApplyRequest{Table: rows, Plan: *plan, Key: key} }},
+		{"detect", func() any { return api.DetectRequest{Table: marked, Provenance: prot.Provenance, Key: key} }},
+		{"fingerprint", func() any {
+			return api.FingerprintRequest{Table: rows, Secret: "kinds master", Eta: 20,
+				Recipients: []api.RecipientRef{{ID: "hospital-a"}, {ID: "hospital-b"}}}
+		}},
+		{"traceback", func() any { return api.TracebackRequest{Table: leak, Secret: "kinds master"} }},
+	}
+	if len(cases) != len(jobKinds) {
+		t.Fatalf("%d cases for %d job kinds", len(cases), len(jobKinds))
+	}
+	for i, tc := range cases {
+		if tc.kind != jobKinds[i] {
+			t.Fatalf("case %d is %q, job kind %q", i, tc.kind, jobKinds[i])
+		}
+		body, err := json.Marshal(tc.req())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := http.Post(ts.URL+"/v1/"+tc.kind, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncBody, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("sync %s: %d\n%s", tc.kind, r.StatusCode, syncBody)
+		}
+		status, sub := submitJob(t, ts.URL, tc.kind, body, nil)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %s: %d", tc.kind, status)
+		}
+		final := waitJob(t, ts.URL, sub.Job.ID)
+		if final.Job.State != jobs.StateSucceeded {
+			t.Fatalf("%s job ended %s: %s %s", tc.kind, final.Job.State, final.Job.ErrorCode, final.Job.Error)
+		}
+		if !bytes.Equal(syncBody, append(bytes.Clone(final.Result), '\n')) {
+			t.Fatalf("async %s differs from sync body:\nsync:  %.300s\nasync: %.300s", tc.kind, syncBody, final.Result)
+		}
+		switch tc.kind {
+		case "fingerprint":
+			var fp api.FingerprintResponse
+			if err := json.Unmarshal(final.Result, &fp); err != nil {
+				t.Fatal(err)
+			}
+			leak = fp.Recipients[1].Table
+		case "traceback":
+			var tb api.TracebackResponse
+			if err := json.Unmarshal(final.Result, &tb); err != nil {
+				t.Fatal(err)
+			}
+			if tb.Culprit != "hospital-b" {
+				t.Fatalf("traceback named %q, want hospital-b", tb.Culprit)
+			}
+		}
+	}
+}
+
 // TestJobGolden20k pins the async protect output on the 20k-row golden
-// fixture: submission returns 202 quickly no matter the payload size,
-// and the result document is byte-identical to the sync response (and
-// hash-pinned like TestPipelineGoldenOutput at the repo root). Update
-// the constant only with a deliberate pipeline-semantics change.
+// fixture: submission never runs the pipeline, however large the
+// payload, and the result document is byte-identical to the sync
+// response (and hash-pinned like TestPipelineGoldenOutput at the repo
+// root). Update the constant only with a deliberate pipeline-semantics
+// change.
 func TestJobGolden20k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-row protect in -short mode")
 	}
 	const wantResultSHA = "91b1d6b978f70b474cf3a7897dcd77c95e80a48c298a6432ce298f2dd505c606"
-	_, ts := newJobServer(t, Config{Defaults: core.Config{K: 20, AutoEpsilon: true}})
+	_, ts := newJobServer(t, Config{
+		Defaults: core.Config{K: 20, AutoEpsilon: true},
+		// One worker: the second submission below is guaranteed to wait
+		// behind the first.
+		Jobs: jobs.Config{Workers: 1},
+	})
 
 	// The 20k golden fixture of TestPipelineGoldenOutput (datagen seed 1).
 	tbl, err := datagen.Generate(datagen.Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2})
@@ -190,26 +290,32 @@ func TestJobGolden20k(t *testing.T) {
 		t.Fatalf("sync protect: %d", r.StatusCode)
 	}
 
-	start := time.Now()
+	// Submission only stores the raw body. With the one worker busy on a
+	// first copy of the job, the second must still be queued with no
+	// attempt and no result, in the 202 snapshot and on a follow-up poll.
+	_, first := submitJob(t, ts.URL, "protect", body, nil)
 	status, sub := submitJob(t, ts.URL, "protect", body, nil)
-	elapsed := time.Since(start)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit: %d", status)
 	}
-	// The 202 must come back fast regardless of payload size: submission
-	// only stores the raw body, it never touches the pipeline.
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("submit of a 20k-row job took %s, want < 100ms", elapsed)
+	_, polled := getJob(t, ts.URL, sub.Job.ID)
+	for _, snap := range []api.JobResponse{sub, polled} {
+		if snap.Job.State != jobs.StateQueued || snap.Job.Attempts != 0 || len(snap.Result) != 0 {
+			t.Fatalf("20k job touched the pipeline at submit: state=%s attempts=%d result=%d bytes",
+				snap.Job.State, snap.Job.Attempts, len(snap.Result))
+		}
 	}
-	final := waitJob(t, ts.URL, sub.Job.ID)
-	if final.Job.State != jobs.StateSucceeded {
-		t.Fatalf("job ended %s: %s", final.Job.State, final.Job.Error)
-	}
-	if !bytes.Equal(syncBody, append(bytes.Clone(final.Result), '\n')) {
-		t.Fatal("async 20k result differs from sync body")
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(final.Result)); got != wantResultSHA {
-		t.Fatalf("async protect result hash = %s, want %s", got, wantResultSHA)
+	for _, id := range []string{first.Job.ID, sub.Job.ID} {
+		final := waitJob(t, ts.URL, id)
+		if final.Job.State != jobs.StateSucceeded {
+			t.Fatalf("job ended %s: %s", final.Job.State, final.Job.Error)
+		}
+		if !bytes.Equal(syncBody, append(bytes.Clone(final.Result), '\n')) {
+			t.Fatal("async 20k result differs from sync body")
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(final.Result)); got != wantResultSHA {
+			t.Fatalf("async protect result hash = %s, want %s", got, wantResultSHA)
+		}
 	}
 }
 

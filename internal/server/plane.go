@@ -80,14 +80,6 @@ func tenantIDFrom(ctx context.Context) string {
 	return tenant.DefaultID
 }
 
-// noteRows adds n processed table rows to the request's accounting
-// (audit line and rows-processed metric); a no-op outside the plane.
-func noteRows(ctx context.Context, n int) {
-	if info := requestInfoFrom(ctx); info != nil {
-		info.rows.Add(int64(n))
-	}
-}
-
 // checkRowQuota notes n more rows and enforces the tenant's
 // MaxRowsPerRequest against the request's cumulative row count, so one
 // oversized table and a stream of small segments hit the same wall.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -520,7 +521,7 @@ func TestJobDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncBody, _ := readAll(r.Body)
+	syncBody, _ := io.ReadAll(r.Body)
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("sync detect: %d\n%s", r.StatusCode, syncBody)

@@ -1,23 +1,34 @@
 // Package server is the HTTP service layer over the protection
-// pipeline: request-scoped handlers for POST /v1/protect, /v1/plan,
-// /v1/apply, /v1/append, /v1/detect and /v1/dispute plus GET
-// /v1/healthz, speaking the internal/api wire contract. The plan/append
-// pair turns the service into an incremental-ingestion endpoint:
-// protect once, retain the returned plan, and POST each nightly batch
-// to /v1/append (409 plan_drift asks for a re-plan). /v1/plan,
-// /v1/apply and /v1/append also speak a text/csv streaming mode (see
-// stream.go): the CSV body is consumed segment-at-a-time under
-// per-segment byte accounting, so million-row tables pass through in
-// bounded memory — the plan mode returns its computed plan in response
-// trailers, the apply/append modes stream back protected CSV. The read
-// side speaks the same mode: a text/csv /v1/detect or /v1/traceback
-// consumes the suspect CSV segment-at-a-time and returns its verdict
-// document in the api.ResultTrailer.
-// Every request runs under a per-request deadline and inside
-// a bounded in-flight semaphore sized off the worker configuration, so
-// a burst of heavy protect calls queues instead of oversubscribing the
-// machine; cancellation (client disconnect, deadline) propagates through
-// the whole pipeline via context and aborts promptly.
+// pipeline, speaking the internal/api wire contract: POST /v1/protect,
+// /v1/plan, /v1/apply, /v1/append, /v1/detect, /v1/dispute,
+// /v1/fingerprint and /v1/traceback, the recipient registry, the async
+// job surface and the probes. The plan/append pair turns the service
+// into an incremental-ingestion endpoint: protect once, retain the
+// returned plan, and POST each nightly batch to /v1/append (409
+// plan_drift asks for a re-plan).
+//
+// Each operation has one transport-free core (runProtect, runPlan, …)
+// and up to three transports that only decode a request and encode the
+// response around it:
+//
+//   - the JSON body (ops in this file), served synchronously;
+//   - the async job (jobs.go), which runs the same JSON transport and
+//     stores its response document byte for byte;
+//   - text/csv (stream.go) on /v1/plan, /v1/apply, /v1/append,
+//     /v1/detect and /v1/traceback, which consumes the CSV body
+//     segment-at-a-time so million-row tables pass in bounded memory.
+//
+// Plan, detect and traceback read a core.Segments source under every
+// transport: a JSON table becomes a SegmentReader (CSV document) or one
+// segment (inline rows), a text/csv body a metered SegmentReader. The
+// JSON write operations keep the in-memory core forms, the only ones
+// with the §5.1 boundary-permutation fallback.
+//
+// Every request runs under a per-request deadline and inside a bounded
+// in-flight semaphore sized off the worker configuration, so a burst of
+// heavy protect calls queues instead of oversubscribing the machine;
+// cancellation (client disconnect, deadline) propagates through the
+// whole pipeline via context and aborts promptly.
 //
 // The package is cmd-agnostic: cmd/medshield-server wires flags, the
 // listener and graceful shutdown around Handler(); tests drive the same
@@ -231,14 +242,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.plane("/v1/jobs/{id}", read, s.control(s.handleJobGet)))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.plane("/v1/jobs/{id}", mutate, s.control(s.handleJobCancel)))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.plane("/v1/jobs/{id}/events", read, s.handleJobEvents))
-	mux.HandleFunc("POST /v1/protect", s.plane("/v1/protect", mutate, s.pipeline(s.handleProtect)))
-	mux.HandleFunc("POST /v1/plan", s.plane("/v1/plan", mutate, s.streamPipeline(s.handlePlan)))
-	mux.HandleFunc("POST /v1/apply", s.plane("/v1/apply", mutate, s.streamPipeline(s.handleApply)))
-	mux.HandleFunc("POST /v1/append", s.plane("/v1/append", mutate, s.streamPipeline(s.handleAppend)))
-	mux.HandleFunc("POST /v1/detect", s.plane("/v1/detect", mutate, s.streamPipeline(s.handleDetect)))
-	mux.HandleFunc("POST /v1/dispute", s.plane("/v1/dispute", mutate, s.pipeline(s.handleDispute)))
-	mux.HandleFunc("POST /v1/fingerprint", s.plane("/v1/fingerprint", mutate, s.pipeline(s.handleFingerprint)))
-	mux.HandleFunc("POST /v1/traceback", s.plane("/v1/traceback", mutate, s.streamPipeline(s.handleTraceback)))
+	mux.HandleFunc("POST /v1/protect", s.plane("/v1/protect", mutate, s.pipeline(s.serve("protect", nil))))
+	mux.HandleFunc("POST /v1/plan", s.plane("/v1/plan", mutate, s.streamPipeline(s.serve("plan", s.handlePlanCSV))))
+	mux.HandleFunc("POST /v1/apply", s.plane("/v1/apply", mutate, s.streamPipeline(s.serve("apply", s.writeCSV((*core.Framework).ApplyStream)))))
+	mux.HandleFunc("POST /v1/append", s.plane("/v1/append", mutate, s.streamPipeline(s.serve("append", s.writeCSV((*core.Framework).AppendStream)))))
+	mux.HandleFunc("POST /v1/detect", s.plane("/v1/detect", mutate, s.streamPipeline(s.serve("detect", s.handleDetectCSV))))
+	mux.HandleFunc("POST /v1/dispute", s.plane("/v1/dispute", mutate, s.pipeline(s.serve("dispute", nil))))
+	mux.HandleFunc("POST /v1/fingerprint", s.plane("/v1/fingerprint", mutate, s.pipeline(s.serve("fingerprint", nil))))
+	mux.HandleFunc("POST /v1/traceback", s.plane("/v1/traceback", mutate, s.streamPipeline(s.serve("traceback", s.handleTracebackCSV))))
 	mux.HandleFunc("GET /v1/recipients", s.plane("/v1/recipients", read, s.pipeline(s.handleRecipientsList)))
 	mux.HandleFunc("POST /v1/recipients", s.plane("/v1/recipients", mutate, s.pipeline(s.handleRecipientImport)))
 	mux.HandleFunc("GET /v1/recipients/{id}", s.plane("/v1/recipients/{id}", read, s.pipeline(s.handleRecipientGet)))
@@ -250,7 +261,7 @@ func (s *Server) Handler() http.Handler {
 // per-request deadline, the bounded in-flight semaphore, and request
 // logging. Handlers return (status, error) and write nothing on error —
 // the wrapper owns the error envelope.
-func (s *Server) pipeline(h func(w http.ResponseWriter, r *http.Request) (int, error)) http.HandlerFunc {
+func (s *Server) pipeline(h handler) http.HandlerFunc {
 	return s.envelope(h, false)
 }
 
@@ -261,11 +272,11 @@ func (s *Server) pipeline(h func(w http.ResponseWriter, r *http.Request) (int, e
 // segment instead (meteredSegments), so tables larger than MaxBodyBytes
 // pass while peak buffering stays bounded by it. JSON bodies on the
 // same routes keep the whole-body cap.
-func (s *Server) streamPipeline(h func(w http.ResponseWriter, r *http.Request) (int, error)) http.HandlerFunc {
+func (s *Server) streamPipeline(h handler) http.HandlerFunc {
 	return s.envelope(h, true)
 }
 
-func (s *Server) envelope(h func(w http.ResponseWriter, r *http.Request) (int, error), streaming bool) http.HandlerFunc {
+func (s *Server) envelope(h handler, streaming bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
@@ -304,42 +315,112 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleProtect(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req api.ProtectRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
+// handler is the signature of a route behind the service envelope.
+type handler func(w http.ResponseWriter, r *http.Request) (int, error)
+
+// op is the JSON transport of one operation: decode its request
+// document and run its core. The synchronous handler and the async job
+// runner both go through it, so their response documents are
+// byte-identical.
+type op func(s *Server, ctx context.Context, body io.Reader) (any, error)
+
+// jsonOp builds an op from a core over the request document, decoded
+// under the strict api.DecodeJSON rules. A decode failure is tagged
+// bad_request, which the job layer treats as permanent: a malformed
+// body never deserves a retry.
+func jsonOp[Req, Resp any](run func(*Server, context.Context, Req) (Resp, error)) op {
+	return func(s *Server, ctx context.Context, body io.Reader) (any, error) {
+		var req Req
+		if err := api.DecodeJSON(body, &req); err != nil {
+			return nil, badRequest(err)
+		}
+		resp, err := run(s, ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return resp, nil
 	}
-	resp, err := s.runProtect(r.Context(), req)
-	if err != nil {
-		return 0, err
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
 }
 
-// runProtect is the transport-free core of POST /v1/protect, shared by
-// the synchronous handler and the async job runner so both produce
-// byte-identical response documents.
-func (s *Server) runProtect(ctx context.Context, req api.ProtectRequest) (api.ProtectResponse, error) {
-	var zero api.ProtectResponse
-	switch req.Output {
-	case "", api.OutputRows, api.OutputCSV:
-	default:
-		// Reject before the pipeline runs; EncodeTable would catch it
-		// only after a full (wasted) protect pass.
-		return zero, badRequest(fmt.Errorf("unknown output format %q (want %q or %q)", req.Output, api.OutputRows, api.OutputCSV))
+// overTable adapts a segment core (plan, detect, traceback) to the JSON
+// transports: its source is the request's own table payload.
+func overTable[Req, Resp any](table func(Req) api.Table, run func(*Server, context.Context, Req, core.Segments) (Resp, error)) func(*Server, context.Context, Req) (Resp, error) {
+	return func(s *Server, ctx context.Context, req Req) (Resp, error) {
+		src, err := s.segmentsOf(ctx, table(req))
+		if err != nil {
+			var zero Resp
+			return zero, err
+		}
+		return run(s, ctx, req, src)
 	}
-	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, req.Options)
+}
+
+// ops are the JSON transports of the pipeline operations, keyed by
+// route name; jobKinds names the ones also served as async jobs.
+var ops = map[string]op{
+	"protect":     jsonOp((*Server).runProtect),
+	"plan":        jsonOp(overTable(func(r api.PlanRequest) api.Table { return r.Table }, (*Server).runPlan)),
+	"apply":       jsonOp((*Server).runApply),
+	"append":      jsonOp((*Server).runAppend),
+	"detect":      jsonOp(overTable(func(r api.DetectRequest) api.Table { return r.Table }, (*Server).runDetect)),
+	"dispute":     jsonOp((*Server).runDispute),
+	"fingerprint": jsonOp((*Server).runFingerprint),
+	"traceback":   jsonOp(overTable(func(r api.TracebackRequest) api.Table { return r.Table }, (*Server).runTraceback)),
+}
+
+// serve is the synchronous route of operation name: the text/csv
+// transport when the route has one and the request selects it, the
+// JSON transport otherwise.
+func (s *Server) serve(name string, csv handler) handler {
+	run := ops[name]
+	return func(w http.ResponseWriter, r *http.Request) (int, error) {
+		if csv != nil && isCSVRequest(r) {
+			return csv(w, r)
+		}
+		resp, err := run(s, r.Context(), r.Body)
+		if err != nil {
+			return 0, err
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return http.StatusOK, nil
+	}
+}
+
+// runProtect is the core of POST /v1/protect: plan and apply in memory.
+func (s *Server) runProtect(ctx context.Context, req api.ProtectRequest) (api.ProtectResponse, error) {
+	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, req.Options, req.Output)
 	if err != nil {
-		return zero, err
+		return api.ProtectResponse{}, err
 	}
 	prot, err := fw.ProtectContext(ctx, tbl, key)
 	if err != nil {
-		return zero, err
+		return api.ProtectResponse{}, err
 	}
-	outTbl, err := api.EncodeTable(prot.Table, req.Output)
+	return protectedResponse(prot, req.Output)
+}
+
+// runApply is the core of POST /v1/apply's JSON mode. It stays on the
+// in-memory ApplyContext: only that form can take the §5.1
+// boundary-permutation fallback, which a consumed stream cannot replay.
+func (s *Server) runApply(ctx context.Context, req api.ApplyRequest) (api.ApplyResponse, error) {
+	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, defaultK(req.Options, req.Plan.K), req.Output)
 	if err != nil {
-		return zero, badRequest(err)
+		return api.ApplyResponse{}, err
+	}
+	prot, err := fw.ApplyContext(ctx, tbl, &req.Plan, key)
+	if err != nil {
+		return api.ApplyResponse{}, err
+	}
+	resp, err := protectedResponse(prot, req.Output)
+	return api.ApplyResponse(resp), err
+}
+
+// protectedResponse shapes a marked table and its plan into the
+// protect/apply response document.
+func protectedResponse(prot *core.Protected, output string) (api.ProtectResponse, error) {
+	outTbl, err := api.EncodeTable(prot.Table, output)
+	if err != nil {
+		return api.ProtectResponse{}, badRequest(err)
 	}
 	return api.ProtectResponse{
 		Version:    api.Version,
@@ -351,124 +432,29 @@ func (s *Server) runProtect(ctx context.Context, req api.ProtectRequest) (api.Pr
 			TuplesSelected: prot.Embed.TuplesSelected,
 			BitsEmbedded:   prot.Embed.BitsEmbedded,
 			CellsChanged:   prot.Embed.CellsChanged,
-			EffectiveK:     prot.Binning.EffectiveK,
+			EffectiveK:     prot.Plan.EffectiveK,
 			Epsilon:        prot.Provenance.Epsilon,
-			AvgLoss:        prot.Binning.AvgLoss,
+			AvgLoss:        prot.Plan.AvgLoss,
 		},
 	}, nil
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) (int, error) {
-	if isCSVRequest(r) {
-		return s.handlePlanCSV(w, r)
-	}
-	var req api.PlanRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	resp, err := s.runPlan(r.Context(), req)
+// runAppend is the core of POST /v1/append's JSON mode: the delta batch
+// is protected in memory under the request's plan.
+func (s *Server) runAppend(ctx context.Context, req api.AppendRequest) (api.AppendResponse, error) {
+	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, defaultK(req.Options, req.Plan.K), req.Output)
 	if err != nil {
-		return 0, err
+		return api.AppendResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
-}
-
-// runPlan is the transport-free core of POST /v1/plan's JSON mode,
-// shared by the synchronous handler and the async "plan" job runner. A
-// CSV-sourced table streams through the sketch planner segment by
-// segment (core.PlanStream) instead of materializing; an inline row
-// payload takes the warm in-memory path. Both produce the identical
-// plan.
-func (s *Server) runPlan(ctx context.Context, req api.PlanRequest) (api.PlanResponse, error) {
-	var zero api.PlanResponse
-	if req.Table.CSV != "" && len(req.Table.Rows) == 0 {
-		fw, err := s.frameworkFor(req.Options)
-		if err != nil {
-			return zero, err
-		}
-		if req.Key.Secret == "" || req.Key.Eta == 0 {
-			return zero, badRequest(fmt.Errorf("key needs a non-empty secret and eta >= 1"))
-		}
-		schema, err := api.SchemaOf(req.Table.Columns)
-		if err != nil {
-			return zero, badRequest(err)
-		}
-		sr, err := relation.NewSegmentReader(strings.NewReader(req.Table.CSV), schema, fw.Config().Chunk)
-		if err != nil {
-			return zero, badRequest(err)
-		}
-		ps, err := fw.PlanStream(ctx, &quotaSegments{ctx: ctx, src: sr}, crypt.NewWatermarkKeyFromSecret(req.Key.Secret, req.Key.Eta))
-		if err != nil {
-			return zero, err
-		}
-		return api.PlanResponse{
-			Version: api.Version,
-			Plan:    *ps.Plan,
-			Stats: api.PlanStats{
-				Rows:       ps.Rows,
-				K:          ps.Plan.K,
-				Epsilon:    ps.Plan.Epsilon,
-				EffectiveK: ps.Plan.EffectiveK,
-				AvgLoss:    ps.Plan.AvgLoss,
-			},
-		}, nil
-	}
-	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, req.Options)
+	app, err := fw.AppendContext(ctx, tbl, &req.Plan, key)
 	if err != nil {
-		return zero, err
-	}
-	plan, err := fw.PlanContext(ctx, tbl, key)
-	if err != nil {
-		return zero, err
-	}
-	return api.PlanResponse{
-		Version: api.Version,
-		Plan:    *plan,
-		Stats: api.PlanStats{
-			Rows:       tbl.NumRows(),
-			K:          plan.K,
-			Epsilon:    plan.Epsilon,
-			EffectiveK: plan.EffectiveK,
-			AvgLoss:    plan.AvgLoss,
-		},
-	}, nil
-}
-
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) (int, error) {
-	if isCSVRequest(r) {
-		return s.handleAppendCSV(w, r)
-	}
-	var req api.AppendRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	switch req.Output {
-	case "", api.OutputRows, api.OutputCSV:
-	default:
-		return 0, badRequest(fmt.Errorf("unknown output format %q (want %q or %q)", req.Output, api.OutputRows, api.OutputCSV))
-	}
-	if req.Options == nil {
-		req.Options = &api.Options{}
-	}
-	if req.Options.K == 0 {
-		// The append runs under the plan's frozen K; the framework K
-		// only has to satisfy validation.
-		req.Options.K = max(req.Plan.K, 1)
-	}
-	fw, tbl, key, err := s.prepare(r.Context(), req.Table, req.Key, req.Options)
-	if err != nil {
-		return 0, err
-	}
-	app, err := fw.AppendContext(r.Context(), tbl, &req.Plan, key)
-	if err != nil {
-		return 0, err
+		return api.AppendResponse{}, err
 	}
 	outTbl, err := api.EncodeTable(app.Table, req.Output)
 	if err != nil {
-		return 0, badRequest(err)
+		return api.AppendResponse{}, badRequest(err)
 	}
-	writeJSON(w, http.StatusOK, api.AppendResponse{
+	return api.AppendResponse{
 		Version: api.Version,
 		Table:   outTbl,
 		Plan:    app.Plan,
@@ -481,75 +467,45 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) (int, erro
 			NewBins:        app.NewBins,
 			Suppressed:     app.Suppressed,
 		},
-	})
-	return http.StatusOK, nil
+	}, nil
 }
 
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) (int, error) {
-	if isCSVRequest(r) {
-		return s.handleDetectCSV(w, r)
-	}
-	var req api.DetectRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	resp, err := s.runDetect(r.Context(), req)
+// runPlan is the core of POST /v1/plan: the sketch planner over src,
+// whichever transport supplied it.
+func (s *Server) runPlan(ctx context.Context, req api.PlanRequest, src core.Segments) (api.PlanResponse, error) {
+	fw, key, err := s.keyed(req.Key, req.Options)
 	if err != nil {
-		return 0, err
+		return api.PlanResponse{}, err
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
+	ps, err := fw.PlanStream(ctx, src, key)
+	if err != nil {
+		return api.PlanResponse{}, err
+	}
+	return api.PlanResponse{Version: api.Version, Plan: *ps.Plan, Stats: planStatsOf(ps.Rows, ps.Plan)}, nil
 }
 
-// runDetect is the transport-free core of POST /v1/detect's JSON mode,
-// shared by the synchronous handler and the async "detect" job runner.
-// A CSV-sourced suspect streams through core.DetectStream segment by
-// segment instead of materializing; an inline row payload takes the
-// in-memory path. Both produce the identical verdict.
-func (s *Server) runDetect(ctx context.Context, req api.DetectRequest) (api.DetectResponse, error) {
-	var zero api.DetectResponse
-	if req.Options == nil {
-		req.Options = &api.Options{}
+// planStatsOf summarizes a plan searched over rows rows.
+func planStatsOf(rows int, plan *core.Plan) api.PlanStats {
+	return api.PlanStats{
+		Rows:       rows,
+		K:          plan.K,
+		Epsilon:    plan.Epsilon,
+		EffectiveK: plan.EffectiveK,
+		AvgLoss:    plan.AvgLoss,
 	}
-	if req.Options.K == 0 {
-		// Detection does not re-bin; K only has to satisfy validation.
-		req.Options.K = max(req.Provenance.K, 1)
-	}
-	if req.Table.CSV != "" && len(req.Table.Rows) == 0 {
-		fw, err := s.frameworkFor(req.Options)
-		if err != nil {
-			return zero, err
-		}
-		if req.Key.Secret == "" || req.Key.Eta == 0 {
-			return zero, badRequest(fmt.Errorf("key needs a non-empty secret and eta >= 1"))
-		}
-		schema, err := api.SchemaOf(req.Table.Columns)
-		if err != nil {
-			return zero, badRequest(err)
-		}
-		sr, err := relation.NewSegmentReader(strings.NewReader(req.Table.CSV), schema, fw.Config().Chunk)
-		if err != nil {
-			return zero, badRequest(err)
-		}
-		det, err := fw.DetectStream(ctx, &quotaSegments{ctx: ctx, src: sr}, req.Provenance, crypt.NewWatermarkKeyFromSecret(req.Key.Secret, req.Key.Eta))
-		if err != nil {
-			return zero, err
-		}
-		return detectResponseOf(&det.Detection), nil
-	}
-	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, req.Options)
-	if err != nil {
-		return zero, err
-	}
-	det, err := fw.DetectContext(ctx, tbl, req.Provenance, key)
-	if err != nil {
-		return zero, err
-	}
-	return detectResponseOf(det), nil
 }
 
-// detectResponseOf projects a detection verdict to its wire document.
-func detectResponseOf(det *core.Detection) api.DetectResponse {
+// runDetect is the core of POST /v1/detect: the vote harvest over src,
+// whichever transport supplied it.
+func (s *Server) runDetect(ctx context.Context, req api.DetectRequest, src core.Segments) (api.DetectResponse, error) {
+	fw, key, err := s.keyed(req.Key, defaultK(req.Options, req.Provenance.K))
+	if err != nil {
+		return api.DetectResponse{}, err
+	}
+	det, err := fw.DetectStream(ctx, src, req.Provenance, key)
+	if err != nil {
+		return api.DetectResponse{}, err
+	}
 	return api.DetectResponse{
 		Version:  api.Version,
 		Match:    det.Match,
@@ -561,32 +517,24 @@ func detectResponseOf(det *core.Detection) api.DetectResponse {
 			BitsRead:       det.Result.Stats.BitsRead,
 			SkippedCells:   det.Result.Stats.SkippedCells,
 		},
-	}
+	}, nil
 }
 
-func (s *Server) handleDispute(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req api.DisputeRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	if req.Options == nil {
-		req.Options = &api.Options{}
-	}
-	if req.Options.K == 0 {
-		req.Options.K = max(req.Provenance.K, 1)
-	}
-	fw, tbl, ownerKey, err := s.prepare(r.Context(), req.Table, req.OwnerKey, req.Options)
+// runDispute is the core of POST /v1/dispute.
+func (s *Server) runDispute(ctx context.Context, req api.DisputeRequest) (api.DisputeResponse, error) {
+	var zero api.DisputeResponse
+	fw, tbl, ownerKey, err := s.prepare(ctx, req.Table, req.OwnerKey, defaultK(req.Options, req.Provenance.K), "")
 	if err != nil {
-		return 0, err
+		return zero, err
 	}
 	rivals := make([]ownership.Claim, 0, len(req.Rivals))
 	for i, rc := range req.Rivals {
 		if rc.Key.Secret == "" || rc.Key.Eta == 0 {
-			return 0, badRequest(fmt.Errorf("rival %d: key needs a non-empty secret and eta >= 1", i))
+			return zero, badRequest(fmt.Errorf("rival %d: key needs a non-empty secret and eta >= 1", i))
 		}
 		mark, err := bitstr.FromString(rc.Mark)
 		if err != nil {
-			return 0, badRequest(fmt.Errorf("rival %d: mark: %w", i, err))
+			return zero, badRequest(fmt.Errorf("rival %d: mark: %w", i, err))
 		}
 		dup := rc.Duplication
 		if dup == 0 {
@@ -600,9 +548,9 @@ func (s *Server) handleDispute(w http.ResponseWriter, r *http.Request) (int, err
 			Params:   watermarkParams(fw, rivalKey, mark, dup, req.Provenance),
 		})
 	}
-	verdicts, err := fw.DisputeContext(r.Context(), tbl, req.Provenance, ownerKey, rivals)
+	verdicts, err := fw.DisputeContext(ctx, tbl, req.Provenance, ownerKey, rivals)
 	if err != nil {
-		return 0, err
+		return zero, err
 	}
 	out := make([]api.Verdict, len(verdicts))
 	for i, v := range verdicts {
@@ -617,30 +565,20 @@ func (s *Server) handleDispute(w http.ResponseWriter, r *http.Request) (int, err
 			Reason:       v.Reason,
 		}
 	}
-	writeJSON(w, http.StatusOK, api.DisputeResponse{Version: api.Version, Verdicts: out})
-	return http.StatusOK, nil
+	return api.DisputeResponse{Version: api.Version, Verdicts: out}, nil
 }
 
-func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req api.FingerprintRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	resp, err := s.runFingerprint(r.Context(), req)
-	if err != nil {
-		return 0, err
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
-}
-
-// runFingerprint is the transport-free core of POST /v1/fingerprint.
+// runFingerprint is the core of POST /v1/fingerprint. Inline rows come
+// back from the in-memory fan-out (core.FingerprintContext). CSV output
+// rides the streaming fan-out (core.FingerprintStream: one plan, one
+// transform, one selection per recipient key, then per-segment
+// embed+encode), so the peak resident table state is one segment per
+// recipient, not N marked tables. Both arms share the registration and
+// the response document.
 func (s *Server) runFingerprint(ctx context.Context, req api.FingerprintRequest) (api.FingerprintResponse, error) {
 	var zero api.FingerprintResponse
-	switch req.Output {
-	case "", api.OutputRows, api.OutputCSV:
-	default:
-		return zero, badRequest(fmt.Errorf("unknown output format %q (want %q or %q)", req.Output, api.OutputRows, api.OutputCSV))
+	if err := checkOutput(req.Output); err != nil {
+		return zero, err
 	}
 	if req.Secret == "" || req.Eta == 0 {
 		return zero, badRequest(fmt.Errorf("fingerprint needs a non-empty secret and eta >= 1"))
@@ -657,11 +595,8 @@ func (s *Server) runFingerprint(ctx context.Context, req api.FingerprintRequest)
 	if err != nil {
 		return zero, err
 	}
-	tbl, err := api.DecodeTable(req.Table)
+	tbl, err := decodeTable(ctx, req.Table)
 	if err != nil {
-		return zero, badRequest(err)
-	}
-	if err := checkRowQuota(ctx, tbl.NumRows()); err != nil {
 		return zero, err
 	}
 	recipients := make([]core.Recipient, len(req.Recipients))
@@ -671,31 +606,58 @@ func (s *Server) runFingerprint(ctx context.Context, req api.FingerprintRequest)
 			Key: crypt.RecipientWatermarkKey(req.Secret, ref.ID, req.Eta),
 		}
 	}
+	tables := make([]api.Table, len(recipients))
+	plans := make([]core.Plan, len(recipients))
+	embeds := make([]watermark.EmbedStats, len(recipients))
 	if req.Output == api.OutputCSV {
-		return s.runFingerprintCSV(ctx, fw, tbl, recipients)
-	}
-	results, err := fw.FingerprintContext(ctx, tbl, recipients)
-	if err != nil {
-		return zero, err
-	}
-	resp := api.FingerprintResponse{Version: api.Version, Recipients: make([]api.FingerprintRecipient, len(results))}
-	records := make([]registry.Record, len(results))
-	for i, res := range results {
-		outTbl, err := api.EncodeTable(res.Protected.Table, req.Output)
-		if err != nil {
-			return zero, badRequest(err)
+		bufs := make([]strings.Builder, len(recipients))
+		outs := make([]io.Writer, len(recipients))
+		for i := range outs {
+			outs[i] = &bufs[i]
 		}
-		records[i] = registry.RecordOf(res.RecipientID, recipients[i].Key, res.Protected.Plan)
+		results, err := fw.FingerprintStream(ctx, tbl, recipients, outs)
+		if err != nil {
+			return zero, err
+		}
+		// An empty table encodes to just the wire column list.
+		shape, err := api.EncodeTable(relation.NewTable(tbl.Schema()), api.OutputRows)
+		if err != nil {
+			return zero, err
+		}
+		for i, res := range results {
+			tables[i] = api.Table{Columns: shape.Columns, CSV: bufs[i].String()}
+			plans[i], embeds[i] = res.Streamed.Plan, res.Streamed.Embed
+		}
+	} else {
+		results, err := fw.FingerprintContext(ctx, tbl, recipients)
+		if err != nil {
+			return zero, err
+		}
+		for i, res := range results {
+			if tables[i], err = api.EncodeTable(res.Protected.Table, req.Output); err != nil {
+				return zero, badRequest(err)
+			}
+			plans[i], embeds[i] = res.Protected.Plan, res.Protected.Embed
+		}
+	}
+	resp := api.FingerprintResponse{
+		Version:    api.Version,
+		Recipients: make([]api.FingerprintRecipient, len(recipients)),
+		Stats:      planStatsOf(tbl.NumRows(), &plans[0]),
+	}
+	records := make([]registry.Record, len(recipients))
+	for i, r := range recipients {
+		records[i] = registry.RecordOf(r.ID, r.Key, plans[i])
 		records[i].TenantID = tenantIDFrom(ctx)
 		records[i].CreatedAt = time.Now().UTC().Format(time.RFC3339)
 		resp.Recipients[i] = api.FingerprintRecipient{
-			ID:             res.RecipientID,
-			KeyFingerprint: res.KeyFingerprint,
-			Table:          outTbl,
-			Provenance:     res.Protected.Provenance,
-			TuplesSelected: res.Protected.Embed.TuplesSelected,
-			BitsEmbedded:   res.Protected.Embed.BitsEmbedded,
-			CellsChanged:   res.Protected.Embed.CellsChanged,
+			ID:             r.ID,
+			KeyFingerprint: r.Key.Fingerprint(),
+			Table:          tables[i],
+			Provenance:     plans[i].Provenance,
+			TuplesSelected: embeds[i].TuplesSelected,
+			BitsEmbedded:   embeds[i].BitsEmbedded,
+			CellsChanged:   embeds[i].CellsChanged,
 		}
 	}
 	// Atomic registration: either every recipient of this run lands in
@@ -705,96 +667,13 @@ func (s *Server) runFingerprint(ctx context.Context, req api.FingerprintRequest)
 	if err := s.cfg.Registry.PutAll(records); err != nil {
 		return zero, err
 	}
-	if len(results) > 0 {
-		plan := results[0].Protected.Plan
-		resp.Stats = api.PlanStats{
-			Rows:       tbl.NumRows(),
-			K:          plan.K,
-			Epsilon:    plan.Epsilon,
-			EffectiveK: plan.EffectiveK,
-			AvgLoss:    plan.AvgLoss,
-		}
-	}
 	return resp, nil
 }
 
-// runFingerprintCSV is the CSV-output arm of /v1/fingerprint: the N
-// marked copies are produced by the shared-transform streaming fan-out
-// (core.FingerprintStream) — one plan, one transform, one selection per
-// recipient key, then per-segment embed+encode — so the peak resident
-// table state is one segment per recipient, not N marked tables. The
-// response document (and its registry side effect) is shaped exactly
-// like the materialized arm's.
-func (s *Server) runFingerprintCSV(ctx context.Context, fw *core.Framework, tbl *relation.Table, recipients []core.Recipient) (api.FingerprintResponse, error) {
-	var zero api.FingerprintResponse
-	schema := tbl.Schema()
-	columns := make([]api.Column, schema.NumColumns())
-	for i := 0; i < schema.NumColumns(); i++ {
-		c := schema.Column(i)
-		columns[i] = api.Column{Name: c.Name, Kind: c.Kind.String()}
-	}
-	outs := make([]io.Writer, len(recipients))
-	bufs := make([]*strings.Builder, len(recipients))
-	for i := range outs {
-		bufs[i] = &strings.Builder{}
-		outs[i] = bufs[i]
-	}
-	results, err := fw.FingerprintStream(ctx, tbl, recipients, outs)
-	if err != nil {
-		return zero, err
-	}
-	resp := api.FingerprintResponse{Version: api.Version, Recipients: make([]api.FingerprintRecipient, len(results))}
-	records := make([]registry.Record, len(results))
-	for i, res := range results {
-		records[i] = registry.RecordOf(res.RecipientID, recipients[i].Key, res.Streamed.Plan)
-		records[i].TenantID = tenantIDFrom(ctx)
-		records[i].CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		resp.Recipients[i] = api.FingerprintRecipient{
-			ID:             res.RecipientID,
-			KeyFingerprint: res.KeyFingerprint,
-			Table:          api.Table{Columns: columns, CSV: bufs[i].String()},
-			Provenance:     res.Streamed.Plan.Provenance,
-			TuplesSelected: res.Streamed.Embed.TuplesSelected,
-			BitsEmbedded:   res.Streamed.Embed.BitsEmbedded,
-			CellsChanged:   res.Streamed.Embed.CellsChanged,
-		}
-	}
-	// Atomic registration, exactly as the materialized arm: either every
-	// recipient of this run lands in the registry or none does.
-	if err := s.cfg.Registry.PutAll(records); err != nil {
-		return zero, err
-	}
-	if len(results) > 0 {
-		plan := results[0].Streamed.Plan
-		resp.Stats = api.PlanStats{
-			Rows:       tbl.NumRows(),
-			K:          plan.K,
-			Epsilon:    plan.Epsilon,
-			EffectiveK: plan.EffectiveK,
-			AvgLoss:    plan.AvgLoss,
-		}
-	}
-	return resp, nil
-}
-
-func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) (int, error) {
-	if isCSVRequest(r) {
-		return s.handleTracebackCSV(w, r)
-	}
-	var req api.TracebackRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	resp, err := s.runTraceback(r.Context(), req)
-	if err != nil {
-		return 0, err
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
-}
-
-// runTraceback is the transport-free core of POST /v1/traceback.
-func (s *Server) runTraceback(ctx context.Context, req api.TracebackRequest) (api.TracebackResponse, error) {
+// runTraceback is the core of POST /v1/traceback: rank the calling
+// tenant's registered recipients against the suspect in src, whichever
+// transport supplied it.
+func (s *Server) runTraceback(ctx context.Context, req api.TracebackRequest, src core.Segments) (api.TracebackResponse, error) {
 	var zero api.TracebackResponse
 	if req.Secret == "" {
 		return zero, badRequest(fmt.Errorf("traceback needs the master secret"))
@@ -812,51 +691,14 @@ func (s *Server) runTraceback(ctx context.Context, req api.TracebackRequest) (ap
 	if err != nil {
 		return zero, err // wraps core.ErrKeyMismatch -> 403
 	}
-	if req.Options == nil {
-		req.Options = &api.Options{}
-	}
-	if req.Options.K == 0 {
-		// Traceback does not re-bin; K only has to satisfy validation.
-		req.Options.K = max(recs[0].Plan.K, 1)
-	}
-	fw, err := s.frameworkFor(req.Options)
+	fw, err := s.frameworkFor(defaultK(req.Options, recs[0].Plan.K))
 	if err != nil {
 		return zero, err
 	}
-	if req.Table.CSV != "" && len(req.Table.Rows) == 0 {
-		// CSV-sourced suspects stream through core.TracebackStream segment
-		// by segment; the verdict is bit-identical to the in-memory path.
-		schema, err := api.SchemaOf(req.Table.Columns)
-		if err != nil {
-			return zero, badRequest(err)
-		}
-		sr, err := relation.NewSegmentReader(strings.NewReader(req.Table.CSV), schema, fw.Config().Chunk)
-		if err != nil {
-			return zero, badRequest(err)
-		}
-		tb, err := fw.TracebackStream(ctx, &quotaSegments{ctx: ctx, src: sr}, cands)
-		if err != nil {
-			return zero, err
-		}
-		return tracebackResponseOf(&tb.Traceback, skipped), nil
-	}
-	tbl, err := api.DecodeTable(req.Table)
-	if err != nil {
-		return zero, badRequest(err)
-	}
-	if err := checkRowQuota(ctx, tbl.NumRows()); err != nil {
-		return zero, err
-	}
-	tb, err := fw.TracebackContext(ctx, tbl, cands)
+	tb, err := fw.TracebackStream(ctx, src, cands)
 	if err != nil {
 		return zero, err
 	}
-	return tracebackResponseOf(tb, skipped), nil
-}
-
-// tracebackResponseOf projects a traceback verdict set to its wire
-// document.
-func tracebackResponseOf(tb *core.Traceback, skipped []string) api.TracebackResponse {
 	resp := api.TracebackResponse{
 		Version:  api.Version,
 		Verdicts: make([]api.TracebackVerdict, len(tb.Verdicts)),
@@ -875,7 +717,7 @@ func tracebackResponseOf(tb *core.Traceback, skipped []string) api.TracebackResp
 			VotesCast:   v.VotesCast,
 		}
 	}
-	return resp
+	return resp, nil
 }
 
 func (s *Server) handleRecipientsList(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -974,34 +816,98 @@ func (s *Server) handleRecipientImport(w http.ResponseWriter, r *http.Request) (
 // is a denial-of-service lever, not a tuning knob.
 const maxEnumLimit = 1 << 16
 
-// prepare builds the per-request framework, table and key: overlay the
-// request options on the server defaults, construct (and so validate)
-// the framework, decode the table payload and derive the key set.
-// Remote resource levers are clamped: Workers never exceeds the
-// machine's core count (more never changes output, only scheduler
-// pressure) and EnumLimit is bounded by maxEnumLimit.
-func (s *Server) prepare(ctx context.Context, t api.Table, k api.Key, opts *api.Options) (*core.Framework, *relation.Table, crypt.WatermarkKey, error) {
-	var zero crypt.WatermarkKey
-	fw, err := s.frameworkFor(opts)
+// prepare builds the per-request framework, key and in-memory table of
+// the write operations: check the output format before any work, then
+// keyed, then decodeTable.
+func (s *Server) prepare(ctx context.Context, t api.Table, k api.Key, opts *api.Options, output string) (*core.Framework, *relation.Table, crypt.WatermarkKey, error) {
+	if err := checkOutput(output); err != nil {
+		return nil, nil, crypt.WatermarkKey{}, err
+	}
+	fw, key, err := s.keyed(k, opts)
 	if err != nil {
-		return nil, nil, zero, err
+		return nil, nil, key, err
 	}
-	tbl, err := api.DecodeTable(t)
-	if err != nil {
-		return nil, nil, zero, badRequest(err)
-	}
-	if err := checkRowQuota(ctx, tbl.NumRows()); err != nil {
-		return nil, nil, zero, err
-	}
-	if k.Secret == "" || k.Eta == 0 {
-		return nil, nil, zero, badRequest(fmt.Errorf("key needs a non-empty secret and eta >= 1"))
-	}
-	return fw, tbl, crypt.NewWatermarkKeyFromSecret(k.Secret, k.Eta), nil
+	tbl, err := decodeTable(ctx, t)
+	return fw, tbl, key, err
 }
 
-// frameworkFor is the framework half of prepare, for endpoints (the
-// fingerprint/traceback pair) that derive per-recipient keys instead of
-// taking one api.Key.
+// checkOutput rejects an unknown output format before the pipeline
+// runs; EncodeTable would catch it only after a full (wasted) pass.
+func checkOutput(output string) error {
+	switch output {
+	case "", api.OutputRows, api.OutputCSV:
+		return nil
+	}
+	return badRequest(fmt.Errorf("unknown output format %q (want %q or %q)", output, api.OutputRows, api.OutputCSV))
+}
+
+// keyed builds the per-request framework and derives the key set.
+func (s *Server) keyed(k api.Key, opts *api.Options) (*core.Framework, crypt.WatermarkKey, error) {
+	fw, err := s.frameworkFor(opts)
+	if err != nil {
+		return nil, crypt.WatermarkKey{}, err
+	}
+	if k.Secret == "" || k.Eta == 0 {
+		return nil, crypt.WatermarkKey{}, badRequest(fmt.Errorf("key needs a non-empty secret and eta >= 1"))
+	}
+	return fw, crypt.NewWatermarkKeyFromSecret(k.Secret, k.Eta), nil
+}
+
+// defaultK fills an absent K option from the plan or provenance the
+// request runs under: apply, append, detect, dispute and traceback do
+// not re-bin, so the framework K only has to satisfy validation.
+func defaultK(opts *api.Options, k int) *api.Options {
+	var o api.Options
+	if opts != nil {
+		o = *opts
+	}
+	if o.K == 0 {
+		o.K = max(k, 1)
+	}
+	return &o
+}
+
+// decodeTable materializes a JSON table payload under the tenant's row
+// quota.
+func decodeTable(ctx context.Context, t api.Table) (*relation.Table, error) {
+	tbl, err := api.DecodeTable(t)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	if err := checkRowQuota(ctx, tbl.NumRows()); err != nil {
+		return nil, err
+	}
+	return tbl, nil
+}
+
+// segmentsOf is the source a segment core reads a JSON table payload
+// from: a CSV document streams through a SegmentReader, inline rows are
+// decoded once and yielded as one segment. Either way every segment
+// counts toward the tenant's row quota.
+func (s *Server) segmentsOf(ctx context.Context, t api.Table) (core.Segments, error) {
+	if t.CSV == "" || len(t.Rows) > 0 {
+		tbl, err := api.DecodeTable(t)
+		if err != nil {
+			return nil, badRequest(err)
+		}
+		return &quotaSegments{ctx: ctx, src: &relation.OneSegment{Table: tbl}}, nil
+	}
+	schema, err := api.SchemaOf(t.Columns)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	sr, err := relation.NewSegmentReader(strings.NewReader(t.CSV), schema, s.cfg.Defaults.Chunk)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	return &quotaSegments{ctx: ctx, src: sr}, nil
+}
+
+// frameworkFor overlays the request options on the server defaults and
+// constructs (and so validates) the framework. Remote resource levers
+// are clamped: Workers never exceeds the machine's core count (more
+// never changes output, only scheduler pressure) and EnumLimit is
+// bounded by maxEnumLimit.
 func (s *Server) frameworkFor(opts *api.Options) (*core.Framework, error) {
 	cfg, err := opts.Apply(s.cfg.Defaults)
 	if err != nil {

@@ -11,25 +11,30 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/crypt"
-	"repro/internal/registry"
 	"repro/internal/relation"
 )
 
-// This file is the streaming data plane of the service: the text/csv
-// request/response mode of POST /v1/apply and /v1/append, plus the
-// body-less variants of /v1/plan, /v1/detect and /v1/traceback. The CSV
+// This file is the text/csv transport of the service: the streaming
+// mode of POST /v1/plan, /v1/apply, /v1/append, /v1/detect and
+// /v1/traceback. It decodes the request headers into the fields the
+// JSON request documents carry and meters the body into a segment
+// source; plan, detect and traceback then run the same core as their
+// JSON and job transports, while apply and append drive the core's
+// streaming write (the JSON modes keep the in-memory forms). The CSV
 // body is consumed segment-at-a-time through relation.SegmentReader —
-// the table is never materialized — and the protected CSV streams back
-// incrementally, so the endpoints handle tables far beyond MaxBodyBytes
-// under bounded memory. MaxBytesReader cannot meter such a body without
-// defeating it (it caps the whole stream), so the cap moves to
-// per-segment accounting: every segment's wire bytes must fit
-// MaxBodyBytes, which bounds the server's buffer exactly like the JSON
-// mode's whole-body cap does.
+// the table is never materialized — and apply/append stream the
+// protected CSV back incrementally, so the endpoints handle tables far
+// beyond MaxBodyBytes under bounded memory. MaxBytesReader cannot meter
+// such a body without defeating it (it caps the whole stream), so the
+// cap moves to per-segment accounting: every segment's wire bytes must
+// fit MaxBodyBytes, which bounds the server's buffer exactly like the
+// JSON mode's whole-body cap does.
 //
-// Failures after the first response byte cannot change the committed
-// 200 status; they are reported in the api.ErrorTrailer and the partial
-// CSV must be discarded (see the internal/api stream contract).
+// Plan, detect and traceback write nothing before their run has drained
+// the body, so every failure keeps the ordinary error envelope. Apply
+// and append fail after the first response byte only through the
+// api.ErrorTrailer, and the partial CSV must be discarded (see the
+// internal/api stream contract).
 
 // maxStreamChunk caps the requested rows-per-segment: a giant chunk
 // would turn "streaming" back into whole-table buffering.
@@ -97,9 +102,11 @@ func (f *flushingWriter) Write(p []byte) (int, error) {
 // its MaxRowsPerRequest quota) over any segment source: every yielded
 // segment's rows count toward the request's cumulative total, so a
 // stream of small segments hits the same wall as one oversized table.
+// It also counts what it yielded, for the text/csv StatsTrailer.
 type quotaSegments struct {
-	ctx context.Context
-	src core.Segments
+	ctx            context.Context
+	src            core.Segments
+	rows, segments int
 }
 
 func (q *quotaSegments) Schema() *relation.Schema { return q.src.Schema() }
@@ -110,350 +117,190 @@ func (q *quotaSegments) Next() (*relation.Table, error) {
 		if qerr := checkRowQuota(q.ctx, seg.NumRows()); qerr != nil {
 			return nil, qerr
 		}
+		if err == nil {
+			q.rows += seg.NumRows()
+			q.segments++
+		}
 	}
 	return seg, err
 }
 
-// streamSetup is the decoded header metadata of one streaming request.
-type streamSetup struct {
-	fw   *core.Framework
-	plan *core.Plan
-	key  crypt.WatermarkKey
-	src  core.Segments
+// csvRequest is a decoded text/csv request: the header metadata every
+// streaming mode shares, and the metered body as the segment source.
+type csvRequest struct {
+	key  api.Key
+	opts *api.Options
+	src  *quotaSegments
 }
 
-// decodeStreamRequest builds the framework, plan, key and metered
-// segment source from the request headers and body. Everything here
-// runs before the first response byte, so failures keep the ordinary
-// error envelope.
-func (s *Server) decodeStreamRequest(r *http.Request) (*streamSetup, error) {
-	plan, err := api.DecodePlanHeader(r.Header.Get(api.PlanHeader))
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	set, err := s.decodeStreamCommon(r, max(plan.K, 1))
-	if err != nil {
-		return nil, err
-	}
-	set.plan = plan
-	return set, nil
-}
-
-// decodePlanStreamRequest is decodeStreamRequest for the planning mode:
-// no PlanHeader exists yet (the run computes the plan), so K comes from
-// the options or the server defaults.
-func (s *Server) decodePlanStreamRequest(r *http.Request) (*streamSetup, error) {
-	return s.decodeStreamCommon(r, 0)
-}
-
-// decodeStreamCommon decodes the plan-independent header metadata and
-// meters the body. defaultK, when positive, fills an absent K option
-// (the apply/append modes borrow the plan's frozen K).
-func (s *Server) decodeStreamCommon(r *http.Request, defaultK int) (*streamSetup, error) {
+// decodeCSV decodes the shared streaming headers and meters the body.
+// An absent EtaHeader leaves Eta zero for the core's key check (the
+// traceback mode sends none). Everything here runs before the first
+// response byte, so failures keep the ordinary error envelope.
+func (s *Server) decodeCSV(r *http.Request) (csvRequest, error) {
+	var in csvRequest
 	schema, err := api.DecodeSchemaHeader(r.Header.Get(api.SchemaHeader))
 	if err != nil {
-		return nil, badRequest(err)
+		return in, badRequest(err)
 	}
-	secret := r.Header.Get(api.SecretHeader)
-	if secret == "" {
-		return nil, badRequest(fmt.Errorf("streaming request needs the secret in the %s header", api.SecretHeader))
+	if in.key.Secret = r.Header.Get(api.SecretHeader); in.key.Secret == "" {
+		return in, badRequest(fmt.Errorf("streaming request needs the secret in the %s header", api.SecretHeader))
 	}
-	eta, err := api.DecodeEtaHeader(r.Header.Get(api.EtaHeader))
-	if err != nil {
-		return nil, badRequest(err)
+	if h := r.Header.Get(api.EtaHeader); h != "" {
+		if in.key.Eta, err = api.DecodeEtaHeader(h); err != nil {
+			return in, badRequest(err)
+		}
 	}
-	opts, err := api.DecodeOptionsHeader(r.Header.Get(api.OptionsHeader))
-	if err != nil {
-		return nil, badRequest(err)
+	if in.opts, err = api.DecodeOptionsHeader(r.Header.Get(api.OptionsHeader)); err != nil {
+		return in, badRequest(err)
 	}
 	chunk, err := api.DecodeChunkHeader(r.Header.Get(api.ChunkHeader))
 	if err != nil {
-		return nil, badRequest(err)
-	}
-	if opts == nil {
-		opts = &api.Options{}
-	}
-	if opts.K == 0 && defaultK > 0 {
-		// The run executes under the plan's frozen K; the framework K
-		// only has to satisfy validation.
-		opts.K = defaultK
-	}
-	fw, err := s.frameworkFor(opts)
-	if err != nil {
-		return nil, err
+		return in, badRequest(err)
 	}
 	if chunk == 0 {
-		chunk = fw.Config().Chunk
+		chunk = s.cfg.Defaults.Chunk
 	}
 	if chunk > maxStreamChunk {
-		return nil, badRequest(fmt.Errorf("%s %d exceeds the server cap %d", api.ChunkHeader, chunk, maxStreamChunk))
+		return in, badRequest(fmt.Errorf("%s %d exceeds the server cap %d", api.ChunkHeader, chunk, maxStreamChunk))
 	}
 	cr := &countingReader{r: r.Body}
 	sr, err := relation.NewSegmentReader(cr, schema, chunk)
 	if err != nil {
-		return nil, badRequest(err)
+		return in, badRequest(err)
 	}
-	return &streamSetup{
-		fw:  fw,
-		key: crypt.NewWatermarkKeyFromSecret(secret, eta),
-		src: &quotaSegments{ctx: r.Context(), src: &meteredSegments{sr: sr, cr: cr, limit: s.cfg.MaxBodyBytes}},
-	}, nil
+	in.src = &quotaSegments{ctx: r.Context(), src: &meteredSegments{sr: sr, cr: cr, limit: s.cfg.MaxBodyBytes}}
+	return in, nil
 }
 
-// handlePlanCSV is the streaming mode of POST /v1/plan: the CSV body is
-// consumed one segment at a time into the planner's quasi-tuple sketch
-// (core.PlanStream) — memory stays bounded by distinct quasi-tuples —
-// and the computed plan rides the PlanHeader trailer beside a
-// PlanStreamStats StatsTrailer. No CSV is produced, so the body is
-// empty and every failure keeps the ordinary error envelope.
-func (s *Server) handlePlanCSV(w http.ResponseWriter, r *http.Request) (int, error) {
-	set, err := s.decodePlanStreamRequest(r)
-	if err != nil {
-		return 0, err
-	}
-	res, err := set.fw.PlanStream(r.Context(), set.src, set.key)
-	if err != nil {
-		return 0, err
-	}
-	planJSON, err := api.EncodePlanHeader(res.Plan)
-	if err != nil {
-		return 0, err
-	}
-	stats, _ := json.Marshal(api.PlanStreamStatsOf(res))
-	w.Header().Set("Content-Type", api.ContentTypeCSV)
-	w.Header().Set("Trailer", api.StatsTrailer+", "+api.PlanHeader)
-	w.WriteHeader(http.StatusOK)
-	// Force chunked transfer so the declared trailers are emitted even
-	// though the body is empty.
-	_ = http.NewResponseController(w).Flush()
-	w.Header().Set(api.StatsTrailer, string(stats))
-	w.Header().Set(api.PlanHeader, planJSON)
-	return http.StatusOK, nil
+// readStats is the StatsTrailer of a streaming detect or traceback run.
+func (in csvRequest) readStats() api.ReadStreamStats {
+	return api.ReadStreamStats{Rows: in.src.rows, Segments: in.src.segments}
 }
 
-// writeReadStreamTrailers completes a body-less read-side streaming
-// run: the verdict document rides the ResultTrailer, the ingest
-// counters the StatsTrailer. Nothing is written before the run has
-// fully drained the suspect, so every upstream failure keeps the
-// ordinary error envelope — the read side never needs ErrorTrailer.
-func writeReadStreamTrailers(w http.ResponseWriter, result any, rows, segments int) (int, error) {
+// writeTrailers completes a body-less streaming run (plan, detect,
+// traceback): the empty 200 body, the run summary in the StatsTrailer
+// and the result document in the named trailer.
+func writeTrailers(w http.ResponseWriter, stats any, name string, result any) (int, error) {
 	body, err := json.Marshal(result)
 	if err != nil {
 		return 0, err
 	}
-	stats, _ := json.Marshal(api.ReadStreamStats{Rows: rows, Segments: segments})
+	statsJSON, _ := json.Marshal(stats)
 	w.Header().Set("Content-Type", api.ContentTypeCSV)
-	w.Header().Set("Trailer", api.StatsTrailer+", "+api.ResultTrailer)
+	w.Header().Set("Trailer", api.StatsTrailer+", "+name)
 	w.WriteHeader(http.StatusOK)
 	// Force chunked transfer so the declared trailers are emitted even
 	// though the body is empty.
 	_ = http.NewResponseController(w).Flush()
-	w.Header().Set(api.StatsTrailer, string(stats))
-	w.Header().Set(api.ResultTrailer, string(body))
+	w.Header().Set(api.StatsTrailer, string(statsJSON))
+	w.Header().Set(name, string(body))
 	return http.StatusOK, nil
 }
 
+// handlePlanCSV is the streaming mode of POST /v1/plan: the CSV body
+// folds into the planner's quasi-tuple sketch — memory stays bounded by
+// distinct quasi-tuples — and the computed plan rides the PlanHeader
+// trailer beside a PlanStreamStats StatsTrailer.
+func (s *Server) handlePlanCSV(w http.ResponseWriter, r *http.Request) (int, error) {
+	in, err := s.decodeCSV(r)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := s.runPlan(r.Context(), api.PlanRequest{Key: in.key, Options: in.opts}, in.src)
+	if err != nil {
+		return 0, err
+	}
+	st := resp.Stats
+	stats := api.PlanStreamStats{Rows: st.Rows, Segments: in.src.segments,
+		K: st.K, Epsilon: st.Epsilon, EffectiveK: st.EffectiveK, AvgLoss: st.AvgLoss}
+	return writeTrailers(w, stats, api.PlanHeader, &resp.Plan)
+}
+
 // handleDetectCSV is the streaming mode of POST /v1/detect: the CSV
-// body is the suspect table, consumed segment-at-a-time into persistent
-// vote boards (core.DetectStream) — memory stays bounded by the segment
-// size — and the DetectResponse verdict rides the ResultTrailer. The
-// provenance record travels in the ProvenanceHeader; the key in the
-// usual secret/eta headers.
+// body is the suspect, the provenance record travels in the
+// ProvenanceHeader, and the DetectResponse rides the ResultTrailer.
 func (s *Server) handleDetectCSV(w http.ResponseWriter, r *http.Request) (int, error) {
 	prov, err := api.DecodeProvenanceHeader(r.Header.Get(api.ProvenanceHeader))
 	if err != nil {
 		return 0, badRequest(err)
 	}
-	// Detection does not re-bin; the provenance K only has to satisfy
-	// framework validation.
-	set, err := s.decodeStreamCommon(r, max(prov.K, 1))
+	in, err := s.decodeCSV(r)
 	if err != nil {
 		return 0, err
 	}
-	det, err := set.fw.DetectStream(r.Context(), set.src, prov, set.key)
+	resp, err := s.runDetect(r.Context(), api.DetectRequest{Provenance: prov, Key: in.key, Options: in.opts}, in.src)
 	if err != nil {
 		return 0, err
 	}
-	return writeReadStreamTrailers(w, detectResponseOf(&det.Detection), det.Rows, det.Segments)
+	return writeTrailers(w, in.readStats(), api.ResultTrailer, resp)
 }
 
 // handleTracebackCSV is the streaming mode of POST /v1/traceback: the
-// CSV body is the leaked table, ranked against every registered
-// recipient segment-at-a-time (core.TracebackStream), and the
-// TracebackResponse verdict rides the ResultTrailer. Only the master
-// secret travels in headers — the candidates come from the server's
-// recipient registry, exactly as in the JSON mode.
+// CSV body is the leaked table and the TracebackResponse rides the
+// ResultTrailer. Only the master secret travels in headers — the
+// candidates come from the server's recipient registry.
 func (s *Server) handleTracebackCSV(w http.ResponseWriter, r *http.Request) (int, error) {
-	secret := r.Header.Get(api.SecretHeader)
-	if secret == "" {
-		return 0, badRequest(fmt.Errorf("traceback needs the master secret in the %s header", api.SecretHeader))
-	}
-	recs := s.cfg.Registry.ListIn(tenantIDFrom(r.Context()))
-	if len(recs) == 0 {
-		return 0, badRequest(fmt.Errorf("no recipients registered; run /v1/fingerprint or import records first"))
-	}
-	cands, skipped, err := registry.CandidatesFromSecret(recs, secret)
-	if err != nil {
-		return 0, err // wraps core.ErrKeyMismatch -> 403
-	}
-	schema, err := api.DecodeSchemaHeader(r.Header.Get(api.SchemaHeader))
-	if err != nil {
-		return 0, badRequest(err)
-	}
-	opts, err := api.DecodeOptionsHeader(r.Header.Get(api.OptionsHeader))
-	if err != nil {
-		return 0, badRequest(err)
-	}
-	chunk, err := api.DecodeChunkHeader(r.Header.Get(api.ChunkHeader))
-	if err != nil {
-		return 0, badRequest(err)
-	}
-	if opts == nil {
-		opts = &api.Options{}
-	}
-	if opts.K == 0 {
-		// Traceback does not re-bin; K only has to satisfy validation.
-		opts.K = max(recs[0].Plan.K, 1)
-	}
-	fw, err := s.frameworkFor(opts)
+	in, err := s.decodeCSV(r)
 	if err != nil {
 		return 0, err
 	}
-	if chunk == 0 {
-		chunk = fw.Config().Chunk
-	}
-	if chunk > maxStreamChunk {
-		return 0, badRequest(fmt.Errorf("%s %d exceeds the server cap %d", api.ChunkHeader, chunk, maxStreamChunk))
-	}
-	cr := &countingReader{r: r.Body}
-	sr, err := relation.NewSegmentReader(cr, schema, chunk)
-	if err != nil {
-		return 0, badRequest(err)
-	}
-	src := &quotaSegments{ctx: r.Context(), src: &meteredSegments{sr: sr, cr: cr, limit: s.cfg.MaxBodyBytes}}
-	tb, err := fw.TracebackStream(r.Context(), src, cands)
+	resp, err := s.runTraceback(r.Context(), api.TracebackRequest{Secret: in.key.Secret, Options: in.opts}, in.src)
 	if err != nil {
 		return 0, err
 	}
-	return writeReadStreamTrailers(w, tracebackResponseOf(&tb.Traceback, skipped), tb.Rows, tb.Segments)
+	return writeTrailers(w, in.readStats(), api.ResultTrailer, resp)
 }
 
-// runStream drives one streaming pipeline run and owns the split error
-// contract: before the first body byte, errors return to the envelope
-// (ordinary status + JSON error); after it, they land in ErrorTrailer.
-func (s *Server) runStream(
-	w http.ResponseWriter, r *http.Request,
-	run func(ctx context.Context, out io.Writer) (*core.Streamed, error),
-) (int, error) {
-	w.Header().Set("Content-Type", api.ContentTypeCSV)
-	w.Header().Set("Trailer", api.StatsTrailer+", "+api.PlanHeader+", "+api.ErrorTrailer)
-	rc := http.NewResponseController(w)
-	// The run reads the request body while the response streams; without
-	// full duplex, net/http closes the unread body at the first write.
-	_ = rc.EnableFullDuplex()
-	out := &flushingWriter{w: w, rc: rc}
-	res, err := run(r.Context(), out)
-	if err == nil {
-		var planJSON string
-		if planJSON, err = api.EncodePlanHeader(&res.Plan); err == nil {
-			stats, _ := json.Marshal(api.StreamStatsOf(res))
-			w.Header().Set(api.StatsTrailer, string(stats))
-			w.Header().Set(api.PlanHeader, planJSON)
-			return http.StatusOK, nil
+// writeCSV is the streaming mode of POST /v1/apply and /v1/append: the
+// CSV body is the table (or delta batch), the response body its
+// protected CSV, and the effective (or advanced) plan rides the
+// PlanHeader trailer. It owns the split error contract: before the
+// first body byte, errors return to the envelope (ordinary status +
+// JSON error); after it, they land in ErrorTrailer.
+func (s *Server) writeCSV(stream func(*core.Framework, context.Context, core.Segments, *core.Plan, crypt.WatermarkKey, io.Writer) (*core.Streamed, error)) handler {
+	return func(w http.ResponseWriter, r *http.Request) (int, error) {
+		plan, err := api.DecodePlanHeader(r.Header.Get(api.PlanHeader))
+		if err != nil {
+			return 0, badRequest(err)
 		}
-	}
-	if out.n == 0 {
-		// Nothing committed: hand the error to the envelope, which owns
-		// the status code and JSON body.
-		w.Header().Del("Trailer")
-		w.Header().Del("Content-Type")
-		return 0, err
-	}
-	code, _ := s.classify(err)
-	body, _ := json.Marshal(api.Error{Code: code, Message: err.Error()})
-	w.Header().Set(api.ErrorTrailer, string(body))
-	s.logWarn("stream failed mid-body", "path", r.URL.Path, "error", err.Error())
-	return http.StatusOK, nil
-}
-
-// handleApply serves POST /v1/apply: execute a saved plan on a table —
-// the transform half of protect, no binning search. text/csv selects
-// the streaming mode; JSON bodies take the buffered mode.
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) (int, error) {
-	if isCSVRequest(r) {
-		set, err := s.decodeStreamRequest(r)
+		in, err := s.decodeCSV(r)
 		if err != nil {
 			return 0, err
 		}
-		return s.runStream(w, r, func(ctx context.Context, out io.Writer) (*core.Streamed, error) {
-			return set.fw.ApplyStream(ctx, set.src, set.plan, set.key, out)
-		})
+		fw, key, err := s.keyed(in.key, defaultK(in.opts, plan.K))
+		if err != nil {
+			return 0, err
+		}
+		w.Header().Set("Content-Type", api.ContentTypeCSV)
+		w.Header().Set("Trailer", api.StatsTrailer+", "+api.PlanHeader+", "+api.ErrorTrailer)
+		rc := http.NewResponseController(w)
+		// The run reads the request body while the response streams;
+		// without full duplex, net/http closes the unread body at the
+		// first write.
+		_ = rc.EnableFullDuplex()
+		out := &flushingWriter{w: w, rc: rc}
+		res, err := stream(fw, r.Context(), in.src, plan, key, out)
+		if err == nil {
+			var planJSON string
+			if planJSON, err = api.EncodePlanHeader(&res.Plan); err == nil {
+				stats, _ := json.Marshal(api.StreamStatsOf(res))
+				w.Header().Set(api.StatsTrailer, string(stats))
+				w.Header().Set(api.PlanHeader, planJSON)
+				return http.StatusOK, nil
+			}
+		}
+		if out.n == 0 {
+			// Nothing committed: hand the error to the envelope, which
+			// owns the status code and JSON body.
+			w.Header().Del("Trailer")
+			w.Header().Del("Content-Type")
+			return 0, err
+		}
+		code, _ := s.classify(err)
+		body, _ := json.Marshal(api.Error{Code: code, Message: err.Error()})
+		w.Header().Set(api.ErrorTrailer, string(body))
+		s.logWarn("stream failed mid-body", "path", r.URL.Path, "error", err.Error())
+		return http.StatusOK, nil
 	}
-	var req api.ApplyRequest
-	if err := api.DecodeJSON(r.Body, &req); err != nil {
-		return 0, badRequest(err)
-	}
-	resp, err := s.runApplyJSON(r.Context(), req)
-	if err != nil {
-		return 0, err
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
-}
-
-// runApplyJSON is the transport-free core of POST /v1/apply's JSON
-// mode, shared by the synchronous handler and the async job runner.
-func (s *Server) runApplyJSON(ctx context.Context, req api.ApplyRequest) (api.ApplyResponse, error) {
-	var zero api.ApplyResponse
-	switch req.Output {
-	case "", api.OutputRows, api.OutputCSV:
-	default:
-		return zero, badRequest(fmt.Errorf("unknown output format %q (want %q or %q)", req.Output, api.OutputRows, api.OutputCSV))
-	}
-	if req.Options == nil {
-		req.Options = &api.Options{}
-	}
-	if req.Options.K == 0 {
-		req.Options.K = max(req.Plan.K, 1)
-	}
-	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, req.Options)
-	if err != nil {
-		return zero, err
-	}
-	prot, err := fw.ApplyContext(ctx, tbl, &req.Plan, key)
-	if err != nil {
-		return zero, err
-	}
-	outTbl, err := api.EncodeTable(prot.Table, req.Output)
-	if err != nil {
-		return zero, badRequest(err)
-	}
-	return api.ApplyResponse{
-		Version:    api.Version,
-		Table:      outTbl,
-		Provenance: prot.Provenance,
-		Plan:       prot.Plan,
-		Stats: api.ProtectStats{
-			Rows:           prot.Table.NumRows(),
-			TuplesSelected: prot.Embed.TuplesSelected,
-			BitsEmbedded:   prot.Embed.BitsEmbedded,
-			CellsChanged:   prot.Embed.CellsChanged,
-			EffectiveK:     prot.Plan.EffectiveK,
-			Epsilon:        prot.Provenance.Epsilon,
-			AvgLoss:        prot.Plan.AvgLoss,
-		},
-	}, nil
-}
-
-// handleAppendCSV is the streaming mode of POST /v1/append: the CSV
-// body is the delta batch, the response body the protected delta, and
-// the advanced plan rides the PlanHeader trailer.
-func (s *Server) handleAppendCSV(w http.ResponseWriter, r *http.Request) (int, error) {
-	set, err := s.decodeStreamRequest(r)
-	if err != nil {
-		return 0, err
-	}
-	return s.runStream(w, r, func(ctx context.Context, out io.Writer) (*core.Streamed, error) {
-		return set.fw.AppendStream(ctx, set.src, set.plan, set.key, out)
-	})
 }

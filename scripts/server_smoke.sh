@@ -4,7 +4,10 @@
 # a delta batch over /v1/append under the returned plan, detect the mark
 # over /v1/detect on the published union (must match), fingerprint the
 # table for three recipients over /v1/fingerprint and trace one leaked
-# copy back to its recipient over /v1/traceback, run the same protect
+# copy back to its recipient over /v1/traceback — once as JSON, once
+# streamed as a text/csv body with the verdict read from the
+# X-Medshield-Result trailer (both must name the same culprit) — run
+# the same protect
 # as an async job (submit → poll → SSE-tail → completion, idempotent
 # resubmit), and verify graceful SIGTERM shutdown (exit 0). A second
 # phase restarts the server multi-tenant (-tenants/-audit) and checks
@@ -155,9 +158,17 @@ ids = [x["id"] for x in r["recipients"]]
 assert ids == ["hospital-a", "hospital-b", "hospital-c"], ids
 assert all(x["bits_embedded"] > 0 for x in r["recipients"]), "a copy carries no bits"
 print("    fingerprinted:", ", ".join(f"{x['id']} (fp {x['key_fingerprint'][:8]}…)" for x in r["recipients"]))
-# hospital-b's copy "leaks": feed it back as the traceback suspect.
-json.dump({"table": r["recipients"][1]["table"], "secret": "ci smoke master secret"},
+# hospital-b's copy "leaks": feed it back as the traceback suspect, as
+# a JSON document and as a CSV body plus its schema header.
+leak = r["recipients"][1]["table"]
+json.dump({"table": leak, "secret": "ci smoke master secret"},
           open(f"{tmp}/traceback.json", "w"))
+import csv
+with open(f"{tmp}/leak.csv", "w", newline="") as f:
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow([c["name"] for c in leak["columns"]])
+    w.writerows(leak["rows"])
+json.dump(leak["columns"], open(f"{tmp}/leak_schema.json", "w"), separators=(",", ":"))
 EOF
 
 echo "==> GET /v1/recipients"
@@ -180,6 +191,29 @@ assert r["culprit"] == "hospital-b", f"traceback named {r['culprit']!r}: {r['ver
 assert r["verdicts"][0]["recipient_id"] == "hospital-b", r["verdicts"]
 assert r["matches"] == 1, r
 print("    culprit:", r["culprit"], "match ratio:", r["verdicts"][0]["match_ratio"])
+EOF
+
+echo "==> POST /v1/traceback (text/csv: the same leaked copy, verdict in the trailer)"
+# curl -D writes the response trailers into the header dump too.
+vcurl -X POST -H "Content-Type: text/csv" \
+  -H "X-Medshield-Schema: $(cat "$TMP/leak_schema.json")" \
+  -H "X-Medshield-Secret: ci smoke master secret" \
+  --data-binary "@$TMP/leak.csv" -D "$TMP/traceback_stream_headers.txt" \
+  -o /dev/null "$BASE/v1/traceback"
+python3 - "$TMP" <<'EOF'
+import json, sys
+tmp = sys.argv[1]
+dump = open(f"{tmp}/traceback_stream_headers.txt").read()
+result = None
+for line in dump.splitlines():
+    name, _, value = line.partition(":")
+    if name.strip().lower() == "x-medshield-result":
+        result = json.loads(value.strip())
+assert result is not None, "no X-Medshield-Result trailer in:\n" + dump
+want = json.load(open(f"{tmp}/traceback_resp.json"))
+assert result["culprit"] == want["culprit"] == "hospital-b", \
+    f"streamed traceback named {result['culprit']!r}: {result['verdicts']}"
+print("    streamed culprit:", result["culprit"], "(same as the JSON mode)")
 EOF
 
 echo "==> POST /v1/jobs/protect (async, Idempotency-Key: smoke-protect)"
