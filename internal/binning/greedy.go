@@ -1,8 +1,11 @@
 package binning
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dht"
@@ -18,21 +21,30 @@ import (
 // and they move to the bin keyed by the parent — MergeCandidates only
 // offers parents whose children are all frontier members, so the set of
 // covered leaves is invariant under the ascent and every other key
-// component is untouched. multiGreedy therefore scans the rows once, to
-// build the joint histogram's bins keyed by per-column covering NodeIDs
-// packed into the sketch's keyLayout (stable across merges, unlike
-// frontier member indices).
+// component is untouched. multiGreedy therefore scans the tuples once,
+// to build the joint histogram's bins keyed by per-column covering
+// NodeIDs packed into the sketch's keyLayout (stable across merges,
+// unlike frontier member indices).
 //
 // Beside the bins it keeps, per column and component, the number of
 // bins below k: a member violates exactly when its count is non-zero,
 // so the move selection reads the sets the rescan derives without
 // touching a bin, and takes the identical merge sequence: same
-// frontier, same stats, byte-identical downstream output. A merge costs
-// one filtering pass over the live bins plus work for the bins it
-// moves: they leave the thin counts and re-key to the parent, a radix
-// sort groups those that collide (no bin carries the parent before the
-// merge, so only moved bins can), and the summed bins rejoin the live
-// set and the counts.
+// frontier, same stats, byte-identical downstream output.
+//
+// The bins live in a slab sized once, with a posting index per column
+// from key component to the slots carrying it (binSlab). A merge reads
+// only the lists of the merged parent's children, so it costs the bins
+// it moves, not the live set: they move their thin counts and re-key to
+// the parent, an open-addressing table groups those that collide (no
+// bin carries the parent before the merge, so only moved bins can), and
+// each group's sum stays in the slot of its first bin while the others
+// become tombstones. A group keeps its slot, so its entries in the other
+// columns' lists stay valid and only the merged column's index changes:
+// the parent's list is appended to that column's postings, packing its
+// lists to the front when they fill. Walks skip the tombstones they
+// meet; once tombstones pass half the slab it compacts and every column
+// re-indexes.
 
 // greedyMove is one candidate lattice step.
 type greedyMove struct {
@@ -79,62 +91,309 @@ type jointBin struct {
 	n   int
 }
 
-// jointBins scans the rows once, sharded over workers, and returns the
-// joint histogram's bins keyed by packed covering NodeIDs, grouped by
-// groupBins. Counts are weight sums, so every worker count yields the
-// same bins.
-func jointBins(ctx context.Context, workers int, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, width uint) ([]jointBin, error) {
-	bins := make([]jointBin, len(weights))
-	if err := pool.ForEachChunkCtx(ctx, workers, len(bins), func(_, lo, hi int) error {
-		for row := lo; row < hi; row++ {
-			if err := pool.CtxAt(ctx, row-lo); err != nil {
-				return err
-			}
-			var key uint64
-			for ci := range cover {
-				key |= cover[ci][rowLeaves[ci][row]]
-			}
-			bins[row] = jointBin{key, weights[row]}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	bins, _ = groupBins(bins, nil, width)
-	return bins, nil
+// binTable is an open-addressing index from packed joint-bin keys to
+// positions in a slice of bins: position+1, or 0 for an empty entry. Its
+// length is a power of two and it stays at most half full; a Fibonacci
+// hash takes the probe start from the top bits of key·φ·2⁶⁴, which
+// every field of the packed key reaches.
+type binTable struct {
+	slots []int32
+	shift uint // 64 - log2(len(slots))
 }
 
-// groupBins orders bins by their low width key bits with an LSD radix
-// sort over bytes, using spare as scratch, and sums the weights of
-// equal keys into one bin. It returns the grouped bins and the other
-// buffer.
-func groupBins(bins, spare []jointBin, width uint) (grouped, other []jointBin) {
-	spare = slices.Grow(spare[:0], len(bins))[:len(bins)]
-	for shift := uint(0); shift < width; shift += 8 {
-		var start [256]int
-		for _, bin := range bins {
-			start[bin.key>>shift&0xff]++
-		}
-		for d, sum := 0, 0; d < 256; d++ {
-			start[d], sum = sum, sum+start[d]
-		}
-		for _, bin := range bins {
-			d := bin.key >> shift & 0xff
-			spare[start[d]] = bin
-			start[d]++
-		}
-		bins, spare = spare, bins
+// reset empties t for n keys without a doubling, reusing its storage.
+func (t *binTable) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
 	}
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
+}
+
+// find returns the position of the bin keyed key in bins or, when there
+// is none, -1 and the entry at which to record it.
+func (t *binTable) find(bins []jointBin, key uint64) (slot int32, entry int) {
+	mask := len(t.slots) - 1
+	for i := int(key * 0x9e3779b97f4a7c15 >> t.shift); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return -1, i
+		}
+		if bins[s-1].key == key {
+			return s - 1, 0
+		}
+	}
+}
+
+// add sums weight n into the bin keyed key, appending the bin to bins
+// when it is new, and returns bins. The table doubles when it would pass
+// half full, so it must index exactly bins.
+func (t *binTable) add(bins []jointBin, key uint64, n int) []jointBin {
+	s, e := t.find(bins, key)
+	if s >= 0 {
+		bins[s].n += n
+		return bins
+	}
+	if 2*(len(bins)+1) > len(t.slots) {
+		t.reset(len(t.slots))
+		for i, bin := range bins {
+			_, e := t.find(bins[:i], bin.key)
+			t.slots[e] = int32(i) + 1
+		}
+		_, e = t.find(bins, key)
+	}
+	t.slots[e] = int32(len(bins)) + 1
+	return append(bins, jointBin{key, n})
+}
+
+// jointBins returns the joint histogram's bins, keyed by packed
+// covering NodeIDs, in a slice of len(weights) capacity: it keys every
+// weighted tuple, then groups them in place through tab (reset by the
+// caller), each group landing at or before the first of its tuples.
+// Counts are weight sums, so the bins do not depend on tuple order.
+// Keying first keeps the grouping loop tight.
+func jointBins(ctx context.Context, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, tab *binTable) ([]jointBin, error) {
+	bins := make([]jointBin, len(weights))
+	for row, n := range weights {
+		bins[row] = jointBin{0, n}
+	}
+	for ci, leaves := range rowLeaves {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cov := cover[ci]
+		for row, leaf := range leaves[:len(bins)] {
+			bins[row].key |= cov[leaf]
+		}
+	}
+	grouped := bins[:0]
+	for row, bin := range bins {
+		if err := pool.CtxAt(ctx, row); err != nil {
+			return nil, err
+		}
+		grouped = tab.add(grouped, bin.key, bin.n)
+	}
+	return grouped, nil
+}
+
+// deadBin is the weight of a tombstoned slab slot.
+const deadBin = -1
+
+// binSlab is the incremental ascent's joint histogram: the bins in a
+// slab, a posting index per column from key component to slots, and the
+// per-column counts of bins below k.
+type binSlab struct {
+	layout keyLayout
+	k      int
+	bins   []jointBin
+	// post[ci][off[ci][comp]:off[ci][comp]+size[ci][comp]] lists the
+	// slots whose column-ci component is comp; a list may hold
+	// tombstones. A merge appends the parent's list to post[ci] within
+	// its fixed capacity.
+	post, off, size [][]int32
+	// thin[ci][comp] counts the live bins below k whose column-ci
+	// component is comp.
+	thin [][]int
+	// moved and from are a merge's scratch: the moved bins, re-keyed,
+	// and their slots.
+	moved []jointBin
+	from  []int32
+	tab   binTable
+	// dead counts the tombstones in the slab; compactions, packs and
+	// deadVisits count the compactions, the postings packed to make room
+	// and the tombstones merges met in their walks.
+	dead, compactions, packs, deadVisits int
+}
+
+// newBinSlab indexes the grouped bins of the minimal frontiers over
+// trees. The slab keeps bins' storage and the table; each column's
+// postings get half the initial bins again as headroom for merges.
+func newBinSlab(layout keyLayout, trees []*dht.Tree, k int, bins []jointBin, tab binTable) *binSlab {
+	nc := len(trees)
+	sl := &binSlab{layout: layout, k: k, bins: bins, tab: tab,
+		post: make([][]int32, nc), off: make([][]int32, nc), size: make([][]int32, nc), thin: make([][]int, nc)}
+	for ci, tree := range trees {
+		sl.post[ci] = make([]int32, 0, len(bins)+len(bins)/2)
+		sl.off[ci] = make([]int32, tree.Size()+1)
+		sl.size[ci] = make([]int32, tree.Size()+1)
+		sl.thin[ci] = make([]int, tree.Size()+1)
+	}
+	for ci := range trees {
+		sl.index(ci)
+	}
+	for _, bin := range bins {
+		if bin.n < k {
+			sl.markThin(bin, 1)
+		}
+	}
+	return sl
+}
+
+// index rebuilds column ci's postings over the slab, which holds no
+// tombstones, by a counting sort on the column's component: each list
+// in slot order.
+func (sl *binSlab) index(ci int) {
+	size, off, post := sl.size[ci], sl.off[ci], sl.post[ci][:len(sl.bins)]
+	shift, mask := sl.layout[ci], uint64(1)<<(sl.layout[ci+1]-sl.layout[ci])-1
+	clear(size)
+	for _, bin := range sl.bins {
+		size[bin.key>>shift&mask]++
+	}
+	at := int32(0)
+	for comp, n := range size {
+		off[comp] = at
+		at += n
+	}
+	for s, bin := range sl.bins {
+		comp := bin.key >> shift & mask
+		post[off[comp]] = int32(s)
+		off[comp]++
+	}
+	for comp, n := range size {
+		off[comp] -= n
+	}
+	sl.post[ci] = post
+}
+
+// thinBit is 1 when a bin of weight n is below k and 0 otherwise.
+func thinBit(n, k int) int {
+	if n < k {
+		return 1
+	}
+	return 0
+}
+
+// markThin adds d to the thin counts of bin's components.
+func (sl *binSlab) markThin(bin jointBin, d int) {
+	for ci, thin := range sl.thin {
+		thin[sl.layout.field(bin.key, ci)] += d
+	}
+}
+
+// violating reports whether a live bin below k has a covered component.
+func (sl *binSlab) violating() bool {
+	for _, thin := range sl.thin {
+		if slices.ContainsFunc(thin[1:], func(n int) bool { return n > 0 }) {
+			return true
+		}
+	}
+	return false
+}
+
+// merge re-keys the bins whose column-ci component is one of children to
+// the component of parent p. It gathers them from the children's lists,
+// then groups those that collide through the table: each group keeps the
+// slot of its first bin, the others become tombstones, and the groups
+// form p's list. Gathering and grouping are separate loops, so the
+// random slab and table accesses of one bin overlap those of the next.
+// The thin counts follow: a bin below k moves its column-ci count to p,
+// and a collision recounts the key it shares with its group. When p's
+// list would overflow its postings' capacity, column ci's lists pack to
+// the front first; once tombstones pass half the slab, it compacts.
+func (sl *binSlab) merge(ci int, p dht.NodeID, children []dht.NodeID) {
+	off, size, thin := sl.off[ci], sl.size[ci], sl.thin[ci]
+	shift, width := sl.layout[ci], sl.layout[ci+1]-sl.layout[ci]
+	field, comp := (uint64(1)<<width-1)<<shift, uint64(p)+1
 	n := 0
-	for i, bin := range bins {
-		if i+1 < len(bins) && bins[i+1].key == bin.key {
-			bins[i+1].n += bin.n
+	for _, c := range children {
+		n += int(size[c+1])
+	}
+	moved, from := slices.Grow(sl.moved[:0], n), slices.Grow(sl.from[:0], n)
+	for _, c := range children {
+		for _, s := range sl.post[ci][off[c+1] : off[c+1]+size[c+1]] {
+			bin := sl.bins[s]
+			if bin.n == deadBin {
+				sl.deadVisits++
+				continue
+			}
+			if bin.n < sl.k {
+				thin[c+1]--
+				thin[comp]++
+			}
+			bin.key = bin.key&^field | comp<<shift
+			sl.bins[s].key = bin.key
+			moved = append(moved, bin)
+			from = append(from, s)
+		}
+		size[c+1] = 0
+	}
+	sl.tab.reset(len(moved))
+	groups := len(moved)
+	for x, bin := range moved {
+		g, e := sl.tab.find(moved, bin.key)
+		if g < 0 {
+			sl.tab.slots[e] = int32(x) + 1
 			continue
 		}
-		bins[n] = bin
-		n++
+		// The key's thin counts change by the group's verdict after the
+		// collision less the two before it.
+		group := &moved[g]
+		d := thinBit(group.n+bin.n, sl.k) - thinBit(group.n, sl.k) - thinBit(bin.n, sl.k)
+		group.n += bin.n
+		moved[x].n = deadBin
+		sl.bins[from[g]].n, sl.bins[from[x]].n = group.n, deadBin
+		if d != 0 {
+			sl.markThin(*group, d)
+		}
+		groups--
 	}
-	return bins[:n], spare
+	sl.dead += len(moved) - groups
+	sl.moved, sl.from = moved, from
+
+	// Every slot sits in at most one of column ci's lists and the moved
+	// ones left theirs, so once packed the postings hold the groups.
+	if len(sl.post[ci])+groups > cap(sl.post[ci]) {
+		sl.packs++
+		sl.pack(ci)
+	}
+	post := sl.post[ci]
+	off[comp], size[comp] = int32(len(post)), int32(groups)
+	for x, bin := range moved {
+		if bin.n != deadBin {
+			post = append(post, from[x])
+		}
+	}
+	sl.post[ci] = post
+	if 2*sl.dead > len(sl.bins) {
+		sl.compact()
+	}
+}
+
+// pack moves column ci's lists to the front of its postings, in offset
+// order so that no list is overwritten before it moves.
+func (sl *binSlab) pack(ci int) {
+	post, off, size := sl.post[ci], sl.off[ci], sl.size[ci]
+	comps := make([]int, 0, len(off))
+	for comp, n := range size {
+		if n > 0 {
+			comps = append(comps, comp)
+		}
+	}
+	slices.SortFunc(comps, func(a, b int) int { return cmp.Compare(off[a], off[b]) })
+	packed := post[:0]
+	for _, comp := range comps {
+		start := int32(len(packed))
+		packed = append(packed, post[off[comp]:off[comp]+size[comp]]...)
+		off[comp] = start
+	}
+	sl.post[ci] = packed
+}
+
+// compact drops the tombstones, keeping the slab's storage, and
+// re-indexes every column.
+func (sl *binSlab) compact() {
+	sl.bins = slices.DeleteFunc(sl.bins, func(bin jointBin) bool { return bin.n == deadBin })
+	sl.dead = 0
+	sl.compactions++
+	for ci := range sl.post {
+		sl.index(ci)
+	}
 }
 
 // greedyMoveCand is one memoized candidate merge of a column: the
@@ -147,53 +406,60 @@ type greedyMoveCand struct {
 	delta  float64
 }
 
+// multiGreedy ascends the lattice from the minimal frontiers by the
+// rescan ascent's move order until no bin below k has a covered
+// component, over the weighted tuples' joint histogram.
 func multiGreedy(
 	ctx context.Context,
 	cols []string,
 	layout keyLayout,
 	mingends, maxgends map[string]dht.GenSet,
-	k, workers int,
+	k int,
 	rowLeaves [][]dht.NodeID,
 	weights []int,
 	stats *MultiStats,
 ) (map[string]dht.GenSet, MultiStats, error) {
+	out, _, err := greedyAscent(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, stats)
+	return out, *stats, err
+}
+
+// greedyAscent is multiGreedy, also returning its slab for inspection.
+func greedyAscent(
+	ctx context.Context,
+	cols []string,
+	layout keyLayout,
+	mingends, maxgends map[string]dht.GenSet,
+	k int,
+	rowLeaves [][]dht.NodeID,
+	weights []int,
+	stats *MultiStats,
+) (map[string]dht.GenSet, *binSlab, error) {
+	if len(weights) >= math.MaxInt32 {
+		return nil, nil, fmt.Errorf("binning: %d tuples overflow the greedy ascent's int32 slots", len(weights))
+	}
 	cur := make([]dht.GenSet, len(cols))
 	cover := make([][]uint64, len(cols))
-	thin := make([][]int, len(cols))
+	trees := make([]*dht.Tree, len(cols))
 	for ci, col := range cols {
 		cur[ci] = mingends[col]
 		cover[ci] = coverNodes(cur[ci], layout[ci])
-		thin[ci] = make([]int, cur[ci].Tree().Size()+1)
+		trees[ci] = cur[ci].Tree()
 	}
-	bins, err := jointBins(ctx, workers, rowLeaves, weights, cover, layout.width())
+	var tab binTable
+	tab.reset(len(weights))
+	bins, err := jointBins(ctx, rowLeaves, weights, cover, &tab)
 	if err != nil {
-		return nil, *stats, err
+		return nil, nil, err
 	}
-	// thin[ci][comp] counts the bins below k whose column-ci component
-	// is comp.
-	markThin := func(bin jointBin, d int) {
-		if bin.n < k {
-			for ci := range thin {
-				thin[ci][layout.field(bin.key, ci)] += d
-			}
-		}
-	}
-	for _, bin := range bins {
-		markThin(bin, 1)
-	}
+	sl := newBinSlab(layout, trees, k, bins, tab)
 
 	memo := make([][]greedyMoveCand, len(cols))
-	var moved, spare []jointBin
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, *stats, err
+			return nil, nil, err
 		}
 		// The ascent stops once no bin below k has a covered component.
-		anyViolation := false
-		for ci := range thin {
-			anyViolation = anyViolation || slices.ContainsFunc(thin[ci][1:], func(n int) bool { return n > 0 })
-		}
-		if !anyViolation {
+		if !sl.violating() {
 			break
 		}
 
@@ -217,7 +483,7 @@ func multiGreedy(
 			for _, cand := range memo[ci] {
 				helps := false
 				for _, c := range tree.Children(cand.parent) {
-					if thin[ci][c+1] > 0 {
+					if sl.thin[ci][c+1] > 0 {
 						helps = true
 						break
 					}
@@ -232,42 +498,17 @@ func multiGreedy(
 			}
 		}
 		if bestMove == nil {
-			return nil, *stats, fmt.Errorf(
+			return nil, nil, fmt.Errorf(
 				"binning: greedy ascent exhausted at k=%d without satisfying k-anonymity: %w", k, ErrUnsatisfiable)
 		}
 
-		// Apply the merge: the bins keyed by a child of the merged parent
-		// leave the live set and the thin counts and re-key to the
-		// parent; sorted by key, those that collide sum, and the bins
-		// they form rejoin the live set and re-enter the counts.
 		ci, p := bestMove.ci, bestMove.parent
 		next, err := cur[ci].MergeAt(p)
 		if err != nil {
-			return nil, *stats, fmt.Errorf("binning: internal: %w", err)
+			return nil, nil, fmt.Errorf("binning: internal: %w", err)
 		}
 		cur[ci] = next
-		isChild := make([]bool, len(thin[ci]))
-		for _, c := range next.Tree().Children(p) {
-			isChild[c+1] = true
-		}
-		shift, width := layout[ci], layout[ci+1]-layout[ci]
-		field, parent := (uint64(1)<<width-1)<<shift, (uint64(p)+1)<<shift
-		live := bins[:0]
-		moved = moved[:0]
-		for _, bin := range bins {
-			if !isChild[(bin.key&field)>>shift] {
-				live = append(live, bin)
-				continue
-			}
-			markThin(bin, -1)
-			moved = append(moved, jointBin{bin.key&^field | parent, bin.n})
-		}
-		moved, spare = groupBins(moved, spare, layout.width())
-		for _, bin := range moved {
-			markThin(bin, 1)
-			live = append(live, bin)
-		}
-		bins = live
+		sl.merge(ci, p, next.Tree().Children(p))
 		memo[ci] = nil
 		stats.GreedyMerges++
 	}
@@ -276,5 +517,5 @@ func multiGreedy(
 	for ci, col := range cols {
 		out[col] = cur[ci]
 	}
-	return out, *stats, nil
+	return out, sl, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -20,13 +21,14 @@ type ascent struct {
 }
 
 // incremental runs multiGreedy with the key layout of the minimal
-// frontiers' trees, in the rescan oracle's signature.
-func incremental(ctx context.Context, cols []string, ming, maxg map[string]dht.GenSet, k, workers int, leaves [][]dht.NodeID, weights []int, stats *MultiStats) (map[string]dht.GenSet, MultiStats, error) {
+// frontiers' trees, in the rescan oracle's signature; the incremental
+// ascent runs on one goroutine whatever workers says.
+func incremental(ctx context.Context, cols []string, ming, maxg map[string]dht.GenSet, k, _ int, leaves [][]dht.NodeID, weights []int, stats *MultiStats) (map[string]dht.GenSet, MultiStats, error) {
 	layout, err := layoutOf(cols, ming)
 	if err != nil {
 		return nil, *stats, err
 	}
-	return multiGreedy(ctx, cols, layout, ming, maxg, k, workers, leaves, weights, stats)
+	return multiGreedy(ctx, cols, layout, ming, maxg, k, leaves, weights, stats)
 }
 
 // greedyBoth runs the incremental and the rescan ascent on the same
@@ -54,8 +56,8 @@ func sameAscent(a, b ascent) error {
 	if err := gensEqual(a.gens, b.gens); err != nil {
 		return fmt.Errorf("frontiers differ: %w", err)
 	}
-	if a.stats.GreedyMerges != b.stats.GreedyMerges {
-		return fmt.Errorf("merges %d vs %d", a.stats.GreedyMerges, b.stats.GreedyMerges)
+	if a.stats != b.stats {
+		return fmt.Errorf("stats %+v vs %+v", a.stats, b.stats)
 	}
 	return nil
 }
@@ -228,6 +230,10 @@ func FuzzGreedyMatchesRescan(f *testing.F) {
 	// Tuples that share their low key fields: only a grouping sorted on
 	// every field brings equal keys together.
 	f.Add(int64(57), []byte("0000!10000"), uint8('e'))
+	// 300 sparse tuples over three columns: the ascent packs a column
+	// whose postings fill, walks tombstones and compacts its slab
+	// (TestMultiGreedySlabCompaction pins the same shape).
+	f.Add(int64(1), seededBytes(1, 1200), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, data []byte, kRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		cols := make([]string, 2+rng.Intn(2))
@@ -285,7 +291,7 @@ func FuzzGreedyMatchesRescan(f *testing.F) {
 			covers[ci] = coverTable(g)
 			cover[ci] = coverNodes(g, layout[ci])
 		}
-		got, err := minJointBin(context.Background(), tuples, weights, cover, layout.width())
+		got, err := minJointBin(context.Background(), tuples, weights, cover)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,6 +299,138 @@ func FuzzGreedyMatchesRescan(f *testing.F) {
 			t.Fatalf("%d tuples: packed-key minimum bin %d, map count %d", len(weights), got, want)
 		}
 	})
+}
+
+// seededBytes returns n pseudo-random bytes drawn from seed.
+func seededBytes(seed int64, n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// balancedTree builds a categorical tree of the given fanout and depth.
+func balancedTree(tb testing.TB, attr string, fanout, depth int) *dht.Tree {
+	tb.Helper()
+	n := 0
+	var build func(d int) dht.Spec
+	build = func(d int) dht.Spec {
+		n++
+		s := dht.Spec{Value: fmt.Sprintf("%s%d", attr, n)}
+		if d < depth {
+			for i := 0; i < fanout; i++ {
+				s.Children = append(s.Children, build(d+1))
+			}
+		}
+		return s
+	}
+	tree, err := dht.NewCategorical(attr, build(0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+// TestMultiGreedySlabCompaction drives the incremental ascent through
+// every path of its slab: 3000 sparse tuples over three 16-leaf binary
+// trees at k=5 collide rarely, so the merged columns' lists overflow
+// their postings' headroom and pack, while the collisions that do
+// happen leave tombstones that later merges walk past until they pass
+// half the slab and it compacts. Frontiers, stats and merge count must
+// match the rescan oracle's.
+func TestMultiGreedySlabCompaction(t *testing.T) {
+	cols := []string{"a", "b", "c"}
+	ming := make(map[string]dht.GenSet, len(cols))
+	maxg := make(map[string]dht.GenSet, len(cols))
+	leaves := make([][]dht.NodeID, len(cols))
+	for ci, col := range cols {
+		tree := balancedTree(t, col, 2, 4)
+		ming[col] = dht.LeafGenSet(tree)
+		maxg[col] = dht.RootGenSet(tree)
+		leaves[ci] = tree.Leaves()
+	}
+	rng := rand.New(rand.NewSource(2005))
+	tuples := make([][]dht.NodeID, len(cols))
+	weights := ones(3000)
+	for range weights {
+		for ci := range cols {
+			tuples[ci] = append(tuples[ci], leaves[ci][rng.Intn(len(leaves[ci]))])
+		}
+	}
+	layout, err := layoutOf(cols, ming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	var inc, ref ascent
+	var sl *binSlab
+	ctx := context.Background()
+	inc.gens, sl, inc.err = greedyAscent(ctx, cols, layout, ming, maxg, k, tuples, weights, &inc.stats)
+	ref.gens, ref.stats, ref.err = multiGreedyRescan(ctx, cols, ming, maxg, k, 1, tuples, weights, &ref.stats)
+	if err := sameAscent(inc, ref); err != nil {
+		t.Fatalf("incremental vs rescan: %v", err)
+	}
+	if inc.err != nil || inc.stats.GreedyMerges == 0 {
+		t.Fatalf("fixture made no merges (err %v)", inc.err)
+	}
+	if sl.compactions == 0 || sl.packs == 0 || sl.deadVisits == 0 {
+		t.Fatalf("slab paths not all taken: %d compactions, %d packs, %d tombstone visits",
+			sl.compactions, sl.packs, sl.deadVisits)
+	}
+	if err := checkSlab(sl, len(weights)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSlab recounts a slab's invariants from its live bins: the
+// weights sum to total, no two live bins share a key, every live slot
+// sits once in each column's lists under its own component, and the
+// thin counts match the live bins below k.
+func checkSlab(sl *binSlab, total int) error {
+	sum, keys := 0, make(map[uint64]bool)
+	thin := make([][]int, len(sl.thin))
+	for ci := range thin {
+		thin[ci] = make([]int, len(sl.thin[ci]))
+	}
+	for _, bin := range sl.bins {
+		if bin.n == deadBin {
+			continue
+		}
+		if keys[bin.key] {
+			return fmt.Errorf("two live bins share key %#x", bin.key)
+		}
+		keys[bin.key] = true
+		sum += bin.n
+		for ci := range thin {
+			if bin.n < sl.k {
+				thin[ci][sl.layout.field(bin.key, ci)]++
+			}
+		}
+	}
+	if sum != total {
+		return fmt.Errorf("live weights sum to %d, want %d", sum, total)
+	}
+	for ci := range thin {
+		if !slices.Equal(thin[ci], sl.thin[ci]) {
+			return fmt.Errorf("column %d thin counts %v, recounted %v", ci, sl.thin[ci], thin[ci])
+		}
+		seen := make(map[int32]bool)
+		for comp, n := range sl.size[ci] {
+			for _, s := range sl.post[ci][sl.off[ci][comp] : sl.off[ci][comp]+n] {
+				bin := sl.bins[s]
+				if bin.n == deadBin {
+					continue
+				}
+				if seen[s] || sl.layout.field(bin.key, ci) != uint64(comp) {
+					return fmt.Errorf("column %d: slot %d listed again or under component %d", ci, s, comp)
+				}
+				seen[s] = true
+			}
+		}
+		if len(seen) != len(keys) {
+			return fmt.Errorf("column %d lists %d live slots, want %d", ci, len(seen), len(keys))
+		}
+	}
+	return nil
 }
 
 // benchmarkGreedyAscent times one ascent over the 20k fixture's rows at

@@ -69,10 +69,10 @@ const DefaultEnumLimit = 4096
 // summarize. Both searches key the joint bins with layout, built over
 // the trees of cols.
 //
-// workers bounds the goroutines used by the search (<= 0 means
-// GOMAXPROCS, 1 runs sequentially). The result is identical for every
-// worker count: exhaustive candidates are ranked by (specificity loss,
-// enumeration index), and the greedy scans merge order-independent sums.
+// workers bounds the goroutines used by the exhaustive search (<= 0
+// means GOMAXPROCS, 1 runs sequentially); the greedy ascent runs on one.
+// The result is identical for every worker count: exhaustive candidates
+// are ranked by (specificity loss, enumeration index).
 func multiBinLeaves(
 	ctx context.Context,
 	cols []string,
@@ -126,7 +126,7 @@ func multiBinLeaves(
 	case StrategyExhaustive:
 		return multiExhaustive(ctx, cols, layout, mingends, maxgends, k, enumLimit, workers, rowLeaves, weights, &stats)
 	case StrategyGreedy:
-		return multiGreedy(ctx, cols, layout, mingends, maxgends, k, workers, rowLeaves, weights, &stats)
+		return multiGreedy(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, &stats)
 	default:
 		return nil, stats, fmt.Errorf("binning: unknown strategy %v", strategy)
 	}
@@ -135,8 +135,10 @@ func multiBinLeaves(
 // minJointBin returns the smallest bin of the joint histogram under the
 // frontiers behind cover (as built by coverNodes): the exhaustive
 // search's k-anonymity verdict for one candidate.
-func minJointBin(ctx context.Context, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, width uint) (int, error) {
-	bins, err := jointBins(ctx, 1, rowLeaves, weights, cover, width)
+func minJointBin(ctx context.Context, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64) (int, error) {
+	var tab binTable
+	tab.reset(0)
+	bins, err := jointBins(ctx, rowLeaves, weights, cover, &tab)
 	if err != nil {
 		return 0, err
 	}
@@ -225,7 +227,7 @@ func multiExhaustive(
 			cover[ci] = perColCovers[ci][gi]
 			choice[ci] = perCol[ci][gi]
 		}
-		least, err := minJointBin(ctx, rowLeaves, weights, cover, layout.width())
+		least, err := minJointBin(ctx, rowLeaves, weights, cover)
 		if err != nil || least < k {
 			return err
 		}

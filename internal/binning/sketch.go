@@ -3,9 +3,10 @@ package binning
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 
-	"repro/internal/anonymity"
 	"repro/internal/dht"
 	"repro/internal/infoloss"
 	"repro/internal/pool"
@@ -195,26 +196,40 @@ func (s *Sketch) decodeTuples() ([][]dht.NodeID, []int) {
 	return leaves, counts
 }
 
-// sketchTuples is the post-suppression tuple state a SearchResult
-// retains: enough to compute the generalized bin statistics AutoEpsilon
+// sketchTuples is a decoded tuple state: per-column leaf vectors plus a
+// parallel count vector over the sketch's quasi columns. A SearchSetup
+// holds the pre-suppression tuples, a SearchResult the post-suppression
+// ones, enough to compute the generalized bin statistics AutoEpsilon
 // needs without any rows.
 type sketchTuples struct {
 	cols   []string
 	trees  []*dht.Tree
+	layout keyLayout
 	leaves [][]dht.NodeID
 	counts []int
 }
 
-// SearchSketch runs stages 1–3 of the Figure 8 algorithm — usage-metric
-// derivation, mono-attribute binning, multi-attribute binning — over a
-// sketch and returns the searched frontiers. The search consumes only
-// the sketch's histograms and tuple counts, so its cost scales with
-// distinct quasi-tuples instead of rows, and the outcome (frontiers,
-// losses, suppression, stats) is what a row-by-row search of the
-// ingested table would find. The sketch itself is never mutated, so
-// concurrent searches may share it; the aggressive rule's suppression
-// runs on a private decoded copy.
-func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, error) {
+// SearchSetup is the threshold-independent half of a sketch search:
+// the usage metrics in maximal-generalization-node form (stage 1 of
+// Figure 8), the sketch's pristine leaf histograms, and its distinct
+// quasi-tuples decoded once, before any suppression. Search runs the
+// per-threshold stages over it, so the AutoEpsilon re-search at a raised
+// ε repeats neither the decode nor the metric derivation. A setup keeps
+// no reference to the sketch's tuple map: a caller that drops the sketch
+// once the setup exists lets the map be reclaimed before the first
+// ascent. A setup is never mutated, so concurrent searches may share it.
+type SearchSetup struct {
+	cfg     Config
+	maxGens map[string]dht.GenSet
+	hist    [][]int
+	tuples  sketchTuples
+}
+
+// NewSearchSetup validates cfg against the sketch, derives the usage
+// metrics from the sketch's pristine histograms and decodes its tuples:
+// a snapshot, which later Adds to the sketch do not change. cfg.Epsilon
+// is only validated; each Search names its own.
+func NewSearchSetup(ctx context.Context, sk *Sketch, cfg Config) (*SearchSetup, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("binning: K must be >= 1, got %d", cfg.K)
 	}
@@ -222,56 +237,83 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 		return nil, fmt.Errorf("binning: Epsilon must be >= 0, got %d", cfg.Epsilon)
 	}
 	quasi := sk.quasi
-	effectiveK := cfg.K + cfg.Epsilon
-
-	// 1. Usage metrics in maximal-generalization-node form, from the
-	// sketch's pristine histograms.
-	maxGens := make(map[string]dht.GenSet, len(quasi))
-	type colSetup struct {
-		maxg dht.GenSet
-	}
-	setups, err := pool.MapCtx(ctx, cfg.Workers, len(quasi), func(i int) (colSetup, error) {
+	maxGens, err := pool.MapCtx(ctx, cfg.Workers, len(quasi), func(i int) (dht.GenSet, error) {
 		col := quasi[i]
 		tree, ok := cfg.Trees[col]
 		if !ok || tree == nil {
-			return colSetup{}, fmt.Errorf("binning: no DHT for quasi column %s", col)
+			return dht.GenSet{}, fmt.Errorf("binning: no DHT for quasi column %s", col)
 		}
 		if tree != sk.trees[i] {
-			return colSetup{}, fmt.Errorf("binning: sketch for column %s was built over a different tree", col)
+			return dht.GenSet{}, fmt.Errorf("binning: sketch for column %s was built over a different tree", col)
 		}
 		if g, ok := cfg.MaxGens[col]; ok {
 			if g.Tree() != tree {
-				return colSetup{}, fmt.Errorf("binning: maximal nodes for %s belong to a different tree", col)
+				return dht.GenSet{}, fmt.Errorf("binning: maximal nodes for %s belong to a different tree", col)
 			}
-			return colSetup{maxg: g}, nil
+			return g, nil
 		}
 		if cfg.Metrics != nil {
-			g, err := infoloss.DeriveMaxGen(tree, sk.hist[i], cfg.Metrics.Bound(col))
-			if err != nil {
-				return colSetup{}, err
-			}
-			return colSetup{maxg: g}, nil
+			return infoloss.DeriveMaxGen(tree, sk.hist[i], cfg.Metrics.Bound(col))
 		}
-		return colSetup{maxg: dht.RootGenSet(tree)}, nil
+		return dht.RootGenSet(tree), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, col := range quasi {
-		maxGens[col] = setups[i].maxg
+	setup := &SearchSetup{
+		cfg:     cfg,
+		maxGens: make(map[string]dht.GenSet, len(quasi)),
+		hist:    make([][]int, len(quasi)),
+		tuples:  sketchTuples{cols: quasi, trees: sk.trees, layout: sk.layout},
 	}
+	for i, col := range quasi {
+		setup.maxGens[col] = maxGens[i]
+		setup.hist[i] = slices.Clone(sk.hist[i])
+	}
+	setup.tuples.leaves, setup.tuples.counts = sk.decodeTuples()
+	return setup, nil
+}
+
+// SearchSketch runs stages 1–3 of the Figure 8 algorithm — usage-metric
+// derivation, mono-attribute binning, multi-attribute binning — over a
+// sketch and returns the searched frontiers: NewSearchSetup followed by
+// one Search at cfg.Epsilon. The search consumes only the sketch's
+// histograms and tuple counts, so its cost scales with distinct
+// quasi-tuples instead of rows, and the outcome (frontiers, losses,
+// suppression, stats) is what a row-by-row search of the ingested table
+// would find. The sketch itself is never mutated, so concurrent searches
+// may share it.
+func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, error) {
+	setup, err := NewSearchSetup(ctx, sk, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return setup.Search(ctx, cfg.Epsilon)
+}
+
+// Search runs stages 2–3 of the Figure 8 algorithm at k+epsilon, with
+// the setup's K: mono-attribute binning, the aggressive rule's
+// suppression of the setup's pre-suppression tuples, and multi-attribute
+// binning over the survivors. Information loss is measured on the
+// pristine histograms. Searches at different epsilons are independent:
+// each starts from the setup, never from an earlier search's survivors.
+func (s *SearchSetup) Search(ctx context.Context, epsilon int) (*SearchResult, error) {
+	if epsilon < 0 {
+		return nil, fmt.Errorf("binning: Epsilon must be >= 0, got %d", epsilon)
+	}
+	cfg, quasi, trees := s.cfg, s.tuples.cols, s.tuples.trees
+	effectiveK := cfg.K + epsilon
 
 	// 2. Mono-attribute binning. The conservative rule touches no
 	// counts, so the columns fan out over the pristine marginals. The
 	// aggressive rule suppresses tuples between columns (column i's
-	// deletions change column i+1's marginal), so it decodes the joint
-	// tuples once and walks the columns sequentially over the live set.
+	// deletions change column i+1's marginal), so it walks the columns
+	// sequentially over the live tuples.
 	minGens := make(map[string]dht.GenSet, len(quasi))
 	monoStats := make(map[string]MonoStats, len(quasi))
 	suppressed := 0
 	suppressValues := make(map[string][]string)
-	var tupleLeaves [][]dht.NodeID
-	var tupleCounts []int
+	tuples := s.tuples
 
 	if !cfg.Aggressive {
 		type monoOut struct {
@@ -279,12 +321,8 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 			stats MonoStats
 		}
 		outs, err := pool.MapCtx(ctx, cfg.Workers, len(quasi), func(i int) (monoOut, error) {
-			col := quasi[i]
-			g, st, err := MonoBinHist(sk.trees[i], maxGens[col], sk.hist[i], effectiveK, false)
-			if err != nil {
-				return monoOut{}, err
-			}
-			return monoOut{gen: g, stats: st}, nil
+			g, st, err := MonoBinHist(trees[i], s.maxGens[quasi[i]], s.hist[i], effectiveK, false)
+			return monoOut{gen: g, stats: st}, err
 		})
 		if err != nil {
 			return nil, err
@@ -293,22 +331,21 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 			minGens[col] = outs[i].gen
 			monoStats[col] = outs[i].stats
 		}
-		tupleLeaves, tupleCounts = sk.decodeTuples()
 	} else {
-		leaves, counts := sk.decodeTuples()
+		leaves, counts := s.tuples.leaves, s.tuples.counts
 		alive := make([]bool, len(counts))
 		for t := range alive {
 			alive[t] = true
 		}
 		for ci, col := range quasi {
-			tree := sk.trees[ci]
+			tree := trees[ci]
 			hist := make([]int, tree.Size())
 			for t, n := range counts {
 				if alive[t] {
 					hist[leaves[ci][t]] += n
 				}
 			}
-			g, st, err := MonoBinHist(tree, maxGens[col], hist, effectiveK, true)
+			g, st, err := MonoBinHist(tree, s.maxGens[col], hist, effectiveK, true)
 			if err != nil {
 				return nil, err
 			}
@@ -345,25 +382,25 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 				keep++
 			}
 		}
-		tupleLeaves = make([][]dht.NodeID, len(quasi))
-		for ci := range tupleLeaves {
-			tupleLeaves[ci] = make([]dht.NodeID, 0, keep)
+		tuples.leaves = make([][]dht.NodeID, len(quasi))
+		for ci := range tuples.leaves {
+			tuples.leaves[ci] = make([]dht.NodeID, 0, keep)
 		}
-		tupleCounts = make([]int, 0, keep)
+		tuples.counts = make([]int, 0, keep)
 		for t := range alive {
 			if !alive[t] {
 				continue
 			}
-			for ci := range tupleLeaves {
-				tupleLeaves[ci] = append(tupleLeaves[ci], leaves[ci][t])
+			for ci := range tuples.leaves {
+				tuples.leaves[ci] = append(tuples.leaves[ci], leaves[ci][t])
 			}
-			tupleCounts = append(tupleCounts, counts[t])
+			tuples.counts = append(tuples.counts, counts[t])
 		}
 	}
 
 	// 3. Multi-attribute binning over the weighted tuples.
-	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, sk.layout, minGens, maxGens, effectiveK,
-		cfg.Strategy, cfg.EnumLimit, cfg.Workers, tupleLeaves, tupleCounts)
+	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, tuples.layout, minGens, s.maxGens, effectiveK,
+		cfg.Strategy, cfg.EnumLimit, cfg.Workers, tuples.leaves, tuples.counts)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +411,7 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 	colLoss := make(map[string]float64, len(quasi))
 	losses := make([]float64, 0, len(quasi))
 	for i, col := range quasi {
-		l, err := infoloss.ColumnLoss(ultiGens[col], sk.hist[i])
+		l, err := infoloss.ColumnLoss(ultiGens[col], s.hist[i])
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +427,7 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 
 	return &SearchResult{
 		MinGens:        minGens,
-		MaxGens:        maxGens,
+		MaxGens:        maps.Clone(s.maxGens),
 		UltiGens:       ultiGens,
 		ColumnLoss:     colLoss,
 		AvgLoss:        avg,
@@ -399,12 +436,7 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 		SuppressValues: suppressValues,
 		MonoStats:      monoStats,
 		MultiStats:     multiStats,
-		tuples: &sketchTuples{
-			cols:   quasi,
-			trees:  sk.trees,
-			leaves: tupleLeaves,
-			counts: tupleCounts,
-		},
+		tuples:         &tuples,
 	}, nil
 }
 
@@ -413,56 +445,59 @@ func SearchSketch(ctx context.Context, sk *Sketch, cfg Config) (*SearchResult, e
 // statistic EpsilonForMark consumes. It is computed from the retained
 // post-suppression tuple counts, and its keys equal anonymity.Bins over
 // the transformed table: a generalized cell value is exactly the value
-// of the frontier member covering the cell's leaf.
+// of the frontier member covering the cell's leaf. The tuples group on
+// packed covering-node keys, so each distinct bin renders its string
+// key once.
 func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet) (map[string]int, error) {
 	if s.tuples == nil {
 		return nil, fmt.Errorf("binning: search result retains no data for bin statistics")
 	}
 	st := s.tuples
 	colAt := make([]int, len(cols))
-	genVal := make([]map[dht.NodeID]string, len(cols))
+	cover := make([][]uint64, len(cols))
 	for i, c := range cols {
-		ci := -1
-		for j, col := range st.cols {
-			if col == c {
-				ci = j
-				break
-			}
-		}
+		ci := slices.Index(st.cols, c)
 		if ci < 0 {
 			return nil, fmt.Errorf("binning: column %s is not a searched quasi column", c)
 		}
-		if _, ok := gens[c]; !ok {
+		g, ok := gens[c]
+		if !ok {
 			return nil, fmt.Errorf("binning: no generalization frontier for column %s", c)
 		}
+		if g.Tree() != st.trees[ci] {
+			return nil, fmt.Errorf("binning: frontier for column %s belongs to a different tree", c)
+		}
 		colAt[i] = ci
-		genVal[i] = make(map[dht.NodeID]string)
+		cover[i] = coverNodes(g, st.layout[ci])
 	}
-	var out anonymity.Counter
-	var key []byte
-	ntuples := len(st.counts)
-	for t := 0; t < ntuples; t++ {
-		key = key[:0]
-		for i, c := range cols {
-			ci := colAt[i]
+	var tab binTable
+	tab.reset(0)
+	var bins []jointBin
+	for t, n := range st.counts {
+		var key uint64
+		for i, ci := range colAt {
 			leaf := st.leaves[ci][t]
-			g, ok := genVal[i][leaf]
-			if !ok {
+			field := cover[i][leaf]
+			if field == 0 {
 				tree := st.trees[ci]
-				member, covered := gens[c].CoverOf(leaf)
-				if !covered {
-					return nil, fmt.Errorf("binning: column %s value %q: %w", c, tree.Value(leaf),
-						fmt.Errorf("dht: value %q sits above the generalization frontier of %s", tree.Value(leaf), tree.Attr()))
-				}
-				g = tree.Value(member)
-				genVal[i][leaf] = g
+				return nil, fmt.Errorf("binning: column %s value %q: %w", cols[i], tree.Value(leaf),
+					fmt.Errorf("dht: value %q sits above the generalization frontier of %s", tree.Value(leaf), tree.Attr()))
 			}
+			key |= field
+		}
+		bins = tab.add(bins, key, n)
+	}
+	out := make(map[string]int, len(bins))
+	var key []byte
+	for _, bin := range bins {
+		key = key[:0]
+		for i, ci := range colAt {
 			if i > 0 {
 				key = append(key, '\x1f')
 			}
-			key = append(key, g...)
+			key = append(key, st.trees[ci].Value(dht.NodeID(st.layout.field(bin.key, ci)-1))...)
 		}
-		out.AddKey(key, st.counts[t])
+		out[string(key)] += bin.n
 	}
-	return out.Bins(), nil
+	return out, nil
 }

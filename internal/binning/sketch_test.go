@@ -221,6 +221,70 @@ func TestSearchSketchMatchesOn20k(t *testing.T) {
 	}
 }
 
+// TestSearchSetupMatchesSearchSketch pins the shared setup the
+// AutoEpsilon re-search runs over: on the 20k fixture, one setup
+// searched at ε=0 and then at a raised ε must equal two independent
+// SearchSketch calls — frontiers, losses, suppression, stats and bin
+// statistic — under both rules. The aggressive rule's second search
+// suppresses more than its first, so it must start from the setup's
+// pre-suppression tuples, not from the first search's survivors.
+func TestSearchSetupMatchesSearchSketch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k-row searches in -short mode")
+	}
+	tbl, err := datagen.Generate(datagen.Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := ontology.Trees()
+	quasi := tbl.Schema().QuasiColumns()
+	sk := sketchFromSegments(t, tbl, trees, 4096)
+	ctx := context.Background()
+	for _, aggressive := range []bool{false, true} {
+		cfg := Config{K: 20, Trees: trees, Aggressive: aggressive, Workers: 2}
+		setup, err := NewSearchSetup(ctx, sk, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var suppressed []int
+		for _, eps := range []int{0, 15} {
+			got, err := setup.Search(ctx, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Epsilon = eps
+			want, err := SearchSketch(ctx, sk, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("aggressive=%v eps=%d", aggressive, eps)
+			if err := searchResultsEqual(got, want); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			gotBins, err := got.GeneralizedBins(quasi, got.UltiGens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBins, err := want.GeneralizedBins(quasi, want.UltiGens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotBins) != len(wantBins) {
+				t.Fatalf("%s: %d bins vs %d", name, len(gotBins), len(wantBins))
+			}
+			for key, n := range wantBins {
+				if gotBins[key] != n {
+					t.Fatalf("%s: bin %q: %d vs %d", name, key, gotBins[key], n)
+				}
+			}
+			suppressed = append(suppressed, got.Suppressed)
+		}
+		if aggressive && !(0 < suppressed[0] && suppressed[0] < suppressed[1]) {
+			t.Fatalf("aggressive searches suppressed %v rows; want a first search that suppresses and a second that suppresses more", suppressed)
+		}
+	}
+}
+
 // TestSketchEmptyAndErrors pins the sketch constructor/ingest edges.
 func TestSketchEmptyAndErrors(t *testing.T) {
 	tbl, trees := twoColumnTable(t)

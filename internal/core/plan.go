@@ -195,7 +195,9 @@ func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key cr
 
 // planFromSketch is the planning core PlanContext and PlanStream share:
 // the frontier search (optionally twice, for the conservative ε) over a
-// quasi-tuple sketch, frozen into a Plan.
+// quasi-tuple sketch, frozen into a Plan. Both searches run over one
+// binning.SearchSetup, and the sketch is not referenced past the setup,
+// so its tuple map can be reclaimed before either ascent.
 func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quasiCols []string, identCol string, mark bitstr.Bits, v float64) (*Plan, error) {
 	binCfg := binning.Config{
 		K:          f.cfg.K,
@@ -208,7 +210,11 @@ func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quas
 		Aggressive: f.cfg.Aggressive,
 		Workers:    f.cfg.Workers,
 	}
-	search, err := binning.SearchSketch(ctx, sk, binCfg)
+	setup, err := binning.NewSearchSetup(ctx, sk, binCfg)
+	if err != nil {
+		return nil, err
+	}
+	search, err := setup.Search(ctx, binCfg.Epsilon)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +226,7 @@ func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quas
 		eps := binning.EpsilonForMark(bins, f.cfg.MarkBits*f.cfg.Duplication)
 		if eps > binCfg.Epsilon {
 			binCfg.Epsilon = eps
-			if search, err = binning.SearchSketch(ctx, sk, binCfg); err != nil {
+			if search, err = setup.Search(ctx, eps); err != nil {
 				return nil, fmt.Errorf("core: re-binning at k+ε=%d: %w", f.cfg.K+eps, err)
 			}
 		}

@@ -124,9 +124,10 @@ type PlannedStream struct {
 // leaf histograms plus a joint quasi-tuple count table) and an
 // ownership.StatAccum over the identifying column, then discarded. The
 // frontier search, the aggressive-rule suppression replay and the
-// conservative-ε re-search all run over the sketch and produce exactly
-// the plan PlanContext would — the paper's planning pass without ever
-// materializing the table.
+// conservative-ε re-search all run over one binning.SearchSetup decoded
+// from the sketch — the sketch's tuple map is released before the first
+// ascent — and produce exactly the plan PlanContext would: the paper's
+// planning pass without ever materializing the table.
 func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.WatermarkKey) (*PlannedStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

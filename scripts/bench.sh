@@ -30,15 +30,17 @@
 # encrypted identifiers) — both also report rows/s, not recorded — with
 # -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
 # and allocs/op) per benchmark to BENCH_pipeline.json at the repo root,
-# so representation regressions show up as a diff in review.
+# so representation regressions show up as a diff in review. Each entry
+# also records the machine it was measured on (CPU model, nproc, Go
+# version): entries from different machines are not comparable.
 #
 # Before appending, the fresh numbers are gated against the last
 # recorded entry: a >15% ns/op regression on Protect20k, Detect20k,
-# MultiBinGreedy, Traceback50, Append2k or JobThroughput fails the
-# script, so a slowdown on the core pipeline or the serving layer
-# cannot be recorded silently. The incremental greedy ascent must also
-# stay >= 1.3x faster than the rescan reference it is tested against,
-# or the script fails.
+# MultiBinGreedy, Traceback50, Append2k, JobThroughput or
+# SearchSketch1M fails the script, so a slowdown on the core pipeline,
+# the serving layer or the binning search layer cannot be recorded
+# silently. The incremental greedy ascent must also stay >= 1.3x faster
+# than the rescan reference it is tested against, or the script fails.
 #
 # Usage: scripts/bench.sh [label]
 #   label   entry label (default: git describe of HEAD)
@@ -75,7 +77,12 @@ if [ -z "$inc" ] || [ -z "$ref" ] || awk -v i="$inc" -v r="$ref" 'BEGIN { exit !
   exit 1
 fi
 
-ENTRY="$(echo "$RAW" | awk -v label="$LABEL" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+CPU="$(awk -F': *' '$1 ~ /^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\')"
+NPROC="$(nproc 2>/dev/null || echo 0)"
+GOVERSION="$(go env GOVERSION)"
+
+ENTRY="$(echo "$RAW" | awk -v label="$LABEL" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+  -v cpu="${CPU:-unknown}" -v nproc="$NPROC" -v gov="$GOVERSION" '
   /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)          # strip -GOMAXPROCS suffix if present
@@ -90,7 +97,9 @@ ENTRY="$(echo "$RAW" | awk -v label="$LABEL" -v date="$(date -u +%Y-%m-%dT%H:%M:
     if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
   }
   END {
-    printf "  {\n    \"label\": \"%s\",\n    \"date\": \"%s\",\n    \"benchmarks\": {\n", label, date
+    printf "  {\n    \"label\": \"%s\",\n    \"date\": \"%s\",\n", label, date
+    printf "    \"machine\": {\"cpu\": \"%s\", \"nproc\": %d, \"go\": \"%s\"},\n", cpu, nproc, gov
+    printf "    \"benchmarks\": {\n"
     for (i = 1; i <= n; i++) {
       name = order[i]
       printf "      \"%s\": {\"ns_op\": %s, \"bytes_op\": %s, \"allocs_op\": %s}%s\n", \
@@ -105,14 +114,15 @@ if [ -z "$ENTRY" ]; then
 fi
 
 # Regression gate: compare the fresh best-of-N ns/op for the core
-# pipeline and serving-layer benchmarks against the last recorded entry
-# and refuse to append a >15% slowdown. (The streaming benchmarks and
-# the per-layer ones — SearchSketch1M, SegmentReader1M, SketchAdd1M,
-# TransformContext1M, SelectForEmbed1M — are capacity numbers, not
-# latency gates, so they are recorded but not enforced.)
+# pipeline, serving-layer and binning search benchmarks against the
+# last recorded entry and refuse to append a >15% slowdown. (The
+# streaming benchmarks and the other per-layer ones — SegmentReader1M,
+# SketchAdd1M, TransformContext1M, SelectForEmbed1M — are capacity
+# numbers, not latency gates, so they are recorded but not enforced.)
 if [ -f "$OUT" ]; then
   for name in BenchmarkProtect20k BenchmarkDetect20k BenchmarkMultiBinGreedy \
-              BenchmarkTraceback50 BenchmarkAppend2k BenchmarkJobThroughput; do
+              BenchmarkTraceback50 BenchmarkAppend2k BenchmarkJobThroughput \
+              BenchmarkSearchSketch1M; do
     last="$(grep -o "\"$name\": {\"ns_op\": [0-9]*" "$OUT" | tail -1 | grep -o '[0-9]*$' || true)"
     [ -z "$last" ] && continue
     fresh="$(best_ns "$name")"
