@@ -1114,41 +1114,6 @@ func BenchmarkJobThroughput(b *testing.B) {
 	}
 }
 
-// TestTracebackFasterThanIndependentDetects guards the acceptance
-// ratio: TracebackContext over 50 registered recipients must beat 50
-// independent DetectContext calls on the same suspect table by at least
-// 2x. The measured gap is far larger (the shared selection scan
-// collapses the per-candidate cost to the few selected rows); 2x keeps
-// the bound robust on noisy CI runners.
-func TestTracebackFasterThanIndependentDetects(t *testing.T) {
-	if testing.Short() {
-		t.Skip("20k-row fixtures in -short mode")
-	}
-	fw, suspect, cands := tracebackFixture(t, 50)
-
-	start := time.Now()
-	tbk, err := fw.Traceback(suspect, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracebackDur := time.Since(start)
-	if tbk.Culprit != cands[0].ID {
-		t.Fatalf("culprit = %q, want %q", tbk.Culprit, cands[0].ID)
-	}
-
-	start = time.Now()
-	for _, c := range cands {
-		if _, err := fw.Detect(suspect, c.Provenance, c.Key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	detectDur := time.Since(start)
-
-	if tracebackDur*2 > detectDur {
-		t.Errorf("traceback over 50 = %v vs 50 independent detects = %v; want >= 2x speedup", tracebackDur, detectDur)
-	}
-}
-
 func BenchmarkDetectUnderAttack20k(b *testing.B) {
 	fw, p, key := protectedFixture(b)
 	attacked := p.Table.Clone()

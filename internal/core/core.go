@@ -300,6 +300,10 @@ func paramsFromProvenance(prov Provenance, key crypt.WatermarkKey) (watermark.Pa
 	if err != nil {
 		return watermark.Params{}, fmt.Errorf("core: provenance mark: %w: %w", err, ErrBadProvenance)
 	}
+	if mark.Len() < 1 || prov.Duplication < 1 {
+		return watermark.Params{}, fmt.Errorf("core: provenance needs a non-empty mark and duplication >= 1, got %d bits, duplication %d: %w",
+			mark.Len(), prov.Duplication, ErrBadProvenance)
+	}
 	return watermark.Params{
 		Key:                    key,
 		Mark:                   mark,
@@ -326,8 +330,8 @@ func (f *Framework) Detect(tbl *relation.Table, prov Provenance, key crypt.Water
 }
 
 // DetectContext is Detect under a context: DetectStream over tbl as a
-// single segment, so its vote-harvesting scan aborts promptly with the
-// context's error on cancellation.
+// single segment, so its selection scan and vote walk abort promptly
+// with the context's error on cancellation.
 func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) (*Detection, error) {
 	det, err := f.DetectStream(ctx, &relation.OneSegment{Table: tbl}, prov, key)
 	if err != nil {

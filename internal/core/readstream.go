@@ -14,14 +14,17 @@ import (
 )
 
 // This file is the one read path of the pipeline: detection and
-// traceback over a Segments source. DetectContext and TracebackContext
-// run these loops over their table as a single segment. The voting
-// walks of Figure 9 are segmentation-safe — every vote carries integer
-// weight 1 and lands on a position derived only from the tuple's
-// encrypted identifier — so per-segment walks accumulated into one
-// persistent vote board, folded once at end-of-stream, give the same
-// verdict for every segmentation while the resident row set stays
-// bounded by the segment size.
+// traceback over a Segments source share one segment loop, readVotes.
+// DetectStream is that loop over one candidate; DetectContext and
+// TracebackContext run it over their table as a single segment. Per
+// segment the loop prepares the suspect once per signature group,
+// selects once per (K1, η) within a group and walks each candidate's
+// selection into that candidate's persistent vote board; boards fold
+// once at end of stream. The voting walks of Figure 9 are
+// segmentation-safe — every vote carries integer weight 1 and lands on
+// a position derived only from the tuple's encrypted identifier — so
+// the verdict is the same for every segmentation while the resident row
+// set stays bounded by the segment size.
 
 // DetectStreamed is DetectStream's report: the Detection verdict plus
 // ingest counters.
@@ -32,13 +35,14 @@ type DetectStreamed struct {
 }
 
 // DetectStream recovers the mark from a suspect table consumed
-// segment-at-a-time: each segment's per-distinct-value verdict tables
-// are built, its votes harvested into one persistent replicated board,
-// and the segment dropped — so peak memory is bounded by the segment
-// size, not the suspect size. The recovered mark, confidences,
+// segment-at-a-time: it is the traceback loop over one candidate, so
+// each segment is prepared, selected and walked into one persistent
+// replicated board, then dropped — peak memory is bounded by the
+// segment size, not the suspect size. The recovered mark, confidences,
 // statistics and match verdict are bit-identical to watermark.Detect
 // over the concatenation of the segments, for every segment size and
-// worker count.
+// worker count. A suspect that lacks the identifying column or a
+// watermarked column is refused with ErrBadSchema.
 func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provenance, key crypt.WatermarkKey) (*DetectStreamed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -60,38 +64,14 @@ func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provena
 	if err != nil {
 		return nil, err
 	}
-	params.Workers = f.cfg.Workers
-	accum, err := watermark.NewDetectAccum(prov.IdentCol, columns, params)
-	if err != nil {
-		return nil, err
-	}
-
+	r := newReader("core: detect", "", prov, key, columns, params)
 	out := &DetectStreamed{}
-	for {
-		seg, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading segment %d: %w", out.Segments, err)
-		}
-		if err := accum.AddContext(ctx, seg); err != nil {
-			return nil, err
-		}
-		out.Rows += seg.NumRows()
-		out.Segments++
-		reportProgress(ctx, Progress{Stage: "detect", Done: out.Rows})
-	}
-
-	res, err := accum.Result()
-	if err != nil {
+	if out.Rows, out.Segments, err = f.readVotes(ctx, src, []*reader{r}, "detect"); err != nil {
 		return nil, err
 	}
-	loss, err := params.Mark.LossFraction(res.Mark)
-	if err != nil {
+	if out.Detection, err = r.detection(f.cfg.LossThreshold); err != nil {
 		return nil, err
 	}
-	out.Detection = Detection{Result: res, MarkLoss: loss, Match: loss <= f.cfg.LossThreshold}
 	return out, nil
 }
 
@@ -104,14 +84,12 @@ type TracebackStreamed struct {
 }
 
 // TracebackStream ranks the registered recipients against a suspect
-// consumed segment-at-a-time. Per segment it rebuilds the shared
-// suspect-side state — one verdict-table set per distinct
-// frontier/policy group, one Equation (5) selection per distinct
-// (K1, η) pair — then walks every candidate's votes into that
-// candidate's persistent replicated board. Boards fold once at
-// end-of-stream, so resident state between segments is |candidates|
-// boards of |wmd| positions while the verdict tables and selections
-// stay segment-bounded.
+// consumed segment-at-a-time through readVotes: the suspect-side state
+// — one verdict-table set per distinct frontier/policy group, one
+// Equation (5) selection per distinct (K1, η) pair — is rebuilt per
+// segment and shared, and every candidate's votes are walked into that
+// candidate's persistent replicated board. Resident state between
+// segments is |candidates| boards of |wmd| positions.
 //
 // Verdicts, ranking, culprit and match ratios are the same for every
 // segment size and worker count, and each verdict is bit-identical to
@@ -126,111 +104,150 @@ func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidate
 	if err := validateCandidates(candidates); err != nil {
 		return nil, err
 	}
-
-	// Persistent per-candidate state (parameters, group signature,
-	// selection key, vote board, counters) plus one spec set and one
-	// representative candidate per distinct suspect signature.
-	params := make([]watermark.Params, len(candidates))
-	sigs := make([]string, len(candidates))
-	selKeys := make([]string, len(candidates))
-	boards := make([]*bitstr.VoteBoard, len(candidates))
-	stats := make([]watermark.DetectStats, len(candidates))
+	readers := make([]*reader, len(candidates))
 	columnsOf := make(map[string]map[string]watermark.ColumnSpec)
-	repOf := make(map[string]int)
 	for i, c := range candidates {
-		p, err := paramsFromProvenance(c.Provenance, c.Key)
+		label := fmt.Sprintf("core: candidate %q", c.ID)
+		params, err := paramsFromProvenance(c.Provenance, c.Key)
 		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", c.ID, err)
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		params[i] = p
-		sigs[i] = suspectSignature(c.Provenance)
-		selKeys[i] = string(c.Key.K1) + "\x00" + strconv.FormatUint(c.Key.Eta, 10)
-		boards[i] = bitstr.NewVoteBoard(p.WmdLen())
-		if _, ok := repOf[sigs[i]]; !ok {
-			columns, err := f.SpecsFromProvenance(c.Provenance)
-			if err != nil {
-				return nil, fmt.Errorf("core: candidate %q: %w", c.ID, err)
+		// Candidates with equal signatures share one spec set and, per
+		// segment, one prepared suspect.
+		sig := suspectSignature(c.Provenance)
+		columns, ok := columnsOf[sig]
+		if !ok {
+			if columns, err = f.SpecsFromProvenance(c.Provenance); err != nil {
+				return nil, fmt.Errorf("%s: %w", label, err)
 			}
-			columnsOf[sigs[i]] = columns
-			repOf[sigs[i]] = i
+			columnsOf[sig] = columns
 		}
+		readers[i] = newReader(label, sig, c.Provenance, c.Key, columns, params)
 	}
 
 	out := &TracebackStreamed{}
-	for {
-		seg, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading segment %d: %w", out.Segments, err)
-		}
-		// Segment-scoped shared state: verdict tables per group,
-		// selections per distinct (K1, η) within a group.
-		states := make(map[string]*watermark.Suspect, len(repOf))
-		for sig, rep := range repOf {
-			c := candidates[rep]
-			state, err := watermark.PrepareSuspectContext(ctx, seg, c.Provenance.IdentCol, columnsOf[sig],
-				params[rep].BoundaryPermutation, params[rep].WeightedVoting, f.cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("core: candidate %q: %w: %w", c.ID, err, ErrBadSchema)
-			}
-			states[sig] = state
-		}
-		sels := make(map[string]map[string]*watermark.Selection, len(repOf))
-		for i, c := range candidates {
-			m := sels[sigs[i]]
-			if m == nil {
-				m = make(map[string]*watermark.Selection)
-				sels[sigs[i]] = m
-			}
-			if _, ok := m[selKeys[i]]; !ok {
-				sel, err := states[sigs[i]].SelectContext(ctx, c.Key.K1, c.Key.Eta, f.cfg.Workers)
-				if err != nil {
-					return nil, err
-				}
-				m[selKeys[i]] = sel
-			}
-		}
-		// The per-candidate vote walks fan out over the pool: each
-		// candidate owns its board and counters, so worker count cannot
-		// change the tallies.
-		err = pool.ForEachCtx(ctx, f.cfg.Workers, len(candidates), func(i int) error {
-			if err := states[sigs[i]].AccumulateContext(ctx, sels[sigs[i]][selKeys[i]], params[i], boards[i], &stats[i]); err != nil {
-				return fmt.Errorf("core: candidate %q: %w", candidates[i].ID, err)
-			}
-			return nil
-		})
+	var err error
+	if out.Rows, out.Segments, err = f.readVotes(ctx, src, readers, "traceback"); err != nil {
+		return nil, err
+	}
+	verdicts := make([]TracebackVerdict, len(candidates))
+	for i, r := range readers {
+		d, err := r.detection(f.cfg.LossThreshold)
 		if err != nil {
 			return nil, err
 		}
-		out.Rows += seg.NumRows()
-		out.Segments++
-		reportProgress(ctx, Progress{Stage: "traceback", Done: out.Rows})
-	}
-
-	// Fold each candidate's accumulated board into its verdict.
-	verdicts := make([]TracebackVerdict, len(candidates))
-	for i, c := range candidates {
-		folded, err := boards[i].FoldInto(params[i].Mark.Len())
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", c.ID, err)
-		}
-		mark := folded.Resolve()
-		loss, err := params[i].Mark.LossFraction(mark)
-		if err != nil {
-			return nil, fmt.Errorf("core: candidate %q: %w", c.ID, err)
-		}
 		verdicts[i] = TracebackVerdict{
-			RecipientID: c.ID,
-			Mark:        mark.String(),
-			MarkLoss:    loss,
-			MatchRatio:  1 - loss,
-			Match:       loss <= f.cfg.LossThreshold,
-			Confidence:  meanConfidence(folded.Confidence()),
-			VotesCast:   stats[i].VotesCast,
+			RecipientID: candidates[i].ID,
+			Mark:        d.Result.Mark.String(),
+			MarkLoss:    d.MarkLoss,
+			MatchRatio:  1 - d.MarkLoss,
+			Match:       d.Match,
+			Confidence:  meanConfidence(d.Result.Confidence),
+			VotesCast:   d.Result.Stats.VotesCast,
 		}
 	}
 	out.Traceback = *rankVerdicts(verdicts)
 	return out, nil
+}
+
+// reader is one candidate of the read loop: its walk parameters, the
+// grouping keys of the suspect-side state it shares, and the vote board
+// and counters it accumulates across segments.
+type reader struct {
+	label    string // error prefix
+	identCol string
+	columns  map[string]watermark.ColumnSpec
+	params   watermark.Params
+	sel      selGroup
+	board    *bitstr.VoteBoard
+	stats    watermark.DetectStats
+}
+
+// selGroup keys the readers that share one selection: sig groups the
+// readers that share one prepared suspect (equal specs, identifying
+// column and policy) and key, within a group, the (K1, η) pair.
+type selGroup struct{ sig, key string }
+
+func newReader(label, sig string, prov Provenance, key crypt.WatermarkKey, columns map[string]watermark.ColumnSpec, params watermark.Params) *reader {
+	return &reader{
+		label:    label,
+		identCol: prov.IdentCol,
+		columns:  columns,
+		params:   params,
+		sel:      selGroup{sig: sig, key: strconv.FormatUint(key.Eta, 10) + "\x00" + string(key.K1)},
+		board:    bitstr.NewVoteBoard(params.WmdLen()),
+	}
+}
+
+// detection folds the reader's board into its verdict.
+func (r *reader) detection(lossThreshold float64) (Detection, error) {
+	res, err := watermark.FoldVotes(r.board, r.params, r.stats)
+	if err != nil {
+		return Detection{}, fmt.Errorf("%s: %w", r.label, err)
+	}
+	loss, err := r.params.Mark.LossFraction(res.Mark)
+	if err != nil {
+		return Detection{}, fmt.Errorf("%s: %w", r.label, err)
+	}
+	return Detection{Result: res, MarkLoss: loss, Match: loss <= lossThreshold}, nil
+}
+
+// readVotes is the one read-side segment loop. Readers are grouped
+// once: one prepared suspect per signature, one selection per
+// (signature, K1, η). Per segment each group is prepared and each
+// selection made once, in reader order, then every reader's walk runs
+// over the pool — each reader owns its board and counters, so the
+// worker count cannot change the tallies. It returns the rows and
+// segments consumed.
+func (f *Framework) readVotes(ctx context.Context, src Segments, readers []*reader, stage string) (rows, segments int, err error) {
+	groupOf, selOf := make([]int, len(readers)), make([]int, len(readers))
+	groups, sels := make(map[string]int), make(map[selGroup]int)
+	for i, r := range readers {
+		if _, ok := groups[r.sel.sig]; !ok {
+			groups[r.sel.sig] = len(groups)
+		}
+		if _, ok := sels[r.sel]; !ok {
+			sels[r.sel] = len(sels)
+		}
+		groupOf[i], selOf[i] = groups[r.sel.sig], sels[r.sel]
+	}
+	for {
+		seg, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return rows, segments, nil
+		}
+		if err != nil {
+			return rows, segments, fmt.Errorf("core: reading segment %d: %w", segments, err)
+		}
+		suspects := make([]*watermark.Suspect, len(groups))
+		selections := make([]*watermark.Selection, len(sels))
+		for i, r := range readers {
+			g, s := groupOf[i], selOf[i]
+			if suspects[g] == nil {
+				suspects[g], err = watermark.PrepareSuspectContext(ctx, seg, r.identCol, r.columns,
+					r.params.BoundaryPermutation, r.params.WeightedVoting, f.cfg.Workers)
+				if err != nil {
+					return rows, segments, fmt.Errorf("%s: %w: %w", r.label, err, ErrBadSchema)
+				}
+			}
+			if selections[s] == nil {
+				if selections[s], err = suspects[g].SelectContext(ctx, r.params.Key.K1, r.params.Key.Eta, f.cfg.Workers); err != nil {
+					return rows, segments, err
+				}
+			}
+		}
+		err = pool.ForEachCtx(ctx, f.cfg.Workers, len(readers), func(i int) error {
+			r := readers[i]
+			if err := suspects[groupOf[i]].AccumulateContext(ctx, selections[selOf[i]], r.params, r.board, &r.stats); err != nil {
+				return fmt.Errorf("%s: %w", r.label, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return rows, segments, err
+		}
+		rows += seg.NumRows()
+		segments++
+		reportProgress(ctx, Progress{Stage: stage, Done: rows})
+	}
 }

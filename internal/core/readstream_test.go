@@ -258,7 +258,28 @@ func TestReadStreamValidation(t *testing.T) {
 	if _, err := fw.DetectStream(context.Background(), prot.Table.Segments(0), badProv, key); !errors.Is(err, ErrBadSchema) {
 		t.Errorf("bad ident column: %v", err)
 	}
+	// A suspect missing a watermarked column is a schema mismatch on
+	// every read entry point, not a bare relation error.
+	var kept []relation.Column
+	for _, col := range prot.Table.Schema().Columns() {
+		if col.Name != "age" {
+			kept = append(kept, col)
+		}
+	}
+	noAge, err := prot.Table.Project(relation.MustSchema(kept...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.DetectStream(context.Background(), noAge.Segments(0), prot.Provenance, key); !errors.Is(err, ErrBadSchema) {
+		t.Errorf("detect stream, suspect without a watermarked column: %v", err)
+	}
+	if _, err := fw.Detect(noAge, prot.Provenance, key); !errors.Is(err, ErrBadSchema) {
+		t.Errorf("detect, suspect without a watermarked column: %v", err)
+	}
 	cand := Candidate{ID: "a", Provenance: prot.Provenance, Key: key}
+	if _, err := fw.TracebackStream(context.Background(), noAge.Segments(0), []Candidate{cand}); !errors.Is(err, ErrBadSchema) {
+		t.Errorf("traceback stream, suspect without a watermarked column: %v", err)
+	}
 	if _, err := fw.TracebackStream(context.Background(), nil, []Candidate{cand}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("nil traceback source: %v", err)
 	}

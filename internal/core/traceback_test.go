@@ -178,6 +178,43 @@ func TestTracebackMatchesIndependentDetect(t *testing.T) {
 	}
 }
 
+// TestTracebackSelectionPerKey covers candidates that share one
+// prepared suspect but not one selection: under the same provenance,
+// keys with other (K1, η) pairs must each get their own Equation (5)
+// selection, so every verdict still equals an independent detect.
+func TestTracebackSelectionPerKey(t *testing.T) {
+	fw, results := fingerprintFixture(t, 0, "hospital-a", "hospital-b")
+	cands := candidatesOf(results)
+	prov := results[1].Protected.Provenance
+	cands = append(cands,
+		Candidate{ID: "other-k1", Provenance: prov, Key: crypt.RecipientWatermarkKey("another secret", "hospital-b", 20)},
+		Candidate{ID: "other-eta", Provenance: prov, Key: crypt.RecipientWatermarkKey(tracebackSecret, "hospital-b", 7)})
+	leak := results[1].Protected.Table
+
+	tb, err := fw.Traceback(leak, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]Candidate{}
+	for _, c := range cands {
+		byID[c.ID] = c
+	}
+	for _, v := range tb.Verdicts {
+		c := byID[v.RecipientID]
+		det, err := fw.Detect(leak, c.Provenance, c.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Mark != det.Result.Mark.String() || v.VotesCast != det.Result.Stats.VotesCast {
+			t.Errorf("candidate %s: traceback mark %s (%d votes) != detect mark %s (%d votes)",
+				v.RecipientID, v.Mark, v.VotesCast, det.Result.Mark, det.Result.Stats.VotesCast)
+		}
+	}
+	if tb.Culprit != "hospital-b" {
+		t.Errorf("culprit = %q, want hospital-b", tb.Culprit)
+	}
+}
+
 // TestTracebackWorkersDeterministic locks the ranked report across
 // worker counts.
 func TestTracebackWorkersDeterministic(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/ontology"
 	"repro/internal/registry"
+	"repro/internal/relation"
 )
 
 // This file covers the read side of the streaming surface: text/csv
@@ -243,6 +244,45 @@ func TestHTTPDetectStreamErrors(t *testing.T) {
 				t.Fatalf("message %q, want %q", envelope.Error.Message, tc.want)
 			}
 		})
+	}
+}
+
+// TestHTTPDetectMissingColumn: a suspect that lacks a watermarked
+// column is the client's schema mismatch — 400 bad_schema, not a 500.
+func TestHTTPDetectMissingColumn(t *testing.T) {
+	ts := testServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
+	tbl := testTable(t, 200)
+	key := crypt.NewWatermarkKeyFromSecret("missing column secret", 25)
+	fw, err := core.New(ontology.Trees(), core.Config{K: 15, AutoEpsilon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := fw.Protect(tbl, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []relation.Column
+	for _, col := range prot.Table.Schema().Columns() {
+		if col.Name != "age" {
+			kept = append(kept, col)
+		}
+	}
+	noAge, err := prot.Table.Project(relation.MustSchema(kept...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := api.EncodeTable(noAge, api.OutputRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, raw := postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{
+		Table:      wire,
+		Provenance: prot.Provenance,
+		Key:        api.Key{Secret: "missing column secret", Eta: 25},
+	}, nil)
+	var envelope api.ErrorResponse
+	if err := json.Unmarshal(raw, &envelope); err != nil || status != http.StatusBadRequest || envelope.Error.Code != api.CodeBadSchema {
+		t.Fatalf("detect without a watermarked column: %d\n%s", status, raw)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/bitstr"
-	"repro/internal/crypt"
 	"repro/internal/pool"
 	"repro/internal/relation"
 )
@@ -21,8 +20,8 @@ type cellVerdict struct {
 
 // detectPlan precomputes one column's per-code verdicts: the detection
 // walk is a pure function of the cell value, so it runs once per
-// distinct dictionary entry and the row scan reduces to integer lookups
-// plus vote accumulation.
+// distinct dictionary entry and the walk over the selected tuples
+// reduces to integer lookups plus vote accumulation.
 type detectPlan struct {
 	colKey   []byte // the column name's bytes, an H input
 	idx      int
@@ -47,122 +46,38 @@ func Detect(tbl *relation.Table, identCol string, columns map[string]ColumnSpec,
 	return DetectContext(context.Background(), tbl, identCol, columns, p)
 }
 
-// DetectContext is Detect under a context: shards poll ctx at
-// pool.CtxStride row boundaries, so a long scan over a large suspect
-// table aborts promptly with the context's error when the caller's
-// deadline expires or the request is cancelled.
+// DetectContext is Detect under a context: prepare the suspect, select
+// under (K1, η), accumulate the votes of the selected tuples, fold. The
+// selection scan and the walk poll ctx every pool.CtxStride rows, so a
+// long detection over a large suspect table aborts promptly with the
+// context's error when the caller's deadline expires or the request is
+// cancelled.
 func DetectContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
-	var res DetectResult
 	if err := p.validate(); err != nil {
-		return res, err
+		return DetectResult{}, err
 	}
-	identIdx := -1
-	if !p.UseVirtualIdent {
-		var err error
-		if identIdx, err = tbl.Schema().Index(identCol); err != nil {
-			return res, err
-		}
-	}
-	plans, err := buildDetectPlans(ctx, tbl, columns, p)
+	s, err := prepareSuspect(ctx, tbl, identCol, columns, p)
 	if err != nil {
-		return res, err
+		return DetectResult{}, err
 	}
-	cols := sortColumns(columns)
-	var vkeys *virtualKeys
-	if p.UseVirtualIdent {
-		idxs := make([]int, len(cols))
-		specs := make([]ColumnSpec, len(cols))
-		for i, col := range cols {
-			idxs[i] = plans[i].idx
-			specs[i] = columns[col]
-		}
-		vkeys = buildVirtualKeys(tbl, idxs, specs)
-	}
-
 	board := bitstr.NewVoteBoard(p.wmdLen())
-	if err := scanVotes(ctx, tbl, identIdx, vkeys, plans, p, board, &res.Stats); err != nil {
-		return res, err
+	var stats DetectStats
+	if err := s.walk(ctx, p, board, &stats); err != nil {
+		return DetectResult{}, err
 	}
-
-	folded, err := board.FoldInto(p.Mark.Len())
-	if err != nil {
-		return res, err
-	}
-	res.Mark = folded.Resolve()
-	res.Confidence = folded.Confidence()
-	return res, nil
-}
-
-// scanVotes shards tbl's rows into contiguous ranges, harvests
-// Equation (5) votes on per-shard boards, then merges boards and
-// counters in shard order into the caller's board and stats. All vote
-// weights are integer-valued, so the merged tallies — and hence the
-// recovered mark and confidences — are bit-identical to the sequential
-// accumulation for any worker count. It is the shared scan of
-// DetectContext (one whole table) and DetectAccum (one segment at a
-// time); vkeys is nil unless Params.UseVirtualIdent is set.
-func scanVotes(ctx context.Context, tbl *relation.Table, identIdx int, vkeys *virtualKeys, plans []detectPlan, p Params, board *bitstr.VoteBoard, stats *DetectStats) error {
-	prf1 := crypt.NewPRF(p.Key.K1)
-	prf2 := crypt.NewPRF(p.Key.K2)
-	chunks := pool.Chunks(p.Workers, tbl.NumRows())
-	shardBoards := make([]*bitstr.VoteBoard, len(chunks))
-	shardStats := make([]DetectStats, len(chunks))
-	err := pool.ForEachChunkCtx(ctx, p.Workers, tbl.NumRows(), func(si, lo, hi int) error {
-		shardBoard := bitstr.NewVoteBoard(p.wmdLen())
-		shard := &shardStats[si]
-		var identBuf []byte // reused across rows; PRF calls do not retain it
-		for row := lo; row < hi; row++ {
-			if err := pool.CtxAt(ctx, row-lo); err != nil {
-				return err
-			}
-			var ident []byte
-			if p.UseVirtualIdent {
-				ident = vkeys.identOf(tbl, row)
-			} else {
-				identBuf = append(identBuf[:0], tbl.CellAt(row, identIdx)...)
-				ident = identBuf
-			}
-			if !prf1.Selects(ident, p.Key.Eta) {
-				continue
-			}
-			shard.TuplesSelected++
-			for pi := range plans {
-				plan := &plans[pi]
-				v := &plan.verdicts[tbl.CodeAt(row, plan.idx)]
-				shard.BitsRead += v.read
-				if !v.ok {
-					shard.SkippedCells++
-					continue
-				}
-				pos := p.positionOf(prf2, ident, plan.colKey)
-				shardBoard.Vote(pos, v.bit, 1)
-				shard.VotesCast++
-			}
-		}
-		shardBoards[si] = shardBoard
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for si := range chunks {
-		if err := board.Merge(shardBoards[si]); err != nil {
-			return err
-		}
-		stats.add(shardStats[si])
-	}
-	return nil
+	return FoldVotes(board, p, stats)
 }
 
 // DetectAccum accumulates detection votes segment-at-a-time: one
 // replicated vote board shared across segments, folded once at the end.
-// Segments arrive in row order and scanVotes merges its shards in row
-// order, so the accumulated tallies — and hence the recovered mark,
-// confidences and statistics — are bit-identical to DetectContext over
-// the materialized concatenation of the segments, for every segment
-// size and worker count. Resident state between segments is the board
-// (|wmd| positions) plus the counters; the per-segment verdict tables
-// are rebuilt over each segment's compact dictionaries and dropped.
+// Each AddContext is DetectContext's prepare, select and accumulate over
+// one segment. Segments arrive in row order and every vote carries
+// integer weight, so the recovered mark, confidences and statistics are
+// bit-identical to DetectContext over the materialized concatenation of
+// the segments, for every segment size and worker count. The streamed
+// detection of internal/core walks prepared suspects directly;
+// DetectAccum stays as the one-call form that medbench's leak replay
+// times.
 type DetectAccum struct {
 	identCol string
 	columns  map[string]ColumnSpec
@@ -189,38 +104,25 @@ func NewDetectAccum(identCol string, columns map[string]ColumnSpec, p Params) (*
 	}, nil
 }
 
-// AddContext harvests one segment's votes into the accumulator: build
-// the segment's per-distinct-value verdict tables, then run the shared
-// sharded scan into the persistent board.
+// AddContext harvests one segment's votes into the accumulator.
 func (a *DetectAccum) AddContext(ctx context.Context, seg *relation.Table) error {
-	identIdx, err := seg.Schema().Index(a.identCol)
+	s, err := prepareSuspect(ctx, seg, a.identCol, a.columns, a.p)
 	if err != nil {
 		return err
 	}
-	plans, err := buildDetectPlans(ctx, seg, a.columns, a.p)
-	if err != nil {
-		return err
-	}
-	return scanVotes(ctx, seg, identIdx, nil, plans, a.p, a.board, &a.stats)
+	return s.walk(ctx, a.p, a.board, &a.stats)
 }
 
 // Result folds the replicated tallies into the recovered mark — the
 // same final step DetectContext performs. The accumulator remains
 // usable: further AddContext calls keep accumulating.
 func (a *DetectAccum) Result() (DetectResult, error) {
-	res := DetectResult{Stats: a.stats}
-	folded, err := a.board.FoldInto(a.p.Mark.Len())
-	if err != nil {
-		return res, err
-	}
-	res.Mark = folded.Resolve()
-	res.Confidence = folded.Confidence()
-	return res, nil
+	return FoldVotes(a.board, a.p, a.stats)
 }
 
 // buildDetectPlans precomputes the per-column verdict tables: the
 // detection walk is a pure function of the cell value, so it runs once
-// per distinct dictionary entry and the row scan reduces to integer
+// per distinct dictionary entry and the walk reduces to integer
 // lookups plus vote accumulation. Columns are built in parallel over the
 // worker pool — each table is written by exactly one worker and the
 // result slice is ordered by the canonical column order, so the outcome

@@ -16,7 +16,7 @@ import (
 type embedPrelude struct {
 	// err is the resolution/frontier error of the value; it is raised
 	// only when a *selected* tuple carries this code — unselected tuples
-	// never error, exactly like the per-row scan.
+	// never error.
 	err error
 	// boundary marks the §5.1 case: the ultimate node is itself maximal.
 	boundary bool
@@ -40,8 +40,8 @@ type embedPlan struct {
 }
 
 // buildEmbedPlan pre-interns every value embedding can write (ultimate
-// frontier members and boundary sets) so the sharded writers below touch
-// only code vectors, then computes the per-code preludes.
+// frontier members and boundary sets) so the walk touches only code
+// vectors, then computes the per-code preludes.
 func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, boundaryPermutation bool) embedPlan {
 	plan := embedPlan{col: col, colKey: []byte(col), idx: ci, spec: spec}
 	tree := spec.Tree
@@ -99,169 +99,117 @@ func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, bo
 // (DESIGN.md deviation 2).
 //
 // The value-dependent half of the walk (resolution, frontier checks,
-// boundary sets) is planned once per distinct dictionary entry; the
-// per-tuple half (PRF selection, the keyed descent) runs on integer
-// codes, and shards write disjoint rows of the code vectors only.
+// boundary sets) is planned once per distinct dictionary entry. The
+// Equation (5) selection is sharded over Params.Workers; the keyed
+// descent then walks the selected rows in order on integer codes.
 //
-// On success the embedded table is byte-identical for every
-// Params.Workers value. On error the table is left partially mutated —
-// as with the sequential scan — but *which* rows were already marked
-// depends on the worker count; callers must discard the table when
+// The embedded table is byte-identical for every Params.Workers value.
+// On error the table is left partially mutated (the rows before the
+// first bad cell are marked); callers must discard the table when
 // Embed fails (Protect embeds into a throwaway clone for this reason).
 func Embed(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
 	return EmbedContext(context.Background(), tbl, identCol, columns, p)
 }
 
-// EmbedContext is Embed under a context: shards poll ctx at
-// pool.CtxStride row boundaries and the run aborts with the context's
-// error. A cancelled embed leaves the table partially mutated, exactly
-// like an embed that failed on a bad row — callers must discard it.
+// EmbedContext is Embed under a context: plan the columns, select
+// under (K1, η), then walk the selected rows. The selection scan and the
+// walk poll ctx every pool.CtxStride rows and the run aborts with the
+// context's error. A cancelled embed leaves the table partially
+// mutated, exactly like an embed that failed on a bad row — callers
+// must discard it.
+//
+// Under Params.UseVirtualIdent the selection carries each selected
+// tuple's virtual key, taken before any cell is written; embedding
+// never changes a maximal cover, so the keys equal those a detector
+// derives from the marked table.
 func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
-	var stats EmbedStats
-	if err := p.validate(); err != nil {
-		return stats, err
-	}
-	if len(columns) == 0 {
-		return stats, fmt.Errorf("watermark: no columns to embed into")
-	}
 	identIdx := -1
 	if !p.UseVirtualIdent {
 		var err error
 		if identIdx, err = tbl.Schema().Index(identCol); err != nil {
-			return stats, err
+			return EmbedStats{}, err
 		}
 	}
-	cols := sortColumns(columns)
-	plans := make([]embedPlan, len(cols))
-	for i, col := range cols {
-		spec := columns[col]
-		if err := spec.validate(col); err != nil {
-			return stats, err
-		}
-		ci, err := tbl.Schema().Index(col)
-		if err != nil {
-			return stats, err
-		}
-		plans[i] = buildEmbedPlan(tbl, col, ci, spec, p.BoundaryPermutation)
+	plans, err := buildEmbedPlans(tbl, columns, p)
+	if err != nil {
+		return EmbedStats{}, err
 	}
 	var vkeys *virtualKeys
 	if p.UseVirtualIdent {
-		idxs := make([]int, len(plans))
-		specs := make([]ColumnSpec, len(plans))
-		for i := range plans {
-			idxs[i], specs[i] = plans[i].idx, plans[i].spec
+		if vkeys, err = buildVirtualKeys(tbl, columns); err != nil {
+			return EmbedStats{}, err
 		}
-		vkeys = buildVirtualKeys(tbl, idxs, specs)
 	}
-
-	prf1 := crypt.NewPRF(p.Key.K1)
-	prf2 := crypt.NewPRF(p.Key.K2)
-	wmd := p.Mark.Duplicate(p.Duplication)
-
-	// Shard the tuples into contiguous row ranges and embed each range on
-	// its own goroutine: every row touches only its own cells (the §5.3
-	// virtual key, too, is derived from the row itself), and all values a
-	// shard can write were interned by the plans above, so the shards are
-	// disjoint writers on the code vectors. Per-shard statistics are
-	// summed in shard order, and the error of the lowest failing shard —
-	// whose scan stops at its first bad row, like the sequential loop —
-	// is the one reported.
-	shardStats := make([]EmbedStats, len(pool.Chunks(p.Workers, tbl.NumRows())))
-	err := pool.ForEachChunkCtx(ctx, p.Workers, tbl.NumRows(), func(si, lo, hi int) error {
-		shard := &shardStats[si]
-		var identBuf []byte // reused across rows; PRF calls do not retain it
-		for row := lo; row < hi; row++ {
-			if err := pool.CtxAt(ctx, row-lo); err != nil {
-				return err
-			}
-			var ident []byte
-			if p.UseVirtualIdent {
-				ident = vkeys.identOf(tbl, row)
-			} else {
-				identBuf = append(identBuf[:0], tbl.CellAt(row, identIdx)...)
-				ident = identBuf
-			}
-			if !prf1.Selects(ident, p.Key.Eta) {
-				continue
-			}
-			shard.TuplesSelected++
-			for pi := range plans {
-				plan := &plans[pi]
-				code := tbl.CodeAt(row, plan.idx)
-				newCode, embedded, err := embedCode(plan, code, prf2, ident, wmd.Get(p.positionOf(prf2, ident, plan.colKey)))
-				if err != nil {
-					return fmt.Errorf("watermark: row %d column %s: %w", row, plan.col, err)
-				}
-				shard.BitsEmbedded += embedded
-				if embedded == 0 {
-					shard.ZeroBandwidth++
-				}
-				if newCode != code {
-					tbl.SetCodeAt(row, plan.idx, newCode)
-					shard.CellsChanged++
-				}
-			}
-		}
-		return nil
-	})
-	for _, s := range shardStats {
-		stats.add(s)
-	}
+	sel, err := selectTuples(ctx, tbl, identIdx, vkeys, p.Key.K1, p.Key.Eta, p.Workers)
 	if err != nil {
-		return stats, err
+		return EmbedStats{}, err
 	}
-	return stats, nil
+	return embedSelected(ctx, tbl, sel, plans, p)
 }
 
 // EmbedSelectedContext is EmbedContext with the Equation (5) selection
-// precomputed: it walks only the selected rows instead of re-running
-// the full-table PRF scan. The embedded table and the statistics are
-// byte-identical to EmbedContext under the same parameters — the
-// selection is a pure function of (identifier, K1, η), and the walk of
-// each selected cell depends only on the identifier, K2 and the mark
-// bit. This is the per-recipient step of the fingerprint fan-out: one
-// SelectForEmbedContext scan serves every recipient key sharing K1 and
-// η, collapsing each embed to a walk over the few selected rows.
+// precomputed by SelectForEmbedContext. The selection is a pure
+// function of (identifier, K1, η), and the walk of each selected cell
+// depends only on the identifier, K2 and the mark bit, so this is the
+// per-recipient step of the fingerprint fan-out: one selection serves
+// every recipient key sharing K1 and η, collapsing each embed to a walk
+// over the few selected rows.
 //
 // The selection must have been computed over a table whose identifying
 // column matches tbl's (the fan-out embeds into clones of the table it
 // selected over); row indices are trusted. Virtual-identifier
-// embedding stays on the plain EmbedContext path.
+// embedding goes through EmbedContext.
 func EmbedSelectedContext(ctx context.Context, tbl *relation.Table, sel *Selection, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
-	var stats EmbedStats
-	if err := p.validate(); err != nil {
-		return stats, err
-	}
 	if p.UseVirtualIdent {
-		return stats, fmt.Errorf("watermark: virtual-identifier embedding is not supported over a precomputed selection")
-	}
-	if len(columns) == 0 {
-		return stats, fmt.Errorf("watermark: no columns to embed into")
+		return EmbedStats{}, fmt.Errorf("watermark: virtual-identifier embedding is not supported over a precomputed selection")
 	}
 	if sel.k1 != string(p.Key.K1) || sel.eta != p.Key.Eta {
-		return stats, fmt.Errorf("watermark: selection was computed under a different (K1, eta) than the embedding key")
+		return EmbedStats{}, fmt.Errorf("watermark: selection was computed under a different (K1, eta) than the embedding key")
+	}
+	plans, err := buildEmbedPlans(tbl, columns, p)
+	if err != nil {
+		return EmbedStats{}, err
+	}
+	return embedSelected(ctx, tbl, sel, plans, p)
+}
+
+// buildEmbedPlans validates the parameters and the column specs and
+// plans every column in canonical order.
+func buildEmbedPlans(tbl *relation.Table, columns map[string]ColumnSpec, p Params) ([]embedPlan, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	if len(columns) == 0 {
+		return nil, fmt.Errorf("watermark: no columns to embed into")
 	}
 	cols := sortColumns(columns)
 	plans := make([]embedPlan, len(cols))
 	for i, col := range cols {
 		spec := columns[col]
 		if err := spec.validate(col); err != nil {
-			return stats, err
+			return nil, err
 		}
 		ci, err := tbl.Schema().Index(col)
 		if err != nil {
-			return stats, err
+			return nil, err
 		}
 		plans[i] = buildEmbedPlan(tbl, col, ci, spec, p.BoundaryPermutation)
 	}
+	return plans, nil
+}
 
+// embedSelected is the Permutate walk over the selected rows: every
+// value it can write was interned by the plans, so it touches only the
+// code vectors. It stops at the first bad cell.
+func embedSelected(ctx context.Context, tbl *relation.Table, sel *Selection, plans []embedPlan, p Params) (EmbedStats, error) {
+	var stats EmbedStats
 	prf2 := crypt.NewPRF(p.Key.K2)
 	wmd := p.Mark.Duplicate(p.Duplication)
 	for i, row := range sel.rows {
 		if err := pool.CtxAt(ctx, i); err != nil {
 			return stats, err
 		}
-		ident := sel.ident[i]
+		ident := sel.ident(i)
 		stats.TuplesSelected++
 		for pi := range plans {
 			plan := &plans[pi]

@@ -20,6 +20,7 @@ import (
 type Suspect struct {
 	tbl                 *relation.Table
 	identIdx            int
+	vkeys               *virtualKeys // set when tuples are anchored on §5.3 virtual keys
 	plans               []detectPlan
 	boundaryPermutation bool
 	weightedVoting      bool
@@ -27,52 +28,76 @@ type Suspect struct {
 
 // PrepareSuspectContext builds the shared detection state over tbl for
 // the given column specs and embedding policy (the two Params fields the
-// verdict tables depend on). Virtual-identifier detection is not
-// supported here — it stays on the plain DetectContext path.
+// verdict tables depend on). The suspect is anchored on its identifying
+// column; virtual-identifier detection runs through DetectContext.
 func PrepareSuspectContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, boundaryPermutation, weightedVoting bool, workers int) (*Suspect, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	identIdx, err := tbl.Schema().Index(identCol)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := buildDetectPlans(ctx, tbl, columns, Params{
+	return prepareSuspect(ctx, tbl, identCol, columns, Params{
 		BoundaryPermutation: boundaryPermutation,
 		WeightedVoting:      weightedVoting,
 		Workers:             workers,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Suspect{
-		tbl:                 tbl,
-		identIdx:            identIdx,
-		plans:               plans,
-		boundaryPermutation: boundaryPermutation,
-		weightedVoting:      weightedVoting,
-	}, nil
 }
 
-// Selection records which suspect tuples a (K1, η) pair selects under
+// prepareSuspect is PrepareSuspectContext under the policy fields of p,
+// UseVirtualIdent included: a virtual suspect ignores identCol and
+// anchors its selections on the per-code maximal-cover key parts.
+func prepareSuspect(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (*Suspect, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s := &Suspect{
+		tbl:                 tbl,
+		identIdx:            -1,
+		boundaryPermutation: p.BoundaryPermutation,
+		weightedVoting:      p.WeightedVoting,
+	}
+	var err error
+	if !p.UseVirtualIdent {
+		if s.identIdx, err = tbl.Schema().Index(identCol); err != nil {
+			return nil, err
+		}
+	}
+	if s.plans, err = buildDetectPlans(ctx, tbl, columns, p); err != nil {
+		return nil, err
+	}
+	if p.UseVirtualIdent {
+		if s.vkeys, err = buildVirtualKeys(tbl, columns); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// Selection records which tuples a (K1, η) pair selects under
 // Equation (5), with each selected tuple's identifier bytes. Selection
-// is the per-key half of the scan that does not depend on K2, the mark
+// is the per-key half of the walk that does not depend on K2, the mark
 // or the duplication factor — candidates sharing K1 and η (every
 // recipient key derived by crypt.RecipientWatermarkKey from one master
 // secret) share one Selection, collapsing the per-candidate cost from a
 // full-table PRF scan to a walk over the few selected rows.
 type Selection struct {
-	k1    string
-	eta   uint64
-	rows  []int32
-	ident [][]byte
+	k1   string
+	eta  uint64
+	rows []int32
+	// ends[i] is the end offset of selected tuple i's identifier in
+	// arena; identifiers are stored back to back.
+	ends  []int
+	arena []byte
+}
+
+// ident returns the identifier bytes of selected tuple i.
+func (sel *Selection) ident(i int) []byte {
+	lo := 0
+	if i > 0 {
+		lo = sel.ends[i-1]
+	}
+	return sel.arena[lo:sel.ends[i]]
 }
 
 // SelectContext scans the suspect once under (k1, η) and returns the
-// selected rows in ascending order — identical to the selection the
-// sharded DetectContext performs internally.
+// selected rows in ascending order.
 func (s *Suspect) SelectContext(ctx context.Context, k1 []byte, eta uint64, workers int) (*Selection, error) {
-	return selectTuples(ctx, s.tbl, s.identIdx, k1, eta, workers)
+	return selectTuples(ctx, s.tbl, s.identIdx, s.vkeys, k1, eta, workers)
 }
 
 // SelectForEmbedContext scans tbl once under (k1, η) and returns the
@@ -87,50 +112,74 @@ func SelectForEmbedContext(ctx context.Context, tbl *relation.Table, identCol st
 	if err != nil {
 		return nil, err
 	}
-	return selectTuples(ctx, tbl, identIdx, k1, eta, workers)
+	return selectTuples(ctx, tbl, identIdx, nil, k1, eta, workers)
 }
 
-// selectTuples is the sharded Equation (5) scan behind SelectContext
-// and SelectForEmbedContext: selected rows in ascending order, each
-// with a private copy of its identifier bytes.
-func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, k1 []byte, eta uint64, workers int) (*Selection, error) {
+// selectTuples is the sharded Equation (5) scan behind every walk:
+// selected rows in ascending order, each tuple anchored on its
+// identifying cell, or on its virtual key when vkeys is set. Each shard
+// copies its selected identifiers into one arena sized for the
+// expected selection; the shards are concatenated in row order.
+func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, vkeys *virtualKeys, k1 []byte, eta uint64, workers int) (*Selection, error) {
 	if len(k1) == 0 {
 		return nil, fmt.Errorf("watermark: empty selection key")
 	}
 	prf1 := crypt.NewPRF(k1)
 	n := tbl.NumRows()
-	type shard struct {
-		rows  []int32
-		ident [][]byte
-	}
-	chunks := pool.Chunks(workers, n)
-	shards := make([]shard, len(chunks))
+	shards := make([]Selection, len(pool.Chunks(workers, n)))
 	err := pool.ForEachChunkCtx(ctx, workers, n, func(si, lo, hi int) error {
-		var sh shard
-		var buf []byte
+		sh := &shards[si]
+		// Equation (5) selects about one tuple in η; a quarter of slack
+		// absorbs most of the binomial spread without regrowing.
+		hint := int(uint64(hi-lo)/max(eta, 1))*5/4 + 4
+		sh.rows = make([]int32, 0, hint)
+		sh.ends = make([]int, 0, hint)
+		var buf []byte // reused across rows; PRF calls do not retain it
 		for row := lo; row < hi; row++ {
 			if err := pool.CtxAt(ctx, row-lo); err != nil {
 				return err
 			}
-			buf = append(buf[:0], tbl.CellAt(row, identIdx)...)
+			if vkeys != nil {
+				buf = vkeys.appendIdent(buf[:0], tbl, row)
+			} else {
+				buf = append(buf[:0], tbl.CellAt(row, identIdx)...)
+			}
 			if !prf1.Selects(buf, eta) {
 				continue
 			}
-			ident := make([]byte, len(buf))
-			copy(ident, buf)
+			if sh.arena == nil {
+				sh.arena = make([]byte, 0, hint*len(buf))
+			}
+			sh.arena = append(sh.arena, buf...)
 			sh.rows = append(sh.rows, int32(row))
-			sh.ident = append(sh.ident, ident)
+			sh.ends = append(sh.ends, len(sh.arena))
 		}
-		shards[si] = sh
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	sel := &Selection{k1: string(k1), eta: eta}
-	for _, sh := range shards {
+	if len(shards) == 1 {
+		sel.rows, sel.ends, sel.arena = shards[0].rows, shards[0].ends, shards[0].arena
+		return sel, nil
+	}
+	var rows, arena int
+	for i := range shards {
+		rows += len(shards[i].rows)
+		arena += len(shards[i].arena)
+	}
+	sel.rows = make([]int32, 0, rows)
+	sel.ends = make([]int, 0, rows)
+	sel.arena = make([]byte, 0, arena)
+	for i := range shards {
+		sh := &shards[i]
+		base := len(sel.arena)
 		sel.rows = append(sel.rows, sh.rows...)
-		sel.ident = append(sel.ident, sh.ident...)
+		for _, end := range sh.ends {
+			sel.ends = append(sel.ends, base+end)
+		}
+		sel.arena = append(sel.arena, sh.arena...)
 	}
 	return sel, nil
 }
@@ -138,18 +187,18 @@ func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, k1 []b
 // Selected returns the number of tuples the selection holds.
 func (sel *Selection) Selected() int { return len(sel.rows) }
 
-// AccumulateContext harvests one candidate's votes over the prepared
-// suspect into a caller-owned replicated board (length |wmd|) and
-// counter set, without folding — the per-segment step of a traceback,
-// where one persistent board per candidate accumulates across suspect
-// segments and folds once at the end. Folding the board reproduces
-// DetectContext over the same rows exactly.
+// AccumulateContext harvests one candidate's votes over the selected
+// tuples of the prepared suspect into a caller-owned replicated board
+// (length |wmd|) and counter set, without folding. It is the walk of
+// every detection: DetectContext runs it once over the whole table,
+// DetectAccum once per segment, and a traceback once per candidate per
+// segment, each board folded once at the end by FoldVotes.
 func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Params, board *bitstr.VoteBoard, stats *DetectStats) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
-	if p.UseVirtualIdent {
-		return fmt.Errorf("watermark: virtual-identifier detection is not supported over a prepared suspect")
+	if p.UseVirtualIdent != (s.vkeys != nil) {
+		return fmt.Errorf("watermark: params use_virtual_ident=%v does not match the prepared suspect", p.UseVirtualIdent)
 	}
 	if p.BoundaryPermutation != s.boundaryPermutation || p.WeightedVoting != s.weightedVoting {
 		return fmt.Errorf(
@@ -167,7 +216,7 @@ func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Param
 		if err := pool.CtxAt(ctx, i); err != nil {
 			return err
 		}
-		ident := sel.ident[i]
+		ident := sel.ident(i)
 		stats.TuplesSelected++
 		for pi := range s.plans {
 			plan := &s.plans[pi]
@@ -183,4 +232,25 @@ func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Param
 		}
 	}
 	return nil
+}
+
+// walk is one candidate's detection pass over the prepared suspect:
+// select under the candidate's (K1, η), then accumulate.
+func (s *Suspect) walk(ctx context.Context, p Params, board *bitstr.VoteBoard, stats *DetectStats) error {
+	sel, err := s.SelectContext(ctx, p.Key.K1, p.Key.Eta, p.Workers)
+	if err != nil {
+		return err
+	}
+	return s.AccumulateContext(ctx, sel, p, board, stats)
+}
+
+// FoldVotes folds a replicated vote board (length |wmd|) into the
+// recovered mark: the final step of every detection, run once after
+// the last AccumulateContext.
+func FoldVotes(board *bitstr.VoteBoard, p Params, stats DetectStats) (DetectResult, error) {
+	folded, err := board.FoldInto(p.Mark.Len())
+	if err != nil {
+		return DetectResult{}, err
+	}
+	return DetectResult{Mark: folded.Resolve(), Confidence: folded.Confidence(), Stats: stats}, nil
 }

@@ -1,8 +1,6 @@
 package watermark
 
-import (
-	"strings"
-)
+import "repro/internal/relation"
 
 // Virtual primary keys (§5.3, footnote 1): "In case the identifying
 // columns cannot be relied on, we can establish virtual key attributes as
@@ -19,52 +17,29 @@ import (
 // tampering is traded for lower position diversity; the tests quantify
 // the roundtrip still being exact.
 
-// virtualIdent derives the virtual key bytes for one row from the current
-// cell values of the watermarkable columns (cols must be sorted; specs
-// provide the trees and frontiers). Values that do not resolve, or that
-// sit above the usage metrics, contribute their literal value — both the
-// embedder and the detector apply the same rule, so the key stays stable
-// wherever the data are intact.
-func virtualIdent(tbl cellReader, row int, cols []string, colIdx map[string]int, columns map[string]ColumnSpec) []byte {
-	var sb strings.Builder
-	for _, col := range cols {
-		spec := columns[col]
-		value := tbl.CellAt(row, colIdx[col])
-		part := value
-		if id, err := spec.Tree.ResolveValue(value); err == nil {
-			if maxNode, ok := spec.MaxGen.CoverOf(id); ok {
-				part = spec.Tree.Value(maxNode)
-			}
-		}
-		sb.WriteString(part)
-		sb.WriteByte(0x1f)
-	}
-	return []byte(sb.String())
-}
-
-// cellReader is the slice of relation.Table the virtual key needs.
-type cellReader interface {
-	CellAt(row, col int) string
-}
-
-// virtualKeys is the dictionary-encoded fast path for virtualIdent: the
-// per-column key contribution is a function of the cell value alone, so
-// it is computed once per dictionary code and per-row derivation is pure
-// integer indexing plus concatenation. Embedding never changes a value's
-// maximal cover (the §5.1 bandwidth argument), and every value it writes
-// is pre-interned before the parts table is built, so the parts stay
-// valid while embedding mutates the table.
+// virtualKeys derives the virtual key of a row from its codes: the
+// per-column key contribution is a function of the cell value alone —
+// the value of its maximal cover, or the literal value when it does not
+// resolve or sits above the usage metrics — so it is computed once per
+// dictionary code and per-row derivation is integer indexing plus
+// concatenation. Embedder and detector apply the same rule, so the key
+// stays stable wherever the data are intact.
 type virtualKeys struct {
 	idxs  []int      // column indexes, in sorted column order
 	parts [][]string // per column: code → key part
 }
 
-// buildVirtualKeys precomputes the per-code key parts for the given
-// columns (sorted order, parallel slices).
-func buildVirtualKeys(tbl codeTable, idxs []int, specs []ColumnSpec) *virtualKeys {
-	vk := &virtualKeys{idxs: idxs, parts: make([][]string, len(idxs))}
-	for i, ci := range idxs {
-		spec := specs[i]
+// buildVirtualKeys precomputes the per-code key parts of tbl's
+// watermarkable columns.
+func buildVirtualKeys(tbl *relation.Table, columns map[string]ColumnSpec) (*virtualKeys, error) {
+	cols := sortColumns(columns)
+	vk := &virtualKeys{idxs: make([]int, len(cols)), parts: make([][]string, len(cols))}
+	for i, col := range cols {
+		spec := columns[col]
+		ci, err := tbl.Schema().Index(col)
+		if err != nil {
+			return nil, err
+		}
 		dict := tbl.DictValues(ci)
 		parts := make([]string, len(dict))
 		for code, value := range dict {
@@ -76,28 +51,17 @@ func buildVirtualKeys(tbl codeTable, idxs []int, specs []ColumnSpec) *virtualKey
 			}
 			parts[code] = part
 		}
-		vk.parts[i] = parts
+		vk.idxs[i], vk.parts[i] = ci, parts
 	}
-	return vk
+	return vk, nil
 }
 
-// identOf derives the virtual key bytes of one row. The byte layout is
-// identical to virtualIdent's.
-func (vk *virtualKeys) identOf(tbl codeTable, row int) []byte {
-	n := 0
+// appendIdent appends the virtual key bytes of one row to dst: each
+// column's part followed by a 0x1f separator.
+func (vk *virtualKeys) appendIdent(dst []byte, tbl *relation.Table, row int) []byte {
 	for i, ci := range vk.idxs {
-		n += len(vk.parts[i][tbl.CodeAt(row, ci)]) + 1
+		dst = append(dst, vk.parts[i][tbl.CodeAt(row, ci)]...)
+		dst = append(dst, 0x1f)
 	}
-	out := make([]byte, 0, n)
-	for i, ci := range vk.idxs {
-		out = append(out, vk.parts[i][tbl.CodeAt(row, ci)]...)
-		out = append(out, 0x1f)
-	}
-	return out
-}
-
-// codeTable is the slice of relation.Table the code-level scans need.
-type codeTable interface {
-	CodeAt(row, col int) uint32
-	DictValues(col int) []string
+	return dst
 }

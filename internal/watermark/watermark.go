@@ -71,11 +71,13 @@ type Params struct {
 	// usage-metric overshoot for bandwidth. Off by default (such tuples
 	// then carry no bits).
 	BoundaryPermutation bool
-	// Workers bounds the goroutines Embed and Detect spread the per-tuple
-	// PRF/walk work over (0 = GOMAXPROCS, 1 = sequential). Tuples are
-	// sharded into contiguous row ranges and merged deterministically, so
-	// the embedded table, the recovered mark and all statistics are
-	// identical for every worker count.
+	// Workers bounds the goroutines Embed and Detect spread the
+	// Equation (5) selection scan (and Detect its per-column verdict
+	// tables) over (0 = GOMAXPROCS, 1 = sequential).
+	// Tuples are sharded into contiguous row ranges whose selections are
+	// concatenated in row order, and the walk over the selected tuples
+	// is sequential, so the embedded table, the recovered mark and all
+	// statistics are identical for every worker count.
 	Workers int
 	// UseVirtualIdent anchors selection and addressing on a virtual
 	// primary key derived from the columns' maximal-cover values instead
@@ -144,14 +146,6 @@ type EmbedStats struct {
 	ZeroBandwidth int
 }
 
-// add accumulates another shard's embedding counters.
-func (s *EmbedStats) add(o EmbedStats) {
-	s.TuplesSelected += o.TuplesSelected
-	s.BitsEmbedded += o.BitsEmbedded
-	s.CellsChanged += o.CellsChanged
-	s.ZeroBandwidth += o.ZeroBandwidth
-}
-
 // DetectStats reports detection work.
 type DetectStats struct {
 	// TuplesSelected is the number of tuples passing Equation (5).
@@ -163,14 +157,6 @@ type DetectStats struct {
 	// SkippedCells counts selected cells that yielded nothing (value not
 	// in the domain, above the usage metrics, or at a bitless position).
 	SkippedCells int
-}
-
-// add accumulates another shard's detection counters.
-func (s *DetectStats) add(o DetectStats) {
-	s.TuplesSelected += o.TuplesSelected
-	s.VotesCast += o.VotesCast
-	s.BitsRead += o.BitsRead
-	s.SkippedCells += o.SkippedCells
 }
 
 // DetectResult is the detector's output.

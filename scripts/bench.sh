@@ -25,10 +25,11 @@
 # segments of a million rows; also reports rows/s, not recorded) and
 # the transform layer (TransformContext1M: identifier encryption plus
 # generalization over the segments of a million rows), and, from
-# internal/watermark, the Equation (5) selection layer
-# (SelectForEmbed1M: selection over the segments of a million rows with
-# encrypted identifiers) — both also report rows/s, not recorded — with
-# -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
+# internal/watermark, the Equation (5) layers over the segments of a
+# million rows with encrypted identifiers: selection (SelectForEmbed1M),
+# the embed walk over a precomputed selection (EmbedSelected1M) and one
+# candidate's vote walk over a prepared suspect (Accumulate1M) — all
+# also report rows/s, not recorded — with -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
 # and allocs/op) per benchmark to BENCH_pipeline.json at the repo root,
 # so representation regressions show up as a diff in review. Each entry
 # also records the machine it was measured on (CPU model, nproc, Go
@@ -39,8 +40,10 @@
 # MultiBinGreedy, Traceback50, Append2k, JobThroughput or
 # SearchSketch1M fails the script, so a slowdown on the core pipeline,
 # the serving layer or the binning search layer cannot be recorded
-# silently. The incremental greedy ascent must also stay >= 1.3x faster
-# than the rescan reference it is tested against, or the script fails.
+# silently. Two ratio gates also fail the script: the incremental greedy
+# ascent must stay >= 1.3x faster than the rescan reference it is tested
+# against, and one Traceback50 (50 recipients, one shared selection)
+# must stay >= 2x faster than 50 independent Detect20k calls.
 #
 # Usage: scripts/bench.sh [label]
 #   label   entry label (default: git describe of HEAD)
@@ -59,7 +62,7 @@ PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|Bench
 # timeout, so the timeout is raised.
 RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 60m .)
 $(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$|BenchmarkSketchAdd1M$|BenchmarkTransformContext1M$' -benchmem -count "$COUNT" ./internal/binning)
-$(go test -run '^$' -bench 'BenchmarkSelectForEmbed1M$' -benchmem -count "$COUNT" ./internal/watermark)"
+$(go test -run '^$' -bench 'BenchmarkSelectForEmbed1M$|BenchmarkEmbedSelected1M$|BenchmarkAccumulate1M$' -benchmem -count "$COUNT" ./internal/watermark)"
 echo "$RAW"
 
 best_ns() {
@@ -74,6 +77,15 @@ inc="$(best_ns BenchmarkMultiGreedyIncremental)"
 ref="$(best_ns BenchmarkMultiGreedyRescan)"
 if [ -z "$inc" ] || [ -z "$ref" ] || awk -v i="$inc" -v r="$ref" 'BEGIN { exit !(i * 1.3 > r + 0) }'; then
   echo "bench.sh: incremental greedy ascent ${inc:-?} ns/op vs rescan ${ref:-?} ns/op; want >= 1.3x speedup; entry not appended" >&2
+  exit 1
+fi
+
+# Ratio gate: one traceback over 50 recipients must beat 50 independent
+# detections by >= 2x (best-of-N ns/op each).
+det="$(best_ns BenchmarkDetect20k)"
+tb="$(best_ns BenchmarkTraceback50)"
+if [ -z "$det" ] || [ -z "$tb" ] || awk -v d="$det" -v t="$tb" 'BEGIN { exit !(50 * d < 2 * t) }'; then
+  echo "bench.sh: Traceback50 ${tb:-?} ns/op vs 50 x Detect20k ${det:-?} ns/op; want >= 2x speedup; entry not appended" >&2
   exit 1
 fi
 
@@ -117,8 +129,9 @@ fi
 # pipeline, serving-layer and binning search benchmarks against the
 # last recorded entry and refuse to append a >15% slowdown. (The
 # streaming benchmarks and the other per-layer ones — SegmentReader1M,
-# SketchAdd1M, TransformContext1M, SelectForEmbed1M — are capacity
-# numbers, not latency gates, so they are recorded but not enforced.)
+# SketchAdd1M, TransformContext1M, SelectForEmbed1M, EmbedSelected1M,
+# Accumulate1M — are capacity numbers, not latency gates, so they are
+# recorded but not enforced.)
 if [ -f "$OUT" ]; then
   for name in BenchmarkProtect20k BenchmarkDetect20k BenchmarkMultiBinGreedy \
               BenchmarkTraceback50 BenchmarkAppend2k BenchmarkJobThroughput \
