@@ -210,8 +210,10 @@ func appendBenchFixture(b *testing.B) (*medshield.Framework, medshield.Plan, *re
 // existing 20,000-row plan — the incremental path: no binning search,
 // one transform plus one embed. Its counterpart BenchmarkReprotect22k
 // measures the alternative this replaces (full re-Protect of the
-// union); the ratio is the staged pipeline's payoff and is recorded in
-// BENCH_pipeline.json by scripts/bench.sh.
+// union); the ratio is the staged pipeline's payoff, and scripts/bench.sh
+// refuses to record an entry in which the append is not at least 5x
+// faster. internal/core's TestAppendNeedsNoSearch pins the reason: an
+// append runs no binning search.
 func BenchmarkAppend2k(b *testing.B) {
 	fw, plan, delta, _, key := appendBenchFixture(b)
 	b.ResetTimer()
@@ -231,49 +233,6 @@ func BenchmarkReprotect22k(b *testing.B) {
 		if _, err := fw.Protect(all, key); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestAppendFasterThanReprotect guards the acceptance ratio at test
-// scale: appending 2k rows under a 20k-row plan must beat re-protecting
-// the 22k-row union by at least 5x. The measured gap is far larger (the
-// append skips the whole binning search); 5x keeps the bound robust on
-// noisy CI runners.
-func TestAppendFasterThanReprotect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("20k-row fixtures in -short mode")
-	}
-	all, err := datagen.Generate(datagen.Config{Rows: 22000, Seed: 1, Correlate: true, ZipfS: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := all.Slice(0, 20000)
-	delta, _ := all.Slice(20000, 22000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := medshield.NewKey("bench", 75)
-	prot, err := fw.Protect(base, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := prot.Plan
-
-	start := time.Now()
-	if _, err := fw.Append(delta, &plan, key); err != nil {
-		t.Fatal(err)
-	}
-	appendDur := time.Since(start)
-
-	start = time.Now()
-	if _, err := fw.Protect(all, key); err != nil {
-		t.Fatal(err)
-	}
-	reprotectDur := time.Since(start)
-
-	if appendDur*5 > reprotectDur {
-		t.Errorf("append 2k = %v vs re-protect 22k = %v; want >= 5x speedup", appendDur, reprotectDur)
 	}
 }
 
@@ -721,6 +680,51 @@ func BenchmarkSegmentReader1M(b *testing.B) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
+// BenchmarkSegmentWriter1M is the relation egress layer: the protected
+// segments of the ApplyStream1M fixture — its release CSV read back by
+// one SegmentReader before the timer starts, so they carry the reader's
+// shared dictionaries — written by one SegmentWriter to io.Discard. It
+// reports rows/s and allocations.
+func BenchmarkSegmentWriter1M(b *testing.B) {
+	fw, tbl, plan, key := streamBenchFixture(b, 1000000)
+	var csvBuf bytes.Buffer
+	if _, err := fw.ApplyStream(context.Background(), tbl.Segments(0), plan, key, &csvBuf); err != nil {
+		b.Fatal(err)
+	}
+	tbl = nil
+	schema := medshield.BuiltinSchema()
+	sr, err := relation.NewSegmentReader(&csvBuf, schema, relation.DefaultChunk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var segs []*relation.Table
+	for {
+		seg, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	csvBuf = bytes.Buffer{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw := relation.NewSegmentWriter(io.Discard, schema)
+		for _, seg := range segs {
+			if err := sw.WriteSegment(seg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sw.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sr.Rows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
 func BenchmarkMultiBinGreedyWorkers1(b *testing.B) { benchmarkMultiBinGreedyWorkers(b, 1) }
 func BenchmarkMultiBinGreedyWorkersMax(b *testing.B) {
 	benchmarkMultiBinGreedyWorkers(b, runtime.GOMAXPROCS(0))
@@ -841,7 +845,10 @@ func fingerprintBenchRecipients(n int) []core.Recipient {
 // transform stage (identifier encryption, generalization, the k check)
 // run once; each recipient pays only a clone-and-embed pass — compare
 // BenchmarkProtect20k times 16 for the naive alternative. ns/op is
-// recorded in BENCH_pipeline.json by scripts/bench.sh.
+// recorded in BENCH_pipeline.json by scripts/bench.sh, which refuses an
+// entry in which 16 Protect20k runs are not at least 3x slower than one
+// Fingerprint16; internal/core's TestFingerprintSharesTransformAndSelection
+// counts the sharing behind that ratio.
 func BenchmarkFingerprint16(b *testing.B) {
 	tbl := benchTable(b, 20000)
 	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
@@ -854,59 +861,6 @@ func BenchmarkFingerprint16(b *testing.B) {
 		if _, err := fw.Fingerprint(tbl, recs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestFingerprintFasterThanIndependentApplies guards the acceptance
-// ratio of the shared-transform fan-out: fingerprinting a 20k-row
-// source for 16 recipients (one plan, one transform, one selection
-// scan, 16 embed-only passes) must beat 16 independent plan+apply
-// rounds — what producing 16 copies costs without any sharing — by at
-// least 3x. The measured gap is far larger (the search, the transform
-// and the Equation (5) scan all collapse to one run); 3x keeps the
-// bound robust on noisy CI runners.
-func TestFingerprintFasterThanIndependentApplies(t *testing.T) {
-	if testing.Short() {
-		t.Skip("20k-row fixtures in -short mode")
-	}
-	tbl, err := datagen.Generate(datagen.Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := fingerprintBenchRecipients(16)
-
-	start := time.Now()
-	results, err := fw.Fingerprint(tbl, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fingerprintDur := time.Since(start)
-	if len(results) != 16 {
-		t.Fatalf("got %d copies", len(results))
-	}
-
-	start = time.Now()
-	for _, r := range recs {
-		plan, err := fw.Plan(tbl, r.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := core.RecipientPlan(plan, r.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fw.Apply(tbl, rp, r.Key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	applyDur := time.Since(start)
-
-	if fingerprintDur*3 > applyDur {
-		t.Errorf("fingerprint x16 = %v vs 16 independent applies = %v; want >= 3x speedup", fingerprintDur, applyDur)
 	}
 }
 

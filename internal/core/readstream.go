@@ -197,8 +197,8 @@ func (r *reader) detection(lossThreshold float64) (Detection, error) {
 // (signature, K1, η). Per segment each group is prepared and each
 // selection made once, in reader order, then every reader's walk runs
 // over the pool — each reader owns its board and counters, so the
-// worker count cannot change the tallies. It returns the rows and
-// segments consumed.
+// worker count cannot change the tallies — while the next segment is
+// read ahead (pipe.go). It returns the rows and segments consumed.
 func (f *Framework) readVotes(ctx context.Context, src Segments, readers []*reader, stage string) (rows, segments int, err error) {
 	groupOf, selOf := make([]int, len(readers)), make([]int, len(readers))
 	groups, sels := make(map[string]int), make(map[selGroup]int)
@@ -211,8 +211,10 @@ func (f *Framework) readVotes(ctx context.Context, src Segments, readers []*read
 		}
 		groupOf[i], selOf[i] = groups[r.sel.sig], sels[r.sel]
 	}
+	ahead := readAhead(src)
+	defer ahead.close()
 	for {
-		seg, err := src.Next()
+		seg, err := ahead.Next()
 		if errors.Is(err, io.EOF) {
 			return rows, segments, nil
 		}

@@ -22,6 +22,14 @@ import (
 //
 // Segments may share dictionary backing (as SegmentReader's do); the
 // pipeline never mutates a yielded segment in place.
+//
+// Concurrency: every segment loop reads its source one segment ahead,
+// so Next may run on a helper goroutine while the caller's goroutine
+// processes the previous segment. Next is called one call at a time, in
+// order, never again after it returned an error (io.EOF included), and
+// never after the stream call that consumes the source has returned:
+// state the source keeps (row counters, byte meters, a request body) is
+// the caller's again once that call returns.
 type Segments interface {
 	Schema() *relation.Schema
 	Next() (*relation.Table, error)
@@ -122,12 +130,13 @@ type PlannedStream struct {
 // source with memory bounded by the number of distinct quasi-tuples,
 // not rows: each segment is folded into a binning.Sketch (per-column
 // leaf histograms plus a joint quasi-tuple count table) and an
-// ownership.StatAccum over the identifying column, then discarded. The
-// frontier search, the aggressive-rule suppression replay and the
-// conservative-ε re-search all run over one binning.SearchSetup decoded
-// from the sketch — the sketch's tuple map is released before the first
-// ascent — and produce exactly the plan PlanContext would: the paper's
-// planning pass without ever materializing the table.
+// ownership.StatAccum over the identifying column, then discarded,
+// while the next segment is read ahead (pipe.go). The frontier search,
+// the aggressive-rule suppression replay and the conservative-ε
+// re-search all run over one binning.SearchSetup decoded from the
+// sketch — the sketch's tuple map is released before the first ascent —
+// and produce exactly the plan PlanContext would: the paper's planning
+// pass without ever materializing the table.
 func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.WatermarkKey) (*PlannedStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -154,8 +163,10 @@ func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.Wate
 
 	var accum ownership.StatAccum
 	res := &PlannedStream{}
+	ahead := readAhead(src)
+	defer ahead.close()
 	for {
-		seg, err := src.Next()
+		seg, err := ahead.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}

@@ -50,13 +50,15 @@ func keep(dst **relation.Table) func(*relation.Table) error {
 // pass is what one write run accumulated: the bins before watermarking
 // (apply runs only; the quasi cells do not depend on the key, so every
 // output shares them), each output's embedding statistics and bins after
-// watermarking, and the row counters.
+// watermarking, the row counters, and how many transforms and Equation
+// (5) selections the outputs shared.
 type pass struct {
 	columns                    map[string]watermark.ColumnSpec
 	before                     map[string]int
 	embed                      []watermark.EmbedStats
 	after                      []map[string]int
 	rows, segments, suppressed int
+	transforms, selections     int
 }
 
 // write is the per-segment write loop. It validates the plan, keys and
@@ -67,10 +69,13 @@ type pass struct {
 // (Enc, K1, η), and embeds each output's mark into a clone of the
 // transformed segment — in place for the last output sharing that
 // transform, so a one-output run clones nothing — counts the after-bins
-// and hands the marked segment to the output's sink. appending wraps
+// and hands the marked segment to the output's sink. The source is read
+// one segment ahead and the sinks run one marked table behind, on helper
+// goroutines joined before write returns (pipe.go); a sink error wins
+// over any later error of the loop. appending wraps
 // values outside the planned frontiers in ErrPlanDrift and skips the
 // before-bins, which only the apply verdict reads.
-func (f *Framework) write(ctx context.Context, src Segments, outs []output, appending bool) (*pass, error) {
+func (f *Framework) write(ctx context.Context, src Segments, outs []output, appending bool) (_ *pass, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -127,13 +132,22 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 	}
 	quasi := schema.QuasiColumns()
 
+	ahead := readAhead(src)
+	defer ahead.close()
+	sinks := writeBehind()
+	defer func() {
+		if serr := sinks.wait(); serr != nil {
+			err = serr
+		}
+	}()
+
 	// The bin counters live for the whole run, so a bin's key is
 	// allocated once, however many segments it recurs in.
 	p := &pass{columns: columns, embed: make([]watermark.EmbedStats, len(outs))}
 	var before anonymity.Counter
 	after := make([]anonymity.Counter, len(outs))
 	for {
-		seg, err := src.Next()
+		seg, err := ahead.Next()
 		if err == io.EOF {
 			break
 		}
@@ -167,6 +181,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 					}
 				}
 				binned[enc] = tbl
+				p.transforms++
 			}
 			// The Equation (5) selection depends only on the encrypted
 			// identifiers, K1 and η; recipient keys from
@@ -178,6 +193,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 					return nil, err
 				}
 				sels[selKey] = sel
+				p.selections++
 			}
 			marked := tbl
 			if lastUser[enc] != i {
@@ -191,7 +207,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 			if err := after[i].Add(marked, quasi); err != nil {
 				return nil, err
 			}
-			if err := o.sink(marked); err != nil {
+			if err := sinks.put(o.sink, marked); err != nil {
 				return nil, err
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,7 +58,10 @@ type Tree struct {
 	// without sorting (or allocating) per call.
 	sibRank  []int32
 	sibCount []int32
-	height   int
+	// sorted[i] = Children(i) sorted by node value, built once by finish;
+	// SortedChildren hands these slices out read-only.
+	sorted [][]NodeID
+	height int
 }
 
 // Spec is a declarative description of a categorical tree, used both by
@@ -266,8 +270,11 @@ func (t *Tree) finish() {
 	t.sibRank = make([]int32, len(t.nodes))
 	t.sibCount = make([]int32, len(t.nodes))
 	t.sibCount[0] = 1 // the root is its own sole sibling
+	t.sorted = make([][]NodeID, len(t.nodes))
 	for i := range t.nodes {
-		sorted := t.SortedChildren(t.nodes[i].ID)
+		sorted := slices.Clone(t.nodes[i].Children)
+		sort.Slice(sorted, func(a, b int) bool { return t.nodes[sorted[a]].Value < t.nodes[sorted[b]].Value })
+		t.sorted[i] = sorted
 		for rank, c := range sorted {
 			t.sibRank[c] = int32(rank)
 			t.sibCount[c] = int32(len(sorted))
@@ -333,21 +340,17 @@ func (t *Tree) Siblings(id NodeID) []NodeID {
 // the order canonical for embedder and detector regardless of tree
 // construction order.
 func (t *Tree) SortedSiblings(id NodeID) []NodeID {
-	sib := t.Siblings(id)
-	out := make([]NodeID, len(sib))
-	copy(out, sib)
-	sort.Slice(out, func(i, j int) bool { return t.nodes[out[i]].Value < t.nodes[out[j]].Value })
-	return out
+	p := t.nodes[id].Parent
+	if p == None {
+		return []NodeID{id}
+	}
+	return slices.Clone(t.sorted[p])
 }
 
-// SortedChildren returns Children(id) sorted by node value.
-func (t *Tree) SortedChildren(id NodeID) []NodeID {
-	ch := t.Children(id)
-	out := make([]NodeID, len(ch))
-	copy(out, ch)
-	sort.Slice(out, func(i, j int) bool { return t.nodes[out[i]].Value < t.nodes[out[j]].Value })
-	return out
-}
+// SortedChildren returns Children(id) sorted by node value. The slice
+// is the tree's own, computed once when the tree was built, so the call
+// neither sorts nor allocates; callers must treat it as read-only.
+func (t *Tree) SortedChildren(id NodeID) []NodeID { return t.sorted[id] }
 
 // Leaves implements the paper's Leaves(tr): all leaf node IDs.
 func (t *Tree) Leaves() []NodeID {

@@ -19,7 +19,6 @@ package relation
 
 import (
 	"context"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -736,36 +735,6 @@ func (t *Table) Project(target *Schema) (*Table, error) {
 		out.cols[ci].codes = append([]uint32(nil), src.codes...)
 	}
 	return out, nil
-}
-
-// WriteCSV writes the table (header + rows) to w, decoding one bounded
-// record batch at a time — the table is never materialized as
-// [][]string.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.schema.Names()); err != nil {
-		return fmt.Errorf("relation: writing header: %w", err)
-	}
-	record := make([]string, len(t.cols))
-	err := t.ForEachRowChunk(DefaultChunk, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			for ci := range t.cols {
-				c := &t.cols[ci]
-				record[ci] = c.dict[c.codes[i]]
-			}
-			if err := cw.Write(record); err != nil {
-				return fmt.Errorf("relation: writing row: %w", err)
-			}
-		}
-		// flush per batch so the writer's buffer stays bounded
-		cw.Flush()
-		return cw.Error()
-	})
-	if err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // ReadCSV reads a table from r. The CSV header must contain exactly the

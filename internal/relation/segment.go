@@ -3,7 +3,6 @@ package relation
 import (
 	"bytes"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
@@ -625,73 +624,4 @@ func compactSlice(t *Table, lo, hi int) *Table {
 		}
 	}
 	return out
-}
-
-// SegmentWriter emits a sequence of table segments as one CSV stream:
-// the header once, then each segment's rows in arrival order. The
-// concatenated output is byte-identical to WriteCSV of the
-// corresponding whole table.
-type SegmentWriter struct {
-	cw          *csv.Writer
-	names       []string
-	wroteHeader bool
-	record      []string
-}
-
-// NewSegmentWriter prepares a segment CSV writer for tables over
-// schema.
-func NewSegmentWriter(w io.Writer, schema *Schema) *SegmentWriter {
-	return &SegmentWriter{
-		cw:     csv.NewWriter(w),
-		names:  schema.Names(),
-		record: make([]string, schema.NumColumns()),
-	}
-}
-
-// writeHeader emits the header row exactly once.
-func (sw *SegmentWriter) writeHeader() error {
-	if sw.wroteHeader {
-		return nil
-	}
-	sw.wroteHeader = true
-	if err := sw.cw.Write(sw.names); err != nil {
-		return fmt.Errorf("relation: writing header: %w", err)
-	}
-	return nil
-}
-
-// WriteSegment appends every row of t to the stream, flushing per
-// bounded batch so the writer's buffer never holds more than
-// DefaultChunk encoded rows.
-func (sw *SegmentWriter) WriteSegment(t *Table) error {
-	if len(t.cols) != len(sw.record) {
-		return errors.New("relation: segment column count mismatch")
-	}
-	if err := sw.writeHeader(); err != nil {
-		return err
-	}
-	return t.ForEachRowChunk(DefaultChunk, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			for ci := range t.cols {
-				c := &t.cols[ci]
-				sw.record[ci] = c.dict[c.codes[i]]
-			}
-			if err := sw.cw.Write(sw.record); err != nil {
-				return fmt.Errorf("relation: writing row: %w", err)
-			}
-		}
-		sw.cw.Flush()
-		return sw.cw.Error()
-	})
-}
-
-// Flush completes the stream: the header is emitted even if no segment
-// was written (matching WriteCSV on an empty table) and buffered rows
-// reach the underlying writer.
-func (sw *SegmentWriter) Flush() error {
-	if err := sw.writeHeader(); err != nil {
-		return err
-	}
-	sw.cw.Flush()
-	return sw.cw.Error()
 }

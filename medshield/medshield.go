@@ -115,7 +115,9 @@ type (
 type (
 	// Segments is the streaming table source the Stream entry points
 	// consume: NewSegmentReader (CSV ingest) and Table.Segments (an
-	// in-memory table) both satisfy it.
+	// in-memory table) both satisfy it. The stream calls read one
+	// segment ahead, so Next may run on a helper goroutine — one call at
+	// a time, in order, and never after the stream call has returned.
 	Segments = core.Segments
 	// Streamed is a streaming run's outcome: statistics plus the
 	// effective/advanced plan; the protected rows went to the writer.

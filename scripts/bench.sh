@@ -19,7 +19,10 @@
 # one search over a million-row sketch) and the relation ingest layer
 # (SegmentReader1M: one byte-level segment reader drained over a
 # million-row release CSV in memory; it also reports rows/s, which the
-# entry does not record) and, from internal/binning, the greedy ascent
+# entry does not record) and the relation egress layer (SegmentWriter1M:
+# the protected segments of the ApplyStream1M fixture written by one
+# byte-level SegmentWriter to io.Discard; also reports rows/s, not
+# recorded) and, from internal/binning, the greedy ascent
 # pair (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture)
 # and the sketch ingest layer (SketchAdd1M: one sketch built from the
 # segments of a million rows; also reports rows/s, not recorded) and
@@ -40,10 +43,13 @@
 # MultiBinGreedy, Traceback50, Append2k, JobThroughput or
 # SearchSketch1M fails the script, so a slowdown on the core pipeline,
 # the serving layer or the binning search layer cannot be recorded
-# silently. Two ratio gates also fail the script: the incremental greedy
-# ascent must stay >= 1.3x faster than the rescan reference it is tested
-# against, and one Traceback50 (50 recipients, one shared selection)
-# must stay >= 2x faster than 50 independent Detect20k calls.
+# silently. Four ratio gates also fail the script: the incremental
+# greedy ascent must stay >= 1.3x faster than the rescan reference it is
+# tested against; one Traceback50 (50 recipients, one shared selection)
+# must stay >= 2x faster than 50 independent Detect20k calls; Append2k
+# (no binning search) must stay >= 5x faster than Reprotect22k; and one
+# Fingerprint16 (one plan, one transform, one selection) must stay >= 3x
+# faster than 16 Protect20k calls, one plan + apply per copy.
 #
 # Usage: scripts/bench.sh [label]
 #   label   entry label (default: git describe of HEAD)
@@ -55,7 +61,7 @@ cd "$(dirname "$0")/.."
 LABEL="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}"
 COUNT="${COUNT:-3}"
 OUT="BENCH_pipeline.json"
-PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$'
+PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$|BenchmarkSegmentWriter1M$'
 
 # The root package's run (PlanApplyStream10M included) takes ~9 minutes
 # at COUNT=3 on a 2-vCPU machine, close to go test's 10-minute default
@@ -86,6 +92,24 @@ det="$(best_ns BenchmarkDetect20k)"
 tb="$(best_ns BenchmarkTraceback50)"
 if [ -z "$det" ] || [ -z "$tb" ] || awk -v d="$det" -v t="$tb" 'BEGIN { exit !(50 * d < 2 * t) }'; then
   echo "bench.sh: Traceback50 ${tb:-?} ns/op vs 50 x Detect20k ${det:-?} ns/op; want >= 2x speedup; entry not appended" >&2
+  exit 1
+fi
+
+# Ratio gate: appending 2k rows under a 20k-row plan must beat
+# re-protecting the 22k-row union by >= 5x (best-of-N ns/op each).
+app="$(best_ns BenchmarkAppend2k)"
+rep="$(best_ns BenchmarkReprotect22k)"
+if [ -z "$app" ] || [ -z "$rep" ] || awk -v a="$app" -v r="$rep" 'BEGIN { exit !(a * 5 > r + 0) }'; then
+  echo "bench.sh: Append2k ${app:-?} ns/op vs Reprotect22k ${rep:-?} ns/op; want >= 5x speedup; entry not appended" >&2
+  exit 1
+fi
+
+# Ratio gate: one fingerprint fan-out to 16 recipients must beat 16
+# independent protections by >= 3x (best-of-N ns/op each).
+prot="$(best_ns BenchmarkProtect20k)"
+fp="$(best_ns BenchmarkFingerprint16)"
+if [ -z "$prot" ] || [ -z "$fp" ] || awk -v p="$prot" -v f="$fp" 'BEGIN { exit !(16 * p < 3 * f) }'; then
+  echo "bench.sh: Fingerprint16 ${fp:-?} ns/op vs 16 x Protect20k ${prot:-?} ns/op; want >= 3x speedup; entry not appended" >&2
   exit 1
 fi
 
@@ -129,7 +153,7 @@ fi
 # pipeline, serving-layer and binning search benchmarks against the
 # last recorded entry and refuse to append a >15% slowdown. (The
 # streaming benchmarks and the other per-layer ones — SegmentReader1M,
-# SketchAdd1M, TransformContext1M, SelectForEmbed1M, EmbedSelected1M,
+# SegmentWriter1M, SketchAdd1M, TransformContext1M, SelectForEmbed1M, EmbedSelected1M,
 # Accumulate1M — are capacity numbers, not latency gates, so they are
 # recorded but not enforced.)
 if [ -f "$OUT" ]; then
