@@ -404,22 +404,44 @@ func BenchmarkPlanApplyStream10M(b *testing.B) {
 	}
 }
 
+// planStreamCSV writes the planStreamFixture table to a temporary CSV
+// and returns the file's path in place of the table.
+func planStreamCSV(tb testing.TB, rows int) (*medshield.Framework, string, medshield.Key) {
+	tb.Helper()
+	fw, tbl, key := planStreamFixture(tb, rows)
+	path := filepath.Join(tb.TempDir(), "plan.csv")
+	if err := medshield.SaveCSVFile(path, tbl); err != nil {
+		tb.Fatal(err)
+	}
+	return fw, path, key
+}
+
 // TestPlanStreamBoundedMemory is the memory gate of the streaming
-// planner, mirroring TestApplyStreamBoundedMemory: PlanStream over one
-// million rows must not grow the heap by more than a fixed budget over
-// the fixture baseline. The planner's state is the quasi-tuple sketch —
-// sized by distinct quasi-tuples, not rows — so a regression toward
-// materializing the table (or the per-row work tables the in-memory
-// search keeps) trips the gate.
+// planner: PlanStream over a one-million-row CSV must not grow the heap
+// by more than a fixed budget over the baseline. The fixture is written
+// to a file and dropped before the baseline, so nothing table-sized is
+// resident and the whole call — CSV ingest, sketch, search — is inside
+// the gate. The planner's state is the quasi-tuple sketch, sized by
+// distinct quasi-tuples, not rows, so a regression toward materializing
+// the table (or the per-row work tables the in-memory search keeps)
+// trips the gate.
 func TestPlanStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-row fixture in -short mode")
 	}
-	fw, tbl, key := planStreamFixture(t, 1000000)
+	fw, path, key := planStreamCSV(t, 1000000)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Same GC discipline as TestApplyStreamBoundedMemory: the resident
-	// fixture table would otherwise let GOGC=100 double the heap before
-	// collecting, hiding exactly the growth under test.
+	// Same GC discipline as TestApplyStreamBoundedMemory: a tight GC
+	// target keeps sampled peaks close to live memory.
 	defer debug.SetGCPercent(debug.SetGCPercent(20))
 	runtime.GC()
 	var base runtime.MemStats
@@ -446,7 +468,7 @@ func TestPlanStreamBoundedMemory(t *testing.T) {
 		}
 	}()
 
-	ps, err := fw.PlanStream(context.Background(), tbl.Segments(0), key)
+	ps, err := fw.PlanStream(context.Background(), sr, key)
 	close(stop)
 	<-done
 	if err != nil {
@@ -456,13 +478,13 @@ func TestPlanStreamBoundedMemory(t *testing.T) {
 		t.Fatalf("planned rows = %d", ps.Rows)
 	}
 
-	// The measured peak (47-67 MiB on a 2-vCPU VM) is the quasi-tuple
-	// sketch over the Zipf fixture's distinct tuples plus transient
-	// per-segment decode buffers, then the search's decoded tuples and
-	// the greedy ascent's bin slab and postings. The budget sits
-	// above that noise floor but well below the table-sized (>100 MiB
-	// at this scale) work tables an in-memory search regression would
-	// allocate.
+	// The measured peak (84 MiB over a ~0 MiB baseline on a 2-vCPU VM)
+	// is the reader's block buffer and in-flight segments, the
+	// quasi-tuple sketch over the Zipf fixture's distinct tuples, then
+	// the search's decoded tuples and the greedy ascent's bin slab and
+	// postings. The budget sits above that noise floor but below the
+	// table-sized (>100 MiB at this scale) state an ingest or search
+	// regression toward whole-table buffering would allocate.
 	const budget = 96 << 20
 	grew := int64(peak.Load()) - int64(base.HeapAlloc)
 	t.Logf("PlanStream over 1M rows: heap peak %d MiB over the %d MiB baseline (budget %d MiB)",

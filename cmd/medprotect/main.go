@@ -8,14 +8,14 @@
 //
 //	medprotect gen      -rows N -seed S -out data.csv
 //	medprotect protect  -in data.csv -k K -eta E -secret S -out protected.csv -prov prov.json [-plan plan.json] [-workers W]
-//	medprotect plan     -in data.csv -k K -eta E -secret S -plan plan.json [-workers W]
-//	medprotect apply    -in data.csv -plan plan.json -secret S -out protected.csv [-prov prov.json] [-stream] [-chunk N] [-workers W]
-//	medprotect append   -in delta.csv -plan plan.json -secret S -out delta-protected.csv [-base protected.csv] [-stream] [-chunk N] [-workers W]
-//	medprotect detect   -in suspect.csv -prov prov.json -secret S [-stream] [-chunk N] [-workers W]
+//	medprotect plan     -in data.csv -k K -eta E -secret S -plan plan.json [-chunk N] [-workers W]
+//	medprotect apply    -in data.csv -plan plan.json -secret S -out protected.csv [-prov prov.json] [-chunk N] [-workers W]
+//	medprotect append   -in delta.csv -plan plan.json -secret S -out delta-protected.csv [-base protected.csv] [-chunk N] [-workers W]
+//	medprotect detect   -in suspect.csv -prov prov.json -secret S [-chunk N] [-workers W]
 //	medprotect attack   -in protected.csv -out attacked.csv -prov prov.json -kind alter|add|delete|rangedelete|generalize -frac F [-col C] [-levels L] -seed S
 //	medprotect dispute  -in disputed.csv -prov prov.json -secret S
-//	medprotect fingerprint -in data.csv -k K -eta E -secret S -recipients a,b,c -outdir DIR -registry reg.json [-stream] [-chunk N] [-workers W]
-//	medprotect traceback   -in suspect.csv -registry reg.json -secret S [-stream] [-chunk N] [-workers W]
+//	medprotect fingerprint -in data.csv -k K -eta E -secret S -recipients a,b,c -outdir DIR -registry reg.json [-chunk N] [-workers W]
+//	medprotect traceback   -in suspect.csv -registry reg.json -secret S [-chunk N] [-workers W]
 //	medprotect trees    -dir DIR
 //	medprotect job      submit|status|wait|cancel|list -server URL ... (async jobs against medshield-server)
 //	medprotect admin    tenant create|list|rotate|delete|disable|enable -store tenants.json ... (provision medshield-server tenants)
@@ -26,20 +26,21 @@
 // plan on a table (the transform half of protect, no search) and fills
 // in its published bin record; append protects a new batch of rows
 // under a saved plan and advances the plan's bin record in place, so
-// nightly batches chain. Both take -stream to process the CSV
-// segment-at-a-time — peak memory bounded by -chunk rows instead of the
-// table size, with byte-identical output.
+// nightly batches chain.
 //
 // fingerprint protects one source table for several recipients at once
 // (one binning search, one marked copy per recipient, each under a
 // recipient-salted mark and key derived from the master secret) and
 // registers every copy in a recipient registry. traceback runs
 // detection for all registered recipients against a leaked table and
-// names the best-matching recipient. The read side streams too: detect
-// and traceback take -stream to consume the suspect segment-at-a-time
-// (memory bounded by -chunk rows, bit-identical verdicts), and
-// fingerprint -stream writes all recipient copies through one shared
-// transform without materializing any of them.
+// names the best-matching recipient.
+//
+// plan, apply, append, detect and traceback read their input CSV
+// segment-at-a-time, and apply, append and fingerprint write their
+// output CSVs the same way, so peak memory is bounded by -chunk rows
+// (plan: by the distinct quasi-tuples) rather than the table size;
+// fingerprint holds the source table but never a marked copy. Output is
+// byte-identical for every -chunk.
 package main
 
 import (
@@ -223,8 +224,7 @@ func cmdPlan(args []string) error {
 	secret := fs.String("secret", "", "owner secret passphrase (required)")
 	planPath := fs.String("plan", "plan.json", "plan output path")
 	autoEps := fs.Bool("auto-epsilon", true, "apply the §6 conservative ε")
-	stream := fs.Bool("stream", false, "plan segment-at-a-time (memory bounded by distinct quasi-tuples, identical plan)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "rows per segment (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for the search (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -236,40 +236,19 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		plan *medshield.Plan
-		rows int
-	)
-	if *stream {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-		if err != nil {
-			return err
-		}
-		ps, err := fw.PlanStream(context.Background(), sr, medshield.NewKey(*secret, *eta))
-		if err != nil {
-			return err
-		}
-		plan, rows = ps.Plan, ps.Rows
-	} else {
-		tbl, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		if plan, err = fw.Plan(tbl, medshield.NewKey(*secret, *eta)); err != nil {
-			return err
-		}
-		rows = tbl.NumRows()
+	var ps *medshield.PlannedStream
+	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) (err error) {
+		ps, err = fw.PlanStream(context.Background(), sr, medshield.NewKey(*secret, *eta))
+		return err
+	}); err != nil {
+		return err
 	}
+	plan := ps.Plan
 	if err := writePlan(*planPath, plan); err != nil {
 		return err
 	}
 	fmt.Printf("planned %d tuples: k=%d (ε=%d, effective k=%d), avg info loss %.1f%%\n",
-		rows, plan.K, plan.Epsilon, plan.EffectiveK, plan.AvgLoss*100)
+		ps.Rows, plan.K, plan.Epsilon, plan.EffectiveK, plan.AvgLoss*100)
 	fmt.Printf("plan -> %s (search only — run protect to publish, which fills the bin record appends need)\n", *planPath)
 	return nil
 }
@@ -314,30 +293,44 @@ func streamToFile(path string, write func(w io.Writer) error) (err error) {
 	return os.Rename(tmp, path)
 }
 
-// countCSVRows counts the data records of a CSV file (header excluded)
-// without materializing the table — the streamed append's stand-in for
-// LoadCSVFile().NumRows() in its base/plan consistency guard.
-func countCSVRows(path string) (int, error) {
+// withSegments runs fn over the CSV file at path as a segment source of
+// the builtin schema, chunk rows per segment.
+func withSegments(path string, chunk int, fn func(*medshield.SegmentReader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer f.Close()
-	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), 0)
+	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), chunk)
+	if err != nil {
+		return err
+	}
+	return fn(sr)
+}
+
+// countCSVRows counts the data records of a CSV file (header excluded)
+// without materializing the table — append's base/plan consistency
+// guard.
+func countCSVRows(path string) (int, error) {
+	rows := 0
+	err := withSegments(path, 0, func(sr *medshield.SegmentReader) error {
+		for {
+			if _, err := sr.Next(); err == io.EOF {
+				rows = sr.Rows()
+				return nil
+			} else if err != nil {
+				return err
+			}
+		}
+	})
 	if err != nil {
 		return 0, fmt.Errorf("counting rows of %s: %w", path, err)
 	}
-	for {
-		if _, err := sr.Next(); err == io.EOF {
-			return sr.Rows(), nil
-		} else if err != nil {
-			return 0, fmt.Errorf("counting rows of %s: %w", path, err)
-		}
-	}
+	return rows, nil
 }
 
 // appendCSVBody appends the data records of src (its header skipped) to
-// dst in place — the bounded-memory base extension of a streamed append.
+// dst in place — append's bounded-memory base extension.
 func appendCSVBody(dst, src string) (err error) {
 	in, err := os.Open(src)
 	if err != nil {
@@ -368,8 +361,6 @@ func appendCSVBody(dst, src string) (err error) {
 // cmdApply executes a saved plan on a table: the transform half of
 // protect (suppression replay, generalization, watermarking) with no
 // binning search, filling the plan's published bin record in place.
-// -stream processes the CSV segment-at-a-time under bounded memory with
-// byte-identical output.
 func cmdApply(args []string) error {
 	fs := flag.NewFlagSet("apply", flag.ExitOnError)
 	in := fs.String("in", "data.csv", "input CSV (builtin schema)")
@@ -378,8 +369,7 @@ func cmdApply(args []string) error {
 	eta := fs.Uint64("eta", 75, "η used at planning time")
 	out := fs.String("out", "protected.csv", "protected CSV path")
 	provPath := fs.String("prov", "", "optional provenance output path (subset of the plan)")
-	stream := fs.Bool("stream", false, "process the table segment-at-a-time (bounded memory, identical output)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "rows per segment (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for the transform (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -397,48 +387,20 @@ func cmdApply(args []string) error {
 	}
 	key := medshield.NewKey(*secret, *eta)
 
-	var (
-		applied               medshield.Plan
-		rows, marked, changed int
-	)
-	if *stream {
-		f, err := os.Open(*in)
-		if err != nil {
+	var res *medshield.Streamed
+	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) error {
+		return streamToFile(*out, func(w io.Writer) (err error) {
+			res, err = fw.ApplyStream(context.Background(), sr, plan, key, w)
 			return err
-		}
-		defer f.Close()
-		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-		if err != nil {
-			return err
-		}
-		var res *medshield.Streamed
-		if err := streamToFile(*out, func(w io.Writer) error {
-			var serr error
-			res, serr = fw.ApplyStream(context.Background(), sr, plan, key, w)
-			return serr
-		}); err != nil {
-			return err
-		}
-		applied, rows, marked, changed = res.Plan, res.Rows, res.Embed.TuplesSelected, res.Embed.CellsChanged
-	} else {
-		tbl, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		p, err := fw.Apply(tbl, plan, key)
-		if err != nil {
-			return err
-		}
-		if err := medshield.SaveCSVFile(*out, p.Table); err != nil {
-			return err
-		}
-		applied, rows, marked, changed = p.Plan, p.Table.NumRows(), p.Embed.TuplesSelected, p.Embed.CellsChanged
+		})
+	}); err != nil {
+		return err
 	}
-	if err := writePlan(*planPath, &applied); err != nil {
+	if err := writePlan(*planPath, &res.Plan); err != nil {
 		return err
 	}
 	if *provPath != "" {
-		data, err := json.MarshalIndent(applied.Provenance, "", "  ")
+		data, err := json.MarshalIndent(res.Plan.Provenance, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -447,7 +409,7 @@ func cmdApply(args []string) error {
 		}
 	}
 	fmt.Printf("applied the plan to %d tuples: k=%d (effective k=%d), %d marked, %d cells changed\n",
-		rows, applied.K, applied.EffectiveK, marked, changed)
+		res.Rows, res.Plan.K, res.Plan.EffectiveK, res.Embed.TuplesSelected, res.Embed.CellsChanged)
 	fmt.Printf("table -> %s, plan's bin record filled in %s (appends can chain now)\n", *out, *planPath)
 	if *provPath != "" {
 		fmt.Printf("provenance -> %s\n", *provPath)
@@ -463,140 +425,66 @@ func cmdAppend(args []string) error {
 	eta := fs.Uint64("eta", 75, "η used at protection time")
 	out := fs.String("out", "delta-protected.csv", "protected delta CSV path")
 	base := fs.String("base", "", "optional published CSV to append the protected delta to, in place")
-	stream := fs.Bool("stream", false, "process the delta segment-at-a-time (bounded memory, identical output)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "rows per segment (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for the transform (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
 		return fmt.Errorf("append: -secret is required")
 	}
-	if *stream {
-		return appendStreamed(*in, *planPath, *secret, *eta, *out, *base, *chunk, *workers)
-	}
 
-	delta, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-	if err != nil {
-		return err
-	}
 	plan, err := loadPlan(*planPath)
 	if err != nil {
 		return err
 	}
-	// Load — and sanity-check — the published table before touching
-	// anything: the plan records how many rows are published, so a base
-	// that disagrees means an earlier append half-finished (or the wrong
-	// file was named). Refusing here keeps a retry from appending the
-	// same batch twice.
-	var published *medshield.Table
+	// Check the published table before touching anything: the plan
+	// records how many rows are published, so a base that disagrees
+	// means an earlier append half-finished (or the wrong file was
+	// named). Refusing here keeps a retry from appending the same batch
+	// twice.
 	if *base != "" {
-		published, err = medshield.LoadCSVFile(*base, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		if published.NumRows() != plan.Rows {
-			return fmt.Errorf(
-				"append: %s holds %d rows but %s records %d published rows; base and plan are out of sync (a previous append may have partially failed) — reconcile them before appending",
-				*base, published.NumRows(), *planPath, plan.Rows)
-		}
-	}
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(), medshield.Config{K: plan.K, Workers: *workers})
-	if err != nil {
-		return err
-	}
-	app, err := fw.Append(delta, plan, medshield.NewKey(*secret, *eta))
-	if err != nil {
-		return err
-	}
-	// Write order bounds the damage of a mid-sequence failure: the
-	// standalone delta first (always recoverable), then the advanced
-	// plan, then the base extension — and the row-count guard above
-	// catches any half-state on the next run.
-	if err := medshield.SaveCSVFile(*out, app.Table); err != nil {
-		return err
-	}
-	if err := writePlan(*planPath, &app.Plan); err != nil {
-		return err
-	}
-	if published != nil {
-		if err := published.AppendTable(app.Table); err != nil {
-			return err
-		}
-		if err := medshield.SaveCSVFile(*base, published); err != nil {
-			return fmt.Errorf(
-				"append: plan %s is already advanced but extending %s failed: %w — reconcile by appending the rows of %s to it",
-				*planPath, *base, err, *out)
-		}
-	}
-	fmt.Printf("appended %d tuples under the plan: %d marked, %d cells changed, %d new bin(s), %d suppressed\n",
-		app.Table.NumRows(), app.Embed.TuplesSelected, app.Embed.CellsChanged, app.NewBins, app.Suppressed)
-	fmt.Printf("delta -> %s, plan advanced in %s (union now %d tuples)\n", *out, *planPath, app.Plan.Rows)
-	if *base != "" {
-		fmt.Printf("published table %s extended in place\n", *base)
-	}
-	return nil
-}
-
-// appendStreamed is cmdAppend's -stream mode: the delta never
-// materializes (segment-at-a-time through AppendStream) and the base
-// extension is an in-place file append of the protected delta's records,
-// so peak memory is bounded by the chunk regardless of either table's
-// size. The write order and half-state guard mirror the in-memory path.
-func appendStreamed(in, planPath, secret string, eta uint64, out, base string, chunk, workers int) error {
-	plan, err := loadPlan(planPath)
-	if err != nil {
-		return err
-	}
-	// Same consistency guard as the in-memory path, by streaming count:
-	// a base that disagrees with the plan's published row record means an
-	// earlier append half-finished.
-	if base != "" {
-		rows, err := countCSVRows(base)
+		rows, err := countCSVRows(*base)
 		if err != nil {
 			return err
 		}
 		if rows != plan.Rows {
 			return fmt.Errorf(
 				"append: %s holds %d rows but %s records %d published rows; base and plan are out of sync (a previous append may have partially failed) — reconcile them before appending",
-				base, rows, planPath, plan.Rows)
+				*base, rows, *planPath, plan.Rows)
 		}
 	}
 	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(),
-		medshield.Config{K: plan.K, Workers: workers, Chunk: chunk})
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
+		medshield.Config{K: plan.K, Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
 	}
 	var res *medshield.Streamed
-	if err := streamToFile(out, func(w io.Writer) error {
-		var serr error
-		res, serr = fw.AppendStream(context.Background(), sr, plan, medshield.NewKey(secret, eta), w)
-		return serr
+	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) error {
+		return streamToFile(*out, func(w io.Writer) (err error) {
+			res, err = fw.AppendStream(context.Background(), sr, plan, medshield.NewKey(*secret, *eta), w)
+			return err
+		})
 	}); err != nil {
 		return err
 	}
-	if err := writePlan(planPath, &res.Plan); err != nil {
+	// Write order bounds the damage of a mid-sequence failure: the
+	// standalone delta first (always recoverable), then the advanced
+	// plan, then the base extension — and the row-count guard above
+	// catches any half-state on the next run.
+	if err := writePlan(*planPath, &res.Plan); err != nil {
 		return err
 	}
-	if base != "" {
-		if err := appendCSVBody(base, out); err != nil {
+	if *base != "" {
+		if err := appendCSVBody(*base, *out); err != nil {
 			return fmt.Errorf(
 				"append: plan %s is already advanced but extending %s failed: %w — reconcile by appending the rows of %s to it",
-				planPath, base, err, out)
+				*planPath, *base, err, *out)
 		}
 	}
 	fmt.Printf("appended %d tuples under the plan: %d marked, %d cells changed, %d new bin(s), %d suppressed\n",
 		res.Rows, res.Embed.TuplesSelected, res.Embed.CellsChanged, res.NewBins, res.Suppressed)
-	fmt.Printf("delta -> %s, plan advanced in %s (union now %d tuples)\n", out, planPath, res.Plan.Rows)
-	if base != "" {
-		fmt.Printf("published table %s extended in place\n", base)
+	fmt.Printf("delta -> %s, plan advanced in %s (union now %d tuples)\n", *out, *planPath, res.Plan.Rows)
+	if *base != "" {
+		fmt.Printf("published table %s extended in place\n", *base)
 	}
 	return nil
 }
@@ -607,8 +495,7 @@ func cmdDetect(args []string) error {
 	provPath := fs.String("prov", "prov.json", "provenance path")
 	secret := fs.String("secret", "", "owner secret passphrase (required)")
 	eta := fs.Uint64("eta", 75, "η used at protection time")
-	stream := fs.Bool("stream", false, "detect segment-at-a-time (bounded memory, identical verdict)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "rows per segment (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for detection (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -624,31 +511,14 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	var det *medshield.Detection
-	if *stream {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-		if err != nil {
-			return err
-		}
-		ds, err := fw.DetectStream(context.Background(), sr, prov, medshield.NewKey(*secret, *eta))
-		if err != nil {
-			return err
-		}
-		det = &ds.Detection
-	} else {
-		tbl, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		if det, err = fw.Detect(tbl, prov, medshield.NewKey(*secret, *eta)); err != nil {
-			return err
-		}
+	var ds *medshield.DetectStreamed
+	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) (err error) {
+		ds, err = fw.DetectStream(context.Background(), sr, prov, medshield.NewKey(*secret, *eta))
+		return err
+	}); err != nil {
+		return err
 	}
+	det := ds.Detection
 	fmt.Printf("mark: %s\n", det.Result.Mark.String())
 	fmt.Printf("loss: %.1f%% over %d votes\n", det.MarkLoss*100, det.Result.Stats.VotesCast)
 	if det.Match {
@@ -785,8 +655,7 @@ func cmdFingerprint(args []string) error {
 	outdir := fs.String("outdir", "fingerprinted", "output directory for per-recipient CSVs")
 	regPath := fs.String("registry", "recipients.json", "recipient registry path (records appended)")
 	autoEps := fs.Bool("auto-epsilon", true, "apply the §6 conservative ε")
-	stream := fs.Bool("stream", false, "write the recipient copies segment-at-a-time (no copy materializes, identical output)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "rows per segment (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for the pipeline (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -810,52 +679,17 @@ func cmdFingerprint(args []string) error {
 	for i, id := range ids {
 		recs[i] = medshield.Recipient{ID: id, Key: medshield.RecipientKey(*secret, id, *eta)}
 	}
-	if *stream {
-		return fingerprintStreamed(fw, tbl, recs, *outdir, *regPath)
-	}
-	results, err := fw.Fingerprint(tbl, recs)
-	if err != nil {
-		return err
-	}
-	reg, err := medshield.OpenRegistry(*regPath)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(*outdir, 0o755); err != nil {
-		return err
-	}
-	// Write every copy first, then register the batch atomically: a
-	// mid-run failure must not leave some recipients durably registered
-	// for copies that were never released.
-	records := make([]medshield.RecipientRecord, len(results))
-	for i, res := range results {
-		path := filepath.Join(*outdir, res.RecipientID+".csv")
-		if err := medshield.SaveCSVFile(path, res.Protected.Table); err != nil {
-			return err
-		}
-		records[i] = medshield.RecipientRecordOf(res.RecipientID, recs[i].Key, res.Protected.Plan)
-		records[i].CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		fmt.Printf("recipient %s: %d tuples marked, %d cells changed -> %s (key fp %s)\n",
-			res.RecipientID, res.Protected.Embed.TuplesSelected, res.Protected.Embed.CellsChanged,
-			path, res.KeyFingerprint)
-	}
-	if err := reg.PutAll(records); err != nil {
-		return err
-	}
-	first := results[0].Protected
-	fmt.Printf("fingerprinted %d tuples for %d recipients: k=%d (ε=%d), one binning search, avg info loss %.1f%%\n",
-		tbl.NumRows(), len(results), first.Provenance.K, first.Provenance.Epsilon, first.Binning.AvgLoss*100)
-	fmt.Printf("registry -> %s (keep it with the master secret; traceback needs both)\n", *regPath)
-	return nil
+	return fingerprintFiles(fw, tbl, recs, *outdir, *regPath)
 }
 
-// fingerprintStreamed is cmdFingerprint's -stream mode: no recipient
-// copy ever materializes — one shared plan + transform fans out to N
-// CSV writers segment-at-a-time (FingerprintStream), so peak memory is
-// one segment per recipient instead of N marked tables. Every copy
-// lands through a temp-file rename before the batch registers
-// atomically, mirroring the in-memory path's failure contract.
-func fingerprintStreamed(fw *medshield.Framework, tbl *medshield.Table, recs []medshield.Recipient, outdir, regPath string) (err error) {
+// fingerprintFiles writes every recipient's copy of tbl to outdir and
+// registers the batch. One shared plan and transform fan out to N CSV
+// writers segment-at-a-time (FingerprintStream), so no marked copy ever
+// materializes. Every copy lands through a temp-file rename, and the
+// batch registers atomically only after all copies landed: a mid-run
+// failure must not leave some recipients durably registered for copies
+// that were never released.
+func fingerprintFiles(fw *medshield.Framework, tbl *medshield.Table, recs []medshield.Recipient, outdir, regPath string) (err error) {
 	reg, err := medshield.OpenRegistry(regPath)
 	if err != nil {
 		return err
@@ -941,8 +775,7 @@ func cmdTraceback(args []string) error {
 	in := fs.String("in", "suspect.csv", "suspected leaked CSV copy")
 	regPath := fs.String("registry", "recipients.json", "recipient registry path")
 	secret := fs.String("secret", "", "owner master secret passphrase (required)")
-	stream := fs.Bool("stream", false, "trace segment-at-a-time (bounded memory, identical verdicts)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "rows per segment (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for detection (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -969,36 +802,15 @@ func cmdTraceback(args []string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		tb   *medshield.Traceback
-		rows int
-	)
-	if *stream {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-		if err != nil {
-			return err
-		}
-		ts, err := fw.TracebackStream(context.Background(), sr, cands)
-		if err != nil {
-			return err
-		}
-		tb, rows = &ts.Traceback, ts.Rows
-	} else {
-		tbl, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		if tb, err = fw.Traceback(tbl, cands); err != nil {
-			return err
-		}
-		rows = tbl.NumRows()
+	var ts *medshield.TracebackStreamed
+	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) (err error) {
+		ts, err = fw.TracebackStream(context.Background(), sr, cands)
+		return err
+	}); err != nil {
+		return err
 	}
-	fmt.Printf("traceback over %d rows against %d registered recipients:\n", rows, len(cands))
+	tb := ts.Traceback
+	fmt.Printf("traceback over %d rows against %d registered recipients:\n", ts.Rows, len(cands))
 	for rank, v := range tb.Verdicts {
 		status := " "
 		if v.Match {

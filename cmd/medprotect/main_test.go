@@ -233,9 +233,11 @@ func TestCLIPlanAppend(t *testing.T) {
 	}
 }
 
-// TestCLIApplyStream exercises the apply subcommand in both modes and
-// the streamed append: the -stream paths must produce byte-identical
-// files to the in-memory ones — table, plan and extended base alike.
+// TestCLIApplyStream checks medprotect's apply and append, which run
+// the segment loops, against the library's in-memory forms: the
+// protected table, the filled and advanced plans and the extended base
+// must be byte-identical to Apply/Append written by SaveCSVFile and
+// AppendTable.
 func TestCLIApplyStream(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data.csv")
@@ -254,94 +256,110 @@ func TestCLIApplyStream(t *testing.T) {
 	}
 	copyFile := func(dst, src string) {
 		t.Helper()
-		doc, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dst, doc, 0o600); err != nil {
+		if err := os.WriteFile(dst, mustRead(t, src), 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustEqual := func(what, a, b string) {
+	mustEqual := func(what, got, want string) {
 		t.Helper()
-		da, err := os.ReadFile(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := os.ReadFile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(da) != string(db) {
-			t.Errorf("%s: streamed output differs from in-memory (%s vs %s)", what, a, b)
+		if string(mustRead(t, got)) != string(mustRead(t, want)) {
+			t.Errorf("%s: medprotect output differs from the in-memory form (%s vs %s)", what, got, want)
 		}
 	}
 
-	// apply, in-memory vs streamed, over separate plan copies.
-	planMem := filepath.Join(dir, "plan-mem.json")
-	planStream := filepath.Join(dir, "plan-stream.json")
-	copyFile(planMem, dry)
-	copyFile(planStream, dry)
-	outMem := filepath.Join(dir, "protected-mem.csv")
-	outStream := filepath.Join(dir, "protected-stream.csv")
+	// The in-memory reference: Apply then Append under the dry plan.
+	plan, err := medshield.ParsePlan(mustRead(t, dry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(), medshield.Config{K: plan.K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := medshield.NewKey("cli apply secret", 40)
+	tbl, err := medshield.LoadCSVFile(data, medshield.BuiltinSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := fw.Apply(tbl, plan, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOut := filepath.Join(dir, "ref-protected.csv")
+	refFilled := filepath.Join(dir, "ref-filled.json")
+	if err := medshield.SaveCSVFile(refOut, prot.Table); err != nil {
+		t.Fatal(err)
+	}
+	if err := writePlan(refFilled, &prot.Plan); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := medshield.LoadCSVFile(deltaCSV, medshield.BuiltinSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := fw.Append(delta, &prot.Plan, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDelta := filepath.Join(dir, "ref-delta.csv")
+	refAdvanced := filepath.Join(dir, "ref-advanced.json")
+	refBase := filepath.Join(dir, "ref-base.csv")
+	if err := medshield.SaveCSVFile(refDelta, app.Table); err != nil {
+		t.Fatal(err)
+	}
+	if err := writePlan(refAdvanced, &app.Plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := prot.Table.AppendTable(app.Table); err != nil {
+		t.Fatal(err)
+	}
+	if err := medshield.SaveCSVFile(refBase, prot.Table); err != nil {
+		t.Fatal(err)
+	}
+
+	// apply over a copy of the dry plan, filled in place.
+	planPath := filepath.Join(dir, "plan.json")
+	copyFile(planPath, dry)
+	out := filepath.Join(dir, "protected.csv")
 	prov := filepath.Join(dir, "prov.json")
 	if err := cmdApply([]string{
-		"-in", data, "-plan", planMem, "-secret", "cli apply secret", "-eta", "40", "-out", outMem,
+		"-in", data, "-plan", planPath, "-secret", "cli apply secret", "-eta", "40",
+		"-out", out, "-prov", prov, "-chunk", "256",
 	}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	if err := cmdApply([]string{
-		"-in", data, "-plan", planStream, "-secret", "cli apply secret", "-eta", "40",
-		"-out", outStream, "-prov", prov, "-stream", "-chunk", "256",
-	}); err != nil {
-		t.Fatalf("apply -stream: %v", err)
-	}
-	mustEqual("protected table", outMem, outStream)
-	mustEqual("filled plan", planMem, planStream)
-	filled, err := medshield.ParsePlan(mustRead(t, planStream))
-	if err != nil {
-		t.Fatalf("filled plan invalid: %v", err)
-	}
-	if filled.Rows != 2000 || len(filled.Bins) == 0 {
-		t.Fatalf("apply did not fill the bin record: rows=%d bins=%d", filled.Rows, len(filled.Bins))
-	}
+	mustEqual("protected table", out, refOut)
+	mustEqual("filled plan", planPath, refFilled)
 	var provDoc map[string]any
 	if err := json.Unmarshal(mustRead(t, prov), &provDoc); err != nil {
 		t.Fatalf("apply -prov wrote invalid JSON: %v", err)
 	}
 
-	// append, in-memory vs streamed, each extending its own base copy.
-	deltaMem := filepath.Join(dir, "delta-mem.csv")
-	deltaStream := filepath.Join(dir, "delta-stream.csv")
+	// append, extending the published table in place.
+	deltaOut := filepath.Join(dir, "delta-protected.csv")
 	if err := cmdAppend([]string{
-		"-in", deltaCSV, "-plan", planMem, "-secret", "cli apply secret", "-eta", "40",
-		"-out", deltaMem, "-base", outMem,
+		"-in", deltaCSV, "-plan", planPath, "-secret", "cli apply secret", "-eta", "40",
+		"-out", deltaOut, "-base", out, "-chunk", "64",
 	}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := cmdAppend([]string{
-		"-in", deltaCSV, "-plan", planStream, "-secret", "cli apply secret", "-eta", "40",
-		"-out", deltaStream, "-base", outStream, "-stream", "-chunk", "64",
-	}); err != nil {
-		t.Fatalf("append -stream: %v", err)
-	}
-	mustEqual("protected delta", deltaMem, deltaStream)
-	mustEqual("advanced plan", planMem, planStream)
-	mustEqual("extended base", outMem, outStream)
+	mustEqual("protected delta", deltaOut, refDelta)
+	mustEqual("advanced plan", planPath, refAdvanced)
+	mustEqual("extended base", out, refBase)
 
-	// The streamed append keeps the out-of-sync guard: a stale plan (the
-	// dry one claims 2000 published rows, none appended) is refused.
-	copyFile(planStream, dry)
+	// The out-of-sync guard: a stale plan (the dry one claims 2000
+	// published rows, none appended) is refused.
+	copyFile(planPath, dry)
 	if err := cmdAppend([]string{
-		"-in", deltaCSV, "-plan", planStream, "-secret", "cli apply secret", "-eta", "40",
-		"-out", deltaStream, "-base", outStream, "-stream",
+		"-in", deltaCSV, "-plan", planPath, "-secret", "cli apply secret", "-eta", "40",
+		"-out", deltaOut, "-base", out,
 	}); err == nil || !strings.Contains(err.Error(), "out of sync") {
-		t.Errorf("streamed append with stale plan: %v, want out-of-sync refusal", err)
+		t.Errorf("append with stale plan: %v, want out-of-sync refusal", err)
 	}
 
 	// Config validation surfaces through the CLI: chunk < 1 is rejected.
 	if err := cmdApply([]string{
-		"-in", data, "-plan", planMem, "-secret", "s", "-out", outStream, "-stream", "-chunk", "-3",
+		"-in", data, "-plan", planPath, "-secret", "s", "-out", out, "-chunk", "-3",
 	}); err == nil || !strings.Contains(err.Error(), "Chunk") {
 		t.Errorf("negative chunk accepted: %v", err)
 	}

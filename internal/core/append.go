@@ -63,7 +63,7 @@ func (f *Framework) AppendContext(ctx context.Context, delta *relation.Table, pl
 	if err != nil {
 		return nil, err
 	}
-	res, err := appendVerdict(plan, p)
+	res, err := appendVerdict(p)
 	if err != nil {
 		return nil, err
 	}

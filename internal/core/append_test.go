@@ -186,12 +186,74 @@ func TestAppendPlanDriftThinNewBin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Find a bin the marked delta touches with fewer than k rows, then
-	// hand the append a plan whose record has never published that bin —
-	// the situation of a batch opening a fresh, under-populated value
-	// combination. The append must refuse with ErrPlanDrift rather than
-	// publish a bin below k.
-	deltaBins, err := anonymity.Bins(app.Table, delta.Schema().QuasiColumns())
+	// Hand the append a plan whose record has never published a thin
+	// bin of the marked delta — the situation of a batch opening a
+	// fresh, under-populated value combination. The append must refuse
+	// with ErrPlanDrift rather than publish a bin below k.
+	doctored := withoutThinBin(t, plan, app.Table)
+	_, err = fw.Append(delta, &doctored, key)
+	if !errors.Is(err, ErrPlanDrift) {
+		t.Fatalf("thin new bin: %v, want ErrPlanDrift", err)
+	}
+	if !strings.Contains(err.Error(), "below k") {
+		t.Errorf("drift error lacks bin context: %v", err)
+	}
+
+	// Under §5.1 boundary permutation the seamlessness guarantee is the
+	// relaxed one (ApplyContext publishes below-K permuted bins the same
+	// way), so the identical batch must not dead-end the incremental
+	// path.
+	permissive := doctored
+	permissive.BoundaryPermutation = true
+	if _, err := fw.Append(delta, &permissive, key); err != nil {
+		t.Fatalf("thin new bin under boundary permutation: %v, want success", err)
+	}
+}
+
+// TestZeroSelectionKeepsBoundaryOff: an apply that selects no tuple
+// embeds nothing, so it has taken no §5.1 decision and must not record
+// one — otherwise every later append under the plan would accept thin
+// new bins.
+func TestZeroSelectionKeepsBoundaryOff(t *testing.T) {
+	all, err := datagen.Generate(datagen.Config{Rows: 1525, Seed: 77, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := all.Slice(0, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := all.Slice(1500, 1525)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := testFramework(t)
+	key := crypt.NewWatermarkKeyFromSecret("append owner", 1e12)
+	prot, err := fw.Protect(base, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prot.Embed.TuplesSelected != 0 {
+		t.Fatalf("η=1e12 selected %d tuples; the case under test selects none", prot.Embed.TuplesSelected)
+	}
+	if prot.Plan.BoundaryPermutation {
+		t.Fatal("an apply that selected no tuple recorded §5.1 boundary permutation")
+	}
+	app, err := fw.Append(delta, &prot.Plan, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doctored := withoutThinBin(t, prot.Plan, app.Table)
+	if _, err := fw.Append(delta, &doctored, key); !errors.Is(err, ErrPlanDrift) {
+		t.Fatalf("thin new bin after a zero-selection apply: %v, want ErrPlanDrift", err)
+	}
+}
+
+// withoutThinBin returns plan with one bin of the marked delta that
+// holds fewer than k rows dropped from its published record.
+func withoutThinBin(t *testing.T, plan Plan, marked *relation.Table) Plan {
+	t.Helper()
+	deltaBins, err := anonymity.Bins(marked, marked.Schema().QuasiColumns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,23 +274,7 @@ func TestAppendPlanDriftThinNewBin(t *testing.T) {
 			doctored.Bins[bin] = n
 		}
 	}
-	_, err = fw.Append(delta, &doctored, key)
-	if !errors.Is(err, ErrPlanDrift) {
-		t.Fatalf("thin new bin: %v, want ErrPlanDrift", err)
-	}
-	if !strings.Contains(err.Error(), "below k") {
-		t.Errorf("drift error lacks bin context: %v", err)
-	}
-
-	// Under §5.1 boundary permutation the seamlessness guarantee is the
-	// relaxed one (ApplyContext publishes below-K permuted bins the same
-	// way), so the identical batch must not dead-end the incremental
-	// path.
-	permissive := doctored
-	permissive.BoundaryPermutation = true
-	if _, err := fw.Append(delta, &permissive, key); err != nil {
-		t.Fatalf("thin new bin under boundary permutation: %v, want success", err)
-	}
+	return doctored
 }
 
 func sortedKeys(m map[string]int) []string {

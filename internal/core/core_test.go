@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -13,7 +10,6 @@ import (
 	"repro/internal/binning"
 	"repro/internal/crypt"
 	"repro/internal/datagen"
-	"repro/internal/dht"
 	"repro/internal/ontology"
 	"repro/internal/ownership"
 	"repro/internal/relation"
@@ -267,69 +263,6 @@ func TestProtectValidation(t *testing.T) {
 	}
 	if _, err := bad.Protect(tbl, crypt.NewWatermarkKeyFromSecret("k", 10)); err == nil {
 		t.Error("missing ident column accepted")
-	}
-}
-
-func TestProtectBoundaryFallback(t *testing.T) {
-	// Usage metrics at the leaves pin every maximal node to a leaf, so
-	// every ultimate frontier node is its own maximal node and the
-	// hierarchical channel is empty. The in-memory paths must fall back
-	// to §5.1 boundary permutation, record it in the effective plan, and
-	// still roundtrip detection; the streams cannot replay their input
-	// and report ErrUnsatisfiable instead.
-	tbl := testData(t, 5000)
-	trees := ontology.Trees()
-	maxGens := make(map[string]dht.GenSet)
-	for _, col := range tbl.Schema().QuasiColumns() {
-		maxGens[col] = dht.LeafGenSet(trees[col])
-	}
-	fw, err := New(trees, Config{K: 1, MaxGens: maxGens})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := crypt.NewWatermarkKeyFromSecret("boundary-owner", 30)
-	p, err := fw.Protect(tbl, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Plan.BoundaryPermutation || !p.Provenance.BoundaryPermutation {
-		t.Fatal("effective plan does not record the boundary-permutation fallback")
-	}
-	if p.Embed.BitsEmbedded == 0 {
-		t.Fatal("no bits embedded even after fallback")
-	}
-	det, err := fw.Detect(p.Table, p.Provenance, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !det.Match {
-		t.Errorf("boundary-mode detection failed: loss %v", det.MarkLoss)
-	}
-
-	recipients := []Recipient{
-		{ID: "a", Key: crypt.RecipientWatermarkKey("boundary-owner", "a", 30)},
-		{ID: "b", Key: crypt.RecipientWatermarkKey("boundary-owner", "b", 30)},
-	}
-	copies, err := fw.Fingerprint(tbl, recipients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range copies {
-		if !c.Protected.Plan.BoundaryPermutation {
-			t.Errorf("recipient %s: copy does not record the boundary-permutation fallback", c.RecipientID)
-		}
-	}
-
-	plan, err := fw.Plan(tbl, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.ApplyStream(context.Background(), tbl.Segments(1000), plan, key, io.Discard); !errors.Is(err, ErrUnsatisfiable) {
-		t.Errorf("ApplyStream: err = %v, want ErrUnsatisfiable", err)
-	}
-	outs := []io.Writer{io.Discard, io.Discard}
-	if _, err := fw.FingerprintStream(context.Background(), tbl, recipients, outs); !errors.Is(err, ErrUnsatisfiable) {
-		t.Errorf("FingerprintStream: err = %v, want ErrUnsatisfiable", err)
 	}
 }
 

@@ -164,11 +164,10 @@ type FingerprintStreamed struct {
 // recipient i's protected CSV, byte-identical to WriteCSV of the
 // FingerprintContext copy, for every Config.Chunk.
 //
-// As with ApplyStream, the §5.1 boundary-permutation fallback cannot
-// replay the written copies — FingerprintStream reports
-// ErrUnsatisfiable instead (re-plan with Config.BoundaryPermutation, or
-// use the in-memory FingerprintContext). On any error the CSV already
-// written to the outs is partial and must be discarded by the caller.
+// The §5.1 boundary-permutation fallback is decided from the shared
+// frontiers before the first segment, as in FingerprintContext. On any
+// error the CSV already written to the outs is partial and must be
+// discarded by the caller.
 func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, recipients []Recipient, outs []io.Writer) ([]FingerprintStreamed, error) {
 	if len(outs) != len(recipients) {
 		return nil, fmt.Errorf("core: %d recipients but %d output writers: %w", len(recipients), len(outs), ErrBadConfig)
@@ -196,7 +195,7 @@ func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, 
 		if err := writers[i].Flush(); err != nil {
 			return nil, err
 		}
-		st, err := applyVerdict(outputs[i].plan, p, i)
+		st, err := applyVerdict(p, i)
 		if err != nil {
 			return nil, outputs[i].wrap(err)
 		}

@@ -67,10 +67,9 @@ type Streamed struct {
 //
 // The verdicts run at end-of-stream on the combined bins: the planned
 // k+ε floor, the no-bandwidth error, and the seamlessness guarantee.
-// The §5.1 boundary-permutation fallback re-embeds with permutation on,
-// which a consumed stream cannot replay — ApplyStream reports
-// ErrUnsatisfiable instead (re-plan with Config.BoundaryPermutation, or
-// use the in-memory ApplyContext).
+// The §5.1 boundary-permutation fallback is decided from the plan's
+// frontiers before the first segment, so ApplyStream takes it exactly
+// where ApplyContext does and records it in the effective plan.
 //
 // On any error the CSV already written to out is partial and must be
 // discarded by the caller.
@@ -79,7 +78,7 @@ func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, k
 	if err != nil {
 		return nil, err
 	}
-	return applyVerdict(plan, p, 0)
+	return applyVerdict(p, 0)
 }
 
 // AppendStream protects a new batch of rows under an existing plan,
@@ -96,7 +95,7 @@ func (f *Framework) AppendStream(ctx context.Context, src Segments, plan *Plan, 
 	if err != nil {
 		return nil, err
 	}
-	return appendVerdict(plan, p)
+	return appendVerdict(p)
 }
 
 // writeStream runs the write loop with one CSV SegmentWriter sink.

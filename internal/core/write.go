@@ -47,12 +47,14 @@ func keep(dst **relation.Table) func(*relation.Table) error {
 	return func(t *relation.Table) error { *dst = t; return nil }
 }
 
-// pass is what one write run accumulated: the bins before watermarking
-// (apply runs only; the quasi cells do not depend on the key, so every
-// output shares them), each output's embedding statistics and bins after
-// watermarking, the row counters, and how many transforms and Equation
-// (5) selections the outputs shared.
+// pass is what one write run accumulated: each output's effective plan
+// (its input plan, with the §5.1 decision an apply run took), the bins
+// before watermarking (apply runs only; the quasi cells do not depend on
+// the key, so every output shares them), each output's embedding
+// statistics and bins after watermarking, the row counters, and how
+// many transforms and Equation (5) selections the outputs shared.
 type pass struct {
+	plans                      []*Plan
 	columns                    map[string]watermark.ColumnSpec
 	before                     map[string]int
 	embed                      []watermark.EmbedStats
@@ -72,9 +74,12 @@ type pass struct {
 // and hands the marked segment to the output's sink. The source is read
 // one segment ahead and the sinks run one marked table behind, on helper
 // goroutines joined before write returns (pipe.go); a sink error wins
-// over any later error of the loop. appending wraps
-// values outside the planned frontiers in ErrPlanDrift and skips the
-// before-bins, which only the apply verdict reads.
+// over any later error of the loop. An apply run whose frontiers leave
+// the hierarchical channel empty (noHierarchy) embeds every output with
+// §5.1 boundary permutation on and records it in the output's effective
+// plan. appending keeps the plan's decision, wraps values outside the
+// planned frontiers in ErrPlanDrift and skips the before-bins, which
+// only the apply verdict reads.
 func (f *Framework) write(ctx context.Context, src Segments, outs []output, appending bool) (_ *pass, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -123,9 +128,17 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 	for col, spec := range columns {
 		ultiGens[col] = spec.UltiGen
 	}
+	boundary := !appending && noHierarchy(columns)
+	plans := make([]*Plan, len(outs))
 	params := make([]watermark.Params, len(outs))
 	for i, o := range outs {
-		if params[i], err = paramsFromProvenance(o.plan.Provenance, o.key); err != nil {
+		plans[i] = o.plan
+		if boundary && !o.plan.BoundaryPermutation {
+			bp := *o.plan
+			bp.BoundaryPermutation = true
+			plans[i] = &bp
+		}
+		if params[i], err = paramsFromProvenance(plans[i].Provenance, o.key); err != nil {
 			return nil, o.wrap(err)
 		}
 		params[i].Workers = f.cfg.Workers
@@ -143,7 +156,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 
 	// The bin counters live for the whole run, so a bin's key is
 	// allocated once, however many segments it recurs in.
-	p := &pass{columns: columns, embed: make([]watermark.EmbedStats, len(outs))}
+	p := &pass{plans: plans, columns: columns, embed: make([]watermark.EmbedStats, len(outs))}
 	var before anonymity.Counter
 	after := make([]anonymity.Counter, len(outs))
 	for {
@@ -225,6 +238,24 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 	return p, nil
 }
 
+// noHierarchy reports whether the hierarchical channel is empty for
+// every key and η: in every column each maximal node covers exactly one
+// ultimate node, so each Permutate walk descends only single-child
+// levels and carries no bit. Only §5.1 boundary permutation can then
+// embed the mark, and the frontiers alone decide it, before the first
+// row. The ultimate frontier lies at or below the maximal one (embedding
+// rejects any other spec), so every maximal node covers at least one
+// ultimate node, and exactly one when the two frontiers are equally
+// long.
+func noHierarchy(columns map[string]watermark.ColumnSpec) bool {
+	for _, spec := range columns {
+		if spec.UltiGen.Len() != spec.MaxGen.Len() {
+			return false
+		}
+	}
+	return true
+}
+
 // addEmbed accumulates per-segment embedding counters.
 func addEmbed(dst *watermark.EmbedStats, s watermark.EmbedStats) {
 	dst.TuplesSelected += s.TuplesSelected
@@ -238,7 +269,8 @@ func addEmbed(dst *watermark.EmbedStats, s watermark.EmbedStats) {
 // bandwidth, and — unless §5.1 boundary permutation is on — no bin may
 // fall below k after watermarking (seamlessness). It returns the
 // effective plan, whose bin record later appends verify against.
-func applyVerdict(plan *Plan, p *pass, i int) (*Streamed, error) {
+func applyVerdict(p *pass, i int) (*Streamed, error) {
+	plan := p.plans[i]
 	if plan.EffectiveK > 0 && p.rows > 0 {
 		for _, n := range p.before {
 			if n < plan.EffectiveK {
@@ -247,29 +279,21 @@ func applyVerdict(plan *Plan, p *pass, i int) (*Streamed, error) {
 		}
 	}
 	embed, after := p.embed[i], p.after[i]
-	bp := plan.BoundaryPermutation
-	if embed.BitsEmbedded == 0 {
-		switch {
-		case embed.TuplesSelected > 0 && !bp:
-			return nil, fmt.Errorf(
-				"core: no watermark bandwidth under the planned frontiers, and the §5.1 boundary-permutation fallback cannot replay a consumed stream; re-plan with Config.BoundaryPermutation or use the in-memory form: %w", ErrUnsatisfiable)
-		case embed.TuplesSelected > 0:
+	if embed.BitsEmbedded == 0 && embed.TuplesSelected > 0 {
+		if plan.BoundaryPermutation {
 			return nil, fmt.Errorf(
 				"core: no watermark bandwidth: every frontier sits at the usage metrics with no permutable siblings; relax the metrics or lower K: %w", ErrUnsatisfiable)
-		default:
-			// No tuple was selected at all: the fallback would change
-			// nothing but the recorded decision, so record it.
-			bp = true
 		}
+		return nil, fmt.Errorf(
+			"core: no watermark bandwidth: every selected tuple's cells sit on maximal nodes; lower η to select more tuples, or re-plan with Config.BoundaryPermutation: %w", ErrUnsatisfiable)
 	}
 	binStats := anonymity.Compare(p.before, after, plan.K)
-	if binStats.BelowK > 0 && !bp {
+	if binStats.BelowK > 0 && !plan.BoundaryPermutation {
 		return nil, fmt.Errorf(
 			"core: watermarking pushed %d bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
 			binStats.BelowK, plan.K, ErrUnsatisfiable)
 	}
 	eff := *plan
-	eff.BoundaryPermutation = bp
 	eff.Bins = after
 	eff.Rows = p.rows
 	return &Streamed{Plan: eff, Embed: embed, BinStats: binStats, Rows: p.rows, Segments: p.segments, Suppressed: p.suppressed}, nil
@@ -281,7 +305,8 @@ func applyVerdict(plan *Plan, p *pass, i int) (*Streamed, error) {
 // boundary tuples may open thin sibling bins that a full re-protect
 // would publish too. Thin new bins are ErrPlanDrift. It returns the
 // advanced plan, the next append's baseline.
-func appendVerdict(plan *Plan, p *pass) (*Streamed, error) {
+func appendVerdict(p *pass) (*Streamed, error) {
+	plan := p.plans[0]
 	newBins := 0
 	var thin []string
 	for bin, n := range p.after[0] {
@@ -313,13 +338,7 @@ func appendVerdict(plan *Plan, p *pass) (*Streamed, error) {
 
 // applyTable is the in-memory apply: the write loop over tbl as one
 // segment, each output closed by the apply verdict, the marked tables
-// kept. It is the one place the §5.1 fallback lives. When an output's
-// mark finds no bandwidth — every selected cell's ultimate node is its
-// own maximal node — that output is re-run with boundary permutation
-// on. Only an in-memory caller can do this, because a stream cannot
-// replay its input; and no plan-time rule can decide it instead,
-// because bandwidth depends on the encrypted identifiers, K1 and η,
-// which the planner never computes.
+// kept.
 func (f *Framework) applyTable(ctx context.Context, tbl *relation.Table, outs []output) ([]*Protected, error) {
 	kept := make([]*relation.Table, len(outs))
 	for i := range outs {
@@ -329,28 +348,6 @@ func (f *Framework) applyTable(ctx context.Context, tbl *relation.Table, outs []
 	if err != nil {
 		return nil, err
 	}
-	var retry []output
-	var retried []int
-	for i, o := range outs {
-		if e := p.embed[i]; e.BitsEmbedded == 0 && e.TuplesSelected > 0 && !o.plan.BoundaryPermutation {
-			bp := *o.plan
-			bp.BoundaryPermutation = true
-			o.plan = &bp
-			retry = append(retry, o)
-			retried = append(retried, i)
-		}
-	}
-	if len(retry) > 0 {
-		rp, err := f.write(ctx, &relation.OneSegment{Table: tbl}, retry, false)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range retried {
-			outs[i].plan = retry[j].plan
-			p.embed[i], p.after[i] = rp.embed[j], rp.after[j]
-		}
-	}
-
 	plan := outs[0].plan
 	minGens, err := f.minGensFromPlan(plan)
 	if err != nil {
@@ -363,7 +360,7 @@ func (f *Framework) applyTable(ctx context.Context, tbl *relation.Table, outs []
 	}
 	prots := make([]*Protected, len(outs))
 	for i, o := range outs {
-		res, err := applyVerdict(o.plan, p, i)
+		res, err := applyVerdict(p, i)
 		if err != nil {
 			return nil, o.wrap(err)
 		}

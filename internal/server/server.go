@@ -21,8 +21,9 @@
 // Plan, detect and traceback read a core.Segments source under every
 // transport: a JSON table becomes a SegmentReader (CSV document) or one
 // segment (inline rows), a text/csv body a metered SegmentReader. The
-// JSON write operations keep the in-memory core forms, the only ones
-// with the §5.1 boundary-permutation fallback.
+// JSON write operations return the marked table inside the response
+// document, so they call the in-memory core forms: the same write loop
+// over one segment, with the same verdicts and bytes.
 //
 // Every request runs under a per-request deadline and inside a bounded
 // in-flight semaphore sized off the worker configuration, so a burst of
@@ -399,9 +400,9 @@ func (s *Server) runProtect(ctx context.Context, req api.ProtectRequest) (api.Pr
 	return protectedResponse(prot, req.Output)
 }
 
-// runApply is the core of POST /v1/apply's JSON mode. It stays on the
-// in-memory ApplyContext: only that form can take the §5.1
-// boundary-permutation fallback, which a consumed stream cannot replay.
+// runApply is the core of POST /v1/apply's JSON mode. Its response
+// carries the marked table, so it calls the in-memory ApplyContext,
+// which is ApplyStream's write loop over one segment.
 func (s *Server) runApply(ctx context.Context, req api.ApplyRequest) (api.ApplyResponse, error) {
 	fw, tbl, key, err := s.prepare(ctx, req.Table, req.Key, defaultK(req.Options, req.Plan.K), req.Output)
 	if err != nil {

@@ -20,7 +20,8 @@ import (
 // JSON request documents carry and meters the body into a segment
 // source; plan, detect and traceback then run the same core as their
 // JSON and job transports, while apply and append drive the core's
-// streaming write (the JSON modes keep the in-memory forms). The CSV
+// streaming write (the JSON modes, whose responses carry the marked
+// table, call the in-memory forms of the same write loop). The CSV
 // body is consumed segment-at-a-time through relation.SegmentReader —
 // the table is never materialized — and apply/append stream the
 // protected CSV back incrementally, so the endpoints handle tables far

@@ -65,8 +65,11 @@ func WithLossThreshold(t float64) Option { return func(c *Config) { c.LossThresh
 // during detection (§5.3).
 func WithWeightedVoting() Option { return func(c *Config) { c.WeightedVoting = true } }
 
-// WithBoundaryPermutation enables the §5.1 boundary relaxation from the
-// start instead of waiting for the zero-bandwidth fallback.
+// WithBoundaryPermutation enables the §5.1 boundary relaxation for every
+// plan. Without it, an apply turns the relaxation on only when the
+// frontiers leave the hierarchical channel empty (every maximal node
+// covers exactly one ultimate node), and records that in the effective
+// plan.
 func WithBoundaryPermutation() Option { return func(c *Config) { c.BoundaryPermutation = true } }
 
 // WithNoColumnSalt restores the paper's literal single-column position
