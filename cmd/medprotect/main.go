@@ -56,6 +56,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/medshield"
@@ -174,11 +175,7 @@ func cmdProtect(args []string) error {
 	if err := medshield.SaveCSVFile(*out, p.Table); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(p.Provenance, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*provPath, data, 0o600); err != nil {
+	if err := writeProvenance(*provPath, p.Provenance); err != nil {
 		return err
 	}
 	if *planPath != "" {
@@ -196,12 +193,24 @@ func cmdProtect(args []string) error {
 	return nil
 }
 
+// writePlan and writeProvenance replace an owner document atomically,
+// so an interrupted rewrite of a plan in place (apply, append) leaves
+// the previous plan and its bin record intact. A new file is 0600, an
+// existing one keeps its mode.
 func writePlan(path string, plan *medshield.Plan) error {
 	data, err := medshield.MarshalPlan(plan)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o600)
+	return atomicfile.WriteFile(path, atomicfile.ModeOr(path, 0o600), atomicfile.Bytes(data))
+}
+
+func writeProvenance(path string, prov medshield.Provenance) error {
+	data, err := json.MarshalIndent(prov, "", "  ")
+	if err != nil {
+		return err
+	}
+	return atomicfile.WriteFile(path, atomicfile.ModeOr(path, 0o600), atomicfile.Bytes(data))
 }
 
 func loadPlan(path string) (*medshield.Plan, error) {
@@ -253,44 +262,11 @@ func cmdPlan(args []string) error {
 	return nil
 }
 
-// streamToFile is SaveCSVFile's atomicity for a streamed producer: write
-// writes the document to a temporary file in the target directory, which
-// is synced and renamed over path only on success. A mid-stream failure
-// never leaves a truncated table at path.
-func streamToFile(path string, write func(w io.Writer) error) (err error) {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	mode := os.FileMode(0o644)
-	if st, statErr := os.Stat(path); statErr == nil {
-		mode = st.Mode().Perm()
-	}
-	if err = f.Chmod(mode); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err = write(bw); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+// writeCSV is SaveCSVFile for a streamed producer: write's CSV lands
+// at path atomically, keeping an existing destination's mode (else
+// 0644).
+func writeCSV(path string, write func(w io.Writer) error) error {
+	return atomicfile.WriteFile(path, atomicfile.ModeOr(path, 0o644), write)
 }
 
 // withSegments runs fn over the CSV file at path as a segment source of
@@ -389,7 +365,7 @@ func cmdApply(args []string) error {
 
 	var res *medshield.Streamed
 	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) error {
-		return streamToFile(*out, func(w io.Writer) (err error) {
+		return writeCSV(*out, func(w io.Writer) (err error) {
 			res, err = fw.ApplyStream(context.Background(), sr, plan, key, w)
 			return err
 		})
@@ -400,11 +376,7 @@ func cmdApply(args []string) error {
 		return err
 	}
 	if *provPath != "" {
-		data, err := json.MarshalIndent(res.Plan.Provenance, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*provPath, data, 0o600); err != nil {
+		if err := writeProvenance(*provPath, res.Plan.Provenance); err != nil {
 			return err
 		}
 	}
@@ -459,7 +431,7 @@ func cmdAppend(args []string) error {
 	}
 	var res *medshield.Streamed
 	if err := withSegments(*in, fw.Config().Chunk, func(sr *medshield.SegmentReader) error {
-		return streamToFile(*out, func(w io.Writer) (err error) {
+		return writeCSV(*out, func(w io.Writer) (err error) {
 			res, err = fw.AppendStream(context.Background(), sr, plan, medshield.NewKey(*secret, *eta), w)
 			return err
 		})
@@ -685,11 +657,11 @@ func cmdFingerprint(args []string) error {
 // fingerprintFiles writes every recipient's copy of tbl to outdir and
 // registers the batch. One shared plan and transform fan out to N CSV
 // writers segment-at-a-time (FingerprintStream), so no marked copy ever
-// materializes. Every copy lands through a temp-file rename, and the
-// batch registers atomically only after all copies landed: a mid-run
-// failure must not leave some recipients durably registered for copies
-// that were never released.
-func fingerprintFiles(fw *medshield.Framework, tbl *medshield.Table, recs []medshield.Recipient, outdir, regPath string) (err error) {
+// materializes. Every copy lands atomically (mode 0644), and the batch
+// registers atomically only after all copies landed: a mid-run failure
+// must not leave some recipients durably registered for copies that
+// were never released.
+func fingerprintFiles(fw *medshield.Framework, tbl *medshield.Table, recs []medshield.Recipient, outdir, regPath string) error {
 	reg, err := medshield.OpenRegistry(regPath)
 	if err != nil {
 		return err
@@ -697,32 +669,22 @@ func fingerprintFiles(fw *medshield.Framework, tbl *medshield.Table, recs []meds
 	if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return err
 	}
-	files := make([]*os.File, len(recs))
-	bufws := make([]*bufio.Writer, len(recs))
+	paths := make([]string, len(recs))
+	files := make([]*atomicfile.File, len(recs))
 	outs := make([]io.Writer, len(recs))
+	// Discard the copies that did not land; committed copies stay
+	// (recoverable, and never registered).
 	defer func() {
-		if err != nil {
-			// Remove the temp files of copies that did not land; renamed
-			// copies stay (recoverable, and never registered).
-			for _, f := range files {
-				if f != nil {
-					f.Close()
-					os.Remove(f.Name())
-				}
-			}
+		for _, f := range files {
+			f.Abort()
 		}
 	}()
 	for i, rec := range recs {
-		f, ferr := os.CreateTemp(outdir, rec.ID+".csv.tmp-*")
-		if ferr != nil {
-			return ferr
-		}
-		files[i] = f
-		if err = f.Chmod(0o644); err != nil {
+		paths[i] = filepath.Join(outdir, rec.ID+".csv")
+		if files[i], err = atomicfile.Create(paths[i], 0o644); err != nil {
 			return err
 		}
-		bufws[i] = bufio.NewWriter(f)
-		outs[i] = bufws[i]
+		outs[i] = files[i]
 	}
 	results, err := fw.FingerprintStream(context.Background(), tbl, recs, outs)
 	if err != nil {
@@ -730,27 +692,16 @@ func fingerprintFiles(fw *medshield.Framework, tbl *medshield.Table, recs []meds
 	}
 	records := make([]medshield.RecipientRecord, len(results))
 	for i, res := range results {
-		if err = bufws[i].Flush(); err != nil {
+		if err := files[i].Commit(); err != nil {
 			return err
 		}
-		if err = files[i].Sync(); err != nil {
-			return err
-		}
-		if err = files[i].Close(); err != nil {
-			return err
-		}
-		path := filepath.Join(outdir, res.RecipientID+".csv")
-		if err = os.Rename(files[i].Name(), path); err != nil {
-			return err
-		}
-		files[i] = nil
 		records[i] = medshield.RecipientRecordOf(res.RecipientID, recs[i].Key, res.Streamed.Plan)
 		records[i].CreatedAt = time.Now().UTC().Format(time.RFC3339)
 		fmt.Printf("recipient %s: %d tuples marked, %d cells changed -> %s (key fp %s)\n",
 			res.RecipientID, res.Streamed.Embed.TuplesSelected, res.Streamed.Embed.CellsChanged,
-			path, res.KeyFingerprint)
+			paths[i], res.KeyFingerprint)
 	}
-	if err = reg.PutAll(records); err != nil {
+	if err := reg.PutAll(records); err != nil {
 		return err
 	}
 	first := results[0].Streamed

@@ -423,9 +423,30 @@ func TestCLIFingerprintTraceback(t *testing.T) {
 		t.Fatalf("fingerprint: %v", err)
 	}
 	for _, id := range []string{"hospital-a", "hospital-b", "hospital-c"} {
-		if _, err := os.Stat(filepath.Join(outdir, id+".csv")); err != nil {
-			t.Fatalf("missing copy for %s: %v", id, err)
+		if m := permOf(t, filepath.Join(outdir, id+".csv")); m != 0o644 {
+			t.Fatalf("copy for %s has mode %v, want 0644", id, m)
 		}
+	}
+	if m := permOf(t, reg); m != 0o600 {
+		t.Fatalf("registry mode = %v, want 0600", m)
+	}
+	noTempFiles(t, outdir)
+
+	// A run that fails after its copies were opened leaves no copy, no
+	// temp file and no registry.
+	failed := filepath.Join(dir, "failed")
+	failedReg := filepath.Join(dir, "failed.json")
+	if err := cmdFingerprint([]string{
+		"-in", data, "-k", "15", "-eta", "25", "-secret", "fleet secret",
+		"-recipients", "hospital-a,hospital-a", "-outdir", failed, "-registry", failedReg,
+	}); err == nil {
+		t.Fatal("fingerprint with a duplicate recipient succeeded")
+	}
+	if left, _ := os.ReadDir(failed); len(left) > 0 {
+		t.Fatalf("failed fingerprint left %d files in its outdir", len(left))
+	}
+	if _, err := os.Stat(failedReg); !os.IsNotExist(err) {
+		t.Fatalf("failed fingerprint wrote a registry: %v", err)
 	}
 	store, err := medshield.OpenRegistry(reg)
 	if err != nil {

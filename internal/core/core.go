@@ -260,17 +260,6 @@ func (f *Framework) ApplyContext(ctx context.Context, tbl *relation.Table, plan 
 	return prots[0], nil
 }
 
-// ownershipMark derives the §5.4 ownership mark, wrapping failures in
-// ErrBadSchema (the statistic is undefined for non-numeric identifying
-// columns).
-func ownershipMark(tbl *relation.Table, identCol string, quantum float64, markBits int) (bitstr.Bits, float64, error) {
-	mark, v, err := ownership.OwnerMark(tbl, identCol, quantum, markBits)
-	if err != nil {
-		return bitstr.Bits{}, 0, fmt.Errorf("core: deriving ownership mark: %w: %w", err, ErrBadSchema)
-	}
-	return mark, v, nil
-}
-
 // SpecsFromProvenance rebuilds the watermark column specs from a stored
 // provenance record and the framework's trees.
 func (f *Framework) SpecsFromProvenance(prov Provenance) (map[string]watermark.ColumnSpec, error) {

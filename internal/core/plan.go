@@ -163,41 +163,22 @@ func (f *Framework) Plan(tbl *relation.Table, key crypt.WatermarkKey) (*Plan, er
 // repeating the search. ProtectContext is exactly PlanContext followed
 // by ApplyContext.
 //
-// The search runs over a binning.Sketch of the table, shared with
-// PlanStream: its cost scales with distinct quasi-tuples, not rows.
+// It is PlanStream over tbl as a single segment: the search runs over a
+// binning.Sketch of the table, so its cost scales with distinct
+// quasi-tuples, not rows.
 func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key crypt.WatermarkKey) (*Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	identCol, err := f.identCol(tbl.Schema())
+	ps, err := f.PlanStream(ctx, &relation.OneSegment{Table: tbl}, key)
 	if err != nil {
 		return nil, err
 	}
-
-	// Ownership mark from the clear-text identifying column (§5.4).
-	mark, v, err := ownershipMark(tbl, identCol, f.cfg.Quantum, f.cfg.MarkBits)
-	if err != nil {
-		return nil, err
-	}
-
-	sk, err := binning.NewSketch(tbl.Schema(), f.trees)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	if err := sk.Add(tbl); err != nil {
-		return nil, err
-	}
-	return f.planFromSketch(ctx, sk, tbl.Schema().QuasiColumns(), identCol, mark, v)
+	return ps.Plan, nil
 }
 
-// planFromSketch is the planning core PlanContext and PlanStream share:
-// the frontier search (optionally twice, for the conservative ε) over a
-// quasi-tuple sketch, frozen into a Plan. Both searches run over one
-// binning.SearchSetup, and the sketch is not referenced past the setup,
-// so its tuple map can be reclaimed before either ascent.
+// planFromSketch is PlanStream's planning core: the frontier search
+// (optionally twice, for the conservative ε) over a quasi-tuple sketch,
+// frozen into a Plan. Both searches run over one binning.SearchSetup,
+// and the sketch is not referenced past the setup, so its tuple map can
+// be reclaimed before either ascent.
 func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quasiCols []string, identCol string, mark bitstr.Bits, v float64) (*Plan, error) {
 	binCfg := binning.Config{
 		K:          f.cfg.K,

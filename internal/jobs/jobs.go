@@ -2,8 +2,8 @@
 // service: long protections (protect, plan, apply, fingerprint,
 // traceback) submitted as queued jobs instead of blocking RPCs. A
 // bounded worker pool drains a persistent queue; every state transition
-// is persisted (atomic temp+rename, like internal/registry), so queued
-// and running jobs survive a crash and are re-enqueued on boot. Failed
+// is persisted through internal/atomicfile, so queued and running jobs
+// survive a crash and are re-enqueued on boot. Failed
 // attempts retry with exponential backoff and jitter up to a
 // max-attempts dead-letter state; client-supplied idempotency keys make
 // duplicate submits return the existing job; progress streams out via
@@ -35,17 +35,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/tenant"
 )
-
-// normalizeTenant resolves a job's effective tenant.
-func normalizeTenant(id string) string {
-	if id == "" {
-		return tenant.DefaultID
-	}
-	return id
-}
 
 // State is a job's lifecycle state.
 type State string

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/sse"
+	"repro/internal/tenant"
 )
 
 // Clock abstracts time for the manager so retry/backoff schedules are
@@ -306,7 +307,7 @@ func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (
 		maxAttempts = m.cfg.MaxAttempts
 	}
 
-	tenantID := normalizeTenant(opts.TenantID)
+	tenantID := tenant.Normalize(opts.TenantID)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -375,7 +376,7 @@ func (m *Manager) List(f Filter) []Job {
 	all := m.store.List()
 	out := make([]Job, 0, len(all))
 	for _, j := range all {
-		if f.Tenant != "" && normalizeTenant(j.TenantID) != f.Tenant {
+		if f.Tenant != "" && tenant.Normalize(j.TenantID) != f.Tenant {
 			continue
 		}
 		if f.Kind != "" && j.Kind != f.Kind {
@@ -691,7 +692,7 @@ func (m *Manager) kindAllowed(kind string) bool {
 // idemIndex keys the idempotency map by (tenant, kind, key) so two
 // tenants reusing the same Idempotency-Key never see each other's jobs.
 func idemIndex(tenantID, kind, key string) string {
-	return normalizeTenant(tenantID) + "\x00" + kind + "\x00" + key
+	return tenant.Normalize(tenantID) + "\x00" + kind + "\x00" + key
 }
 
 func (m *Manager) logf(format string, args ...any) {

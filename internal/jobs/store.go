@@ -1,13 +1,13 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/atomicfile"
+	"repro/internal/tenant"
 )
 
 // FormatVersion is the job store file format version.
@@ -33,8 +33,8 @@ type Store interface {
 }
 
 // FileStore is the JSON-on-disk Store: one document holding every job,
-// rewritten atomically (temp file + rename, like internal/registry) on
-// each Put. A store opened with an empty path is in-memory only.
+// rewritten through internal/atomicfile on each Put. A store opened with
+// an empty path is in-memory only.
 //
 // File format (FormatVersion 1):
 //
@@ -64,21 +64,13 @@ func Open(path string) (*FileStore, error) {
 	if path == "" {
 		return s, nil
 	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	var doc document
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("jobs: decoding %s: %w", path, err)
+	found, err := atomicfile.ReadJSON(path, &doc)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("jobs: trailing data after document in %s", path)
+	if !found {
+		return s, nil
 	}
 	if doc.Version != FormatVersion {
 		return nil, fmt.Errorf("jobs: %s has format version %d, want %d", path, doc.Version, FormatVersion)
@@ -87,7 +79,7 @@ func Open(path string) (*FileStore, error) {
 		// Migration: stores written before multi-tenancy carry no tenant
 		// ID; those jobs are adopted by the default tenant so existing
 		// queues keep loading and resuming.
-		j.TenantID = normalizeTenant(j.TenantID)
+		j.TenantID = tenant.Normalize(j.TenantID)
 		if err := j.Validate(); err != nil {
 			return nil, fmt.Errorf("jobs: %s: %w", path, err)
 		}
@@ -135,6 +127,11 @@ func (s *FileStore) Get(id string) (Job, bool) {
 func (s *FileStore) List() []Job {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.sortedLocked()
+}
+
+// sortedLocked returns every record, oldest first. Callers hold a lock.
+func (s *FileStore) sortedLocked() []Job {
 	out := make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		out = append(out, j)
@@ -178,49 +175,15 @@ type document struct {
 	Jobs    []Job `json:"jobs"`
 }
 
-// persistLocked writes the store atomically: temp file in the target
-// directory, sync, rename over path. Callers hold the write lock.
-func (s *FileStore) persistLocked() (err error) {
+// persistLocked writes the store through atomicfile, mode 0600.
+// Callers hold the write lock.
+func (s *FileStore) persistLocked() error {
 	if s.path == "" {
 		return nil
 	}
-	doc := document{Version: FormatVersion, Jobs: make([]Job, 0, len(s.jobs))}
-	for _, j := range s.jobs {
-		doc.Jobs = append(doc.Jobs, j)
-	}
-	sort.Slice(doc.Jobs, func(i, j int) bool {
-		if !doc.Jobs[i].CreatedAt.Equal(doc.Jobs[j].CreatedAt) {
-			return doc.Jobs[i].CreatedAt.Before(doc.Jobs[j].CreatedAt)
-		}
-		return doc.Jobs[i].ID < doc.Jobs[j].ID
-	})
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := json.MarshalIndent(document{Version: FormatVersion, Jobs: s.sortedLocked()}, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Dir(s.path), filepath.Base(s.path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = f.Chmod(0o600); err != nil {
-		return err
-	}
-	if _, err = f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.path)
+	return atomicfile.WriteFile(s.path, 0o600, atomicfile.Bytes(append(data, '\n')))
 }

@@ -55,24 +55,11 @@ var ErrNonNumericIdentifiers = fmt.Errorf("ownership: identifying values are not
 // MinNumericFraction of the values are numeric — a mean over a small
 // accidental subset would be a meaningless commitment.
 func IdentStatistic(cleartexts []string) (float64, error) {
-	var sum float64
-	n := 0
+	var a StatAccum
 	for _, s := range cleartexts {
-		v, ok := numericOf(s)
-		if !ok {
-			continue
-		}
-		sum += v
-		n++
+		a.Add(s)
 	}
-	if n == 0 {
-		return 0, fmt.Errorf("%w: no numeric values among %d", ErrNonNumericIdentifiers, len(cleartexts))
-	}
-	if frac := float64(n) / float64(len(cleartexts)); frac < MinNumericFraction {
-		return 0, fmt.Errorf("%w: only %d of %d values (%.0f%%) are numeric, need >= %.0f%%",
-			ErrNonNumericIdentifiers, n, len(cleartexts), frac*100, MinNumericFraction*100)
-	}
-	return sum / float64(n), nil
+	return a.Statistic()
 }
 
 // StatAccum accumulates the IdentStatistic incrementally — the
@@ -97,8 +84,9 @@ func (a *StatAccum) Add(value string) {
 	a.n++
 }
 
-// Statistic returns the mean v over the values added so far, with
-// exactly IdentStatistic's numeric-fraction validation.
+// Statistic returns the mean v over the values added so far, failing
+// (wrapping ErrNonNumericIdentifiers) when fewer than
+// MinNumericFraction of them are numeric.
 func (a *StatAccum) Statistic() (float64, error) {
 	if a.n == 0 {
 		return 0, fmt.Errorf("%w: no numeric values among %d", ErrNonNumericIdentifiers, a.total)

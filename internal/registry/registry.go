@@ -4,11 +4,11 @@
 // needs — the recipient ID, the non-secret fingerprint of the copy's
 // key, the recipient-salted mark and the frozen protection plan.
 //
-// The store is JSON-on-disk with atomic temp+rename writes (a crash
-// mid-write never corrupts the registry) and is safe for concurrent
-// use. A store opened with an empty path is in-memory only — useful for
-// tests and for service deployments that treat the registry as
-// ephemeral.
+// The store is JSON-on-disk, written through internal/atomicfile (mode
+// 0600; a crash mid-write never corrupts the registry), and is safe for
+// concurrent use. A store opened with an empty path is in-memory only —
+// useful for tests and for service deployments that treat the registry
+// as ephemeral.
 //
 // File format (FormatVersion 1):
 //
@@ -38,11 +38,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/tenant"
@@ -175,17 +174,9 @@ type Store struct {
 	recs map[string]Record // key: tenant + "\x00" + recipient ID
 }
 
-// tenantOf resolves a record's effective tenant.
-func tenantOf(id string) string {
-	if id == "" {
-		return tenant.DefaultID
-	}
-	return id
-}
-
 // storeKey is the composite map key for a record.
 func storeKey(tenantID, recipientID string) string {
-	return tenantOf(tenantID) + "\x00" + recipientID
+	return tenant.Normalize(tenantID) + "\x00" + recipientID
 }
 
 // New returns an empty in-memory store (nothing is ever persisted).
@@ -202,21 +193,13 @@ func Open(path string) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	var doc document
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("registry: decoding %s: %w", path, err)
+	found, err := atomicfile.ReadJSON(path, &doc)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("registry: trailing data after document in %s", path)
+	if !found {
+		return s, nil
 	}
 	if doc.Version != FormatVersion {
 		return nil, fmt.Errorf("registry: %s has format version %d, want %d", path, doc.Version, FormatVersion)
@@ -226,7 +209,7 @@ func Open(path string) (*Store, error) {
 		// tenant ID; those records are adopted by the default tenant so
 		// existing files keep loading (and keep serving the CLI, which
 		// always operates as the default tenant).
-		r.TenantID = tenantOf(r.TenantID)
+		r.TenantID = tenant.Normalize(r.TenantID)
 		if err := r.Validate(); err != nil {
 			return nil, fmt.Errorf("registry: %s: %w", path, err)
 		}
@@ -268,36 +251,33 @@ func (s *Store) GetIn(tenantID, id string) (Record, bool) {
 func (s *Store) List() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Record, 0, len(s.recs))
-	for _, r := range s.recs {
-		out = append(out, r)
-	}
-	sortRecords(out)
-	return out
+	return s.sortedLocked(func(Record) bool { return true })
 }
 
 // ListIn returns tenantID's records sorted by recipient ID.
 func (s *Store) ListIn(tenantID string) []Record {
-	tenantID = tenantOf(tenantID)
+	tenantID = tenant.Normalize(tenantID)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.sortedLocked(func(r Record) bool { return r.TenantID == tenantID })
+}
+
+// sortedLocked returns the records keep accepts, sorted by (tenant,
+// recipient). Callers hold a lock.
+func (s *Store) sortedLocked(keep func(Record) bool) []Record {
 	out := make([]Record, 0, len(s.recs))
 	for _, r := range s.recs {
-		if r.TenantID == tenantID {
+		if keep(r) {
 			out = append(out, r)
 		}
 	}
-	sortRecords(out)
-	return out
-}
-
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].TenantID != recs[j].TenantID {
-			return recs[i].TenantID < recs[j].TenantID
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TenantID != out[j].TenantID {
+			return out[i].TenantID < out[j].TenantID
 		}
-		return recs[i].RecipientID < recs[j].RecipientID
+		return out[i].RecipientID < out[j].RecipientID
 	})
+	return out
 }
 
 // Put validates and inserts a record, persisting the store. Re-putting
@@ -307,7 +287,7 @@ func sortRecords(recs []Record) {
 // already-released copy (its leak could no longer be traced). Delete
 // the old record first to force the replacement.
 func (s *Store) Put(rec Record) error {
-	rec.TenantID = tenantOf(rec.TenantID)
+	rec.TenantID = tenant.Normalize(rec.TenantID)
 	if err := rec.Validate(); err != nil {
 		return err
 	}
@@ -341,7 +321,7 @@ func (s *Store) Put(rec Record) error {
 func (s *Store) PutAll(recs []Record) error {
 	recs = append([]Record(nil), recs...)
 	for i := range recs {
-		recs[i].TenantID = tenantOf(recs[i].TenantID)
+		recs[i].TenantID = tenant.Normalize(recs[i].TenantID)
 		if err := recs[i].Validate(); err != nil {
 			return err
 		}
@@ -414,44 +394,16 @@ type document struct {
 	Recipients []Record `json:"recipients"`
 }
 
-// persistLocked writes the registry atomically: temp file in the target
-// directory, sync, rename over path. Callers hold the write lock.
-func (s *Store) persistLocked() (err error) {
+// persistLocked writes the registry through atomicfile, mode 0600.
+// Callers hold the write lock.
+func (s *Store) persistLocked() error {
 	if s.path == "" {
 		return nil
 	}
-	doc := document{Version: FormatVersion, Recipients: make([]Record, 0, len(s.recs))}
-	for _, r := range s.recs {
-		doc.Recipients = append(doc.Recipients, r)
-	}
-	sortRecords(doc.Recipients)
-	data, err := json.MarshalIndent(doc, "", "  ")
+	all := s.sortedLocked(func(Record) bool { return true })
+	data, err := json.MarshalIndent(document{Version: FormatVersion, Recipients: all}, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Dir(s.path), filepath.Base(s.path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = f.Chmod(0o600); err != nil {
-		return err
-	}
-	if _, err = f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.path)
+	return atomicfile.WriteFile(s.path, 0o600, atomicfile.Bytes(append(data, '\n')))
 }

@@ -141,7 +141,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (int, e
 	case errors.Is(err, jobs.ErrUnknownKind):
 		return 0, notFound(err)
 	case errors.Is(err, jobs.ErrDraining):
-		return 0, overloadedError{err: err}
+		return 0, overloaded(err)
 	case err != nil:
 		return 0, badRequest(err)
 	}

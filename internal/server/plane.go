@@ -347,44 +347,19 @@ func (s *Server) metricsAllowed(r *http.Request) bool {
 	return ok && !rec.Disabled && rec.Role == tenant.RoleAdmin
 }
 
-// unauthorizedError tags authentication failures: 401/unauthorized
-// plus a WWW-Authenticate challenge.
-type unauthorizedError struct{ err error }
-
-func (e unauthorizedError) Error() string { return e.err.Error() }
-func (e unauthorizedError) Unwrap() error { return e.err }
-
-func unauthorized(err error) error { return unauthorizedError{err: err} }
-
-// forbiddenError tags authenticated-but-refused requests (disabled
-// tenant, insufficient role): 403/forbidden.
-type forbiddenError struct{ err error }
-
-func (e forbiddenError) Error() string { return e.err.Error() }
-func (e forbiddenError) Unwrap() error { return e.err }
-
-func forbidden(err error) error { return forbiddenError{err: err} }
-
-// rateLimitedError tags token-bucket refusals: 429/rate_limited with
-// the bucket's Retry-After promise.
-type rateLimitedError struct {
-	err        error
-	retryAfter time.Duration
+// Authentication failures (answered with a WWW-Authenticate
+// challenge), authenticated-but-refused requests (disabled tenant,
+// insufficient role), token-bucket refusals with their Retry-After
+// promise, and per-tenant quota refusals (rows per request, active
+// jobs), which carry no Retry-After: the remedy is a smaller request or
+// finished jobs, not waiting.
+func unauthorized(err error) error {
+	return &tagged{api.CodeUnauthorized, http.StatusUnauthorized, 0, err}
 }
-
-func (e rateLimitedError) Error() string { return e.err.Error() }
-func (e rateLimitedError) Unwrap() error { return e.err }
-
+func forbidden(err error) error { return &tagged{api.CodeForbidden, http.StatusForbidden, 0, err} }
 func rateLimited(retryAfter time.Duration, err error) error {
-	return rateLimitedError{err: err, retryAfter: retryAfter}
+	return &tagged{api.CodeRateLimited, http.StatusTooManyRequests, retryAfter, err}
 }
-
-// quotaExceededError tags per-tenant quota refusals (rows per request,
-// active jobs): 429/quota_exceeded. No Retry-After — the remedy is a
-// smaller request or finished jobs, not waiting.
-type quotaExceededError struct{ err error }
-
-func (e quotaExceededError) Error() string { return e.err.Error() }
-func (e quotaExceededError) Unwrap() error { return e.err }
-
-func quotaExceeded(err error) error { return quotaExceededError{err: err} }
+func quotaExceeded(err error) error {
+	return &tagged{api.CodeQuotaExceeded, http.StatusTooManyRequests, 0, err}
+}

@@ -299,7 +299,7 @@ func (s *Server) envelope(h handler, streaming bool) http.HandlerFunc {
 			// A client that walked away keeps the cancellation code.
 			err := fmt.Errorf("server: waiting for capacity: %w", ctx.Err())
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				err = overloadedError{err: err}
+				err = overloaded(err)
 			}
 			s.writeError(w, err)
 		}
@@ -926,80 +926,82 @@ func (s *Server) frameworkFor(opts *api.Options) (*core.Framework, error) {
 	return core.New(s.cfg.Trees, cfg)
 }
 
-// badRequestError tags request-shape problems so writeError maps them
-// to 400/bad_request without a core sentinel.
-type badRequestError struct{ err error }
+// tagged is the server's one error tag: it gives the wrapped error its
+// wire code, HTTP status and, for rate_limited, the bucket's
+// Retry-After promise.
+type tagged struct {
+	code       string
+	status     int
+	retryAfter time.Duration
+	err        error
+}
 
-func (e badRequestError) Error() string { return e.err.Error() }
-func (e badRequestError) Unwrap() error { return e.err }
+func (e *tagged) Error() string { return e.err.Error() }
+func (e *tagged) Unwrap() error { return e.err }
 
-func badRequest(err error) error { return badRequestError{err: err} }
+// Request-shape problems, registry and job misses, capacity-wait
+// timeouts and fingerprint batches over the recipient cap (a distinct
+// code: split the batch, do not fix its shape).
+func badRequest(err error) error { return &tagged{api.CodeBadRequest, http.StatusBadRequest, 0, err} }
+func notFound(err error) error   { return &tagged{api.CodeNotFound, http.StatusNotFound, 0, err} }
+func overloaded(err error) error {
+	return &tagged{api.CodeOverloaded, http.StatusServiceUnavailable, 0, err}
+}
+func tooManyRecipients(err error) error {
+	return &tagged{api.CodeTooManyRecipients, http.StatusBadRequest, 0, err}
+}
 
-// notFoundError tags registry misses so writeError maps them to
-// 404/not_found.
-type notFoundError struct{ err error }
+// tagIn returns the tag with the given code in err's tree, or nil.
+func tagIn(err error, code string) *tagged {
+	switch e := err.(type) {
+	case *tagged:
+		if e.code == code {
+			return e
+		}
+		return tagIn(e.err, code)
+	case interface{ Unwrap() error }:
+		return tagIn(e.Unwrap(), code)
+	case interface{ Unwrap() []error }:
+		for _, inner := range e.Unwrap() {
+			if t := tagIn(inner, code); t != nil {
+				return t
+			}
+		}
+	}
+	return nil
+}
 
-func (e notFoundError) Error() string { return e.err.Error() }
-func (e notFoundError) Unwrap() error { return e.err }
-
-func notFound(err error) error { return notFoundError{err: err} }
-
-// overloadedError tags capacity-wait timeouts so they surface as
-// 503/overloaded instead of the pipeline's deadline_exceeded.
-type overloadedError struct{ err error }
-
-func (e overloadedError) Error() string { return e.err.Error() }
-func (e overloadedError) Unwrap() error { return e.err }
-
-// tooManyRecipientsError tags fingerprint batches over the server's
-// recipient cap so clients get a distinct machine code
-// (too_many_recipients) telling them to split the batch, not to fix the
-// request shape.
-type tooManyRecipientsError struct{ err error }
-
-func (e tooManyRecipientsError) Error() string { return e.err.Error() }
-func (e tooManyRecipientsError) Unwrap() error { return e.err }
-
-func tooManyRecipients(err error) error { return tooManyRecipientsError{err: err} }
+// precedence is the order classify tests for codes: the first present
+// in err's tree wins. A body over the size cap and a registry conflict
+// are not tags but keep their places, so both outrank the bad_request
+// tag a decode or store error is wrapped in.
+var precedence = [...]string{
+	api.CodeUnauthorized, api.CodeForbidden, api.CodeRateLimited, api.CodeQuotaExceeded,
+	api.CodeOverloaded, api.CodePayloadTooLarge, api.CodeNotFound, api.CodeTooManyRecipients,
+	api.CodeConflict, api.CodeBadRequest,
+}
 
 // classify maps an error to its wire code and status: the server's own
-// tagged wrappers first, then the pipeline sentinels via api.Classify.
+// tags first, then the pipeline sentinels via api.Classify.
 func (s *Server) classify(err error) (code string, status int) {
-	var (
-		br  badRequestError
-		nf  notFoundError
-		ol  overloadedError
-		tmr tooManyRecipientsError
-		ua  unauthorizedError
-		fb  forbiddenError
-		rl  rateLimitedError
-		qe  quotaExceededError
-		mbe *http.MaxBytesError
-	)
-	switch {
-	case errors.As(err, &ua):
-		return api.CodeUnauthorized, http.StatusUnauthorized
-	case errors.As(err, &fb):
-		return api.CodeForbidden, http.StatusForbidden
-	case errors.As(err, &rl):
-		return api.CodeRateLimited, http.StatusTooManyRequests
-	case errors.As(err, &qe):
-		return api.CodeQuotaExceeded, http.StatusTooManyRequests
-	case errors.As(err, &ol):
-		return api.CodeOverloaded, http.StatusServiceUnavailable
-	case errors.As(err, &mbe):
-		return api.CodePayloadTooLarge, http.StatusRequestEntityTooLarge
-	case errors.As(err, &nf):
-		return api.CodeNotFound, http.StatusNotFound
-	case errors.As(err, &tmr):
-		return api.CodeTooManyRecipients, http.StatusBadRequest
-	case errors.Is(err, registry.ErrConflict):
-		return api.CodeConflict, http.StatusConflict
-	case errors.As(err, &br):
-		return api.CodeBadRequest, http.StatusBadRequest
-	default:
-		return api.Classify(err)
+	for _, code := range precedence {
+		switch code {
+		case api.CodePayloadTooLarge:
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				return code, http.StatusRequestEntityTooLarge
+			}
+		case api.CodeConflict:
+			if errors.Is(err, registry.ErrConflict) {
+				return code, http.StatusConflict
+			}
+		default:
+			if t := tagIn(err, code); t != nil {
+				return code, t.status
+			}
+		}
 	}
+	return api.Classify(err)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) int {
@@ -1008,9 +1010,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 	case http.StatusUnauthorized:
 		w.Header().Set("WWW-Authenticate", "Bearer")
 	case http.StatusTooManyRequests:
-		var rl rateLimitedError
-		if errors.As(err, &rl) && rl.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(rl.retryAfter/time.Second)))
+		if t := tagIn(err, api.CodeRateLimited); t != nil && t.retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(int(t.retryAfter/time.Second)))
 		}
 	}
 	if sw, ok := w.(*statusWriter); ok {

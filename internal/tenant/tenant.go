@@ -2,9 +2,9 @@
 // service: one Record per data owner sharing the server, carrying a
 // hashed bearer token (the plaintext is shown once at creation and
 // never stored), an admin/member role and per-tenant quotas. The store
-// is JSON-on-disk with atomic temp+rename writes (the internal/registry
-// pattern) and is safe for concurrent use; an empty path is in-memory
-// only.
+// is JSON-on-disk, written through internal/atomicfile (mode 0600, never
+// a torn file), and is safe for concurrent use; an empty path is
+// in-memory only.
 //
 // Token handling is deliberately boring: a token is "mst_" + 32 random
 // hex characters from crypto/rand, the store keeps only its SHA-256,
@@ -30,7 +30,6 @@
 package tenant
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -38,11 +37,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/atomicfile"
 )
 
 // FormatVersion is the tenant store file format version.
@@ -53,6 +52,16 @@ const FormatVersion = 1
 // this tenant ID, and a server running without a tenant store (open
 // single-tenant mode) serves every request as this tenant.
 const DefaultID = "default"
+
+// Normalize resolves a record's effective tenant: an empty ID is
+// DefaultID. The registry and job stores migrate pre-tenancy records
+// through it.
+func Normalize(id string) string {
+	if id == "" {
+		return DefaultID
+	}
+	return id
+}
 
 // Role gates what a tenant's token may do beyond its own data: members
 // use the pipeline and their own registry/jobs; admins additionally
@@ -179,21 +188,13 @@ func Open(path string) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	var doc document
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("tenant: decoding %s: %w", path, err)
+	found, err := atomicfile.ReadJSON(path, &doc)
+	if err != nil {
+		return nil, fmt.Errorf("tenant: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("tenant: trailing data after document in %s", path)
+	if !found {
+		return s, nil
 	}
 	if doc.Version != FormatVersion {
 		return nil, fmt.Errorf("tenant: %s has format version %d, want %d", path, doc.Version, FormatVersion)
@@ -232,6 +233,12 @@ func (s *Store) Get(id string) (Record, bool) {
 func (s *Store) List() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.sortedLocked()
+}
+
+// sortedLocked returns every record sorted by tenant ID. Callers hold a
+// lock.
+func (s *Store) sortedLocked() []Record {
 	out := make([]Record, 0, len(s.recs))
 	for _, r := range s.recs {
 		out = append(out, r)
@@ -338,44 +345,15 @@ type document struct {
 	Tenants []Record `json:"tenants"`
 }
 
-// persistLocked writes the store atomically: temp file in the target
-// directory, sync, rename over path. Callers hold the write lock.
-func (s *Store) persistLocked() (err error) {
+// persistLocked writes the store through atomicfile, mode 0600.
+// Callers hold the write lock.
+func (s *Store) persistLocked() error {
 	if s.path == "" {
 		return nil
 	}
-	doc := document{Version: FormatVersion, Tenants: make([]Record, 0, len(s.recs))}
-	for _, r := range s.recs {
-		doc.Tenants = append(doc.Tenants, r)
-	}
-	sort.Slice(doc.Tenants, func(i, j int) bool { return doc.Tenants[i].ID < doc.Tenants[j].ID })
-	data, err := json.MarshalIndent(doc, "", "  ")
+	data, err := json.MarshalIndent(document{Version: FormatVersion, Tenants: s.sortedLocked()}, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Dir(s.path), filepath.Base(s.path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = f.Chmod(0o600); err != nil {
-		return err
-	}
-	if _, err = f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.path)
+	return atomicfile.WriteFile(s.path, 0o600, atomicfile.Bytes(append(data, '\n')))
 }

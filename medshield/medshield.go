@@ -67,8 +67,8 @@ package medshield
 import (
 	"io"
 	"os"
-	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/binning"
 	"repro/internal/core"
 	"repro/internal/crypt"
@@ -280,7 +280,8 @@ func RecipientKey(secret, recipientID string, eta uint64) Key {
 func NewRegistry() *RecipientRegistry { return registry.New() }
 
 // OpenRegistry loads (or lazily creates) the JSON recipient registry at
-// path; writes are atomic temp+rename. An empty path is NewRegistry().
+// path; every write lands atomically (mode 0600). An empty path is
+// NewRegistry().
 func OpenRegistry(path string) (*RecipientRegistry, error) { return registry.Open(path) }
 
 // RecipientRecordOf builds the registry record for one fingerprinted
@@ -347,44 +348,13 @@ func LoadCSVFile(path string, schema *Schema) (*Table, error) {
 	return relation.ReadCSV(f, schema)
 }
 
-// SaveCSVFile writes a table (header + rows) to a file atomically: the
-// CSV is written to a temporary file in the target directory, synced,
-// and renamed over path. A mid-write failure (disk full, cancellation,
-// crash) therefore never leaves a truncated table at path — it either
-// still holds its previous content or does not exist.
-func SaveCSVFile(path string, tbl *Table) (err error) {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	// CreateTemp makes a 0600 file; keep an existing destination's mode
-	// (or the conventional 0644 for a new one) so the rename does not
-	// silently drop read permissions from downstream consumers.
-	mode := os.FileMode(0o644)
-	if st, statErr := os.Stat(path); statErr == nil {
-		mode = st.Mode().Perm()
-	}
-	if err = f.Chmod(mode); err != nil {
-		return err
-	}
-	if err = tbl.WriteCSV(f); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+// SaveCSVFile writes a table (header + rows) to a file atomically,
+// through internal/atomicfile: the CSV lands at path only once it is
+// fully written and synced, so a mid-write failure (disk full,
+// cancellation, crash) never leaves a truncated table there. An
+// existing destination keeps its mode; a new one is 0644.
+func SaveCSVFile(path string, tbl *Table) error {
+	return atomicfile.WriteFile(path, atomicfile.ModeOr(path, 0o644), tbl.WriteCSV)
 }
 
 // ParseTree decodes a JSON-serialized domain hierarchy tree (the format
