@@ -385,6 +385,36 @@ func BenchmarkPlanStream1M(b *testing.B) {
 	}
 }
 
+// benchmarkPlan plans a rows-row table (seed 1) under K=20 AutoEpsilon,
+// the service's defaults, with opts on top: the plan behind one small
+// request. At these sizes deciding between the exhaustive and the
+// greedy search — counting the allowable generalizations — is a large
+// share of the search.
+func benchmarkPlan(b *testing.B, rows int, opts ...medshield.Option) {
+	tbl := benchTable(b, rows)
+	fw, err := medshield.New(medshield.BuiltinTrees(),
+		append([]medshield.Option{medshield.WithK(20), medshield.WithAutoEpsilon()}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := medshield.NewKey("bench", 75)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fw.PlanContext(ctx, tbl, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlan2kAggressive is the plan of a 2,000-row protect job
+// under the aggressive minimality rule.
+func BenchmarkPlan2kAggressive(b *testing.B) { benchmarkPlan(b, 2000, medshield.WithAggressive()) }
+
+// BenchmarkPlan5k is the plan of a 5,000-row fingerprint request.
+func BenchmarkPlan5k(b *testing.B) { benchmarkPlan(b, 5000) }
+
 // BenchmarkPlanApplyStream10M is the end-to-end ten-million-row number:
 // stream-plan the table, then execute the resulting plan through
 // ApplyStream. Neither pass materializes the output, so the pipeline's

@@ -14,13 +14,13 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/binning"
 	"repro/internal/core"
+	"repro/internal/jsondoc"
 	"repro/internal/relation"
 )
 
@@ -417,12 +417,8 @@ func ParseStrategy(s string) (binning.Strategy, error) {
 // trailing garbage. Size limiting is the caller's concern
 // (http.MaxBytesReader in the server).
 func DecodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
+	if err := jsondoc.Decode(r, v, false); err != nil {
 		return fmt.Errorf("api: decoding request: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("api: trailing data after JSON document")
 	}
 	return nil
 }

@@ -161,8 +161,10 @@ func TestClassify(t *testing.T) {
 
 func TestDecodeJSONTrailingGarbage(t *testing.T) {
 	var v map[string]any
-	if err := DecodeJSON(strings.NewReader(`{"a":1} trailing`), &v); err == nil {
-		t.Fatal("trailing garbage accepted")
+	for _, body := range []string{`{"a":1} trailing`, `{"a":1}}`, "{\"a\":1}\n]\n", `{"a":1}{}`} {
+		if err := DecodeJSON(strings.NewReader(body), &v); err == nil {
+			t.Fatalf("trailing data %q accepted", body)
+		}
 	}
 	if err := DecodeJSON(strings.NewReader(`{"a":1}`), &v); err != nil {
 		t.Fatal(err)

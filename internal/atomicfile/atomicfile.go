@@ -8,8 +8,9 @@
 // truncated one, and on any failure the temp file is closed and removed.
 //
 // ReadJSON is the matching strict load: a missing file is reported as
-// not found, and unknown fields and trailing data are rejected, so a
-// half-understood document never drives the pipeline.
+// not found, and unknown fields and trailing data are rejected
+// (jsondoc.Decode), so a half-understood document never drives the
+// pipeline.
 //
 // The parent directory is not fsynced after the rename.
 package atomicfile
@@ -17,13 +18,14 @@ package atomicfile
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"repro/internal/jsondoc"
 )
 
 // File is a pending atomic write: a buffered temp file that lands at
@@ -130,15 +132,8 @@ func ReadJSON(path string, v any) (found bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := jsondoc.Decode(bytes.NewReader(data), v, true); err != nil {
 		return true, fmt.Errorf("decoding %s: %w", path, err)
-	}
-	// Token, not More: More reports a stray '}' or ']' as the end of
-	// the stream.
-	if _, err := dec.Token(); err != io.EOF {
-		return true, fmt.Errorf("trailing data after document in %s", path)
 	}
 	return true, nil
 }

@@ -396,6 +396,53 @@ func (sl *binSlab) compact() {
 	}
 }
 
+// minLive returns the smallest live bin, or math.MaxInt for none.
+func (sl *binSlab) minLive() int {
+	least := math.MaxInt
+	for _, bin := range sl.bins {
+		if bin.n != deadBin {
+			least = min(least, bin.n)
+		}
+	}
+	return least
+}
+
+// minLiveAt returns the smallest live bin whose column-ci component is
+// comp, or math.MaxInt for none.
+func (sl *binSlab) minLiveAt(ci int, comp uint64) int {
+	least := math.MaxInt
+	off, size := sl.off[ci][comp], sl.size[ci][comp]
+	for _, s := range sl.post[ci][off : off+size] {
+		if n := sl.bins[s].n; n != deadBin {
+			least = min(least, n)
+		}
+	}
+	return least
+}
+
+// stepHolds returns the largest threshold at which an ascent step over
+// the slab's bins still chooses move among the memoized candidates: k
+// when move does not help, else the smallest live bin under the
+// children of the candidates ranked before it, none of which helps at
+// k.
+func (sl *binSlab) stepHolds(move *greedyMove, memo [][]greedyMoveCand, trees []*dht.Tree) int {
+	if !move.helps {
+		return sl.k
+	}
+	least := math.MaxInt
+	for ci, cands := range memo {
+		for _, cand := range cands {
+			if !betterGreedyMove(&greedyMove{ci: ci, parent: cand.parent, delta: cand.delta, helps: true}, move) {
+				continue
+			}
+			for _, c := range trees[ci].Children(cand.parent) {
+				least = min(least, sl.minLiveAt(ci, uint64(c)+1))
+			}
+		}
+	}
+	return least
+}
+
 // greedyMoveCand is one memoized candidate merge of a column: the
 // parent and its specificity-loss increase. Both are functions of the
 // column's frontier alone, so the list is invalidated only when that
@@ -418,12 +465,23 @@ func multiGreedy(
 	rowLeaves [][]dht.NodeID,
 	weights []int,
 	stats *MultiStats,
+	holds *int,
 ) (map[string]dht.GenSet, MultiStats, error) {
-	out, _, err := greedyAscent(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, stats)
+	out, _, err := greedyAscent(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, stats, holds)
 	return out, *stats, err
 }
 
 // greedyAscent is multiGreedy, also returning its slab for inspection.
+//
+// A non-nil holds is lowered to the largest threshold k' at which the
+// ascent provably takes the same moves. The bins do not depend on the
+// threshold, and a move that helps at k helps at every k' > k, so the
+// k' ascent repeats a step whose chosen move helps at k as long as no
+// candidate ranked before it by (delta, column, parent) — none of which
+// helps at k — starts to help: as long as k' stays at or below the
+// smallest live bin under those candidates' children. A step whose
+// chosen move does not help caps holds at k, and the k' ascent stops
+// where this one does while k' stays at or below the smallest live bin.
 func greedyAscent(
 	ctx context.Context,
 	cols []string,
@@ -433,6 +491,7 @@ func greedyAscent(
 	rowLeaves [][]dht.NodeID,
 	weights []int,
 	stats *MultiStats,
+	holds *int,
 ) (map[string]dht.GenSet, *binSlab, error) {
 	if len(weights) >= math.MaxInt32 {
 		return nil, nil, fmt.Errorf("binning: %d tuples overflow the greedy ascent's int32 slots", len(weights))
@@ -460,6 +519,9 @@ func greedyAscent(
 		}
 		// The ascent stops once no bin below k has a covered component.
 		if !sl.violating() {
+			if holds != nil {
+				*holds = min(*holds, sl.minLive())
+			}
 			break
 		}
 
@@ -500,6 +562,10 @@ func greedyAscent(
 		if bestMove == nil {
 			return nil, nil, fmt.Errorf(
 				"binning: greedy ascent exhausted at k=%d without satisfying k-anonymity: %w", k, ErrUnsatisfiable)
+		}
+
+		if holds != nil && *holds > k {
+			*holds = min(*holds, sl.stepHolds(bestMove, memo, trees))
 		}
 
 		ci, p := bestMove.ci, bestMove.parent

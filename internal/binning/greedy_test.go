@@ -28,7 +28,7 @@ func incremental(ctx context.Context, cols []string, ming, maxg map[string]dht.G
 	if err != nil {
 		return nil, *stats, err
 	}
-	return multiGreedy(ctx, cols, layout, ming, maxg, k, leaves, weights, stats)
+	return multiGreedy(ctx, cols, layout, ming, maxg, k, leaves, weights, stats, nil)
 }
 
 // greedyBoth runs the incremental and the rescan ascent on the same
@@ -364,7 +364,7 @@ func TestMultiGreedySlabCompaction(t *testing.T) {
 	var inc, ref ascent
 	var sl *binSlab
 	ctx := context.Background()
-	inc.gens, sl, inc.err = greedyAscent(ctx, cols, layout, ming, maxg, k, tuples, weights, &inc.stats)
+	inc.gens, sl, inc.err = greedyAscent(ctx, cols, layout, ming, maxg, k, tuples, weights, &inc.stats, nil)
 	ref.gens, ref.stats, ref.err = multiGreedyRescan(ctx, cols, ming, maxg, k, 1, tuples, weights, &ref.stats)
 	if err := sameAscent(inc, ref); err != nil {
 		t.Fatalf("incremental vs rescan: %v", err)

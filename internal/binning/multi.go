@@ -73,6 +73,11 @@ const DefaultEnumLimit = 4096
 // means GOMAXPROCS, 1 runs sequentially); the greedy ascent runs on one.
 // The result is identical for every worker count: exhaustive candidates
 // are ranked by (specificity loss, enumeration index).
+//
+// A non-nil holds is lowered to the largest threshold k' >= k at which
+// the same search over the same minimal frontiers and tuples provably
+// returns the same frontiers and stats; an untouched holds means every
+// k' does. Only SearchAutoEpsilon pays for the bound.
 func multiBinLeaves(
 	ctx context.Context,
 	cols []string,
@@ -84,6 +89,7 @@ func multiBinLeaves(
 	workers int,
 	rowLeaves [][]dht.NodeID,
 	weights []int,
+	holds *int,
 ) (map[string]dht.GenSet, MultiStats, error) {
 	var stats MultiStats
 	if enumLimit <= 0 {
@@ -124,9 +130,9 @@ func multiBinLeaves(
 
 	switch resolved {
 	case StrategyExhaustive:
-		return multiExhaustive(ctx, cols, layout, mingends, maxgends, k, enumLimit, workers, rowLeaves, weights, &stats)
+		return multiExhaustive(ctx, cols, layout, mingends, maxgends, k, enumLimit, workers, rowLeaves, weights, &stats, holds)
 	case StrategyGreedy:
-		return multiGreedy(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, &stats)
+		return multiGreedy(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, &stats, holds)
 	default:
 		return nil, stats, fmt.Errorf("binning: unknown strategy %v", strategy)
 	}
@@ -157,6 +163,10 @@ func avgSpecificityLoss(gens []dht.GenSet) float64 {
 	return sum / float64(len(gens))
 }
 
+// multiExhaustive is Figure 7's exhaustive search. Valid candidates
+// only shrink as k grows, so the valid set — hence the count and the
+// chosen candidate — stays the same up to the smallest joint bin of any
+// valid candidate: the bound it lowers holds to.
 func multiExhaustive(
 	ctx context.Context,
 	cols []string,
@@ -166,6 +176,7 @@ func multiExhaustive(
 	rowLeaves [][]dht.NodeID,
 	weights []int,
 	stats *MultiStats,
+	holds *int,
 ) (map[string]dht.GenSet, MultiStats, error) {
 	// Materialize per-column allowable generalizations (EnumGen of the
 	// paper, bounded by enumLimit on the total product).
@@ -216,6 +227,7 @@ func multiExhaustive(
 	type verdict struct {
 		valid bool
 		loss  float64
+		least int
 	}
 	verdicts := make([]verdict, product)
 	if err := pool.ForEachCtx(ctx, workers, product, func(c int) error {
@@ -231,7 +243,7 @@ func multiExhaustive(
 		if err != nil || least < k {
 			return err
 		}
-		verdicts[c] = verdict{valid: true, loss: avgSpecificityLoss(choice)}
+		verdicts[c] = verdict{valid: true, loss: avgSpecificityLoss(choice), least: least}
 		return nil
 	}); err != nil {
 		return nil, *stats, err
@@ -245,6 +257,9 @@ func multiExhaustive(
 			continue
 		}
 		stats.Valid++
+		if holds != nil {
+			*holds = min(*holds, v.least)
+		}
 		if bestIdx < 0 || v.loss < bestLoss {
 			bestIdx, bestLoss = c, v.loss
 		}

@@ -214,7 +214,7 @@ func multiBinTable(
 	if err != nil {
 		return nil, MultiStats{}, err
 	}
-	return multiBinLeaves(context.Background(), cols, layout, mingends, maxgends, k, strategy, enumLimit, workers, rowLeaves, ones(tbl.NumRows()))
+	return multiBinLeaves(context.Background(), cols, layout, mingends, maxgends, k, strategy, enumLimit, workers, rowLeaves, ones(tbl.NumRows()), nil)
 }
 
 // layoutOf lays out the joint-bin key over the trees of cols' frontiers.

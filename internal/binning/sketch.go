@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -212,12 +213,13 @@ type sketchTuples struct {
 // SearchSetup is the threshold-independent half of a sketch search:
 // the usage metrics in maximal-generalization-node form (stage 1 of
 // Figure 8), the sketch's pristine leaf histograms, and its distinct
-// quasi-tuples decoded once, before any suppression. Search runs the
-// per-threshold stages over it, so the AutoEpsilon re-search at a raised
-// ε repeats neither the decode nor the metric derivation. A setup keeps
-// no reference to the sketch's tuple map: a caller that drops the sketch
-// once the setup exists lets the map be reclaimed before the first
-// ascent. A setup is never mutated, so concurrent searches may share it.
+// quasi-tuples decoded once, before any suppression. Search and
+// SearchAutoEpsilon run the per-threshold stages over it, so the
+// re-search at a raised ε repeats neither the decode nor the metric
+// derivation. A setup keeps no reference to the sketch's tuple map: a
+// caller that drops the sketch once the setup exists lets the map be
+// reclaimed before the first ascent. A setup is never mutated, so
+// concurrent searches may share it.
 type SearchSetup struct {
 	cfg     Config
 	maxGens map[string]dht.GenSet
@@ -301,20 +303,103 @@ func (s *SearchSetup) Search(ctx context.Context, epsilon int) (*SearchResult, e
 	if epsilon < 0 {
 		return nil, fmt.Errorf("binning: Epsilon must be >= 0, got %d", epsilon)
 	}
+	effectiveK := s.cfg.K + epsilon
+	mono, err := s.mono(ctx, effectiveK)
+	if err != nil {
+		return nil, err
+	}
+	return s.joint(ctx, mono, effectiveK, nil)
+}
+
+// SearchAutoEpsilon is the search of the Section 6 AutoEpsilon pass:
+// Search at epsilon and, when the conservative ε that EpsilonForMark
+// derives from that result's bins over cols for a wmdLen-bit replicated
+// mark is larger, Search at that ε instead. Its result equals Search at
+// the final ε, which is the result's EffectiveK − K.
+//
+// The raised search usually walks the same lattice path, so the first
+// search records holds, the largest threshold at which it provably
+// would (see greedyAscent and multiExhaustive). The raised search then
+// redoes only mono-attribute binning: when that reproduces the first
+// search's minimal frontiers and deficient nodes — and with them its
+// suppression and surviving tuples — and k+ε <= holds, the first
+// result stands, at the raised EffectiveK and with the raised stage's
+// MonoStats. Otherwise multi-attribute binning runs at k+ε.
+func (s *SearchSetup) SearchAutoEpsilon(ctx context.Context, epsilon int, cols []string, wmdLen int) (*SearchResult, error) {
+	if epsilon < 0 {
+		return nil, fmt.Errorf("binning: Epsilon must be >= 0, got %d", epsilon)
+	}
+	effectiveK := s.cfg.K + epsilon
+	mono, err := s.mono(ctx, effectiveK)
+	if err != nil {
+		return nil, err
+	}
+	holds := math.MaxInt
+	first, err := s.joint(ctx, mono, effectiveK, &holds)
+	if err != nil {
+		return nil, err
+	}
+	bins, err := first.GeneralizedBins(cols, first.UltiGens)
+	if err != nil {
+		return nil, err
+	}
+	eps := EpsilonForMark(bins, wmdLen)
+	if eps <= epsilon {
+		return first, nil
+	}
+	raisedK := s.cfg.K + eps
+	raised, err := s.mono(ctx, raisedK)
+	if err != nil {
+		return nil, fmt.Errorf("binning: re-binning at k+ε=%d: %w", raisedK, err)
+	}
+	if raisedK <= holds && raised.sameFrontiers(mono) {
+		res := *first
+		res.EffectiveK, res.MonoStats = raisedK, raised.stats
+		return &res, nil
+	}
+	res, err := s.joint(ctx, raised, raisedK, nil)
+	if err != nil {
+		return nil, fmt.Errorf("binning: re-binning at k+ε=%d: %w", raisedK, err)
+	}
+	return res, nil
+}
+
+// monoOutcome is stage 2 of a search at one threshold: the minimal
+// frontiers and their work counters, the aggressive rule's suppression,
+// and the tuples that survive it.
+type monoOutcome struct {
+	minGens        map[string]dht.GenSet
+	stats          map[string]MonoStats
+	suppressed     int
+	suppressValues map[string][]string
+	tuples         sketchTuples
+}
+
+// sameFrontiers reports whether m and o found the same minimal
+// frontiers and deficient nodes. The suppression and the surviving
+// tuples are functions of the deficient nodes, so they agree too.
+func (m *monoOutcome) sameFrontiers(o *monoOutcome) bool {
+	for col, g := range m.minGens {
+		if !g.Equal(o.minGens[col]) || !slices.Equal(m.stats[col].Deficient, o.stats[col].Deficient) {
+			return false
+		}
+	}
+	return true
+}
+
+// mono runs stage 2 at effectiveK. The conservative rule touches no
+// counts, so the columns fan out over the pristine marginals. The
+// aggressive rule suppresses tuples between columns (column i's
+// deletions change column i+1's marginal), so it walks the columns
+// sequentially over the live tuples.
+func (s *SearchSetup) mono(ctx context.Context, effectiveK int) (*monoOutcome, error) {
 	cfg, quasi, trees := s.cfg, s.tuples.cols, s.tuples.trees
-	effectiveK := cfg.K + epsilon
-
-	// 2. Mono-attribute binning. The conservative rule touches no
-	// counts, so the columns fan out over the pristine marginals. The
-	// aggressive rule suppresses tuples between columns (column i's
-	// deletions change column i+1's marginal), so it walks the columns
-	// sequentially over the live tuples.
-	minGens := make(map[string]dht.GenSet, len(quasi))
-	monoStats := make(map[string]MonoStats, len(quasi))
-	suppressed := 0
-	suppressValues := make(map[string][]string)
-	tuples := s.tuples
-
+	m := &monoOutcome{
+		minGens:        make(map[string]dht.GenSet, len(quasi)),
+		stats:          make(map[string]MonoStats, len(quasi)),
+		suppressValues: make(map[string][]string),
+		tuples:         s.tuples,
+	}
 	if !cfg.Aggressive {
 		type monoOut struct {
 			gen   dht.GenSet
@@ -328,86 +413,92 @@ func (s *SearchSetup) Search(ctx context.Context, epsilon int) (*SearchResult, e
 			return nil, err
 		}
 		for i, col := range quasi {
-			minGens[col] = outs[i].gen
-			monoStats[col] = outs[i].stats
+			m.minGens[col] = outs[i].gen
+			m.stats[col] = outs[i].stats
 		}
-	} else {
-		leaves, counts := s.tuples.leaves, s.tuples.counts
-		alive := make([]bool, len(counts))
-		for t := range alive {
-			alive[t] = true
-		}
-		for ci, col := range quasi {
-			tree := trees[ci]
-			hist := make([]int, tree.Size())
-			for t, n := range counts {
-				if alive[t] {
-					hist[leaves[ci][t]] += n
-				}
-			}
-			g, st, err := MonoBinHist(tree, s.maxGens[col], hist, effectiveK, true)
-			if err != nil {
-				return nil, err
-			}
-			if len(st.Deficient) > 0 {
-				// Deficient bins: suppress their tuples, and record the
-				// frontier values so the same suppression replays on any
-				// row batch (Suppress) — e.g. when a plan built from this
-				// search is applied to the streamed segments.
-				values := make([]string, len(st.Deficient))
-				for i, d := range st.Deficient {
-					values[i] = tree.Value(d)
-				}
-				suppressValues[col] = values
-				for t := range alive {
-					if !alive[t] {
-						continue
-					}
-					for _, d := range st.Deficient {
-						if tree.IsAncestorOrSelf(d, leaves[ci][t]) {
-							alive[t] = false
-							suppressed += counts[t]
-							break
-						}
-					}
-				}
-			}
-			minGens[col] = g
-			monoStats[col] = st
-		}
-		// Compact the survivors for the joint search.
-		keep := 0
-		for t := range alive {
-			if alive[t] {
-				keep++
-			}
-		}
-		tuples.leaves = make([][]dht.NodeID, len(quasi))
-		for ci := range tuples.leaves {
-			tuples.leaves[ci] = make([]dht.NodeID, 0, keep)
-		}
-		tuples.counts = make([]int, 0, keep)
-		for t := range alive {
-			if !alive[t] {
-				continue
-			}
-			for ci := range tuples.leaves {
-				tuples.leaves[ci] = append(tuples.leaves[ci], leaves[ci][t])
-			}
-			tuples.counts = append(tuples.counts, counts[t])
-		}
+		return m, nil
 	}
 
-	// 3. Multi-attribute binning over the weighted tuples.
-	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, tuples.layout, minGens, s.maxGens, effectiveK,
-		cfg.Strategy, cfg.EnumLimit, cfg.Workers, tuples.leaves, tuples.counts)
+	leaves, counts := s.tuples.leaves, s.tuples.counts
+	alive := make([]bool, len(counts))
+	for t := range alive {
+		alive[t] = true
+	}
+	for ci, col := range quasi {
+		tree := trees[ci]
+		hist := make([]int, tree.Size())
+		for t, n := range counts {
+			if alive[t] {
+				hist[leaves[ci][t]] += n
+			}
+		}
+		g, st, err := MonoBinHist(tree, s.maxGens[col], hist, effectiveK, true)
+		if err != nil {
+			return nil, err
+		}
+		if len(st.Deficient) > 0 {
+			// Deficient bins: suppress their tuples, and record the
+			// frontier values so the same suppression replays on any
+			// row batch (Suppress) — e.g. when a plan built from this
+			// search is applied to the streamed segments.
+			values := make([]string, len(st.Deficient))
+			for i, d := range st.Deficient {
+				values[i] = tree.Value(d)
+			}
+			m.suppressValues[col] = values
+			for t := range alive {
+				if !alive[t] {
+					continue
+				}
+				for _, d := range st.Deficient {
+					if tree.IsAncestorOrSelf(d, leaves[ci][t]) {
+						alive[t] = false
+						m.suppressed += counts[t]
+						break
+					}
+				}
+			}
+		}
+		m.minGens[col] = g
+		m.stats[col] = st
+	}
+	// Compact the survivors for the joint search.
+	keep := 0
+	for t := range alive {
+		if alive[t] {
+			keep++
+		}
+	}
+	m.tuples.leaves = make([][]dht.NodeID, len(quasi))
+	for ci := range m.tuples.leaves {
+		m.tuples.leaves[ci] = make([]dht.NodeID, 0, keep)
+	}
+	m.tuples.counts = make([]int, 0, keep)
+	for t := range alive {
+		if !alive[t] {
+			continue
+		}
+		for ci := range m.tuples.leaves {
+			m.tuples.leaves[ci] = append(m.tuples.leaves[ci], leaves[ci][t])
+		}
+		m.tuples.counts = append(m.tuples.counts, counts[t])
+	}
+	return m, nil
+}
+
+// joint runs stage 3 at effectiveK over stage 2's outcome —
+// multi-attribute binning over the weighted tuples — and measures the
+// Equation (1)-(3) information loss on the pristine histograms
+// (suppression notwithstanding, the metric describes the published
+// generalization). A non-nil holds receives the search's certificate
+// (see SearchAutoEpsilon).
+func (s *SearchSetup) joint(ctx context.Context, m *monoOutcome, effectiveK int, holds *int) (*SearchResult, error) {
+	cfg, quasi := s.cfg, s.tuples.cols
+	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, m.tuples.layout, m.minGens, s.maxGens, effectiveK,
+		cfg.Strategy, cfg.EnumLimit, cfg.Workers, m.tuples.leaves, m.tuples.counts, holds)
 	if err != nil {
 		return nil, err
 	}
-
-	// Information loss per Equations (1)-(3), measured on the pristine
-	// histograms (suppression notwithstanding, the metric describes the
-	// published generalization).
 	colLoss := make(map[string]float64, len(quasi))
 	losses := make([]float64, 0, len(quasi))
 	for i, col := range quasi {
@@ -424,19 +515,18 @@ func (s *SearchSetup) Search(ctx context.Context, epsilon int) (*SearchResult, e
 			return nil, err
 		}
 	}
-
 	return &SearchResult{
-		MinGens:        minGens,
+		MinGens:        m.minGens,
 		MaxGens:        maps.Clone(s.maxGens),
 		UltiGens:       ultiGens,
 		ColumnLoss:     colLoss,
 		AvgLoss:        avg,
 		EffectiveK:     effectiveK,
-		Suppressed:     suppressed,
-		SuppressValues: suppressValues,
-		MonoStats:      monoStats,
+		Suppressed:     m.suppressed,
+		SuppressValues: m.suppressValues,
+		MonoStats:      m.stats,
 		MultiStats:     multiStats,
-		tuples:         &tuples,
+		tuples:         &m.tuples,
 	}, nil
 }
 

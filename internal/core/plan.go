@@ -10,6 +10,7 @@ import (
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
 	"repro/internal/dht"
+	"repro/internal/jsondoc"
 	"repro/internal/relation"
 )
 
@@ -133,14 +134,9 @@ func MarshalPlan(p *Plan) ([]byte, error) {
 // a plan is replayed against live data, so a half-understood document
 // must not pass.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := jsondoc.Decode(bytes.NewReader(data), &p, true); err != nil {
 		return nil, fmt.Errorf("core: decoding plan: %w: %w", err, ErrBadProvenance)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("core: trailing data after plan document: %w", ErrBadProvenance)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -175,10 +171,10 @@ func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key cr
 }
 
 // planFromSketch is PlanStream's planning core: the frontier search
-// (optionally twice, for the conservative ε) over a quasi-tuple sketch,
-// frozen into a Plan. Both searches run over one binning.SearchSetup,
-// and the sketch is not referenced past the setup, so its tuple map can
-// be reclaimed before either ascent.
+// over a quasi-tuple sketch — with AutoEpsilon, the search that also
+// raises ε to the conservative value of Section 6 — frozen into a
+// Plan. The sketch is not referenced past the search setup, so its
+// tuple map can be reclaimed before the ascent.
 func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quasiCols []string, identCol string, mark bitstr.Bits, v float64) (*Plan, error) {
 	binCfg := binning.Config{
 		K:          f.cfg.K,
@@ -195,29 +191,21 @@ func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quas
 	if err != nil {
 		return nil, err
 	}
-	search, err := setup.Search(ctx, binCfg.Epsilon)
+	var search *binning.SearchResult
+	if f.cfg.AutoEpsilon {
+		search, err = setup.SearchAutoEpsilon(ctx, binCfg.Epsilon, quasiCols, f.cfg.MarkBits*f.cfg.Duplication)
+	} else {
+		search, err = setup.Search(ctx, binCfg.Epsilon)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if f.cfg.AutoEpsilon {
-		bins, err := search.GeneralizedBins(quasiCols, search.UltiGens)
-		if err != nil {
-			return nil, err
-		}
-		eps := binning.EpsilonForMark(bins, f.cfg.MarkBits*f.cfg.Duplication)
-		if eps > binCfg.Epsilon {
-			binCfg.Epsilon = eps
-			if search, err = setup.Search(ctx, eps); err != nil {
-				return nil, fmt.Errorf("core: re-binning at k+ε=%d: %w", f.cfg.K+eps, err)
-			}
-		}
 	}
 
 	plan := &Plan{
 		Provenance: Provenance{
 			IdentCol:               identCol,
 			K:                      f.cfg.K,
-			Epsilon:                binCfg.Epsilon,
+			Epsilon:                search.EffectiveK - f.cfg.K,
 			Mark:                   mark.String(),
 			V:                      v,
 			Quantum:                f.cfg.Quantum,

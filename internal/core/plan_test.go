@@ -224,7 +224,10 @@ func TestParsePlanRejectsMismatches(t *testing.T) {
 		"effective k below k": func(s string) string {
 			return strings.Replace(s, `"effective_k": `, `"effective_k": -`, 1)
 		},
-		"not json": func(string) string { return "{" },
+		"not json":         func(string) string { return "{" },
+		"trailing brace":   func(s string) string { return s + "}" },
+		"trailing bracket": func(s string) string { return s + "\n]\n" },
+		"second document":  func(s string) string { return s + "{}" },
 	}
 	for name, mutate := range cases {
 		doc := mutate(string(good))
@@ -290,4 +293,32 @@ func TestApplyBelowKUnsatisfiable(t *testing.T) {
 	if _, err := fw.ApplyStream(context.Background(), small.Segments(16), plan, key, io.Discard); !errors.Is(err, ErrUnsatisfiable) {
 		t.Errorf("ApplyStream: err = %v, want ErrUnsatisfiable", err)
 	}
+}
+
+// TestPlanAllocsBounded is a deterministic guard on the plan search's
+// wasted work, at the shape of a small protect job: a 2k-row aggressive
+// AutoEpsilon plan. Deciding between the exhaustive and the greedy
+// search counts the allowable generalizations in closed form rather
+// than building each one, so the whole plan stays within 20k
+// allocations; enumerating them took about 285k.
+func TestPlanAllocsBounded(t *testing.T) {
+	tbl, err := datagen.Generate(datagen.Config{Rows: 2000, Seed: 101, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := New(ontology.Trees(), Config{K: 20, AutoEpsilon: true, Aggressive: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := crypt.NewWatermarkKeyFromSecret("allocs", 75)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := fw.PlanContext(ctx, tbl, key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20000 {
+		t.Fatalf("2k-row aggressive plan made %.0f allocations, want <= 20000", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
 }

@@ -132,8 +132,9 @@ type PlannedStream struct {
 // ownership.StatAccum over the identifying column, then discarded,
 // while the next segment is read ahead (pipe.go). The frontier search,
 // the aggressive-rule suppression replay and the conservative-ε
-// re-search all run over one binning.SearchSetup decoded from the
-// sketch — the sketch's tuple map is released before the first ascent —
+// re-search (binning.SearchAutoEpsilon) all run over one
+// binning.SearchSetup decoded from the sketch — the sketch's tuple map
+// is released before the ascent —
 // and produce exactly the plan PlanContext would: the paper's planning
 // pass without ever materializing the table.
 func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.WatermarkKey) (*PlannedStream, error) {

@@ -3,6 +3,7 @@ package dht
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -284,11 +285,8 @@ func (g GenSet) String() string {
 // the frontiers of the subtree rooted at u that stay at or above the
 // members of lower inside that subtree.
 func EnumerateBetween(lower, upper GenSet, fn func(GenSet) bool) error {
-	if lower.tree != upper.tree || lower.tree == nil {
-		return errors.New("dht: bounds must share one tree")
-	}
-	if !lower.AtOrBelow(upper) {
-		return errors.New("dht: lower bound is not at-or-below upper bound")
+	if err := checkBounds(lower, upper); err != nil {
+		return err
 	}
 	t := lower.tree
 
@@ -342,15 +340,63 @@ func EnumerateBetween(lower, upper GenSet, fn func(GenSet) bool) error {
 	return nil
 }
 
+// checkBounds requires lower and upper to share a tree, lower at or
+// below upper.
+func checkBounds(lower, upper GenSet) error {
+	if lower.tree != upper.tree || lower.tree == nil {
+		return errors.New("dht: bounds must share one tree")
+	}
+	if !lower.AtOrBelow(upper) {
+		return errors.New("dht: lower bound is not at-or-below upper bound")
+	}
+	return nil
+}
+
 // CountBetween returns the number of allowable generalizations between
 // lower and upper (the per-attribute n_i of §4.2.2), up to limit; it
 // returns limit if the true count is at least limit. limit <= 0 counts
-// exhaustively.
+// exhaustively (saturating at math.MaxInt).
+//
+// The count is EnumerateBetween's cross product in closed form: the
+// product, over the members u of upper, of frontiers(u) = 1 (stop at u)
+// plus, when u is neither a lower member nor a leaf, the product of
+// frontiers(c) over u's children. Every product and sum saturates at
+// limit, and no frontier is built.
 func CountBetween(lower, upper GenSet, limit int) (int, error) {
-	count := 0
-	err := EnumerateBetween(lower, upper, func(GenSet) bool {
-		count++
-		return limit <= 0 || count < limit
-	})
-	return count, err
+	if err := checkBounds(lower, upper); err != nil {
+		return 0, err
+	}
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	count := 1
+	for _, u := range upper.nodes {
+		if count = satMul(count, countFrontiers(lower, u, limit), limit); count == limit {
+			break
+		}
+	}
+	return count, nil
+}
+
+// countFrontiers is frontiers(u) of CountBetween, saturated at limit.
+func countFrontiers(lower GenSet, u NodeID, limit int) int {
+	t := lower.tree
+	if lower.member[u] || t.nodes[u].IsLeaf() {
+		return 1
+	}
+	below := 1
+	for _, c := range t.nodes[u].Children {
+		if below = satMul(below, countFrontiers(lower, c, limit), limit); below == limit {
+			return limit
+		}
+	}
+	return below + 1
+}
+
+// satMul returns min(a·b, limit) for 1 <= a, b <= limit.
+func satMul(a, b, limit int) int {
+	if a > limit/b {
+		return limit
+	}
+	return a * b
 }

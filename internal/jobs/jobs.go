@@ -99,8 +99,11 @@ type Delivery struct {
 //
 // Note that Request usually embeds the owner's secret (exactly like the
 // synchronous request bodies do); a durable store therefore holds
-// secrets at rest, and the store file is written 0600. Deployments that
-// must not persist secrets run the job store in memory.
+// secrets at rest while a job is queued or running, and the store file
+// is written 0600. A job drops its request when it finishes, unless it
+// has a webhook: the delivery signs with the secret in the request, so
+// such a job keeps it. Deployments that must not persist secrets run
+// the job store in memory.
 type Job struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"`
@@ -114,7 +117,8 @@ type Job struct {
 	// submit with the same key returns this job instead of creating a
 	// new one. Two tenants reusing the same key never collide.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
-	// Request is the submitted payload (the sync endpoint's JSON body).
+	// Request is the submitted payload (the sync endpoint's JSON body),
+	// nil once the job is terminal unless it has a webhook.
 	Request json.RawMessage `json:"request,omitempty"`
 	// Result is the sync endpoint's JSON response, set on success.
 	Result json.RawMessage `json:"result,omitempty"`

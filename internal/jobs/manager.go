@@ -418,6 +418,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		j.State = StateCanceled
 		j.FinishedAt = m.cfg.Clock.Now().UTC()
 		j.Error = ErrCanceled.Error()
+		releaseRequest(&j)
 		if err := m.store.Put(j); err != nil {
 			return Job{}, err
 		}
@@ -609,9 +610,20 @@ func (m *Manager) runJob(id string) {
 		j.ErrorCode = m.classify(runErr)
 		j.FinishedAt = now
 	}
+	releaseRequest(&j)
 	m.persistAndPublishLocked(j)
 	m.logf("job %s (%s) %s", j.ID, j.Kind, j.State)
 	m.maybeDeliverLocked(j)
+}
+
+// releaseRequest drops a terminal job's request unless its webhook
+// delivery still needs the signing secret in it: a finished job no
+// longer holds the submitted table or the owner's secret in memory or
+// in the store.
+func releaseRequest(j *Job) {
+	if j.Webhook == "" {
+		j.Request = nil
+	}
 }
 
 // requeueAfter pushes id back on the queue after the backoff delay (or

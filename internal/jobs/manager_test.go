@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -670,5 +672,81 @@ func TestFileStoreDelete(t *testing.T) {
 	}
 	if re.Len() != 0 {
 		t.Fatalf("deleted record survived reopen (Len = %d)", re.Len())
+	}
+}
+
+// TestFinishedJobDropsRequest: every terminal transition of a job
+// without a webhook — success, failure, a running job's cancel and a
+// queued job's cancel — drops its request, in memory and in the store
+// file, so the submitted table and the owner's secret do not outlive
+// the job. A webhook job keeps its request: the delivery signs with the
+// secret in it.
+func TestFinishedJobDropsRequest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	store, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan string, 8)
+	m := newTestManager(t, Config{
+		Store: store,
+		Runner: &fakeRunner{fn: func(ctx context.Context, job Job, progress func(Progress)) (json.RawMessage, error) {
+			switch job.Kind {
+			case "protect":
+				return nil, errors.New("bad request shape")
+			case "block":
+				started <- job.ID
+				<-ctx.Done()
+				return nil, context.Cause(ctx)
+			}
+			return json.RawMessage(`{"rows":1}`), nil
+		}, secret: "owner-secret"},
+		Kinds:       []string{"protect", "noop", "block"},
+		Workers:     1,
+		MaxAttempts: 1,
+		Deliver:     func(string, http.Header, []byte) (int, error) { return 200, nil },
+	})
+	req := json.RawMessage(`{"secret":"owner-secret","csv":"ssn\n123-45-6789\n"}`)
+	submit := func(kind string, opts SubmitOptions) Job {
+		t.Helper()
+		j, _, err := m.Submit(kind, req, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	succeeded := waitState(t, m, submit("noop", SubmitOptions{}).ID, StateSucceeded)
+	failed := waitState(t, m, submit("protect", SubmitOptions{}).ID, StateFailed)
+	hooked := submit("noop", SubmitOptions{Webhook: "http://receiver.test/hook"})
+	waitFor(t, "webhook delivery", func() bool {
+		j, _ := m.Get(hooked.ID)
+		return j.WebhookOK
+	})
+	running := submit("block", SubmitOptions{})
+	<-started
+	queued := submit("noop", SubmitOptions{})
+	if _, err := m.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, running.ID, StateCanceled)
+	waitState(t, m, queued.ID, StateCanceled)
+
+	for _, j := range []Job{succeeded, failed, running, queued} {
+		if got, _ := m.Get(j.ID); got.Request != nil {
+			t.Errorf("%s job %s (%s) still holds its request", got.State, j.ID, j.Kind)
+		}
+	}
+	if got, _ := m.Get(hooked.ID); string(got.Request) != string(req) {
+		t.Errorf("webhook job request = %s, want it kept", got.Request)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "123-45-6789"); n != 1 {
+		t.Errorf("store file holds the submitted table %d times, want once (the webhook job)", n)
 	}
 }

@@ -32,7 +32,9 @@
 # million rows with encrypted identifiers: selection (SelectForEmbed1M),
 # the embed walk over a precomputed selection (EmbedSelected1M) and one
 # candidate's vote walk over a prepared suspect (Accumulate1M) — all
-# also report rows/s, not recorded — with -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
+# also report rows/s, not recorded — and the plans behind the service's
+# small requests (Plan2kAggressive: a 2k-row aggressive protect job;
+# Plan5k: a 5k-row fingerprint; recorded, not gated) — with -benchmem and appends one labelled entry (best-of-N ns/op, plus B/op
 # and allocs/op) per benchmark to BENCH_pipeline.json at the repo root,
 # so representation regressions show up as a diff in review. Each entry
 # also records the machine it was measured on (CPU model, nproc, Go
@@ -61,7 +63,7 @@ cd "$(dirname "$0")/.."
 LABEL="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}"
 COUNT="${COUNT:-3}"
 OUT="BENCH_pipeline.json"
-PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$|BenchmarkSegmentWriter1M$'
+PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$|BenchmarkSegmentWriter1M$|BenchmarkPlan2kAggressive$|BenchmarkPlan5k$'
 
 # The root package's run (PlanApplyStream10M included) takes ~9 minutes
 # at COUNT=3 on a 2-vCPU machine, close to go test's 10-minute default
@@ -154,8 +156,8 @@ fi
 # last recorded entry and refuse to append a >15% slowdown. (The
 # streaming benchmarks and the other per-layer ones — SegmentReader1M,
 # SegmentWriter1M, SketchAdd1M, TransformContext1M, SelectForEmbed1M, EmbedSelected1M,
-# Accumulate1M — are capacity numbers, not latency gates, so they are
-# recorded but not enforced.)
+# Accumulate1M, Plan2kAggressive, Plan5k — are capacity numbers, not
+# latency gates, so they are recorded but not enforced.)
 if [ -f "$OUT" ]; then
   for name in BenchmarkProtect20k BenchmarkDetect20k BenchmarkMultiBinGreedy \
               BenchmarkTraceback50 BenchmarkAppend2k BenchmarkJobThroughput \
