@@ -511,8 +511,8 @@ func TestPlanStreamBoundedMemory(t *testing.T) {
 	// The measured peak (84 MiB over a ~0 MiB baseline on a 2-vCPU VM)
 	// is the reader's block buffer and in-flight segments, the
 	// quasi-tuple sketch over the Zipf fixture's distinct tuples, then
-	// the search's decoded tuples and the greedy ascent's bin slab and
-	// postings. The budget sits above that noise floor but below the
+	// the search setup's copy of those tuples and the greedy ascent's
+	// bin slab and postings. The budget sits above that noise floor but below the
 	// table-sized (>100 MiB at this scale) state an ingest or search
 	// regression toward whole-table buffering would allocate.
 	const budget = 96 << 20
@@ -690,6 +690,49 @@ func BenchmarkSearchSketch1M(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSketchAdd1M is the sketch ingest layer at the release
+// workload's shape: one NewSketch and one Add per relation.DefaultChunk
+// segment over a million synthetic rows (seed 1), cut into segments
+// before the timer starts. It reports rows/s and allocations.
+func BenchmarkSketchAdd1M(b *testing.B) {
+	tbl, err := datagen.Generate(datagen.Config{Rows: 1000000, Seed: 1, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, schema := tbl.NumRows(), tbl.Schema()
+	var segs []*relation.Table
+	src := tbl.Segments(relation.DefaultChunk)
+	for {
+		seg, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs = append(segs, seg)
+	}
+	tbl = nil
+	trees := ontology.Trees()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sk, err := binning.NewSketch(schema, trees)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, seg := range segs {
+			if err := sk.Add(seg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if sk.Rows() != rows {
+			b.Fatalf("sketched %d rows, want %d", sk.Rows(), rows)
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkSegmentReader1M is the relation ingest layer: one

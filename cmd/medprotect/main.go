@@ -45,6 +45,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -59,6 +60,7 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/jsondoc"
 	"repro/medshield"
 )
 
@@ -137,8 +139,13 @@ func loadProvenance(path string) (core.Provenance, error) {
 	if err != nil {
 		return prov, err
 	}
-	if err := json.Unmarshal(data, &prov); err != nil {
-		return prov, fmt.Errorf("decoding provenance %s: %w", path, err)
+	// A plan is a superset of the provenance it extends, so its fields
+	// beyond the provenance's are ignored: a plan file stands in for one.
+	if err := jsondoc.Decode(bytes.NewReader(data), &prov, false); err != nil {
+		return prov, fmt.Errorf("decoding provenance %s: %w: %w", path, err, core.ErrBadProvenance)
+	}
+	if err := prov.Validate(); err != nil {
+		return prov, fmt.Errorf("provenance %s: %w", path, err)
 	}
 	return prov, nil
 }

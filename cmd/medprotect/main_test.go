@@ -2,11 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/medshield"
 )
 
@@ -506,5 +510,55 @@ func TestCLIFingerprintTraceback(t *testing.T) {
 	}
 	if err := cmdFingerprint([]string{"-in", data, "-secret", "s"}); err == nil {
 		t.Error("fingerprint without recipients accepted")
+	}
+}
+
+// TestLoadProvenance pins the provenance file decode detect, dispute
+// and attack run under: a plan file stands in for the provenance it
+// extends, and trailing data or an invalid record is ErrBadProvenance.
+func TestLoadProvenance(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data.csv")
+	prov := filepath.Join(dir, "prov.json")
+	plan := filepath.Join(dir, "plan.json")
+	if err := cmdGen([]string{"-rows", "2000", "-seed", "7", "-out", data}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if err := cmdProtect([]string{
+		"-in", data, "-k", "15", "-eta", "40", "-secret", "s",
+		"-out", filepath.Join(dir, "protected.csv"), "-prov", prov, "-plan", plan,
+	}); err != nil {
+		t.Fatalf("protect: %v", err)
+	}
+	want, err := loadProvenance(prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := loadProvenance(plan); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("plan as provenance: %+v, %v; want %+v", got, err, want)
+	}
+
+	doc := mustRead(t, prov)
+	var rec map[string]any
+	if err := json.Unmarshal(doc, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["mark"] = "01x0"
+	badMark, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"trailing }": append(slices.Clone(doc), '}'),
+		"trailing ]": append(slices.Clone(doc), ']'),
+		"bad mark":   badMark,
+	} {
+		path := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(path, body, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadProvenance(path); !errors.Is(err, core.ErrBadProvenance) {
+			t.Errorf("%s: %v, want ErrBadProvenance", name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -168,5 +169,44 @@ func TestDecodeJSONTrailingGarbage(t *testing.T) {
 	}
 	if err := DecodeJSON(strings.NewReader(`{"a":1}`), &v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeProvenanceHeader pins the streaming detect's provenance
+// decode: one validated document, fields beyond the provenance's
+// ignored so that a plan stands in for one; trailing data and an
+// invalid record are ErrBadProvenance.
+func TestDecodeProvenanceHeader(t *testing.T) {
+	prov := core.Provenance{IdentCol: "ssn", K: 5, Mark: "0110", Quantum: 1, Duplication: 2,
+		Columns: map[string]core.ColumnProvenance{"age": {Ulti: []string{"[0,80)"}, Max: []string{"[0,80)"}}}}
+	doc, err := json.Marshal(prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeProvenanceHeader(string(doc))
+	if err != nil || !reflect.DeepEqual(got, prov) {
+		t.Fatalf("provenance: %+v, %v", got, err)
+	}
+	plan, err := EncodePlanHeader(&core.Plan{Provenance: prov, FormatVersion: core.PlanVersion, EffectiveK: 7, QuasiCols: []string{"age"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeProvenanceHeader(plan); err != nil || !reflect.DeepEqual(got, prov) {
+		t.Fatalf("plan as provenance: %+v, %v", got, err)
+	}
+	badMark := prov
+	badMark.Mark = "01x0"
+	bad, err := json.Marshal(badMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]string{
+		"trailing }": string(doc) + "}",
+		"trailing ]": string(doc) + "]",
+		"bad mark":   string(bad),
+	} {
+		if _, err := DecodeProvenanceHeader(h); !errors.Is(err, core.ErrBadProvenance) {
+			t.Errorf("%s: %v, want ErrBadProvenance", name, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/jsondoc"
 	"repro/internal/relation"
 )
 
@@ -200,13 +201,18 @@ func EncodePlanHeader(plan *core.Plan) (string, error) {
 }
 
 // DecodeProvenanceHeader parses ProvenanceHeader into the provenance
-// record a streaming detect runs under.
+// record a streaming detect runs under: one JSON document that passes
+// core.Provenance.Validate. Fields beyond the provenance's are ignored,
+// so a plan on one line (EncodePlanHeader) stands in for one.
 func DecodeProvenanceHeader(h string) (core.Provenance, error) {
 	var prov core.Provenance
 	if strings.TrimSpace(h) == "" {
 		return prov, fmt.Errorf("api: streaming request needs the %s header (provenance JSON on one line)", ProvenanceHeader)
 	}
-	if err := json.Unmarshal([]byte(h), &prov); err != nil {
+	if err := jsondoc.Decode(strings.NewReader(h), &prov, false); err != nil {
+		return prov, fmt.Errorf("api: %s: %w: %w", ProvenanceHeader, err, core.ErrBadProvenance)
+	}
+	if err := prov.Validate(); err != nil {
 		return prov, fmt.Errorf("api: %s: %w", ProvenanceHeader, err)
 	}
 	return prov, nil

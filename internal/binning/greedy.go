@@ -21,9 +21,9 @@ import (
 // and they move to the bin keyed by the parent — MergeCandidates only
 // offers parents whose children are all frontier members, so the set of
 // covered leaves is invariant under the ascent and every other key
-// component is untouched. multiGreedy therefore scans the tuples once,
-// to build the joint histogram's bins keyed by per-column covering
-// NodeIDs packed into the sketch's keyLayout (stable across merges,
+// component is untouched. multiGreedy therefore groups the tuples once,
+// into the joint histogram's bins keyed by per-column covering
+// NodeIDs+1 packed into the sketch's keyLayout (stable across merges,
 // unlike frontier member indices).
 //
 // Beside the bins it keeps, per column and component, the number of
@@ -70,16 +70,18 @@ func betterGreedyMove(a, b *greedyMove) bool {
 	return a.parent < b.parent
 }
 
-// coverNodes maps every tree node to its covering frontier member's
-// NodeID + 1, or 0 when uncovered, shifted into the column's key field.
+// coverNodes maps every key field of gen's tree — a node's NodeID+1 —
+// to its covering frontier member's field shifted into place, or to 0
+// when the node is uncovered.
 func coverNodes(gen dht.GenSet, shift uint) []uint64 {
 	tree := gen.Tree()
-	table := make([]uint64, tree.Size())
+	table := make([]uint64, tree.Size()+1)
 	for _, m := range gen.Nodes() {
+		field := (uint64(m) + 1) << shift
 		for _, leaf := range tree.LeavesUnder(m) {
-			table[leaf] = (uint64(m) + 1) << shift
+			table[leaf+1] = field
 		}
-		table[m] = (uint64(m) + 1) << shift
+		table[m+1] = field
 	}
 	return table
 }
@@ -133,7 +135,8 @@ func (t *binTable) find(bins []jointBin, key uint64) (slot int32, entry int) {
 
 // add sums weight n into the bin keyed key, appending the bin to bins
 // when it is new, and returns bins. The table doubles when it would pass
-// half full, so it must index exactly bins.
+// half full, so it must index exactly bins; bins then grows with it, to
+// the capacity the doubled table can index.
 func (t *binTable) add(bins []jointBin, key uint64, n int) []jointBin {
 	s, e := t.find(bins, key)
 	if s >= 0 {
@@ -147,34 +150,44 @@ func (t *binTable) add(bins []jointBin, key uint64, n int) []jointBin {
 			t.slots[e] = int32(i) + 1
 		}
 		_, e = t.find(bins, key)
+		if cap(bins) < len(t.slots)/2 {
+			bins = append(make([]jointBin, 0, len(t.slots)/2), bins...)
+		}
 	}
 	t.slots[e] = int32(len(bins)) + 1
 	return append(bins, jointBin{key, n})
 }
 
-// jointBins returns the joint histogram's bins, keyed by packed
-// covering NodeIDs, in a slice of len(weights) capacity: it keys every
-// weighted tuple, then groups them in place through tab (reset by the
-// caller), each group landing at or before the first of its tuples.
-// Counts are weight sums, so the bins do not depend on tuple order.
-// Keying first keeps the grouping loop tight.
-func jointBins(ctx context.Context, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64, tab *binTable) ([]jointBin, error) {
-	bins := make([]jointBin, len(weights))
-	for row, n := range weights {
-		bins[row] = jointBin{0, n}
-	}
-	for ci, leaves := range rowLeaves {
-		if err := ctx.Err(); err != nil {
+// group returns the joint bins of st's tuples under the frontiers behind
+// cover (one coverNodes table per column), in a slice of len(st.tuples)
+// capacity: it re-keys every tuple, then groups them in place through
+// tab (reset by the caller), each group landing at or before the first
+// of its tuples. Counts are weight sums, so the bins do not depend on
+// tuple order. Keying first keeps the grouping loop's table probes
+// independent of each other, so they overlap. A tuple whose leaf the
+// frontiers leave uncovered is an error.
+func (st *sketchTuples) group(ctx context.Context, cover [][]uint64, tab *binTable) ([]jointBin, error) {
+	bins := make([]jointBin, len(st.tuples))
+	for i, t := range st.tuples {
+		if err := pool.CtxAt(ctx, i); err != nil {
 			return nil, err
 		}
-		cov := cover[ci]
-		for row, leaf := range leaves[:len(bins)] {
-			bins[row].key |= cov[leaf]
+		var key uint64
+		for ci, cov := range cover {
+			field := st.layout.field(t.key, ci)
+			if cov[field] == 0 {
+				tree := st.trees[ci]
+				v := tree.Value(dht.NodeID(field - 1))
+				return nil, fmt.Errorf("binning: column %s value %q: %w", st.cols[ci], v,
+					fmt.Errorf("dht: value %q sits above the generalization frontier of %s", v, tree.Attr()))
+			}
+			key |= cov[field]
 		}
+		bins[i] = jointBin{key, t.n}
 	}
 	grouped := bins[:0]
-	for row, bin := range bins {
-		if err := pool.CtxAt(ctx, row); err != nil {
+	for i, bin := range bins {
+		if err := pool.CtxAt(ctx, i); err != nil {
 			return nil, err
 		}
 		grouped = tab.add(grouped, bin.key, bin.n)
@@ -455,19 +468,16 @@ type greedyMoveCand struct {
 
 // multiGreedy ascends the lattice from the minimal frontiers by the
 // rescan ascent's move order until no bin below k has a covered
-// component, over the weighted tuples' joint histogram.
+// component, over the joint histogram of st's tuples.
 func multiGreedy(
 	ctx context.Context,
-	cols []string,
-	layout keyLayout,
+	st *sketchTuples,
 	mingends, maxgends map[string]dht.GenSet,
 	k int,
-	rowLeaves [][]dht.NodeID,
-	weights []int,
 	stats *MultiStats,
 	holds *int,
 ) (map[string]dht.GenSet, MultiStats, error) {
-	out, _, err := greedyAscent(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, stats, holds)
+	out, _, err := greedyAscent(ctx, st, mingends, maxgends, k, stats, holds)
 	return out, *stats, err
 }
 
@@ -484,33 +494,31 @@ func multiGreedy(
 // where this one does while k' stays at or below the smallest live bin.
 func greedyAscent(
 	ctx context.Context,
-	cols []string,
-	layout keyLayout,
+	st *sketchTuples,
 	mingends, maxgends map[string]dht.GenSet,
 	k int,
-	rowLeaves [][]dht.NodeID,
-	weights []int,
 	stats *MultiStats,
 	holds *int,
 ) (map[string]dht.GenSet, *binSlab, error) {
-	if len(weights) >= math.MaxInt32 {
-		return nil, nil, fmt.Errorf("binning: %d tuples overflow the greedy ascent's int32 slots", len(weights))
+	if len(st.tuples) >= math.MaxInt32 {
+		return nil, nil, fmt.Errorf("binning: %d tuples overflow the greedy ascent's int32 slots", len(st.tuples))
 	}
+	cols := st.cols
 	cur := make([]dht.GenSet, len(cols))
 	cover := make([][]uint64, len(cols))
 	trees := make([]*dht.Tree, len(cols))
 	for ci, col := range cols {
 		cur[ci] = mingends[col]
-		cover[ci] = coverNodes(cur[ci], layout[ci])
+		cover[ci] = coverNodes(cur[ci], st.layout[ci])
 		trees[ci] = cur[ci].Tree()
 	}
 	var tab binTable
-	tab.reset(len(weights))
-	bins, err := jointBins(ctx, rowLeaves, weights, cover, &tab)
+	tab.reset(len(st.tuples))
+	bins, err := st.group(ctx, cover, &tab)
 	if err != nil {
 		return nil, nil, err
 	}
-	sl := newBinSlab(layout, trees, k, bins, tab)
+	sl := newBinSlab(st.layout, trees, k, bins, tab)
 
 	memo := make([][]greedyMoveCand, len(cols))
 	for {

@@ -20,15 +20,16 @@ type ascent struct {
 	err   error
 }
 
-// incremental runs multiGreedy with the key layout of the minimal
-// frontiers' trees, in the rescan oracle's signature; the incremental
-// ascent runs on one goroutine whatever workers says.
+// incremental runs multiGreedy over the positions packed with the key
+// layout of the minimal frontiers' trees, in the rescan oracle's
+// signature; the incremental ascent runs on one goroutine whatever
+// workers says.
 func incremental(ctx context.Context, cols []string, ming, maxg map[string]dht.GenSet, k, _ int, leaves [][]dht.NodeID, weights []int, stats *MultiStats) (map[string]dht.GenSet, MultiStats, error) {
-	layout, err := layoutOf(cols, ming)
+	st, err := packTuples(cols, ming, leaves, weights)
 	if err != nil {
 		return nil, *stats, err
 	}
-	return multiGreedy(ctx, cols, layout, ming, maxg, k, leaves, weights, stats, nil)
+	return multiGreedy(ctx, st, ming, maxg, k, stats, nil)
 }
 
 // greedyBoth runs the incremental and the rescan ascent on the same
@@ -141,7 +142,7 @@ func TestMultiGreedyMatchesRescan(t *testing.T) {
 		// The weighted form production searches: the table's distinct
 		// quasi-tuples with their counts must drive both ascents to the
 		// outcomes of the row form.
-		leaves, counts := sketchFromSegments(t, tbl, trees, 64).decodeTuples()
+		leaves, counts := unpackTuples(sketchFromSegments(t, tbl, trees, 64))
 		tupInc, tupRef := greedyBoth(cols, ming, maxg, k, workers, leaves, counts)
 		if err := sameAscent(tupInc, inc); err != nil {
 			t.Fatalf("seed %d: incremental, tuples vs rows: %v", seed, err)
@@ -194,7 +195,7 @@ func TestMultiGreedyMatchesRescanOn20k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tupleLeaves, counts := sketchFromSegments(t, tbl, ontology.Trees(), 4096).decodeTuples()
+	tupleLeaves, counts := unpackTuples(sketchFromSegments(t, tbl, ontology.Trees(), 4096))
 	for _, k := range []int{5, 25, 100} {
 		for _, workers := range []int{1, 2} {
 			inc, ref := greedyBoth(cols, ming, maxg, k, workers, rowLeaves, ones(tbl.NumRows()))
@@ -271,7 +272,7 @@ func FuzzGreedyMatchesRescan(f *testing.F) {
 			t.Fatalf("k=%d, %d tuples: %v", k, len(weights), err)
 		}
 
-		layout, err := layoutOf(cols, ming)
+		st, err := packTuples(cols, ming, tuples, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,9 +290,9 @@ func FuzzGreedyMatchesRescan(f *testing.F) {
 				}
 			}
 			covers[ci] = coverTable(g)
-			cover[ci] = coverNodes(g, layout[ci])
+			cover[ci] = coverNodes(g, st.layout[ci])
 		}
-		got, err := minJointBin(context.Background(), tuples, weights, cover)
+		got, err := minJointBin(context.Background(), st, cover)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +357,7 @@ func TestMultiGreedySlabCompaction(t *testing.T) {
 			tuples[ci] = append(tuples[ci], leaves[ci][rng.Intn(len(leaves[ci]))])
 		}
 	}
-	layout, err := layoutOf(cols, ming)
+	st, err := packTuples(cols, ming, tuples, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestMultiGreedySlabCompaction(t *testing.T) {
 	var inc, ref ascent
 	var sl *binSlab
 	ctx := context.Background()
-	inc.gens, sl, inc.err = greedyAscent(ctx, cols, layout, ming, maxg, k, tuples, weights, &inc.stats, nil)
+	inc.gens, sl, inc.err = greedyAscent(ctx, st, ming, maxg, k, &inc.stats, nil)
 	ref.gens, ref.stats, ref.err = multiGreedyRescan(ctx, cols, ming, maxg, k, 1, tuples, weights, &ref.stats)
 	if err := sameAscent(inc, ref); err != nil {
 		t.Fatalf("incremental vs rescan: %v", err)

@@ -62,12 +62,12 @@ const DefaultEnumLimit = 4096
 // distribution satisfies k-anonymity with minimal specificity loss
 // ((N−Ng)/N averaged over columns, the paper's efficient estimate).
 //
-// The joint distribution is a Sketch's distinct quasi-tuples: position
-// i of every rowLeaves column is one tuple's leaf, and weights[i] its
-// multiplicity. Bin sizes are weight sums, so the tuples yield exactly
-// the histograms, violating sets and merge sequences of the rows they
-// summarize. Both searches key the joint bins with layout, built over
-// the trees of cols.
+// The joint distribution is st's tuples: a Sketch's distinct
+// quasi-tuples, each the joint bin of its rows under the leaf frontier.
+// Bin sizes are weight sums, so the tuples yield exactly the
+// histograms, violating sets and merge sequences of the rows they
+// summarize. Both searches key the joint bins with st.layout, built over
+// the trees of st.cols.
 //
 // workers bounds the goroutines used by the exhaustive search (<= 0
 // means GOMAXPROCS, 1 runs sequentially); the greedy ascent runs on one.
@@ -80,24 +80,22 @@ const DefaultEnumLimit = 4096
 // k' does. Only SearchAutoEpsilon pays for the bound.
 func multiBinLeaves(
 	ctx context.Context,
-	cols []string,
-	layout keyLayout,
+	st *sketchTuples,
 	mingends, maxgends map[string]dht.GenSet,
 	k int,
 	strategy Strategy,
 	enumLimit int,
 	workers int,
-	rowLeaves [][]dht.NodeID,
-	weights []int,
 	holds *int,
 ) (map[string]dht.GenSet, MultiStats, error) {
 	var stats MultiStats
 	if enumLimit <= 0 {
 		enumLimit = DefaultEnumLimit
 	}
+	cols := st.cols
 
 	// An empty sketch satisfies any k vacuously: keep the minimal nodes.
-	if len(rowLeaves) == 0 || len(rowLeaves[0]) == 0 {
+	if len(st.tuples) == 0 {
 		out := make(map[string]dht.GenSet, len(cols))
 		for _, c := range cols {
 			out[c] = mingends[c]
@@ -130,21 +128,21 @@ func multiBinLeaves(
 
 	switch resolved {
 	case StrategyExhaustive:
-		return multiExhaustive(ctx, cols, layout, mingends, maxgends, k, enumLimit, workers, rowLeaves, weights, &stats, holds)
+		return multiExhaustive(ctx, st, mingends, maxgends, k, enumLimit, workers, &stats, holds)
 	case StrategyGreedy:
-		return multiGreedy(ctx, cols, layout, mingends, maxgends, k, rowLeaves, weights, &stats, holds)
+		return multiGreedy(ctx, st, mingends, maxgends, k, &stats, holds)
 	default:
 		return nil, stats, fmt.Errorf("binning: unknown strategy %v", strategy)
 	}
 }
 
-// minJointBin returns the smallest bin of the joint histogram under the
-// frontiers behind cover (as built by coverNodes): the exhaustive
-// search's k-anonymity verdict for one candidate.
-func minJointBin(ctx context.Context, rowLeaves [][]dht.NodeID, weights []int, cover [][]uint64) (int, error) {
+// minJointBin returns the smallest bin of the joint histogram of st's
+// tuples under the frontiers behind cover (as built by coverNodes): the
+// exhaustive search's k-anonymity verdict for one candidate.
+func minJointBin(ctx context.Context, st *sketchTuples, cover [][]uint64) (int, error) {
 	var tab binTable
 	tab.reset(0)
-	bins, err := jointBins(ctx, rowLeaves, weights, cover, &tab)
+	bins, err := st.group(ctx, cover, &tab)
 	if err != nil {
 		return 0, err
 	}
@@ -169,15 +167,13 @@ func avgSpecificityLoss(gens []dht.GenSet) float64 {
 // valid candidate: the bound it lowers holds to.
 func multiExhaustive(
 	ctx context.Context,
-	cols []string,
-	layout keyLayout,
+	st *sketchTuples,
 	mingends, maxgends map[string]dht.GenSet,
 	k, enumLimit, workers int,
-	rowLeaves [][]dht.NodeID,
-	weights []int,
 	stats *MultiStats,
 	holds *int,
 ) (map[string]dht.GenSet, MultiStats, error) {
+	cols := st.cols
 	// Materialize per-column allowable generalizations (EnumGen of the
 	// paper, bounded by enumLimit on the total product).
 	perCol := make([][]dht.GenSet, len(cols))
@@ -208,7 +204,7 @@ func multiExhaustive(
 	for ci, list := range perCol {
 		perColCovers[ci] = make([][]uint64, len(list))
 		for gi, g := range list {
-			perColCovers[ci][gi] = coverNodes(g, layout[ci])
+			perColCovers[ci][gi] = coverNodes(g, st.layout[ci])
 		}
 	}
 
@@ -239,7 +235,7 @@ func multiExhaustive(
 			cover[ci] = perColCovers[ci][gi]
 			choice[ci] = perCol[ci][gi]
 		}
-		least, err := minJointBin(ctx, rowLeaves, weights, cover)
+		least, err := minJointBin(ctx, st, cover)
 		if err != nil || least < k {
 			return err
 		}

@@ -206,24 +206,55 @@ func multiBinTable(
 	enumLimit int,
 	workers int,
 ) (map[string]dht.GenSet, MultiStats, error) {
-	layout, err := layoutOf(cols, mingends)
-	if err != nil {
-		return nil, MultiStats{}, err
-	}
 	rowLeaves, err := resolveRowLeaves(context.Background(), tbl, cols, mingends)
 	if err != nil {
 		return nil, MultiStats{}, err
 	}
-	return multiBinLeaves(context.Background(), cols, layout, mingends, maxgends, k, strategy, enumLimit, workers, rowLeaves, ones(tbl.NumRows()), nil)
+	st, err := packTuples(cols, mingends, rowLeaves, ones(tbl.NumRows()))
+	if err != nil {
+		return nil, MultiStats{}, err
+	}
+	return multiBinLeaves(context.Background(), st, mingends, maxgends, k, strategy, enumLimit, workers, nil)
 }
 
-// layoutOf lays out the joint-bin key over the trees of cols' frontiers.
-func layoutOf(cols []string, gens map[string]dht.GenSet) (keyLayout, error) {
-	trees := make([]*dht.Tree, len(cols))
+// packTuples is the tuple state of weighted positions in row-leaf form:
+// position i of every leaves column is one position's leaf, weights[i]
+// its weight, keyed with the layout over the trees of cols' frontiers.
+// Positions that share their leaves stay apart; the searches sum them.
+func packTuples(cols []string, gens map[string]dht.GenSet, leaves [][]dht.NodeID, weights []int) (*sketchTuples, error) {
+	st := &sketchTuples{cols: cols, trees: make([]*dht.Tree, len(cols)), tuples: make([]jointBin, len(weights))}
 	for ci, col := range cols {
-		trees[ci] = gens[col].Tree()
+		st.trees[ci] = gens[col].Tree()
 	}
-	return newKeyLayout(trees)
+	layout, err := newKeyLayout(st.trees)
+	if err != nil {
+		return nil, err
+	}
+	st.layout = layout
+	for i, n := range weights {
+		st.tuples[i].n = n
+		for ci := range cols {
+			st.tuples[i].key |= (uint64(leaves[ci][i]) + 1) << layout[ci]
+		}
+	}
+	return st, nil
+}
+
+// unpackTuples is the row-leaf form of a sketch's tuples: per-column
+// leaf vectors plus a parallel count vector, in the sketch's order.
+func unpackTuples(sk *Sketch) ([][]dht.NodeID, []int) {
+	leaves := make([][]dht.NodeID, len(sk.quasi))
+	counts := make([]int, len(sk.tuples))
+	for ci := range leaves {
+		leaves[ci] = make([]dht.NodeID, len(sk.tuples))
+	}
+	for i, t := range sk.tuples {
+		for ci := range leaves {
+			leaves[ci][i] = dht.NodeID(sk.layout.field(t.key, ci) - 1)
+		}
+		counts[i] = t.n
+	}
+	return leaves, counts
 }
 
 // ones returns a weight slice that counts each of n rows once.

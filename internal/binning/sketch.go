@@ -23,10 +23,12 @@ import (
 // identifying and other columns are never retained, and rows collapse
 // into tuple counts the moment a segment is ingested.
 //
-// Tuples are keyed by their per-column leaf NodeIDs packed into the
-// sketch's keyLayout. Leaf resolution runs once per distinct value via a
-// per-column cache keyed by the value string — segment dictionaries are
-// segment-local, so codes are never trusted across segments.
+// A tuple is the joint bin of its row under the leaf frontier: its
+// per-column leaf NodeID+1 packed into the sketch's keyLayout, with the
+// row count as weight — the form every stage of the search reads. Leaf
+// resolution runs once per distinct value via a per-column cache keyed
+// by the value string — segment dictionaries are segment-local, so codes
+// are never trusted across segments.
 type Sketch struct {
 	schema *relation.Schema
 	quasi  []string
@@ -38,18 +40,21 @@ type Sketch struct {
 	// information loss is measured against it, so the metric describes
 	// the published generalization of every ingested row).
 	hist [][]int
-	// layout packs a tuple's leaf NodeIDs into its key in tuples; the
+	// layout packs a tuple's leaf NodeID+1 fields into its key; the
 	// search keys its joint bins with the same layout.
 	layout keyLayout
-	tuples map[uint64]int
+	// tuples are the distinct quasi-tuples in first-seen order, indexed
+	// by tab.
+	tuples []jointBin
+	tab    binTable
 	rows   int
 }
 
 // keyLayout is the one packing of a joint bin into a uint64 key. Column
 // ci owns the bit field [l[ci], l[ci+1]), bits.Len(tree.Size()) wide, so
-// the field holds a leaf NodeID (the sketch's tuples) or a covering
-// NodeID+1, with 0 for "uncovered" (the search's bins); the last entry
-// is the total width.
+// the field holds the covering frontier member's NodeID+1, with 0 for
+// "uncovered" — a leaf's own NodeID+1 in the sketch's tuples; the last
+// entry is the total width.
 type keyLayout []uint
 
 // newKeyLayout lays out the fields of trees in order. It refuses a set
@@ -90,8 +95,8 @@ func NewSketch(schema *relation.Schema, trees map[string]*dht.Tree) (*Sketch, er
 		trees:     make([]*dht.Tree, len(quasi)),
 		leafCache: make([]map[string]dht.NodeID, len(quasi)),
 		hist:      make([][]int, len(quasi)),
-		tuples:    make(map[uint64]int),
 	}
+	s.tab.reset(0)
 	for ci, col := range quasi {
 		tree, ok := trees[col]
 		if !ok || tree == nil {
@@ -162,64 +167,51 @@ func (s *Sketch) Add(seg *relation.Table) error {
 		colLeaves[ci] = leafOf
 		colCodes[ci] = codes
 	}
+	// Rows are keyed a block at a time before they are summed, so the
+	// table probes of a block do not wait on each other.
 	n := seg.NumRows()
-	for row := 0; row < n; row++ {
-		var key uint64
+	var keys [1024]uint64
+	for lo := 0; lo < n; lo += len(keys) {
+		block := keys[:min(len(keys), n-lo)]
+		clear(block)
 		for ci := range s.quasi {
-			leaf := colLeaves[ci][colCodes[ci][row]]
-			s.hist[ci][leaf]++
-			key |= uint64(leaf) << s.layout[ci]
+			leaves, hist, shift := colLeaves[ci], s.hist[ci], s.layout[ci]
+			for i, code := range colCodes[ci][lo : lo+len(block)] {
+				leaf := leaves[code]
+				hist[leaf]++
+				block[i] |= (uint64(leaf) + 1) << shift
+			}
 		}
-		s.tuples[key]++
+		for _, key := range block {
+			s.tuples = s.tab.add(s.tuples, key, 1)
+		}
 	}
 	s.rows += n
 	return nil
 }
 
-// decodeTuples materializes the distinct quasi-tuples as per-column
-// leaf vectors plus a parallel count vector — the weighted form the
-// multi-attribute search consumes. Map iteration order varies
-// between runs, but every downstream computation (histograms, bin
-// minima, violating sets, bin maps) is a sum or set union over the
-// tuples, so the search outcome is order-independent.
-func (s *Sketch) decodeTuples() ([][]dht.NodeID, []int) {
-	leaves := make([][]dht.NodeID, len(s.quasi))
-	for ci := range leaves {
-		leaves[ci] = make([]dht.NodeID, 0, len(s.tuples))
-	}
-	counts := make([]int, 0, len(s.tuples))
-	for key, n := range s.tuples {
-		for ci := range leaves {
-			leaves[ci] = append(leaves[ci], dht.NodeID(s.layout.field(key, ci)))
-		}
-		counts = append(counts, n)
-	}
-	return leaves, counts
-}
-
-// sketchTuples is a decoded tuple state: per-column leaf vectors plus a
-// parallel count vector over the sketch's quasi columns. A SearchSetup
-// holds the pre-suppression tuples, a SearchResult the post-suppression
-// ones, enough to compute the generalized bin statistics AutoEpsilon
-// needs without any rows.
+// sketchTuples is a tuple state: the joint bins of the sketch's quasi
+// columns under the leaf frontier, keyed by layout. A SearchSetup holds
+// the pre-suppression tuples, a SearchResult the post-suppression ones,
+// enough to compute the generalized bin statistics AutoEpsilon needs
+// without any rows.
 type sketchTuples struct {
 	cols   []string
 	trees  []*dht.Tree
 	layout keyLayout
-	leaves [][]dht.NodeID
-	counts []int
+	tuples []jointBin
 }
 
 // SearchSetup is the threshold-independent half of a sketch search:
 // the usage metrics in maximal-generalization-node form (stage 1 of
-// Figure 8), the sketch's pristine leaf histograms, and its distinct
-// quasi-tuples decoded once, before any suppression. Search and
+// Figure 8), the sketch's pristine leaf histograms, and a copy of its
+// distinct quasi-tuples, before any suppression. Search and
 // SearchAutoEpsilon run the per-threshold stages over it, so the
-// re-search at a raised ε repeats neither the decode nor the metric
-// derivation. A setup keeps no reference to the sketch's tuple map: a
-// caller that drops the sketch once the setup exists lets the map be
-// reclaimed before the first ascent. A setup is never mutated, so
-// concurrent searches may share it.
+// re-search at a raised ε repeats neither the copy nor the metric
+// derivation. A setup keeps no reference to the sketch's tuples: a
+// caller that drops the sketch once the setup exists lets them and
+// their index be reclaimed before the first ascent. A setup is never
+// mutated, so concurrent searches may share it.
 type SearchSetup struct {
 	cfg     Config
 	maxGens map[string]dht.GenSet
@@ -228,7 +220,7 @@ type SearchSetup struct {
 }
 
 // NewSearchSetup validates cfg against the sketch, derives the usage
-// metrics from the sketch's pristine histograms and decodes its tuples:
+// metrics from the sketch's pristine histograms and copies its tuples:
 // a snapshot, which later Adds to the sketch do not change. cfg.Epsilon
 // is only validated; each Search names its own.
 func NewSearchSetup(ctx context.Context, sk *Sketch, cfg Config) (*SearchSetup, error) {
@@ -266,13 +258,12 @@ func NewSearchSetup(ctx context.Context, sk *Sketch, cfg Config) (*SearchSetup, 
 		cfg:     cfg,
 		maxGens: make(map[string]dht.GenSet, len(quasi)),
 		hist:    make([][]int, len(quasi)),
-		tuples:  sketchTuples{cols: quasi, trees: sk.trees, layout: sk.layout},
+		tuples:  sketchTuples{cols: quasi, trees: sk.trees, layout: sk.layout, tuples: slices.Clone(sk.tuples)},
 	}
 	for i, col := range quasi {
 		setup.maxGens[col] = maxGens[i]
 		setup.hist[i] = slices.Clone(sk.hist[i])
 	}
-	setup.tuples.leaves, setup.tuples.counts = sk.decodeTuples()
 	return setup, nil
 }
 
@@ -419,18 +410,14 @@ func (s *SearchSetup) mono(ctx context.Context, effectiveK int) (*monoOutcome, e
 		return m, nil
 	}
 
-	leaves, counts := s.tuples.leaves, s.tuples.counts
-	alive := make([]bool, len(counts))
-	for t := range alive {
-		alive[t] = true
-	}
+	// The survivors are filtered out of a copy: the setup's tuples are
+	// shared by every search.
+	live := slices.Clone(s.tuples.tuples)
 	for ci, col := range quasi {
 		tree := trees[ci]
 		hist := make([]int, tree.Size())
-		for t, n := range counts {
-			if alive[t] {
-				hist[leaves[ci][t]] += n
-			}
+		for _, t := range live {
+			hist[s.tuples.layout.field(t.key, ci)-1] += t.n
 		}
 		g, st, err := MonoBinHist(tree, s.maxGens[col], hist, effectiveK, true)
 		if err != nil {
@@ -446,43 +433,21 @@ func (s *SearchSetup) mono(ctx context.Context, effectiveK int) (*monoOutcome, e
 				values[i] = tree.Value(d)
 			}
 			m.suppressValues[col] = values
-			for t := range alive {
-				if !alive[t] {
-					continue
-				}
+			live = slices.DeleteFunc(live, func(t jointBin) bool {
+				leaf := dht.NodeID(s.tuples.layout.field(t.key, ci) - 1)
 				for _, d := range st.Deficient {
-					if tree.IsAncestorOrSelf(d, leaves[ci][t]) {
-						alive[t] = false
-						m.suppressed += counts[t]
-						break
+					if tree.IsAncestorOrSelf(d, leaf) {
+						m.suppressed += t.n
+						return true
 					}
 				}
-			}
+				return false
+			})
 		}
 		m.minGens[col] = g
 		m.stats[col] = st
 	}
-	// Compact the survivors for the joint search.
-	keep := 0
-	for t := range alive {
-		if alive[t] {
-			keep++
-		}
-	}
-	m.tuples.leaves = make([][]dht.NodeID, len(quasi))
-	for ci := range m.tuples.leaves {
-		m.tuples.leaves[ci] = make([]dht.NodeID, 0, keep)
-	}
-	m.tuples.counts = make([]int, 0, keep)
-	for t := range alive {
-		if !alive[t] {
-			continue
-		}
-		for ci := range m.tuples.leaves {
-			m.tuples.leaves[ci] = append(m.tuples.leaves[ci], leaves[ci][t])
-		}
-		m.tuples.counts = append(m.tuples.counts, counts[t])
-	}
+	m.tuples.tuples = live
 	return m, nil
 }
 
@@ -494,8 +459,8 @@ func (s *SearchSetup) mono(ctx context.Context, effectiveK int) (*monoOutcome, e
 // (see SearchAutoEpsilon).
 func (s *SearchSetup) joint(ctx context.Context, m *monoOutcome, effectiveK int, holds *int) (*SearchResult, error) {
 	cfg, quasi := s.cfg, s.tuples.cols
-	ultiGens, multiStats, err := multiBinLeaves(ctx, quasi, m.tuples.layout, m.minGens, s.maxGens, effectiveK,
-		cfg.Strategy, cfg.EnumLimit, cfg.Workers, m.tuples.leaves, m.tuples.counts, holds)
+	ultiGens, multiStats, err := multiBinLeaves(ctx, &m.tuples, m.minGens, s.maxGens, effectiveK,
+		cfg.Strategy, cfg.EnumLimit, cfg.Workers, holds)
 	if err != nil {
 		return nil, err
 	}
@@ -536,15 +501,16 @@ func (s *SearchSetup) joint(ctx context.Context, m *monoOutcome, effectiveK int,
 // post-suppression tuple counts, and its keys equal anonymity.Bins over
 // the transformed table: a generalized cell value is exactly the value
 // of the frontier member covering the cell's leaf. The tuples group on
-// packed covering-node keys, so each distinct bin renders its string
-// key once.
+// packed covering-node keys — a searched column outside cols
+// generalizes to its root, so it splits no bin — and each distinct bin
+// renders its string key once.
 func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet) (map[string]int, error) {
 	if s.tuples == nil {
 		return nil, fmt.Errorf("binning: search result retains no data for bin statistics")
 	}
 	st := s.tuples
 	colAt := make([]int, len(cols))
-	cover := make([][]uint64, len(cols))
+	cover := make([][]uint64, len(st.cols))
 	for i, c := range cols {
 		ci := slices.Index(st.cols, c)
 		if ci < 0 {
@@ -558,24 +524,18 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 			return nil, fmt.Errorf("binning: frontier for column %s belongs to a different tree", c)
 		}
 		colAt[i] = ci
-		cover[i] = coverNodes(g, st.layout[ci])
+		cover[ci] = coverNodes(g, st.layout[ci])
+	}
+	for ci, tree := range st.trees {
+		if cover[ci] == nil {
+			cover[ci] = coverNodes(dht.RootGenSet(tree), st.layout[ci])
+		}
 	}
 	var tab binTable
 	tab.reset(0)
-	var bins []jointBin
-	for t, n := range st.counts {
-		var key uint64
-		for i, ci := range colAt {
-			leaf := st.leaves[ci][t]
-			field := cover[i][leaf]
-			if field == 0 {
-				tree := st.trees[ci]
-				return nil, fmt.Errorf("binning: column %s value %q: %w", cols[i], tree.Value(leaf),
-					fmt.Errorf("dht: value %q sits above the generalization frontier of %s", tree.Value(leaf), tree.Attr()))
-			}
-			key |= field
-		}
-		bins = tab.add(bins, key, n)
+	bins, err := st.group(context.Background(), cover, &tab)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[string]int, len(bins))
 	var key []byte

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"testing"
 
@@ -285,6 +286,67 @@ func TestSearchSetupMatchesSearchSketch(t *testing.T) {
 	}
 }
 
+// TestSearchSetupIsASnapshot pins NewSearchSetup's contract that later
+// Adds do not change a setup: a setup built after a first batch and
+// searched after a second batch is added must equal, in every field and
+// in its bin statistic, a search of a sketch of the first batch alone.
+func TestSearchSetupIsASnapshot(t *testing.T) {
+	tbl, err := datagen.Generate(datagen.Config{Rows: 4000, Seed: 1, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := ontology.Trees()
+	quasi := tbl.Schema().QuasiColumns()
+	segs := tbl.Segments(2000)
+	batches := make([]*relation.Table, 2)
+	for i := range batches {
+		if batches[i], err = segs.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, aggressive := range []bool{false, true} {
+		cfg := Config{K: 5, Trees: trees, Aggressive: aggressive, Workers: 1}
+		sk, err := NewSketch(tbl.Schema(), trees)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sk.Add(batches[0]); err != nil {
+			t.Fatal(err)
+		}
+		setup, err := NewSearchSetup(ctx, sk, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sk.Add(batches[1]); err != nil {
+			t.Fatal(err)
+		}
+		got, err := setup.Search(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SearchSketch(ctx, sketchFromSegments(t, batches[0], trees, 0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("aggressive=%v", aggressive)
+		if err := searchResultsEqual(got, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		gotBins, err := got.GeneralizedBins(quasi, got.UltiGens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBins, err := want.GeneralizedBins(quasi, want.UltiGens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(gotBins, wantBins) {
+			t.Fatalf("%s: bins after a later Add differ from the first batch's", name)
+		}
+	}
+}
+
 // TestSketchEmptyAndErrors pins the sketch constructor/ingest edges.
 func TestSketchEmptyAndErrors(t *testing.T) {
 	tbl, trees := twoColumnTable(t)
@@ -387,38 +449,6 @@ func TestSketchKeyWidthBoundary(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "68-bit") {
 		t.Fatalf("17 role columns: got %v, want a refusal naming the 68-bit key", err)
 	}
-}
-
-// BenchmarkSketchAdd1M is the sketch ingest layer: one NewSketch and
-// one Add per segment over a million datagen rows (seed 1), cut into
-// relation.DefaultChunk segments before the timer starts. It reports
-// rows/s and allocations.
-func BenchmarkSketchAdd1M(b *testing.B) {
-	tbl, err := datagen.Generate(datagen.Config{Rows: 1000000, Seed: 1, Correlate: true, ZipfS: 1.2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows, schema := tbl.NumRows(), tbl.Schema()
-	segs := segmentsOf(b, tbl)
-	tbl = nil
-	trees := ontology.Trees()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sk, err := NewSketch(schema, trees)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, seg := range segs {
-			if err := sk.Add(seg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if sk.Rows() != rows {
-			b.Fatalf("sketched %d rows, want %d", sk.Rows(), rows)
-		}
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // segmentsOf cuts tbl into its relation.DefaultChunk segments.
@@ -557,7 +587,7 @@ func FuzzSketchIngest(f *testing.F) {
 			}
 			refTuples[sb.String()]++
 		}
-		gotLeaves, gotCounts := sk.decodeTuples()
+		gotLeaves, gotCounts := unpackTuples(sk)
 		gotTuples := map[string]int{}
 		for ti := range gotCounts {
 			sb.Reset()

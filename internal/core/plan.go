@@ -67,32 +67,43 @@ type Plan struct {
 	Bins map[string]int `json:"bins,omitempty"`
 }
 
-// Validate checks the plan's internal consistency — version, required
-// fields, and cross-field fits. Every failure wraps ErrBadProvenance.
+// Validate checks the provenance record's required fields: K, the
+// identifying column, the mark, duplication, quantum and the column
+// frontiers. Every failure wraps ErrBadProvenance.
+func (p *Provenance) Validate() error {
+	if p.K < 1 {
+		return fmt.Errorf("core: provenance K must be >= 1, got %d: %w", p.K, ErrBadProvenance)
+	}
+	if p.IdentCol == "" {
+		return fmt.Errorf("core: provenance names no identifying column: %w", ErrBadProvenance)
+	}
+	if _, err := bitstr.FromString(p.Mark); err != nil {
+		return fmt.Errorf("core: provenance mark: %w: %w", err, ErrBadProvenance)
+	}
+	if p.Duplication < 1 {
+		return fmt.Errorf("core: provenance duplication must be >= 1, got %d: %w", p.Duplication, ErrBadProvenance)
+	}
+	if p.Quantum <= 0 {
+		return fmt.Errorf("core: provenance quantum must be positive, got %v: %w", p.Quantum, ErrBadProvenance)
+	}
+	if len(p.Columns) == 0 {
+		return fmt.Errorf("core: provenance has no column frontiers: %w", ErrBadProvenance)
+	}
+	return nil
+}
+
+// Validate checks the plan's internal consistency — version, the
+// provenance record it extends, and the planning fields' cross-field
+// fits. Every failure wraps ErrBadProvenance.
 func (p *Plan) Validate() error {
 	if p.FormatVersion != PlanVersion {
 		return fmt.Errorf("core: plan version %d, want %d: %w", p.FormatVersion, PlanVersion, ErrBadProvenance)
 	}
-	if p.K < 1 {
-		return fmt.Errorf("core: plan K must be >= 1, got %d: %w", p.K, ErrBadProvenance)
+	if err := p.Provenance.Validate(); err != nil {
+		return err
 	}
 	if p.EffectiveK < p.K {
 		return fmt.Errorf("core: plan effective k %d below K %d: %w", p.EffectiveK, p.K, ErrBadProvenance)
-	}
-	if p.IdentCol == "" {
-		return fmt.Errorf("core: plan names no identifying column: %w", ErrBadProvenance)
-	}
-	if _, err := bitstr.FromString(p.Mark); err != nil {
-		return fmt.Errorf("core: plan mark: %w: %w", err, ErrBadProvenance)
-	}
-	if p.Duplication < 1 {
-		return fmt.Errorf("core: plan duplication must be >= 1, got %d: %w", p.Duplication, ErrBadProvenance)
-	}
-	if p.Quantum <= 0 {
-		return fmt.Errorf("core: plan quantum must be positive, got %v: %w", p.Quantum, ErrBadProvenance)
-	}
-	if len(p.Columns) == 0 {
-		return fmt.Errorf("core: plan has no column frontiers: %w", ErrBadProvenance)
 	}
 	if len(p.QuasiCols) != len(p.Columns) {
 		return fmt.Errorf("core: plan records %d quasi columns but %d column frontiers: %w",
@@ -174,7 +185,7 @@ func (f *Framework) PlanContext(ctx context.Context, tbl *relation.Table, key cr
 // over a quasi-tuple sketch — with AutoEpsilon, the search that also
 // raises ε to the conservative value of Section 6 — frozen into a
 // Plan. The sketch is not referenced past the search setup, so its
-// tuple map can be reclaimed before the ascent.
+// tuples and their index can be reclaimed before the ascent.
 func (f *Framework) planFromSketch(ctx context.Context, sk *binning.Sketch, quasiCols []string, identCol string, mark bitstr.Bits, v float64) (*Plan, error) {
 	binCfg := binning.Config{
 		K:          f.cfg.K,

@@ -133,10 +133,10 @@ type PlannedStream struct {
 // while the next segment is read ahead (pipe.go). The frontier search,
 // the aggressive-rule suppression replay and the conservative-ε
 // re-search (binning.SearchAutoEpsilon) all run over one
-// binning.SearchSetup decoded from the sketch — the sketch's tuple map
-// is released before the ascent —
-// and produce exactly the plan PlanContext would: the paper's planning
-// pass without ever materializing the table.
+// binning.SearchSetup holding a copy of the sketch's tuples — the
+// sketch is released before the ascent — and produce exactly the plan
+// PlanContext would: the paper's planning pass without ever
+// materializing the table.
 func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.WatermarkKey) (*PlannedStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

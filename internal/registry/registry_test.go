@@ -325,3 +325,59 @@ func TestStoreConcurrency(t *testing.T) {
 		t.Errorf("disk has %d records, memory has %d", reopened.Len(), s.Len())
 	}
 }
+
+// BenchmarkRegistryPutAll times the registry persistence behind one
+// fingerprint request at the service's shape: PutAll of 4 records from
+// a 5k-row fingerprint into a file store that retains 48 more, so each
+// call rewrites a file of 52 records. It reports the file's size.
+func BenchmarkRegistryPutAll(b *testing.B) {
+	fw, err := core.New(ontology.Trees(), core.Config{K: 15, AutoEpsilon: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := datagen.Generate(datagen.Config{Rows: 5000, Seed: 3, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recipients := make([]core.Recipient, 4)
+	for i := range recipients {
+		id := fmt.Sprintf("r%d", i)
+		recipients[i] = core.Recipient{ID: id, Key: crypt.RecipientWatermarkKey(testSecret, id, 10)}
+	}
+	results, err := fw.Fingerprint(tbl, recipients)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]Record, len(results))
+	for i, r := range results {
+		batch[i] = RecordOf(r.RecipientID, recipients[i].Key, r.Protected.Plan)
+	}
+	path := filepath.Join(b.TempDir(), "registry.json")
+	st, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := 0; n < 12; n++ {
+		retained := make([]Record, len(batch))
+		for i, rec := range batch {
+			rec.RecipientID = fmt.Sprintf("retained-%d-%d", n, i)
+			retained[i] = rec
+		}
+		if err := st.PutAll(retained); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.PutAll(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(info.Size()), "file_bytes")
+}

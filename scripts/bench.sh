@@ -16,7 +16,9 @@
 # recipients; DetectStream1M: segment-at-a-time detection over a
 # million rows — its bytes_op is the read-side bounded-memory claim)
 # and the binning search layer at the release shape (SearchSketch1M:
-# one search over a million-row sketch) and the relation ingest layer
+# one search over a million-row sketch) and the sketch ingest layer
+# (SketchAdd1M: one sketch built from the segments of a million rows;
+# also reports rows/s, not recorded) and the relation ingest layer
 # (SegmentReader1M: one byte-level segment reader drained over a
 # million-row release CSV in memory; it also reports rows/s, which the
 # entry does not record) and the relation egress layer (SegmentWriter1M:
@@ -24,9 +26,7 @@
 # byte-level SegmentWriter to io.Discard; also reports rows/s, not
 # recorded) and, from internal/binning, the greedy ascent
 # pair (MultiGreedyIncremental vs MultiGreedyRescan on the 20k fixture)
-# and the sketch ingest layer (SketchAdd1M: one sketch built from the
-# segments of a million rows; also reports rows/s, not recorded) and
-# the transform layer (TransformContext1M: identifier encryption plus
+# and the transform layer (TransformContext1M: identifier encryption plus
 # generalization over the segments of a million rows), and, from
 # internal/watermark, the Equation (5) layers over the segments of a
 # million rows with encrypted identifiers: selection (SelectForEmbed1M),
@@ -63,13 +63,13 @@ cd "$(dirname "$0")/.."
 LABEL="${1:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}"
 COUNT="${COUNT:-3}"
 OUT="BENCH_pipeline.json"
-PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSegmentReader1M$|BenchmarkSegmentWriter1M$|BenchmarkPlan2kAggressive$|BenchmarkPlan5k$'
+PATTERN='BenchmarkProtect20k$|BenchmarkDetect20k$|BenchmarkMultiBinGreedy$|BenchmarkAppend2k$|BenchmarkReprotect22k$|BenchmarkTraceback50$|BenchmarkProtect200k$|BenchmarkApplyStream1M$|BenchmarkJobThroughput$|BenchmarkPlanStream1M$|BenchmarkPlanApplyStream10M$|BenchmarkFingerprint16$|BenchmarkDetectStream1M$|BenchmarkSearchSketch1M$|BenchmarkSketchAdd1M$|BenchmarkSegmentReader1M$|BenchmarkSegmentWriter1M$|BenchmarkPlan2kAggressive$|BenchmarkPlan5k$'
 
 # The root package's run (PlanApplyStream10M included) takes ~9 minutes
 # at COUNT=3 on a 2-vCPU machine, close to go test's 10-minute default
 # timeout, so the timeout is raised.
 RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 60m .)
-$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$|BenchmarkSketchAdd1M$|BenchmarkTransformContext1M$' -benchmem -count "$COUNT" ./internal/binning)
+$(go test -run '^$' -bench 'BenchmarkMultiGreedy(Incremental|Rescan)$|BenchmarkTransformContext1M$' -benchmem -count "$COUNT" ./internal/binning)
 $(go test -run '^$' -bench 'BenchmarkSelectForEmbed1M$|BenchmarkEmbedSelected1M$|BenchmarkAccumulate1M$' -benchmem -count "$COUNT" ./internal/watermark)"
 echo "$RAW"
 
