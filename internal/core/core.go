@@ -282,16 +282,13 @@ func (f *Framework) SpecsFromProvenance(prov Provenance) (map[string]watermark.C
 	return out, nil
 }
 
-// paramsFromProvenance rebuilds detection parameters; the mark comes from
-// the provenance record, the key from the caller.
+// paramsFromProvenance rebuilds detection parameters from a validated
+// provenance record; the mark comes from the record, the key from the
+// caller.
 func paramsFromProvenance(prov Provenance, key crypt.WatermarkKey) (watermark.Params, error) {
 	mark, err := bitstr.FromString(prov.Mark)
 	if err != nil {
 		return watermark.Params{}, fmt.Errorf("core: provenance mark: %w: %w", err, ErrBadProvenance)
-	}
-	if mark.Len() < 1 || prov.Duplication < 1 {
-		return watermark.Params{}, fmt.Errorf("core: provenance needs a non-empty mark and duplication >= 1, got %d bits, duplication %d: %w",
-			mark.Len(), prov.Duplication, ErrBadProvenance)
 	}
 	return watermark.Params{
 		Key:                    key,
@@ -340,6 +337,9 @@ func (f *Framework) Dispute(disputed *relation.Table, prov Provenance, ownerKey 
 // aborts promptly with the context's error on cancellation.
 func (f *Framework) DisputeContext(ctx context.Context, disputed *relation.Table, prov Provenance, ownerKey crypt.WatermarkKey, rivals []ownership.Claim) ([]ownership.Verdict, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := prov.Validate(); err != nil {
 		return nil, err
 	}
 	columns, err := f.SpecsFromProvenance(prov)

@@ -166,3 +166,46 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	})
 }
+
+// TestEntryPointsValidateProvenance: detect, dispute and traceback
+// check the provenance record they are handed with Provenance.Validate,
+// so a record missing a field is ErrBadProvenance at every door rather
+// than a failure wherever the field is first used.
+func TestEntryPointsValidateProvenance(t *testing.T) {
+	fw := testFramework(t)
+	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
+	tbl := testData(t, 400)
+	prot, err := fw.Protect(tbl, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := prot.Plan.Provenance
+	for name, mutate := range map[string]func(*Provenance){
+		"quantum 0":      func(p *Provenance) { p.Quantum = 0 },
+		"K 0":            func(p *Provenance) { p.K = 0 },
+		"no ident col":   func(p *Provenance) { p.IdentCol = "" },
+		"empty mark":     func(p *Provenance) { p.Mark = "" },
+		"duplication 0":  func(p *Provenance) { p.Duplication = 0 },
+		"no frontiers":   func(p *Provenance) { p.Columns = nil },
+		"malformed mark": func(p *Provenance) { p.Mark = "01x1" },
+	} {
+		bad := good
+		mutate(&bad)
+		if err := bad.Validate(); !errors.Is(err, ErrBadProvenance) {
+			t.Errorf("%s: Validate got %v", name, err)
+		}
+		if _, err := fw.Detect(prot.Table, bad, key); !errors.Is(err, ErrBadProvenance) || errors.Is(err, ErrBadSchema) {
+			t.Errorf("%s: Detect got %v, want ErrBadProvenance", name, err)
+		}
+		if _, err := fw.Dispute(prot.Table, bad, key, nil); !errors.Is(err, ErrBadProvenance) {
+			t.Errorf("%s: Dispute got %v, want ErrBadProvenance", name, err)
+		}
+		cands := []Candidate{{ID: "good", Provenance: good, Key: key}, {ID: "bad", Provenance: bad, Key: key}}
+		if _, err := fw.Traceback(prot.Table, cands); !errors.Is(err, ErrBadProvenance) {
+			t.Errorf("%s: Traceback got %v, want ErrBadProvenance", name, err)
+		}
+	}
+	if _, err := fw.Dispute(prot.Table, good, key, nil); err != nil {
+		t.Fatalf("valid provenance refused: %v", err)
+	}
+}

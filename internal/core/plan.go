@@ -77,8 +77,10 @@ func (p *Provenance) Validate() error {
 	if p.IdentCol == "" {
 		return fmt.Errorf("core: provenance names no identifying column: %w", ErrBadProvenance)
 	}
-	if _, err := bitstr.FromString(p.Mark); err != nil {
+	if mark, err := bitstr.FromString(p.Mark); err != nil {
 		return fmt.Errorf("core: provenance mark: %w: %w", err, ErrBadProvenance)
+	} else if mark.Len() == 0 {
+		return fmt.Errorf("core: provenance mark is empty: %w", ErrBadProvenance)
 	}
 	if p.Duplication < 1 {
 		return fmt.Errorf("core: provenance duplication must be >= 1, got %d: %w", p.Duplication, ErrBadProvenance)

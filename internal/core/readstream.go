@@ -53,6 +53,9 @@ func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provena
 	if err := key.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
 	}
+	if err := prov.Validate(); err != nil {
+		return nil, err
+	}
 	if _, err := src.Schema().Index(prov.IdentCol); err != nil {
 		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
 	}

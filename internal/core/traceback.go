@@ -78,8 +78,8 @@ func (f *Framework) TracebackContext(ctx context.Context, suspect *relation.Tabl
 	return &tb.Traceback, nil
 }
 
-// validateCandidates rejects empty, duplicate or badly-keyed candidate
-// sets.
+// validateCandidates rejects empty, duplicate, badly-keyed or
+// invalid-provenance candidate sets.
 func validateCandidates(candidates []Candidate) error {
 	if len(candidates) == 0 {
 		return fmt.Errorf("core: no traceback candidates: %w", ErrBadConfig)
@@ -95,6 +95,12 @@ func validateCandidates(candidates []Candidate) error {
 		seen[c.ID] = true
 		if err := c.Key.Validate(); err != nil {
 			return fmt.Errorf("core: candidate %q: %w: %w", c.ID, err, ErrBadKey)
+		}
+	}
+	// Provenance last: a malformed set is reported as such first.
+	for _, c := range candidates {
+		if err := c.Provenance.Validate(); err != nil {
+			return fmt.Errorf("core: candidate %q: %w", c.ID, err)
 		}
 	}
 	return nil

@@ -66,25 +66,17 @@ func SnapshotOf(j Job) Snapshot {
 }
 
 // publish emits a state event for j on its topic.
-func (m *Manager) publish(j Job) {
-	if m.cfg.Hub == nil {
-		return
-	}
-	data, err := json.Marshal(SnapshotOf(j))
-	if err != nil {
-		return
-	}
-	m.cfg.Hub.Publish(Topic(j.ID), sse.Event{Type: EventState, Data: data})
-}
+func (m *Manager) publish(j Job) { m.emit(j.ID, EventState, SnapshotOf(j)) }
 
 // publishProgress emits a progress event for job id.
-func (m *Manager) publishProgress(id string, p Progress) {
+func (m *Manager) publishProgress(id string, p Progress) { m.emit(id, EventProgress, p) }
+
+// emit publishes v as an event of type typ on job id's topic.
+func (m *Manager) emit(id, typ string, v any) {
 	if m.cfg.Hub == nil {
 		return
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return
+	if data, err := json.Marshal(v); err == nil {
+		m.cfg.Hub.Publish(Topic(id), sse.Event{Type: typ, Data: data})
 	}
-	m.cfg.Hub.Publish(Topic(id), sse.Event{Type: EventProgress, Data: data})
 }

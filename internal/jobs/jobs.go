@@ -2,7 +2,7 @@
 // service: long protections (protect, plan, apply, fingerprint,
 // traceback) submitted as queued jobs instead of blocking RPCs. A
 // bounded worker pool drains a persistent queue; every state transition
-// is persisted through internal/atomicfile, so queued and running jobs
+// is persisted through internal/recstore, so queued and running jobs
 // survive a crash and are re-enqueued on boot. Failed
 // attempts retry with exponential backoff and jitter up to a
 // max-attempts dead-letter state; client-supplied idempotency keys make

@@ -8,6 +8,7 @@ import (
 	"log"
 	"math/rand"
 	"net/url"
+	"slices"
 	"sync"
 	"time"
 
@@ -67,7 +68,7 @@ type Runner interface {
 // Config parameterizes the manager.
 type Config struct {
 	// Store is the durable job store (required).
-	Store Store
+	Store *Store
 	// Runner executes attempts (required).
 	Runner Runner
 	// Kinds is the set of accepted job kinds (required, non-empty).
@@ -116,7 +117,7 @@ type Config struct {
 // them on a bounded worker pool, and serves submit/get/list/cancel.
 type Manager struct {
 	cfg   Config
-	store Store
+	store *Store
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals queue pushes and stop
@@ -293,7 +294,7 @@ type SubmitOptions struct {
 // submission of the same kind, the existing job is returned with
 // existing=true and nothing is enqueued — duplicate submits are safe.
 func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (job Job, existing bool, err error) {
-	if !m.kindAllowed(kind) {
+	if !slices.Contains(m.cfg.Kinds, kind) {
 		return Job{}, false, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
 	}
 	if opts.Webhook != "" {
@@ -388,9 +389,7 @@ func (m *Manager) List(f Filter) []Job {
 		out = append(out, m.overlayProgressLocked(j))
 	}
 	// Store order is oldest-first; the listing serves newest-first.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -690,15 +689,6 @@ func (m *Manager) classify(err error) string {
 		return ""
 	}
 	return m.cfg.ClassifyError(err)
-}
-
-func (m *Manager) kindAllowed(kind string) bool {
-	for _, k := range m.cfg.Kinds {
-		if k == kind {
-			return true
-		}
-	}
-	return false
 }
 
 // idemIndex keys the idempotency map by (tenant, kind, key) so two

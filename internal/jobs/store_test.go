@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +146,49 @@ func TestStorePutValidates(t *testing.T) {
 	bad.State = "limbo"
 	if err := s.Put(bad); err == nil {
 		t.Fatal("job with invalid state accepted")
+	}
+}
+
+// BenchmarkJobStorePut times one Put of a small queued job into a file
+// store that retains 1, 10 or 50 finished jobs whose results are about
+// 1.5 MiB each — the job store's cost on every state transition as the
+// retained set grows. The retained set is written as one document and
+// opened, so setup does not pay the per-Put cost it measures.
+func BenchmarkJobStorePut(b *testing.B) {
+	base := time.Date(2026, 8, 7, 9, 0, 0, 0, time.UTC)
+	result, err := json.Marshal(map[string]string{"csv": strings.Repeat("123-45-6789,42,47906,dr-a,flu,rest\n", 1536*1024/36)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, retained := range []int{1, 10, 50} {
+		b.Run(fmt.Sprintf("retained=%d", retained), func(b *testing.B) {
+			doc := document{Version: FormatVersion}
+			for i := 0; i < retained; i++ {
+				j := sampleJob(fmt.Sprintf("j-done-%03d", i), base.Add(time.Duration(i)*time.Second))
+				j.State, j.Attempts, j.FinishedAt, j.Result = StateSucceeded, 1, base.Add(time.Hour), result
+				doc.Jobs = append(doc.Jobs, j)
+			}
+			data, err := json.Marshal(doc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "jobs.json")
+			if err := os.WriteFile(path, data, 0o600); err != nil {
+				b.Fatal(err)
+			}
+			s, err := Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			j := sampleJob("j-live", base.Add(2*time.Hour))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j.Attempts = i % 2
+				if err := s.Put(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -51,11 +51,7 @@ func httpDeliver(timeout time.Duration) DeliverFunc {
 		if err != nil {
 			return 0, err
 		}
-		for k, vs := range headers {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
-		}
+		req.Header = headers.Clone()
 		resp, err := client.Do(req)
 		if err != nil {
 			return 0, err

@@ -4,9 +4,9 @@
 // needs — the recipient ID, the non-secret fingerprint of the copy's
 // key, the recipient-salted mark and the frozen protection plan.
 //
-// The store is JSON-on-disk, written through internal/atomicfile (mode
-// 0600; a crash mid-write never corrupts the registry), and is safe for
-// concurrent use. A store opened with an empty path is in-memory only —
+// The store is an internal/recstore keyed-record store: JSON on disk,
+// written through internal/atomicfile (mode 0600; a crash mid-write
+// never corrupts the registry), and safe for concurrent use. A store opened with an empty path is in-memory only —
 // useful for tests and for service deployments that treat the registry
 // as ephemeral.
 //
@@ -33,17 +33,15 @@
 package registry
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 
-	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/crypt"
+	"repro/internal/recstore"
 	"repro/internal/tenant"
 )
 
@@ -93,7 +91,7 @@ func (r Record) Validate() error {
 	// NUL separates tenant from recipient in the store's composite
 	// key; allowing it in either part would let crafted IDs collide
 	// across tenants.
-	if bytes.ContainsAny([]byte(r.TenantID), "\x00") || bytes.ContainsAny([]byte(r.RecipientID), "\x00") {
+	if strings.Contains(r.TenantID, "\x00") || strings.Contains(r.RecipientID, "\x00") {
 		return fmt.Errorf("registry: recipient %q: IDs must not contain NUL", r.RecipientID)
 	}
 	if r.KeyFingerprint == "" {
@@ -169,9 +167,32 @@ func CandidatesFromSecret(recs []Record, secret string) ([]core.Candidate, []str
 // named "hospital-a" without colliding, and the *In accessors scope
 // every read and write to one tenant.
 type Store struct {
-	mu   sync.RWMutex
-	path string            // "" = in-memory only
-	recs map[string]Record // key: tenant + "\x00" + recipient ID
+	recs *recstore.Store[Record, document]
+}
+
+type document struct {
+	Version    int      `json:"registry_version"`
+	Recipients []Record `json:"recipients"`
+}
+
+// format is the registry file: records sorted by (tenant, recipient).
+var format = recstore.Format[Record, document]{
+	Name:    "registry",
+	Version: FormatVersion,
+	Key:     func(r Record) string { return storeKey(r.TenantID, r.RecipientID) },
+	Compare: func(a, b Record) int {
+		return cmp.Or(strings.Compare(a.TenantID, b.TenantID), strings.Compare(a.RecipientID, b.RecipientID))
+	},
+	Check: func(r Record) (Record, error) {
+		// Migration: registries written before multi-tenancy carry no
+		// tenant ID; those records are adopted by the default tenant so
+		// existing files keep loading (and keep serving the CLI, which
+		// always operates as the default tenant).
+		r.TenantID = tenant.Normalize(r.TenantID)
+		return r, r.Validate()
+	},
+	Wrap:   func(recs []Record) document { return document{Version: FormatVersion, Recipients: recs} },
+	Unwrap: func(d document) (int, []Record) { return d.Version, d.Recipients },
 }
 
 // storeKey is the composite map key for a record.
@@ -180,103 +201,48 @@ func storeKey(tenantID, recipientID string) string {
 }
 
 // New returns an empty in-memory store (nothing is ever persisted).
-func New() *Store {
-	return &Store{recs: make(map[string]Record)}
-}
+func New() *Store { return &Store{recs: recstore.New(&format)} }
 
 // Open loads the registry at path, or returns an empty store bound to
 // path when the file does not exist yet (it is created on the first
 // Put). An empty path is New().
 func Open(path string) (*Store, error) {
-	s := New()
-	s.path = path
-	if path == "" {
-		return s, nil
-	}
-	var doc document
-	found, err := atomicfile.ReadJSON(path, &doc)
+	recs, err := recstore.Open(&format, path)
 	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
+		return nil, err
 	}
-	if !found {
-		return s, nil
-	}
-	if doc.Version != FormatVersion {
-		return nil, fmt.Errorf("registry: %s has format version %d, want %d", path, doc.Version, FormatVersion)
-	}
-	for _, r := range doc.Recipients {
-		// Migration: registries written before multi-tenancy carry no
-		// tenant ID; those records are adopted by the default tenant so
-		// existing files keep loading (and keep serving the CLI, which
-		// always operates as the default tenant).
-		r.TenantID = tenant.Normalize(r.TenantID)
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("registry: %s: %w", path, err)
-		}
-		key := storeKey(r.TenantID, r.RecipientID)
-		if _, dup := s.recs[key]; dup {
-			return nil, fmt.Errorf("registry: %s: duplicate recipient %q (tenant %q)", path, r.RecipientID, r.TenantID)
-		}
-		s.recs[key] = r
-	}
-	return s, nil
+	return &Store{recs: recs}, nil
 }
 
 // Path returns the backing file path ("" for an in-memory store).
-func (s *Store) Path() string { return s.path }
+func (s *Store) Path() string { return s.recs.Path() }
 
 // Len returns the number of registered recipients.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.recs)
-}
+func (s *Store) Len() int { return s.recs.Len() }
 
 // Get returns the default tenant's record for id (the single-owner CLI
 // view). Service handlers use GetIn with the authenticated tenant.
-func (s *Store) Get(id string) (Record, bool) {
-	return s.GetIn(tenant.DefaultID, id)
-}
+func (s *Store) Get(id string) (Record, bool) { return s.GetIn(tenant.DefaultID, id) }
 
 // GetIn returns tenantID's record for id.
 func (s *Store) GetIn(tenantID, id string) (Record, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.recs[storeKey(tenantID, id)]
-	return r, ok
+	return s.recs.Get(storeKey(tenantID, id))
 }
 
 // List returns every record across all tenants, sorted by (tenant,
 // recipient) — the operator/CLI view. Tenant-scoped callers use ListIn.
-func (s *Store) List() []Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sortedLocked(func(Record) bool { return true })
-}
+func (s *Store) List() []Record { return s.recs.List() }
 
 // ListIn returns tenantID's records sorted by recipient ID.
 func (s *Store) ListIn(tenantID string) []Record {
 	tenantID = tenant.Normalize(tenantID)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sortedLocked(func(r Record) bool { return r.TenantID == tenantID })
-}
-
-// sortedLocked returns the records keep accepts, sorted by (tenant,
-// recipient). Callers hold a lock.
-func (s *Store) sortedLocked(keep func(Record) bool) []Record {
-	out := make([]Record, 0, len(s.recs))
-	for _, r := range s.recs {
-		if keep(r) {
+	all := s.recs.List()
+	out := all[:0]
+	for _, r := range all {
+		if r.TenantID == tenantID {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TenantID != out[j].TenantID {
-			return out[i].TenantID < out[j].TenantID
-		}
-		return out[i].RecipientID < out[j].RecipientID
-	})
 	return out
 }
 
@@ -286,124 +252,41 @@ func (s *Store) sortedLocked(keep func(Record) bool) []Record {
 // refused with ErrConflict — silently overwriting would orphan the
 // already-released copy (its leak could no longer be traced). Delete
 // the old record first to force the replacement.
-func (s *Store) Put(rec Record) error {
-	rec.TenantID = tenant.Normalize(rec.TenantID)
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	key := storeKey(rec.TenantID, rec.RecipientID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, had := s.recs[key]
-	if had && (prev.Mark != rec.Mark || prev.KeyFingerprint != rec.KeyFingerprint) {
-		return fmt.Errorf(
-			"registry: recipient %q is already registered with a different mark/key; delete the old record first (replacing it would make the released copy untraceable): %w",
-			rec.RecipientID, ErrConflict)
-	}
-	s.recs[key] = rec
-	if err := s.persistLocked(); err != nil {
-		// Keep memory and disk in agreement on failure.
-		if had {
-			s.recs[key] = prev
-		} else {
-			delete(s.recs, key)
-		}
-		return err
-	}
-	return nil
-}
+func (s *Store) Put(rec Record) error { return s.PutAll([]Record{rec}) }
 
 // PutAll registers a batch atomically: every record is validated and
-// conflict-checked against the store (and the batch itself) before any
-// is inserted, and the store persists once — a fingerprint run either
-// registers all its recipients or none, never a prefix. The same
-// ErrConflict rule as Put applies per record.
+// conflict-checked against the store (and the batch itself) in one
+// transaction that persists once — a fingerprint run either registers
+// all its recipients or none, never a prefix. The same ErrConflict rule
+// as Put applies per record.
 func (s *Store) PutAll(recs []Record) error {
-	recs = append([]Record(nil), recs...)
-	for i := range recs {
-		recs[i].TenantID = tenant.Normalize(recs[i].TenantID)
-		if err := recs[i].Validate(); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		key := storeKey(r.TenantID, r.RecipientID)
-		if seen[key] {
-			return fmt.Errorf("registry: duplicate recipient %q in batch", r.RecipientID)
-		}
-		seen[key] = true
-		if prev, had := s.recs[key]; had && (prev.Mark != r.Mark || prev.KeyFingerprint != r.KeyFingerprint) {
-			return fmt.Errorf(
-				"registry: recipient %q is already registered with a different mark/key; delete the old record first (replacing it would make the released copy untraceable): %w",
-				r.RecipientID, ErrConflict)
-		}
-	}
-	type prevState struct {
-		rec Record
-		had bool
-	}
-	prev := make(map[string]prevState, len(recs))
-	for _, r := range recs {
-		key := storeKey(r.TenantID, r.RecipientID)
-		p, had := s.recs[key]
-		prev[key] = prevState{rec: p, had: had}
-		s.recs[key] = r
-	}
-	if err := s.persistLocked(); err != nil {
-		for key, p := range prev {
-			if p.had {
-				s.recs[key] = p.rec
-			} else {
-				delete(s.recs, key)
+	return s.recs.Update(func(tx *recstore.Tx[Record, document]) error {
+		seen := make(map[string]bool, len(recs))
+		for _, r := range recs {
+			key := storeKey(r.TenantID, r.RecipientID)
+			if seen[key] {
+				return fmt.Errorf("registry: duplicate recipient %q in batch", r.RecipientID)
+			}
+			seen[key] = true
+			if prev, had := tx.Get(key); had && (prev.Mark != r.Mark || prev.KeyFingerprint != r.KeyFingerprint) {
+				return fmt.Errorf(
+					"registry: recipient %q is already registered with a different mark/key; delete the old record first (replacing it would make the released copy untraceable): %w",
+					r.RecipientID, ErrConflict)
+			}
+			if err := tx.Put(r); err != nil {
+				return err
 			}
 		}
-		return err
-	}
-	return nil
+		return nil
+	})
 }
 
 // Delete removes the default tenant's record for id (the CLI view);
 // service handlers use DeleteIn. It reports whether the record existed.
-func (s *Store) Delete(id string) (bool, error) {
-	return s.DeleteIn(tenant.DefaultID, id)
-}
+func (s *Store) Delete(id string) (bool, error) { return s.DeleteIn(tenant.DefaultID, id) }
 
 // DeleteIn removes tenantID's record for id, persisting the store. It
 // reports whether the record existed.
 func (s *Store) DeleteIn(tenantID, id string) (bool, error) {
-	key := storeKey(tenantID, id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, had := s.recs[key]
-	if !had {
-		return false, nil
-	}
-	delete(s.recs, key)
-	if err := s.persistLocked(); err != nil {
-		s.recs[key] = prev
-		return false, err
-	}
-	return true, nil
-}
-
-type document struct {
-	Version    int      `json:"registry_version"`
-	Recipients []Record `json:"recipients"`
-}
-
-// persistLocked writes the registry through atomicfile, mode 0600.
-// Callers hold the write lock.
-func (s *Store) persistLocked() error {
-	if s.path == "" {
-		return nil
-	}
-	all := s.sortedLocked(func(Record) bool { return true })
-	data, err := json.MarshalIndent(document{Version: FormatVersion, Recipients: all}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(s.path, 0o600, atomicfile.Bytes(append(data, '\n')))
+	return s.recs.Delete(storeKey(tenantID, id))
 }

@@ -206,6 +206,41 @@ func TestPutAllIsAtomic(t *testing.T) {
 	}
 }
 
+// TestPutAllPersistFailureRestores: when the batch's one write fails
+// (the registry's directory is moved away after Open), none of the
+// batch stays in memory — the store still equals the file on disk.
+func TestPutAllPersistFailureRestores(t *testing.T) {
+	root := t.TempDir()
+	dir, moved := filepath.Join(root, "live"), filepath.Join(root, "moved")
+	if err := os.Mkdir(dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(filepath.Join(dir, "reg.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(t, "a", "b", "c")
+	if err := s.Put(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutAll(recs); err == nil {
+		t.Fatal("batch persisted into a missing directory")
+	}
+	onDisk, err := Open(filepath.Join(moved, "reg.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.List(), onDisk.List(); len(got) != 1 || len(want) != 1 || got[0].RecipientID != want[0].RecipientID {
+		t.Fatalf("store holds %d records, disk holds %d", len(got), len(want))
+	}
+	if _, ok := s.Get("b"); ok {
+		t.Fatal("failed batch left a record in memory")
+	}
+}
+
 func TestCandidatesFromSecret(t *testing.T) {
 	recs := testRecords(t, "hospital-a", "hospital-b")
 	cands, skipped, err := CandidatesFromSecret(recs, testSecret)

@@ -166,6 +166,16 @@ func TestHTTPDispute(t *testing.T) {
 	if disp.Verdicts[1].Valid {
 		t.Fatalf("thief claim accepted: %+v", disp.Verdicts[1])
 	}
+
+	// A provenance without a quantum is the client's fault: 400
+	// bad_provenance, not 500 internal.
+	bad := prot.Provenance
+	bad.Quantum = 0
+	status, raw = postJSON(t, ts.URL+"/v1/dispute", api.DisputeRequest{Table: prot.Table, Provenance: bad, OwnerKey: owner}, nil)
+	var e api.ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || status != http.StatusBadRequest || e.Error.Code != api.CodeBadProvenance {
+		t.Fatalf("quantum-0 dispute: %d %s", status, raw)
+	}
 }
 
 func TestHealthz(t *testing.T) {

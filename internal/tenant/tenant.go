@@ -2,9 +2,9 @@
 // service: one Record per data owner sharing the server, carrying a
 // hashed bearer token (the plaintext is shown once at creation and
 // never stored), an admin/member role and per-tenant quotas. The store
-// is JSON-on-disk, written through internal/atomicfile (mode 0600, never
-// a torn file), and is safe for concurrent use; an empty path is
-// in-memory only.
+// is an internal/recstore keyed-record store: JSON on disk, written
+// through internal/atomicfile (mode 0600, never a torn file), and safe
+// for concurrent use; an empty path is in-memory only.
 //
 // Token handling is deliberately boring: a token is "mst_" + 32 random
 // hex characters from crypto/rand, the store keeps only its SHA-256,
@@ -34,14 +34,11 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/atomicfile"
+	"repro/internal/recstore"
 )
 
 // FormatVersion is the tenant store file format version.
@@ -170,138 +167,54 @@ func HashToken(token string) string {
 // ErrNotFound marks lookups of unknown tenant IDs.
 var ErrNotFound = errors.New("tenant: no such tenant")
 
-// Store is the concurrent-safe tenant store.
+// Store is the concurrent-safe tenant store, an internal/recstore store
+// keyed by tenant ID; List is sorted by ID.
 type Store struct {
-	mu   sync.RWMutex
-	path string // "" = in-memory only
-	recs map[string]Record
+	*recstore.Store[Record, document]
+}
+
+type document struct {
+	Version int      `json:"tenants_version"`
+	Tenants []Record `json:"tenants"`
+}
+
+var format = recstore.Format[Record, document]{
+	Name:    "tenant",
+	Version: FormatVersion,
+	Key:     func(r Record) string { return r.ID },
+	Compare: func(a, b Record) int { return strings.Compare(a.ID, b.ID) },
+	Check:   func(r Record) (Record, error) { return r, r.Validate() },
+	Wrap:    func(recs []Record) document { return document{Version: FormatVersion, Tenants: recs} },
+	Unwrap:  func(d document) (int, []Record) { return d.Version, d.Tenants },
 }
 
 // New returns an empty in-memory store (nothing is ever persisted).
-func New() *Store { return &Store{recs: make(map[string]Record)} }
+func New() *Store { return &Store{recstore.New(&format)} }
 
 // Open loads the tenant store at path, or returns an empty store bound
 // to path when the file does not exist yet. An empty path is New().
 func Open(path string) (*Store, error) {
-	s := New()
-	s.path = path
-	if path == "" {
-		return s, nil
-	}
-	var doc document
-	found, err := atomicfile.ReadJSON(path, &doc)
+	s, err := recstore.Open(&format, path)
 	if err != nil {
-		return nil, fmt.Errorf("tenant: %w", err)
+		return nil, err
 	}
-	if !found {
-		return s, nil
-	}
-	if doc.Version != FormatVersion {
-		return nil, fmt.Errorf("tenant: %s has format version %d, want %d", path, doc.Version, FormatVersion)
-	}
-	for _, r := range doc.Tenants {
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("tenant: %s: %w", path, err)
-		}
-		if _, dup := s.recs[r.ID]; dup {
-			return nil, fmt.Errorf("tenant: %s: duplicate tenant %q", path, r.ID)
-		}
-		s.recs[r.ID] = r
-	}
-	return s, nil
-}
-
-// Path returns the backing file path ("" for an in-memory store).
-func (s *Store) Path() string { return s.path }
-
-// Len returns the number of tenants.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.recs)
-}
-
-// Get returns the record for id.
-func (s *Store) Get(id string) (Record, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.recs[id]
-	return r, ok
-}
-
-// List returns every record sorted by tenant ID.
-func (s *Store) List() []Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sortedLocked()
-}
-
-// sortedLocked returns every record sorted by tenant ID. Callers hold a
-// lock.
-func (s *Store) sortedLocked() []Record {
-	out := make([]Record, 0, len(s.recs))
-	for _, r := range s.recs {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Put validates and inserts or replaces a record, persisting the store.
-func (s *Store) Put(rec Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, had := s.recs[rec.ID]
-	s.recs[rec.ID] = rec
-	if err := s.persistLocked(); err != nil {
-		// Keep memory and disk in agreement on failure.
-		if had {
-			s.recs[rec.ID] = prev
-		} else {
-			delete(s.recs, rec.ID)
-		}
-		return err
-	}
-	return nil
-}
-
-// Delete removes a record, persisting the store. It reports whether the
-// record existed.
-func (s *Store) Delete(id string) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, had := s.recs[id]
-	if !had {
-		return false, nil
-	}
-	delete(s.recs, id)
-	if err := s.persistLocked(); err != nil {
-		s.recs[id] = prev
-		return false, err
-	}
-	return true, nil
+	return &Store{s}, nil
 }
 
 // Rotate replaces the tenant's token with a fresh one, returning the
 // new plaintext (shown once). The old token stops authenticating the
 // moment Rotate persists.
 func (s *Store) Rotate(id, rotatedAt string) (token string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, ok := s.recs[id]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	rec := prev
-	token, hash := NewToken()
-	rec.TokenSHA256 = hash
-	rec.RotatedAt = rotatedAt
-	s.recs[id] = rec
-	if err := s.persistLocked(); err != nil {
-		s.recs[id] = prev
+	err = s.Update(func(tx *recstore.Tx[Record, document]) error {
+		rec, ok := tx.Get(id)
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrNotFound, id)
+		}
+		token, rec.TokenSHA256 = NewToken()
+		rec.RotatedAt = rotatedAt
+		return tx.Put(rec)
+	})
+	if err != nil {
 		return "", err
 	}
 	return token, nil
@@ -315,45 +228,18 @@ func (s *Store) Rotate(id, rotatedAt string) (token string, err error) {
 // than the "unauthorized" an unknown token gets, so a suspended
 // customer sees suspension, not a credential bug.
 func (s *Store) Authenticate(token string) (Record, bool) {
-	sum, err := hex.DecodeString(HashToken(token))
-	if err != nil { // unreachable: HashToken always yields hex
-		return Record{}, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	sum := sha256.Sum256([]byte(token)) // the bytes HashToken hex-encodes
 	var (
 		match Record
 		found int
 	)
-	for _, r := range s.recs {
+	// The scan touches every record regardless of where the match sits.
+	s.Range(func(r Record) {
 		raw, err := hex.DecodeString(r.TokenSHA256)
-		if err != nil {
-			continue
-		}
-		if subtle.ConstantTimeCompare(sum, raw) == 1 {
-			// Keep scanning: the loop must touch every record regardless
-			// of where the match sits.
+		if err == nil && subtle.ConstantTimeCompare(sum[:], raw) == 1 {
 			match = r
 			found = 1
 		}
-	}
+	})
 	return match, found == 1
-}
-
-type document struct {
-	Version int      `json:"tenants_version"`
-	Tenants []Record `json:"tenants"`
-}
-
-// persistLocked writes the store through atomicfile, mode 0600.
-// Callers hold the write lock.
-func (s *Store) persistLocked() error {
-	if s.path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(document{Version: FormatVersion, Tenants: s.sortedLocked()}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(s.path, 0o600, atomicfile.Bytes(append(data, '\n')))
 }
