@@ -192,7 +192,7 @@ func cmdProtect(args []string) error {
 	}
 	fmt.Printf("protected %d tuples: k=%d (ε=%d), avg info loss %.1f%%, %d tuples marked, %d cells changed\n",
 		p.Table.NumRows(), p.Provenance.K, p.Provenance.Epsilon,
-		p.Binning.AvgLoss*100, p.Embed.TuplesSelected, p.Embed.CellsChanged)
+		p.Plan.AvgLoss*100, p.Embed.TuplesSelected, p.Embed.CellsChanged)
 	fmt.Printf("table -> %s, provenance -> %s (keep the secret and this file)\n", *out, *provPath)
 	if *planPath != "" {
 		fmt.Printf("plan -> %s (protect future batches with `medprotect append`)\n", *planPath)
@@ -702,16 +702,16 @@ func fingerprintFiles(fw *medshield.Framework, tbl *medshield.Table, recs []meds
 		if err := files[i].Commit(); err != nil {
 			return err
 		}
-		records[i] = medshield.RecipientRecordOf(res.RecipientID, recs[i].Key, res.Streamed.Plan)
+		records[i] = medshield.RecipientRecordOf(res.RecipientID, recs[i].Key, res.Protected.Plan)
 		records[i].CreatedAt = time.Now().UTC().Format(time.RFC3339)
 		fmt.Printf("recipient %s: %d tuples marked, %d cells changed -> %s (key fp %s)\n",
-			res.RecipientID, res.Streamed.Embed.TuplesSelected, res.Streamed.Embed.CellsChanged,
+			res.RecipientID, res.Protected.Embed.TuplesSelected, res.Protected.Embed.CellsChanged,
 			paths[i], res.KeyFingerprint)
 	}
 	if err := reg.PutAll(records); err != nil {
 		return err
 	}
-	first := results[0].Streamed
+	first := results[0].Protected
 	fmt.Printf("fingerprinted %d tuples for %d recipients: k=%d (ε=%d), one binning search + one shared transform, avg info loss %.1f%%\n",
 		tbl.NumRows(), len(results), first.Plan.Provenance.K, first.Plan.Provenance.Epsilon, first.Plan.AvgLoss*100)
 	fmt.Printf("registry -> %s (keep it with the master secret; traceback needs both)\n", regPath)

@@ -59,7 +59,7 @@ func main() {
 	}
 	fmt.Printf("hospital: protected at k=%d (ε=%d)\n",
 		protected.Provenance.K, protected.Provenance.Epsilon)
-	for col, loss := range protected.Binning.ColumnLoss {
+	for col, loss := range protected.Plan.ColumnLoss {
 		fmt.Printf("  %-13s info loss %5.1f%%  (bound %.0f%%)\n",
 			col, loss*100, metrics.Bound(col)*100)
 	}

@@ -85,13 +85,13 @@ func main() {
 	}
 	registry := medshield.NewRegistry() // or OpenRegistry("recipients.json")
 	for i, res := range results {
-		rec := medshield.RecipientRecordOf(res.RecipientID, recipients[i].Key, res.Streamed.Plan)
+		rec := medshield.RecipientRecordOf(res.RecipientID, recipients[i].Key, res.Protected.Plan)
 		if err := registry.Put(rec); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("released to %-14s %d rows in %d segments, %d marked cells, key fp %s\n",
-			res.RecipientID+":", res.Streamed.Rows, res.Streamed.Segments,
-			res.Streamed.Embed.CellsChanged, res.KeyFingerprint)
+			res.RecipientID+":", res.Protected.Rows, res.Protected.Segments,
+			res.Protected.Embed.CellsChanged, res.KeyFingerprint)
 	}
 
 	// ---- Months later: a copy leaks, attacked on the way out ----------
@@ -102,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	specs, err := fw.SpecsFromProvenance(results[1].Streamed.Plan.Provenance)
+	specs, err := fw.SpecsFromProvenance(results[1].Protected.Provenance)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("\nprotected table: %d tuples, k=%d (ε=%d)\n",
 		protected.Table.NumRows(), protected.Provenance.K, protected.Provenance.Epsilon)
 	fmt.Printf("  sample row: %v\n", protected.Table.Row(0))
-	fmt.Printf("  avg information loss: %.1f%%\n", protected.Binning.AvgLoss*100)
+	fmt.Printf("  avg information loss: %.1f%%\n", protected.Plan.AvgLoss*100)
 	fmt.Printf("  marked tuples: %d, cells changed: %d\n",
 		protected.Embed.TuplesSelected, protected.Embed.CellsChanged)
 	fmt.Printf("  bins below k after watermarking: %d (must be 0)\n", protected.BinStats.BelowK)

@@ -172,6 +172,35 @@ func TestDecodeJSONTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeHeadersStrict pins the strict decode of the schema and
+// options headers: an unknown field or trailing data is refused, not
+// ignored.
+func TestDecodeHeadersStrict(t *testing.T) {
+	schema := `[{"name":"ssn","kind":"identifying"},{"name":"age","kind":"quasi-numeric"}]`
+	if _, err := DecodeSchemaHeader(schema); err != nil {
+		t.Fatalf("schema: %v", err)
+	}
+	if opts, err := DecodeOptionsHeader(`{"auto_epsilon":true}`); err != nil || opts.AutoEpsilon == nil || !*opts.AutoEpsilon {
+		t.Fatalf("options: %+v, %v", opts, err)
+	}
+	for name, h := range map[string]string{
+		"unknown column field": `[{"name":"ssn","kind":"identifying","width":9},{"name":"age","kind":"quasi-numeric"}]`,
+		"trailing data":        schema + `]`,
+	} {
+		if _, err := DecodeSchemaHeader(h); err == nil {
+			t.Errorf("schema %s: accepted", name)
+		}
+	}
+	for name, h := range map[string]string{
+		"misspelt option": `{"auto_epsilom":true}`,
+		"trailing data":   `{"k":5}{}`,
+	} {
+		if _, err := DecodeOptionsHeader(h); err == nil {
+			t.Errorf("options %s: accepted", name)
+		}
+	}
+}
+
 // TestDecodeProvenanceHeader pins the streaming detect's provenance
 // decode: one validated document, fields beyond the provenance's
 // ignored so that a plan stands in for one; trailing data and an

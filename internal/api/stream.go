@@ -158,13 +158,15 @@ type ApplyResponse struct {
 	Stats      ProtectStats    `json:"stats"`
 }
 
-// DecodeSchemaHeader parses SchemaHeader into a validated schema.
+// DecodeSchemaHeader parses SchemaHeader into a validated schema. The
+// header is one JSON column array; unknown column fields and trailing
+// data are refused.
 func DecodeSchemaHeader(h string) (*relation.Schema, error) {
 	if strings.TrimSpace(h) == "" {
 		return nil, fmt.Errorf("api: streaming request needs the %s header (JSON column array)", SchemaHeader)
 	}
 	var cols []Column
-	if err := json.Unmarshal([]byte(h), &cols); err != nil {
+	if err := jsondoc.Decode(strings.NewReader(h), &cols, true); err != nil {
 		return nil, fmt.Errorf("api: %s: %w", SchemaHeader, err)
 	}
 	out := make([]relation.Column, len(cols))
@@ -219,13 +221,14 @@ func DecodeProvenanceHeader(h string) (core.Provenance, error) {
 }
 
 // DecodeOptionsHeader parses the optional OptionsHeader; empty means no
-// overrides (nil).
+// overrides (nil). An unknown option (a misspelt "auto_epsilon", say) or
+// trailing data is refused rather than silently ignored.
 func DecodeOptionsHeader(h string) (*Options, error) {
 	if strings.TrimSpace(h) == "" {
 		return nil, nil
 	}
 	var opts Options
-	if err := json.Unmarshal([]byte(h), &opts); err != nil {
+	if err := jsondoc.Decode(strings.NewReader(h), &opts, true); err != nil {
 		return nil, fmt.Errorf("api: %s: %w", OptionsHeader, err)
 	}
 	return &opts, nil

@@ -52,28 +52,6 @@ type Config struct {
 	Workers int
 }
 
-// Result is the outcome of the binning agent.
-type Result struct {
-	// Table is the binned table: identifying columns encrypted, quasi
-	// columns generalized to the ultimate generalization nodes.
-	Table *relation.Table
-	// MinGens, MaxGens and UltiGens are the per-column frontiers
-	// (minimal, maximal and ultimate generalization nodes).
-	MinGens, MaxGens, UltiGens map[string]dht.GenSet
-	// ColumnLoss is the Equation (1)/(2) information loss per column, and
-	// AvgLoss the Equation (3) normalized loss.
-	ColumnLoss map[string]float64
-	AvgLoss    float64
-	// EffectiveK is K+Epsilon, the anonymity level actually enforced.
-	EffectiveK int
-	// Suppressed counts rows dropped because of deficient bins (only
-	// under the aggressive rule).
-	Suppressed int
-	// MonoStats and MultiStats expose algorithm work counters.
-	MonoStats  map[string]MonoStats
-	MultiStats MultiStats
-}
-
 // SearchResult is the outcome of the frontier search (stages 1–3 of
 // Figure 8): the per-column frontiers and loss metrics, without the
 // table transform. It is everything a later TransformContext — on the
@@ -130,60 +108,40 @@ func EpsilonForMark(binSizes map[string]int, wmdLen int) int {
 //  4. encrypt identifying columns with cipher (one-to-one replacement),
 //  5. generalize quasi columns to the ultimate generalization nodes.
 //
-// The input table is not modified. Cipher must not be nil when the schema
-// has identifying columns.
-func Run(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*Result, error) {
-	return RunContext(context.Background(), tbl, cfg, cipher)
-}
-
-// RunContext is Run under a context: the sketch ingest, the
-// multi-attribute search and the encrypt/generalize scans all stop
-// dispatching work once ctx is done, and long row scans poll ctx at
-// pool.CtxStride boundaries, so a cancelled binning run aborts promptly
-// with the context's error.
-//
-// RunContext sketches tbl, searches the sketch (SearchSketch), replays
-// the aggressive rule's suppression on a clone (Suppress) and transforms
-// the survivors (TransformContext) — the stages core.PlanContext and
-// core.ApplyContext run separately.
-func RunContext(ctx context.Context, tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*Result, error) {
+// It sketches tbl, searches the sketch (SearchSketch), replays the
+// aggressive rule's suppression on a clone (Suppress) and transforms the
+// survivors (TransformContext) — the stages core.PlanContext and
+// core.ApplyContext run separately — and returns the binned table and
+// the search that produced it. The input table is not modified. Cipher
+// must not be nil when the schema has identifying columns.
+func Run(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*relation.Table, *SearchResult, error) {
 	if len(tbl.Schema().IdentColumns()) > 0 && cipher == nil {
-		return nil, fmt.Errorf("binning: schema has identifying columns but no cipher")
+		return nil, nil, fmt.Errorf("binning: schema has identifying columns but no cipher")
 	}
 	sk, err := NewSketch(tbl.Schema(), cfg.Trees)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := sk.Add(tbl); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	ctx := context.Background()
 	search, err := SearchSketch(ctx, sk, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	work := tbl
 	if len(search.SuppressValues) > 0 {
 		work = tbl.Clone()
 		if _, err := Suppress(work, cfg.Trees, search.SuppressValues); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	out, err := TransformContext(ctx, work, search.UltiGens, search.EffectiveK, cipher, cfg.Workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Result{
-		Table:      out,
-		MinGens:    search.MinGens,
-		MaxGens:    search.MaxGens,
-		UltiGens:   search.UltiGens,
-		ColumnLoss: search.ColumnLoss,
-		AvgLoss:    search.AvgLoss,
-		EffectiveK: search.EffectiveK,
-		Suppressed: search.Suppressed,
-		MonoStats:  search.MonoStats,
-		MultiStats: search.MultiStats,
-	}, nil
+	return out, search, nil
 }
 
 // suppressColumn removes the rows whose value in column colIdx falls

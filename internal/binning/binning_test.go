@@ -408,18 +408,18 @@ func TestRunEndToEnd(t *testing.T) {
 		K:     10,
 		Trees: ontology.Trees(),
 	}
-	res, err := Run(tbl, cfg, cipher)
+	binned, res, err := Run(tbl, cfg, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
 	quasi := tbl.Schema().QuasiColumns()
-	ok, err := anonymity.SatisfiesK(res.Table, quasi, 10)
+	ok, err := anonymity.SatisfiesK(binned, quasi, 10)
 	if err != nil || !ok {
 		t.Error("binned table violates k-anonymity")
 	}
 	// identifying column must be encrypted and decryptable
 	orig, _ := tbl.Column(ontology.ColSSN)
-	enc, _ := res.Table.Column(ontology.ColSSN)
+	enc, _ := binned.Column(ontology.ColSSN)
 	for i := 0; i < 20; i++ {
 		if enc[i] == orig[i] {
 			t.Fatalf("row %d: SSN not encrypted", i)
@@ -451,7 +451,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.Suppressed != 0 {
 		t.Errorf("conservative run suppressed %d rows", res.Suppressed)
 	}
-	if res.Table.NumRows() != tbl.NumRows() {
+	if binned.NumRows() != tbl.NumRows() {
 		t.Error("row count changed")
 	}
 }
@@ -474,7 +474,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 	}
 	for _, aggressive := range []bool{false, true} {
 		cfg := Config{K: 20, Trees: ontology.Trees(), Aggressive: aggressive}
-		run, err := Run(tbl, cfg, cipher)
+		binned, run, err := Run(tbl, cfg, cipher)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +498,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var a, b strings.Builder
-		if err := run.Table.WriteCSV(&a); err != nil {
+		if err := binned.WriteCSV(&a); err != nil {
 			t.Fatal(err)
 		}
 		if err := out.WriteCSV(&b); err != nil {
@@ -527,11 +527,11 @@ func TestRunWithEpsilon(t *testing.T) {
 		t.Fatal(err)
 	}
 	cipher, _ := crypt.NewCipher([]byte("key"))
-	res, err := Run(tbl, Config{K: 8, Epsilon: 4, Trees: ontology.Trees()}, cipher)
+	binned, res, err := Run(tbl, Config{K: 8, Epsilon: 4, Trees: ontology.Trees()}, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _ := anonymity.SatisfiesK(res.Table, tbl.Schema().QuasiColumns(), 12)
+	ok, _ := anonymity.SatisfiesK(binned, tbl.Schema().QuasiColumns(), 12)
 	if !ok {
 		t.Error("k+epsilon not enforced")
 	}
@@ -554,7 +554,7 @@ func TestRunWithMetrics(t *testing.T) {
 		PerColumn: map[string]float64{ontology.ColAge: 0.6},
 		Avg:       1,
 	}
-	res, err := Run(tbl, Config{K: 5, Trees: ontology.Trees(), Metrics: metrics}, cipher)
+	_, res, err := Run(tbl, Config{K: 5, Trees: ontology.Trees(), Metrics: metrics}, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,16 +572,16 @@ func TestRunWithMetrics(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	tbl, _ := datagen.Generate(datagen.Config{Rows: 100, Seed: 1, Correlate: true, ZipfS: 1.2})
 	cipher, _ := crypt.NewCipher([]byte("key"))
-	if _, err := Run(tbl, Config{K: 0, Trees: ontology.Trees()}, cipher); err == nil {
+	if _, _, err := Run(tbl, Config{K: 0, Trees: ontology.Trees()}, cipher); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := Run(tbl, Config{K: 5, Epsilon: -1, Trees: ontology.Trees()}, cipher); err == nil {
+	if _, _, err := Run(tbl, Config{K: 5, Epsilon: -1, Trees: ontology.Trees()}, cipher); err == nil {
 		t.Error("negative epsilon accepted")
 	}
-	if _, err := Run(tbl, Config{K: 5, Trees: map[string]*dht.Tree{}}, cipher); err == nil {
+	if _, _, err := Run(tbl, Config{K: 5, Trees: map[string]*dht.Tree{}}, cipher); err == nil {
 		t.Error("missing trees accepted")
 	}
-	if _, err := Run(tbl, Config{K: 5, Trees: ontology.Trees()}, nil); err == nil {
+	if _, _, err := Run(tbl, Config{K: 5, Trees: ontology.Trees()}, nil); err == nil {
 		t.Error("nil cipher with identifying columns accepted")
 	}
 }

@@ -5,31 +5,10 @@ import (
 
 	"repro/internal/crypt"
 	"repro/internal/relation"
-	"repro/internal/watermark"
 )
 
-// Appended is the outcome of AppendContext: the protected delta batch
-// plus the advanced plan.
-type Appended struct {
-	// Table holds the delta rows, binned to the planned frontiers and
-	// carrying the planned mark — ready to append to the published
-	// table (relation.Table.AppendTable, or a CSV append).
-	Table *relation.Table
-	// Plan is the advanced plan: Bins and Rows now include the delta.
-	// Retain it in place of the input plan for the next append.
-	Plan Plan
-	// Embed exposes the watermarking agent's statistics for the delta.
-	Embed watermark.EmbedStats
-	// NewBins counts published bins this batch created (value
-	// combinations absent from the plan's bin record).
-	NewBins int
-	// Suppressed counts delta rows removed by the plan's recorded
-	// aggressive-rule suppression (0 under the conservative rule).
-	Suppressed int
-}
-
 // Append is AppendContext under the background context.
-func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Appended, error) {
+func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Protected, error) {
 	return f.AppendContext(context.Background(), delta, plan, key)
 }
 
@@ -54,24 +33,10 @@ func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.Watermar
 // combined table rather than force the append. The §5.1 fallback never
 // triggers here: the plan's boundary-permutation decision is frozen.
 //
-// The input delta is not modified. On success, publish Appended.Table
-// (append its rows to the outsourced copy) and retain Appended.Plan for
-// the next batch.
-func (f *Framework) AppendContext(ctx context.Context, delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Appended, error) {
-	var marked *relation.Table
-	p, err := f.write(ctx, &relation.OneSegment{Table: delta}, []output{{plan: plan, key: key, sink: keep(&marked)}}, true)
-	if err != nil {
-		return nil, err
-	}
-	res, err := appendVerdict(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Appended{
-		Table:      marked,
-		Plan:       res.Plan,
-		Embed:      res.Embed,
-		NewBins:    res.NewBins,
-		Suppressed: res.Suppressed,
-	}, nil
+// The input delta is not modified. On success, publish Protected.Table
+// (append its rows to the outsourced copy) and retain Protected.Plan —
+// the advanced plan, whose Bins and Rows include the delta — for the
+// next batch.
+func (f *Framework) AppendContext(ctx context.Context, delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Protected, error) {
+	return f.writeTable(ctx, delta, plan, key, true)
 }

@@ -147,7 +147,7 @@ func TestProtectBoundaryFallback(t *testing.T) {
 		if !bytes.Equal(bufs[i].Bytes(), tableCSV(t, c.Protected.Table)) {
 			t.Errorf("recipient %s: FingerprintStream CSV differs from the in-memory Fingerprint copy", c.RecipientID)
 		}
-		if !streamed[i].Streamed.Plan.BoundaryPermutation {
+		if !streamed[i].Protected.Plan.BoundaryPermutation {
 			t.Errorf("recipient %s: streamed copy does not record the boundary-permutation fallback", c.RecipientID)
 		}
 	}

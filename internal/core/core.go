@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/anonymity"
 	"repro/internal/binning"
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
@@ -111,28 +110,17 @@ type Provenance struct {
 	Columns                map[string]ColumnProvenance `json:"columns"`
 }
 
-// Protected is the outcome of Protect.
+// Protected is the outcome of the in-memory write forms — Protect,
+// Apply, Append and each Fingerprint copy: the write run's outcome
+// (Streamed, whose Plan is the one to retain) plus the marked table.
 type Protected struct {
-	// Table is the outsourcing-ready table: binned and watermarked.
+	// Table is the outsourcing-ready table: binned and watermarked. It
+	// is nil for a FingerprintStream copy, whose rows went to a writer.
 	Table *relation.Table
-	// Provenance is the owner's detection/dispute record.
+	// Provenance is the owner's detection/dispute record — the effective
+	// plan's, kept as a field so it serializes on its own.
 	Provenance Provenance
-	// Plan is the effective protection plan: the input plan with the
-	// §5.1 boundary-permutation decision actually taken and the
-	// published bin record (Bins/Rows) filled in. Retain it (it is a
-	// superset of Provenance) to protect later batches with
-	// AppendContext.
-	Plan Plan
-	// Binning exposes the binning agent's result as the plan records it:
-	// frontiers, losses, effective k and the suppressed row count. Its
-	// Table, MonoStats and MultiStats are always zero — applying a plan
-	// runs no search.
-	Binning *binning.Result
-	// Embed exposes the watermarking agent's statistics.
-	Embed watermark.EmbedStats
-	// BinStats compares the per-column mono bins before and after
-	// watermarking (the Figure 14 measurement for this run).
-	BinStats anonymity.Stats
+	Streamed
 }
 
 // Framework wires the binning agent and the watermarking agent.
@@ -253,11 +241,7 @@ func (f *Framework) Apply(tbl *relation.Table, plan *Plan, key crypt.WatermarkKe
 // (Protected.Plan) with the published bin record filled in — the
 // document AppendContext later verifies delta batches against.
 func (f *Framework) ApplyContext(ctx context.Context, tbl *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Protected, error) {
-	prots, err := f.applyTable(ctx, tbl, []output{{plan: plan, key: key}})
-	if err != nil {
-		return nil, err
-	}
-	return prots[0], nil
+	return f.writeTable(ctx, tbl, plan, key, false)
 }
 
 // SpecsFromProvenance rebuilds the watermark column specs from a stored

@@ -168,7 +168,7 @@ func TestProvenanceJSONRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := fw.columnSpecs(p.Binning)
+	orig := fw.searchedSpecs(t, tbl)
 	if len(specs) != len(orig) {
 		t.Fatalf("rebuilt %d specs, want %d", len(specs), len(orig))
 	}
@@ -294,9 +294,34 @@ func TestFrameworkAccessors(t *testing.T) {
 	}
 }
 
-// columnSpecs builds the watermark column specs straight from a binning
-// result — the reference SpecsFromProvenance is checked against.
-func (f *Framework) columnSpecs(res *binning.Result) map[string]watermark.ColumnSpec {
+// searchedSpecs builds the watermark column specs from an independent
+// search of tbl under the framework's configuration — the reference
+// SpecsFromProvenance is checked against. It takes the Section 6
+// AutoEpsilon steps one by one: a search at k, the conservative ε from
+// that search's generalized bins, and a fresh search at k+ε when ε > 0.
+func (f *Framework) searchedSpecs(t *testing.T, tbl *relation.Table) map[string]watermark.ColumnSpec {
+	t.Helper()
+	sk, err := binning.NewSketch(tbl.Schema(), f.trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.Add(tbl); err != nil {
+		t.Fatal(err)
+	}
+	cfg := binning.Config{K: f.cfg.K, Trees: f.trees}
+	res, err := binning.SearchSketch(t.Context(), sk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, err := res.GeneralizedBins(tbl.Schema().QuasiColumns(), res.UltiGens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Epsilon = binning.EpsilonForMark(bins, f.cfg.MarkBits*f.cfg.Duplication); cfg.Epsilon > 0 {
+		if res, err = binning.SearchSketch(t.Context(), sk, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	out := make(map[string]watermark.ColumnSpec, len(res.UltiGens))
 	for col, ulti := range res.UltiGens {
 		out[col] = watermark.ColumnSpec{

@@ -24,7 +24,8 @@ type Recipient struct {
 	Key crypt.WatermarkKey
 }
 
-// FingerprintResult is one recipient's outcome of FingerprintContext.
+// FingerprintResult is one recipient's outcome of FingerprintContext
+// or FingerprintStream.
 type FingerprintResult struct {
 	// RecipientID echoes the request.
 	RecipientID string
@@ -34,7 +35,9 @@ type FingerprintResult struct {
 	KeyFingerprint string
 	// Protected is the recipient's marked copy: its table carries the
 	// recipient-salted mark F(v, recipientID) under the recipient's key,
-	// and its Plan/Provenance are what traceback detects against.
+	// and its Plan/Provenance are what traceback detects against. Its
+	// Table is nil from FingerprintStream, whose copy went to the
+	// recipient's writer as CSV.
 	Protected *Protected
 }
 
@@ -83,24 +86,15 @@ func (f *Framework) Fingerprint(tbl *relation.Table, recipients []Recipient) ([]
 // Register each result (internal/registry) to enable TracebackContext
 // on a leaked table later.
 func (f *Framework) FingerprintContext(ctx context.Context, tbl *relation.Table, recipients []Recipient) ([]FingerprintResult, error) {
-	outs, err := f.fingerprintOutputs(ctx, tbl, recipients)
-	if err != nil {
-		return nil, err
-	}
-	prots, err := f.applyTable(ctx, tbl, outs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FingerprintResult, len(recipients))
-	for i, r := range recipients {
-		out[i] = FingerprintResult{RecipientID: r.ID, KeyFingerprint: r.Key.Fingerprint(), Protected: prots[i]}
-	}
-	return out, nil
+	return f.fingerprint(ctx, tbl, recipients, nil)
 }
 
-// fingerprintOutputs plans tbl once and derives one write output per
-// recipient — the shared front half of the fingerprint entry points.
-func (f *Framework) fingerprintOutputs(ctx context.Context, tbl *relation.Table, recipients []Recipient) ([]output, error) {
+// fingerprint plans tbl once and runs one write over it with an output
+// per recipient — the shared body of the fingerprint entry points. With
+// outs nil the table is one segment and every marked copy is kept;
+// otherwise it goes in Config.Chunk segments and copy i to outs[i] as
+// CSV.
+func (f *Framework) fingerprint(ctx context.Context, tbl *relation.Table, recipients []Recipient, outs []io.Writer) ([]FingerprintResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -112,15 +106,43 @@ func (f *Framework) fingerprintOutputs(ctx context.Context, tbl *relation.Table,
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]output, len(recipients))
+	var src Segments = &relation.OneSegment{Table: tbl}
+	if outs != nil {
+		src = tbl.Segments(f.cfg.Chunk)
+	}
+	outputs := make([]output, len(recipients))
+	kept := make([]*relation.Table, len(recipients))
+	writers := make([]*relation.SegmentWriter, len(outs))
 	for i, r := range recipients {
 		rp, err := RecipientPlan(plan, r.ID)
 		if err != nil {
 			return nil, err
 		}
-		outs[i] = output{plan: rp, key: r.Key, recipient: r.ID}
+		outputs[i] = output{plan: rp, key: r.Key, recipient: r.ID, sink: keep(&kept[i])}
+		if outs != nil {
+			writers[i] = relation.NewSegmentWriter(outs[i], tbl.Schema())
+			outputs[i].sink = writers[i].WriteSegment
+		}
 	}
-	return outs, nil
+	p, err := f.write(ctx, src, outputs, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range writers {
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	res := make([]FingerprintResult, len(recipients))
+	for i, r := range recipients {
+		st, err := applyVerdict(p, i)
+		if err != nil {
+			return nil, outputs[i].wrap(err)
+		}
+		res[i] = FingerprintResult{RecipientID: r.ID, KeyFingerprint: r.Key.Fingerprint(),
+			Protected: &Protected{Table: kept[i], Provenance: st.Plan.Provenance, Streamed: *st}}
+	}
+	return res, nil
 }
 
 // validateRecipients rejects empty, duplicate or badly-keyed recipient
@@ -145,30 +167,20 @@ func validateRecipients(recipients []Recipient) error {
 	return nil
 }
 
-// FingerprintStreamed is one recipient's outcome of FingerprintStream:
-// the effective plan and statistics of that recipient's copy — the copy
-// itself went to the recipient's writer as CSV.
-type FingerprintStreamed struct {
-	RecipientID    string
-	KeyFingerprint string
-	// Streamed carries the recipient copy's effective plan, embedding
-	// statistics and bin comparison.
-	Streamed Streamed
-}
-
 // FingerprintStream is the bounded-memory fingerprint fan-out: the
 // FingerprintContext write run over tbl.Segments(Config.Chunk), with
 // each recipient's marked segments written through its own
 // relation.SegmentWriter — so besides the source table, peak memory is
 // one segment per copy, never N materialized tables. outs[i] receives
 // recipient i's protected CSV, byte-identical to WriteCSV of the
-// FingerprintContext copy, for every Config.Chunk.
+// FingerprintContext copy, for every Config.Chunk; the results are
+// FingerprintContext's with a nil Protected.Table.
 //
 // The §5.1 boundary-permutation fallback is decided from the shared
 // frontiers before the first segment, as in FingerprintContext. On any
 // error the CSV already written to the outs is partial and must be
 // discarded by the caller.
-func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, recipients []Recipient, outs []io.Writer) ([]FingerprintStreamed, error) {
+func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, recipients []Recipient, outs []io.Writer) ([]FingerprintResult, error) {
 	if len(outs) != len(recipients) {
 		return nil, fmt.Errorf("core: %d recipients but %d output writers: %w", len(recipients), len(outs), ErrBadConfig)
 	}
@@ -177,29 +189,5 @@ func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, 
 			return nil, fmt.Errorf("core: nil output writer for recipient %q: %w", recipients[i].ID, ErrBadConfig)
 		}
 	}
-	outputs, err := f.fingerprintOutputs(ctx, tbl, recipients)
-	if err != nil {
-		return nil, err
-	}
-	writers := make([]*relation.SegmentWriter, len(outs))
-	for i, out := range outs {
-		writers[i] = relation.NewSegmentWriter(out, tbl.Schema())
-		outputs[i].sink = writers[i].WriteSegment
-	}
-	p, err := f.write(ctx, tbl.Segments(f.cfg.Chunk), outputs, false)
-	if err != nil {
-		return nil, err
-	}
-	res := make([]FingerprintStreamed, len(recipients))
-	for i, r := range recipients {
-		if err := writers[i].Flush(); err != nil {
-			return nil, err
-		}
-		st, err := applyVerdict(p, i)
-		if err != nil {
-			return nil, outputs[i].wrap(err)
-		}
-		res[i] = FingerprintStreamed{RecipientID: r.ID, KeyFingerprint: r.Key.Fingerprint(), Streamed: *st}
-	}
-	return res, nil
+	return f.fingerprint(ctx, tbl, recipients, outs)
 }

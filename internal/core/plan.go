@@ -277,21 +277,3 @@ func checkQuasiCols(schema *relation.Schema, plan *Plan) error {
 	}
 	return nil
 }
-
-// minGensFromPlan rebuilds the minimal-frontier GenSets recorded in the
-// plan (an empty map when the plan carries none).
-func (f *Framework) minGensFromPlan(plan *Plan) (map[string]dht.GenSet, error) {
-	out := make(map[string]dht.GenSet, len(plan.MinGens))
-	for col, values := range plan.MinGens {
-		tree, ok := f.trees[col]
-		if !ok {
-			return nil, fmt.Errorf("core: no tree for column %s: %w", col, ErrBadProvenance)
-		}
-		g, err := dht.NewGenSetFromValues(tree, values)
-		if err != nil {
-			return nil, fmt.Errorf("core: column %s min nodes: %w: %w", col, err, ErrBadProvenance)
-		}
-		out[col] = g
-	}
-	return out, nil
-}

@@ -112,9 +112,9 @@ func TestPlanApplyAggressiveColdPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prot.Binning.Suppressed == 0 || len(prot.Plan.Suppress) == 0 {
+	if prot.Suppressed == 0 || len(prot.Plan.Suppress) == 0 {
 		t.Fatalf("aggressive fixture suppressed nothing (suppressed=%d, recorded=%d) — the cold path is vacuous",
-			prot.Binning.Suppressed, len(prot.Plan.Suppress))
+			prot.Suppressed, len(prot.Plan.Suppress))
 	}
 	data, err := MarshalPlan(&prot.Plan)
 	if err != nil {
@@ -131,8 +131,8 @@ func TestPlanApplyAggressiveColdPath(t *testing.T) {
 	if got, want := csvOf(t, applied.Table), csvOf(t, prot.Table); got != want {
 		t.Fatal("cold aggressive Apply differs from Protect")
 	}
-	if applied.Binning.Suppressed != prot.Binning.Suppressed {
-		t.Errorf("cold Apply suppressed %d rows, Protect %d", applied.Binning.Suppressed, prot.Binning.Suppressed)
+	if applied.Suppressed != prot.Suppressed {
+		t.Errorf("cold Apply suppressed %d rows, Protect %d", applied.Suppressed, prot.Suppressed)
 	}
 }
 

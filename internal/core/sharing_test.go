@@ -28,6 +28,10 @@ func TestFingerprintSharesTransformAndSelection(t *testing.T) {
 		return recs
 	}
 	mixed := fleet(16)
+	plan, err := fw.Plan(tbl, mixed[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Two recipients with a key of their own (own Enc, K1 and η) and two
 	// that share the fleet's Enc and K1 under another η.
 	mixed[3].Key = crypt.NewWatermarkKeyFromSecret("standalone 3", 20)
@@ -44,12 +48,13 @@ func TestFingerprintSharesTransformAndSelection(t *testing.T) {
 		{"mixed keys", mixed, 3, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			outs, err := fw.fingerprintOutputs(context.Background(), tbl, tc.recipients)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range outs {
-				outs[i].sink = discard
+			outs := make([]output, len(tc.recipients))
+			for i, r := range tc.recipients {
+				rp, err := RecipientPlan(plan, r.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = output{plan: rp, key: r.Key, recipient: r.ID, sink: discard}
 			}
 			p, err := fw.write(context.Background(), tbl.Segments(500), outs, false)
 			if err != nil {

@@ -35,22 +35,26 @@ type Segments interface {
 	Next() (*relation.Table, error)
 }
 
-// Streamed is the outcome of a write run whose marked rows went to a
-// writer: the effective or advanced plan and the run's statistics.
+// Streamed is the outcome of every write run: the effective or
+// advanced plan and the run's statistics. The stream forms return it
+// alone, their marked rows having gone to a writer; the in-memory forms
+// return it inside Protected, beside the marked table.
 type Streamed struct {
-	// Plan is the effective (ApplyStream) or advanced (AppendStream)
-	// plan.
+	// Plan is the effective (apply, fingerprint) or advanced (append)
+	// plan: the input plan with the §5.1 boundary-permutation decision
+	// taken and the published bin record (Bins/Rows) filled in. Retain
+	// it in place of the input plan for the next append.
 	Plan Plan
 	// Embed accumulates the watermarking agent's statistics over every
 	// segment.
 	Embed watermark.EmbedStats
 	// BinStats compares the combined bins before and after watermarking
-	// (ApplyStream only).
+	// (apply and fingerprint runs only).
 	BinStats anonymity.Stats
 	// Rows and Segments count the protected output.
 	Rows, Segments int
-	// NewBins counts published bins the streamed batch created
-	// (AppendStream only).
+	// NewBins counts published bins the appended batch created (value
+	// combinations absent from the plan's bin record; append runs only).
 	NewBins int
 	// Suppressed counts rows removed by the plan's recorded
 	// aggressive-rule suppression.
@@ -74,11 +78,7 @@ type Streamed struct {
 // On any error the CSV already written to out is partial and must be
 // discarded by the caller.
 func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer) (*Streamed, error) {
-	p, err := f.writeStream(ctx, src, plan, key, out, false)
-	if err != nil {
-		return nil, err
-	}
-	return applyVerdict(p, 0)
+	return f.writeStream(ctx, src, plan, key, out, false)
 }
 
 // AppendStream protects a new batch of rows under an existing plan,
@@ -91,15 +91,12 @@ func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, k
 // CSV already written to out is partial (or unsafe to publish) and must
 // be discarded by the caller.
 func (f *Framework) AppendStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer) (*Streamed, error) {
-	p, err := f.writeStream(ctx, src, plan, key, out, true)
-	if err != nil {
-		return nil, err
-	}
-	return appendVerdict(p)
+	return f.writeStream(ctx, src, plan, key, out, true)
 }
 
-// writeStream runs the write loop with one CSV SegmentWriter sink.
-func (f *Framework) writeStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer, appending bool) (*pass, error) {
+// writeStream runs the write loop with one CSV SegmentWriter sink,
+// closed by its verdict.
+func (f *Framework) writeStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer, appending bool) (*Streamed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -111,7 +108,10 @@ func (f *Framework) writeStream(ctx context.Context, src Segments, plan *Plan, k
 	if err != nil {
 		return nil, err
 	}
-	return p, sw.Flush()
+	if err := sw.Flush(); err != nil {
+		return nil, err
+	}
+	return verdict(p, appending)
 }
 
 // PlannedStream is the outcome of PlanStream: the plan plus ingest

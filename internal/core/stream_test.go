@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,10 +26,30 @@ func tableCSV(t *testing.T, tbl *relation.Table) []byte {
 	return buf.Bytes()
 }
 
+// sameOutcome requires an in-memory write's outcome to equal the stream
+// form's, field by field over the whole Streamed record but for the
+// segment count, which follows the chunk size; and its Provenance to be
+// its effective plan's.
+func sameOutcome(t *testing.T, what string, mem *Protected, stream Streamed) {
+	t.Helper()
+	if !reflect.DeepEqual(mem.Provenance, mem.Plan.Provenance) {
+		t.Errorf("%s: Protected.Provenance differs from Protected.Plan.Provenance", what)
+	}
+	want := mem.Streamed
+	want.Segments, stream.Segments = 0, 0
+	g, w := reflect.ValueOf(stream), reflect.ValueOf(want)
+	for i := range g.NumField() {
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+			t.Errorf("%s: %s diverged\n  stream: %+v\n  memory: %+v", what, g.Type().Field(i).Name,
+				g.Field(i).Interface(), w.Field(i).Interface())
+		}
+	}
+}
+
 // TestApplyStreamMatchesApply pins the tentpole guarantee: the streamed
 // apply emits CSV byte-identical to the in-memory ApplyContext's table,
 // for every chunk size and worker count, and returns the same effective
-// plan.
+// outcome.
 func TestApplyStreamMatchesApply(t *testing.T) {
 	tbl := testData(t, 4000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
@@ -57,24 +79,7 @@ func TestApplyStreamMatchesApply(t *testing.T) {
 			if res.Rows != p.Table.NumRows() {
 				t.Fatalf("rows = %d, want %d", res.Rows, p.Table.NumRows())
 			}
-			if res.Plan.Rows != p.Plan.Rows || res.Plan.BoundaryPermutation != p.Plan.BoundaryPermutation {
-				t.Fatalf("effective plan diverged: rows %d/%d perm %v/%v",
-					res.Plan.Rows, p.Plan.Rows, res.Plan.BoundaryPermutation, p.Plan.BoundaryPermutation)
-			}
-			if len(res.Plan.Bins) != len(p.Plan.Bins) {
-				t.Fatalf("bin record: %d bins streamed, %d in-memory", len(res.Plan.Bins), len(p.Plan.Bins))
-			}
-			for bin, n := range p.Plan.Bins {
-				if res.Plan.Bins[bin] != n {
-					t.Fatalf("bin %q: %d streamed, %d in-memory", bin, res.Plan.Bins[bin], n)
-				}
-			}
-			if res.Embed != p.Embed {
-				t.Fatalf("embed stats diverged: %+v vs %+v", res.Embed, p.Embed)
-			}
-			if res.BinStats != p.BinStats {
-				t.Fatalf("bin stats diverged: %+v vs %+v", res.BinStats, p.BinStats)
-			}
+			sameOutcome(t, fmt.Sprintf("workers=%d chunk=%d", workers, chunk), p, *res)
 		}
 	}
 }
@@ -110,8 +115,9 @@ func TestApplyStreamFromCSV(t *testing.T) {
 	}
 }
 
-// TestAppendStreamMatchesAppend pins the append twin: same emitted CSV,
-// same advanced plan, same thin-bin verdict as AppendContext.
+// TestAppendStreamMatchesAppend pins the append twin: same emitted CSV
+// and the same outcome — advanced plan, statistics, thin-bin verdict —
+// as AppendContext.
 func TestAppendStreamMatchesAppend(t *testing.T) {
 	all := testData(t, 5000)
 	base, err := all.Slice(0, 4000)
@@ -132,6 +138,9 @@ func TestAppendStreamMatchesAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(prot.Provenance, prot.Plan.Provenance) {
+			t.Fatal("Protect: Protected.Provenance differs from Protected.Plan.Provenance")
+		}
 		app, err := fw.Append(delta, &prot.Plan, key)
 		if err != nil {
 			t.Fatal(err)
@@ -146,18 +155,7 @@ func TestAppendStreamMatchesAppend(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("workers=%d chunk=%d: streamed CSV differs from in-memory append", workers, chunk)
 			}
-			if res.NewBins != app.NewBins || res.Plan.Rows != app.Plan.Rows {
-				t.Fatalf("verdicts diverged: newBins %d/%d rows %d/%d",
-					res.NewBins, app.NewBins, res.Plan.Rows, app.Plan.Rows)
-			}
-			if len(res.Plan.Bins) != len(app.Plan.Bins) {
-				t.Fatalf("advanced bin record: %d bins streamed, %d in-memory", len(res.Plan.Bins), len(app.Plan.Bins))
-			}
-			for bin, n := range app.Plan.Bins {
-				if res.Plan.Bins[bin] != n {
-					t.Fatalf("bin %q: %d streamed, %d in-memory", bin, res.Plan.Bins[bin], n)
-				}
-			}
+			sameOutcome(t, fmt.Sprintf("workers=%d chunk=%d", workers, chunk), app, *res)
 		}
 	}
 }

@@ -55,7 +55,6 @@ func keep(dst **relation.Table) func(*relation.Table) error {
 // many transforms and Equation (5) selections the outputs shared.
 type pass struct {
 	plans                      []*Plan
-	columns                    map[string]watermark.ColumnSpec
 	before                     map[string]int
 	embed                      []watermark.EmbedStats
 	after                      []map[string]int
@@ -156,7 +155,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 
 	// The bin counters live for the whole run, so a bin's key is
 	// allocated once, however many segments it recurs in.
-	p := &pass{plans: plans, columns: columns, embed: make([]watermark.EmbedStats, len(outs))}
+	p := &pass{plans: plans, embed: make([]watermark.EmbedStats, len(outs))}
 	var before anonymity.Counter
 	after := make([]anonymity.Counter, len(outs))
 	for {
@@ -336,50 +335,25 @@ func appendVerdict(p *pass) (*Streamed, error) {
 	return &Streamed{Plan: eff, Embed: p.embed[0], Rows: p.rows, Segments: p.segments, NewBins: newBins, Suppressed: p.suppressed}, nil
 }
 
-// applyTable is the in-memory apply: the write loop over tbl as one
-// segment, each output closed by the apply verdict, the marked tables
-// kept.
-func (f *Framework) applyTable(ctx context.Context, tbl *relation.Table, outs []output) ([]*Protected, error) {
-	kept := make([]*relation.Table, len(outs))
-	for i := range outs {
-		outs[i].sink = keep(&kept[i])
+// verdict closes a one-output run with the apply or the append verdict.
+func verdict(p *pass, appending bool) (*Streamed, error) {
+	if appending {
+		return appendVerdict(p)
 	}
-	p, err := f.write(ctx, &relation.OneSegment{Table: tbl}, outs, false)
+	return applyVerdict(p, 0)
+}
+
+// writeTable is the in-memory write: the write loop over tbl as one
+// segment, closed by its verdict, the marked table kept.
+func (f *Framework) writeTable(ctx context.Context, tbl *relation.Table, plan *Plan, key crypt.WatermarkKey, appending bool) (*Protected, error) {
+	var marked *relation.Table
+	p, err := f.write(ctx, &relation.OneSegment{Table: tbl}, []output{{plan: plan, key: key, sink: keep(&marked)}}, appending)
 	if err != nil {
 		return nil, err
 	}
-	plan := outs[0].plan
-	minGens, err := f.minGensFromPlan(plan)
+	res, err := verdict(p, appending)
 	if err != nil {
 		return nil, err
 	}
-	ultiGens := make(map[string]dht.GenSet, len(p.columns))
-	maxGens := make(map[string]dht.GenSet, len(p.columns))
-	for col, spec := range p.columns {
-		ultiGens[col], maxGens[col] = spec.UltiGen, spec.MaxGen
-	}
-	prots := make([]*Protected, len(outs))
-	for i, o := range outs {
-		res, err := applyVerdict(p, i)
-		if err != nil {
-			return nil, o.wrap(err)
-		}
-		prots[i] = &Protected{
-			Table:      kept[i],
-			Provenance: res.Plan.Provenance,
-			Plan:       res.Plan,
-			Binning: &binning.Result{
-				MinGens:    minGens,
-				MaxGens:    maxGens,
-				UltiGens:   ultiGens,
-				ColumnLoss: plan.ColumnLoss,
-				AvgLoss:    plan.AvgLoss,
-				EffectiveK: plan.EffectiveK,
-				Suppressed: res.Suppressed,
-			},
-			Embed:    res.Embed,
-			BinStats: res.BinStats,
-		}
-	}
-	return prots, nil
+	return &Protected{Table: marked, Provenance: res.Plan.Provenance, Streamed: *res}, nil
 }

@@ -1,9 +1,12 @@
 package dht
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"repro/internal/jsondoc"
 )
 
 // Doc is the portable serialized form of a Tree.
@@ -41,10 +44,12 @@ func FromDoc(d Doc) (*Tree, error) {
 	return t, nil
 }
 
-// ParseTree decodes a JSON Doc into a Tree.
+// ParseTree decodes one JSON Doc into a Tree. Unknown fields and
+// trailing data are refused: a tree decides every generalization, so a
+// half-understood document must not pass.
 func ParseTree(data []byte) (*Tree, error) {
 	var d Doc
-	if err := json.Unmarshal(data, &d); err != nil {
+	if err := jsondoc.Decode(bytes.NewReader(data), &d, true); err != nil {
 		return nil, fmt.Errorf("dht: decoding tree: %w", err)
 	}
 	return FromDoc(d)

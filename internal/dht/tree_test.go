@@ -390,6 +390,25 @@ func TestParseTreeBadJSON(t *testing.T) {
 	}
 }
 
+// TestParseTreeStrict pins the strict decode: a document with a field
+// the Doc has no place for, at the top or in a node, or with trailing
+// data, is refused; the same document without it parses.
+func TestParseTreeStrict(t *testing.T) {
+	good := `{"attr":"doctor","root":{"value":"any","children":[{"value":"a"},{"value":"b"}]}}`
+	if _, err := ParseTree([]byte(good)); err != nil {
+		t.Fatalf("good doc: %v", err)
+	}
+	for name, doc := range map[string]string{
+		"extra field":      `{"attr":"doctor","version":2,"root":{"value":"any","children":[{"value":"a"},{"value":"b"}]}}`,
+		"extra node field": `{"attr":"doctor","root":{"value":"any","children":[{"value":"a","weight":1},{"value":"b"}]}}`,
+		"trailing data":    good + `{}`,
+	} {
+		if _, err := ParseTree([]byte(doc)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // Property: for random numeric trees, every interior node's children
 // partition its interval, and every in-domain value locates to exactly
 // one leaf whose interval contains it.

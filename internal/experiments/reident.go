@@ -63,11 +63,11 @@ func ReIdentification(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, k := range []int{5, 10, 25, 50} {
-		binned, err := binning.Run(original, binning.Config{K: k, Trees: trees}, cipher)
+		binned, _, err := binning.Run(original, binning.Config{K: k, Trees: trees}, cipher)
 		if err != nil {
 			return nil, fmt.Errorf("k=%d: %w", k, err)
 		}
-		res, err := linkage.Attack(binned.Table, external, quasi, trees)
+		res, err := linkage.Attack(binned, external, quasi, trees)
 		if err != nil {
 			return nil, err
 		}

@@ -184,11 +184,11 @@ func TestLinkingAttackBeforeAndAfterBinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binned, err := binning.Run(original, binning.Config{K: 10, Trees: trees}, cipher)
+	binned, _, err := binning.Run(original, binning.Config{K: 10, Trees: trees}, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binRes, err := Attack(binned.Table, external, quasi, trees)
+	binRes, err := Attack(binned, external, quasi, trees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestLinkingAttackBeforeAndAfterBinning(t *testing.T) {
 		t.Errorf("min candidate set %d < k=10", binRes.MinCandidates)
 	}
 	// sanity: the binned table is k-anonymous
-	ok, err := anonymity.SatisfiesK(binned.Table, quasi, 10)
+	ok, err := anonymity.SatisfiesK(binned, quasi, 10)
 	if err != nil || !ok {
 		t.Error("binned table not k-anonymous")
 	}

@@ -12,7 +12,7 @@
 // vector with one code per tuple. Hot paths — binning histograms,
 // watermark scans, attack mutations — operate on the integer codes and
 // precompute per-distinct-value work once per dictionary entry instead
-// of once per row; the string API (Cell, Row, ForEachRow, CSV) decodes
+// of once per row; the string API (Cell, Row, CSV) decodes
 // on demand. Domain semantics (numeric intervals, categorical
 // hierarchies) live in the dht package.
 package relation
@@ -24,8 +24,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/pool"
@@ -233,24 +231,6 @@ func (t *Table) AppendRow(row []string) error {
 	return nil
 }
 
-// AppendCodes adds a tuple given as per-column dictionary codes. Every
-// code must already be in range for its column's dictionary.
-func (t *Table) AppendCodes(codes []uint32) error {
-	if len(codes) != len(t.cols) {
-		return fmt.Errorf("relation: row has %d codes, schema has %d columns", len(codes), len(t.cols))
-	}
-	for ci := range t.cols {
-		if int(codes[ci]) >= len(t.cols[ci].dict) {
-			return fmt.Errorf("relation: column %d: code %d out of dictionary range [0,%d)",
-				ci, codes[ci], len(t.cols[ci].dict))
-		}
-	}
-	for ci := range t.cols {
-		t.cols[ci].codes = append(t.cols[ci].codes, codes[ci])
-	}
-	return nil
-}
-
 // Row returns a copy of tuple i.
 func (t *Table) Row(i int) []string {
 	row := make([]string, len(t.cols))
@@ -341,10 +321,6 @@ func (t *Table) CodeOf(col int, value string) (uint32, bool) {
 func (t *Table) InternValue(col int, value string) uint32 {
 	return t.cols[col].intern(value)
 }
-
-// DictLen returns the column's dictionary size (distinct values ever
-// interned; deletions may leave unused entries until MapColumn compacts).
-func (t *Table) DictLen(col int) int { return len(t.cols[col].dict) }
 
 // DictValues returns the column's dictionary, indexed by code. The slice
 // is shared with the table: callers must treat it as read-only, and it
@@ -438,20 +414,10 @@ func (t *Table) DeleteRows(indices []int) error {
 	return nil
 }
 
-// DeleteWhere removes all tuples for which pred returns true and reports
-// how many were removed. This implements the paper's range deletion
-// (DELETE FROM R WHERE SSN > lval AND SSN < uval) generically. The row
-// slice passed to pred is reused between calls: it must not be retained.
-// Prefer DeleteWhereView, which decodes nothing.
-func (t *Table) DeleteWhere(pred func(row []string) bool) int {
-	scratch := make([]string, len(t.cols))
-	return t.DeleteWhereView(func(v RowView) bool {
-		return pred(v.AppendTo(scratch[:0]))
-	})
-}
-
-// DeleteWhereView is DeleteWhere over zero-copy row views: pred reads
-// cells (or codes) straight from the column store.
+// DeleteWhereView removes all tuples for which pred returns true and
+// reports how many were removed. This implements the paper's range
+// deletion (DELETE FROM R WHERE SSN > lval AND SSN < uval) generically;
+// pred reads cells (or codes) straight from the column store.
 func (t *Table) DeleteWhereView(pred func(v RowView) bool) int {
 	n := t.NumRows()
 	keep := make([]bool, n)
@@ -491,8 +457,19 @@ func (t *Table) AppendTable(other *Table) error {
 	return nil
 }
 
-// permute rearranges rows so that new row i is old row perm[i].
-func (t *Table) permute(perm []int) {
+// Shuffle permutes row order using rng. Attacks use this to destroy any
+// accidental reliance on physical order. The rng draw sequence matches a
+// direct Fisher–Yates shuffle of the row store, so seeded runs reproduce
+// historical orders.
+func (t *Table) Shuffle(rng *rand.Rand) {
+	perm := make([]int, t.NumRows())
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.Shuffle(len(perm), func(i, j int) {
+		perm[i], perm[j] = perm[j], perm[i]
+	})
+	// New row i is old row perm[i].
 	for ci := range t.cols {
 		codes := t.cols[ci].codes
 		next := make([]uint32, len(codes))
@@ -501,67 +478,6 @@ func (t *Table) permute(perm []int) {
 		}
 		t.cols[ci].codes = next
 	}
-}
-
-// identityPerm returns [0, 1, ... n).
-func identityPerm(n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return perm
-}
-
-// Shuffle permutes row order using rng. Attacks use this to destroy any
-// accidental reliance on physical order. The rng draw sequence matches a
-// direct Fisher–Yates shuffle of the row store, so seeded runs reproduce
-// historical orders.
-func (t *Table) Shuffle(rng *rand.Rand) {
-	perm := identityPerm(t.NumRows())
-	rng.Shuffle(len(perm), func(i, j int) {
-		perm[i], perm[j] = perm[j], perm[i]
-	})
-	t.permute(perm)
-}
-
-// SortByColumn sorts rows by the named column (stable). QuasiNumeric
-// columns sort numerically: values parse once per distinct dictionary
-// entry, numeric values order by magnitude (so "9" < "10"), and
-// non-numeric values sort lexicographically after all numeric ones.
-// Every other kind sorts by plain string comparison.
-func (t *Table) SortByColumn(name string) error {
-	ci, err := t.schema.Index(name)
-	if err != nil {
-		return err
-	}
-	c := &t.cols[ci]
-	perm := identityPerm(len(c.codes))
-	if t.schema.Column(ci).Kind == QuasiNumeric {
-		nums := make([]float64, len(c.dict))
-		numeric := make([]bool, len(c.dict))
-		for code, v := range c.dict {
-			if f, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				nums[code], numeric[code] = f, true
-			}
-		}
-		sort.SliceStable(perm, func(i, j int) bool {
-			a, b := c.codes[perm[i]], c.codes[perm[j]]
-			switch {
-			case numeric[a] && numeric[b]:
-				return nums[a] < nums[b]
-			case numeric[a] != numeric[b]:
-				return numeric[a] // numbers before non-numbers
-			default:
-				return c.dict[a] < c.dict[b]
-			}
-		})
-	} else {
-		sort.SliceStable(perm, func(i, j int) bool {
-			return c.dict[c.codes[perm[i]]] < c.dict[c.codes[perm[j]]]
-		})
-	}
-	t.permute(perm)
-	return nil
 }
 
 // RowView is a zero-copy accessor for one tuple of a table. It is valid
@@ -590,21 +506,6 @@ func (v RowView) AppendTo(dst []string) []string {
 		dst = append(dst, c.dict[c.codes[v.i]])
 	}
 	return dst
-}
-
-// ForEachRow calls fn with (index, decoded row) for each tuple. The row
-// slice is reused between calls: it must not be mutated or retained.
-// Prefer code-level scans (Codes/DictValues, View) on hot paths.
-func (t *Table) ForEachRow(fn func(i int, row []string)) {
-	n := t.NumRows()
-	row := make([]string, len(t.cols))
-	for i := 0; i < n; i++ {
-		for ci := range t.cols {
-			c := &t.cols[ci]
-			row[ci] = c.dict[c.codes[i]]
-		}
-		fn(i, row)
-	}
 }
 
 // DefaultChunk is the row-batch size of ForEachRowChunk when the caller

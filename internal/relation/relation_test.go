@@ -210,15 +210,6 @@ func TestDeleteRows(t *testing.T) {
 	}
 }
 
-func TestDeleteWhere(t *testing.T) {
-	tbl := testTable(t)
-	ci, _ := tbl.Schema().Index("doctor")
-	n := tbl.DeleteWhere(func(row []string) bool { return row[ci] == "Nurse" })
-	if n != 2 || tbl.NumRows() != 2 {
-		t.Errorf("DeleteWhere removed %d, left %d", n, tbl.NumRows())
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tbl := testTable(t)
 	mid, err := tbl.Slice(1, 3)
@@ -271,34 +262,24 @@ func TestAppendTable(t *testing.T) {
 
 func TestShuffleAndSort(t *testing.T) {
 	tbl := testTable(t)
+	rows := func() [][]string {
+		out := make([][]string, tbl.NumRows())
+		for i := range out {
+			out[i] = tbl.Row(i)
+		}
+		return out
+	}
+	before := rows()
 	tbl.Shuffle(rand.New(rand.NewSource(3)))
-	if tbl.NumRows() != 4 {
+	after := rows()
+	if len(after) != len(before) {
 		t.Fatal("shuffle changed row count")
 	}
-	if err := tbl.SortByColumn("ssn"); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{"s1", "s2", "s3", "s4"} {
-		if v, _ := tbl.Cell(i, "ssn"); v != want {
-			t.Errorf("row %d ssn = %s, want %s", i, v, want)
-		}
-	}
-	if err := tbl.SortByColumn("missing"); err == nil {
-		t.Error("missing-column sort accepted")
-	}
-}
-
-func TestForEachRow(t *testing.T) {
-	tbl := testTable(t)
-	count := 0
-	tbl.ForEachRow(func(i int, row []string) {
-		if len(row) != 4 {
-			t.Errorf("row %d has %d cells", i, len(row))
-		}
-		count++
-	})
-	if count != 4 {
-		t.Errorf("visited %d rows", count)
+	// Sorted back by ssn, the shuffled rows are the original ones: a
+	// shuffle permutes whole rows, never cells across them.
+	slices.SortFunc(after, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
+	if !slices.EqualFunc(after, before, slices.Equal) {
+		t.Errorf("shuffled rows sorted by ssn = %v, want %v", after, before)
 	}
 }
 
@@ -357,37 +338,6 @@ func TestCSVErrors(t *testing.T) {
 	}
 }
 
-func TestSortByColumnNumeric(t *testing.T) {
-	// Regression: lexicographic sorting put "10" before "9". QuasiNumeric
-	// columns must sort by magnitude.
-	tbl := NewTable(testSchema(t))
-	ages := []string{"10", "9", "100", "23", "9", "invalid", "4.5"}
-	for i, age := range ages {
-		if err := tbl.AppendRow([]string{fmt.Sprintf("s%d", i), age, "Nurse", "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.SortByColumn("age"); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"4.5", "9", "9", "10", "23", "100", "invalid"}
-	for i, w := range want {
-		if v, _ := tbl.Cell(i, "age"); v != w {
-			t.Errorf("row %d age = %q, want %q", i, v, w)
-		}
-	}
-	// Stability: the two 9s keep their original relative order (s1 then s4).
-	a, _ := tbl.Cell(1, "ssn")
-	b, _ := tbl.Cell(2, "ssn")
-	if a != "s1" || b != "s4" {
-		t.Errorf("equal keys reordered: %s, %s", a, b)
-	}
-	// Non-numeric column kinds still sort lexicographically.
-	if err := tbl.SortByColumn("doctor"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCodeAccessors(t *testing.T) {
 	tbl := testTable(t)
 	ci, _ := tbl.Schema().Index("doctor")
@@ -404,9 +354,6 @@ func TestCodeAccessors(t *testing.T) {
 	}
 	if _, ok := tbl.CodeOf(ci, "absent"); ok {
 		t.Error("CodeOf resolved an absent value")
-	}
-	if tbl.DictLen(ci) != 3 {
-		t.Errorf("DictLen = %d, want 3", tbl.DictLen(ci))
 	}
 	if got := len(tbl.Codes(ci)); got != tbl.NumRows() {
 		t.Errorf("Codes length = %d", got)
@@ -460,26 +407,6 @@ func TestRowViewAndChunks(t *testing.T) {
 	}
 }
 
-func TestAppendCodes(t *testing.T) {
-	tbl := testTable(t)
-	codes := []uint32{tbl.CodeAt(0, 0), tbl.CodeAt(1, 1), tbl.CodeAt(2, 2), tbl.CodeAt(3, 3)}
-	if err := tbl.AppendCodes(codes); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 5 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
-	}
-	if got := tbl.Row(4); got[0] != "s1" || got[1] != "67" || got[2] != "Clerk" || got[3] != "d" {
-		t.Errorf("appended row = %v", got)
-	}
-	if err := tbl.AppendCodes([]uint32{0}); err == nil {
-		t.Error("short code row accepted")
-	}
-	if err := tbl.AppendCodes([]uint32{0, 0, 0, 99}); err == nil {
-		t.Error("out-of-range code accepted")
-	}
-}
-
 func TestMapColumn(t *testing.T) {
 	tbl := testTable(t)
 	ci, _ := tbl.Schema().Index("doctor")
@@ -499,8 +426,8 @@ func TestMapColumn(t *testing.T) {
 		}
 	}
 	// The dictionary compacted: merged outputs share one entry.
-	if tbl.DictLen(ci) != 2 {
-		t.Errorf("DictLen = %d, want 2", tbl.DictLen(ci))
+	if got := len(tbl.DictValues(ci)); got != 2 {
+		t.Errorf("dictionary length = %d, want 2", got)
 	}
 	// Errors abort without committing.
 	if _, err := tbl.MapColumn(ci, func(dst []byte, v string) ([]byte, error) {

@@ -607,58 +607,51 @@ func (s *Server) runFingerprint(ctx context.Context, req api.FingerprintRequest)
 			Key: crypt.RecipientWatermarkKey(req.Secret, ref.ID, req.Eta),
 		}
 	}
-	tables := make([]api.Table, len(recipients))
-	plans := make([]core.Plan, len(recipients))
-	embeds := make([]watermark.EmbedStats, len(recipients))
+	var results []core.FingerprintResult
+	var bufs []strings.Builder
 	if req.Output == api.OutputCSV {
-		bufs := make([]strings.Builder, len(recipients))
+		bufs = make([]strings.Builder, len(recipients))
 		outs := make([]io.Writer, len(recipients))
 		for i := range outs {
 			outs[i] = &bufs[i]
 		}
-		results, err := fw.FingerprintStream(ctx, tbl, recipients, outs)
-		if err != nil {
-			return zero, err
-		}
-		// An empty table encodes to just the wire column list.
-		shape, err := api.EncodeTable(relation.NewTable(tbl.Schema()), api.OutputRows)
-		if err != nil {
-			return zero, err
-		}
-		for i, res := range results {
-			tables[i] = api.Table{Columns: shape.Columns, CSV: bufs[i].String()}
-			plans[i], embeds[i] = res.Streamed.Plan, res.Streamed.Embed
-		}
+		results, err = fw.FingerprintStream(ctx, tbl, recipients, outs)
 	} else {
-		results, err := fw.FingerprintContext(ctx, tbl, recipients)
-		if err != nil {
-			return zero, err
-		}
-		for i, res := range results {
-			if tables[i], err = api.EncodeTable(res.Protected.Table, req.Output); err != nil {
-				return zero, badRequest(err)
-			}
-			plans[i], embeds[i] = res.Protected.Plan, res.Protected.Embed
-		}
+		results, err = fw.FingerprintContext(ctx, tbl, recipients)
+	}
+	if err != nil {
+		return zero, err
+	}
+	// An empty table encodes to just the wire column list.
+	shape, err := api.EncodeTable(relation.NewTable(tbl.Schema()), api.OutputRows)
+	if err != nil {
+		return zero, err
 	}
 	resp := api.FingerprintResponse{
 		Version:    api.Version,
 		Recipients: make([]api.FingerprintRecipient, len(recipients)),
-		Stats:      planStatsOf(tbl.NumRows(), &plans[0]),
+		Stats:      planStatsOf(tbl.NumRows(), &results[0].Protected.Plan),
 	}
 	records := make([]registry.Record, len(recipients))
 	for i, r := range recipients {
-		records[i] = registry.RecordOf(r.ID, r.Key, plans[i])
+		prot := results[i].Protected
+		table := api.Table{Columns: shape.Columns}
+		if bufs != nil {
+			table.CSV = bufs[i].String()
+		} else if table, err = api.EncodeTable(prot.Table, req.Output); err != nil {
+			return zero, badRequest(err)
+		}
+		records[i] = registry.RecordOf(r.ID, r.Key, prot.Plan)
 		records[i].TenantID = tenantIDFrom(ctx)
 		records[i].CreatedAt = time.Now().UTC().Format(time.RFC3339)
 		resp.Recipients[i] = api.FingerprintRecipient{
 			ID:             r.ID,
 			KeyFingerprint: r.Key.Fingerprint(),
-			Table:          tables[i],
-			Provenance:     plans[i].Provenance,
-			TuplesSelected: embeds[i].TuplesSelected,
-			BitsEmbedded:   embeds[i].BitsEmbedded,
-			CellsChanged:   embeds[i].CellsChanged,
+			Table:          table,
+			Provenance:     prot.Provenance,
+			TuplesSelected: prot.Embed.TuplesSelected,
+			BitsEmbedded:   prot.Embed.BitsEmbedded,
+			CellsChanged:   prot.Embed.CellsChanged,
 		}
 	}
 	// Atomic registration: either every recipient of this run lands in

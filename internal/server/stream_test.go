@@ -281,6 +281,10 @@ func TestHTTPStreamBadRequests(t *testing.T) {
 		{"zero eta", func(h http.Header) { h.Set(api.EtaHeader, "0") }},
 		{"bad chunk", func(h http.Header) { h.Set(api.ChunkHeader, "-3") }},
 		{"chunk beyond cap", func(h http.Header) { h.Set(api.ChunkHeader, "9999999") }},
+		{"misspelt option", func(h http.Header) { h.Set(api.OptionsHeader, `{"auto_epsilom":true}`) }},
+		{"unknown schema field", func(h http.Header) {
+			h.Set(api.SchemaHeader, strings.Replace(h.Get(api.SchemaHeader), `"kind":`, `"colour":"red","kind":`, 1))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -489,6 +493,7 @@ func TestHTTPPlanStreamErrors(t *testing.T) {
 		{"missing secret", func(h http.Header) { h.Del(api.SecretHeader) }},
 		{"zero eta", func(h http.Header) { h.Set(api.EtaHeader, "0") }},
 		{"bad chunk", func(h http.Header) { h.Set(api.ChunkHeader, "-3") }},
+		{"misspelt option", func(h http.Header) { h.Set(api.OptionsHeader, `{"auto_epsilom":true}`) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := planStreamHeaders(t, tbl.Schema(), "plan secret", 25, 0)

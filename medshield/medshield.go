@@ -25,6 +25,7 @@
 //	key := medshield.NewKey("hospital secret passphrase", 75)
 //	protected, err := fw.Protect(table, key)
 //	// publish protected.Table; retain protected.Provenance + the secret
+//	// (protected.Plan.AvgLoss and protected.Embed report the run)
 //
 // and later, on a suspected copy:
 //
@@ -40,6 +41,14 @@
 //
 //	app, err := fw.Append(delta, &plan, key) // no re-search, same mark
 //	// publish app.Table (append to the outsourced copy); plan = app.Plan
+//
+// Every write returns one outcome record. Protect, Apply, Append and
+// each Fingerprint copy return a *Protected: the marked Table, the
+// Provenance, and the embedded Streamed record — the effective or
+// advanced Plan, embedding statistics, bin comparison and row counts.
+// The Stream forms return the *Streamed alone, their rows having gone
+// to a writer; FingerprintStream returns the same FingerprintResult
+// values as Fingerprint, with a nil Protected.Table.
 //
 // Append verifies combined-bin k-safety against the plan's published
 // bin record and returns ErrPlanDrift when a batch no longer fits the
@@ -85,8 +94,10 @@ type (
 	Framework = core.Framework
 	// Config parameterizes a Framework; see core.Config for field docs.
 	Config = core.Config
-	// Protected is Protect's result: the outsourcing-ready table plus the
-	// owner's provenance record and per-agent statistics.
+	// Protected is the result of Protect, Apply, Append and each
+	// Fingerprint copy: the outsourcing-ready table plus the write run's
+	// Streamed outcome (effective plan and statistics) and the owner's
+	// provenance record.
 	Protected = core.Protected
 	// Provenance is the (non-secret) record needed for later detection.
 	Provenance = core.Provenance
@@ -95,9 +106,6 @@ type (
 	// frontiers, effective watermark parameters and — once applied — the
 	// published bin record that incremental appends verify against.
 	Plan = core.Plan
-	// Appended is AppendContext's result: the protected delta batch plus
-	// the advanced plan.
-	Appended = core.Appended
 	// Detection reports mark recovery from a suspected table.
 	Detection = core.Detection
 	// Key is the secret watermarking key set (k1, k2, η, encryption key).
@@ -119,8 +127,9 @@ type (
 	// segment ahead, so Next may run on a helper goroutine — one call at
 	// a time, in order, and never after the stream call has returned.
 	Segments = core.Segments
-	// Streamed is a streaming run's outcome: statistics plus the
-	// effective/advanced plan; the protected rows went to the writer.
+	// Streamed is every write run's outcome: the effective/advanced plan
+	// plus statistics. The Stream forms return it alone (the protected
+	// rows went to the writer); Protected embeds it.
 	Streamed = core.Streamed
 	// PlannedStream is Framework.PlanStream's outcome: a plan computed
 	// in one pass with memory bounded by distinct quasi-tuples,
@@ -133,11 +142,6 @@ type (
 	// ranked verdicts (bit-identical to Traceback's) plus ingest
 	// counters.
 	TracebackStreamed = core.TracebackStreamed
-	// FingerprintStreamed is one recipient's outcome of
-	// Framework.FingerprintStream: identity plus the copy's plan and
-	// embedding statistics; the marked CSV went to the recipient's
-	// writer.
-	FingerprintStreamed = core.FingerprintStreamed
 	// SegmentReader ingests a CSV document as a sequence of bounded
 	// table segments sharing one dictionary.
 	SegmentReader = relation.SegmentReader
@@ -154,7 +158,8 @@ type (
 	// is marked under (usually RecipientKey-derived).
 	Recipient = core.Recipient
 	// FingerprintResult is one recipient's marked copy and plan from
-	// Framework.FingerprintContext.
+	// Framework.FingerprintContext, or its plan alone (nil
+	// Protected.Table) from Framework.FingerprintStream.
 	FingerprintResult = core.FingerprintResult
 	// TracebackCandidate is one registered recipient a suspect table is
 	// tested against by Framework.TracebackContext.
@@ -358,5 +363,6 @@ func SaveCSVFile(path string, tbl *Table) error {
 }
 
 // ParseTree decodes a JSON-serialized domain hierarchy tree (the format
-// produced by Tree.MarshalJSON), revalidating its structure.
+// produced by Tree.MarshalJSON), revalidating its structure. Unknown
+// fields and trailing data are refused.
 func ParseTree(data []byte) (*Tree, error) { return dht.ParseTree(data) }
