@@ -303,11 +303,26 @@ func TestApplyStreamBoundedMemory(t *testing.T) {
 		t.Skip("million-row fixture in -short mode")
 	}
 	fw, tbl, plan, key := streamBenchFixture(t, 1000000)
+	var res *medshield.Streamed
+	heapGate(t, "ApplyStream", 64<<20, "streaming has regressed toward whole-table buffering", func() (err error) {
+		res, err = fw.ApplyStream(context.Background(), tbl.Segments(0), plan, key, io.Discard)
+		return err
+	})
+	if res.Rows != 1000000 {
+		t.Fatalf("streamed rows = %d", res.Rows)
+	}
+}
 
-	// The fixture table (~100 MiB live) stays resident, so at the default
-	// GOGC=100 the collector would happily let the heap double before
-	// collecting — masking exactly the growth this test polices. A tight
-	// GC target keeps sampled peaks close to live memory.
+// heapGate is the sampler of the bounded-memory gates: it runs fn and
+// fails t when the heap peak, sampled every 2 ms, grows more than
+// budget bytes over the baseline taken just before fn. Where a fixture
+// table stays resident (~100 MiB live), the collector at the default
+// GOGC=100 would happily let the heap double before collecting —
+// masking exactly the growth the gates police — so fn runs under a
+// tight GC target that keeps sampled peaks close to live memory. run
+// names fn in the log and regressed says what a breach means.
+func heapGate(t *testing.T, run string, budget int64, regressed string, fn func() error) {
+	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(20))
 	runtime.GC()
 	var base runtime.MemStats
@@ -334,23 +349,18 @@ func TestApplyStreamBoundedMemory(t *testing.T) {
 		}
 	}()
 
-	res, err := fw.ApplyStream(context.Background(), tbl.Segments(0), plan, key, io.Discard)
+	err := fn()
 	close(stop)
 	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows != 1000000 {
-		t.Fatalf("streamed rows = %d", res.Rows)
-	}
-
-	const budget = 64 << 20
 	grew := int64(peak.Load()) - int64(base.HeapAlloc)
-	t.Logf("ApplyStream over 1M rows: heap peak %d MiB over the %d MiB baseline (budget %d MiB)",
-		grew>>20, base.HeapAlloc>>20, int64(budget)>>20)
+	t.Logf("%s over 1M rows: heap peak %d MiB over the %d MiB baseline (budget %d MiB)",
+		run, grew>>20, base.HeapAlloc>>20, budget>>20)
 	if grew > budget {
-		t.Errorf("ApplyStream heap grew %d MiB over baseline, budget %d MiB — streaming has regressed toward whole-table buffering",
-			grew>>20, int64(budget)>>20)
+		t.Errorf("%s heap grew %d MiB over baseline, budget %d MiB — %s",
+			run, grew>>20, budget>>20, regressed)
 	}
 }
 
@@ -470,58 +480,20 @@ func TestPlanStreamBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same GC discipline as TestApplyStreamBoundedMemory: a tight GC
-	// target keeps sampled peaks close to live memory.
-	defer debug.SetGCPercent(debug.SetGCPercent(20))
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
-
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(2 * time.Millisecond)
-		defer ticker.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak.Load() {
-					peak.Store(ms.HeapAlloc)
-				}
-			}
-		}
-	}()
-
-	ps, err := fw.PlanStream(context.Background(), sr, key)
-	close(stop)
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Rows != 1000000 {
-		t.Fatalf("planned rows = %d", ps.Rows)
-	}
-
 	// The measured peak (84 MiB over a ~0 MiB baseline on a 2-vCPU VM)
 	// is the reader's block buffer and in-flight segments, the
 	// quasi-tuple sketch over the Zipf fixture's distinct tuples, then
 	// the search setup's copy of those tuples and the greedy ascent's
-	// bin slab and postings. The budget sits above that noise floor but below the
-	// table-sized (>100 MiB at this scale) state an ingest or search
-	// regression toward whole-table buffering would allocate.
-	const budget = 96 << 20
-	grew := int64(peak.Load()) - int64(base.HeapAlloc)
-	t.Logf("PlanStream over 1M rows: heap peak %d MiB over the %d MiB baseline (budget %d MiB)",
-		grew>>20, base.HeapAlloc>>20, int64(budget)>>20)
-	if grew > budget {
-		t.Errorf("PlanStream heap grew %d MiB over baseline, budget %d MiB — the planner has regressed toward whole-table buffering",
-			grew>>20, int64(budget)>>20)
+	// bin slab and postings. The budget sits above that noise floor but
+	// below the table-sized (>100 MiB at this scale) state an ingest or
+	// search regression toward whole-table buffering would allocate.
+	var ps *medshield.PlannedStream
+	heapGate(t, "PlanStream", 96<<20, "the planner has regressed toward whole-table buffering", func() (err error) {
+		ps, err = fw.PlanStream(context.Background(), sr, key)
+		return err
+	})
+	if ps.Rows != 1000000 {
+		t.Fatalf("planned rows = %d", ps.Rows)
 	}
 }
 
@@ -1022,64 +994,25 @@ func TestDetectStreamBoundedMemory(t *testing.T) {
 		t.Skip("million-row fixture in -short mode")
 	}
 	fw, path, plan, key := detectStreamFixture(t)
-
-	// Same GC discipline as TestApplyStreamBoundedMemory: a tight target
-	// keeps sampled peaks close to live memory.
-	defer debug.SetGCPercent(debug.SetGCPercent(20))
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
-
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(2 * time.Millisecond)
-		defer ticker.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak.Load() {
-					peak.Store(ms.HeapAlloc)
-				}
-			}
+	var res *medshield.DetectStreamed
+	heapGate(t, "DetectStream", 64<<20, "streaming has regressed toward whole-table buffering", func() error {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
 		}
-	}()
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fw.DetectStream(context.Background(), sr, plan.Provenance, key)
-	close(stop)
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
+		defer f.Close()
+		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
+		if err != nil {
+			return err
+		}
+		res, err = fw.DetectStream(context.Background(), sr, plan.Provenance, key)
+		return err
+	})
 	if res.Rows != 1000000 {
 		t.Fatalf("streamed rows = %d", res.Rows)
 	}
 	if !res.Match {
 		t.Fatal("streamed detection missed the mark")
-	}
-
-	const budget = 64 << 20
-	grew := int64(peak.Load()) - int64(base.HeapAlloc)
-	t.Logf("DetectStream over 1M rows: heap peak %d MiB over the %d MiB baseline (budget %d MiB)",
-		grew>>20, base.HeapAlloc>>20, int64(budget)>>20)
-	if grew > budget {
-		t.Errorf("DetectStream heap grew %d MiB over baseline, budget %d MiB — streaming has regressed toward whole-table buffering",
-			grew>>20, int64(budget)>>20)
 	}
 }
 

@@ -59,7 +59,7 @@ func main() {
 		Claimant: "thief (attack 1)",
 		V:        thiefV,
 		Key:      thiefKey,
-		Params:   thiefParams,
+		Mark:     thiefMark,
 	}})
 	if err != nil {
 		log.Fatal(err)
@@ -72,7 +72,7 @@ func main() {
 	// is his original. His claim still needs a statistic v with
 	// mark == F(v) and |v − v'| < τ over identifiers only the owner can
 	// decrypt — impossible on both counts.
-	forgedDet, err := watermark.Detect(stolen, protected.Provenance.IdentCol, specs, thiefParams)
+	forgedDet, err := fw.Detect(stolen, protected.Provenance, thiefKey)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,11 +81,7 @@ func main() {
 		Claimant: "thief (attack 2)",
 		V:        9.87e8,
 		Key:      thiefKey,
-		Params: watermark.Params{
-			Key: thiefKey, Mark: forgedDet.Mark,
-			Duplication:            protected.Provenance.Duplication,
-			SaltPositionWithColumn: true,
-		},
+		Mark:     forgedDet.Result.Mark,
 	}})
 	if err != nil {
 		log.Fatal(err)

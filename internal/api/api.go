@@ -202,7 +202,9 @@ type DetectResponse struct {
 }
 
 // RivalClaim is a competing ownership assertion in a dispute: the
-// claimant's key material, claimed statistic v and claimed mark.
+// claimant's key material, claimed statistic v and claimed mark, plus
+// the claimed duplication factor (0 = the provenance's; negative is
+// refused). The rest of the embedding policy is the provenance's.
 type RivalClaim struct {
 	Claimant    string  `json:"claimant"`
 	Key         Key     `json:"key"`

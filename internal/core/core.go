@@ -312,13 +312,19 @@ func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov
 
 // Dispute arbitrates ownership of a disputed table (§5.4). The owner's
 // claim is built from the provenance record plus the owner's key; rival
-// claims come as ownership.Claim values.
+// claims come as ownership.Claim values and are judged under the
+// provenance's embedding policy.
 func (f *Framework) Dispute(disputed *relation.Table, prov Provenance, ownerKey crypt.WatermarkKey, rivals []ownership.Claim) ([]ownership.Verdict, error) {
 	return f.DisputeContext(context.Background(), disputed, prov, ownerKey, rivals)
 }
 
-// DisputeContext is Dispute under a context: each claim's detection scan
-// aborts promptly with the context's error on cancellation.
+// DisputeContext is Dispute under a context. Steps (1)–(3) of §5.4 run
+// per claim; step (4) detects every claim that passed them in one
+// readVotes pass over the disputed table — the claims share the
+// provenance's signature, so the suspect is prepared once and each
+// (K1, η) selects once — and aborts promptly on cancellation. A table
+// that lacks the identifying column is refused with ErrBadSchema, and so
+// is one that lacks a watermarked column once any claim reaches step (4).
 func (f *Framework) DisputeContext(ctx context.Context, disputed *relation.Table, prov Provenance, ownerKey crypt.WatermarkKey, rivals []ownership.Claim) ([]ownership.Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -326,29 +332,56 @@ func (f *Framework) DisputeContext(ctx context.Context, disputed *relation.Table
 	if err := prov.Validate(); err != nil {
 		return nil, err
 	}
+	if _, err := disputed.Schema().Index(prov.IdentCol); err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
+	}
 	columns, err := f.SpecsFromProvenance(prov)
 	if err != nil {
 		return nil, err
 	}
-	params, err := paramsFromProvenance(prov, ownerKey)
+	owner, err := paramsFromProvenance(prov, ownerKey)
 	if err != nil {
 		return nil, err
 	}
-	params.Workers = f.cfg.Workers
 	judge := ownership.Judge{
 		IdentCol:      prov.IdentCol,
-		Columns:       columns,
 		Tau:           f.cfg.Tau,
 		Quantum:       prov.Quantum,
 		LossThreshold: f.cfg.LossThreshold,
 	}
-	claims := append([]ownership.Claim{{
-		Claimant: "owner",
-		V:        prov.V,
-		Key:      ownerKey,
-		Params:   params,
-	}}, rivals...)
-	return judge.ResolveContext(ctx, disputed, claims)
+	claims := append([]ownership.Claim{{Claimant: "owner", V: prov.V, Key: ownerKey, Mark: owner.Mark}}, rivals...)
+	verdicts, err := judge.Commit(ctx, disputed, claims)
+	if err != nil {
+		return nil, err
+	}
+	var readers []*reader
+	var claimOf []int
+	sig := suspectSignature(prov)
+	for i, c := range claims {
+		if !verdicts[i].MarkDerived {
+			continue
+		}
+		p := owner
+		p.Key, p.Mark = c.Key, c.Mark
+		if c.Duplication != 0 {
+			p.Duplication = c.Duplication
+		}
+		if err := p.Validate(); err != nil {
+			judge.Conclude(&verdicts[i], c.Mark, bitstr.Bits{}, err)
+			continue
+		}
+		readers = append(readers, newReader(fmt.Sprintf("core: claim %q", c.Claimant), sig, prov, c.Key, columns, p))
+		claimOf = append(claimOf, i)
+	}
+	if _, _, err := f.readVotes(ctx, &relation.OneSegment{Table: disputed}, readers, "dispute"); err != nil {
+		return nil, err
+	}
+	for ri, r := range readers {
+		i := claimOf[ri]
+		d, err := r.detection(f.cfg.LossThreshold)
+		judge.Conclude(&verdicts[i], claims[i].Mark, d.Result.Mark, err)
+	}
+	return verdicts, nil
 }
 
 // DecryptIdentifiers returns a copy of tbl with identCol decrypted back

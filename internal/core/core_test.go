@@ -234,7 +234,7 @@ func TestDisputeOwnerWins(t *testing.T) {
 	}
 
 	verdicts, err := fw.Dispute(stolen, p.Provenance, ownerKey, []ownership.Claim{{
-		Claimant: "thief", V: thiefV, Key: thiefKey, Params: thiefParams,
+		Claimant: "thief", V: thiefV, Key: thiefKey, Mark: thiefMark,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -105,6 +105,30 @@ func TestSentinelErrors(t *testing.T) {
 				t.Fatalf("%s: PlanStream got %v, want ErrBadSchema", name, err)
 			}
 		}
+
+		// A disputed table without the identifying column or a
+		// watermarked column is refused as detect refuses it, whatever
+		// the claims.
+		fw = testFramework(t)
+		prot, err := fw.Protect(testData(t, 300), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, drop := range []string{ontology.ColAge, prot.Provenance.IdentCol} {
+			var kept []relation.Column
+			for _, col := range prot.Table.Schema().Columns() {
+				if col.Name != drop {
+					kept = append(kept, col)
+				}
+			}
+			disputed, err := prot.Table.Project(relation.MustSchema(kept...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fw.Dispute(disputed, prot.Provenance, key, nil); !errors.Is(err, ErrBadSchema) {
+				t.Fatalf("dispute without %s: got %v, want ErrBadSchema", drop, err)
+			}
+		}
 	})
 
 	t.Run("bad provenance", func(t *testing.T) {

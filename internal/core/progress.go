@@ -8,11 +8,12 @@ import "context"
 // segments) monotonically.
 type Progress struct {
 	// Stage names the pipeline stage: "plan", "apply", "stream" (the
-	// write loop), "detect", "traceback".
+	// write loop), "detect", "traceback", "dispute".
 	Stage string `json:"stage"`
 	// Done and Total count stage units: stages for protect (plan+apply),
-	// rows for every segment loop — the write loop and the detect and
-	// traceback loops, whether over a stream or one in-memory table.
+	// rows for every segment loop — the write loop and the read loop of
+	// detect, traceback and dispute, whether over a stream or one
+	// in-memory table.
 	Done  int `json:"done"`
 	Total int `json:"total,omitempty"`
 }

@@ -13,10 +13,11 @@ import (
 	"repro/internal/watermark"
 )
 
-// This file is the one read path of the pipeline: detection and
-// traceback over a Segments source share one segment loop, readVotes.
-// DetectStream is that loop over one candidate; DetectContext and
-// TracebackContext run it over their table as a single segment. Per
+// This file is the one read path of the pipeline: detection, traceback
+// and the dispute's step (4) share one segment loop, readVotes.
+// DetectStream is that loop over one candidate; DetectContext,
+// TracebackContext and DisputeContext run it over their table as a
+// single segment. Per
 // segment the loop prepares the suspect once per signature group,
 // selects once per (K1, η) within a group and walks each candidate's
 // selection into that candidate's persistent vote board; boards fold

@@ -25,7 +25,6 @@ import (
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
 	"repro/internal/relation"
-	"repro/internal/watermark"
 )
 
 // maxIdentDigits caps the digit string numericOf parses. float64 holds
@@ -168,9 +167,12 @@ type Claim struct {
 	// Key is the party's watermarking key set (including the encryption
 	// key for the identifying columns).
 	Key crypt.WatermarkKey
-	// Params are the party's detection parameters; Params.Mark length and
-	// duplication must describe the embedding the party claims.
-	Params watermark.Params
+	// Mark is the mark the party claims to have embedded: it must be F(V).
+	Mark bitstr.Bits
+	// Duplication is the replication factor l of the claimed embedding;
+	// 0 means the disputed release's own. The rest of the embedding
+	// policy is always the release's.
+	Duplication int
 }
 
 // Verdict is the court's finding for one claim.
@@ -180,8 +182,7 @@ type Verdict struct {
 	DecryptOK bool
 	// StatisticOK: |v − v'| < τ over the decrypted identifiers.
 	StatisticOK bool
-	// MarkDerived: the party's claimed mark equals F(v) (the party's
-	// Params.Mark is checked against the commitment).
+	// MarkDerived: the party's claimed mark equals F(v).
 	MarkDerived bool
 	// MarkDetected: detection under the party's key recovers a mark
 	// within lossThreshold of F(v).
@@ -197,13 +198,13 @@ type Verdict struct {
 // Judge arbitrates ownership of the disputed table (§5.4): for each
 // claim it (1) decrypts the identifying column with the claimant's key,
 // (2) recomputes the statistic v' and checks |v−v'| < tau, (3) re-derives
-// F(v) and checks the claimed mark, and (4) detects the mark under the
-// claimant's key and compares to F(v) with the given loss threshold.
+// F(v) and checks the claimed mark (Commit), and (4) compares the mark
+// detected under the claimant's key with F(v) under the loss threshold
+// (Conclude). Detection itself is the caller's: one read of the
+// disputed table serves every claim Commit passes.
 type Judge struct {
 	// IdentCol names the encrypted identifying column.
 	IdentCol string
-	// Columns are the watermark column specs (public: trees + frontiers).
-	Columns map[string]watermark.ColumnSpec
 	// Tau is the statistic tolerance τ.
 	Tau float64
 	// Quantum is F's quantization step (must match the owner's).
@@ -212,16 +213,11 @@ type Judge struct {
 	LossThreshold float64
 }
 
-// Resolve evaluates every claim against the disputed table and returns
-// one verdict per claim, in order.
-func (j Judge) Resolve(disputed *relation.Table, claims []Claim) ([]Verdict, error) {
-	return j.ResolveContext(context.Background(), disputed, claims)
-}
-
-// ResolveContext is Resolve under a context: the per-claim detection
-// scans abort with the context's error on cancellation, and no further
-// claims are evaluated once ctx is done.
-func (j Judge) ResolveContext(ctx context.Context, disputed *relation.Table, claims []Claim) ([]Verdict, error) {
+// Commit runs steps (1)–(3) for every claim over the disputed table and
+// returns one verdict per claim, in order. A verdict with MarkDerived
+// set awaits step (4), Conclude; any other is final. No further claims
+// are evaluated once ctx is done.
+func (j Judge) Commit(ctx context.Context, disputed *relation.Table, claims []Claim) ([]Verdict, error) {
 	if j.Tau <= 0 || j.Quantum <= 0 {
 		return nil, fmt.Errorf("ownership: Tau and Quantum must be positive")
 	}
@@ -237,23 +233,19 @@ func (j Judge) ResolveContext(ctx context.Context, disputed *relation.Table, cla
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		v, err := j.resolveOne(ctx, disputed, encCol, claim)
-		if err != nil {
-			return nil, err
-		}
-		verdicts = append(verdicts, v)
+		verdicts = append(verdicts, j.commitOne(encCol, claim))
 	}
 	return verdicts, nil
 }
 
-func (j Judge) resolveOne(ctx context.Context, disputed *relation.Table, encCol []string, claim Claim) (Verdict, error) {
+func (j Judge) commitOne(encCol []string, claim Claim) Verdict {
 	v := Verdict{Claimant: claim.Claimant}
 
 	// (1) Decrypt the identifying column with the claimant's key.
 	cipher, err := crypt.NewCipher(claim.Key.Enc)
 	if err != nil {
 		v.Reason = fmt.Sprintf("cannot build cipher: %v", err)
-		return v, nil
+		return v
 	}
 	cleartexts := make([]string, 0, len(encCol))
 	failures := 0
@@ -269,7 +261,7 @@ func (j Judge) resolveOne(ctx context.Context, disputed *relation.Table, encCol 
 	// undecryptable cells, but an owner must decrypt most of the table.
 	if len(cleartexts) == 0 || failures > len(encCol)/2 {
 		v.Reason = fmt.Sprintf("key decrypts only %d of %d identifying values", len(cleartexts), len(encCol))
-		return v, nil
+		return v
 	}
 	v.DecryptOK = true
 
@@ -277,49 +269,48 @@ func (j Judge) resolveOne(ctx context.Context, disputed *relation.Table, encCol 
 	vPrime, err := IdentStatistic(cleartexts)
 	if err != nil {
 		v.Reason = err.Error()
-		return v, nil
+		return v
 	}
 	if math.Abs(claim.V-vPrime) >= j.Tau {
 		v.Reason = fmt.Sprintf("statistic mismatch: claimed %v, recomputed %v, tau %v", claim.V, vPrime, j.Tau)
-		return v, nil
+		return v
 	}
 	v.StatisticOK = true
 
 	// (3) The claimed mark must be F(v) — the one-way commitment that
 	// defeats Attack 2 (no one can invert F to fabricate a fitting v).
-	fv, err := MarkFromStatistic(claim.V, j.Quantum, claim.Params.Mark.Len())
+	fv, err := MarkFromStatistic(claim.V, j.Quantum, claim.Mark.Len())
 	if err != nil {
 		v.Reason = err.Error()
-		return v, nil
+		return v
 	}
-	if !claim.Params.Mark.Equal(fv) {
+	if !claim.Mark.Equal(fv) {
 		v.Reason = "claimed mark is not F(v)"
-		return v, nil
+		return v
 	}
 	v.MarkDerived = true
+	return v
+}
 
-	// (4) Detect under the claimant's key and compare with F(v).
-	det, err := watermark.DetectContext(ctx, disputed, j.IdentCol, j.Columns, claim.Params)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Cancellation aborts the whole arbitration rather than
-			// mislabelling this claim as failed.
-			return Verdict{}, ctx.Err()
-		}
-		v.Reason = fmt.Sprintf("detection failed: %v", err)
-		return v, nil
+// Conclude is step (4) for a verdict Commit left with MarkDerived set:
+// the mark detected under the claimant's key against the committed mark
+// F(v), the claim's Mark. detectErr, when set, is why detection could
+// not run for this claim.
+func (j Judge) Conclude(v *Verdict, committed, detected bitstr.Bits, detectErr error) {
+	if detectErr != nil {
+		v.Reason = fmt.Sprintf("detection failed: %v", detectErr)
+		return
 	}
-	loss, err := fv.LossFraction(det.Mark)
+	loss, err := committed.LossFraction(detected)
 	if err != nil {
 		v.Reason = err.Error()
-		return v, nil
+		return
 	}
 	v.MarkLoss = loss
 	if loss > j.LossThreshold {
 		v.Reason = fmt.Sprintf("mark loss %.2f exceeds threshold %.2f", loss, j.LossThreshold)
-		return v, nil
+		return
 	}
 	v.MarkDetected = true
 	v.Valid = true
-	return v, nil
 }

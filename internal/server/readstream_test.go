@@ -247,17 +247,15 @@ func TestHTTPDetectStreamErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPDetectMissingColumn: a suspect that lacks a watermarked
-// column is the client's schema mismatch — 400 bad_schema, not a 500.
-func TestHTTPDetectMissingColumn(t *testing.T) {
-	ts := testServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
-	tbl := testTable(t, 200)
-	key := crypt.NewWatermarkKeyFromSecret("missing column secret", 25)
+// missingColumnRelease protects a small table and returns its
+// provenance plus the marked table without its age column, in wire form.
+func missingColumnRelease(t *testing.T, secret string) (core.Provenance, api.Table) {
+	t.Helper()
 	fw, err := core.New(ontology.Trees(), core.Config{K: 15, AutoEpsilon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.Protect(testTable(t, 200), crypt.NewWatermarkKeyFromSecret(secret, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +273,38 @@ func TestHTTPDetectMissingColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prot.Provenance, wire
+}
+
+// TestHTTPDetectMissingColumn: a suspect that lacks a watermarked
+// column is the client's schema mismatch — 400 bad_schema, not a 500.
+func TestHTTPDetectMissingColumn(t *testing.T) {
+	ts := testServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
+	prov, wire := missingColumnRelease(t, "missing column secret")
 	status, raw := postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{
 		Table:      wire,
-		Provenance: prot.Provenance,
+		Provenance: prov,
 		Key:        api.Key{Secret: "missing column secret", Eta: 25},
 	}, nil)
 	var envelope api.ErrorResponse
 	if err := json.Unmarshal(raw, &envelope); err != nil || status != http.StatusBadRequest || envelope.Error.Code != api.CodeBadSchema {
 		t.Fatalf("detect without a watermarked column: %d\n%s", status, raw)
+	}
+}
+
+// TestHTTPDisputeMissingColumn: a dispute over such a table is refused
+// the same way, rather than judged with every claim "detection failed".
+func TestHTTPDisputeMissingColumn(t *testing.T) {
+	ts := testServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
+	prov, wire := missingColumnRelease(t, "missing column secret")
+	status, raw := postJSON(t, ts.URL+"/v1/dispute", api.DisputeRequest{
+		Table:      wire,
+		Provenance: prov,
+		OwnerKey:   api.Key{Secret: "missing column secret", Eta: 25},
+	}, nil)
+	var envelope api.ErrorResponse
+	if err := json.Unmarshal(raw, &envelope); err != nil || status != http.StatusBadRequest || envelope.Error.Code != api.CodeBadSchema {
+		t.Fatalf("dispute without a watermarked column: %d\n%s", status, raw)
 	}
 }
 

@@ -65,7 +65,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sse"
 	"repro/internal/tenant"
-	"repro/internal/watermark"
 )
 
 // Config parameterizes the service.
@@ -533,20 +532,19 @@ func (s *Server) runDispute(ctx context.Context, req api.DisputeRequest) (api.Di
 		if rc.Key.Secret == "" || rc.Key.Eta == 0 {
 			return zero, badRequest(fmt.Errorf("rival %d: key needs a non-empty secret and eta >= 1", i))
 		}
+		if rc.Duplication < 0 {
+			return zero, badRequest(fmt.Errorf("rival %d: duplication must be >= 0 (0 = the provenance's)", i))
+		}
 		mark, err := bitstr.FromString(rc.Mark)
 		if err != nil {
 			return zero, badRequest(fmt.Errorf("rival %d: mark: %w", i, err))
 		}
-		dup := rc.Duplication
-		if dup == 0 {
-			dup = max(req.Provenance.Duplication, 1)
-		}
-		rivalKey := crypt.NewWatermarkKeyFromSecret(rc.Key.Secret, rc.Key.Eta)
 		rivals = append(rivals, ownership.Claim{
-			Claimant: rc.Claimant,
-			V:        rc.V,
-			Key:      rivalKey,
-			Params:   watermarkParams(fw, rivalKey, mark, dup, req.Provenance),
+			Claimant:    rc.Claimant,
+			V:           rc.V,
+			Key:         crypt.NewWatermarkKeyFromSecret(rc.Key.Secret, rc.Key.Eta),
+			Mark:        mark,
+			Duplication: rc.Duplication,
 		})
 	}
 	verdicts, err := fw.DisputeContext(ctx, tbl, req.Provenance, ownerKey, rivals)
@@ -1028,19 +1026,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) logWarn(msg string, args ...any) {
 	if s.log != nil {
 		s.log.Warn(msg, args...)
-	}
-}
-
-// watermarkParams rebuilds rival detection parameters consistent with
-// the provenance record's embedding policy.
-func watermarkParams(fw *core.Framework, key crypt.WatermarkKey, mark bitstr.Bits, dup int, prov core.Provenance) watermark.Params {
-	return watermark.Params{
-		Key:                    key,
-		Mark:                   mark,
-		Duplication:            dup,
-		WeightedVoting:         prov.WeightedVoting,
-		SaltPositionWithColumn: prov.SaltPositionWithColumn,
-		BoundaryPermutation:    prov.BoundaryPermutation,
-		Workers:                fw.Config().Workers,
 	}
 }

@@ -178,6 +178,39 @@ func TestHTTPDispute(t *testing.T) {
 	}
 }
 
+// TestHTTPDisputeNegativeDuplication: a rival claim's duplication is
+// 0 (the provenance's) or a replication factor; a negative one is the
+// client's malformed request.
+func TestHTTPDisputeNegativeDuplication(t *testing.T) {
+	ts := testServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
+	wire, err := api.EncodeTable(testTable(t, 200), api.OutputRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := api.Key{Secret: "the rightful owner", Eta: 25}
+	var prot api.ProtectResponse
+	if status, raw := postJSON(t, ts.URL+"/v1/protect",
+		api.ProtectRequest{Table: wire, Key: owner}, &prot); status != http.StatusOK {
+		t.Fatalf("protect: %d\n%s", status, raw)
+	}
+	status, raw := postJSON(t, ts.URL+"/v1/dispute", api.DisputeRequest{
+		Table:      prot.Table,
+		Provenance: prot.Provenance,
+		OwnerKey:   owner,
+		Rivals: []api.RivalClaim{{
+			Claimant:    "rival",
+			Key:         api.Key{Secret: "a rival", Eta: 25},
+			V:           prot.Provenance.V,
+			Mark:        prot.Provenance.Mark,
+			Duplication: -1,
+		}},
+	}, nil)
+	var e api.ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || status != http.StatusBadRequest || e.Error.Code != api.CodeBadRequest {
+		t.Fatalf("negative rival duplication: %d %s", status, raw)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts := testServer(t, Config{Defaults: core.Config{K: 10}, MaxInflight: 3})
 	r, err := http.Get(ts.URL + "/v1/healthz")

@@ -2,7 +2,6 @@ package watermark
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bitstr"
 	"repro/internal/pool"
@@ -53,7 +52,7 @@ func Detect(tbl *relation.Table, identCol string, columns map[string]ColumnSpec,
 // context's error when the caller's deadline expires or the request is
 // cancelled.
 func DetectContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return DetectResult{}, err
 	}
 	s, err := prepareSuspect(ctx, tbl, identCol, columns, p)
@@ -87,14 +86,10 @@ type DetectAccum struct {
 }
 
 // NewDetectAccum validates the parameters and returns an empty
-// accumulator. Virtual-identifier detection is not supported over a
-// segment stream — its composite keys need the whole table.
+// accumulator.
 func NewDetectAccum(identCol string, columns map[string]ColumnSpec, p Params) (*DetectAccum, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.UseVirtualIdent {
-		return nil, fmt.Errorf("watermark: virtual-identifier detection is not supported over a segment stream")
 	}
 	return &DetectAccum{
 		identCol: identCol,

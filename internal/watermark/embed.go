@@ -117,30 +117,16 @@ func Embed(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, 
 // context's error. A cancelled embed leaves the table partially
 // mutated, exactly like an embed that failed on a bad row — callers
 // must discard it.
-//
-// Under Params.UseVirtualIdent the selection carries each selected
-// tuple's virtual key, taken before any cell is written; embedding
-// never changes a maximal cover, so the keys equal those a detector
-// derives from the marked table.
 func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
-	identIdx := -1
-	if !p.UseVirtualIdent {
-		var err error
-		if identIdx, err = tbl.Schema().Index(identCol); err != nil {
-			return EmbedStats{}, err
-		}
+	identIdx, err := tbl.Schema().Index(identCol)
+	if err != nil {
+		return EmbedStats{}, err
 	}
 	plans, err := buildEmbedPlans(tbl, columns, p)
 	if err != nil {
 		return EmbedStats{}, err
 	}
-	var vkeys *virtualKeys
-	if p.UseVirtualIdent {
-		if vkeys, err = buildVirtualKeys(tbl, columns); err != nil {
-			return EmbedStats{}, err
-		}
-	}
-	sel, err := selectTuples(ctx, tbl, identIdx, vkeys, p.Key.K1, p.Key.Eta, p.Workers)
+	sel, err := selectTuples(ctx, tbl, identIdx, p.Key.K1, p.Key.Eta, p.Workers)
 	if err != nil {
 		return EmbedStats{}, err
 	}
@@ -157,12 +143,8 @@ func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, col
 //
 // The selection must have been computed over a table whose identifying
 // column matches tbl's (the fan-out embeds into clones of the table it
-// selected over); row indices are trusted. Virtual-identifier
-// embedding goes through EmbedContext.
+// selected over); row indices are trusted.
 func EmbedSelectedContext(ctx context.Context, tbl *relation.Table, sel *Selection, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
-	if p.UseVirtualIdent {
-		return EmbedStats{}, fmt.Errorf("watermark: virtual-identifier embedding is not supported over a precomputed selection")
-	}
 	if sel.k1 != string(p.Key.K1) || sel.eta != p.Key.Eta {
 		return EmbedStats{}, fmt.Errorf("watermark: selection was computed under a different (K1, eta) than the embedding key")
 	}
@@ -176,7 +158,7 @@ func EmbedSelectedContext(ctx context.Context, tbl *relation.Table, sel *Selecti
 // buildEmbedPlans validates the parameters and the column specs and
 // plans every column in canonical order.
 func buildEmbedPlans(tbl *relation.Table, columns map[string]ColumnSpec, p Params) ([]embedPlan, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if len(columns) == 0 {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -20,34 +19,9 @@ import (
 // This file holds full-table scans of embedding and detection, the
 // differential oracles of FuzzWalkMatchesScan. Where production code
 // selects first and then walks the selected rows, each scan visits
-// every row, derives its identifier (or §5.3 virtual key) from the
-// row's current cells, tests Equation (5) and walks the row at once,
-// sharded into contiguous row ranges.
-
-// virtualIdent derives the virtual key bytes for one row from the
-// current cell values of the watermarkable columns (cols must be
-// sorted): the reference for virtualKeys.appendIdent.
-func virtualIdent(tbl cellReader, row int, cols []string, colIdx map[string]int, columns map[string]ColumnSpec) []byte {
-	var sb strings.Builder
-	for _, col := range cols {
-		spec := columns[col]
-		value := tbl.CellAt(row, colIdx[col])
-		part := value
-		if id, err := spec.Tree.ResolveValue(value); err == nil {
-			if maxNode, ok := spec.MaxGen.CoverOf(id); ok {
-				part = spec.Tree.Value(maxNode)
-			}
-		}
-		sb.WriteString(part)
-		sb.WriteByte(0x1f)
-	}
-	return []byte(sb.String())
-}
-
-// cellReader is the slice of relation.Table the virtual key needs.
-type cellReader interface {
-	CellAt(row, col int) string
-}
+// every row, reads its identifier from the row's current cells, tests
+// Equation (5) and walks the row at once, sharded into contiguous row
+// ranges.
 
 // add accumulates another shard's embedding counters.
 func (s *EmbedStats) add(o EmbedStats) {
@@ -65,24 +39,12 @@ func (s *DetectStats) add(o DetectStats) {
 	s.SkippedCells += o.SkippedCells
 }
 
-// scanIdent returns the row's Equation (5) anchor: the identifying cell,
-// or the virtual key when p.UseVirtualIdent is set.
-func scanIdent(tbl *relation.Table, row, identIdx int, cols []string, colIdx map[string]int, columns map[string]ColumnSpec, p Params) []byte {
-	if p.UseVirtualIdent {
-		return virtualIdent(tbl, row, cols, colIdx, columns)
-	}
-	return []byte(tbl.CellAt(row, identIdx))
-}
-
 // scanSetup resolves the identifying column and the watermarked column
 // indexes the scans address rows through.
-func scanSetup(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (int, []string, map[string]int, error) {
-	identIdx := -1
-	if !p.UseVirtualIdent {
-		var err error
-		if identIdx, err = tbl.Schema().Index(identCol); err != nil {
-			return 0, nil, nil, err
-		}
+func scanSetup(tbl *relation.Table, identCol string, columns map[string]ColumnSpec) (int, []string, map[string]int, error) {
+	identIdx, err := tbl.Schema().Index(identCol)
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	cols := sortColumns(columns)
 	colIdx := make(map[string]int, len(cols))
@@ -100,10 +62,10 @@ func scanSetup(tbl *relation.Table, identCol string, columns map[string]ColumnSp
 // in shard order, then folded.
 func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
 	var res DetectResult
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return res, err
 	}
-	identIdx, cols, colIdx, err := scanSetup(tbl, identCol, columns, p)
+	identIdx, _, _, err := scanSetup(tbl, identCol, columns)
 	if err != nil {
 		return res, err
 	}
@@ -120,7 +82,7 @@ func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, colum
 		shardBoard := bitstr.NewVoteBoard(p.wmdLen())
 		shard := &shardStats[si]
 		for row := lo; row < hi; row++ {
-			ident := scanIdent(tbl, row, identIdx, cols, colIdx, columns, p)
+			ident := []byte(tbl.CellAt(row, identIdx))
 			if !prf1.Selects(ident, p.Key.Eta) {
 				continue
 			}
@@ -165,13 +127,13 @@ func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, colum
 // row — is the one reported.
 func scanEmbed(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
 	var stats EmbedStats
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return stats, err
 	}
 	if len(columns) == 0 {
 		return stats, fmt.Errorf("watermark: no columns to embed into")
 	}
-	identIdx, cols, colIdx, err := scanSetup(tbl, identCol, columns, p)
+	identIdx, cols, colIdx, err := scanSetup(tbl, identCol, columns)
 	if err != nil {
 		return stats, err
 	}
@@ -190,7 +152,7 @@ func scanEmbed(ctx context.Context, tbl *relation.Table, identCol string, column
 	err = pool.ForEachChunkCtx(ctx, p.Workers, tbl.NumRows(), func(si, lo, hi int) error {
 		shard := &shardStats[si]
 		for row := lo; row < hi; row++ {
-			ident := scanIdent(tbl, row, identIdx, cols, colIdx, columns, p)
+			ident := []byte(tbl.CellAt(row, identIdx))
 			if !prf1.Selects(ident, p.Key.Eta) {
 				continue
 			}
@@ -236,7 +198,7 @@ func attackPool(spec ColumnSpec) []string {
 // DetectContext (and DetectAccum over random segments) must return the
 // oracle's whole DetectResult, on the clean marked table and on copies
 // with altered and deleted rows, for random η, duplication, voting and
-// boundary policy, identifier anchor and worker count.
+// boundary policy, column salt, table shape and worker count.
 func FuzzWalkMatchesScan(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(0x1f), uint8(1), uint8(40), uint8(30))
@@ -245,8 +207,8 @@ func FuzzWalkMatchesScan(f *testing.F) {
 	f.Add(int64(5), uint8(0), uint8(0), uint8(0x08), uint8(3), uint8(20), uint8(10))
 	f.Fuzz(func(t *testing.T, seed int64, eta, dup, flags, workerSel, alterPct, deletePct uint8) {
 		var fx *fixture
-		if flags&8 != 0 {
-			fx = virtualFixture(t, 400)
+		if flags&4 != 0 {
+			fx = zipRoleFixture(t, 400)
 		} else {
 			fx = newFixture(t, 400, 1)
 		}
@@ -261,14 +223,10 @@ func FuzzWalkMatchesScan(f *testing.F) {
 			Duplication:            int(dup%4) + 1,
 			WeightedVoting:         flags&1 != 0,
 			BoundaryPermutation:    flags&2 != 0,
-			UseVirtualIdent:        flags&4 != 0,
-			SaltPositionWithColumn: flags&16 == 0,
+			SaltPositionWithColumn: flags&8 == 0,
 			Workers:                []int{1, 2, 3, 8}[workerSel%4],
 		}
 		identCol := "ssn"
-		if p.UseVirtualIdent {
-			identCol = ""
-		}
 		ctx := context.Background()
 
 		walked, scanned := fx.tbl.Clone(), fx.tbl.Clone()
@@ -304,9 +262,6 @@ func FuzzWalkMatchesScan(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("detect: walk %+v, scan %+v", got, want)
-			}
-			if p.UseVirtualIdent {
-				continue
 			}
 			// The segment-at-a-time accumulator walks the same votes.
 			accum, err := NewDetectAccum(identCol, fx.columns, p)
@@ -347,4 +302,73 @@ func FuzzWalkMatchesScan(f *testing.F) {
 			tablesIdentical(t, walked, scanned)
 		}
 	})
+}
+
+// zipRoleFixture is FuzzWalkMatchesScan's second table shape: the same
+// columns as newFixture a level lower — zip binned at leaf level under
+// state-level metrics (9 covers) and role at leaf level under depth-2
+// metrics (4 covers), two of which (Clerk, Manager) are boundary nodes.
+func zipRoleFixture(t *testing.T, rows int) *fixture {
+	t.Helper()
+	zipTree := zipLikeTree(t)
+	roleTr := roleTree(t)
+
+	var states, zips []string
+	for r := 0; r < 3; r++ {
+		for s := 0; s < 3; s++ {
+			states = append(states, fmt.Sprintf("R%dS%d", r, s))
+			for z := 0; z < 3; z++ {
+				zips = append(zips, fmt.Sprintf("R%dS%dZ%d", r, s, z))
+			}
+		}
+	}
+	zipUlti, err := dht.NewGenSetFromValues(zipTree, zips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipMax, err := dht.NewGenSetFromValues(zipTree, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roleUlti, err := dht.NewGenSetFromValues(roleTr, []string{
+		"Physician", "Surgeon", "Nurse", "Pharmacist", "Clerk", "Manager"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roleMax, err := dht.NewGenSetFromValues(roleTr, []string{
+		"Doctor", "Paramedic", "Clerk", "Manager"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	schema := relation.MustSchema(
+		relation.Column{Name: "ssn", Kind: relation.Identifying},
+		relation.Column{Name: "zip", Kind: relation.QuasiCategorical},
+		relation.Column{Name: "role", Kind: relation.QuasiCategorical},
+	)
+	tbl := relation.NewTable(schema)
+	rng := rand.New(rand.NewSource(31))
+	roleVals := roleUlti.Values()
+	for i := 0; i < rows; i++ {
+		if err := tbl.AppendRow([]string{
+			fmt.Sprintf("enc-%06d", i),
+			zips[rng.Intn(len(zips))],
+			roleVals[rng.Intn(len(roleVals))],
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &fixture{
+		tbl: tbl,
+		columns: map[string]ColumnSpec{
+			"zip":  {Tree: zipTree, MaxGen: zipMax, UltiGen: zipUlti},
+			"role": {Tree: roleTr, MaxGen: roleMax, UltiGen: roleUlti},
+		},
+		params: Params{
+			Key:                    crypt.NewWatermarkKeyFromSecret("zip-role-owner", 1),
+			Mark:                   bitstr.MustFromString("10110010011011010010"),
+			Duplication:            1,
+			SaltPositionWithColumn: true,
+		},
+	}
 }

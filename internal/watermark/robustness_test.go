@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/dht"
 )
 
 // These tests pin the robustness claims of §7.2 (Figure 12) and the
@@ -218,5 +219,89 @@ func TestSmallerEtaMoreResilient(t *testing.T) {
 	}
 	if losses[10] > losses[100] {
 		t.Errorf("eta=10 loss %v exceeds eta=100 loss %v; more bandwidth should not hurt", losses[10], losses[100])
+	}
+}
+
+func TestRespecializationWeightedVoting(t *testing.T) {
+	// §5.3 weighted voting under a one-level re-specialization: the leaf
+	// level is randomized, the state level keeps the mark. Weighted
+	// voting must not do worse than unweighted, and must recover the mark.
+	f := newFixture(t, 8000, 10)
+	zipSpec := f.columns["zip"]
+	var leaves []string
+	for _, l := range zipSpec.Tree.Leaves() {
+		leaves = append(leaves, zipSpec.Tree.Value(l))
+	}
+	leafUlti, err := dht.NewGenSetFromValues(zipSpec.Tree, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ColumnSpec{Tree: zipSpec.Tree, MaxGen: zipSpec.MaxGen, UltiGen: leafUlti}
+	cols := map[string]ColumnSpec{"zip": spec}
+
+	// push the fixture's state-level zips down to deterministic leaves
+	base := f.tbl.Clone()
+	ci, _ := base.Schema().Index("zip")
+	for i := 0; i < base.NumRows(); i++ {
+		id, err := spec.Tree.ResolveValue(base.CellAt(i, ci))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !spec.UltiGen.Contains(id) {
+			id = spec.Tree.Children(id)[i%3]
+		}
+		base.SetCellAt(i, ci, spec.Tree.Value(id))
+	}
+
+	marked := base.Clone()
+	if _, err := Embed(marked, "ssn", cols, f.params); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	if _, err := attack.Respecialize(marked, "zip", spec.Tree, spec.MaxGen, spec.UltiGen, 1, rng); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := f.params
+	weighted := f.params
+	weighted.WeightedVoting = true
+	resPlain, err := Detect(marked, "ssn", cols, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resWeighted, err := Detect(marked, "ssn", cols, weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossPlain, _ := MarkLoss(f.params.Mark, resPlain)
+	lossWeighted, _ := MarkLoss(f.params.Mark, resWeighted)
+	if lossWeighted > lossPlain {
+		t.Errorf("weighted voting (%v) worse than unweighted (%v) under re-specialization", lossWeighted, lossPlain)
+	}
+	if lossWeighted > 0.1 {
+		t.Errorf("weighted voting loss %v; the intact state level should recover the mark", lossWeighted)
+	}
+}
+
+func TestIdentifierScrubbingDestroysMark(t *testing.T) {
+	// Selection and addressing are anchored on the identifying column:
+	// rewriting every identifier to one value puts all tuples in one
+	// selection bucket and one position per column, so the mark is lost.
+	// An attacker who may rewrite identifiers is outside this scheme.
+	f := newFixture(t, 4000, 8)
+	marked := f.tbl.Clone()
+	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+		t.Fatal(err)
+	}
+	ci, _ := marked.Schema().Index("ssn")
+	for i := 0; i < marked.NumRows(); i++ {
+		marked.SetCellAt(i, ci, "SCRUBBED")
+	}
+	res, err := Detect(marked, "ssn", f.columns, f.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loss, _ := MarkLoss(f.params.Mark, res); loss < 0.2 {
+		t.Errorf("identifier-anchored detection survived scrubbing (loss %v)?", loss)
 	}
 }

@@ -41,7 +41,7 @@ func uniformDepth(spec ColumnSpec, col string) (int, error) {
 // two schemes are directly comparable.
 func EmbedSingleLevel(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
 	var stats EmbedStats
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return stats, err
 	}
 	if len(columns) == 0 {
@@ -114,7 +114,7 @@ func EmbedSingleLevel(tbl *relation.Table, identCol string, columns map[string]C
 // hierarchical scheme fixes.
 func DetectSingleLevel(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
 	var res DetectResult
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return res, err
 	}
 	identIdx, err := tbl.Schema().Index(identCol)

@@ -20,7 +20,6 @@ import (
 type Suspect struct {
 	tbl                 *relation.Table
 	identIdx            int
-	vkeys               *virtualKeys // set when tuples are anchored on §5.3 virtual keys
 	plans               []detectPlan
 	boundaryPermutation bool
 	weightedVoting      bool
@@ -28,8 +27,7 @@ type Suspect struct {
 
 // PrepareSuspectContext builds the shared detection state over tbl for
 // the given column specs and embedding policy (the two Params fields the
-// verdict tables depend on). The suspect is anchored on its identifying
-// column; virtual-identifier detection runs through DetectContext.
+// verdict tables depend on).
 func PrepareSuspectContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, boundaryPermutation, weightedVoting bool, workers int) (*Suspect, error) {
 	return prepareSuspect(ctx, tbl, identCol, columns, Params{
 		BoundaryPermutation: boundaryPermutation,
@@ -38,32 +36,22 @@ func PrepareSuspectContext(ctx context.Context, tbl *relation.Table, identCol st
 	})
 }
 
-// prepareSuspect is PrepareSuspectContext under the policy fields of p,
-// UseVirtualIdent included: a virtual suspect ignores identCol and
-// anchors its selections on the per-code maximal-cover key parts.
+// prepareSuspect is PrepareSuspectContext under the policy fields of p.
 func prepareSuspect(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (*Suspect, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s := &Suspect{
 		tbl:                 tbl,
-		identIdx:            -1,
 		boundaryPermutation: p.BoundaryPermutation,
 		weightedVoting:      p.WeightedVoting,
 	}
 	var err error
-	if !p.UseVirtualIdent {
-		if s.identIdx, err = tbl.Schema().Index(identCol); err != nil {
-			return nil, err
-		}
+	if s.identIdx, err = tbl.Schema().Index(identCol); err != nil {
+		return nil, err
 	}
 	if s.plans, err = buildDetectPlans(ctx, tbl, columns, p); err != nil {
 		return nil, err
-	}
-	if p.UseVirtualIdent {
-		if s.vkeys, err = buildVirtualKeys(tbl, columns); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -97,7 +85,7 @@ func (sel *Selection) ident(i int) []byte {
 // SelectContext scans the suspect once under (k1, η) and returns the
 // selected rows in ascending order.
 func (s *Suspect) SelectContext(ctx context.Context, k1 []byte, eta uint64, workers int) (*Selection, error) {
-	return selectTuples(ctx, s.tbl, s.identIdx, s.vkeys, k1, eta, workers)
+	return selectTuples(ctx, s.tbl, s.identIdx, k1, eta, workers)
 }
 
 // SelectForEmbedContext scans tbl once under (k1, η) and returns the
@@ -112,15 +100,15 @@ func SelectForEmbedContext(ctx context.Context, tbl *relation.Table, identCol st
 	if err != nil {
 		return nil, err
 	}
-	return selectTuples(ctx, tbl, identIdx, nil, k1, eta, workers)
+	return selectTuples(ctx, tbl, identIdx, k1, eta, workers)
 }
 
 // selectTuples is the sharded Equation (5) scan behind every walk:
 // selected rows in ascending order, each tuple anchored on its
-// identifying cell, or on its virtual key when vkeys is set. Each shard
-// copies its selected identifiers into one arena sized for the
-// expected selection; the shards are concatenated in row order.
-func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, vkeys *virtualKeys, k1 []byte, eta uint64, workers int) (*Selection, error) {
+// identifying cell. Each shard copies its selected identifiers into one
+// arena sized for the expected selection; the shards are concatenated
+// in row order.
+func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, k1 []byte, eta uint64, workers int) (*Selection, error) {
 	if len(k1) == 0 {
 		return nil, fmt.Errorf("watermark: empty selection key")
 	}
@@ -139,11 +127,7 @@ func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, vkeys 
 			if err := pool.CtxAt(ctx, row-lo); err != nil {
 				return err
 			}
-			if vkeys != nil {
-				buf = vkeys.appendIdent(buf[:0], tbl, row)
-			} else {
-				buf = append(buf[:0], tbl.CellAt(row, identIdx)...)
-			}
+			buf = append(buf[:0], tbl.CellAt(row, identIdx)...)
 			if !prf1.Selects(buf, eta) {
 				continue
 			}
@@ -194,11 +178,8 @@ func (sel *Selection) Selected() int { return len(sel.rows) }
 // DetectAccum once per segment, and a traceback once per candidate per
 // segment, each board folded once at the end by FoldVotes.
 func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Params, board *bitstr.VoteBoard, stats *DetectStats) error {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
-	}
-	if p.UseVirtualIdent != (s.vkeys != nil) {
-		return fmt.Errorf("watermark: params use_virtual_ident=%v does not match the prepared suspect", p.UseVirtualIdent)
 	}
 	if p.BoundaryPermutation != s.boundaryPermutation || p.WeightedVoting != s.weightedVoting {
 		return fmt.Errorf(

@@ -79,15 +79,11 @@ type Params struct {
 	// is sequential, so the embedded table, the recovered mark and all
 	// statistics are identical for every worker count.
 	Workers int
-	// UseVirtualIdent anchors selection and addressing on a virtual
-	// primary key derived from the columns' maximal-cover values instead
-	// of the identifying column (§5.3 footnote 1) — for tables whose
-	// identifying columns cannot be relied on. identCol is then ignored
-	// and may be empty. See virtual.go for the granularity trade-off.
-	UseVirtualIdent bool
 }
 
-func (p Params) validate() error {
+// Validate checks the key, a non-empty mark and a duplication factor of
+// at least 1 — the parameters every embedding and detection requires.
+func (p Params) Validate() error {
 	if err := p.Key.Validate(); err != nil {
 		return err
 	}

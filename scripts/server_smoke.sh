@@ -2,7 +2,9 @@
 # End-to-end smoke test of cmd/medshield-server: build the binary, start
 # it, hit /v1/healthz, protect a synthetic table over /v1/protect, append
 # a delta batch over /v1/append under the returned plan, detect the mark
-# over /v1/detect on the published union (must match), fingerprint the
+# over /v1/detect on the published union (must match), arbitrate a
+# /v1/dispute over it (owner upheld; the union without a watermarked
+# column is refused with 400), fingerprint the
 # table for three recipients over /v1/fingerprint and trace one leaked
 # copy back to its recipient over /v1/traceback — once as JSON, once
 # streamed as a text/csv body with the verdict read from the
@@ -130,7 +132,32 @@ tmp = sys.argv[1]
 r = json.load(open(f"{tmp}/detect_resp.json"))
 assert r["match"] is True, f"mark not detected over HTTP: {r}"
 print("    detect match:", r["match"], "loss:", r["mark_loss"])
+d = json.load(open(f"{tmp}/detect.json"))
+json.dump({"table": d["table"], "provenance": d["provenance"], "owner_key": d["key"]},
+          open(f"{tmp}/dispute.json", "w"))
+drop = [c["name"] for c in d["table"]["columns"]].index("age")
+noage = {"columns": [c for i, c in enumerate(d["table"]["columns"]) if i != drop],
+         "rows": [[v for i, v in enumerate(row) if i != drop] for row in d["table"]["rows"]]}
+json.dump({"table": noage, "provenance": d["provenance"], "owner_key": d["key"]},
+          open(f"{tmp}/dispute_noage.json", "w"))
 EOF
+
+echo "==> POST /v1/dispute (owner over the appended union)"
+vcurl -X POST --data "@$TMP/dispute.json" "$BASE/v1/dispute" -o "$TMP/dispute_resp.json"
+python3 - "$TMP" <<'EOF'
+import json, sys
+tmp = sys.argv[1]
+r = json.load(open(f"{tmp}/dispute_resp.json"))
+owner = r["verdicts"][0]
+assert owner["claimant"] == "owner" and owner["valid"] is True, f"owner not upheld: {r}"
+print("    owner upheld, mark loss:", owner["mark_loss"])
+EOF
+
+echo "==> POST /v1/dispute (table without a watermarked column: 400 bad_schema)"
+CODE="$(curl -s "${AUTH_ARGS[@]}" -X POST --data "@$TMP/dispute_noage.json" \
+  -o "$TMP/dispute_noage_resp.json" -w '%{http_code}' "$BASE/v1/dispute")"
+[[ "$CODE" == 400 ]] || { echo "dispute without age got $CODE, want 400"; cat "$TMP/dispute_noage_resp.json"; exit 1; }
+grep -q '"bad_schema"' "$TMP/dispute_noage_resp.json" || { echo "400 body lacks bad_schema"; cat "$TMP/dispute_noage_resp.json"; exit 1; }
 
 python3 - "$TMP" <<'EOF'
 import csv, json, sys
