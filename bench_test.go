@@ -1,7 +1,7 @@
-// Benchmarks: one testing.B benchmark per experiment of the DESIGN.md
-// index (E1..E9 reproduce the paper's evaluation; E10..E12 measure its
-// in-text suggestions), plus per-operation benchmarks for the pipeline's
-// hot paths. Run with: go test -bench=. -benchmem .
+// Benchmarks: one testing.B sub-benchmark per experiment of
+// experiments.Runners (E1..E9 reproduce the paper's evaluation; E10..E12
+// measure its in-text suggestions), plus per-operation benchmarks for the
+// pipeline's hot paths. Run with: go test -bench=. -benchmem .
 package repro_test
 
 import (
@@ -45,75 +45,18 @@ func benchConfig() experiments.Config {
 	return experiments.Config{Rows: 4000, Seed: 1}
 }
 
-func BenchmarkFigure11_KvsInfoLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure11(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12a_SubsetAlteration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12a(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12b_SubsetAddition(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12b(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12c_SubsetDeletion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12c(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure13_WatermarkInfoLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure13(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure14_WatermarkVsBinning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure14(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSeamlessness_Lemmas(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Seamlessness(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGeneralizationAttack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GeneralizationAttack(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBinningDirection_Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DownUpAblation(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every experiment of experiments.Runners as
+// a sub-benchmark named after its -run name (e.g. -bench
+// 'Experiments/fig12a').
+func BenchmarkExperiments(b *testing.B) {
+	for _, r := range experiments.Runners {
+		b.Run(r.Name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := r.Run(benchConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -1161,28 +1104,4 @@ func benchParams(p *medshield.Protected, key medshield.Key) (watermark.Params, e
 		SaltPositionWithColumn: p.Provenance.SaltPositionWithColumn,
 		BoundaryPermutation:    p.Provenance.BoundaryPermutation,
 	}, nil
-}
-
-func BenchmarkWeightedVotingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WeightedVotingAblation(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSwappingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SwappingAblation(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReIdentification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ReIdentification(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,5 +1,5 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation section (see DESIGN.md §3 for the experiment index).
+// evaluation section, one table per entry of experiments.Runners.
 //
 // Usage:
 //
@@ -19,24 +19,6 @@ import (
 	"repro/internal/experiments"
 )
 
-var runners = []struct {
-	name string
-	run  func(experiments.Config) (*experiments.Table, error)
-}{
-	{"fig11", experiments.Figure11},
-	{"fig12a", experiments.Figure12a},
-	{"fig12b", experiments.Figure12b},
-	{"fig12c", experiments.Figure12c},
-	{"fig13", experiments.Figure13},
-	{"fig14", experiments.Figure14},
-	{"seamless", experiments.Seamlessness},
-	{"genattack", experiments.GeneralizationAttack},
-	{"ablation", experiments.DownUpAblation},
-	{"weighted", experiments.WeightedVotingAblation},
-	{"swapping", experiments.SwappingAblation},
-	{"reident", experiments.ReIdentification},
-}
-
 func main() {
 	rows := flag.Int("rows", 20000, "synthetic data set size (the paper uses ~20000)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
@@ -51,21 +33,21 @@ func main() {
 	cfg := experiments.Config{Rows: *rows, Seed: *seed, Workers: *workers}
 
 	ran := 0
-	for _, r := range runners {
-		if !selected["all"] && !selected[r.name] {
+	for _, r := range experiments.Runners {
+		if !selected["all"] && !selected[r.Name] {
 			continue
 		}
 		start := time.Now()
-		tbl, err := r.run(cfg)
+		tbl, err := r.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.Name, err)
 			os.Exit(1)
 		}
 		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: rendering %s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: rendering %s: %v\n", r.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", r.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", r.Name, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {
@@ -75,9 +57,9 @@ func main() {
 }
 
 func names() string {
-	out := make([]string, len(runners))
-	for i, r := range runners {
-		out[i] = r.name
+	out := make([]string, len(experiments.Runners))
+	for i, r := range experiments.Runners {
+		out[i] = r.Name
 	}
 	return strings.Join(out, ",")
 }

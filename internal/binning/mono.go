@@ -13,7 +13,8 @@ import (
 )
 
 // MonoStats reports work done by a mono-attribute binning run; the
-// downward-vs-upward ablation (DESIGN.md E9) compares NodesVisited.
+// downward-vs-upward ablation (experiment E9, internal/experiments)
+// compares NodesVisited.
 type MonoStats struct {
 	// NodesVisited counts tree nodes examined during the search.
 	NodesVisited int

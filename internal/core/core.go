@@ -12,6 +12,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/binning"
 	"repro/internal/bitstr"
@@ -63,10 +65,11 @@ type Config struct {
 	WeightedVoting      bool
 	BoundaryPermutation bool
 	// NoColumnSalt disables the default column salt in the wmd-position
-	// hash (DESIGN.md deviation 5), restoring the paper's literal
-	// single-column addressing. It is the single source of truth for the
-	// salt policy: New derives the effective SaltPositionWithColumn as
-	// !NoColumnSalt, and rejects configurations that set both fields.
+	// hash, which gives each column of a tuple its own mark position,
+	// restoring the paper's literal single-column addressing. It is the
+	// single source of truth for the salt policy: New derives the
+	// effective SaltPositionWithColumn as !NoColumnSalt, and rejects
+	// configurations that set both fields.
 	NoColumnSalt bool
 	// SaltPositionWithColumn is derived by New (= !NoColumnSalt) and is
 	// only exported so the effective configuration and the provenance
@@ -323,8 +326,8 @@ func (f *Framework) Dispute(disputed *relation.Table, prov Provenance, ownerKey 
 // readVotes pass over the disputed table — the claims share the
 // provenance's signature, so the suspect is prepared once and each
 // (K1, η) selects once — and aborts promptly on cancellation. A table
-// that lacks the identifying column is refused with ErrBadSchema, and so
-// is one that lacks a watermarked column once any claim reaches step (4).
+// that lacks the identifying column or a watermarked column is refused
+// with ErrBadSchema before any claim is judged, whatever the keys.
 func (f *Framework) DisputeContext(ctx context.Context, disputed *relation.Table, prov Provenance, ownerKey crypt.WatermarkKey, rivals []ownership.Claim) ([]ownership.Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -332,8 +335,10 @@ func (f *Framework) DisputeContext(ctx context.Context, disputed *relation.Table
 	if err := prov.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := disputed.Schema().Index(prov.IdentCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
+	for _, col := range append([]string{prov.IdentCol}, slices.Sorted(maps.Keys(prov.Columns))...) {
+		if _, err := disputed.Schema().Index(col); err != nil {
+			return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
+		}
 	}
 	columns, err := f.SpecsFromProvenance(prov)
 	if err != nil {

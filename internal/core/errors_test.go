@@ -108,12 +108,14 @@ func TestSentinelErrors(t *testing.T) {
 
 		// A disputed table without the identifying column or a
 		// watermarked column is refused as detect refuses it, whatever
-		// the claims.
+		// the claims: also when no claim's key decrypts the identifiers,
+		// so none reaches detection.
 		fw = testFramework(t)
 		prot, err := fw.Protect(testData(t, 300), key)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wrong := crypt.NewWatermarkKeyFromSecret("not-the-owner", 25)
 		for _, drop := range []string{ontology.ColAge, prot.Provenance.IdentCol} {
 			var kept []relation.Column
 			for _, col := range prot.Table.Schema().Columns() {
@@ -125,8 +127,10 @@ func TestSentinelErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fw.Dispute(disputed, prot.Provenance, key, nil); !errors.Is(err, ErrBadSchema) {
-				t.Fatalf("dispute without %s: got %v, want ErrBadSchema", drop, err)
+			for name, k := range map[string]crypt.WatermarkKey{"owner key": key, "wrong key": wrong} {
+				if _, err := fw.Dispute(disputed, prot.Provenance, k, nil); !errors.Is(err, ErrBadSchema) {
+					t.Fatalf("dispute without %s, %s: got %v, want ErrBadSchema", drop, name, err)
+				}
 			}
 		}
 	})

@@ -2,11 +2,10 @@
 // experiments. The paper evaluates on a real-world table of about 20,000
 // tuples with schema R(ssn, age, zip code, doctor, symptom, prescription);
 // that data set is not published, so this package substitutes a
-// deterministic, seeded generator (see DESIGN.md §2): same schema, same
-// size, skewed marginals and clinically plausible correlations
-// (age ↔ symptom chapter ↔ prescription class), so the binning and
-// watermarking code paths see realistic multiplicity histograms over the
-// DHT leaves.
+// deterministic, seeded generator: same schema, same size, skewed
+// marginals and clinically plausible correlations (age ↔ symptom chapter
+// ↔ prescription class), so the binning and watermarking code paths see
+// realistic multiplicity histograms over the DHT leaves.
 package datagen
 
 import (

@@ -76,23 +76,3 @@ func DownUpAblation(cfg Config) (*Table, error) {
 	}
 	return out, nil
 }
-
-// All runs every experiment in DESIGN.md order: E1..E9 reproduce the
-// paper's evaluation; E10..E12 measure its in-text suggestions
-// (weighted voting, restrained swapping, the §1 linking-attack premise).
-func All(cfg Config) ([]*Table, error) {
-	runners := []func(Config) (*Table, error){
-		Figure11, Figure12a, Figure12b, Figure12c, Figure13, Figure14,
-		Seamlessness, GeneralizationAttack, DownUpAblation,
-		WeightedVotingAblation, SwappingAblation, ReIdentification,
-	}
-	out := make([]*Table, 0, len(runners))
-	for _, run := range runners {
-		t, err := run(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7), plus the experimentally checkable in-text
 // claims. Each runner returns a printable Table whose rows mirror what
-// the paper reports; cmd/experiments renders them and bench_test.go wraps
-// each in a testing.B benchmark. See DESIGN.md §3 for the experiment
-// index (E1..E9) and EXPERIMENTS.md for paper-vs-measured results.
+// the paper reports; Runners lists them in order, cmd/experiments renders
+// them and the root bench_test.go runs each as a testing.B sub-benchmark.
+// The README's "Reproducing the paper's figures" section shows how to run
+// them.
 package experiments
 
 import (
@@ -22,6 +23,46 @@ import (
 	"repro/internal/relation"
 	"repro/internal/watermark"
 )
+
+// Runner is one experiment: the name cmd/experiments' -run flag selects
+// it by, and the function that computes its table.
+type Runner struct {
+	Name string
+	Run  func(Config) (*Table, error)
+}
+
+// Runners lists every experiment in run order: E1..E9 reproduce the
+// paper's evaluation (Figures 11-14, the §6 seamlessness lemmas, the §5.2
+// generalization attack, the §4.2.1 binning-direction claim); E10..E12
+// measure its in-text suggestions (weighted voting, restrained swapping,
+// the §1 linking-attack premise).
+var Runners = []Runner{
+	{"fig11", Figure11},
+	{"fig12a", Figure12a},
+	{"fig12b", Figure12b},
+	{"fig12c", Figure12c},
+	{"fig13", Figure13},
+	{"fig14", Figure14},
+	{"seamless", Seamlessness},
+	{"genattack", GeneralizationAttack},
+	{"ablation", DownUpAblation},
+	{"weighted", WeightedVotingAblation},
+	{"swapping", SwappingAblation},
+	{"reident", ReIdentification},
+}
+
+// All runs every experiment of Runners in order.
+func All(cfg Config) ([]*Table, error) {
+	out := make([]*Table, 0, len(Runners))
+	for _, r := range Runners {
+		t, err := r.Run(cfg)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
 
 // Config parameterizes an experiment run. Zero values default to the
 // paper's setting: 20,000 tuples, a 20-bit mark.
@@ -293,6 +334,35 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		identCol: identCol,
 		mark:     mark,
 	}, nil
+}
+
+// zipAtDepth is the fixed-frontier fixture of the zip experiments (E8,
+// E10): the binned table with its zip column re-generalized from the
+// original to the frontier at the given depth, and that column's spec
+// under region usage metrics (depth 1). The other columns keep their
+// binned values and carry no mark.
+func (s *wmSetup) zipAtDepth(depth int) (*relation.Table, map[string]watermark.ColumnSpec, error) {
+	tree := s.trees[ontology.ColZip]
+	ulti, err := FrontierAtDepth(tree, depth)
+	if err != nil {
+		return nil, nil, err
+	}
+	maxg, err := FrontierAtDepth(tree, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	base := s.binned.Clone()
+	ci, _ := base.Schema().Index(ontology.ColZip)
+	for i := 0; i < base.NumRows(); i++ {
+		orig, _ := s.original.Cell(i, ontology.ColZip)
+		v, err := ulti.GeneralizeValue(orig)
+		if err != nil {
+			return nil, nil, err
+		}
+		base.SetCellAt(i, ci, v)
+	}
+	spec := watermark.ColumnSpec{Tree: tree, MaxGen: maxg, UltiGen: ulti}
+	return base, map[string]watermark.ColumnSpec{ontology.ColZip: spec}, nil
 }
 
 // frontierValues lists the legal (frontier) values of a column — the

@@ -408,3 +408,66 @@ func TestReIdentificationGolden(t *testing.T) {
 		{"binned k=50", "0", "0.0", "50", "1303"},
 	})
 }
+
+// TestSeamlessnessGolden pins the E7 drift rows on the small fixture:
+// bins, flow totals, mean drift, mean bin size and drift/size per column.
+func TestSeamlessnessGolden(t *testing.T) {
+	tbl, err := Seamlessness(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"age", "20", "598", "598", "3.61", "200", "1.8"},
+		{"zip_code", "24", "613", "613", "2.81", "167", "1.7"},
+		{"doctor", "24", "681", "681", "3.54", "167", "2.1"},
+		{"symptom", "52", "516", "516", "1.12", "77", "1.5"},
+		{"prescription", "56", "718", "718", "1.57", "71", "2.2"},
+	})
+}
+
+// TestGeneralizationAttackGolden pins the E8 sweep on the small fixture:
+// single-level and hierarchical loss at every attack depth.
+func TestGeneralizationAttackGolden(t *testing.T) {
+	tbl, err := GeneralizationAttack(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"0", "0.0", "0.0"},
+		{"1", "40.0", "0.0"},
+		{"2", "40.0", "40.0"},
+	})
+}
+
+// TestWeightedVotingAblationGolden pins the E10 sweep on the small
+// fixture: unweighted and weighted loss at every attacked fraction.
+func TestWeightedVotingAblationGolden(t *testing.T) {
+	tbl, err := WeightedVotingAblation(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"0.0", "0.0", "0.0"},
+		{"25.0", "0.0", "0.0"},
+		{"50.0", "0.0", "0.0"},
+		{"75.0", "0.0", "0.0"},
+		{"100.0", "10.0", "0.0"},
+	})
+}
+
+// TestSwappingAblationGolden pins the E11 rows on the small fixture: the
+// drift/size per column without and with restrained swapping, and the
+// tuples swapped.
+func TestSwappingAblationGolden(t *testing.T) {
+	tbl, err := SwappingAblation(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"age", "1.7", "1.7", "3372"},
+		{"zip_code", "1.6", "1.6", "3372"},
+		{"doctor", "2.2", "1.1", "3372"},
+		{"symptom", "1.5", "1.4", "3372"},
+		{"prescription", "2.3", "2.2", "3372"},
+	})
+}

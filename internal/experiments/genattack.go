@@ -25,31 +25,13 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 	}
 	const eta = 25
 
-	// Single-level needs a uniform-depth frontier: rebuild zip's spec at
-	// the ZIP3 level (depth 3), with regions (depth 1) as the metrics.
-	zipTree := setup.trees[ontology.ColZip]
-	ulti, err := FrontierAtDepth(zipTree, 3)
+	// Single-level needs a uniform-depth frontier: re-bin zip to the ZIP3
+	// level (depth 3), with regions (depth 1) as the metrics.
+	base, cols, err := setup.zipAtDepth(3)
 	if err != nil {
 		return nil, err
 	}
-	maxg, err := FrontierAtDepth(zipTree, 1)
-	if err != nil {
-		return nil, err
-	}
-	spec := watermark.ColumnSpec{Tree: zipTree, MaxGen: maxg, UltiGen: ulti}
-	cols := map[string]watermark.ColumnSpec{ontology.ColZip: spec}
-
-	// Re-bin the zip column of the binned table to the ZIP3 frontier.
-	base := setup.binned.Clone()
-	ci, _ := base.Schema().Index(ontology.ColZip)
-	for i := 0; i < base.NumRows(); i++ {
-		orig, _ := setup.original.Cell(i, ontology.ColZip)
-		v, err := ulti.GeneralizeValue(orig)
-		if err != nil {
-			return nil, err
-		}
-		base.SetCellAt(i, ci, v)
-	}
+	zip := cols[ontology.ColZip]
 
 	params := setup.params(eta)
 	hier := base.Clone()
@@ -77,10 +59,10 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 		hAtt := hier.Clone()
 		sAtt := single.Clone()
 		if levels > 0 {
-			if _, err := attack.Generalize(hAtt, ontology.ColZip, zipTree, maxg, levels); err != nil {
+			if _, err := attack.Generalize(hAtt, ontology.ColZip, zip.Tree, zip.MaxGen, levels); err != nil {
 				return nil, err
 			}
-			if _, err := attack.Generalize(sAtt, ontology.ColZip, zipTree, maxg, levels); err != nil {
+			if _, err := attack.Generalize(sAtt, ontology.ColZip, zip.Tree, zip.MaxGen, levels); err != nil {
 				return nil, err
 			}
 		}

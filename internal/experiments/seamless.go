@@ -24,7 +24,51 @@ func Seamlessness(cfg Config) (*Table, error) {
 	}
 	const eta = 50
 	const trials = 10
+	drifts, err := binDrift(setup, eta, trials)
+	if err != nil {
+		return nil, err
+	}
 
+	out := &Table{
+		ID:    "E7 / §6 Lemmas 1-2",
+		Title: "seamlessness: per-bin outflow (Pr−) vs inflow (Pr+) under repeated embeddings",
+		Header: []string{
+			"column", "bins", "total out", "total in",
+			"net drift/bin/run", "mean bin size", "drift/size %",
+		},
+		Notes: []string{
+			fmt.Sprintf("%d independent keys, η=%d; Lemmas 1-2 predict out ≈ in, so per-run net drift should be a tiny fraction of bin size", trials, eta),
+		},
+	}
+	for _, d := range drifts {
+		out.Rows = append(out.Rows, []string{
+			d.col,
+			fmt.Sprintf("%d", d.bins),
+			fmt.Sprintf("%d", d.out),
+			fmt.Sprintf("%d", d.in),
+			fmt.Sprintf("%.2f", d.drift),
+			fmt.Sprintf("%.0f", d.size),
+			pct(d.rel),
+		})
+	}
+	return out, nil
+}
+
+// colDrift is one quasi column's bin drift over repeated embeddings.
+type colDrift struct {
+	col     string
+	bins    int     // bins of the column seen before or after embedding
+	out, in int     // tuples that left and entered bins, over all trials
+	drift   float64 // mean per-run |out−in| of a bin
+	size    float64 // mean bin size before embedding
+	rel     float64 // drift / size
+}
+
+// binDrift embeds the setup's mark under trials independent keys at η
+// and measures, per quasi column in schema order, how far watermarking
+// moves tuples between that column's bins (the E7 metric, which E11 also
+// reports with and without restrained swapping).
+func binDrift(setup *wmSetup, eta uint64, trials int) ([]colDrift, error) {
 	quasi := setup.binned.Schema().QuasiColumns()
 	type agg struct {
 		out, in int
@@ -60,17 +104,7 @@ func Seamlessness(cfg Config) (*Table, error) {
 		}
 	}
 
-	out := &Table{
-		ID:    "E7 / §6 Lemmas 1-2",
-		Title: "seamlessness: per-bin outflow (Pr−) vs inflow (Pr+) under repeated embeddings",
-		Header: []string{
-			"column", "bins", "total out", "total in",
-			"net drift/bin/run", "mean bin size", "drift/size %",
-		},
-		Notes: []string{
-			fmt.Sprintf("%d independent keys, η=%d; Lemmas 1-2 predict out ≈ in, so per-run net drift should be a tiny fraction of bin size", trials, eta),
-		},
-	}
+	drifts := make([]colDrift, 0, len(quasi))
 	for _, col := range quasi {
 		bins := perCol[col]
 		// Sum in sorted bin order: float accumulation is order-sensitive
@@ -80,34 +114,23 @@ func Seamlessness(cfg Config) (*Table, error) {
 			keys = append(keys, key)
 		}
 		sort.Strings(keys)
-		totalOut, totalIn := 0, 0
+		d := colDrift{col: col, bins: len(keys)}
 		sumDiff, sumSize := 0.0, 0.0
-		n := 0
 		for _, key := range keys {
 			a := bins[key]
-			totalOut += a.out
-			totalIn += a.in
-			sumDiff += math.Abs(float64(a.out-a.in)) / trials
+			d.out += a.out
+			d.in += a.in
+			sumDiff += math.Abs(float64(a.out-a.in)) / float64(trials)
 			sumSize += float64(a.size)
-			n++
 		}
-		meanDrift, meanSize, rel := 0.0, 0.0, 0.0
-		if n > 0 {
-			meanDrift = sumDiff / float64(n)
-			meanSize = sumSize / float64(n)
-			if meanSize > 0 {
-				rel = meanDrift / meanSize
+		if d.bins > 0 {
+			d.drift = sumDiff / float64(d.bins)
+			d.size = sumSize / float64(d.bins)
+			if d.size > 0 {
+				d.rel = d.drift / d.size
 			}
 		}
-		out.Rows = append(out.Rows, []string{
-			col,
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", totalOut),
-			fmt.Sprintf("%d", totalIn),
-			fmt.Sprintf("%.2f", meanDrift),
-			fmt.Sprintf("%.0f", meanSize),
-			pct(rel),
-		})
+		drifts = append(drifts, d)
 	}
-	return out, nil
+	return drifts, nil
 }

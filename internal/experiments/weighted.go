@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/attack"
 	"repro/internal/binning"
@@ -30,28 +29,12 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 	// Use the zip column at the ZIP5 frontier: three levels below the
 	// region metrics, so re-specialization leaves two noisy levels below
 	// one clean level — the regime where weighting matters.
-	zipTree := setup.trees[ontology.ColZip]
-	ulti, err := FrontierAtDepth(zipTree, 4)
+	base, cols, err := setup.zipAtDepth(4)
 	if err != nil {
 		return nil, err
 	}
-	maxg, err := FrontierAtDepth(zipTree, 1)
-	if err != nil {
-		return nil, err
-	}
-	spec := watermark.ColumnSpec{Tree: zipTree, MaxGen: maxg, UltiGen: ulti}
-	cols := map[string]watermark.ColumnSpec{ontology.ColZip: spec}
-
-	base := setup.binned.Clone()
+	zip := cols[ontology.ColZip]
 	ci, _ := base.Schema().Index(ontology.ColZip)
-	for i := 0; i < base.NumRows(); i++ {
-		orig, _ := setup.original.Cell(i, ontology.ColZip)
-		v, err := ulti.GeneralizeValue(orig)
-		if err != nil {
-			return nil, err
-		}
-		base.SetCellAt(i, ci, v)
-	}
 
 	embedParams := setup.params(eta)
 	marked := base.Clone()
@@ -78,7 +61,7 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 			// by attacking everything on a fraction of rows.
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(frac*100)))
 			full := marked.Clone()
-			if _, err := attack.Respecialize(full, ontology.ColZip, zipTree, maxg, ulti, 2, rng); err != nil {
+			if _, err := attack.Respecialize(full, ontology.ColZip, zip.Tree, zip.MaxGen, zip.UltiGen, 2, rng); err != nil {
 				return nil, err
 			}
 			n := attacked.NumRows()
@@ -134,11 +117,10 @@ func SwappingAblation(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		quasi := setup.binned.Schema().QuasiColumns()
 		swapped := 0
 		if swap {
 			rng := rand.New(rand.NewSource(cfg.Seed))
-			for _, col := range quasi {
+			for _, col := range setup.binned.Schema().QuasiColumns() {
 				n, err := binning.RestrainedSwap(setup.binned, col, setup.columns[col].UltiGen, 0, rng)
 				if err != nil {
 					return nil, err
@@ -146,96 +128,18 @@ func SwappingAblation(cfg Config) (*Table, error) {
 				swapped += n
 			}
 		}
-		for ci, col := range quasi {
-			rel, err := driftRate(setup, col, eta, trials)
-			if err != nil {
-				return nil, err
-			}
+		drifts, err := binDrift(setup, eta, trials)
+		if err != nil {
+			return nil, err
+		}
+		for i, d := range drifts {
 			if !swap {
-				out.Rows = append(out.Rows, []string{col, pct(rel), "", ""})
+				out.Rows = append(out.Rows, []string{d.col, pct(d.rel), "", ""})
 			} else {
-				out.Rows[ci][2] = pct(rel)
-				out.Rows[ci][3] = fmt.Sprintf("%d", swapped)
+				out.Rows[i][2] = pct(d.rel)
+				out.Rows[i][3] = fmt.Sprintf("%d", swapped)
 			}
 		}
 	}
 	return out, nil
-}
-
-// driftRate measures the per-run relative bin drift of watermarking for
-// one column (the E7 metric).
-func driftRate(setup *wmSetup, col string, eta uint64, trials int) (float64, error) {
-	type agg struct{ out, in, size int }
-	bins := make(map[string]*agg)
-	for trial := 0; trial < trials; trial++ {
-		params := setup.params(eta)
-		params.Key.K1 = append([]byte{byte(trial)}, params.Key.K1...)
-		params.Key.K2 = append([]byte{byte(trial)}, params.Key.K2...)
-		marked := setup.binned.Clone()
-		if _, err := watermark.Embed(marked, setup.identCol, setup.columns, params); err != nil {
-			return 0, err
-		}
-		flows, err := flowFor(setup, marked, col)
-		if err != nil {
-			return 0, err
-		}
-		for key, f := range flows.out {
-			a := bins[key]
-			if a == nil {
-				a = &agg{size: flows.size[key]}
-				bins[key] = a
-			}
-			a.out += f
-			a.in += flows.in[key]
-		}
-	}
-	// Sorted bin order keeps the float accumulation reproducible.
-	keys := make([]string, 0, len(bins))
-	for key := range bins {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	sumDiff, sumSize := 0.0, 0.0
-	for _, key := range keys {
-		a := bins[key]
-		d := a.out - a.in
-		if d < 0 {
-			d = -d
-		}
-		sumDiff += float64(d) / float64(trials)
-		sumSize += float64(a.size)
-	}
-	if len(bins) == 0 || sumSize == 0 {
-		return 0, nil
-	}
-	return (sumDiff / float64(len(bins))) / (sumSize / float64(len(bins))), nil
-}
-
-type flowSet struct {
-	out, in, size map[string]int
-}
-
-func flowFor(setup *wmSetup, marked interface {
-	NumRows() int
-	CellAt(row, col int) string
-}, col string) (flowSet, error) {
-	fs := flowSet{out: map[string]int{}, in: map[string]int{}, size: map[string]int{}}
-	ci, err := setup.binned.Schema().Index(col)
-	if err != nil {
-		return fs, err
-	}
-	for i := 0; i < setup.binned.NumRows(); i++ {
-		before := setup.binned.CellAt(i, ci)
-		after := marked.CellAt(i, ci)
-		fs.size[before]++
-		if before != after {
-			fs.out[before]++
-			fs.in[after]++
-		}
-		// ensure keys exist for pure receivers
-		if _, ok := fs.out[after]; !ok {
-			fs.out[after] += 0
-		}
-	}
-	return fs, nil
 }

@@ -297,14 +297,18 @@ func TestHTTPDetectMissingColumn(t *testing.T) {
 func TestHTTPDisputeMissingColumn(t *testing.T) {
 	ts := testServer(t, Config{Defaults: core.Config{K: 15, AutoEpsilon: true}})
 	prov, wire := missingColumnRelease(t, "missing column secret")
-	status, raw := postJSON(t, ts.URL+"/v1/dispute", api.DisputeRequest{
-		Table:      wire,
-		Provenance: prov,
-		OwnerKey:   api.Key{Secret: "missing column secret", Eta: 25},
-	}, nil)
-	var envelope api.ErrorResponse
-	if err := json.Unmarshal(raw, &envelope); err != nil || status != http.StatusBadRequest || envelope.Error.Code != api.CodeBadSchema {
-		t.Fatalf("dispute without a watermarked column: %d\n%s", status, raw)
+	// A wrong secret decrypts no identifier, so no claim reaches
+	// detection; the table is refused all the same.
+	for _, secret := range []string{"missing column secret", "not the owner"} {
+		status, raw := postJSON(t, ts.URL+"/v1/dispute", api.DisputeRequest{
+			Table:      wire,
+			Provenance: prov,
+			OwnerKey:   api.Key{Secret: secret, Eta: 25},
+		}, nil)
+		var envelope api.ErrorResponse
+		if err := json.Unmarshal(raw, &envelope); err != nil || status != http.StatusBadRequest || envelope.Error.Code != api.CodeBadSchema {
+			t.Fatalf("dispute without a watermarked column, secret %q: %d\n%s", secret, status, raw)
+		}
 	}
 }
 

@@ -95,8 +95,8 @@ func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, bo
 // current value and permutes downward: at each level the target child is
 // chosen pseudorandomly with its index parity forced to the mark bit
 // (Permutate), until an ultimate generalization node is reached. Levels
-// with fewer than two children are traversed without carrying a bit
-// (DESIGN.md deviation 2).
+// with fewer than two children are traversed without carrying a bit: a
+// lone child leaves no parity to choose, a case the paper leaves open.
 //
 // The value-dependent half of the walk (resolution, frontier checks,
 // boundary sets) is planned once per distinct dictionary entry. The
@@ -238,7 +238,7 @@ func embedCode(plan *embedPlan, code uint32, prf2 *crypt.PRF, ident []byte, bit 
 	// level a child whose sorted index carries the mark bit in its parity.
 	// The pseudorandom part of the index is salted with the depth so the
 	// even/odd slot varies per level; detection only reads the parity, so
-	// this changes nothing observable (see DESIGN.md §2).
+	// this changes nothing observable.
 	cur := pre.maxNode
 	embedded := 0
 	for !plan.spec.UltiGen.Contains(cur) {

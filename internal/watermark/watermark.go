@@ -62,8 +62,8 @@ type Params struct {
 	WeightedVoting bool
 	// SaltPositionWithColumn includes the column name in the wmd-position
 	// hash so different columns of one tuple carry different mark
-	// positions (DESIGN.md deviation 5). Disable for the paper's literal
-	// single-column behaviour.
+	// positions; the paper addresses every column of a tuple at one
+	// position. Disable for the paper's literal single-column behaviour.
 	SaltPositionWithColumn bool
 	// BoundaryPermutation enables the §5.1 relaxation for tuples whose
 	// ultimate generalization node is also a maximal generalization node:
@@ -172,7 +172,7 @@ func MarkLoss(original bitstr.Bits, detected DetectResult) (float64, error) {
 }
 
 // setMuBit is the paper's SetµBit(v, b) adjusted for the out-of-range
-// corner (DESIGN.md deviation 1): force the least significant bit of v to
+// corner the paper leaves open: force the least significant bit of v to
 // b; if that leaves the index outside [0, size), step one pair back.
 // size must be >= 2.
 func setMuBit(v int, bit bool, size int) int {

@@ -73,7 +73,8 @@ func WithWeightedVoting() Option { return func(c *Config) { c.WeightedVoting = t
 func WithBoundaryPermutation() Option { return func(c *Config) { c.BoundaryPermutation = true } }
 
 // WithNoColumnSalt restores the paper's literal single-column position
-// addressing (DESIGN.md deviation 5).
+// addressing: every watermarked column of a tuple shares one mark
+// position instead of each column salting its own.
 func WithNoColumnSalt() Option { return func(c *Config) { c.NoColumnSalt = true } }
 
 // WithWorkers bounds the goroutines the pipeline fans out to
