@@ -109,7 +109,7 @@ func BenchmarkMultiBinGreedy(b *testing.B) { benchmarkMultiBinGreedyWorkers(b, 1
 
 func BenchmarkProtect20k(b *testing.B) {
 	tbl := benchTable(b, 20000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func appendBenchFixture(b *testing.B) (*medshield.Framework, medshield.Plan, *re
 	if err != nil {
 		b.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func BenchmarkReprotect22k(b *testing.B) {
 // in-memory transform both scale with the table.
 func BenchmarkProtect200k(b *testing.B) {
 	tbl := benchTable(b, 200000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func streamBenchFixture(tb testing.TB, rows int) (*medshield.Framework, *relatio
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func planStreamFixture(tb testing.TB, rows int) (*medshield.Framework, *relation
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -339,14 +339,13 @@ func BenchmarkPlanStream1M(b *testing.B) {
 }
 
 // benchmarkPlan plans a rows-row table (seed 1) under K=20 AutoEpsilon,
-// the service's defaults, with opts on top: the plan behind one small
-// request. At these sizes deciding between the exhaustive and the
-// greedy search — counting the allowable generalizations — is a large
-// share of the search.
-func benchmarkPlan(b *testing.B, rows int, opts ...medshield.Option) {
+// the service's defaults, optionally under the aggressive minimality
+// rule: the plan behind one small request. At these sizes deciding
+// between the exhaustive and the greedy search — counting the allowable
+// generalizations — is a large share of the search.
+func benchmarkPlan(b *testing.B, rows int, aggressive bool) {
 	tbl := benchTable(b, rows)
-	fw, err := medshield.New(medshield.BuiltinTrees(),
-		append([]medshield.Option{medshield.WithK(20), medshield.WithAutoEpsilon()}, opts...)...)
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true, Aggressive: aggressive})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,10 +362,10 @@ func benchmarkPlan(b *testing.B, rows int, opts ...medshield.Option) {
 
 // BenchmarkPlan2kAggressive is the plan of a 2,000-row protect job
 // under the aggressive minimality rule.
-func BenchmarkPlan2kAggressive(b *testing.B) { benchmarkPlan(b, 2000, medshield.WithAggressive()) }
+func BenchmarkPlan2kAggressive(b *testing.B) { benchmarkPlan(b, 2000, true) }
 
 // BenchmarkPlan5k is the plan of a 5,000-row fingerprint request.
-func BenchmarkPlan5k(b *testing.B) { benchmarkPlan(b, 5000) }
+func BenchmarkPlan5k(b *testing.B) { benchmarkPlan(b, 5000, false) }
 
 // BenchmarkPlanApplyStream10M is the end-to-end ten-million-row number:
 // stream-plan the table, then execute the resulting plan through
@@ -454,7 +453,7 @@ func TestPlanStreamBoundedMemory(t *testing.T) {
 
 func benchmarkProtectWorkers(b *testing.B, workers int) {
 	tbl := benchTable(b, 20000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon(), medshield.WithWorkers(workers))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +483,7 @@ func TestProtect20kWorkersIdentical(t *testing.T) {
 	key := medshield.NewKey("bench", 75)
 	var baseline string
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon(), medshield.WithWorkers(workers))
+		fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +530,7 @@ func BenchmarkEmbed20kWorkersMax(b *testing.B) { benchmarkEmbedWorkers(b, runtim
 
 func benchmarkDetectWorkers(b *testing.B, workers int) {
 	tbl := benchTable(b, 20000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon(), medshield.WithWorkers(workers))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -743,7 +742,7 @@ func BenchmarkMultiBinGreedyWorkersMax(b *testing.B) {
 func protectedFixture(b *testing.B) (*medshield.Framework, *medshield.Protected, medshield.Key) {
 	b.Helper()
 	tbl := benchTable(b, 20000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -778,7 +777,7 @@ func tracebackFixture(tb testing.TB, n int) (*medshield.Framework, *relation.Tab
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -861,7 +860,7 @@ func fingerprintBenchRecipients(n int) []core.Recipient {
 // counts the sharing behind that ratio.
 func BenchmarkFingerprint16(b *testing.B) {
 	tbl := benchTable(b, 20000)
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func cmdProtect(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(), medshield.Config{K: *k, AutoEpsilon: *autoEps, Workers: *workers})
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: *k, AutoEpsilon: *autoEps, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -247,7 +247,7 @@ func cmdPlan(args []string) error {
 		return fmt.Errorf("plan: -secret is required")
 	}
 
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(),
+	fw, err := medshield.New(medshield.BuiltinTrees(),
 		medshield.Config{K: *k, AutoEpsilon: *autoEps, Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
@@ -363,7 +363,7 @@ func cmdApply(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(),
+	fw, err := medshield.New(medshield.BuiltinTrees(),
 		medshield.Config{K: plan.K, Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
@@ -431,7 +431,7 @@ func cmdAppend(args []string) error {
 				*base, rows, *planPath, plan.Rows)
 		}
 	}
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(),
+	fw, err := medshield.New(medshield.BuiltinTrees(),
 		medshield.Config{K: plan.K, Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
@@ -485,8 +485,7 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(),
-		medshield.WithK(prov.K), medshield.WithWorkers(*workers), medshield.WithChunk(*chunk))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: prov.K, Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
 	}
@@ -528,7 +527,7 @@ func cmdAttack(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(max(prov.K, 1)))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: max(prov.K, 1)})
 	if err != nil {
 		return err
 	}
@@ -602,7 +601,7 @@ func cmdDispute(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(max(prov.K, 1)), medshield.WithWorkers(*workers))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: max(prov.K, 1), Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -649,7 +648,7 @@ func cmdFingerprint(args []string) error {
 	if err != nil {
 		return err
 	}
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(),
+	fw, err := medshield.New(medshield.BuiltinTrees(),
 		medshield.Config{K: *k, AutoEpsilon: *autoEps, Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
@@ -755,8 +754,7 @@ func cmdTraceback(args []string) error {
 	for _, id := range skipped {
 		fmt.Fprintf(os.Stderr, "warning: skipping recipient %q — the secret does not match its registered key (foreign or stale record)\n", id)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(),
-		medshield.WithK(max(records[0].Plan.K, 1)), medshield.WithWorkers(*workers), medshield.WithChunk(*chunk))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: max(records[0].Plan.K, 1), Workers: *workers, Chunk: *chunk})
 	if err != nil {
 		return err
 	}

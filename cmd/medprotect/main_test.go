@@ -276,7 +276,7 @@ func TestCLIApplyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := medshield.NewFromConfig(medshield.BuiltinTrees(), medshield.Config{K: plan.K})
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: plan.K})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestCLIFingerprintTraceback(t *testing.T) {
 	if len(skipped) != 0 {
 		t.Fatalf("unexpected skipped records: %v", skipped)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(15))
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func main() {
 	fw, err := medshield.New(map[string]*medshield.Tree{
 		"species": speciesTree,
 		"weight":  weightTree,
-	}, medshield.WithK(15), medshield.WithAutoEpsilon())
+	}, medshield.Config{K: 15, AutoEpsilon: true})
 	if err != nil {
 		log.Fatal(err)
 	}

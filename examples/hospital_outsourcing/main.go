@@ -11,8 +11,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/crypt"
 	"repro/internal/infoloss"
@@ -43,11 +45,7 @@ func main() {
 		},
 		Avg: 1,
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(),
-		medshield.WithK(25),
-		medshield.WithAutoEpsilon(),
-		medshield.WithMetrics(metrics),
-	)
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 25, AutoEpsilon: true, Metrics: metrics})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +57,9 @@ func main() {
 	}
 	fmt.Printf("hospital: protected at k=%d (ε=%d)\n",
 		protected.Provenance.K, protected.Provenance.Epsilon)
-	for col, loss := range protected.Plan.ColumnLoss {
+	for _, col := range slices.Sorted(maps.Keys(protected.Plan.ColumnLoss)) {
 		fmt.Printf("  %-13s info loss %5.1f%%  (bound %.0f%%)\n",
-			col, loss*100, metrics.Bound(col)*100)
+			col, protected.Plan.ColumnLoss[col]*100, metrics.Bound(col)*100)
 	}
 
 	// Ship the CSV to the institute; keep the provenance + secret.

@@ -53,11 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(),
-		medshield.WithK(20),
-		medshield.WithAutoEpsilon(),
-		medshield.WithChunk(*chunk),
-	)
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true, Chunk: *chunk})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,10 +22,7 @@ func main() {
 
 	// The framework: k-anonymity at k=20 with the §6 slack applied
 	// automatically, over the builtin medical ontologies.
-	fw, err := medshield.New(medshield.BuiltinTrees(),
-		medshield.WithK(20),
-		medshield.WithAutoEpsilon(),
-	)
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		log.Fatal(err)
 	}

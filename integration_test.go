@@ -43,7 +43,7 @@ func TestFullWorkflowThroughFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPipelineGoldenOutput(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(in.String()))); got != wantInputSHA {
 		t.Fatalf("input fixture hash = %s, want %s", got, wantInputSHA)
 	}
-	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.WithK(20), medshield.WithAutoEpsilon())
+	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{K: 20, AutoEpsilon: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,8 @@ type ApplyResponse struct {
 
 // DecodeSchemaHeader parses SchemaHeader into a validated schema. The
 // header is one JSON column array; unknown column fields and trailing
-// data are refused.
+// data are refused. The columns convert through SchemaOf, as a JSON
+// table's do.
 func DecodeSchemaHeader(h string) (*relation.Schema, error) {
 	if strings.TrimSpace(h) == "" {
 		return nil, fmt.Errorf("api: streaming request needs the %s header (JSON column array)", SchemaHeader)
@@ -169,15 +170,11 @@ func DecodeSchemaHeader(h string) (*relation.Schema, error) {
 	if err := jsondoc.Decode(strings.NewReader(h), &cols, true); err != nil {
 		return nil, fmt.Errorf("api: %s: %w", SchemaHeader, err)
 	}
-	out := make([]relation.Column, len(cols))
-	for i, c := range cols {
-		kind, err := ParseKind(c.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("api: %s: column %q: %w", SchemaHeader, c.Name, err)
-		}
-		out[i] = relation.Column{Name: c.Name, Kind: kind}
+	schema, err := SchemaOf(cols)
+	if err != nil {
+		return nil, fmt.Errorf("api: %s: %w", SchemaHeader, err)
 	}
-	return relation.NewSchema(out)
+	return schema, nil
 }
 
 // DecodePlanHeader parses and validates PlanHeader via core.ParsePlan.

@@ -6,7 +6,6 @@
 package bitstr
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"strings"
@@ -25,17 +24,6 @@ func New(n int) Bits {
 		panic("bitstr: negative length")
 	}
 	return Bits{n: n, bits: make([]byte, (n+7)/8)}
-}
-
-// FromBools builds a bit string from a slice of booleans.
-func FromBools(vals []bool) Bits {
-	b := New(len(vals))
-	for i, v := range vals {
-		if v {
-			b.setInPlace(i, true)
-		}
-	}
-	return b
 }
 
 // FromString parses a string of '0' and '1' runes, e.g. "10110".
@@ -75,15 +63,6 @@ func FromBytes(raw []byte, n int) (Bits, error) {
 		}
 	}
 	return b, nil
-}
-
-// Random returns a uniformly random n-bit string using crypto/rand.
-func Random(n int) (Bits, error) {
-	raw := make([]byte, (n+7)/8)
-	if _, err := rand.Read(raw); err != nil {
-		return Bits{}, err
-	}
-	return FromBytes(raw, n)
 }
 
 // Len returns the number of bits.
@@ -192,33 +171,6 @@ func (b Bits) Duplicate(l int) Bits {
 		}
 	}
 	return d
-}
-
-// MajorityFold folds a replicated bit string of length l·markLen back into
-// markLen bits by per-position majority over the l replicas (the paper's
-// MajorVot over wmd). Ties resolve to 0. It errors if b.Len() is not a
-// multiple of markLen.
-func (b Bits) MajorityFold(markLen int) (Bits, error) {
-	if markLen <= 0 {
-		return Bits{}, errors.New("bitstr: markLen must be positive")
-	}
-	if b.n%markLen != 0 {
-		return Bits{}, fmt.Errorf("bitstr: length %d not a multiple of %d", b.n, markLen)
-	}
-	l := b.n / markLen
-	out := New(markLen)
-	for i := 0; i < markLen; i++ {
-		ones := 0
-		for c := 0; c < l; c++ {
-			if b.Get(c*markLen + i) {
-				ones++
-			}
-		}
-		if 2*ones > l {
-			out.setInPlace(i, true)
-		}
-	}
-	return out, nil
 }
 
 // VoteBoard accumulates weighted votes for each position of a bit string

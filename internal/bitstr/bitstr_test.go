@@ -46,13 +46,6 @@ func TestFromStringInvalid(t *testing.T) {
 	}
 }
 
-func TestFromBools(t *testing.T) {
-	b := FromBools([]bool{true, false, true, true})
-	if b.String() != "1011" {
-		t.Fatalf("got %s, want 1011", b.String())
-	}
-}
-
 func TestFromBytes(t *testing.T) {
 	b, err := FromBytes([]byte{0b10110101}, 8)
 	if err != nil {
@@ -118,6 +111,21 @@ func TestLossFraction(t *testing.T) {
 	}
 }
 
+// majorityFold is the paper's MajorVot over a replicated bit string as
+// detection runs it: one unit vote per position on a VoteBoard, folded
+// to markLen positions and resolved.
+func majorityFold(b Bits, markLen int) (Bits, error) {
+	vb := NewVoteBoard(b.Len())
+	for i := 0; i < b.Len(); i++ {
+		vb.Vote(i, b.Get(i), 1)
+	}
+	folded, err := vb.FoldInto(markLen)
+	if err != nil {
+		return Bits{}, err
+	}
+	return folded.Resolve(), nil
+}
+
 func TestDuplicateAndMajorityFold(t *testing.T) {
 	wm := MustFromString("1011")
 	wmd := wm.Duplicate(3)
@@ -127,35 +135,25 @@ func TestDuplicateAndMajorityFold(t *testing.T) {
 	if wmd.String() != "101110111011" {
 		t.Fatalf("Duplicate = %s", wmd.String())
 	}
-	back, err := wmd.MajorityFold(4)
+	back, err := majorityFold(wmd, 4)
 	if err != nil || !back.Equal(wm) {
-		t.Fatalf("MajorityFold = %s, %v; want %s", back.String(), err, wm.String())
+		t.Fatalf("majority fold = %s, %v; want %s", back.String(), err, wm.String())
 	}
 	// Corrupt one replica entirely; majority of 3 still recovers.
 	corrupt := wmd
 	for i := 0; i < 4; i++ {
 		corrupt = corrupt.Set(i, !corrupt.Get(i))
 	}
-	back, err = corrupt.MajorityFold(4)
+	back, err = majorityFold(corrupt, 4)
 	if err != nil || !back.Equal(wm) {
-		t.Fatalf("MajorityFold after corruption = %s, want %s", back.String(), wm.String())
-	}
-}
-
-func TestMajorityFoldErrors(t *testing.T) {
-	b := MustFromString("10110")
-	if _, err := b.MajorityFold(4); err == nil {
-		t.Error("expected non-multiple error")
-	}
-	if _, err := b.MajorityFold(0); err == nil {
-		t.Error("expected positive-markLen error")
+		t.Fatalf("majority fold after corruption = %s, want %s", back.String(), wm.String())
 	}
 }
 
 func TestMajorityFoldTieIsZero(t *testing.T) {
 	// two replicas disagreeing at every position -> all zeros
 	b := MustFromString("11110000")
-	out, err := b.MajorityFold(4)
+	out, err := majorityFold(b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +169,6 @@ func TestDuplicatePanicsOnBadFactor(t *testing.T) {
 		}
 	}()
 	MustFromString("1").Duplicate(0)
-}
-
-func TestRandomLength(t *testing.T) {
-	b, err := Random(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 21 {
-		t.Fatalf("Random len = %d, want 21", b.Len())
-	}
 }
 
 func TestVoteBoardResolve(t *testing.T) {
@@ -266,7 +254,7 @@ func TestQuickStringRoundtrip(t *testing.T) {
 	}
 }
 
-// Property: Duplicate then MajorityFold is the identity for any factor >= 1.
+// Property: Duplicate then the majority fold is the identity for any factor >= 1.
 func TestQuickDuplicateFoldIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(raw []byte, lRaw uint8) bool {
@@ -279,7 +267,7 @@ func TestQuickDuplicateFoldIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		folded, err := b.Duplicate(l).MajorityFold(n)
+		folded, err := majorityFold(b.Duplicate(l), n)
 		return err == nil && folded.Equal(b)
 	}
 	cfg := &quick.Config{Rand: rng, MaxCount: 200}

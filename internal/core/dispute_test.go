@@ -14,7 +14,7 @@ import (
 
 // perClaimDispute is the oracle of TestDisputeMatchesPerClaimDetect:
 // the dispute composed claim by claim, each claim judged on its own and
-// detected by watermark.DetectContext over the whole table under its
+// detected by a watermark.DetectAccum fed the whole table under its
 // parameters (the release's embedding policy, the claim's key, mark and
 // duplication).
 func perClaimDispute(t *testing.T, fw *Framework, disputed *relation.Table, prov Provenance, ownerKey crypt.WatermarkKey, rivals []ownership.Claim) []ownership.Verdict {
@@ -45,7 +45,14 @@ func perClaimDispute(t *testing.T, fw *Framework, disputed *relation.Table, prov
 		if c.Duplication != 0 {
 			p.Duplication = c.Duplication
 		}
-		det, err := watermark.DetectContext(ctx, disputed, prov.IdentCol, columns, p)
+		var det watermark.DetectResult
+		acc, err := watermark.NewDetectAccum(prov.IdentCol, columns, p)
+		if err == nil {
+			err = acc.AddContext(ctx, disputed)
+		}
+		if err == nil {
+			det, err = acc.Result()
+		}
 		judge.Conclude(&out[i], c.Mark, det.Mark, err)
 	}
 	return out

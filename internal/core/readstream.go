@@ -40,8 +40,8 @@ type DetectStreamed struct {
 // each segment is prepared, selected and walked into one persistent
 // replicated board, then dropped — peak memory is bounded by the
 // segment size, not the suspect size. The recovered mark, confidences,
-// statistics and match verdict are bit-identical to watermark.Detect
-// over the concatenation of the segments, for every segment size and
+// statistics and match verdict are bit-identical to a
+// watermark.DetectAccum fed the same segments, for every segment size and
 // worker count. A suspect that lacks the identifying column or a
 // watermarked column is refused with ErrBadSchema.
 func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provenance, key crypt.WatermarkKey) (*DetectStreamed, error) {

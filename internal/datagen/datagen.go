@@ -31,11 +31,6 @@ type Config struct {
 	ZipfS float64
 }
 
-// DefaultConfig mirrors the paper's evaluation data set size.
-func DefaultConfig() Config {
-	return Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2}
-}
-
 // Generator produces synthetic clinical tables.
 type Generator struct {
 	cfg   Config

@@ -151,8 +151,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Rows: 10, ZipfS: 1.0}); err == nil {
 		t.Error("ZipfS = 1 accepted")
 	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Errorf("DefaultConfig rejected: %v", err)
+	if _, err := New(Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2}); err != nil {
+		t.Errorf("the paper-sized config rejected: %v", err)
 	}
 }
 

@@ -117,26 +117,6 @@ func formatBound(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// ParseIntervalValue parses a string produced by IntervalValue.
-func ParseIntervalValue(s string) (lo, hi float64, err error) {
-	if len(s) < 5 || s[0] != '[' || s[len(s)-1] != ')' {
-		return 0, 0, fmt.Errorf("dht: %q is not an interval value", s)
-	}
-	comma := strings.IndexByte(s, ',')
-	if comma < 0 {
-		return 0, 0, fmt.Errorf("dht: %q is not an interval value", s)
-	}
-	lo, err = strconv.ParseFloat(s[1:comma], 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("dht: bad interval lower bound in %q: %v", s, err)
-	}
-	hi, err = strconv.ParseFloat(s[comma+1:len(s)-1], 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("dht: bad interval upper bound in %q: %v", s, err)
-	}
-	return lo, hi, nil
-}
-
 // NewNumeric builds a binary DHT for a numeric attribute with domain
 // [lo, hi), divided at the given cut points (Figure 3 of the paper).
 // Cuts must be strictly increasing and lie strictly inside (lo, hi).
@@ -391,16 +371,6 @@ func (t *Tree) IsAncestorOrSelf(a, b NodeID) bool {
 		}
 	}
 	return false
-}
-
-// PathUp returns the node IDs from `from` (inclusive) up to the root
-// (inclusive).
-func (t *Tree) PathUp(from NodeID) []NodeID {
-	var out []NodeID
-	for cur := from; cur != None; cur = t.nodes[cur].Parent {
-		out = append(out, cur)
-	}
-	return out
 }
 
 // AncestorAtDepth returns the ancestor of id at the requested depth, or

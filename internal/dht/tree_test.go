@@ -155,12 +155,15 @@ func TestIsAncestorOrSelf(t *testing.T) {
 func TestPathUpAndAncestorAtDepth(t *testing.T) {
 	tree := paperFig1(t)
 	nurse, _ := tree.ByValue("Nurse")
-	path := tree.PathUp(nurse)
-	if len(path) != 4 {
-		t.Fatalf("PathUp length = %d, want 4", len(path))
+	var path []NodeID
+	for cur := nurse; cur != None; cur = tree.Parent(cur) {
+		path = append(path, cur)
 	}
-	if path[0] != nurse || path[len(path)-1] != tree.Root() {
-		t.Error("PathUp endpoints wrong")
+	if len(path) != 4 {
+		t.Fatalf("path up length = %d, want 4", len(path))
+	}
+	if path[len(path)-1] != tree.Root() {
+		t.Error("path up does not end at the root")
 	}
 	at1, err := tree.AncestorAtDepth(nurse, 1)
 	if err != nil || tree.Value(at1) != "Medical Staff" {
@@ -311,18 +314,35 @@ func TestResolveValueCategorical(t *testing.T) {
 	}
 }
 
+// TestIntervalValueRoundtrip: every node of a numeric tree is named by
+// IntervalValue of its bounds and resolves back from that name; strings
+// that are not a node's interval value resolve to no node.
 func TestIntervalValueRoundtrip(t *testing.T) {
-	cases := []struct{ lo, hi float64 }{{0, 150}, {25, 50}, {0.5, 1.25}, {-10, 10}}
-	for _, c := range cases {
-		s := IntervalValue(c.lo, c.hi)
-		lo, hi, err := ParseIntervalValue(s)
-		if err != nil || lo != c.lo || hi != c.hi {
-			t.Errorf("roundtrip %s -> %v,%v,%v", s, lo, hi, err)
+	for _, c := range []struct {
+		lo, hi float64
+		want   string
+	}{{0, 150, "[0,150)"}, {25, 50, "[25,50)"}, {0.5, 1.25, "[0.5,1.25)"}, {-10, 10, "[-10,10)"}} {
+		if got := IntervalValue(c.lo, c.hi); got != c.want {
+			t.Errorf("IntervalValue(%v, %v) = %q, want %q", c.lo, c.hi, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "[1,2]", "(1,2)", "[x,2)", "[1;2)", "[1,y)"} {
-		if _, _, err := ParseIntervalValue(bad); err == nil {
-			t.Errorf("ParseIntervalValue(%q) accepted", bad)
+	tree, err := NewNumeric("age", 0, 150, []float64{25, 50, 75, 100, 125})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := NodeID(0); int(id) < tree.Size(); id++ {
+		n := tree.Node(id)
+		v := IntervalValue(n.Lo, n.Hi)
+		if v != n.Value {
+			t.Errorf("node %d: IntervalValue = %q, value %q", id, v, n.Value)
+		}
+		if got, err := tree.ResolveValue(v); err != nil || got != id {
+			t.Errorf("ResolveValue(%q) = %d, %v; want %d", v, got, err, id)
+		}
+	}
+	for _, bad := range []string{"", "[0,25]", "(0,25)", "[x,25)", "[0;25)", "[0,y)"} {
+		if _, err := tree.ResolveValue(bad); err == nil {
+			t.Errorf("ResolveValue(%q) accepted", bad)
 		}
 	}
 }

@@ -8,12 +8,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/binning"
 	"repro/internal/bitstr"
+	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/datagen"
 	"repro/internal/dht"
@@ -229,6 +231,10 @@ func defaultMaxGens(trees map[string]*dht.Tree) (map[string]dht.GenSet, error) {
 	return out, nil
 }
 
+// markQuantum is the quantization step of the ownership function F the
+// setup's mark derives under.
+const markQuantum = 1e6
+
 // wmSetup is the shared fixture of the watermarking experiments: the
 // original table, its per-column mono-binned version (identifiers
 // encrypted), and the watermark column specs.
@@ -293,7 +299,7 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	mark, _, err := ownership.OwnerMark(original, identCol, 1e6, cfg.MarkBits)
+	mark, _, err := ownership.OwnerMark(original, identCol, markQuantum, cfg.MarkBits)
 	if err != nil {
 		return nil, err
 	}
@@ -375,24 +381,33 @@ func (s *wmSetup) frontierValues() map[string][]string {
 	return out
 }
 
-// columnLossAvg computes the Equation (3) average loss of a frontier
-// assignment against the original histograms.
-func columnLossAvg(s *wmSetup, gens map[string]dht.GenSet) (float64, error) {
-	var losses []float64
-	for col, gen := range gens {
-		ci, err := s.original.Schema().Index(col)
-		if err != nil {
-			return 0, err
-		}
-		hist, err := infoloss.LeafHistogramCodes(s.trees[col], s.original.DictValues(ci), s.original.Codes(ci))
-		if err != nil {
-			return 0, err
-		}
-		l, err := infoloss.ColumnLoss(gen, hist)
-		if err != nil {
-			return 0, err
-		}
-		losses = append(losses, l)
+// markLoss detects the setup's mark in tbl under s.key(eta) through
+// the product's read loop, core.Framework.DetectContext, and returns
+// its loss. The provenance names the given column specs' frontiers;
+// weighted selects the §5.3 level-weighted voting. Detection runs
+// sequentially: its callers already fan their sweep points out over
+// cfg.Workers.
+func (s *wmSetup) markLoss(tbl *relation.Table, columns map[string]watermark.ColumnSpec, eta uint64, weighted bool) (float64, error) {
+	prov := core.Provenance{
+		IdentCol:               s.identCol,
+		K:                      1,
+		Mark:                   s.mark.String(),
+		Quantum:                markQuantum,
+		Duplication:            s.cfg.Duplication,
+		SaltPositionWithColumn: true,
+		WeightedVoting:         weighted,
+		Columns:                make(map[string]core.ColumnProvenance, len(columns)),
 	}
-	return infoloss.NormalizedLoss(losses), nil
+	for col, spec := range columns {
+		prov.Columns[col] = core.ColumnProvenance{Ulti: spec.UltiGen.Values(), Max: spec.MaxGen.Values()}
+	}
+	fw, err := core.New(s.trees, core.Config{K: 1, Workers: 1})
+	if err != nil {
+		return 0, err
+	}
+	det, err := fw.DetectContext(context.Background(), tbl, prov, s.key(eta))
+	if err != nil {
+		return 0, err
+	}
+	return det.MarkLoss, nil
 }

@@ -471,3 +471,41 @@ func TestSwappingAblationGolden(t *testing.T) {
 		{"prescription", "2.3", "2.2", "3372"},
 	})
 }
+
+// TestFigure12Golden pins the E2–E4 sweeps on the small fixture: the
+// mark loss at every attack strength and η for subset alteration,
+// addition and deletion.
+func TestFigure12Golden(t *testing.T) {
+	var zeros [][]string
+	for _, frac := range []string{"0.0", "10.0", "20.0", "30.0", "40.0", "50.0", "60.0", "70.0", "80.0", "90.0"} {
+		zeros = append(zeros, []string{frac, "0.0", "0.0", "0.0"})
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(Config) (*Table, error)
+		rows [][]string
+	}{
+		{"12a", Figure12a, [][]string{
+			{"0.0", "0.0", "0.0", "0.0"},
+			{"10.0", "0.0", "0.0", "0.0"},
+			{"20.0", "0.0", "0.0", "0.0"},
+			{"30.0", "0.0", "5.0", "0.0"},
+			{"40.0", "0.0", "0.0", "0.0"},
+			{"50.0", "0.0", "10.0", "5.0"},
+			{"60.0", "20.0", "15.0", "15.0"},
+			{"70.0", "10.0", "0.0", "20.0"},
+			{"80.0", "5.0", "25.0", "30.0"},
+			{"90.0", "40.0", "25.0", "30.0"},
+		}},
+		{"12b", Figure12b, zeros},
+		{"12c", Figure12c, zeros},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl, err := tc.run(small())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRows(t, tbl, tc.rows)
+		})
+	}
+}

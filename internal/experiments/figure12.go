@@ -118,11 +118,7 @@ func figure12(cfg Config, kind attackKind, figure string) (*Table, error) {
 				return "", err
 			}
 		}
-		res, err := watermark.Detect(attacked, setup.identCol, setup.columns, setup.pointParams(eta))
-		if err != nil {
-			return "", err
-		}
-		loss, err := watermark.MarkLoss(setup.mark, res)
+		loss, err := setup.markLoss(attacked, setup.columns, eta, false)
 		if err != nil {
 			return "", err
 		}

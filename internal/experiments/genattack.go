@@ -70,15 +70,11 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		hRes, err := watermark.Detect(hAtt, setup.identCol, cols, params)
-		if err != nil {
-			return nil, err
-		}
 		sLoss, err := watermark.MarkLoss(setup.mark, sRes)
 		if err != nil {
 			return nil, err
 		}
-		hLoss, err := watermark.MarkLoss(setup.mark, hRes)
+		hLoss, err := setup.markLoss(hAtt, cols, eta, false)
 		if err != nil {
 			return nil, err
 		}

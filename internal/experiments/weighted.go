@@ -73,13 +73,7 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 		}
 		row := []string{pct(frac)}
 		for _, weighted := range []bool{false, true} {
-			params := setup.pointParams(eta)
-			params.WeightedVoting = weighted
-			res, err := watermark.Detect(attacked, setup.identCol, cols, params)
-			if err != nil {
-				return nil, err
-			}
-			loss, err := watermark.MarkLoss(setup.mark, res)
+			loss, err := setup.markLoss(attacked, cols, eta, weighted)
 			if err != nil {
 				return nil, err
 			}

@@ -242,36 +242,3 @@ func DeriveMaxGen(tree *dht.Tree, leafCounts []int, bound float64) (dht.GenSet, 
 		cur = next
 	}
 }
-
-// DeriveAllMaxGens applies DeriveMaxGen per column using the metric
-// bounds, returning the maximal-generalization-node form of the usage
-// metrics — what the binning agent consumes.
-func DeriveAllMaxGens(trees map[string]*dht.Tree, histograms map[string][]int, m Metrics) (map[string]dht.GenSet, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]dht.GenSet, len(trees))
-	for col, tree := range trees {
-		hist, ok := histograms[col]
-		if !ok {
-			return nil, fmt.Errorf("infoloss: no histogram for column %s", col)
-		}
-		g, err := DeriveMaxGen(tree, hist, m.Bound(col))
-		if err != nil {
-			return nil, fmt.Errorf("infoloss: column %s: %w", col, err)
-		}
-		out[col] = g
-	}
-	return out, nil
-}
-
-// TotalLoss is the "total information loss" variant §4.1 mentions
-// alongside the normalized average: the sum of per-column losses. It
-// ranges in [0, CN] for CN generalized columns.
-func TotalLoss(losses []float64) float64 {
-	sum := 0.0
-	for _, l := range losses {
-		sum += l
-	}
-	return sum
-}

@@ -281,31 +281,3 @@ func TestDeriveMaxGenIsMaximalOneStep(t *testing.T) {
 		}
 	}
 }
-
-func TestDeriveAllMaxGens(t *testing.T) {
-	tree := smallTree(t)
-	hist, _ := LeafHistogram(tree, []string{"a1", "a2", "b"})
-	trees := map[string]*dht.Tree{"c": tree}
-	hists := map[string][]int{"c": hist}
-	m := Metrics{PerColumn: map[string]float64{"c": 1}, Avg: 1}
-	out, err := DeriveAllMaxGens(trees, hists, m)
-	if err != nil || len(out) != 1 {
-		t.Fatalf("DeriveAllMaxGens: %v", err)
-	}
-	if _, err := DeriveAllMaxGens(trees, map[string][]int{}, m); err == nil {
-		t.Error("missing histogram accepted")
-	}
-	if _, err := DeriveAllMaxGens(trees, hists, Metrics{Avg: 2}); err == nil {
-		t.Error("invalid metrics accepted")
-	}
-}
-
-func TestTotalLoss(t *testing.T) {
-	if TotalLoss(nil) != 0 {
-		t.Error("empty should be 0")
-	}
-	got := TotalLoss([]float64{0.2, 0.4, 0.6})
-	if math.Abs(got-1.2) > 1e-12 {
-		t.Errorf("TotalLoss = %v, want 1.2", got)
-	}
-}

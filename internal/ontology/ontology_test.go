@@ -1,6 +1,7 @@
 package ontology
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dht"
@@ -69,10 +70,12 @@ func TestZipTreeShape(t *testing.T) {
 	}
 	// 10001 -> 100** -> NY -> Northeast -> USA
 	wantPath := []string{"10001", "100**", "NY", "Northeast", "USA"}
-	for i, nd := range tree.PathUp(id) {
-		if tree.Value(nd) != wantPath[i] {
-			t.Errorf("path[%d] = %q, want %q", i, tree.Value(nd), wantPath[i])
-		}
+	var path []string
+	for nd := id; nd != dht.None; nd = tree.Parent(nd) {
+		path = append(path, tree.Value(nd))
+	}
+	if !slices.Equal(path, wantPath) {
+		t.Errorf("path up = %q, want %q", path, wantPath)
 	}
 }
 

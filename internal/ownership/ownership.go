@@ -215,8 +215,9 @@ type Judge struct {
 
 // Commit runs steps (1)–(3) for every claim over the disputed table and
 // returns one verdict per claim, in order. A verdict with MarkDerived
-// set awaits step (4), Conclude; any other is final. No further claims
-// are evaluated once ctx is done.
+// set awaits step (4), Conclude; any other is final. Claims holding the
+// same encryption key share one decryption of the identifying column.
+// No further claims are evaluated once ctx is done.
 func (j Judge) Commit(ctx context.Context, disputed *relation.Table, claims []Claim) ([]Verdict, error) {
 	if j.Tau <= 0 || j.Quantum <= 0 {
 		return nil, fmt.Errorf("ownership: Tau and Quantum must be positive")
@@ -228,45 +229,66 @@ func (j Judge) Commit(ctx context.Context, disputed *relation.Table, claims []Cl
 	if err != nil {
 		return nil, err
 	}
+	byKey := make(map[string]*decryption)
 	verdicts := make([]Verdict, 0, len(claims))
 	for _, claim := range claims {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		verdicts = append(verdicts, j.commitOne(encCol, claim))
+		d, ok := byKey[string(claim.Key.Enc)]
+		if !ok {
+			d = decrypt(encCol, claim.Key.Enc)
+			byKey[string(claim.Key.Enc)] = d
+		}
+		verdicts = append(verdicts, j.commitOne(d, claim))
 	}
 	return verdicts, nil
 }
 
-func (j Judge) commitOne(encCol []string, claim Claim) Verdict {
+// decryption is step (1) under one encryption key: how many of the
+// identifying values the key decrypts, and the statistic over their
+// clear-texts in row order.
+type decryption struct {
+	err       error // the cipher could not be built
+	decrypted int
+	total     int
+	stat      StatAccum
+}
+
+func decrypt(encCol []string, encKey []byte) *decryption {
+	d := &decryption{total: len(encCol)}
+	cipher, err := crypt.NewCipher(encKey)
+	if err != nil {
+		d.err = err
+		return d
+	}
+	for _, token := range encCol {
+		if pt, err := cipher.DecryptString(token); err == nil {
+			d.decrypted++
+			d.stat.Add(pt)
+		}
+	}
+	return d
+}
+
+func (j Judge) commitOne(d *decryption, claim Claim) Verdict {
 	v := Verdict{Claimant: claim.Claimant}
 
 	// (1) Decrypt the identifying column with the claimant's key.
-	cipher, err := crypt.NewCipher(claim.Key.Enc)
-	if err != nil {
-		v.Reason = fmt.Sprintf("cannot build cipher: %v", err)
+	if d.err != nil {
+		v.Reason = fmt.Sprintf("cannot build cipher: %v", d.err)
 		return v
-	}
-	cleartexts := make([]string, 0, len(encCol))
-	failures := 0
-	for _, token := range encCol {
-		pt, err := cipher.DecryptString(token)
-		if err != nil {
-			failures++
-			continue
-		}
-		cleartexts = append(cleartexts, pt)
 	}
 	// Attackers may have added bogus tuples: tolerate a minority of
 	// undecryptable cells, but an owner must decrypt most of the table.
-	if len(cleartexts) == 0 || failures > len(encCol)/2 {
-		v.Reason = fmt.Sprintf("key decrypts only %d of %d identifying values", len(cleartexts), len(encCol))
+	if d.decrypted == 0 || d.total-d.decrypted > d.total/2 {
+		v.Reason = fmt.Sprintf("key decrypts only %d of %d identifying values", d.decrypted, d.total)
 		return v
 	}
 	v.DecryptOK = true
 
 	// (2) Statistic check: |v − v'| < τ.
-	vPrime, err := IdentStatistic(cleartexts)
+	vPrime, err := d.stat.Statistic()
 	if err != nil {
 		v.Reason = err.Error()
 		return v

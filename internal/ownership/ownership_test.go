@@ -75,7 +75,7 @@ type disputeFixture struct {
 	judge    Judge
 }
 
-func newDisputeFixture(t *testing.T, rows int) *disputeFixture {
+func newDisputeFixture(t testing.TB, rows int) *disputeFixture {
 	t.Helper()
 	schema := relation.MustSchema(
 		relation.Column{Name: "ssn", Kind: relation.Identifying},

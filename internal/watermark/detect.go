@@ -27,56 +27,28 @@ type detectPlan struct {
 	verdicts []cellVerdict
 }
 
-// Detect implements the Detection algorithm of Figure 9. It selects
-// tuples with Equation (5), resolves each watermarked cell to its tree
-// node, harvests one bit per level from the node up to (but excluding)
-// its maximal generalization node — the parity of the node's index among
+// DetectAccum implements the Detection algorithm of Figure 9,
+// segment-at-a-time. Each AddContext selects a segment's tuples with
+// Equation (5), resolves each watermarked cell to its tree node,
+// harvests one bit per level from the node up to (but excluding) its
+// maximal generalization node — the parity of the node's index among
 // its sorted siblings — majority-votes the levels into a per-cell bit
-// (weighted by level when Params.WeightedVoting is set), accumulates
-// votes per wmd position across tuples, and finally folds the replicas
-// into the mark by majority voting.
+// (weighted by level when Params.WeightedVoting is set), and
+// accumulates votes per wmd position into one replicated vote board
+// shared across segments; Result folds the replicas into the mark by
+// majority voting. Segments arrive in row order and every vote carries
+// integer weight, so the outcome is the same for every segmentation and
+// worker count.
 //
 // Detection is deliberately generalization-aware: a cell that an attacker
 // generalized to a higher node still contributes the surviving upper
 // levels; a cell altered out of the domain, or generalized above the
 // usage metrics, is skipped. This single code path therefore serves clean
 // tables, the §5.2 generalization attack and the §7.2 alteration attacks.
-func Detect(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
-	return DetectContext(context.Background(), tbl, identCol, columns, p)
-}
-
-// DetectContext is Detect under a context: prepare the suspect, select
-// under (K1, η), accumulate the votes of the selected tuples, fold. The
-// selection scan and the walk poll ctx every pool.CtxStride rows, so a
-// long detection over a large suspect table aborts promptly with the
-// context's error when the caller's deadline expires or the request is
-// cancelled.
-func DetectContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
-	if err := p.Validate(); err != nil {
-		return DetectResult{}, err
-	}
-	s, err := prepareSuspect(ctx, tbl, identCol, columns, p)
-	if err != nil {
-		return DetectResult{}, err
-	}
-	board := bitstr.NewVoteBoard(p.wmdLen())
-	var stats DetectStats
-	if err := s.walk(ctx, p, board, &stats); err != nil {
-		return DetectResult{}, err
-	}
-	return FoldVotes(board, p, stats)
-}
-
-// DetectAccum accumulates detection votes segment-at-a-time: one
-// replicated vote board shared across segments, folded once at the end.
-// Each AddContext is DetectContext's prepare, select and accumulate over
-// one segment. Segments arrive in row order and every vote carries
-// integer weight, so the recovered mark, confidences and statistics are
-// bit-identical to DetectContext over the materialized concatenation of
-// the segments, for every segment size and worker count. The streamed
-// detection of internal/core walks prepared suspects directly;
-// DetectAccum stays as the one-call form that medbench's leak replay
-// times.
+//
+// The product's detection, traceback and dispute walk prepared suspects
+// through internal/core's read loop; DetectAccum is what medbench's leak
+// replay times and what the tests detect with as a reference.
 type DetectAccum struct {
 	identCol string
 	columns  map[string]ColumnSpec
@@ -99,7 +71,9 @@ func NewDetectAccum(identCol string, columns map[string]ColumnSpec, p Params) (*
 	}, nil
 }
 
-// AddContext harvests one segment's votes into the accumulator.
+// AddContext harvests one segment's votes into the accumulator. The
+// selection scan and the walk poll ctx every pool.CtxStride rows, so a
+// long detection aborts promptly with the context's error.
 func (a *DetectAccum) AddContext(ctx context.Context, seg *relation.Table) error {
 	s, err := prepareSuspect(ctx, seg, a.identCol, a.columns, a.p)
 	if err != nil {
@@ -108,9 +82,9 @@ func (a *DetectAccum) AddContext(ctx context.Context, seg *relation.Table) error
 	return s.walk(ctx, a.p, a.board, &a.stats)
 }
 
-// Result folds the replicated tallies into the recovered mark — the
-// same final step DetectContext performs. The accumulator remains
-// usable: further AddContext calls keep accumulating.
+// Result folds the replicated tallies into the recovered mark. The
+// accumulator remains usable: further AddContext calls keep
+// accumulating.
 func (a *DetectAccum) Result() (DetectResult, error) {
 	return FoldVotes(a.board, a.p, a.stats)
 }

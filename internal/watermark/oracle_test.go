@@ -195,10 +195,10 @@ func attackPool(spec ColumnSpec) []string {
 
 // FuzzWalkMatchesScan checks select-then-walk against the full-table
 // scans: EmbedContext must write the oracle's bytes and statistics, and
-// DetectContext (and DetectAccum over random segments) must return the
-// oracle's whole DetectResult, on the clean marked table and on copies
-// with altered and deleted rows, for random η, duplication, voting and
-// boundary policy, column salt, table shape and worker count.
+// DetectAccum over the whole table and over random segments must return
+// the oracle's whole DetectResult, on the clean marked table and on
+// copies with altered and deleted rows, for random η, duplication,
+// voting and boundary policy, column salt, table shape and worker count.
 func FuzzWalkMatchesScan(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(0x1f), uint8(1), uint8(40), uint8(30))
@@ -252,7 +252,7 @@ func FuzzWalkMatchesScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, suspect := range []*relation.Table{walked, attacked} {
-			got, err := DetectContext(ctx, suspect, identCol, fx.columns, p)
+			got, err := detect(suspect, identCol, fx.columns, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,7 +62,7 @@ func TestDetectParallelDeterminism(t *testing.T) {
 	for i, w := range workerCounts {
 		p := f.params
 		p.Workers = w
-		res, err := Detect(marked, "ssn", f.columns, p)
+		res, err := detect(marked, "ssn", f.columns, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -104,7 +104,7 @@ func TestDetectParallelDeterminismWeighted(t *testing.T) {
 		p := f.params
 		p.Workers = w
 		p.WeightedVoting = true
-		res, err := Detect(marked, "ssn", f.columns, p)
+		res, err := detect(marked, "ssn", f.columns, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -26,7 +26,7 @@ func TestQuickMarkRoundtrip(t *testing.T) {
 		if _, err := Embed(marked, "ssn", f.columns, params); err != nil {
 			return false
 		}
-		res, err := Detect(marked, "ssn", f.columns, params)
+		res, err := detect(marked, "ssn", f.columns, params)
 		if err != nil {
 			return false
 		}
@@ -52,7 +52,7 @@ func TestQuickRowOrderIndependence(t *testing.T) {
 	prop := func(seed int64) bool {
 		shuffled := marked.Clone()
 		shuffled.Shuffle(rand.New(rand.NewSource(seed)))
-		res, err := Detect(shuffled, "ssn", f.columns, f.params)
+		res, err := detect(shuffled, "ssn", f.columns, f.params)
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestQuickKeySeparation(t *testing.T) {
 		}
 		other := f.params
 		other.Key = keyFromSecret(secret, f.params.Key.Eta)
-		res, err := Detect(marked, "ssn", f.columns, other)
+		res, err := detect(marked, "ssn", f.columns, other)
 		if err != nil {
 			return false
 		}

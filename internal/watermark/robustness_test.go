@@ -37,7 +37,7 @@ func TestRobustnessSubsetAlteration(t *testing.T) {
 	if _, err := attack.AlterSubset(f.tbl, cols, 0.4, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(f.tbl, "ssn", f.columns, f.params)
+	res, err := detect(f.tbl, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRobustnessSubsetAddition(t *testing.T) {
 	if _, err := attack.AddSubset(f.tbl, 0.6, gen); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(f.tbl, "ssn", f.columns, f.params)
+	res, err := detect(f.tbl, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRobustnessSubsetDeletion(t *testing.T) {
 	if _, err := attack.DeleteRandom(f.tbl, 0.5, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(f.tbl, "ssn", f.columns, f.params)
+	res, err := detect(f.tbl, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRobustnessRangeDeletion(t *testing.T) {
 	if deleted == 0 {
 		t.Fatal("range deletion removed nothing")
 	}
-	res, err := Detect(f.tbl, "ssn", f.columns, f.params)
+	res, err := detect(f.tbl, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestGeneralizationAttackHierarchicalSurvives(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Detect(f.tbl, "ssn", f.columns, f.params)
+	res, err := detect(f.tbl, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCombinedAttackBattery(t *testing.T) {
 	if _, err := attack.DeleteRandom(f.tbl, 0.2, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(f.tbl, "ssn", f.columns, f.params)
+	res, err := detect(f.tbl, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSmallerEtaMoreResilient(t *testing.T) {
 		if _, err := attack.AlterSubset(marked, cols, 0.6, rng); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Detect(marked, "ssn", f.columns, f.params)
+		res, err := detect(marked, "ssn", f.columns, f.params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +265,11 @@ func TestRespecializationWeightedVoting(t *testing.T) {
 	plain := f.params
 	weighted := f.params
 	weighted.WeightedVoting = true
-	resPlain, err := Detect(marked, "ssn", cols, plain)
+	resPlain, err := detect(marked, "ssn", cols, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resWeighted, err := Detect(marked, "ssn", cols, weighted)
+	resWeighted, err := detect(marked, "ssn", cols, weighted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestIdentifierScrubbingDestroysMark(t *testing.T) {
 	for i := 0; i < marked.NumRows(); i++ {
 		marked.SetCellAt(i, ci, "SCRUBBED")
 	}
-	res, err := Detect(marked, "ssn", f.columns, f.params)
+	res, err := detect(marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}

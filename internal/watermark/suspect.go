@@ -168,15 +168,12 @@ func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, k1 []b
 	return sel, nil
 }
 
-// Selected returns the number of tuples the selection holds.
-func (sel *Selection) Selected() int { return len(sel.rows) }
-
 // AccumulateContext harvests one candidate's votes over the selected
 // tuples of the prepared suspect into a caller-owned replicated board
 // (length |wmd|) and counter set, without folding. It is the walk of
-// every detection: DetectContext runs it once over the whole table,
-// DetectAccum once per segment, and a traceback once per candidate per
-// segment, each board folded once at the end by FoldVotes.
+// every detection: DetectAccum runs it once per segment and core's read
+// loop once per candidate per segment, each board folded once at the
+// end by FoldVotes.
 func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Params, board *bitstr.VoteBoard, stats *DetectStats) error {
 	if err := p.Validate(); err != nil {
 		return err

@@ -15,7 +15,6 @@ package watermark
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/bitstr"
@@ -71,8 +70,8 @@ type Params struct {
 	// usage-metric overshoot for bandwidth. Off by default (such tuples
 	// then carry no bits).
 	BoundaryPermutation bool
-	// Workers bounds the goroutines Embed and Detect spread the
-	// Equation (5) selection scan (and Detect its per-column verdict
+	// Workers bounds the goroutines Embed and detection spread the
+	// Equation (5) selection scan (and detection its per-column verdict
 	// tables) over (0 = GOMAXPROCS, 1 = sequential).
 	// Tuples are sharded into contiguous row ranges whose selections are
 	// concatenated in row order, and the walk over the selected tuples
@@ -222,41 +221,4 @@ func indexIn(nd dht.NodeID, set []dht.NodeID) int {
 		}
 	}
 	return -1
-}
-
-// FalsePositiveProbability returns the probability that a detector using
-// an unrelated key (whose recovered bits are independent fair coins)
-// achieves mark loss <= lossThreshold on a markLen-bit mark — the
-// significance level of a Match verdict. It is the binomial tail
-// P[Bin(markLen, 1/2) >= ceil((1-lossThreshold)·markLen)].
-//
-// For the defaults (20 bits, threshold 0.15) this is about 2.0e-4; for a
-// 32-bit mark it drops below 1e-6.
-func FalsePositiveProbability(markLen int, lossThreshold float64) float64 {
-	if markLen <= 0 || lossThreshold < 0 || lossThreshold >= 1 {
-		return 1
-	}
-	need := int(math.Ceil(float64(markLen) * (1 - lossThreshold)))
-	// sum C(markLen, i) / 2^markLen for i = need..markLen, in log space
-	// to stay stable for long marks.
-	total := 0.0
-	logHalfPow := float64(markLen) * math.Log(0.5)
-	for i := need; i <= markLen; i++ {
-		logC := logChoose(markLen, i)
-		total += math.Exp(logC + logHalfPow)
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total
-}
-
-func logChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return lg - lk - lnk
 }

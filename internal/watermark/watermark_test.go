@@ -1,6 +1,7 @@
 package watermark
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -11,6 +12,19 @@ import (
 	"repro/internal/dht"
 	"repro/internal/relation"
 )
+
+// detect is the tests' whole-table detection: one DetectAccum fed tbl
+// as a single segment.
+func detect(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
+	a, err := NewDetectAccum(identCol, columns, p)
+	if err != nil {
+		return DetectResult{}, err
+	}
+	if err := a.AddContext(context.Background(), tbl); err != nil {
+		return DetectResult{}, err
+	}
+	return a.Result()
+}
 
 // fixture builds a binned two-column table with real bandwidth:
 // zip-like tree (uniform depth) and a role tree (mixed depth frontiers).
@@ -137,7 +151,7 @@ func TestEmbedDetectRoundtrip(t *testing.T) {
 	if stats.TuplesSelected == 0 || stats.BitsEmbedded == 0 {
 		t.Fatalf("no embedding happened: %+v", stats)
 	}
-	res, err := Detect(marked, "ssn", f.columns, f.params)
+	res, err := detect(marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +217,7 @@ func TestDetectRequiresKey(t *testing.T) {
 	}
 	wrong := f.params
 	wrong.Key = crypt.NewWatermarkKeyFromSecret("thief-secret", f.params.Key.Eta)
-	res, err := Detect(marked, "ssn", f.columns, wrong)
+	res, err := detect(marked, "ssn", f.columns, wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +313,7 @@ func TestZeroBandwidthWhenUltiEqualsMax(t *testing.T) {
 		}
 	}
 	// role column still carries the mark
-	res, err := Detect(marked, "ssn", f.columns, f.params)
+	res, err := detect(marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +339,7 @@ func TestBoundaryPermutation(t *testing.T) {
 	if stats.BitsEmbedded == 0 {
 		t.Fatal("boundary permutation embedded nothing")
 	}
-	res, err := Detect(marked, "ssn", f.columns, f.params)
+	res, err := detect(marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +355,7 @@ func TestWeightedVotingRoundtrip(t *testing.T) {
 	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(marked, "ssn", f.columns, f.params)
+	res, err := detect(marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +371,7 @@ func TestUnsaltedPositionRoundtrip(t *testing.T) {
 	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(marked, "ssn", f.columns, f.params)
+	res, err := detect(marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,12 +427,12 @@ func TestParamValidation(t *testing.T) {
 
 func TestDetectValidation(t *testing.T) {
 	f := newFixture(t, 10, 5)
-	if _, err := Detect(f.tbl, "missing", f.columns, f.params); err == nil {
+	if _, err := detect(f.tbl, "missing", f.columns, f.params); err == nil {
 		t.Error("missing ident column accepted")
 	}
 	bad := f.params
 	bad.Mark = bitstr.New(0)
-	if _, err := Detect(f.tbl, "ssn", f.columns, bad); err == nil {
+	if _, err := detect(f.tbl, "ssn", f.columns, bad); err == nil {
 		t.Error("empty mark accepted")
 	}
 }
@@ -502,30 +516,5 @@ func TestSingleLevelValuesStayOnFrontier(t *testing.T) {
 		if err != nil || !spec.UltiGen.Contains(id) {
 			t.Fatalf("row %d: single-level target %q off the frontier", i, marked.CellAt(i, ci))
 		}
-	}
-}
-
-func TestFalsePositiveProbability(t *testing.T) {
-	// exact small case: 2-bit mark, threshold 0 -> P(both coins right) = 1/4
-	if got := FalsePositiveProbability(2, 0); got < 0.249 || got > 0.251 {
-		t.Errorf("FPP(2,0) = %v, want 0.25", got)
-	}
-	// threshold 0.5 on 2 bits: need >= 1 right -> 3/4
-	if got := FalsePositiveProbability(2, 0.5); got < 0.749 || got > 0.751 {
-		t.Errorf("FPP(2,0.5) = %v, want 0.75", got)
-	}
-	// defaults: 20 bits, 0.15 threshold -> need >= 17 of 20 -> about 1.3e-3
-	got := FalsePositiveProbability(20, 0.15)
-	if got < 1e-4 || got > 2e-3 {
-		t.Errorf("FPP(20,0.15) = %v, want ~1.3e-3", got)
-	}
-	// monotone: longer marks are harder to hit by chance
-	if FalsePositiveProbability(32, 0.15) >= got {
-		t.Error("longer mark should lower the false-positive probability")
-	}
-	// degenerate inputs
-	if FalsePositiveProbability(0, 0.1) != 1 || FalsePositiveProbability(20, 1) != 1 ||
-		FalsePositiveProbability(20, -0.1) != 1 {
-		t.Error("degenerate inputs should return 1")
 	}
 }

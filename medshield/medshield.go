@@ -14,14 +14,14 @@
 //     the binning frontier, resilient to subset alteration/addition/
 //     deletion and to the generalization attack.
 //
-// A typical protection run configures the framework with functional
-// options (validated eagerly at construction):
+// A typical protection run configures the framework with one Config
+// (validated eagerly at construction):
 //
-//	fw, err := medshield.New(medshield.BuiltinTrees(),
-//		medshield.WithK(20),
-//		medshield.WithAutoEpsilon(),
-//		medshield.WithWorkers(0), // fan out over all cores (1 = sequential)
-//	)
+//	fw, err := medshield.New(medshield.BuiltinTrees(), medshield.Config{
+//		K:           20,
+//		AutoEpsilon: true,
+//		Workers:     0, // fan out over all cores (1 = sequential)
+//	})
 //	key := medshield.NewKey("hospital secret passphrase", 75)
 //	protected, err := fw.Protect(table, key)
 //	// publish protected.Table; retain protected.Provenance + the secret
@@ -114,7 +114,7 @@ type (
 
 // Streaming data-plane types: Framework.ApplyStream and
 // Framework.AppendStream protect tables segment-at-a-time with peak
-// memory bounded by the segment size (Config.Chunk / WithChunk), and
+// memory bounded by the segment size (Config.Chunk), and
 // their CSV output is byte-identical to the in-memory Apply/Append.
 // The read side streams too — Framework.DetectStream and
 // Framework.TracebackStream consume a suspect segment-at-a-time with
@@ -241,27 +241,15 @@ func ParsePlan(data []byte) (*Plan, error) { return core.ParsePlan(data) }
 func MarshalPlan(p *Plan) ([]byte, error) { return core.MarshalPlan(p) }
 
 // New builds a Framework over per-column domain hierarchy trees,
-// configured by functional options applied in order over the zero
-// Config:
+// configured by one Config whose zero fields take New's defaults:
 //
-//	fw, err := medshield.New(trees, medshield.WithK(20), medshield.WithAutoEpsilon())
+//	fw, err := medshield.New(trees, medshield.Config{K: 20, AutoEpsilon: true})
 //
 // Validation is eager: an invalid combination returns an error wrapping
 // ErrBadConfig here, not at the first Protect. The effective (defaulted)
 // configuration is Framework.Config(), which remains the serializable
 // record of how the instance behaves.
-func New(trees map[string]*Tree, opts ...Option) (*Framework, error) {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return core.New(trees, cfg)
-}
-
-// NewFromConfig builds a Framework from a complete Config value — the
-// constructor for callers that already hold a serialized or programmatic
-// effective configuration. New(trees, opts...) is the preferred surface.
-func NewFromConfig(trees map[string]*Tree, cfg Config) (*Framework, error) {
+func New(trees map[string]*Tree, cfg Config) (*Framework, error) {
 	return core.New(trees, cfg)
 }
 
