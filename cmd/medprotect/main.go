@@ -175,7 +175,7 @@ func cmdProtect(args []string) error {
 		return err
 	}
 	key := medshield.NewKey(*secret, *eta)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		return err
 	}
@@ -605,7 +605,7 @@ func cmdDispute(args []string) error {
 	if err != nil {
 		return err
 	}
-	verdicts, err := fw.Dispute(tbl, prov, medshield.NewKey(*secret, *eta), nil)
+	verdicts, err := fw.DisputeContext(context.Background(), tbl, prov, medshield.NewKey(*secret, *eta), nil)
 	if err != nil {
 		return err
 	}

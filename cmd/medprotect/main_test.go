@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -285,7 +286,7 @@ func TestCLIApplyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Apply(tbl, plan, key)
+	prot, err := fw.ApplyContext(context.Background(), tbl, plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestCLIApplyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := fw.Append(delta, &prot.Plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &prot.Plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,8 +457,8 @@ func TestCLIFingerprintTraceback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("registry unreadable: %v", err)
 	}
-	if store.Len() != 3 {
-		t.Fatalf("registry holds %d records", store.Len())
+	if len(store.List()) != 3 {
+		t.Fatalf("registry holds %d records", len(store.List()))
 	}
 
 	// hospital-b's copy leaks; traceback over the registry names it.
@@ -488,7 +489,7 @@ func TestCLIFingerprintTraceback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := fw.Traceback(tbl, cands)
+	tb, err := fw.TracebackContext(context.Background(), tbl, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

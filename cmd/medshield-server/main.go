@@ -113,17 +113,14 @@ func run() error {
 		auditPath      = flag.String("audit", "", "append-only JSONL audit trail for mutating calls (empty = disabled)")
 		ipRate         = flag.Int("ip-rate", 0, "pre-auth per-client-IP request budget per minute, guards token probing (0 = disabled)")
 		ipBurst        = flag.Int("ip-burst", 0, "per-IP burst size (0 = ip-rate/6, min 1)")
-		quiet          = flag.Bool("quiet", false, "disable per-request logging")
+		quiet          = flag.Bool("quiet", false, "disable the per-request and job lifecycle records")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "medshield-server ", log.LstdFlags)
-	reqLogger := logger
-	var access *slog.Logger
-	if *quiet {
-		reqLogger = nil
-	} else {
-		access = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	var records *slog.Logger
+	if !*quiet {
+		records = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	reg, err := registry.Open(*registryPath)
 	if err != nil {
@@ -163,8 +160,7 @@ func run() error {
 			AttemptTimeout: *jobTimeout,
 			TTL:            *jobTTL,
 		},
-		Logger:          reqLogger,
-		Access:          access,
+		Logger:          records,
 		Tenants:         tenants,
 		Audit:           auditLog,
 		IPRatePerMinute: *ipRate,

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	table, err := medshield.GenerateSyntheticData(20000, 11)
 	if err != nil {
 		log.Fatal(err)
@@ -23,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	key := medshield.NewKey("resilience demo secret", 50)
-	protected, err := fw.Protect(table, key)
+	protected, err := fw.ProtectContext(ctx, table, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 	}
 
 	report := func(name string, tbl *medshield.Table) {
-		det, err := fw.Detect(tbl, protected.Provenance, key)
+		det, err := fw.DetectContext(ctx, tbl, protected.Provenance, key)
 		if err != nil {
 			log.Fatal(err)
 		}

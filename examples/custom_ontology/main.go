@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// ---- schema: R(tag, species, weight) -------------------------------
 	schema, err := medshield.NewSchema([]medshield.Column{
 		{Name: "tag", Kind: medshield.Identifying},
@@ -103,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	key := medshield.NewKey("veterinary clinic secret", 40)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(ctx, tbl, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func main() {
 	// ---- attack + detect ---------------------------------------------------
 	pirated := p.Table.Clone()
 	n := pirated.DeleteWhereView(func(medshield.RowView) bool { return rng.Intn(3) == 0 })
-	det, err := fw.Detect(pirated, p.Provenance, key)
+	det, err := fw.DetectContext(ctx, pirated, p.Provenance, key)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"maps"
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "outsourcing")
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +53,7 @@ func main() {
 	}
 	key := medshield.NewKey("hospital outsourcing secret", 60)
 
-	protected, err := fw.Protect(records, key)
+	protected, err := fw.ProtectContext(ctx, records, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,18 +102,18 @@ func main() {
 		log.Fatal(err)
 	}
 	encSSN, _ := study.Cell(0, "ssn")
-	ssn, err := cipher.DecryptString(encSSN)
+	ssn, err := cipher.AppendDecryptString(nil, encSSN)
 	if err != nil {
 		log.Fatal(err)
 	}
 	orig, _ := records.Cell(0, "ssn")
 	fmt.Printf("hospital: traced record 0 back to patient %s (matches original: %v)\n",
-		ssn, ssn == orig)
+		ssn, string(ssn) == orig)
 
 	// ---- A leak appears ---------------------------------------------------
 	// Months later the table shows up on a data broker's site. Detection
 	// under the hospital's key proves provenance.
-	det, err := fw.Detect(study, protected.Provenance, key)
+	det, err := fw.DetectContext(ctx, study, protected.Provenance, key)
 	if err != nil {
 		log.Fatal(err)
 	}

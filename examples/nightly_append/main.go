@@ -1,18 +1,19 @@
 // Nightly append: incremental protection for a repository that keeps
 // growing after the initial release. The hospital protects its export
-// once — Protect is PlanContext (binning search + ownership mark)
+// once — ProtectContext is PlanContext (binning search + ownership mark)
 // followed by ApplyContext (encrypt, generalize, embed) — and retains
 // the returned plan next to the secret. Every night, the day's new
-// admissions are protected under that frozen plan with Append: no
+// admissions are protected under that frozen plan with AppendContext: no
 // binning search, the same mark with the same per-value addressing, so
 // detection over the whole published union keeps voting the owner's
 // mark. When a batch no longer fits the plan (a value outside the
 // planned frontiers, or a fresh value combination too thin to publish),
-// Append refuses with ErrPlanDrift and the hospital re-plans over the
+// AppendContext refuses with ErrPlanDrift and the hospital re-plans over the
 // combined table.
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// ---- Day 0: initial release ---------------------------------------
 	// 6,000 historical records are planned, protected and outsourced.
 	history, err := medshield.GenerateSyntheticData(6500, 11)
@@ -37,7 +39,7 @@ func main() {
 	}
 	key := medshield.NewKey("hospital archive secret", 50)
 
-	protected, err := fw.Protect(base, key)
+	protected, err := fw.ProtectContext(ctx, base, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := fw.Append(nightly, stored, key)
+	app, err := fw.AppendContext(ctx, nightly, stored, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func main() {
 		app.Table.NumRows(), app.Embed.TuplesSelected, app.NewBins, plan.Rows)
 
 	// Detection over old + new rows still votes the owner's mark.
-	det, err := fw.Detect(published, plan.Provenance, key)
+	det, err := fw.DetectContext(ctx, published, plan.Provenance, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func main() {
 	if err := drifting.SetCell(0, "symptom", "newly catalogued syndrome"); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := fw.Append(drifting, &plan, key); errors.Is(err, medshield.ErrPlanDrift) {
+	if _, err := fw.AppendContext(ctx, drifting, &plan, key); errors.Is(err, medshield.ErrPlanDrift) {
 		fmt.Println("drift: batch refused (ErrPlanDrift) — re-planning over the combined table")
 	} else if err != nil {
 		log.Fatal(err)
@@ -105,7 +107,7 @@ func main() {
 	if err := union.AppendTable(nightly); err != nil {
 		log.Fatal(err)
 	}
-	reprot, err := fw.Protect(union, key)
+	reprot, err := fw.ProtectContext(ctx, union, key)
 	if err != nil {
 		log.Fatal(err)
 	}

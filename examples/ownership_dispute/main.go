@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	table, err := medshield.GenerateSyntheticData(10000, 23)
 	if err != nil {
 		log.Fatal(err)
@@ -26,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ownerKey := medshield.NewKey("general hospital master secret", 50)
-	protected, err := fw.Protect(table, ownerKey)
+	protected, err := fw.ProtectContext(ctx, table, ownerKey)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,13 +51,13 @@ func main() {
 		SaltPositionWithColumn: true,
 	}
 	stolen := protected.Table.Clone()
-	if _, err := watermark.Embed(stolen, protected.Provenance.IdentCol, specs, thiefParams); err != nil {
+	if _, err := watermark.EmbedContext(ctx, stolen, protected.Provenance.IdentCol, specs, thiefParams); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("thief over-embedded his own mark into the stolen table (Attack 1)")
 
 	// Both parties claim the stolen table. The court runs §5.4.
-	verdicts, err := fw.Dispute(stolen, protected.Provenance, ownerKey, []ownership.Claim{{
+	verdicts, err := fw.DisputeContext(ctx, stolen, protected.Provenance, ownerKey, []ownership.Claim{{
 		Claimant: "thief (attack 1)",
 		V:        thiefV,
 		Key:      thiefKey,
@@ -72,12 +74,12 @@ func main() {
 	// is his original. His claim still needs a statistic v with
 	// mark == F(v) and |v − v'| < τ over identifiers only the owner can
 	// decrypt — impossible on both counts.
-	forgedDet, err := fw.Detect(stolen, protected.Provenance, thiefKey)
+	forgedDet, err := fw.DetectContext(ctx, stolen, protected.Provenance, thiefKey)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("thief forged an 'extracted original' (Attack 2)")
-	verdicts, err = fw.Dispute(stolen, protected.Provenance, ownerKey, []ownership.Claim{{
+	verdicts, err = fw.DisputeContext(ctx, stolen, protected.Provenance, ownerKey, []ownership.Claim{{
 		Claimant: "thief (attack 2)",
 		V:        9.87e8,
 		Key:      thiefKey,

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,6 +11,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A hospital's table: R(ssn, age, zip_code, doctor, symptom,
 	// prescription) — here synthetic, in practice loaded with
 	// medshield.LoadCSVFile.
@@ -32,7 +34,7 @@ func main() {
 	key := medshield.NewKey("st-olaf hospital secret 2026", 75)
 
 	// Protect = bin (privacy) + watermark (ownership).
-	protected, err := fw.Protect(table, key)
+	protected, err := fw.ProtectContext(ctx, table, key)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,14 +48,14 @@ func main() {
 
 	// Later: did this copy come from us? Detection needs the secret and
 	// the provenance record (no original table required).
-	det, err := fw.Detect(protected.Table, protected.Provenance, key)
+	det, err := fw.DetectContext(ctx, protected.Table, protected.Provenance, key)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndetection: loss=%.1f%% match=%v\n", det.MarkLoss*100, det.Match)
 
 	// The wrong key sees nothing.
-	wrongDet, err := fw.Detect(protected.Table, protected.Provenance,
+	wrongDet, err := fw.DetectContext(ctx, protected.Table, protected.Provenance,
 		medshield.NewKey("some other hospital", 75))
 	if err != nil {
 		log.Fatal(err)

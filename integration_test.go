@@ -4,6 +4,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -48,7 +49,7 @@ func TestFullWorkflowThroughFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := medshield.NewKey("integration secret", 50)
-	p, err := fw.Protect(loaded, key)
+	p, err := fw.ProtectContext(context.Background(), loaded, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFullWorkflowThroughFiles(t *testing.T) {
 	if err := json.Unmarshal(mustRead(t, provPath), &prov); err != nil {
 		t.Fatal(err)
 	}
-	det, err := fw.Detect(pirated, prov, key)
+	det, err := fw.DetectContext(context.Background(), pirated, prov, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +95,14 @@ func TestFullWorkflowThroughFiles(t *testing.T) {
 
 	// 5. And a party without the secret cannot claim it.
 	impostor := medshield.NewKey("impostor", 50)
-	verdicts, err := fw.Dispute(pirated, prov, key, nil)
+	verdicts, err := fw.DisputeContext(context.Background(), pirated, prov, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !verdicts[0].Valid {
 		t.Fatalf("owner dispute failed: %+v", verdicts[0])
 	}
-	badDet, err := fw.Detect(pirated, prov, impostor)
+	badDet, err := fw.DetectContext(context.Background(), pirated, prov, impostor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +126,15 @@ func TestExperimentsRenderAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
-	tables, err := experiments.All(experiments.Config{Rows: 3000, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 12 {
-		t.Fatalf("experiments = %d, want 12 (E1..E9 + three extensions)", len(tables))
+	if len(experiments.Runners) != 12 {
+		t.Fatalf("experiments = %d, want 12 (E1..E9 + three extensions)", len(experiments.Runners))
 	}
 	var buf bytes.Buffer
-	for _, tbl := range tables {
+	for _, r := range experiments.Runners {
+		tbl, err := r.Run(experiments.Config{Rows: 3000, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := tbl.Render(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestPipelineGoldenOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := medshield.NewKey("bench", 75)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestPipelineGoldenOutput(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out.String()))); got != wantProtectedSHA {
 		t.Fatalf("protected table hash = %s, want %s", got, wantProtectedSHA)
 	}
-	det, err := fw.Detect(p.Table, p.Provenance, key)
+	det, err := fw.DetectContext(context.Background(), p.Table, p.Provenance, key)
 	if err != nil {
 		t.Fatal(err)
 	}

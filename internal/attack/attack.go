@@ -7,6 +7,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -179,7 +180,7 @@ func Generalize(tbl *relation.Table, col string, tree *dht.Tree, ceiling dht.Gen
 	// The climb is a pure function of the cell value, so it rewrites the
 	// column dictionary: one AncestorAtDepth walk per distinct value, and
 	// every row remaps by integer code.
-	return tbl.MapColumn(ci, func(dst []byte, old string) ([]byte, error) {
+	return tbl.MapColumnCtx(context.TODO(), 1, ci, func(dst []byte, old string) ([]byte, error) {
 		id, err := tree.ResolveValue(old)
 		if err != nil {
 			return append(dst, old...), nil // not in domain; nothing to generalize

@@ -424,8 +424,8 @@ func TestRunEndToEnd(t *testing.T) {
 		if enc[i] == orig[i] {
 			t.Fatalf("row %d: SSN not encrypted", i)
 		}
-		back, err := cipher.DecryptString(enc[i])
-		if err != nil || back != orig[i] {
+		back, err := cipher.AppendDecryptString(nil, enc[i])
+		if err != nil || string(back) != orig[i] {
 			t.Fatalf("row %d: decrypt = %q, %v; want %q", i, back, err, orig[i])
 		}
 	}

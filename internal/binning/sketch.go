@@ -119,12 +119,6 @@ func NewSketch(schema *relation.Schema, trees map[string]*dht.Tree) (*Sketch, er
 	return s, nil
 }
 
-// Rows returns the number of rows ingested so far.
-func (s *Sketch) Rows() int { return s.rows }
-
-// Quasi returns the sketched quasi-column names in schema order.
-func (s *Sketch) Quasi() []string { return s.quasi }
-
 // Add folds one segment into the sketch. Leaf resolution happens per
 // distinct dictionary entry (cached across segments by value string);
 // the row loop is pure integer work. A resolution failure leaves the

@@ -371,8 +371,8 @@ func TestSketchEmptyAndErrors(t *testing.T) {
 	if err := sk.Add(bad); err == nil {
 		t.Error("unresolvable value accepted")
 	}
-	if sk.Rows() != 0 {
-		t.Errorf("failed Add moved counts: rows=%d", sk.Rows())
+	if sk.rows != 0 {
+		t.Errorf("failed Add moved counts: rows=%d", sk.rows)
 	}
 	// Empty sketch searches like an empty table: minimal frontiers.
 	res, err := SearchSketch(context.Background(), sk, Config{K: 3, Trees: trees})
@@ -541,8 +541,8 @@ func FuzzSketchIngest(f *testing.F) {
 		if refErr != nil {
 			return
 		}
-		if sk.Rows() != tbl.NumRows() {
-			t.Fatalf("rows %d vs %d", sk.Rows(), tbl.NumRows())
+		if sk.rows != tbl.NumRows() {
+			t.Fatalf("rows %d vs %d", sk.rows, tbl.NumRows())
 		}
 		quasi := schema.QuasiColumns()
 		for i, col := range quasi {

@@ -41,15 +41,6 @@ func FromString(s string) (Bits, error) {
 	return b, nil
 }
 
-// MustFromString is FromString that panics on error; for tests and constants.
-func MustFromString(s string) Bits {
-	b, err := FromString(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // FromBytes builds an n-bit string from the first n bits of raw
 // (LSB-first within each byte). It errors if raw holds fewer than n bits.
 func FromBytes(raw []byte, n int) (Bits, error) {
@@ -74,16 +65,6 @@ func (b Bits) Get(i int) bool {
 		panic(fmt.Sprintf("bitstr: index %d out of range [0,%d)", i, b.n))
 	}
 	return b.bits[i/8]&(1<<(uint(i)%8)) != 0
-}
-
-// Set returns a copy of b with bit i set to v.
-func (b Bits) Set(i int, v bool) Bits {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitstr: index %d out of range [0,%d)", i, b.n))
-	}
-	c := b.clone()
-	c.setInPlace(i, v)
-	return c
 }
 
 func (b *Bits) setInPlace(i int, v bool) {
@@ -201,16 +182,6 @@ func (v *VoteBoard) Vote(pos int, bit bool, w float64) {
 	}
 }
 
-// Votes returns the (zero, one) tallies at position pos.
-func (v *VoteBoard) Votes(pos int) (zero, one float64) {
-	return v.zero[pos], v.one[pos]
-}
-
-// Decided reports whether any vote has been cast at position pos.
-func (v *VoteBoard) Decided(pos int) bool {
-	return v.zero[pos] > 0 || v.one[pos] > 0
-}
-
 // Resolve returns the majority bit string over all positions. Positions
 // with no votes or tied votes resolve to 0.
 func (v *VoteBoard) Resolve() Bits {
@@ -221,24 +192,6 @@ func (v *VoteBoard) Resolve() Bits {
 		}
 	}
 	return out
-}
-
-// Merge adds every tally of other into v. Boards must have equal length.
-// It is the fan-in step of sharded detection: because detection weights
-// are integer-valued, float64 addition is exact and merging per-shard
-// boards in shard order reproduces the sequential tallies bit for bit.
-func (v *VoteBoard) Merge(other *VoteBoard) error {
-	if other == nil {
-		return errors.New("bitstr: cannot merge a nil board")
-	}
-	if len(other.zero) != len(v.zero) {
-		return fmt.Errorf("bitstr: cannot merge boards of length %d and %d", v.Len(), other.Len())
-	}
-	for i := range v.zero {
-		v.zero[i] += other.zero[i]
-		v.one[i] += other.one[i]
-	}
-	return nil
 }
 
 // FoldInto collapses a replicated board (length l·markLen) into a markLen

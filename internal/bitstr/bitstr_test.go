@@ -60,29 +60,18 @@ func TestFromBytes(t *testing.T) {
 	}
 }
 
-func TestSetIsCopyOnWrite(t *testing.T) {
-	a := MustFromString("0000")
-	b := a.Set(2, true)
-	if a.String() != "0000" {
-		t.Errorf("original mutated: %s", a.String())
-	}
-	if b.String() != "0010" {
-		t.Errorf("copy wrong: %s", b.String())
-	}
-}
-
 func TestGetOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustFromString("101").Get(3)
+	mustBits("101").Get(3)
 }
 
 func TestEqualAndHamming(t *testing.T) {
-	a := MustFromString("10110")
-	b := MustFromString("10011")
+	a := mustBits("10110")
+	b := mustBits("10011")
 	if a.Equal(b) {
 		t.Error("unexpected Equal")
 	}
@@ -93,14 +82,14 @@ func TestEqualAndHamming(t *testing.T) {
 	if err != nil || d != 2 {
 		t.Errorf("Hamming = %d, %v; want 2, nil", d, err)
 	}
-	if _, err := a.Hamming(MustFromString("1")); err == nil {
+	if _, err := a.Hamming(mustBits("1")); err == nil {
 		t.Error("expected length-mismatch error")
 	}
 }
 
 func TestLossFraction(t *testing.T) {
-	a := MustFromString("1111")
-	b := MustFromString("1100")
+	a := mustBits("1111")
+	b := mustBits("1100")
 	f, err := a.LossFraction(b)
 	if err != nil || f != 0.5 {
 		t.Errorf("LossFraction = %v, %v; want 0.5, nil", f, err)
@@ -110,6 +99,18 @@ func TestLossFraction(t *testing.T) {
 		t.Errorf("empty LossFraction = %v, %v", f, err)
 	}
 }
+
+// mustBits is FromString for well-formed literals.
+func mustBits(s string) Bits {
+	b, err := FromString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// decided reports whether any vote has been cast at position pos.
+func decided(vb *VoteBoard, pos int) bool { return vb.zero[pos] > 0 || vb.one[pos] > 0 }
 
 // majorityFold is the paper's MajorVot over a replicated bit string as
 // detection runs it: one unit vote per position on a VoteBoard, folded
@@ -127,7 +128,7 @@ func majorityFold(b Bits, markLen int) (Bits, error) {
 }
 
 func TestDuplicateAndMajorityFold(t *testing.T) {
-	wm := MustFromString("1011")
+	wm := mustBits("1011")
 	wmd := wm.Duplicate(3)
 	if wmd.Len() != 12 {
 		t.Fatalf("Duplicate len = %d, want 12", wmd.Len())
@@ -140,10 +141,7 @@ func TestDuplicateAndMajorityFold(t *testing.T) {
 		t.Fatalf("majority fold = %s, %v; want %s", back.String(), err, wm.String())
 	}
 	// Corrupt one replica entirely; majority of 3 still recovers.
-	corrupt := wmd
-	for i := 0; i < 4; i++ {
-		corrupt = corrupt.Set(i, !corrupt.Get(i))
-	}
+	corrupt := mustBits("010010111011")
 	back, err = majorityFold(corrupt, 4)
 	if err != nil || !back.Equal(wm) {
 		t.Fatalf("majority fold after corruption = %s, want %s", back.String(), wm.String())
@@ -152,7 +150,7 @@ func TestDuplicateAndMajorityFold(t *testing.T) {
 
 func TestMajorityFoldTieIsZero(t *testing.T) {
 	// two replicas disagreeing at every position -> all zeros
-	b := MustFromString("11110000")
+	b := mustBits("11110000")
 	out, err := majorityFold(b, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +166,7 @@ func TestDuplicatePanicsOnBadFactor(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustFromString("1").Duplicate(0)
+	mustBits("1").Duplicate(0)
 }
 
 func TestVoteBoardResolve(t *testing.T) {
@@ -183,12 +181,11 @@ func TestVoteBoardResolve(t *testing.T) {
 	if got.String() != "100" {
 		t.Fatalf("Resolve = %s, want 100", got.String())
 	}
-	if !vb.Decided(0) || vb.Decided(2) {
-		t.Error("Decided wrong")
+	if !decided(vb, 0) || decided(vb, 2) {
+		t.Error("decided wrong")
 	}
-	z, o := vb.Votes(1)
-	if z != 5 || o != 2 {
-		t.Errorf("Votes(1) = %v,%v; want 5,2", z, o)
+	if z, o := vb.zero[1], vb.one[1]; z != 5 || o != 2 {
+		t.Errorf("votes at 1 = %v,%v; want 5,2", z, o)
 	}
 }
 
@@ -198,7 +195,7 @@ func TestVoteBoardIgnoresBadVotes(t *testing.T) {
 	vb.Vote(2, true, 1)
 	vb.Vote(0, true, 0)
 	vb.Vote(0, true, -3)
-	if vb.Decided(0) || vb.Decided(1) {
+	if decided(vb, 0) || decided(vb, 1) {
 		t.Error("invalid votes should be ignored")
 	}
 }

@@ -7,11 +7,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Append is AppendContext under the background context.
-func (f *Framework) Append(delta *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Protected, error) {
-	return f.AppendContext(context.Background(), delta, plan, key)
-}
-
 // AppendContext protects a new batch of rows under an existing plan —
 // the incremental-ingestion path: the repository already published a
 // protected table (ApplyContext filled the plan's bin record) and new

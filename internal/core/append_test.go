@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"strings"
@@ -32,7 +33,7 @@ func appendFixture(t *testing.T, baseRows, deltaRows int) (*Framework, *Protecte
 	}
 	fw := testFramework(t)
 	key := crypt.NewWatermarkKeyFromSecret("append owner", 25)
-	prot, err := fw.Protect(base, key)
+	prot, err := fw.ProtectContext(context.Background(), base, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAppendDetectDisputeRoundTrip(t *testing.T) {
 	fw, prot, delta, key := appendFixture(t, 4000, 600)
 	plan := prot.Plan
 
-	app, err := fw.Append(delta, &plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAppendDetectDisputeRoundTrip(t *testing.T) {
 	}
 
 	// Detection over old+new rows votes the owner's mark.
-	det, err := fw.Detect(union, app.Plan.Provenance, key)
+	det, err := fw.DetectContext(context.Background(), union, app.Plan.Provenance, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestAppendDetectDisputeRoundTrip(t *testing.T) {
 	}
 
 	// An impostor key still fails.
-	badDet, err := fw.Detect(union, app.Plan.Provenance, crypt.NewWatermarkKeyFromSecret("impostor", 25))
+	badDet, err := fw.DetectContext(context.Background(), union, app.Plan.Provenance, crypt.NewWatermarkKeyFromSecret("impostor", 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestAppendDetectDisputeRoundTrip(t *testing.T) {
 	}
 
 	// Dispute over the union upholds the owner (§5.4).
-	verdicts, err := fw.Dispute(union, app.Plan.Provenance, key, nil)
+	verdicts, err := fw.DisputeContext(context.Background(), union, app.Plan.Provenance, key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestAppendDetectDisputeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := app.Plan
-	app2, err := fw.Append(second, &next, key)
+	app2, err := fw.AppendContext(context.Background(), second, &next, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,12 @@ func TestAppendDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prot, err := fw.Protect(base, key)
+		prot, err := fw.ProtectContext(context.Background(), base, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := prot.Plan
-		app, err := fw.Append(delta, &plan, key)
+		app, err := fw.AppendContext(context.Background(), delta, &plan, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestAppendPlanDriftOutsideFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad.SetCellAt(0, ci, "martian flu")
-	_, err = fw.Append(bad, &plan, key)
+	_, err = fw.AppendContext(context.Background(), bad, &plan, key)
 	if !errors.Is(err, ErrPlanDrift) {
 		t.Fatalf("out-of-domain delta: %v, want ErrPlanDrift", err)
 	}
@@ -181,7 +182,7 @@ func TestAppendPlanDriftThinNewBin(t *testing.T) {
 	plan := prot.Plan
 
 	// Baseline: this delta appends cleanly under the true plan.
-	app, err := fw.Append(delta, &plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestAppendPlanDriftThinNewBin(t *testing.T) {
 	// fresh, under-populated value combination. The append must refuse
 	// with ErrPlanDrift rather than publish a bin below k.
 	doctored := withoutThinBin(t, plan, app.Table)
-	_, err = fw.Append(delta, &doctored, key)
+	_, err = fw.AppendContext(context.Background(), delta, &doctored, key)
 	if !errors.Is(err, ErrPlanDrift) {
 		t.Fatalf("thin new bin: %v, want ErrPlanDrift", err)
 	}
@@ -205,7 +206,7 @@ func TestAppendPlanDriftThinNewBin(t *testing.T) {
 	// path.
 	permissive := doctored
 	permissive.BoundaryPermutation = true
-	if _, err := fw.Append(delta, &permissive, key); err != nil {
+	if _, err := fw.AppendContext(context.Background(), delta, &permissive, key); err != nil {
 		t.Fatalf("thin new bin under boundary permutation: %v, want success", err)
 	}
 }
@@ -229,7 +230,7 @@ func TestZeroSelectionKeepsBoundaryOff(t *testing.T) {
 	}
 	fw := testFramework(t)
 	key := crypt.NewWatermarkKeyFromSecret("append owner", 1e12)
-	prot, err := fw.Protect(base, key)
+	prot, err := fw.ProtectContext(context.Background(), base, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +240,12 @@ func TestZeroSelectionKeepsBoundaryOff(t *testing.T) {
 	if prot.Plan.BoundaryPermutation {
 		t.Fatal("an apply that selected no tuple recorded §5.1 boundary permutation")
 	}
-	app, err := fw.Append(delta, &prot.Plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &prot.Plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doctored := withoutThinBin(t, prot.Plan, app.Table)
-	if _, err := fw.Append(delta, &doctored, key); !errors.Is(err, ErrPlanDrift) {
+	if _, err := fw.AppendContext(context.Background(), delta, &doctored, key); !errors.Is(err, ErrPlanDrift) {
 		t.Fatalf("thin new bin after a zero-selection apply: %v, want ErrPlanDrift", err)
 	}
 }
@@ -295,7 +296,7 @@ func TestAppendSchemaMismatch(t *testing.T) {
 	plan := prot.Plan
 
 	// Demote one quasi column to "other".
-	cols := delta.Schema().Columns()
+	cols := columnsOf(delta.Schema())
 	for i := range cols {
 		if cols[i].Name == ontology.ColDoctor {
 			cols[i].Kind = relation.Other
@@ -311,12 +312,12 @@ func TestAppendSchemaMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fw.Append(bad, &plan, key); !errors.Is(err, ErrBadSchema) {
+	if _, err := fw.AppendContext(context.Background(), bad, &plan, key); !errors.Is(err, ErrBadSchema) {
 		t.Fatalf("demoted quasi column: %v, want ErrBadSchema", err)
 	}
 
 	// Reorder two quasi columns.
-	cols = delta.Schema().Columns()
+	cols = columnsOf(delta.Schema())
 	qi := make([]int, 0, len(cols))
 	for i, c := range cols {
 		if c.Kind.IsQuasi() {
@@ -338,7 +339,7 @@ func TestAppendSchemaMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fw.Append(bad, &plan, key); !errors.Is(err, ErrBadSchema) {
+	if _, err := fw.AppendContext(context.Background(), bad, &plan, key); !errors.Is(err, ErrBadSchema) {
 		t.Fatalf("reordered quasi columns: %v, want ErrBadSchema", err)
 	}
 }
@@ -347,14 +348,24 @@ func TestAppendRequiresAppliedPlan(t *testing.T) {
 	fw, _, delta, key := appendFixture(t, 2500, 100)
 
 	// A pre-apply plan (PlanContext output) has no published bin record.
-	fresh, err := fw.Plan(delta.Clone(), key)
+	fresh, err := fw.PlanContext(context.Background(), delta.Clone(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Append(delta, fresh, key); !errors.Is(err, ErrBadProvenance) {
+	if _, err := fw.AppendContext(context.Background(), delta, fresh, key); !errors.Is(err, ErrBadProvenance) {
 		t.Fatalf("append under unapplied plan: %v, want ErrBadProvenance", err)
 	}
-	if _, err := fw.Append(delta, nil, key); !errors.Is(err, ErrBadProvenance) {
+	if _, err := fw.AppendContext(context.Background(), delta, nil, key); !errors.Is(err, ErrBadProvenance) {
 		t.Fatalf("append under nil plan: %v, want ErrBadProvenance", err)
 	}
+}
+
+// columnsOf copies a schema's columns, for tests that build an edited
+// schema from them.
+func columnsOf(s *relation.Schema) []relation.Column {
+	cols := make([]relation.Column, s.NumColumns())
+	for i := range cols {
+		cols[i] = s.Column(i)
+	}
+	return cols
 }

@@ -49,7 +49,7 @@ func TestNoHierarchy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := fw.Plan(tbl, key)
+		plan, err := fw.PlanContext(context.Background(), tbl, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestProtectBoundaryFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := crypt.NewWatermarkKeyFromSecret("boundary-owner", 30)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestProtectBoundaryFallback(t *testing.T) {
 	if p.Embed.BitsEmbedded == 0 {
 		t.Fatal("no bits embedded even after fallback")
 	}
-	det, err := fw.Detect(p.Table, p.Provenance, key)
+	det, err := fw.DetectContext(context.Background(), p.Table, p.Provenance, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestProtectBoundaryFallback(t *testing.T) {
 		{ID: "a", Key: crypt.RecipientWatermarkKey("boundary-owner", "a", 30)},
 		{ID: "b", Key: crypt.RecipientWatermarkKey("boundary-owner", "b", 30)},
 	}
-	copies, err := fw.Fingerprint(tbl, recipients)
+	copies, err := fw.FingerprintContext(context.Background(), tbl, recipients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestProtectBoundaryFallback(t *testing.T) {
 		}
 	}
 
-	plan, err := fw.Plan(tbl, key)
+	plan, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestNonStructuralZeroBandwidth(t *testing.T) {
 	}
 	ctx := context.Background()
 	key := crypt.NewWatermarkKeyFromSecret("tiny-owner", 10)
-	plan, err := fw.Plan(tbl, key)
+	plan, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestDetectContextPreCancelled(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 2_000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestContextFormsMatchPlain(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 1_500)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	plain, err := fw.Protect(tbl, key)
+	plain, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}

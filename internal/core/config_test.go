@@ -1,13 +1,59 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/binning"
 	"repro/internal/crypt"
+	"repro/internal/infoloss"
 	"repro/internal/ontology"
 )
+
+// TestNewRefusesOutOfRangeConfig: every value the pipeline would later
+// fail on, or silently misread, is refused by New with ErrBadConfig,
+// after the zero values take their defaults.
+func TestNewRefusesOutOfRangeConfig(t *testing.T) {
+	trees := ontology.Trees()
+	for name, cfg := range map[string]Config{
+		"negative epsilon":        {K: 5, Epsilon: -3},
+		"negative quantum":        {K: 5, Quantum: -5},
+		"NaN quantum":             {K: 5, Quantum: math.NaN()},
+		"infinite quantum":        {K: 5, Quantum: math.Inf(1)},
+		"negative tau":            {K: 5, Tau: -1},
+		"negative loss threshold": {K: 5, LossThreshold: -0.1},
+		"loss threshold 0.5":      {K: 5, LossThreshold: 0.5},
+		"loss threshold 0.9":      {K: 5, LossThreshold: 0.9},
+		"negative enum limit":     {K: 5, EnumLimit: -1},
+		"unknown strategy":        {K: 5, Strategy: binning.Strategy(7)},
+		"negative strategy":       {K: 5, Strategy: binning.Strategy(-1)},
+		"column bound above one":  {K: 5, Metrics: &infoloss.Metrics{PerColumn: map[string]float64{"age": 1.5}}},
+		"negative average bound":  {K: 5, Metrics: &infoloss.Metrics{Avg: -0.2}},
+		"average bound above one": {K: 5, Metrics: &infoloss.Metrics{Avg: 2}},
+		"negative column bound":   {K: 5, Metrics: &infoloss.Metrics{PerColumn: map[string]float64{"zip_code": -1}}},
+	} {
+		if _, err := New(trees, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: New = %v, want ErrBadConfig", name, err)
+		}
+	}
+	for name, cfg := range map[string]Config{
+		"defaults":              {K: 5},
+		"loss threshold 0.49":   {K: 5, LossThreshold: 0.49},
+		"greedy":                {K: 5, Strategy: binning.StrategyGreedy},
+		"bounds at the limits":  {K: 5, Metrics: &infoloss.Metrics{PerColumn: map[string]float64{"age": 0, "doctor": 1}, Avg: 1}},
+		"explicit epsilon":      {K: 5, Epsilon: 2},
+		"explicit enum limit":   {K: 5, EnumLimit: 10},
+		"explicit quantum, tau": {K: 5, Quantum: 0.5, Tau: 3},
+	} {
+		if _, err := New(trees, cfg); err != nil {
+			t.Errorf("%s: New = %v, want a framework", name, err)
+		}
+	}
+}
 
 // TestSaltConfigSingleSource is the regression test for the
 // SaltPositionWithColumn / NoColumnSalt footgun: NoColumnSalt is the
@@ -73,7 +119,7 @@ func TestProtectDetectWorkersDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := fw.Protect(tbl, key)
+		p, err := fw.ProtectContext(context.Background(), tbl, key)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,7 +131,7 @@ func TestProtectDetectWorkersDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		det, err := fw.Detect(p.Table, p.Provenance, key)
+		det, err := fw.DetectContext(context.Background(), p.Table, p.Provenance, key)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

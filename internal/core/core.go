@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/binning"
@@ -27,7 +28,8 @@ import (
 
 // Config parameterizes the framework. Zero values get sensible defaults
 // from New: MarkBits 20 (as in §7.2), Duplication 4, Quantum 1e6, Tau
-// 5e7, LossThreshold 0.15, SaltPositionWithColumn true.
+// 5e7, LossThreshold 0.15, SaltPositionWithColumn true. New refuses
+// out-of-range values with ErrBadConfig.
 type Config struct {
 	// K is the k-anonymity specification parameter.
 	K int
@@ -58,7 +60,8 @@ type Config struct {
 	Quantum float64
 	// Tau is the statistic tolerance τ used in disputes.
 	Tau float64
-	// LossThreshold is the maximal mark loss accepted as a match.
+	// LossThreshold is the maximal mark loss accepted as a match, in
+	// [0, 0.5): a wrong key reads about half the bits wrong.
 	LossThreshold float64
 	// WeightedVoting and BoundaryPermutation are passed to the
 	// watermarking agent (see watermark.Params).
@@ -113,8 +116,9 @@ type Provenance struct {
 	Columns                map[string]ColumnProvenance `json:"columns"`
 }
 
-// Protected is the outcome of the in-memory write forms — Protect,
-// Apply, Append and each Fingerprint copy: the write run's outcome
+// Protected is the outcome of the in-memory write forms —
+// ProtectContext, ApplyContext, AppendContext and each
+// FingerprintContext copy: the write run's outcome
 // (Streamed, whose Plan is the one to retain) plus the marked table.
 type Protected struct {
 	// Table is the outsourcing-ready table: binned and watermarked. It
@@ -168,6 +172,27 @@ func New(trees map[string]*dht.Tree, cfg Config) (*Framework, error) {
 	if cfg.LossThreshold == 0 {
 		cfg.LossThreshold = 0.15
 	}
+	switch {
+	case cfg.Epsilon < 0:
+		return nil, fmt.Errorf("core: Epsilon must be >= 0, got %d: %w", cfg.Epsilon, ErrBadConfig)
+	case !(cfg.Quantum > 0) || math.IsInf(cfg.Quantum, 1):
+		return nil, fmt.Errorf("core: Quantum must be positive and finite, got %v: %w", cfg.Quantum, ErrBadConfig)
+	case !(cfg.Tau > 0):
+		return nil, fmt.Errorf("core: Tau must be positive, got %v: %w", cfg.Tau, ErrBadConfig)
+	case !(cfg.LossThreshold >= 0 && cfg.LossThreshold < 0.5):
+		// A threshold at or above 0.5 accepts the ~50% loss of a wrong
+		// key as a match; ownership.Judge refuses the same range.
+		return nil, fmt.Errorf("core: LossThreshold must be in [0, 0.5), got %v: %w", cfg.LossThreshold, ErrBadConfig)
+	case cfg.EnumLimit < 0:
+		return nil, fmt.Errorf("core: EnumLimit must be >= 0, got %d: %w", cfg.EnumLimit, ErrBadConfig)
+	case cfg.Strategy < binning.StrategyAuto || cfg.Strategy > binning.StrategyGreedy:
+		return nil, fmt.Errorf("core: unknown Strategy %d: %w", cfg.Strategy, ErrBadConfig)
+	}
+	if cfg.Metrics != nil {
+		if err := cfg.Metrics.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w: %w", err, ErrBadConfig)
+		}
+	}
 	if cfg.NoColumnSalt && cfg.SaltPositionWithColumn {
 		return nil, fmt.Errorf(
 			"core: conflicting Config: NoColumnSalt and SaltPositionWithColumn are both set; NoColumnSalt is the single source of truth — leave SaltPositionWithColumn unset: %w", ErrBadConfig)
@@ -196,20 +221,14 @@ func (f *Framework) identCol(schema *relation.Schema) (string, error) {
 	return idents[0], nil
 }
 
-// Protect runs the full pipeline of Figure 2 on tbl under the secret key:
-// derive the ownership mark wm = F(v) from the clear-text identifiers
-// (§5.4), bin to satisfy k-anonymity (+ε) under the usage metrics
-// (Section 4), and watermark the binned table hierarchically (Section 5).
-// The input table is not modified.
-func (f *Framework) Protect(tbl *relation.Table, key crypt.WatermarkKey) (*Protected, error) {
-	return f.ProtectContext(context.Background(), tbl, key)
-}
-
-// ProtectContext is Protect under a context: binning (including the
+// ProtectContext runs the full pipeline of Figure 2 on tbl under the
+// secret key: derive the ownership mark wm = F(v) from the clear-text
+// identifiers (§5.4), bin to satisfy k-anonymity (+ε) under the usage
+// metrics (Section 4), and watermark the binned table hierarchically
+// (Section 5). The input table is not modified. Binning (including the
 // candidate search and re-binning pass), encryption, generalization and
 // watermark embedding all abort promptly with the context's error once
-// ctx is cancelled or its deadline passes. A request-scoped caller — the
-// HTTP service, a job queue — should always use this form.
+// ctx is cancelled or its deadline passes.
 //
 // ProtectContext is exactly PlanContext followed by ApplyContext; the
 // two stages are independently invokable for plan-once/apply-later and
@@ -227,11 +246,6 @@ func (f *Framework) ProtectContext(ctx context.Context, tbl *relation.Table, key
 	}
 	reportProgress(ctx, Progress{Stage: "apply", Done: 2, Total: 2})
 	return prot, nil
-}
-
-// Apply is ApplyContext under the background context.
-func (f *Framework) Apply(tbl *relation.Table, plan *Plan, key crypt.WatermarkKey) (*Protected, error) {
-	return f.ApplyContext(context.Background(), tbl, plan, key)
 }
 
 // ApplyContext executes a plan on tbl — the transform half of the
@@ -287,7 +301,7 @@ func paramsFromProvenance(prov Provenance, key crypt.WatermarkKey) (watermark.Pa
 	}, nil
 }
 
-// Detection is Detect's report.
+// Detection is DetectContext's report.
 type Detection struct {
 	Result watermark.DetectResult
 	// MarkLoss is the detected mark's loss against the provenance mark.
@@ -296,15 +310,11 @@ type Detection struct {
 	Match bool
 }
 
-// Detect recovers the mark from a (possibly attacked) table under the
-// secret key and compares it with the provenance record.
-func (f *Framework) Detect(tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) (*Detection, error) {
-	return f.DetectContext(context.Background(), tbl, prov, key)
-}
-
-// DetectContext is Detect under a context: DetectStream over tbl as a
-// single segment, so its selection scan and vote walk abort promptly
-// with the context's error on cancellation.
+// DetectContext recovers the mark from a (possibly attacked) table
+// under the secret key and compares it with the provenance record. It
+// is DetectStream over tbl as a single segment, so its selection scan
+// and vote walk abort promptly with the context's error on
+// cancellation.
 func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) (*Detection, error) {
 	det, err := f.DetectStream(ctx, &relation.OneSegment{Table: tbl}, prov, key)
 	if err != nil {
@@ -313,15 +323,10 @@ func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov
 	return &det.Detection, nil
 }
 
-// Dispute arbitrates ownership of a disputed table (§5.4). The owner's
-// claim is built from the provenance record plus the owner's key; rival
-// claims come as ownership.Claim values and are judged under the
-// provenance's embedding policy.
-func (f *Framework) Dispute(disputed *relation.Table, prov Provenance, ownerKey crypt.WatermarkKey, rivals []ownership.Claim) ([]ownership.Verdict, error) {
-	return f.DisputeContext(context.Background(), disputed, prov, ownerKey, rivals)
-}
-
-// DisputeContext is Dispute under a context. Steps (1)–(3) of §5.4 run
+// DisputeContext arbitrates ownership of a disputed table (§5.4). The
+// owner's claim is built from the provenance record plus the owner's
+// key; rival claims come as ownership.Claim values and are judged under
+// the provenance's embedding policy. Steps (1)–(3) of §5.4 run
 // per claim; step (4) detects every claim that passed them in one
 // readVotes pass over the disputed table — the claims share the
 // provenance's signature, so the suspect is prepared once and each
@@ -419,14 +424,14 @@ func (f *Framework) DecryptIdentifiers(ctx context.Context, tbl *relation.Table,
 	}
 	out := tbl.Clone()
 	// Decryption is deterministic per value, so it rewrites the column
-	// dictionary: one DecryptString per distinct ciphertext (fanned out
-	// over workers), and rows remap by code.
+	// dictionary: one decryption per distinct ciphertext (fanned out
+	// over workers) into the column's arena, and rows remap by code.
 	if _, err := out.MapColumnCtx(ctx, f.cfg.Workers, colIdx, func(dst []byte, token string) ([]byte, error) {
-		pt, err := cipher.DecryptString(token)
+		dst, err := cipher.AppendDecryptString(dst, token)
 		if err != nil {
 			return nil, fmt.Errorf("core: identifier %q: %w: %w", token, err, ErrKeyMismatch)
 		}
-		return append(dst, pt...), nil
+		return dst, nil
 	}); err != nil {
 		return nil, err
 	}

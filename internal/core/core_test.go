@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -71,7 +72,7 @@ func TestProtectEndToEnd(t *testing.T) {
 	tbl := testData(t, 4000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
 
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestProtectEndToEnd(t *testing.T) {
 		t.Errorf("%d bins below k after watermarking", p.BinStats.BelowK)
 	}
 	// ownership: detection under the right key matches
-	det, err := fw.Detect(p.Table, p.Provenance, key)
+	det, err := fw.DetectContext(context.Background(), p.Table, p.Provenance, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +111,12 @@ func TestDetectWrongKeyFails(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 3000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrong := crypt.NewWatermarkKeyFromSecret("not-the-owner", 25)
-	det, err := fw.Detect(p.Table, p.Provenance, wrong)
+	det, err := fw.DetectContext(context.Background(), p.Table, p.Provenance, wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestDetectSurvivesAttacks(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 6000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 20)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestDetectSurvivesAttacks(t *testing.T) {
 	if _, err := attack.DeleteRandom(attacked, 0.3, rng); err != nil {
 		t.Fatal(err)
 	}
-	det, err := fw.Detect(attacked, p.Provenance, key)
+	det, err := fw.DetectContext(context.Background(), attacked, p.Provenance, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestProvenanceJSONRoundtrip(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 2000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestProvenanceJSONRoundtrip(t *testing.T) {
 			t.Errorf("column %s: rebuilt frontiers differ from originals", col)
 		}
 	}
-	det, err := fw.Detect(p.Table, back, key)
+	det, err := fw.DetectContext(context.Background(), p.Table, back, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestDisputeOwnerWins(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 4000)
 	ownerKey := crypt.NewWatermarkKeyFromSecret("owner", 20)
-	p, err := fw.Protect(tbl, ownerKey)
+	p, err := fw.ProtectContext(context.Background(), tbl, ownerKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,11 @@ func TestDisputeOwnerWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	thiefParams.Mark = thiefMark
-	if _, err := watermark.Embed(stolen, p.Provenance.IdentCol, specs, thiefParams); err != nil {
+	if _, err := watermark.EmbedContext(context.Background(), stolen, p.Provenance.IdentCol, specs, thiefParams); err != nil {
 		t.Fatal(err)
 	}
 
-	verdicts, err := fw.Dispute(stolen, p.Provenance, ownerKey, []ownership.Claim{{
+	verdicts, err := fw.DisputeContext(context.Background(), stolen, p.Provenance, ownerKey, []ownership.Claim{{
 		Claimant: "thief", V: thiefV, Key: thiefKey, Mark: thiefMark,
 	}})
 	if err != nil {
@@ -253,7 +254,7 @@ func TestDisputeOwnerWins(t *testing.T) {
 func TestProtectValidation(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 100)
-	if _, err := fw.Protect(tbl, crypt.WatermarkKey{}); err == nil {
+	if _, err := fw.ProtectContext(context.Background(), tbl, crypt.WatermarkKey{}); err == nil {
 		t.Error("empty key accepted")
 	}
 	// ident column override that does not exist
@@ -261,7 +262,7 @@ func TestProtectValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.Protect(tbl, crypt.NewWatermarkKeyFromSecret("k", 10)); err == nil {
+	if _, err := bad.ProtectContext(context.Background(), tbl, crypt.NewWatermarkKeyFromSecret("k", 10)); err == nil {
 		t.Error("missing ident column accepted")
 	}
 }
@@ -270,16 +271,16 @@ func TestDetectBadProvenanceMark(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 300)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := p.Provenance
 	bad.Mark = "not-bits"
-	if _, err := fw.Detect(p.Table, bad, key); err == nil {
+	if _, err := fw.DetectContext(context.Background(), p.Table, bad, key); err == nil {
 		t.Error("garbage provenance mark accepted")
 	}
-	if _, err := fw.Dispute(p.Table, bad, key, nil); err == nil {
+	if _, err := fw.DisputeContext(context.Background(), p.Table, bad, key, nil); err == nil {
 		t.Error("garbage provenance mark accepted by Dispute")
 	}
 }

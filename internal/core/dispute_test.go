@@ -69,12 +69,15 @@ func TestDisputeMatchesPerClaimDetect(t *testing.T) {
 	fw := testFramework(t)
 	const secret = "per-claim owner"
 	ownerKey := crypt.NewWatermarkKeyFromSecret(secret, 20)
-	prot, err := fw.Protect(testData(t, 3000), ownerKey)
+	prot, err := fw.ProtectContext(context.Background(), testData(t, 3000), ownerKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prov := prot.Provenance
-	mark := bitstr.MustFromString(prov.Mark)
+	mark, err := bitstr.FromString(prov.Mark)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Attack 1: the thief over-embeds F of an invented statistic.
 	thiefKey := crypt.NewWatermarkKeyFromSecret("per-claim thief", 20)
@@ -93,12 +96,12 @@ func TestDisputeMatchesPerClaimDetect(t *testing.T) {
 	}
 	thiefParams.Mark = thiefMark
 	stolen := prot.Table.Clone()
-	if _, err := watermark.Embed(stolen, prov.IdentCol, columns, thiefParams); err != nil {
+	if _, err := watermark.EmbedContext(context.Background(), stolen, prov.IdentCol, columns, thiefParams); err != nil {
 		t.Fatal(err)
 	}
 	// Attack 2: the forger claims whatever his key reads.
 	forgerKey := crypt.NewWatermarkKeyFromSecret("per-claim forger", 20)
-	forged, err := fw.Detect(stolen, prov, forgerKey)
+	forged, err := fw.DetectContext(context.Background(), stolen, prov, forgerKey)
 	if err != nil {
 		t.Fatal(err)
 	}

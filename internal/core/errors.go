@@ -7,10 +7,10 @@ import (
 )
 
 // Sentinel errors of the protection pipeline. Every error returned by
-// New, Protect, Detect, Dispute and DecryptIdentifiers wraps exactly one
-// of these (or a context error), so callers — in particular the HTTP
-// service layer — classify failures with errors.Is instead of string
-// matching.
+// New, ProtectContext, DetectContext, DisputeContext and
+// DecryptIdentifiers wraps exactly one of these (or a context error), so
+// callers — in particular the HTTP service layer — classify failures
+// with errors.Is instead of string matching.
 var (
 	// ErrBadConfig marks an invalid Config rejected by New.
 	ErrBadConfig = errors.New("invalid configuration")

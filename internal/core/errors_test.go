@@ -65,10 +65,10 @@ func TestSentinelErrors(t *testing.T) {
 		tbl := testData(t, 200)
 		bad := key
 		bad.K2 = bad.K1 // the paper forbids correlated subkeys
-		if _, err := fw.Protect(tbl, bad); !errors.Is(err, ErrBadKey) {
+		if _, err := fw.ProtectContext(context.Background(), tbl, bad); !errors.Is(err, ErrBadKey) {
 			t.Fatalf("K1=K2: got %v, want ErrBadKey", err)
 		}
-		if _, err := fw.Detect(tbl, Provenance{}, bad); !errors.Is(err, ErrBadKey) {
+		if _, err := fw.DetectContext(context.Background(), tbl, Provenance{}, bad); !errors.Is(err, ErrBadKey) {
 			t.Fatalf("detect with K1=K2: got %v, want ErrBadKey", err)
 		}
 	})
@@ -78,7 +78,7 @@ func TestSentinelErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fw.Protect(testData(t, 200), key); !errors.Is(err, ErrBadSchema) {
+		if _, err := fw.ProtectContext(context.Background(), testData(t, 200), key); !errors.Is(err, ErrBadSchema) {
 			t.Fatalf("missing ident col: got %v, want ErrBadSchema", err)
 		}
 
@@ -98,7 +98,7 @@ func TestSentinelErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fw.Protect(c.tbl, key); !errors.Is(err, ErrBadSchema) {
+			if _, err := fw.ProtectContext(context.Background(), c.tbl, key); !errors.Is(err, ErrBadSchema) {
 				t.Fatalf("%s: Protect got %v, want ErrBadSchema", name, err)
 			}
 			if _, err := fw.PlanStream(context.Background(), c.tbl.Segments(0), key); !errors.Is(err, ErrBadSchema) {
@@ -111,14 +111,14 @@ func TestSentinelErrors(t *testing.T) {
 		// the claims: also when no claim's key decrypts the identifiers,
 		// so none reaches detection.
 		fw = testFramework(t)
-		prot, err := fw.Protect(testData(t, 300), key)
+		prot, err := fw.ProtectContext(context.Background(), testData(t, 300), key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wrong := crypt.NewWatermarkKeyFromSecret("not-the-owner", 25)
 		for _, drop := range []string{ontology.ColAge, prot.Provenance.IdentCol} {
 			var kept []relation.Column
-			for _, col := range prot.Table.Schema().Columns() {
+			for _, col := range columnsOf(prot.Table.Schema()) {
 				if col.Name != drop {
 					kept = append(kept, col)
 				}
@@ -128,7 +128,7 @@ func TestSentinelErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, k := range map[string]crypt.WatermarkKey{"owner key": key, "wrong key": wrong} {
-				if _, err := fw.Dispute(disputed, prot.Provenance, k, nil); !errors.Is(err, ErrBadSchema) {
+				if _, err := fw.DisputeContext(context.Background(), disputed, prot.Provenance, k, nil); !errors.Is(err, ErrBadSchema) {
 					t.Fatalf("dispute without %s, %s: got %v, want ErrBadSchema", drop, name, err)
 				}
 			}
@@ -148,7 +148,7 @@ func TestSentinelErrors(t *testing.T) {
 		}
 		prov.Columns = nil
 		prov.Mark = "xyz"
-		if _, err := fw.Detect(testData(t, 50), prov, key); !errors.Is(err, ErrBadProvenance) {
+		if _, err := fw.DetectContext(context.Background(), testData(t, 50), prov, key); !errors.Is(err, ErrBadProvenance) {
 			t.Fatalf("malformed mark: got %v, want ErrBadProvenance", err)
 		}
 	})
@@ -160,7 +160,7 @@ func TestSentinelErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = fw.Protect(testData(t, 3), key)
+		_, err = fw.ProtectContext(context.Background(), testData(t, 3), key)
 		if !errors.Is(err, ErrUnsatisfiable) {
 			t.Fatalf("3 rows at k=10: got %v, want ErrUnsatisfiable", err)
 		}
@@ -171,7 +171,7 @@ func TestSentinelErrors(t *testing.T) {
 
 	t.Run("key mismatch", func(t *testing.T) {
 		fw := testFramework(t)
-		prot, err := fw.Protect(testData(t, 500), key)
+		prot, err := fw.ProtectContext(context.Background(), testData(t, 500), key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestEntryPointsValidateProvenance(t *testing.T) {
 	fw := testFramework(t)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
 	tbl := testData(t, 400)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,18 +222,18 @@ func TestEntryPointsValidateProvenance(t *testing.T) {
 		if err := bad.Validate(); !errors.Is(err, ErrBadProvenance) {
 			t.Errorf("%s: Validate got %v", name, err)
 		}
-		if _, err := fw.Detect(prot.Table, bad, key); !errors.Is(err, ErrBadProvenance) || errors.Is(err, ErrBadSchema) {
+		if _, err := fw.DetectContext(context.Background(), prot.Table, bad, key); !errors.Is(err, ErrBadProvenance) || errors.Is(err, ErrBadSchema) {
 			t.Errorf("%s: Detect got %v, want ErrBadProvenance", name, err)
 		}
-		if _, err := fw.Dispute(prot.Table, bad, key, nil); !errors.Is(err, ErrBadProvenance) {
+		if _, err := fw.DisputeContext(context.Background(), prot.Table, bad, key, nil); !errors.Is(err, ErrBadProvenance) {
 			t.Errorf("%s: Dispute got %v, want ErrBadProvenance", name, err)
 		}
 		cands := []Candidate{{ID: "good", Provenance: good, Key: key}, {ID: "bad", Provenance: bad, Key: key}}
-		if _, err := fw.Traceback(prot.Table, cands); !errors.Is(err, ErrBadProvenance) {
+		if _, err := fw.TracebackContext(context.Background(), prot.Table, cands); !errors.Is(err, ErrBadProvenance) {
 			t.Errorf("%s: Traceback got %v, want ErrBadProvenance", name, err)
 		}
 	}
-	if _, err := fw.Dispute(prot.Table, good, key, nil); err != nil {
+	if _, err := fw.DisputeContext(context.Background(), prot.Table, good, key, nil); err != nil {
 		t.Fatalf("valid provenance refused: %v", err)
 	}
 }

@@ -65,11 +65,6 @@ func RecipientPlan(base *Plan, recipientID string) (*Plan, error) {
 	return &rp, nil
 }
 
-// Fingerprint is FingerprintContext under the background context.
-func (f *Framework) Fingerprint(tbl *relation.Table, recipients []Recipient) ([]FingerprintResult, error) {
-	return f.FingerprintContext(context.Background(), tbl, recipients)
-}
-
 // FingerprintContext protects one source table for N recipients — the
 // paper's motivating outsourcing scenario, where the owner hands a
 // marked copy to every partner and later asks whose copy a leak came

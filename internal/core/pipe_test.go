@@ -132,7 +132,7 @@ func pipeFixture(t *testing.T) (*Framework, *relation.Table, *Plan, *Protected, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Apply(tbl, plan, key)
+	prot, err := fw.ApplyContext(context.Background(), tbl, plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}

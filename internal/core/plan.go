@@ -157,11 +157,6 @@ func ParsePlan(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// Plan is PlanContext under the background context.
-func (f *Framework) Plan(tbl *relation.Table, key crypt.WatermarkKey) (*Plan, error) {
-	return f.PlanContext(context.Background(), tbl, key)
-}
-
 // PlanContext runs the planning half of the Figure 2 pipeline: derive
 // the ownership mark wm = F(v) from the clear-text identifiers (§5.4)
 // and search the binning frontiers satisfying k-anonymity (+ε) under

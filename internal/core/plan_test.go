@@ -36,7 +36,7 @@ func TestPlanApplyEqualsProtect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prot, err := fw.Protect(tbl, key)
+		prot, err := fw.ProtectContext(context.Background(), tbl, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +47,11 @@ func TestPlanApplyEqualsProtect(t *testing.T) {
 			t.Fatalf("workers=%d: Protect output differs across worker counts", workers)
 		}
 
-		plan, err := fw.Plan(tbl, key)
+		plan, err := fw.PlanContext(context.Background(), tbl, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hot, err := fw.Apply(tbl, plan, key)
+		hot, err := fw.ApplyContext(context.Background(), tbl, plan, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestPlanApplyEqualsProtect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		applied, err := fw.Apply(tbl, cold, key)
+		applied, err := fw.ApplyContext(context.Background(), tbl, cold, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestPlanApplyEqualsProtect(t *testing.T) {
 		if applied.Plan.Rows != applied.Table.NumRows() || len(applied.Plan.Bins) == 0 {
 			t.Fatalf("workers=%d: effective plan lacks the published bin record", workers)
 		}
-		det, err := fw.Detect(applied.Table, applied.Provenance, key)
+		det, err := fw.DetectContext(context.Background(), applied.Table, applied.Provenance, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestPlanApplyAggressiveColdPath(t *testing.T) {
 	}
 	tbl := testData(t, 1500)
 	key := crypt.NewWatermarkKeyFromSecret("aggressive owner", 25)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPlanApplyAggressiveColdPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, err := fw.Apply(tbl, cold, key)
+	applied, err := fw.ApplyContext(context.Background(), tbl, cold, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPlanToleratesOrphanDictEntries(t *testing.T) {
 	}
 	fw := testFramework(t)
 	key := crypt.NewWatermarkKeyFromSecret("orphan owner", 25)
-	if _, err := fw.Protect(base, key); err != nil {
+	if _, err := fw.ProtectContext(context.Background(), base, key); err != nil {
 		t.Fatalf("orphan dictionary entry failed the protect run: %v", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 1500)
 	key := crypt.NewWatermarkKeyFromSecret("roundtrip", 25)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestParsePlanRejectsMismatches(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 1500)
 	key := crypt.NewWatermarkKeyFromSecret("reject", 25)
-	plan, err := fw.Plan(tbl, key)
+	plan, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,19 +249,19 @@ func TestApplyValidation(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 1500)
 	key := crypt.NewWatermarkKeyFromSecret("apply validation", 25)
-	if _, err := fw.Apply(tbl, nil, key); !errors.Is(err, ErrBadProvenance) {
+	if _, err := fw.ApplyContext(context.Background(), tbl, nil, key); !errors.Is(err, ErrBadProvenance) {
 		t.Errorf("nil plan: %v, want ErrBadProvenance", err)
 	}
-	plan, err := fw.Plan(tbl, key)
+	plan, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := *plan
 	bad.FormatVersion = 7
-	if _, err := fw.Apply(tbl, &bad, key); !errors.Is(err, ErrBadProvenance) {
+	if _, err := fw.ApplyContext(context.Background(), tbl, &bad, key); !errors.Is(err, ErrBadProvenance) {
 		t.Errorf("bad version: %v, want ErrBadProvenance", err)
 	}
-	if _, err := fw.Apply(tbl, plan, crypt.WatermarkKey{}); !errors.Is(err, ErrBadKey) {
+	if _, err := fw.ApplyContext(context.Background(), tbl, plan, crypt.WatermarkKey{}); !errors.Is(err, ErrBadKey) {
 		t.Errorf("bad key: %v, want ErrBadKey", err)
 	}
 }
@@ -283,7 +283,7 @@ func TestApplyBelowKUnsatisfiable(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := crypt.NewWatermarkKeyFromSecret("below k", 25)
-	plan, err := fw.Plan(big, key)
+	plan, err := fw.PlanContext(context.Background(), big, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestPlanStreamMatchesPlanContext(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refApply, err := fw.Apply(tbl, ref, key)
+				refApply, err := fw.ApplyContext(context.Background(), tbl, ref, key)
 				if err != nil {
 					t.Fatalf("%s: apply of context plan: %v", name, err)
 				}
@@ -68,7 +68,7 @@ func TestPlanStreamMatchesPlanContext(t *testing.T) {
 					// The cold (rt-less) streamed plan must protect to the
 					// same bytes as the context plan's warm fast path.
 					if chunk == 512 {
-						p, err := fw.Apply(tbl, ps.Plan, key)
+						p, err := fw.ApplyContext(context.Background(), tbl, ps.Plan, key)
 						if err != nil {
 							t.Fatalf("%s: apply of streamed plan: %v", name, err)
 						}

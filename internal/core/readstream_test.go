@@ -51,7 +51,7 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prot, err := fw.Protect(tbl, key)
+		prot, err := fw.ProtectContext(context.Background(), tbl, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 			"clean":    prot.Table,
 			"attacked": alteredLeak(t, fw, prot),
 		} {
-			want, err := fw.Detect(suspect, prot.Provenance, key)
+			want, err := fw.DetectContext(context.Background(), suspect, prot.Provenance, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestTracebackStreamMatchesTraceback(t *testing.T) {
 		fw, results := fingerprintFixture(t, workers, "hospital-a", "hospital-b", "hospital-c")
 		cands := candidatesOf(results)
 		leak := alteredLeak(t, fw, results[1].Protected)
-		want, err := fw.Traceback(leak, cands)
+		want, err := fw.TracebackContext(context.Background(), leak, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,14 +121,14 @@ func TestTracebackStreamMixedPlanGroups(t *testing.T) {
 	cands := candidatesOf(results)
 	other := testData(t, 900)
 	otherKey := crypt.RecipientWatermarkKey("another secret", "h-x", 15)
-	prot, err := fw.Protect(other, otherKey)
+	prot, err := fw.ProtectContext(context.Background(), other, otherKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands = append(cands, Candidate{ID: "h-x", Provenance: prot.Provenance, Key: otherKey})
 
 	leak := results[0].Protected.Table
-	want, err := fw.Traceback(leak, cands)
+	want, err := fw.TracebackContext(context.Background(), leak, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFingerprintStreamMatchesFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fw.Fingerprint(tbl, recipients)
+		want, err := fw.FingerprintContext(context.Background(), tbl, recipients)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +209,11 @@ func TestFingerprintMatchesPerRecipientApply(t *testing.T) {
 	for i, id := range ids {
 		recipients[i] = Recipient{ID: id, Key: crypt.RecipientWatermarkKey(tracebackSecret, id, 20)}
 	}
-	results, err := fw.Fingerprint(tbl, recipients)
+	results, err := fw.FingerprintContext(context.Background(), tbl, recipients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := fw.Plan(tbl, recipients[0].Key)
+	plan, err := fw.PlanContext(context.Background(), tbl, recipients[0].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFingerprintMatchesPerRecipientApply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := fw.Apply(tbl, rp, r.Key)
+		p, err := fw.ApplyContext(context.Background(), tbl, rp, r.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestReadStreamValidation(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 200)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestReadStreamValidation(t *testing.T) {
 	// A suspect missing a watermarked column is a schema mismatch on
 	// every read entry point, not a bare relation error.
 	var kept []relation.Column
-	for _, col := range prot.Table.Schema().Columns() {
+	for _, col := range columnsOf(prot.Table.Schema()) {
 		if col.Name != "age" {
 			kept = append(kept, col)
 		}
@@ -273,7 +273,7 @@ func TestReadStreamValidation(t *testing.T) {
 	if _, err := fw.DetectStream(context.Background(), noAge.Segments(0), prot.Provenance, key); !errors.Is(err, ErrBadSchema) {
 		t.Errorf("detect stream, suspect without a watermarked column: %v", err)
 	}
-	if _, err := fw.Detect(noAge, prot.Provenance, key); !errors.Is(err, ErrBadSchema) {
+	if _, err := fw.DetectContext(context.Background(), noAge, prot.Provenance, key); !errors.Is(err, ErrBadSchema) {
 		t.Errorf("detect, suspect without a watermarked column: %v", err)
 	}
 	cand := Candidate{ID: "a", Provenance: prot.Provenance, Key: key}
@@ -345,11 +345,11 @@ func FuzzDetectStreamSegments(f *testing.F) {
 		f.Fatal(err)
 	}
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		f.Fatal(err)
 	}
-	want, err := fw.Detect(prot.Table, prot.Provenance, key)
+	want, err := fw.DetectContext(context.Background(), prot.Table, prot.Provenance, key)
 	if err != nil {
 		f.Fatal(err)
 	}

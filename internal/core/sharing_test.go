@@ -28,7 +28,7 @@ func TestFingerprintSharesTransformAndSelection(t *testing.T) {
 		return recs
 	}
 	mixed := fleet(16)
-	plan, err := fw.Plan(tbl, mixed[0].Key)
+	plan, err := fw.PlanContext(context.Background(), tbl, mixed[0].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFingerprintSharesTransformAndSelection(t *testing.T) {
 // same, with the bytes of the framework that planned the base.
 func TestAppendNeedsNoSearch(t *testing.T) {
 	fw, prot, delta, key := appendFixture(t, 3000, 600)
-	want, err := fw.Append(delta, &prot.Plan, key)
+	want, err := fw.AppendContext(context.Background(), delta, &prot.Plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAppendNeedsNoSearch(t *testing.T) {
 	if _, err := strict.PlanContext(context.Background(), delta, key); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("planning the delta at k=%d: err = %v, want ErrUnsatisfiable", delta.NumRows()+1, err)
 	}
-	got, err := strict.Append(delta, &prot.Plan, key)
+	got, err := strict.AppendContext(context.Background(), delta, &prot.Plan, key)
 	if err != nil {
 		t.Fatalf("append under the retained plan: %v", err)
 	}

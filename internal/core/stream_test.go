@@ -62,7 +62,7 @@ func TestApplyStreamMatchesApply(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := fw.Apply(tbl, plan, key)
+		p, err := fw.ApplyContext(context.Background(), tbl, plan, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestApplyStreamFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := fw.Apply(tbl, plan, key)
+	p, err := fw.ApplyContext(context.Background(), tbl, plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestAppendStreamMatchesAppend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prot, err := fw.Protect(base, key)
+		prot, err := fw.ProtectContext(context.Background(), base, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(prot.Provenance, prot.Plan.Provenance) {
 			t.Fatal("Protect: Protected.Provenance differs from Protected.Plan.Provenance")
 		}
-		app, err := fw.Append(delta, &prot.Plan, key)
+		app, err := fw.AppendContext(context.Background(), delta, &prot.Plan, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestAppendStreamMatchesAppend(t *testing.T) {
 func TestAppendStreamPlanDrift(t *testing.T) {
 	fw, prot, delta, key := appendFixture(t, 4000, 25)
 	plan := prot.Plan
-	app, err := fw.Append(delta, &plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAppendStreamPlanDrift(t *testing.T) {
 			doctored.Bins[bin] = n
 		}
 	}
-	_, wantErr := fw.Append(delta, &doctored, key)
+	_, wantErr := fw.AppendContext(context.Background(), delta, &doctored, key)
 	if !errors.Is(wantErr, ErrPlanDrift) {
 		t.Fatalf("in-memory append: %v, want ErrPlanDrift", wantErr)
 	}

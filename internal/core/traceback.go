@@ -54,11 +54,6 @@ type Traceback struct {
 	Matches int
 }
 
-// Traceback is TracebackContext under the background context.
-func (f *Framework) Traceback(suspect *relation.Table, candidates []Candidate) (*Traceback, error) {
-	return f.TracebackContext(context.Background(), suspect, candidates)
-}
-
 // TracebackContext answers the leak question: given a suspect table and
 // the registered recipients of its source, whose copy was leaked? It is
 // TracebackStream over the suspect as a single segment: the suspect-side

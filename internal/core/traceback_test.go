@@ -26,7 +26,7 @@ func fingerprintFixture(t *testing.T, workers int, ids ...string) (*Framework, [
 	for i, id := range ids {
 		recipients[i] = Recipient{ID: id, Key: crypt.RecipientWatermarkKey(tracebackSecret, id, 20)}
 	}
-	results, err := fw.Fingerprint(tbl, recipients)
+	results, err := fw.FingerprintContext(context.Background(), tbl, recipients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +82,17 @@ func TestFingerprintValidation(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 200)
 	key := crypt.RecipientWatermarkKey(tracebackSecret, "a", 10)
-	if _, err := fw.Fingerprint(tbl, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := fw.FingerprintContext(context.Background(), tbl, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("no recipients: got %v", err)
 	}
-	if _, err := fw.Fingerprint(tbl, []Recipient{{ID: "", Key: key}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := fw.FingerprintContext(context.Background(), tbl, []Recipient{{ID: "", Key: key}}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty ID: got %v", err)
 	}
 	dup := []Recipient{{ID: "a", Key: key}, {ID: "a", Key: key}}
-	if _, err := fw.Fingerprint(tbl, dup); !errors.Is(err, ErrBadConfig) {
+	if _, err := fw.FingerprintContext(context.Background(), tbl, dup); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("duplicate ID: got %v", err)
 	}
-	if _, err := fw.Fingerprint(tbl, []Recipient{{ID: "a"}}); !errors.Is(err, ErrBadKey) {
+	if _, err := fw.FingerprintContext(context.Background(), tbl, []Recipient{{ID: "a"}}); !errors.Is(err, ErrBadKey) {
 		t.Errorf("invalid key: got %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestTracebackNamesTheLeaker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tb, err := fw.Traceback(leak, cands)
+	tb, err := fw.TracebackContext(context.Background(), leak, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTracebackMatchesIndependentDetect(t *testing.T) {
 	cands := candidatesOf(results)
 	leak := results[0].Protected.Table
 
-	tb, err := fw.Traceback(leak, cands)
+	tb, err := fw.TracebackContext(context.Background(), leak, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTracebackMatchesIndependentDetect(t *testing.T) {
 		byID[v.RecipientID] = v
 	}
 	for _, c := range cands {
-		det, err := fw.Detect(leak, c.Provenance, c.Key)
+		det, err := fw.DetectContext(context.Background(), leak, c.Provenance, c.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestTracebackSelectionPerKey(t *testing.T) {
 		Candidate{ID: "other-eta", Provenance: prov, Key: crypt.RecipientWatermarkKey(tracebackSecret, "hospital-b", 7)})
 	leak := results[1].Protected.Table
 
-	tb, err := fw.Traceback(leak, cands)
+	tb, err := fw.TracebackContext(context.Background(), leak, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestTracebackSelectionPerKey(t *testing.T) {
 	}
 	for _, v := range tb.Verdicts {
 		c := byID[v.RecipientID]
-		det, err := fw.Detect(leak, c.Provenance, c.Key)
+		det, err := fw.DetectContext(context.Background(), leak, c.Provenance, c.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestTracebackWorkersDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		fw, results := fingerprintFixture(t, workers, "h-a", "h-b", "h-c", "h-d")
 		leak := results[2].Protected.Table
-		tb, err := fw.Traceback(leak, candidatesOf(results))
+		tb, err := fw.TracebackContext(context.Background(), leak, candidatesOf(results))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,14 +261,14 @@ func TestTracebackOverAppendedUnion(t *testing.T) {
 	for i, id := range ids {
 		recipients[i] = Recipient{ID: id, Key: crypt.RecipientWatermarkKey(tracebackSecret, id, 20)}
 	}
-	results, err := fw.Fingerprint(base, recipients)
+	results, err := fw.FingerprintContext(context.Background(), base, recipients)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// clinic-b's copy ingests the delta under its own frozen plan.
 	leakPlan := results[1].Protected.Plan
-	app, err := fw.Append(delta, &leakPlan, recipients[1].Key)
+	app, err := fw.AppendContext(context.Background(), delta, &leakPlan, recipients[1].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestTracebackOverAppendedUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tb, err := fw.Traceback(union, candidatesOf(results))
+	tb, err := fw.TracebackContext(context.Background(), union, candidatesOf(results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,17 +293,17 @@ func TestTracebackValidation(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 200)
 	key := crypt.RecipientWatermarkKey(tracebackSecret, "a", 10)
-	if _, err := fw.Traceback(tbl, nil); !errors.Is(err, ErrBadConfig) {
+	if _, err := fw.TracebackContext(context.Background(), tbl, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("no candidates: got %v", err)
 	}
-	if _, err := fw.Traceback(tbl, []Candidate{{ID: "", Key: key}}); !errors.Is(err, ErrBadConfig) {
+	if _, err := fw.TracebackContext(context.Background(), tbl, []Candidate{{ID: "", Key: key}}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("empty ID: got %v", err)
 	}
 	dup := []Candidate{{ID: "a", Key: key}, {ID: "a", Key: key}}
-	if _, err := fw.Traceback(tbl, dup); !errors.Is(err, ErrBadConfig) {
+	if _, err := fw.TracebackContext(context.Background(), tbl, dup); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("duplicate ID: got %v", err)
 	}
-	if _, err := fw.Traceback(tbl, []Candidate{{ID: "a"}}); !errors.Is(err, ErrBadKey) {
+	if _, err := fw.TracebackContext(context.Background(), tbl, []Candidate{{ID: "a"}}); !errors.Is(err, ErrBadKey) {
 		t.Errorf("invalid key: got %v", err)
 	}
 }
@@ -322,7 +322,7 @@ func TestRecipientPlanDerivation(t *testing.T) {
 	fw := testFramework(t)
 	tbl := testData(t, 400)
 	key := crypt.RecipientWatermarkKey(tracebackSecret, "a", 10)
-	plan, err := fw.Plan(tbl, key)
+	plan, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,14 +365,14 @@ func TestTracebackMixedPlanGroups(t *testing.T) {
 	// A third candidate from an unrelated plan over different data.
 	other := testData(t, 900)
 	otherKey := crypt.RecipientWatermarkKey("another secret", "h-x", 15)
-	prot, err := fw.Protect(other, otherKey)
+	prot, err := fw.ProtectContext(context.Background(), other, otherKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands = append(cands, Candidate{ID: "h-x", Provenance: prot.Provenance, Key: otherKey})
 
 	leak := results[0].Protected.Table
-	tb, err := fw.Traceback(leak, cands)
+	tb, err := fw.TracebackContext(context.Background(), leak, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,11 @@
 //     on decryption. Determinism over unique identifiers (SSNs) leaks
 //     nothing beyond equality, and identifiers are unique by definition.
 //
-// Both run once per tuple on the write path, so neither allocates per
-// call: PRF.Uint64, Mod and Selects evaluate H on pooled state, and
-// Cipher.AppendEncryptString encrypts into the caller's buffer on pooled
-// scratch. Sum and EncryptString allocate only the result they return.
+// Both run once per tuple, so neither allocates per call: PRF.Uint64,
+// Mod and Selects evaluate H on pooled state, and
+// Cipher.AppendEncryptString and AppendDecryptString encrypt and decrypt
+// into the caller's buffer on pooled scratch. Sum allocates only the
+// digest it returns.
 package crypt
 
 import (
@@ -37,7 +38,7 @@ import (
 	"sync"
 )
 
-// Errors returned by Decrypt.
+// Errors returned by AppendDecryptString.
 var (
 	ErrCiphertextFormat = errors.New("crypt: malformed ciphertext")
 	ErrAuthentication   = errors.New("crypt: authentication failed")
@@ -132,15 +133,17 @@ type Cipher struct {
 	block  cipher.Block
 	ivPRF  *PRF
 	tagPRF *PRF
-	// scratch pools sealScratch buffers, so encrypting into a caller's
-	// buffer allocates nothing.
+	// scratch pools sealScratch buffers, so encrypting or decrypting
+	// into a caller's buffer allocates nothing.
 	scratch sync.Pool
 }
 
-// sealScratch is one encryption's working memory: the iv || ciphertext
-// || tag buffer and the CTR counter and keystream blocks.
+// sealScratch is one encryption's or decryption's working memory: the
+// iv || ciphertext || tag buffer, the token being decoded, and the CTR
+// counter and keystream blocks.
 type sealScratch struct {
 	raw []byte
+	tok []byte
 	ctr [aes.BlockSize]byte
 	ks  [aes.BlockSize]byte
 }
@@ -170,17 +173,11 @@ const tagLen = 16
 // tagLen, the room seal appends for the tag).
 var zeroBlock [aes.BlockSize]byte
 
-// EncryptString encrypts a cell value, returning a compact base64 token.
-// Equal plaintexts yield equal tokens (deterministic one-to-one
-// replacement, as the binning algorithm requires).
-func (c *Cipher) EncryptString(plaintext string) string {
-	var buf [128]byte // room for the token of a plaintext of up to 64 bytes
-	return string(c.AppendEncryptString(buf[:0], plaintext))
-}
-
-// AppendEncryptString appends EncryptString(plaintext) to dst and
-// returns the extended buffer. It allocates nothing when dst has room
-// for the token.
+// AppendEncryptString appends the token of plaintext to dst and returns
+// the extended buffer: the unpadded URL-safe base64 of
+// iv || AES-CTR(plaintext) || tag, with the synthetic IV derived from
+// the plaintext, so equal plaintexts give equal tokens. It allocates
+// nothing when dst has room for the token.
 func (c *Cipher) AppendEncryptString(dst []byte, plaintext string) []byte {
 	s := c.scratch.Get().(*sealScratch)
 	s.raw = append(append(s.raw[:0], zeroBlock[:]...), plaintext...)
@@ -190,35 +187,47 @@ func (c *Cipher) AppendEncryptString(dst []byte, plaintext string) []byte {
 	return dst
 }
 
-// DecryptString reverses EncryptString.
-func (c *Cipher) DecryptString(token string) (string, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(token)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCiphertextFormat, err)
-	}
-	pt, err := c.Decrypt(raw)
-	if err != nil {
-		return "", err
-	}
-	return string(pt), nil
-}
-
-// Encrypt produces iv || ctr(plaintext) || tag. The IV is a PRF of the
-// plaintext (synthetic IV), making encryption deterministic; the tag
-// authenticates iv||ciphertext.
-func (c *Cipher) Encrypt(plaintext []byte) []byte {
-	raw := make([]byte, aes.BlockSize, aes.BlockSize+len(plaintext)+tagLen)
+// AppendDecryptString verifies a token of AppendEncryptString and
+// appends its plaintext to dst, returning the extended buffer. It
+// allocates nothing when dst has room for the plaintext. A token that
+// is not base64 or too short fails with ErrCiphertextFormat, and one
+// this key did not seal — a wrong key, a tampered or spliced token —
+// with ErrAuthentication; on failure dst comes back unextended.
+func (c *Cipher) AppendDecryptString(dst []byte, token string) ([]byte, error) {
 	s := c.scratch.Get().(*sealScratch)
-	raw = c.seal(s, append(raw, plaintext...))
-	c.scratch.Put(s)
-	return raw
+	defer c.scratch.Put(s)
+	s.tok = append(s.tok[:0], token...)
+	raw, err := base64.RawURLEncoding.AppendDecode(s.raw[:0], s.tok)
+	s.raw = raw
+	if err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrCiphertextFormat, err)
+	}
+	if len(raw) < aes.BlockSize+tagLen {
+		return dst, ErrCiphertextFormat
+	}
+	body, tag := raw[:len(raw)-tagLen], raw[len(raw)-tagLen:]
+	c.tagPRF.digest(s.ks[:tagLen], body)
+	if subtle.ConstantTimeCompare(tag, s.ks[:tagLen]) != 1 {
+		return dst, ErrAuthentication
+	}
+	iv := body[:aes.BlockSize]
+	n := len(dst)
+	dst = append(dst, body[aes.BlockSize:]...)
+	s.ctr = [aes.BlockSize]byte(iv)
+	c.xorKeyStream(s, dst[n:])
+	// SIV check: the IV must match the plaintext-derived IV, otherwise the
+	// ciphertext was spliced from another message.
+	c.ivPRF.digest(s.ks[:], dst[n:])
+	if subtle.ConstantTimeCompare(iv, s.ks[:]) != 1 {
+		return dst[:n], ErrAuthentication
+	}
+	return dst, nil
 }
 
-// seal is the one SIV construction behind Encrypt and
-// AppendEncryptString. raw holds aes.BlockSize bytes of room for the IV
-// followed by the plaintext; seal writes the synthetic IV into the room,
-// encrypts the plaintext in place and appends the tag, returning
-// iv || ctr(plaintext) || tag.
+// seal is the SIV construction behind AppendEncryptString. raw holds
+// aes.BlockSize bytes of room for the IV followed by the plaintext; seal
+// writes the synthetic IV into the room, encrypts the plaintext in place
+// and appends the tag, returning iv || ctr(plaintext) || tag.
 func (c *Cipher) seal(s *sealScratch, raw []byte) []byte {
 	c.ivPRF.digest(raw[:aes.BlockSize], raw[aes.BlockSize:])
 	s.ctr = [aes.BlockSize]byte(raw[:aes.BlockSize])
@@ -232,7 +241,8 @@ func (c *Cipher) seal(s *sealScratch, raw []byte) []byte {
 // xorKeyStream XORs buf in place with the AES-CTR keystream starting at
 // counter block s.ctr — crypto/cipher's CTR mode, whose counter is the
 // whole block read as one big-endian integer, run on the scratch's
-// blocks instead of a fresh cipher.Stream.
+// blocks instead of a fresh cipher.Stream. Sealing and opening share
+// it.
 func (c *Cipher) xorKeyStream(s *sealScratch, buf []byte) {
 	for len(buf) > 0 {
 		c.block.Encrypt(s.ks[:], s.ctr[:])
@@ -245,30 +255,6 @@ func (c *Cipher) xorKeyStream(s *sealScratch, buf []byte) {
 			}
 		}
 	}
-}
-
-// Decrypt verifies and reverses Encrypt.
-func (c *Cipher) Decrypt(raw []byte) ([]byte, error) {
-	if len(raw) < aes.BlockSize+tagLen {
-		return nil, ErrCiphertextFormat
-	}
-	body := raw[:len(raw)-tagLen]
-	tag := raw[len(raw)-tagLen:]
-	want := c.tagPRF.Sum(body)[:tagLen]
-	if subtle.ConstantTimeCompare(tag, want) != 1 {
-		return nil, ErrAuthentication
-	}
-	iv := body[:aes.BlockSize]
-	ct := body[aes.BlockSize:]
-	pt := make([]byte, len(ct))
-	cipher.NewCTR(c.block, iv).XORKeyStream(pt, ct)
-	// SIV check: the IV must match the plaintext-derived IV, otherwise the
-	// ciphertext was spliced from another message.
-	wantIV := c.ivPRF.Sum(pt)[:aes.BlockSize]
-	if subtle.ConstantTimeCompare(iv, wantIV) != 1 {
-		return nil, ErrAuthentication
-	}
-	return pt, nil
 }
 
 // WatermarkKey bundles the secret elements of the watermarking key

@@ -2,11 +2,34 @@ package crypt
 
 import (
 	"bytes"
+	"encoding/base64"
 	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// token and open are the string round trip through the cipher's append
+// forms; sealRaw and openRaw are the same on the decoded
+// iv || ciphertext || tag bytes, for tests that tamper with them.
+func token(c *Cipher, pt string) string { return string(c.AppendEncryptString(nil, pt)) }
+
+func open(c *Cipher, tok string) (string, error) {
+	pt, err := c.AppendDecryptString(nil, tok)
+	return string(pt), err
+}
+
+func sealRaw(c *Cipher, pt []byte) []byte {
+	raw, err := base64.RawURLEncoding.DecodeString(token(c, string(pt)))
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+func openRaw(c *Cipher, raw []byte) ([]byte, error) {
+	return c.AppendDecryptString(nil, base64.RawURLEncoding.EncodeToString(raw))
+}
 
 func TestPRFDeterministic(t *testing.T) {
 	p := NewPRF([]byte("key"))
@@ -84,8 +107,8 @@ func TestCipherRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range []string{"", "a", "123-45-6789", "a longer identifying value with spaces"} {
-		tok := c.EncryptString(pt)
-		back, err := c.DecryptString(tok)
+		tok := token(c, pt)
+		back, err := open(c, tok)
 		if err != nil {
 			t.Fatalf("decrypt %q: %v", pt, err)
 		}
@@ -100,9 +123,9 @@ func TestCipherDeterministicOneToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.EncryptString("ssn-001")
-	b := c.EncryptString("ssn-001")
-	d := c.EncryptString("ssn-002")
+	a := token(c, "ssn-001")
+	b := token(c, "ssn-001")
+	d := token(c, "ssn-002")
 	if a != b {
 		t.Error("encryption not deterministic")
 	}
@@ -114,20 +137,20 @@ func TestCipherDeterministicOneToOne(t *testing.T) {
 func TestCipherKeySeparation(t *testing.T) {
 	c1, _ := NewCipher([]byte("master-1"))
 	c2, _ := NewCipher([]byte("master-2"))
-	tok := c1.EncryptString("ssn-001")
-	if _, err := c2.DecryptString(tok); !errors.Is(err, ErrAuthentication) {
+	tok := token(c1, "ssn-001")
+	if _, err := open(c2, tok); !errors.Is(err, ErrAuthentication) {
 		t.Fatalf("wrong-key decrypt error = %v, want ErrAuthentication", err)
 	}
 }
 
 func TestCipherTamperDetection(t *testing.T) {
 	c, _ := NewCipher([]byte("master"))
-	raw := c.Encrypt([]byte("patient-7"))
+	raw := sealRaw(c, []byte("patient-7"))
 	for i := 0; i < len(raw); i++ {
 		mut := make([]byte, len(raw))
 		copy(mut, raw)
 		mut[i] ^= 0x01
-		if _, err := c.Decrypt(mut); err == nil {
+		if _, err := openRaw(c, mut); err == nil {
 			t.Fatalf("tampered byte %d accepted", i)
 		}
 	}
@@ -135,10 +158,10 @@ func TestCipherTamperDetection(t *testing.T) {
 
 func TestCipherShortCiphertext(t *testing.T) {
 	c, _ := NewCipher([]byte("master"))
-	if _, err := c.Decrypt([]byte("short")); !errors.Is(err, ErrCiphertextFormat) {
+	if _, err := openRaw(c, []byte("short")); !errors.Is(err, ErrCiphertextFormat) {
 		t.Fatalf("error = %v, want ErrCiphertextFormat", err)
 	}
-	if _, err := c.DecryptString("!!! not base64 !!!"); !errors.Is(err, ErrCiphertextFormat) {
+	if _, err := open(c, "!!! not base64 !!!"); !errors.Is(err, ErrCiphertextFormat) {
 		t.Fatalf("error = %v, want ErrCiphertextFormat", err)
 	}
 }
@@ -185,7 +208,7 @@ func TestQuickCipherRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(pt []byte) bool {
-		back, err := c.Decrypt(c.Encrypt(pt))
+		back, err := openRaw(c, sealRaw(c, pt))
 		return err == nil && bytes.Equal(back, pt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

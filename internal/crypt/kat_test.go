@@ -47,18 +47,11 @@ func TestEncryptKnownAnswers(t *testing.T) {
 		{64, "K0k_ZlPxw6DhcF-RT1Vi6iczKxrN9gAkiPKTlSMU4oBWza2TEdbi56iQaJskOVbMhHDlrqjQcdXUvzL9LMiKFQ6PIwJs3C4o66gc7X-NdEzAKJEjX6Mm2XkfsgDqYfDK"},
 	} {
 		pt := katPlaintext(tc.n)
-		if got := c.EncryptString(pt); got != tc.token {
-			t.Errorf("EncryptString(%d bytes) = %q, want %q", tc.n, got, tc.token)
+		if got := token(c, pt); got != tc.token {
+			t.Errorf("AppendEncryptString(%d bytes) = %q, want %q", tc.n, got, tc.token)
 		}
-		raw, err := base64.RawURLEncoding.DecodeString(tc.token)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Encrypt([]byte(pt)); !bytes.Equal(got, raw) {
-			t.Errorf("Encrypt(%d bytes) differs from the pinned token", tc.n)
-		}
-		if back, err := c.DecryptString(tc.token); err != nil || back != pt {
-			t.Errorf("DecryptString(%d-byte token) = %q, %v", tc.n, back, err)
+		if back, err := open(c, tc.token); err != nil || back != pt {
+			t.Errorf("AppendDecryptString(%d-byte token) = %q, %v", tc.n, back, err)
 		}
 	}
 }
@@ -112,8 +105,12 @@ func FuzzAppendEncryptMatchesReference(f *testing.F) {
 		if got := string(c.AppendEncryptString(dst, plaintext)); got != want {
 			t.Fatalf("AppendEncryptString(%q, %q) = %q, want %q", prefix, plaintext, got, want)
 		}
-		if got := c.EncryptString(plaintext); got != want[len(prefix):] {
-			t.Fatalf("EncryptString(%q) = %q, want %q", plaintext, got, want[len(prefix):])
+		if got := token(c, plaintext); got != want[len(prefix):] {
+			t.Fatalf("AppendEncryptString(nil, %q) = %q, want %q", plaintext, got, want[len(prefix):])
+		}
+		back, err := c.AppendDecryptString(dst[:len(prefix)], want[len(prefix):])
+		if err != nil || string(back) != string(prefix)+plaintext {
+			t.Fatalf("AppendDecryptString(%q, token of %q) = %q, %v", prefix, plaintext, back, err)
 		}
 	})
 }

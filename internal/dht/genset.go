@@ -115,9 +115,6 @@ func (g GenSet) Values() []string {
 // Len returns the number of generalization nodes (Ng of §4.2.2).
 func (g GenSet) Len() int { return len(g.nodes) }
 
-// IsZero reports whether g is the zero value (no tree attached).
-func (g GenSet) IsZero() bool { return g.tree == nil }
-
 // Contains reports whether id is a generalization node of g.
 func (g GenSet) Contains(id NodeID) bool {
 	return g.tree != nil && g.tree.Valid(id) && g.member[id]

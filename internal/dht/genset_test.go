@@ -371,12 +371,12 @@ func TestEnumerateAllValidAndUnique(t *testing.T) {
 
 func TestGenSetStringAndZero(t *testing.T) {
 	var zero GenSet
-	if !zero.IsZero() || zero.String() != "{}" {
+	if zero.tree != nil || zero.String() != "{}" {
 		t.Error("zero GenSet misbehaves")
 	}
 	tree := fig6(t)
 	g, _ := NewGenSetFromValues(tree, []string{"n20", "n21", "n22"})
-	if g.IsZero() {
+	if g.tree == nil {
 		t.Error("non-zero reported zero")
 	}
 	s := g.String()

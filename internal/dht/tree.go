@@ -61,7 +61,6 @@ type Tree struct {
 	// sorted[i] = Children(i) sorted by node value, built once by finish;
 	// SortedChildren hands these slices out read-only.
 	sorted [][]NodeID
-	height int
 }
 
 // Spec is a declarative description of a categorical tree, used both by
@@ -238,9 +237,6 @@ func (t *Tree) finish() {
 			}
 			t.numLeavesUnder[i] = sum
 		}
-		if n.Depth > t.height {
-			t.height = n.Depth
-		}
 	}
 	for i := range t.nodes {
 		if t.nodes[i].IsLeaf() {
@@ -279,9 +275,6 @@ func (t *Tree) Numeric() bool { return t.numeric }
 // Size returns the total number of nodes.
 func (t *Tree) Size() int { return len(t.nodes) }
 
-// Height returns the maximum depth of any node (root depth is 0).
-func (t *Tree) Height() int { return t.height }
-
 // Root returns the root node ID (always 0 for a non-empty tree).
 func (t *Tree) Root() NodeID { return 0 }
 
@@ -305,17 +298,8 @@ func (t *Tree) Parent(id NodeID) NodeID { return t.nodes[id].Parent }
 // Children implements the paper's Children(nd, tr).
 func (t *Tree) Children(id NodeID) []NodeID { return t.nodes[id].Children }
 
-// Siblings implements the paper's Siblings(nd, tr): it returns nd together
-// with its sibling nodes. For the root it returns just the root.
-func (t *Tree) Siblings(id NodeID) []NodeID {
-	p := t.nodes[id].Parent
-	if p == None {
-		return []NodeID{id}
-	}
-	return t.nodes[p].Children
-}
-
-// SortedSiblings returns Siblings(id) sorted by node value. This is the
+// SortedSiblings returns the paper's Siblings(nd, tr) — id together
+// with its siblings; {id} for the root — sorted by node value. This is the
 // "sorted set S" used by Permutate and Detection: sorting by value makes
 // the order canonical for embedder and detector regardless of tree
 // construction order.

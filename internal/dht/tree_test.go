@@ -47,13 +47,22 @@ func TestCategoricalShape(t *testing.T) {
 	if got := tree.NumLeaves(); got != 8 {
 		t.Errorf("NumLeaves = %d, want 8", got)
 	}
-	if tree.Height() != 3 {
-		t.Errorf("Height = %d, want 3", tree.Height())
+	if h := height(tree); h != 3 {
+		t.Errorf("height = %d, want 3", h)
 	}
 	root := tree.Root()
 	if tree.Value(root) != "Person" || tree.Parent(root) != None {
 		t.Error("root wrong")
 	}
+}
+
+// height is the depth of the tree's deepest leaf.
+func height(tree *Tree) int {
+	h := 0
+	for _, l := range tree.Leaves() {
+		h = max(h, tree.Node(l).Depth)
+	}
+	return h
 }
 
 func TestCategoricalRejectsDuplicatesAndEmpty(t *testing.T) {
@@ -81,7 +90,7 @@ func TestParentChildrenSiblings(t *testing.T) {
 	if len(ch) != 3 {
 		t.Fatalf("Paramedic children = %d, want 3", len(ch))
 	}
-	sib := tree.Siblings(nurse)
+	sib := tree.SortedSiblings(nurse)
 	if len(sib) != 3 {
 		t.Fatalf("Siblings(Nurse) = %d nodes, want 3 (nd together with its siblings)", len(sib))
 	}
@@ -95,7 +104,7 @@ func TestParentChildrenSiblings(t *testing.T) {
 		t.Error("Siblings must include the node itself")
 	}
 	// Root's sibling set is itself.
-	rs := tree.Siblings(tree.Root())
+	rs := tree.SortedSiblings(tree.Root())
 	if len(rs) != 1 || rs[0] != tree.Root() {
 		t.Error("Siblings(root) must be {root}")
 	}

@@ -53,19 +53,6 @@ var Runners = []Runner{
 	{"reident", ReIdentification},
 }
 
-// All runs every experiment of Runners in order.
-func All(cfg Config) ([]*Table, error) {
-	out := make([]*Table, 0, len(Runners))
-	for _, r := range Runners {
-		t, err := r.Run(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // Config parameterizes an experiment run. Zero values default to the
 // paper's setting: 20,000 tuples, a 20-bit mark.
 type Config struct {
@@ -316,7 +303,7 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: mono-binning %s at k=%d: %w", col, k, err)
 		}
-		if _, err := binned.MapColumn(ci, func(dst []byte, v string) ([]byte, error) {
+		if _, err := binned.MapColumnCtx(context.Background(), 1, ci, func(dst []byte, v string) ([]byte, error) {
 			g, err := ulti.GeneralizeValue(v)
 			return append(dst, g...), err
 		}); err != nil {
@@ -325,7 +312,7 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		columns[col] = watermark.ColumnSpec{Tree: trees[col], MaxGen: maxGens[col], UltiGen: ulti}
 	}
 	identIdx, _ := binned.Schema().Index(identCol)
-	if _, err := binned.MapColumn(identIdx, func(dst []byte, v string) ([]byte, error) {
+	if _, err := binned.MapColumnCtx(context.Background(), 1, identIdx, func(dst []byte, v string) ([]byte, error) {
 		return cipher.AppendEncryptString(dst, v), nil
 	}); err != nil {
 		return nil, err

@@ -69,7 +69,7 @@ func Figure11(cfg Config) (*Table, error) {
 	// Every k of the sweep searches the same read-only sketch
 	// independently, so the points run concurrently; pool.Map returns
 	// rows in k order.
-	rows, err := pool.Map(cfg.Workers, len(ks), func(ki int) ([]string, error) {
+	rows, err := pool.MapCtx(context.Background(), cfg.Workers, len(ks), func(ki int) ([]string, error) {
 		k := ks[ki]
 		res, err := binning.SearchSketch(context.TODO(), sk, binning.Config{
 			K: k, Trees: trees, MaxGens: maxGens, Strategy: binning.StrategyGreedy, Workers: 1,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -57,9 +58,9 @@ func figure12(cfg Config, kind attackKind, figure string) (*Table, error) {
 	}
 
 	// One watermarked table per η; the three embeds are independent.
-	markedByEta, err := pool.Map(cfg.Workers, len(figure12Etas), func(i int) (*relation.Table, error) {
+	markedByEta, err := pool.MapCtx(context.Background(), cfg.Workers, len(figure12Etas), func(i int) (*relation.Table, error) {
 		m := setup.binned.Clone()
-		if _, err := watermark.Embed(m, setup.identCol, setup.columns, setup.pointParams(figure12Etas[i])); err != nil {
+		if _, err := watermark.EmbedContext(context.Background(), m, setup.identCol, setup.columns, setup.pointParams(figure12Etas[i])); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -99,7 +100,7 @@ func figure12(cfg Config, kind attackKind, figure string) (*Table, error) {
 			points = append(points, point{frac: frac, eta: eta})
 		}
 	}
-	losses, err := pool.Map(cfg.Workers, len(points), func(pi int) (string, error) {
+	losses, err := pool.MapCtx(context.Background(), cfg.Workers, len(points), func(pi int) (string, error) {
 		frac, eta := points[pi].frac, points[pi].eta
 		attacked := marked[eta].Clone()
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(frac*100) + int64(eta)))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dht"
@@ -33,10 +34,10 @@ func Figure13(cfg Config) (*Table, error) {
 	// Each η embeds into its own clone and scans it against the shared
 	// read-only binned table — independent points, merged in η order.
 	quasi := setup.binned.Schema().QuasiColumns()
-	rows, err := pool.Map(cfg.Workers, len(etas), func(ei int) ([]string, error) {
+	rows, err := pool.MapCtx(context.Background(), cfg.Workers, len(etas), func(ei int) ([]string, error) {
 		eta := etas[ei]
 		marked := setup.binned.Clone()
-		stats, err := watermark.Embed(marked, setup.identCol, setup.columns, setup.pointParams(eta))
+		stats, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, setup.columns, setup.pointParams(eta))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/anonymity"
@@ -63,7 +64,7 @@ func Figure14(cfg Config) (*Table, error) {
 		}
 
 		marked := setup.binned.Clone()
-		if _, err := watermark.Embed(marked, setup.identCol, setup.columns, setup.params(eta)); err != nil {
+		if _, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, setup.columns, setup.params(eta)); err != nil {
 			return nil, err
 		}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/attack"
@@ -35,7 +36,7 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 
 	params := setup.params(eta)
 	hier := base.Clone()
-	if _, err := watermark.Embed(hier, setup.identCol, cols, params); err != nil {
+	if _, err := watermark.EmbedContext(context.Background(), hier, setup.identCol, cols, params); err != nil {
 		return nil, err
 	}
 	single := base.Clone()
@@ -54,7 +55,7 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 	}
 	// Each attack depth clones and judges both schemes independently;
 	// inside the fan-out the detects run sequentially (pointParams).
-	rows, err := pool.Map(cfg.Workers, 3, func(levels int) ([]string, error) {
+	rows, err := pool.MapCtx(context.Background(), cfg.Workers, 3, func(levels int) ([]string, error) {
 		params := setup.pointParams(eta)
 		hAtt := hier.Clone()
 		sAtt := single.Clone()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -84,7 +85,7 @@ func binDrift(setup *wmSetup, eta uint64, trials int) ([]colDrift, error) {
 		params.Key.K1 = append([]byte{byte(trial)}, params.Key.K1...)
 		params.Key.K2 = append([]byte{byte(trial)}, params.Key.K2...)
 		marked := setup.binned.Clone()
-		if _, err := watermark.Embed(marked, setup.identCol, setup.columns, params); err != nil {
+		if _, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, setup.columns, params); err != nil {
 			return nil, err
 		}
 		for _, col := range quasi {

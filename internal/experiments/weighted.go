@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -38,7 +39,7 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 
 	embedParams := setup.params(eta)
 	marked := base.Clone()
-	if _, err := watermark.Embed(marked, setup.identCol, cols, embedParams); err != nil {
+	if _, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, cols, embedParams); err != nil {
 		return nil, err
 	}
 
@@ -53,7 +54,7 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 	// Each attack strength builds and judges its own attacked clone with
 	// a seed derived from the strength — independent sweep points.
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1.0}
-	rows, err := pool.Map(cfg.Workers, len(fracs), func(fi int) ([]string, error) {
+	rows, err := pool.MapCtx(context.Background(), cfg.Workers, len(fracs), func(fi int) ([]string, error) {
 		frac := fracs[fi]
 		attacked := marked.Clone()
 		if frac > 0 {

@@ -23,7 +23,7 @@
 //	  │ (retry/   │  └────► failed      (permanent error)
 //	  │  drain)   │
 //	  └───────────┤
-//	              ├───────► dead        (transient error, attempts exhausted)
+//	              ├───────► dead        (attempt deadline, attempts exhausted)
 //	              └───────► canceled    (client cancel; also from queued)
 package jobs
 
@@ -46,8 +46,8 @@ const (
 	StateSucceeded State = "succeeded"
 	StateFailed    State = "failed"
 	StateCanceled  State = "canceled"
-	// StateDead is the dead-letter state: every allowed attempt failed
-	// transiently. The job is terminal but its request is retained for
+	// StateDead is the dead-letter state: every allowed attempt ran past
+	// its deadline. The job is terminal but its request is retained for
 	// inspection and manual resubmission.
 	StateDead State = "dead"
 )
@@ -183,29 +183,6 @@ var (
 	// drained attempt goes back to queued without consuming an attempt.
 	errDrain = errors.New("jobs: draining; job re-queued")
 )
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e transientError) Error() string { return e.err.Error() }
-func (e transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the manager retries the job (with backoff, up
-// to MaxAttempts) instead of failing it permanently. Runners wrap
-// infrastructure failures (I/O, upstream timeouts); malformed requests
-// and pipeline validation errors stay permanent.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t transientError
-	return errors.As(err, &t)
-}
 
 // NewID returns a fresh job ID: "j-" + 16 hex characters.
 func NewID() string {

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"math/rand"
 	"net/url"
 	"slices"
@@ -52,8 +52,9 @@ func (b Backoff) delay(attempts int) time.Duration {
 
 // Runner executes one job attempt. Implementations decode Job.Request
 // per Job.Kind, run the pipeline under ctx (honoring cancellation), and
-// return the response document. Errors wrapped with Transient are
-// retried; anything else fails the job permanently.
+// return the response document. An attempt that ends with its deadline
+// (context.DeadlineExceeded) is retried; any other error fails the job
+// permanently.
 type Runner interface {
 	// Run executes one attempt, reporting coarse progress through
 	// progress (never nil; safe for concurrent use).
@@ -109,8 +110,9 @@ type Config struct {
 	// ClassifyError maps a run error to the wire error code stored on
 	// the job (nil = no codes).
 	ClassifyError func(error) string
-	// Logger receives one line per lifecycle event; nil disables.
-	Logger *log.Logger
+	// Logger receives one record per lifecycle event, with the job,
+	// kind and state attributes; nil disables them.
+	Logger *slog.Logger
 }
 
 // Manager owns the queue: it recovers persisted jobs on Start, runs
@@ -234,14 +236,14 @@ func (m *Manager) sweep() {
 			continue
 		}
 		if err := m.store.Delete(j.ID); err != nil {
-			m.logf("job %s: expiring after TTL: %v", j.ID, err)
+			m.logJob(slog.LevelError, "job expiry failed", j, slog.Any("err", err))
 			continue
 		}
 		if j.IdempotencyKey != "" && m.idem[idemIndex(j.TenantID, j.Kind, j.IdempotencyKey)] == j.ID {
 			delete(m.idem, idemIndex(j.TenantID, j.Kind, j.IdempotencyKey))
 		}
 		delete(m.progress, j.ID)
-		m.logf("job %s (%s) expired %s after finishing", j.ID, j.Kind, m.cfg.TTL)
+		m.logJob(slog.LevelInfo, "job expired", j, slog.Duration("ttl", m.cfg.TTL))
 	}
 }
 
@@ -267,7 +269,7 @@ func (m *Manager) recover() error {
 				return fmt.Errorf("jobs: re-enqueueing interrupted job %s: %w", j.ID, err)
 			}
 			m.queue = append(m.queue, j.ID)
-			m.logf("job %s (%s) recovered: re-enqueued after interrupted attempt", j.ID, j.Kind)
+			m.logJob(slog.LevelInfo, "job re-enqueued after interrupted attempt", j)
 		case StateQueued:
 			m.queue = append(m.queue, j.ID)
 		}
@@ -345,7 +347,7 @@ func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (
 	m.queue = append(m.queue, j.ID)
 	m.cond.Signal()
 	m.publish(j)
-	m.logf("job %s (%s) queued", j.ID, j.Kind)
+	m.logJob(slog.LevelInfo, "job queued", j)
 	return j, false, nil
 }
 
@@ -422,7 +424,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 			return Job{}, err
 		}
 		m.publish(j)
-		m.logf("job %s (%s) canceled while queued", j.ID, j.Kind)
+		m.logJob(slog.LevelInfo, "job canceled while queued", j)
 		m.maybeDeliverLocked(j)
 		return j, nil
 	}
@@ -525,7 +527,7 @@ func (m *Manager) runJob(id string) {
 		// The store refusing the transition means persistence is broken;
 		// leave the job queued on disk and surface the error.
 		m.mu.Unlock()
-		m.logf("job %s: persisting running state: %v", id, err)
+		m.logJob(slog.LevelError, "job state not persisted", j, slog.Any("err", err))
 		return
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -538,7 +540,7 @@ func (m *Manager) runJob(id string) {
 	delete(m.progress, id)
 	m.publish(j)
 	m.mu.Unlock()
-	m.logf("job %s (%s) running (attempt %d/%d)", j.ID, j.Kind, j.Attempts, j.MaxAttempts)
+	m.logJob(slog.LevelInfo, "job running", j, slog.Int("attempt", j.Attempts), slog.Int("max_attempts", j.MaxAttempts))
 
 	progressFn := func(p Progress) {
 		m.mu.Lock()
@@ -577,15 +579,15 @@ func (m *Manager) runJob(id string) {
 		j.StartedAt = time.Time{}
 		j.Progress = Progress{}
 		m.persistAndPublishLocked(j)
-		m.logf("job %s (%s) re-queued by drain", j.ID, j.Kind)
+		m.logJob(slog.LevelInfo, "job re-queued by drain", j)
 		return
 	case errors.Is(cause, ErrCanceled):
 		j.State = StateCanceled
 		j.Error = ErrCanceled.Error()
 		j.FinishedAt = now
-	case IsTransient(runErr) || errors.Is(runErr, context.DeadlineExceeded):
-		// Retryable: attempt-deadline hits count as transient (the
-		// machine may simply have been saturated).
+	case errors.Is(runErr, context.DeadlineExceeded):
+		// Retryable: the attempt hit its deadline (the machine may
+		// simply have been saturated).
 		j.Error = runErr.Error()
 		j.ErrorCode = m.classify(runErr)
 		if j.Attempts >= j.MaxAttempts {
@@ -599,7 +601,7 @@ func (m *Manager) runJob(id string) {
 		j.StartedAt = time.Time{}
 		j.Progress = Progress{}
 		m.persistAndPublishLocked(j)
-		m.logf("job %s (%s) attempt %d failed (%v); retry in %s", j.ID, j.Kind, j.Attempts, runErr, delay)
+		m.logJob(slog.LevelWarn, "job attempt failed; retrying", j, slog.Int("attempt", j.Attempts), slog.Any("err", runErr), slog.Duration("retry_in", delay))
 		m.side.Add(1)
 		go m.requeueAfter(id, delay)
 		return
@@ -611,7 +613,7 @@ func (m *Manager) runJob(id string) {
 	}
 	releaseRequest(&j)
 	m.persistAndPublishLocked(j)
-	m.logf("job %s (%s) %s", j.ID, j.Kind, j.State)
+	m.logJob(slog.LevelInfo, "job finished", j)
 	m.maybeDeliverLocked(j)
 }
 
@@ -648,7 +650,7 @@ func (m *Manager) requeueAfter(id string, d time.Duration) {
 // hold m.mu.
 func (m *Manager) persistAndPublishLocked(j Job) {
 	if err := m.store.Put(j); err != nil {
-		m.logf("job %s: persisting %s state: %v", j.ID, j.State, err)
+		m.logJob(slog.LevelError, "job state not persisted", j, slog.Any("err", err))
 	}
 	m.publish(j)
 }
@@ -697,8 +699,12 @@ func idemIndex(tenantID, kind, key string) string {
 	return tenant.Normalize(tenantID) + "\x00" + kind + "\x00" + key
 }
 
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logger != nil {
-		m.cfg.Logger.Printf(format, args...)
+// logJob records one event of j's lifecycle with the job's ID, kind and
+// state as attributes.
+func (m *Manager) logJob(level slog.Level, msg string, j Job, attrs ...slog.Attr) {
+	if m.cfg.Logger == nil {
+		return
 	}
+	attrs = append([]slog.Attr{slog.String("job", j.ID), slog.String("kind", j.Kind), slog.String("state", string(j.State))}, attrs...)
+	m.cfg.Logger.LogAttrs(context.Background(), level, msg, attrs...)
 }

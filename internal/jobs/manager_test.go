@@ -137,8 +137,8 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
-// TestRetryBackoffSchedule drives a job that always fails transiently
-// through its full retry schedule under the fake clock: delays must
+// TestRetryBackoffSchedule drives a job whose every attempt ends with a
+// deadline error through its full retry schedule under the fake clock: delays must
 // follow Base<<n capped at Max, and the job must land in the
 // dead-letter state after MaxAttempts — all without a real sleep.
 func TestRetryBackoffSchedule(t *testing.T) {
@@ -147,7 +147,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	m := newTestManager(t, Config{
 		Runner: &fakeRunner{fn: func(ctx context.Context, job Job, progress func(Progress)) (json.RawMessage, error) {
 			attempts.Add(1)
-			return nil, Transient(errors.New("upstream wobble"))
+			return nil, fmt.Errorf("upstream wobble: %w", context.DeadlineExceeded)
 		}},
 		Workers:        1,
 		MaxAttempts:    4,

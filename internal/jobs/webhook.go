@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 )
@@ -77,7 +78,7 @@ func (m *Manager) deliverWebhook(id string) {
 	}
 	payload, err := json.Marshal(SnapshotOf(j))
 	if err != nil {
-		m.logf("job %s: marshaling webhook payload: %v", id, err)
+		m.logJob(slog.LevelError, "webhook payload not marshaled", j, slog.Any("err", err))
 		return
 	}
 	secret := m.cfg.Runner.Secret(j)
@@ -105,10 +106,10 @@ func (m *Manager) deliverWebhook(id string) {
 		}
 		m.recordDelivery(id, d)
 		if d.OK {
-			m.logf("job %s webhook delivered (attempt %d)", id, attempt)
+			m.logJob(slog.LevelInfo, "webhook delivered", j, slog.Int("attempt", attempt))
 			return
 		}
-		m.logf("job %s webhook attempt %d failed: %s", id, attempt, d.Error)
+		m.logJob(slog.LevelWarn, "webhook attempt failed", j, slog.Int("attempt", attempt), slog.String("err", d.Error))
 		if attempt == m.cfg.WebhookMaxAttempts {
 			return
 		}
@@ -134,7 +135,7 @@ func (m *Manager) recordDelivery(id string, d Delivery) {
 		j.WebhookOK = true
 	}
 	if err := m.store.Put(j); err != nil {
-		m.logf("job %s: persisting delivery log: %v", id, err)
+		m.logJob(slog.LevelError, "webhook delivery log not persisted", j, slog.Any("err", err))
 	}
 	m.publish(j)
 }

@@ -1,7 +1,8 @@
 // Package metrics is a minimal, stdlib-only metrics registry exposing
 // the Prometheus text format (version 0.0.4). It implements just the
 // three instrument kinds the service plane needs — counters, gauges and
-// cumulative histograms, each optionally split by one label — rather
+// cumulative histograms, counters and histograms split by a tuple of
+// labels — rather
 // than a general client library: no dependency budget exists for one,
 // and the text format is simple enough to emit by hand.
 //
@@ -99,109 +100,98 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// CounterVec is a counter family split by one label.
+// CounterVec is a counter family split by a fixed tuple of labels
+// (e.g. route+method+code).
 type CounterVec struct {
-	fname, help, label string
-	mu                 sync.Mutex
-	children           map[string]*Counter
+	labeled[Counter]
 }
 
-// NewCounterVec registers a labeled counter family.
-func NewCounterVec(r *Registry, name, help, label string) *CounterVec {
-	v := &CounterVec{fname: name, help: help, label: label, children: make(map[string]*Counter)}
+// NewCounterVec registers a counter family split by labels.
+func NewCounterVec(r *Registry, name, help string, labels ...string) *CounterVec {
+	v := &CounterVec{labeled[Counter]{fname: name, help: help, labels: labels, fresh: func() *Counter { return &Counter{} }}}
 	r.register(v)
 	return v
 }
 
-// With returns the child counter for the label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[value]
-	if c == nil {
-		c = &Counter{}
-		v.children[value] = c
-	}
-	return c
-}
-
-func (v *CounterVec) name() string { return v.fname }
+// With returns the child counter for the label-value tuple, creating it
+// on first use. The tuple's arity is set at construction, and With
+// panics on a mismatch — a programming error, not a runtime state.
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
 func (v *CounterVec) write(w io.Writer) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([]uint64, len(keys))
-	for i, k := range keys {
-		vals[i] = v.children[k].Value()
-	}
-	v.mu.Unlock()
+	pairs, children := v.sorted()
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", v.fname, v.help, v.fname)
-	for i, k := range keys {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.fname, v.label, escapeLabel(k), vals[i])
+	for i, c := range children {
+		fmt.Fprintf(w, "%s{%s} %d\n", v.fname, pairs[i], c.Value())
 	}
 }
 
-// MultiCounterVec is a counter family split by a fixed tuple of labels
-// (e.g. route+method+code). The tuple arity is set at construction and
-// With panics on mismatch — a programming error, not a runtime state.
-type MultiCounterVec struct {
+// labeled holds one family's children, keyed by their label-value
+// tuple; CounterVec and HistogramVec share it.
+type labeled[T any] struct {
 	fname, help string
 	labels      []string
+	fresh       func() *T
 	mu          sync.Mutex
-	children    map[string]*Counter // key: label values joined by \x00
+	children    map[string]*T // key: label values joined by \x00
 }
 
-// NewMultiCounterVec registers a counter family with multiple labels.
-func NewMultiCounterVec(r *Registry, name, help string, labels ...string) *MultiCounterVec {
-	v := &MultiCounterVec{fname: name, help: help, labels: labels, children: make(map[string]*Counter)}
-	r.register(v)
-	return v
-}
+func (l *labeled[T]) name() string { return l.fname }
 
-// With returns the child for the label-value tuple.
-func (v *MultiCounterVec) With(values ...string) *Counter {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", v.fname, len(v.labels), len(values)))
+// with returns the child for values, creating it on first use. The
+// lookup key is built in a stack buffer, so finding an existing child
+// allocates nothing.
+func (l *labeled[T]) with(values []string) *T {
+	if len(values) != len(l.labels) {
+		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", l.fname, len(l.labels), len(values)))
 	}
-	key := strings.Join(values, "\x00")
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[key]
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	c := l.children[string(key)]
 	if c == nil {
-		c = &Counter{}
-		v.children[key] = c
+		if l.children == nil {
+			l.children = make(map[string]*T)
+		}
+		c = l.fresh()
+		l.children[string(key)] = c
 	}
 	return c
 }
 
-func (v *MultiCounterVec) name() string { return v.fname }
-
-func (v *MultiCounterVec) write(w io.Writer) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
+// sorted returns the children in key order, each with its rendered
+// label pairs (name="value",...).
+func (l *labeled[T]) sorted() (pairs []string, children []*T) {
+	l.mu.Lock()
+	keys := make([]string, 0, len(l.children))
+	for k := range l.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	vals := make([]uint64, len(keys))
+	children = make([]*T, len(keys))
 	for i, k := range keys {
-		vals[i] = v.children[k].Value()
+		children[i] = l.children[k]
 	}
-	v.mu.Unlock()
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", v.fname, v.help, v.fname)
+	l.mu.Unlock()
+	pairs = make([]string, len(keys))
 	for i, key := range keys {
-		parts := strings.Split(key, "\x00")
-		pairs := make([]string, len(parts))
-		for j, p := range parts {
-			pairs[j] = fmt.Sprintf("%s=\"%s\"", v.labels[j], escapeLabel(p))
+		var sb strings.Builder
+		for j, v := range strings.Split(key, "\x00") {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "%s=\"%s\"", l.labels[j], escapeLabel(v))
 		}
-		fmt.Fprintf(w, "%s{%s} %d\n", v.fname, strings.Join(pairs, ","), vals[i])
+		pairs[i] = sb.String()
 	}
+	return pairs, children
 }
 
 // ---- gauges ------------------------------------------------------------
@@ -211,12 +201,10 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Inc adds 1; Dec subtracts 1; Set replaces the value.
+// Inc adds 1; Dec subtracts 1.
 func (g *Gauge) Inc()         { g.v.Add(1) }
 func (g *Gauge) Dec()         { g.v.Add(-1) }
-func (g *Gauge) Set(n int64)  { g.v.Store(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
-func (g *Gauge) Add(n int64)  { g.v.Add(n) }
 
 // NewGauge registers an unlabeled gauge.
 func NewGauge(r *Registry, name, help string) *Gauge {
@@ -271,43 +259,40 @@ func (f *GaugeFunc) write(w io.Writer) {
 // 60s request timeout.
 var DurationBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// HistogramVec is a cumulative histogram family split by one label.
+// HistogramVec is a cumulative histogram family split by a fixed tuple
+// of labels, like CounterVec.
 type HistogramVec struct {
-	fname, help, label string
-	bounds             []float64
-	mu                 sync.Mutex
-	children           map[string]*histogram
+	labeled[Histogram]
+	bounds []float64
 }
 
-type histogram struct {
+// Histogram is one child of a HistogramVec.
+type Histogram struct {
+	bounds []float64
 	mu     sync.Mutex
 	counts []uint64 // per-bucket (non-cumulative) observation counts
 	sum    float64
 	total  uint64
 }
 
-// NewHistogramVec registers a labeled histogram family with the given
-// upper bounds (ascending; +Inf is implicit).
-func NewHistogramVec(r *Registry, name, help, label string, bounds []float64) *HistogramVec {
-	v := &HistogramVec{
-		fname: name, help: help, label: label,
-		bounds:   append([]float64(nil), bounds...),
-		children: make(map[string]*histogram),
-	}
+// NewHistogramVec registers a histogram family split by labels, with
+// the given upper bounds (ascending; +Inf is implicit).
+func NewHistogramVec(r *Registry, name, help string, bounds []float64, labels ...string) *HistogramVec {
+	v := &HistogramVec{bounds: append([]float64(nil), bounds...)}
+	v.labeled = labeled[Histogram]{fname: name, help: help, labels: labels, fresh: func() *Histogram {
+		return &Histogram{bounds: v.bounds, counts: make([]uint64, len(v.bounds)+1)}
+	}}
 	r.register(v)
 	return v
 }
 
-// Observe records one sample for the label value.
-func (v *HistogramVec) Observe(value string, sample float64) {
-	v.mu.Lock()
-	h := v.children[value]
-	if h == nil {
-		h = &histogram{counts: make([]uint64, len(v.bounds)+1)}
-		v.children[value] = h
-	}
-	v.mu.Unlock()
-	idx := sort.SearchFloat64s(v.bounds, sample)
+// With returns the child histogram for the label-value tuple, creating
+// it on first use; it panics on an arity mismatch, as CounterVec.With.
+func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }
+
+// Observe records one sample.
+func (h *Histogram) Observe(sample float64) {
+	idx := sort.SearchFloat64s(h.bounds, sample)
 	h.mu.Lock()
 	h.counts[idx]++
 	h.sum += sample
@@ -315,36 +300,22 @@ func (v *HistogramVec) Observe(value string, sample float64) {
 	h.mu.Unlock()
 }
 
-func (v *HistogramVec) name() string { return v.fname }
-
 func (v *HistogramVec) write(w io.Writer) {
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	children := make([]*histogram, len(keys))
-	for i, k := range keys {
-		children[i] = v.children[k]
-	}
-	v.mu.Unlock()
+	pairs, children := v.sorted()
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", v.fname, v.help, v.fname)
-	for i, k := range keys {
-		h := children[i]
+	for i, h := range children {
 		h.mu.Lock()
 		counts := append([]uint64(nil), h.counts...)
 		sum, total := h.sum, h.total
 		h.mu.Unlock()
-		lv := escapeLabel(k)
 		var cum uint64
 		for j, bound := range v.bounds {
 			cum += counts[j]
-			fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"%s\"} %d\n", v.fname, v.label, lv, formatFloat(bound), cum)
+			fmt.Fprintf(w, "%s_bucket{%s,le=\"%s\"} %d\n", v.fname, pairs[i], formatFloat(bound), cum)
 		}
 		cum += counts[len(v.bounds)]
-		fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"+Inf\"} %d\n", v.fname, v.label, lv, cum)
-		fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %s\n", v.fname, v.label, lv, strconv(sum))
-		fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", v.fname, v.label, lv, total)
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", v.fname, pairs[i], cum)
+		fmt.Fprintf(w, "%s_sum{%s} %s\n", v.fname, pairs[i], strconv(sum))
+		fmt.Fprintf(w, "%s_count{%s} %d\n", v.fname, pairs[i], total)
 	}
 }

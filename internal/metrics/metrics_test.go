@@ -32,7 +32,7 @@ func TestCounterVec(t *testing.T) {
 
 func TestMultiCounterVec(t *testing.T) {
 	r := NewRegistry()
-	v := NewMultiCounterVec(r, "http_requests_total", "HTTP requests.", "route", "method", "code")
+	v := NewCounterVec(r, "http_requests_total", "HTTP requests.", "route", "method", "code")
 	v.With("/v1/protect", "POST", "200").Inc()
 	v.With("/v1/protect", "POST", "200").Inc()
 	v.With("/v1/protect", "POST", "429").Inc()
@@ -76,10 +76,10 @@ func TestGaugeFunc(t *testing.T) {
 
 func TestHistogramVec(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistogramVec(r, "latency_seconds", "Latency.", "route", []float64{0.1, 1})
-	h.Observe("/v1/protect", 0.05)
-	h.Observe("/v1/protect", 0.5)
-	h.Observe("/v1/protect", 5)
+	h := NewHistogramVec(r, "latency_seconds", "Latency.", []float64{0.1, 1}, "route")
+	h.With("/v1/protect").Observe(0.05)
+	h.With("/v1/protect").Observe(0.5)
+	h.With("/v1/protect").Observe(5)
 	out := render(r)
 	for _, want := range []string{
 		"# TYPE latency_seconds histogram",
@@ -99,8 +99,8 @@ func TestBoundaryLandsInBucket(t *testing.T) {
 	// Prometheus buckets are le (<=): a sample exactly on a bound
 	// belongs to that bucket.
 	r := NewRegistry()
-	h := NewHistogramVec(r, "h", "h.", "l", []float64{1})
-	h.Observe("x", 1)
+	h := NewHistogramVec(r, "h", "h.", []float64{1}, "l")
+	h.With("x").Observe(1)
 	out := render(r)
 	if !strings.Contains(out, `h_bucket{l="x",le="1"} 1`) {
 		t.Errorf("sample on the bound not counted le-style:\n%s", out)
@@ -130,8 +130,8 @@ func TestDuplicateFamilyPanics(t *testing.T) {
 
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
-	c := NewMultiCounterVec(r, "c", "c.", "a", "b")
-	h := NewHistogramVec(r, "h", "h.", "l", DurationBuckets)
+	c := NewCounterVec(r, "c", "c.", "a", "b")
+	h := NewHistogramVec(r, "h", "h.", DurationBuckets, "l")
 	g := NewGauge(r, "g", "g.")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -140,7 +140,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				c.With("x", "y").Inc()
-				h.Observe("k", float64(j)/100)
+				h.With("k").Observe(float64(j) / 100)
 				g.Inc()
 				render(r)
 			}
@@ -154,4 +154,33 @@ func TestConcurrentUse(t *testing.T) {
 	if !strings.Contains(out, `h_count{l="k"} 4000`) {
 		t.Errorf("lost histogram samples:\n%s", out)
 	}
+}
+
+// TestHistogramLabelTuple: a histogram family takes the same label
+// tuple as a counter family, rendered before the le bound.
+func TestHistogramLabelTuple(t *testing.T) {
+	r := NewRegistry()
+	h := NewHistogramVec(r, "stage_seconds", "Stage time.", []float64{1}, "op", "stage")
+	h.With("plan", "search").Observe(0.5)
+	h.With("detect", "read").Observe(2)
+	want := `# HELP stage_seconds Stage time.
+# TYPE stage_seconds histogram
+stage_seconds_bucket{op="detect",stage="read",le="1"} 0
+stage_seconds_bucket{op="detect",stage="read",le="+Inf"} 1
+stage_seconds_sum{op="detect",stage="read"} 2
+stage_seconds_count{op="detect",stage="read"} 1
+stage_seconds_bucket{op="plan",stage="search",le="1"} 1
+stage_seconds_bucket{op="plan",stage="search",le="+Inf"} 1
+stage_seconds_sum{op="plan",stage="search"} 0.5
+stage_seconds_count{op="plan",stage="search"} 1
+`
+	if got := render(r); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("arity mismatch did not panic")
+		}
+	}()
+	h.With("plan")
 }

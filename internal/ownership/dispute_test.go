@@ -1,6 +1,7 @@
 package ownership_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -39,7 +40,7 @@ func newRelease(t *testing.T, rows int) *release {
 		t.Fatal(err)
 	}
 	key := crypt.NewWatermarkKeyFromSecret("the-hospital", 8)
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func (r *release) embedAs(t *testing.T, key crypt.WatermarkKey, mark bitstr.Bits
 	t.Helper()
 	prov := r.prot.Provenance
 	out := r.prot.Table.Clone()
-	if _, err := watermark.Embed(out, prov.IdentCol, r.columns, watermark.Params{
+	if _, err := watermark.EmbedContext(context.Background(), out, prov.IdentCol, r.columns, watermark.Params{
 		Key: key, Mark: mark, Duplication: prov.Duplication,
 		WeightedVoting:         prov.WeightedVoting,
 		SaltPositionWithColumn: prov.SaltPositionWithColumn,
@@ -69,7 +70,7 @@ func (r *release) embedAs(t *testing.T, key crypt.WatermarkKey, mark bitstr.Bits
 
 func TestOwnerClaimStands(t *testing.T) {
 	r := newRelease(t, 3000)
-	verdicts, err := r.fw.Dispute(r.prot.Table, r.prot.Provenance, r.key, nil)
+	verdicts, err := r.fw.DisputeContext(context.Background(), r.prot.Table, r.prot.Provenance, r.key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAttack1BogusAdditiveMark(t *testing.T) {
 	}
 	stolen := r.embedAs(t, attackerKey, bogusMark)
 
-	verdicts, err := r.fw.Dispute(stolen, r.prot.Provenance, r.key, []ownership.Claim{
+	verdicts, err := r.fw.DisputeContext(context.Background(), stolen, r.prot.Provenance, r.key, []ownership.Claim{
 		{Claimant: "thief", V: bogusV, Key: attackerKey, Mark: bogusMark},
 	})
 	if err != nil {
@@ -123,11 +124,11 @@ func TestAttack2BogusExtractedOriginal(t *testing.T) {
 
 	// The forger detects SOME bit pattern under his own key and declares
 	// it "his mark", then claims a V that fits nothing.
-	det, err := r.fw.Detect(r.prot.Table, r.prot.Provenance, attackerKey)
+	det, err := r.fw.DetectContext(context.Background(), r.prot.Table, r.prot.Provenance, attackerKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := r.fw.Dispute(r.prot.Table, r.prot.Provenance, r.key, []ownership.Claim{
+	verdicts, err := r.fw.DisputeContext(context.Background(), r.prot.Table, r.prot.Provenance, r.key, []ownership.Claim{
 		{Claimant: "forger", V: 7.7e8, Key: attackerKey, Mark: det.Result.Mark},
 	})
 	if err != nil {
@@ -155,7 +156,7 @@ func TestDisputeSurvivesTupleAttacks(t *testing.T) {
 	if _, err := attack.AddSubset(attacked, 0.1, gen); err != nil {
 		t.Fatal(err)
 	}
-	verdicts, err := r.fw.Dispute(attacked, r.prot.Provenance, r.key, nil)
+	verdicts, err := r.fw.DisputeContext(context.Background(), attacked, r.prot.Provenance, r.key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +167,17 @@ func TestDisputeSurvivesTupleAttacks(t *testing.T) {
 
 func TestJudgeRejectsNonCommittedMark(t *testing.T) {
 	r := newRelease(t, 1000)
-	mark := bitstr.MustFromString(r.prot.Provenance.Mark)
+	flipped := []byte(r.prot.Provenance.Mark)
+	flipped[0] ^= '0' ^ '1' // not F(v) anymore
+	mark, err := bitstr.FromString(string(flipped))
+	if err != nil {
+		t.Fatal(err)
+	}
 	claim := ownership.Claim{
 		Claimant: "hospital", V: r.prot.Provenance.V, Key: r.key,
-		Mark: mark.Set(0, !mark.Get(0)), // not F(v) anymore
+		Mark: mark,
 	}
-	verdicts, err := r.fw.Dispute(r.prot.Table, r.prot.Provenance, r.key, []ownership.Claim{claim})
+	verdicts, err := r.fw.DisputeContext(context.Background(), r.prot.Table, r.prot.Provenance, r.key, []ownership.Claim{claim})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,10 +262,12 @@ func decrypt(encCol []string, encKey []byte) *decryption {
 		d.err = err
 		return d
 	}
+	var pt []byte
 	for _, token := range encCol {
-		if pt, err := cipher.DecryptString(token); err == nil {
+		var err error
+		if pt, err = cipher.AppendDecryptString(pt[:0], token); err == nil {
 			d.decrypted++
-			d.stat.Add(pt)
+			d.stat.Add(string(pt))
 		}
 	}
 	return d

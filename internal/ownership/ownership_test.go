@@ -105,7 +105,7 @@ func newDisputeFixture(t testing.TB, rows int) *disputeFixture {
 	disputed := original.Clone()
 	ci, _ := disputed.Schema().Index("ssn")
 	for i := 0; i < disputed.NumRows(); i++ {
-		disputed.SetCellAt(i, ci, cipher.EncryptString(disputed.CellAt(i, ci)))
+		disputed.SetCellAt(i, ci, string(cipher.AppendEncryptString(nil, disputed.CellAt(i, ci))))
 	}
 
 	return &disputeFixture{

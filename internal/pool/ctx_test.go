@@ -105,13 +105,13 @@ func TestCtxAt(t *testing.T) {
 func TestCtxVariantsMatchPlainOnBackground(t *testing.T) {
 	// The plain helpers delegate to the ctx forms with Background; a
 	// completed run must never surface a non-nil error from the ctx path.
-	if err := ForEach(4, 100, func(i int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 100, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachChunk(4, 100, func(si, lo, hi int) error { return nil }); err != nil {
+	if err := ForEachChunkCtx(context.Background(), 4, 100, func(si, lo, hi int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Map(4, 100, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), 4, 100, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 }

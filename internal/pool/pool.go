@@ -13,9 +13,8 @@
 //     sequential loop would have hit first (lowest index / lowest chunk);
 //   - worker count only changes wall-clock time, never output.
 //
-// Every helper has a context-aware form (ForEachCtx, ForEachChunkCtx,
-// MapCtx) that stops dispatching new work once the context is done and
-// returns the context's error. Cancellation is inherently racy — which
+// Every helper (ForEachCtx, ForEachChunkCtx, MapCtx) takes a context,
+// stops dispatching new work once it is done and returns its error. Cancellation is inherently racy — which
 // indices had already started is scheduler-dependent — so the
 // determinism contract applies to runs that complete without
 // cancellation; a cancelled run deterministically reports the
@@ -40,7 +39,7 @@ func Resolve(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers
+// ForEachCtx runs fn(i) for every i in [0, n) on at most workers
 // goroutines (workers <= 0 means GOMAXPROCS). Indices are dispatched
 // dynamically, so uneven per-index cost still balances. If any calls
 // fail, the error of the lowest failing index is returned — the same
@@ -48,15 +47,11 @@ func Resolve(n int) int {
 //
 // With workers resolved to 1 the loop runs inline on the caller's
 // goroutine and stops at the first error, exactly like a plain for loop.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach under a context: no new index is dispatched once
-// ctx is done, and the context error is returned after in-flight calls
-// drain — unless an fn call failed, in which case the lowest failing
-// index's error wins (matching the uncancelled contract). A context that
-// is already done returns immediately without calling fn at all.
+//
+// No new index is dispatched once ctx is done, and the context error is
+// returned after in-flight calls drain — unless an fn call failed, in
+// which case the lowest failing index's error wins. A context that is
+// already done returns immediately without calling fn at all.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -164,19 +159,16 @@ func Chunks(workers, n int) []Chunk {
 	return out
 }
 
-// ForEachChunk shards [0, n) with Chunks and runs fn(shard, lo, hi) for
-// every shard concurrently; shard is the chunk's index, for callers that
-// keep per-shard accumulators to merge in shard order afterwards. Error
-// selection is deterministic: the error of the lowest-indexed failing
-// chunk wins, which — for callers that scan their chunk in ascending
-// order and stop at the first failure — is exactly the error a
-// sequential [0, n) loop would have returned.
-func ForEachChunk(workers, n int, fn func(shard, lo, hi int) error) error {
-	return ForEachChunkCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachChunkCtx is ForEachChunk under a context. A context that is
-// already done returns its error before any chunk runs. Because one
+// ForEachChunkCtx shards [0, n) with Chunks and runs fn(shard, lo, hi)
+// for every shard concurrently; shard is the chunk's index, for callers
+// that keep per-shard accumulators to merge in shard order afterwards.
+// Error selection is deterministic: the error of the lowest-indexed
+// failing chunk wins, which — for callers that scan their chunk in
+// ascending order and stop at the first failure — is exactly the error
+// a sequential [0, n) loop would have returned.
+//
+// A context that is already done returns its error before any chunk
+// runs. Because one
 // chunk can cover a large index range, long-running fn bodies should
 // additionally poll ctx at row-batch boundaries (see CtxStride) to abort
 // mid-chunk; ForEachChunkCtx itself only gates chunk dispatch. After all
@@ -238,16 +230,10 @@ func CtxAt(ctx context.Context, i int) error {
 	return ctx.Err()
 }
 
-// Map computes out[i] = fn(i) for i in [0, n) on at most workers
-// goroutines, returning the results in input order. On failure it
-// returns the error of the lowest failing index and no results.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map under a context: it stops dispatching on cancellation
-// and returns the context error (or the lowest failing index's error)
-// with no results.
+// MapCtx computes out[i] = fn(i) for i in [0, n) on at most workers
+// goroutines, returning the results in input order. It stops
+// dispatching on cancellation; on failure it returns the context error
+// or the lowest failing index's error, and no results.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachCtx(ctx, workers, n, func(i int) error {

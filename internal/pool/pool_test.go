@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -25,7 +26,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 1000
 		hits := make([]atomic.Int32, n)
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -41,7 +42,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		err := ForEach(workers, 500, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 500, func(i int) error {
 			if i%100 == 37 { // fails at 37, 137, 237, ...
 				return fmt.Errorf("fail@%d", i)
 			}
@@ -54,7 +55,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,7 +90,7 @@ func TestChunksPartition(t *testing.T) {
 func TestForEachChunkLowestChunkErrorWins(t *testing.T) {
 	// Chunks 1 and 3 fail; the chunk-1 error must win for every worker
 	// count that yields at least 4 chunks.
-	err := ForEachChunk(4, 400, func(shard, lo, hi int) error {
+	err := ForEachChunkCtx(context.Background(), 4, 400, func(shard, lo, hi int) error {
 		if shard != lo/100 {
 			return fmt.Errorf("shard %d does not match range [%d,%d)", shard, lo, hi)
 		}
@@ -110,7 +111,7 @@ func TestForEachChunkCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		const n = 777
 		seen := make([]atomic.Int32, n)
-		if err := ForEachChunk(workers, n, func(shard, lo, hi int) error {
+		if err := ForEachChunkCtx(context.Background(), workers, n, func(shard, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				seen[i].Add(1)
 			}
@@ -128,7 +129,7 @@ func TestForEachChunkCoverage(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		out, err := Map(workers, 100, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestMapOrdered(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	out, err := Map(8, 100, func(i int) (int, error) {
+	out, err := MapCtx(context.Background(), 8, 100, func(i int) (int, error) {
 		if i >= 40 {
 			return 0, fmt.Errorf("fail@%d", i)
 		}

@@ -113,10 +113,3 @@ func (l *Limiter) sweepLocked(t time.Time) {
 		}
 	}
 }
-
-// Len reports the live bucket count (eviction observability; tests).
-func (l *Limiter) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}

@@ -105,8 +105,8 @@ func TestUnlimited(t *testing.T) {
 			t.Fatal("unlimited key refused")
 		}
 	}
-	if l.Len() != 0 {
-		t.Fatalf("unlimited traffic created %d buckets, want 0", l.Len())
+	if len(l.buckets) != 0 {
+		t.Fatalf("unlimited traffic created %d buckets, want 0", len(l.buckets))
 	}
 }
 
@@ -116,16 +116,16 @@ func TestIdleEviction(t *testing.T) {
 	for _, k := range []string{"a", "b", "c"} {
 		l.Allow(k, 1, 5)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
+	if len(l.buckets) != 3 {
+		t.Fatalf("Len = %d, want 3", len(l.buckets))
 	}
 	// a stays warm; b and c go idle past the horizon.
 	clk.advance(40 * time.Second)
 	l.Allow("a", 1, 5)
 	clk.advance(40 * time.Second)
 	l.Allow("a", 1, 5) // triggers the sweep: b and c are 80s idle
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d after idle horizon, want 1 (only the warm key)", l.Len())
+	if len(l.buckets) != 1 {
+		t.Fatalf("Len = %d after idle horizon, want 1 (only the warm key)", len(l.buckets))
 	}
 	if _, held := l.buckets["a"]; !held {
 		t.Fatal("warm bucket evicted")

@@ -214,16 +214,6 @@ func Open(path string) (*Store, error) {
 	return &Store{recs: recs}, nil
 }
 
-// Path returns the backing file path ("" for an in-memory store).
-func (s *Store) Path() string { return s.recs.Path() }
-
-// Len returns the number of registered recipients.
-func (s *Store) Len() int { return s.recs.Len() }
-
-// Get returns the default tenant's record for id (the single-owner CLI
-// view). Service handlers use GetIn with the authenticated tenant.
-func (s *Store) Get(id string) (Record, bool) { return s.GetIn(tenant.DefaultID, id) }
-
 // GetIn returns tenantID's record for id.
 func (s *Store) GetIn(tenantID, id string) (Record, bool) {
 	return s.recs.Get(storeKey(tenantID, id))
@@ -280,10 +270,6 @@ func (s *Store) PutAll(recs []Record) error {
 		return nil
 	})
 }
-
-// Delete removes the default tenant's record for id (the CLI view);
-// service handlers use DeleteIn. It reports whether the record existed.
-func (s *Store) Delete(id string) (bool, error) { return s.DeleteIn(tenant.DefaultID, id) }
 
 // DeleteIn removes tenantID's record for id, persisting the store. It
 // reports whether the record existed.

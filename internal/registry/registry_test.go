@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/crypt"
 	"repro/internal/datagen"
 	"repro/internal/ontology"
+	"repro/internal/tenant"
 )
 
 const testSecret = "registry master secret"
@@ -33,7 +35,7 @@ func testRecords(t *testing.T, ids ...string) []Record {
 	for i, id := range ids {
 		recipients[i] = core.Recipient{ID: id, Key: crypt.RecipientWatermarkKey(testSecret, id, 10)}
 	}
-	results, err := fw.Fingerprint(tbl, recipients)
+	results, err := fw.FingerprintContext(context.Background(), tbl, recipients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +58,8 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if s.recs.Len() != 2 {
+		t.Fatalf("len = %d", s.recs.Len())
 	}
 
 	// Reopen from disk: same records, sorted by ID.
@@ -69,7 +71,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if len(list) != 2 || list[0].RecipientID != "hospital-a" || list[1].RecipientID != "hospital-b" {
 		t.Fatalf("reopened list: %+v", list)
 	}
-	got, ok := s2.Get("hospital-b")
+	got, ok := s2.GetIn(tenant.DefaultID, "hospital-b")
 	if !ok {
 		t.Fatal("hospital-b missing after reopen")
 	}
@@ -81,18 +83,18 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Delete persists too.
-	if had, err := s2.Delete("hospital-a"); err != nil || !had {
+	if had, err := s2.DeleteIn(tenant.DefaultID, "hospital-a"); err != nil || !had {
 		t.Fatalf("delete: had=%v err=%v", had, err)
 	}
-	if had, err := s2.Delete("hospital-a"); err != nil || had {
+	if had, err := s2.DeleteIn(tenant.DefaultID, "hospital-a"); err != nil || had {
 		t.Fatalf("double delete: had=%v err=%v", had, err)
 	}
 	s3, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Len() != 1 {
-		t.Fatalf("len after delete+reopen = %d", s3.Len())
+	if s3.recs.Len() != 1 {
+		t.Fatalf("len after delete+reopen = %d", s3.recs.Len())
 	}
 }
 
@@ -101,7 +103,7 @@ func TestOpenMissingFileIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
+	if s.recs.Len() != 0 {
 		t.Fatal("missing file should open empty")
 	}
 }
@@ -112,8 +114,8 @@ func TestInMemoryStoreNeverPersists(t *testing.T) {
 	if err := s.Put(recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if s.Path() != "" || s.Len() != 1 {
-		t.Fatalf("in-memory store: path=%q len=%d", s.Path(), s.Len())
+	if s.recs.Path() != "" || s.recs.Len() != 1 {
+		t.Fatalf("in-memory store: path=%q len=%d", s.recs.Path(), s.recs.Len())
 	}
 }
 
@@ -154,8 +156,8 @@ func TestPutRejectsInvalidRecords(t *testing.T) {
 	if err := s.Put(bad); err == nil {
 		t.Error("empty fingerprint accepted")
 	}
-	if s.Len() != 0 {
-		t.Errorf("invalid puts left %d records", s.Len())
+	if s.recs.Len() != 0 {
+		t.Errorf("invalid puts left %d records", s.recs.Len())
 	}
 }
 
@@ -177,17 +179,17 @@ func TestPutAllIsAtomic(t *testing.T) {
 		t.Fatalf("conflicting batch: got %v, want ErrConflict", err)
 	}
 	// Nothing from the failed batch landed — not even "a".
-	if _, ok := s.Get("a"); ok {
+	if _, ok := s.GetIn(tenant.DefaultID, "a"); ok {
 		t.Error("failed batch registered a prefix")
 	}
-	if got, _ := s.Get("b"); got.KeyFingerprint != blocker.KeyFingerprint {
+	if got, _ := s.GetIn(tenant.DefaultID, "b"); got.KeyFingerprint != blocker.KeyFingerprint {
 		t.Error("failed batch mutated the existing record")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d after failed batch", s.Len())
+	if s.recs.Len() != 1 {
+		t.Fatalf("len = %d after failed batch", s.recs.Len())
 	}
 	// A clean batch lands completely and persists.
-	if _, err := s.Delete("b"); err != nil {
+	if _, err := s.DeleteIn(tenant.DefaultID, "b"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutAll(recs); err != nil {
@@ -197,8 +199,8 @@ func TestPutAllIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reopened.Len() != 3 {
-		t.Fatalf("len after batch+reopen = %d", reopened.Len())
+	if reopened.recs.Len() != 3 {
+		t.Fatalf("len after batch+reopen = %d", reopened.recs.Len())
 	}
 	// Duplicate IDs within one batch are rejected upfront.
 	if err := New().PutAll([]Record{recs[0], recs[0]}); err == nil {
@@ -236,7 +238,7 @@ func TestPutAllPersistFailureRestores(t *testing.T) {
 	if got, want := s.List(), onDisk.List(); len(got) != 1 || len(want) != 1 || got[0].RecipientID != want[0].RecipientID {
 		t.Fatalf("store holds %d records, disk holds %d", len(got), len(want))
 	}
-	if _, ok := s.Get("b"); ok {
+	if _, ok := s.GetIn(tenant.DefaultID, "b"); ok {
 		t.Fatal("failed batch left a record in memory")
 	}
 }
@@ -303,12 +305,12 @@ func TestPutRefusesConflictingOverwrite(t *testing.T) {
 	if err := s.Put(clobber); !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflicting overwrite: got %v, want ErrConflict", err)
 	}
-	got, _ := s.Get("hospital-a")
+	got, _ := s.GetIn(tenant.DefaultID, "hospital-a")
 	if got.KeyFingerprint != recs[0].KeyFingerprint {
 		t.Error("conflicting put mutated the stored record")
 	}
 	// After an explicit delete the replacement goes through.
-	if _, err := s.Delete("hospital-a"); err != nil {
+	if _, err := s.DeleteIn(tenant.DefaultID, "hospital-a"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(clobber); err != nil {
@@ -339,10 +341,10 @@ func TestStoreConcurrency(t *testing.T) {
 					t.Errorf("put: %v", err)
 					return
 				}
-				s.Get(rec.RecipientID)
+				s.GetIn(tenant.DefaultID, rec.RecipientID)
 				s.List()
 				if i%3 == 0 {
-					if _, err := s.Delete(rec.RecipientID); err != nil {
+					if _, err := s.DeleteIn(tenant.DefaultID, rec.RecipientID); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}
@@ -356,8 +358,8 @@ func TestStoreConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("registry unreadable after concurrent writes: %v", err)
 	}
-	if reopened.Len() != s.Len() {
-		t.Errorf("disk has %d records, memory has %d", reopened.Len(), s.Len())
+	if reopened.recs.Len() != s.recs.Len() {
+		t.Errorf("disk has %d records, memory has %d", reopened.recs.Len(), s.recs.Len())
 	}
 }
 
@@ -379,7 +381,7 @@ func BenchmarkRegistryPutAll(b *testing.B) {
 		id := fmt.Sprintf("r%d", i)
 		recipients[i] = core.Recipient{ID: id, Key: crypt.RecipientWatermarkKey(testSecret, id, 10)}
 	}
-	results, err := fw.Fingerprint(tbl, recipients)
+	results, err := fw.FingerprintContext(context.Background(), tbl, recipients)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func TestTenantNamespacing(t *testing.T) {
 	if err := s.Put(b); err != nil {
 		t.Fatalf("cross-tenant Put of the same recipient ID: %v", err)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if s.recs.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.recs.Len())
 	}
 
 	got, ok := s.GetIn("tenant-a", "hospital-1")
@@ -77,7 +77,7 @@ func TestDefaultTenantCompat(t *testing.T) {
 	}
 	// The tenant-less accessors and the default-tenant accessors see the
 	// same record.
-	if _, ok := s.Get("legacy"); !ok {
+	if _, ok := s.GetIn(tenant.DefaultID, "legacy"); !ok {
 		t.Fatal("Get missed the default-tenant record")
 	}
 	if _, ok := s.GetIn(tenant.DefaultID, "legacy"); !ok {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"strings"
 
 	"repro/internal/pool"
@@ -112,13 +111,6 @@ func (s *Schema) NumColumns() int { return len(s.cols) }
 
 // Column returns the i-th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
-
-// Columns returns a copy of all columns.
-func (s *Schema) Columns() []Column {
-	out := make([]Column, len(s.cols))
-	copy(out, s.cols)
-	return out
-}
 
 // Index returns the position of the named column.
 func (s *Schema) Index(name string) (int, error) {
@@ -286,7 +278,7 @@ func (t *Table) SetCellAt(i, col int, value string) {
 // CodeAt returns the dictionary code of the cell at row i. Codes are
 // stable under reads and SetCodeAt, and only grow (never shuffle) under
 // interning writes; Delete*, Shuffle and Sort* reorder rows, and
-// MapColumn rebuilds the dictionary.
+// MapColumnCtx rebuilds the dictionary.
 func (t *Table) CodeAt(i, col int) uint32 { return t.cols[col].codes[i] }
 
 // SetCodeAt overwrites the cell at row i with an existing dictionary
@@ -324,7 +316,7 @@ func (t *Table) InternValue(col int, value string) uint32 {
 
 // DictValues returns the column's dictionary, indexed by code. The slice
 // is shared with the table: callers must treat it as read-only, and it
-// is stale after interning writes or MapColumn.
+// is stale after interning writes or MapColumnCtx.
 func (t *Table) DictValues(col int) []string { return t.cols[col].dict }
 
 // Codes returns the column's code vector (one code per row). The slice
@@ -457,29 +449,6 @@ func (t *Table) AppendTable(other *Table) error {
 	return nil
 }
 
-// Shuffle permutes row order using rng. Attacks use this to destroy any
-// accidental reliance on physical order. The rng draw sequence matches a
-// direct Fisher–Yates shuffle of the row store, so seeded runs reproduce
-// historical orders.
-func (t *Table) Shuffle(rng *rand.Rand) {
-	perm := make([]int, t.NumRows())
-	for i := range perm {
-		perm[i] = i
-	}
-	rng.Shuffle(len(perm), func(i, j int) {
-		perm[i], perm[j] = perm[j], perm[i]
-	})
-	// New row i is old row perm[i].
-	for ci := range t.cols {
-		codes := t.cols[ci].codes
-		next := make([]uint32, len(codes))
-		for i, p := range perm {
-			next[i] = codes[p]
-		}
-		t.cols[ci].codes = next
-	}
-}
-
 // RowView is a zero-copy accessor for one tuple of a table. It is valid
 // only while the table's row set is unchanged.
 type RowView struct {
@@ -489,9 +458,6 @@ type RowView struct {
 
 // View returns a zero-copy view of tuple i.
 func (t *Table) View(i int) RowView { return RowView{t: t, i: i} }
-
-// Index returns the row index the view points at.
-func (v RowView) Index() int { return v.i }
 
 // Cell decodes the cell in the given column.
 func (v RowView) Cell(col int) string { return v.t.CellAt(v.i, col) }
@@ -533,20 +499,16 @@ func (t *Table) ForEachRowChunk(chunk int, fn func(lo, hi int) error) error {
 	return nil
 }
 
-// MapColumn rewrites one column through fn, calling fn once per distinct
-// value in use instead of once per row: fn transforms dictionary
-// entries, rows only have their codes remapped. fn appends the output
-// for value to dst and returns the extended buffer. The dictionary is
-// compacted (unused entries dropped, equal outputs merged) and the
-// number of rows whose value changed is returned. fn must be
-// deterministic; a row-level scan applying a deterministic fn yields
-// exactly the same table.
-func (t *Table) MapColumn(col int, fn func(dst []byte, value string) ([]byte, error)) (int, error) {
-	return t.MapColumnCtx(context.Background(), 1, col, fn)
-}
-
-// MapColumnCtx is MapColumn with the per-entry fn calls fanned out over
-// workers (0 = GOMAXPROCS, 1 = sequential) under ctx. The dictionary is
+// MapColumnCtx rewrites one column through fn, calling fn once per
+// distinct value in use instead of once per row: fn transforms
+// dictionary entries, rows only have their codes remapped. fn appends
+// the output for value to dst and returns the extended buffer. The
+// dictionary is compacted (unused entries dropped, equal outputs
+// merged) and the number of rows whose value changed is returned. fn
+// must be deterministic; a row-level scan applying a deterministic fn
+// yields exactly the same table.
+//
+// The per-entry fn calls fan out over workers (0 = GOMAXPROCS, 1 = sequential) under ctx. The dictionary is
 // split into one contiguous range per worker, and each range appends
 // its outputs to one arena, converted to a string once: the rebuilt
 // dictionary holds substrings of the arenas, deduplicated through a

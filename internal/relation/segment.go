@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"fmt"
 	"hash/maphash"
@@ -23,7 +24,7 @@ import (
 // Each segment is a self-contained Table over the reader's schema. Its
 // dictionaries are capacity-capped views of the shared ones: reads are
 // plain lookups, and a consumer that interns new values (SetCellAt,
-// MapColumn) re-allocates privately without clobbering the shared
+// MapColumnCtx) re-allocates privately without clobbering the shared
 // backing — earlier segments and the reader itself stay valid.
 //
 // The reader decodes bytes, not records, and builds each segment piece
@@ -344,7 +345,7 @@ func (sr *SegmentReader) decode(workers, line int, recs []record) error {
 		sr.cells = make([]span, need)
 	}
 	cells := sr.cells[:len(recs)*ncols]
-	return pool.ForEachChunk(workers, len(recs), func(_, lo, hi int) error {
+	return pool.ForEachChunkCtx(context.TODO(), workers, len(recs), func(_, lo, hi int) error {
 		ends := make([]int, 0, ncols)
 		for r := lo; r < hi; r++ {
 			rec := recs[r]
@@ -436,7 +437,7 @@ func (sr *SegmentReader) splitPlain(rec record, cells []span) bool {
 func (sr *SegmentReader) intern(workers, n int, codes [][]uint32) {
 	ncols := len(sr.cols)
 	cells := sr.cells
-	_ = pool.ForEach(workers, ncols, func(ci int) error {
+	_ = pool.ForEachCtx(context.TODO(), workers, ncols, func(ci int) error {
 		c, x := &sr.cols[ci], &sr.index[ci]
 		var arena string
 		if sr.schema.Column(ci).Kind == Identifying {

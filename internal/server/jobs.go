@@ -113,24 +113,24 @@ func encodeJobResult(v any) (json.RawMessage, error) {
 func (s *Server) control(h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		if _, err := h(w, r); err != nil {
+		if err := h(w, r); err != nil {
 			s.writeError(w, err)
 		}
 	}
 }
 
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	kind := r.PathValue("kind")
 	tid := tenantIDFrom(r.Context())
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !json.Valid(body) {
-		return 0, badRequest(fmt.Errorf("job request body is not valid JSON"))
+		return badRequest(fmt.Errorf("job request body is not valid JSON"))
 	}
 	if err := s.checkJobQuota(r.Context(), tid); err != nil {
-		return 0, err
+		return err
 	}
 	j, existing, err := s.jobs.Submit(kind, body, jobs.SubmitOptions{
 		TenantID:       tid,
@@ -139,11 +139,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (int, e
 	})
 	switch {
 	case errors.Is(err, jobs.ErrUnknownKind):
-		return 0, notFound(err)
+		return notFound(err)
 	case errors.Is(err, jobs.ErrDraining):
-		return 0, overloaded(err)
+		return overloaded(err)
 	case err != nil:
-		return 0, badRequest(err)
+		return badRequest(err)
 	}
 	// A fresh submission is 202 (accepted, not done); an idempotent
 	// replay returns the existing job as plain 200.
@@ -153,7 +153,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (int, e
 	}
 	noteJob(r.Context(), j.ID)
 	writeJSON(w, status, api.JobResponse{Version: api.Version, Job: jobs.SnapshotOf(j), Result: j.Result})
-	return status, nil
+	return nil
 }
 
 // checkJobQuota enforces the tenant's MaxActiveJobs: queued plus
@@ -205,33 +205,33 @@ func noteJob(ctx context.Context, id string) {
 	}
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	j, ok := s.tenantJob(r.Context(), id)
 	if !ok {
-		return 0, notFound(fmt.Errorf("no job %q", id))
+		return notFound(fmt.Errorf("no job %q", id))
 	}
 	writeJSON(w, http.StatusOK, api.JobResponse{Version: api.Version, Job: jobs.SnapshotOf(j), Result: j.Result})
-	return http.StatusOK, nil
+	return nil
 }
 
 // maxJobPage caps one GET /v1/jobs page.
 const maxJobPage = 500
 
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
 	f := jobs.Filter{Tenant: tenantIDFrom(r.Context()), Kind: q.Get("kind"), State: jobs.State(q.Get("state"))}
 	if f.State != "" && !f.State.Valid() {
-		return 0, badRequest(fmt.Errorf("unknown job state %q", f.State))
+		return badRequest(fmt.Errorf("unknown job state %q", f.State))
 	}
 	limit, err := queryInt(q.Get("limit"), 50)
 	if err != nil || limit < 1 {
-		return 0, badRequest(fmt.Errorf("limit must be a positive integer"))
+		return badRequest(fmt.Errorf("limit must be a positive integer"))
 	}
 	limit = min(limit, maxJobPage)
 	offset, err := queryInt(q.Get("offset"), 0)
 	if err != nil || offset < 0 {
-		return 0, badRequest(fmt.Errorf("offset must be a non-negative integer"))
+		return badRequest(fmt.Errorf("offset must be a non-negative integer"))
 	}
 	all := s.jobs.List(f)
 	resp := api.JobsListResponse{
@@ -245,24 +245,24 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) (int, err
 		resp.Jobs = append(resp.Jobs, jobs.SnapshotOf(j))
 	}
 	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
+	return nil
 }
 
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	if _, ok := s.tenantJob(r.Context(), id); !ok {
-		return 0, notFound(fmt.Errorf("no job %q", id))
+		return notFound(fmt.Errorf("no job %q", id))
 	}
 	j, err := s.jobs.Cancel(id)
 	if errors.Is(err, jobs.ErrNotFound) {
-		return 0, notFound(fmt.Errorf("no job %q", id))
+		return notFound(fmt.Errorf("no job %q", id))
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	noteJob(r.Context(), j.ID)
 	writeJSON(w, http.StatusOK, api.JobResponse{Version: api.Version, Job: jobs.SnapshotOf(j)})
-	return http.StatusOK, nil
+	return nil
 }
 
 // sseHeartbeat is the idle-comment interval of the event stream, keeping

@@ -167,11 +167,11 @@ func TestJobKindsMatchSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(tbl, crypt.NewWatermarkKeyFromSecret(key.Secret, key.Eta))
+	prot, err := fw.ProtectContext(context.Background(), tbl, crypt.NewWatermarkKeyFromSecret(key.Secret, key.Eta))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := fw.Plan(tbl, crypt.NewWatermarkKeyFromSecret(key.Secret, key.Eta))
+	plan, err := fw.PlanContext(context.Background(), tbl, crypt.NewWatermarkKeyFromSecret(key.Secret, key.Eta))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func (s *Server) plane(route string, opts planeOpts, inner http.HandlerFunc) htt
 		}
 		elapsed := time.Since(start)
 		s.metrics.requests.With(route, r.Method, strconv.Itoa(status)).Inc()
-		s.metrics.duration.Observe(route, elapsed.Seconds())
+		s.metrics.duration.With(route).Observe(elapsed.Seconds())
 		rows := info.rows.Load()
 		if rows > 0 {
 			s.metrics.rows.With(route).Add(uint64(rows))
@@ -291,8 +291,8 @@ func (s *Server) auditLog(r *http.Request, info *requestInfo, route string, stat
 // serverMetrics is the service plane's metric set.
 type serverMetrics struct {
 	reg          *metrics.Registry
-	requests     *metrics.MultiCounterVec // route, method, code
-	duration     *metrics.HistogramVec    // route
+	requests     *metrics.CounterVec   // route, method, code
+	duration     *metrics.HistogramVec // route
 	inflight     *metrics.Gauge
 	rows         *metrics.CounterVec // route
 	rateLimited  *metrics.CounterVec // scope: ip | tenant
@@ -305,8 +305,8 @@ func newServerMetrics(jobStates func() map[string]int64) *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
 		reg:          reg,
-		requests:     metrics.NewMultiCounterVec(reg, "medshield_http_requests_total", "HTTP requests served.", "route", "method", "code"),
-		duration:     metrics.NewHistogramVec(reg, "medshield_http_request_duration_seconds", "HTTP request latency in seconds.", "route", metrics.DurationBuckets),
+		requests:     metrics.NewCounterVec(reg, "medshield_http_requests_total", "HTTP requests served.", "route", "method", "code"),
+		duration:     metrics.NewHistogramVec(reg, "medshield_http_request_duration_seconds", "HTTP request latency in seconds.", metrics.DurationBuckets, "route"),
 		inflight:     metrics.NewGauge(reg, "medshield_http_inflight_requests", "Requests currently inside a handler."),
 		rows:         metrics.NewCounterVec(reg, "medshield_rows_processed_total", "Table rows consumed by pipeline requests.", "route"),
 		rateLimited:  metrics.NewCounterVec(reg, "medshield_rate_limited_total", "Requests refused by a token bucket.", "scope"),

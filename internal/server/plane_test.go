@@ -548,3 +548,124 @@ func TestRequestIDEcho(t *testing.T) {
 		t.Fatal("request IDs repeat across requests")
 	}
 }
+
+// TestMetricsExpositionBytes pins the /metrics document after a fixed
+// request mix that reaches every family: requests by route, method and
+// code, the latency histogram, rows, a tenant rate limit, the three
+// authentication failures and the job-state gauge. Latency bucket
+// counts and sums depend on the clock, so their values are masked; the
+// histogram's _count lines are exact.
+func TestMetricsExpositionBytes(t *testing.T) {
+	ts, tenants := newTenantServer(t, Config{},
+		tenant.Record{ID: "ops", Role: tenant.RoleAdmin},
+		tenant.Record{ID: "member", Quota: tenant.Quota{RequestsPerMinute: 1, Burst: 1}},
+		tenant.Record{ID: "off", Disabled: true},
+	)
+	for _, tc := range []struct {
+		token, method, path string
+		body                []byte
+		want                int
+	}{
+		{tenants[1].token, http.MethodGet, "/v1/recipients", nil, http.StatusOK},
+		{tenants[1].token, http.MethodGet, "/v1/recipients", nil, http.StatusTooManyRequests},
+		{"", http.MethodGet, "/v1/recipients", nil, http.StatusUnauthorized},
+		{"not-a-token", http.MethodGet, "/v1/recipients", nil, http.StatusUnauthorized},
+		{tenants[2].token, http.MethodGet, "/v1/recipients", nil, http.StatusForbidden},
+		{tenants[0].token, http.MethodPost, "/v1/protect", protectBody(t, 300, api.OutputRows), http.StatusOK},
+		{"", http.MethodGet, "/healthz", nil, http.StatusOK},
+	} {
+		r := doAs(t, tc.token, tc.method, ts.URL+tc.path, tc.body, nil)
+		if body := readBody(t, r); r.StatusCode != tc.want {
+			t.Fatalf("%s %s: %d %s, want %d", tc.method, tc.path, r.StatusCode, body, tc.want)
+		}
+	}
+	r, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(readBody(t, r)), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "medshield_http_request_duration_seconds_bucket") || strings.HasPrefix(l, "medshield_http_request_duration_seconds_sum") {
+			lines[i] = l[:strings.LastIndexByte(l, ' ')] + " N"
+		}
+	}
+	if got := strings.Join(lines, "\n"); got != metricsGolden {
+		t.Errorf("/metrics =\n%s\nwant\n%s", got, metricsGolden)
+	}
+}
+
+const metricsGolden = `# HELP medshield_auth_failures_total Failed bearer authentications.
+# TYPE medshield_auth_failures_total counter
+medshield_auth_failures_total{reason="disabled"} 1
+medshield_auth_failures_total{reason="missing"} 1
+medshield_auth_failures_total{reason="unknown"} 1
+# HELP medshield_http_inflight_requests Requests currently inside a handler.
+# TYPE medshield_http_inflight_requests gauge
+medshield_http_inflight_requests 1
+# HELP medshield_http_request_duration_seconds HTTP request latency in seconds.
+# TYPE medshield_http_request_duration_seconds histogram
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.005"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.01"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.025"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.05"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.1"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.25"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="0.5"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="1"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="2.5"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="5"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="10"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="30"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="60"} N
+medshield_http_request_duration_seconds_bucket{route="/healthz",le="+Inf"} N
+medshield_http_request_duration_seconds_sum{route="/healthz"} N
+medshield_http_request_duration_seconds_count{route="/healthz"} 1
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.005"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.01"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.025"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.05"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.1"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.25"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="0.5"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="1"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="2.5"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="5"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="10"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="30"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="60"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/protect",le="+Inf"} N
+medshield_http_request_duration_seconds_sum{route="/v1/protect"} N
+medshield_http_request_duration_seconds_count{route="/v1/protect"} 1
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.005"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.01"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.025"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.05"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.1"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.25"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="0.5"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="1"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="2.5"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="5"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="10"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="30"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="60"} N
+medshield_http_request_duration_seconds_bucket{route="/v1/recipients",le="+Inf"} N
+medshield_http_request_duration_seconds_sum{route="/v1/recipients"} N
+medshield_http_request_duration_seconds_count{route="/v1/recipients"} 5
+# HELP medshield_http_requests_total HTTP requests served.
+# TYPE medshield_http_requests_total counter
+medshield_http_requests_total{route="/healthz",method="GET",code="200"} 1
+medshield_http_requests_total{route="/v1/protect",method="POST",code="200"} 1
+medshield_http_requests_total{route="/v1/recipients",method="GET",code="200"} 1
+medshield_http_requests_total{route="/v1/recipients",method="GET",code="401"} 2
+medshield_http_requests_total{route="/v1/recipients",method="GET",code="403"} 1
+medshield_http_requests_total{route="/v1/recipients",method="GET",code="429"} 1
+# HELP medshield_jobs Jobs by lifecycle state.
+# TYPE medshield_jobs gauge
+# HELP medshield_rate_limited_total Requests refused by a token bucket.
+# TYPE medshield_rate_limited_total counter
+medshield_rate_limited_total{scope="tenant"} 1
+# HELP medshield_rows_processed_total Table rows consumed by pipeline requests.
+# TYPE medshield_rows_processed_total counter
+medshield_rows_processed_total{route="/v1/protect"} 300
+`

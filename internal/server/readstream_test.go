@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/registry"
 	"repro/internal/relation"
+	"repro/internal/tenant"
 )
 
 // This file covers the read side of the streaming surface: text/csv
@@ -70,7 +72,7 @@ func TestHTTPDetectStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestHTTPDetectStreamErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +257,13 @@ func missingColumnRelease(t *testing.T, secret string) (core.Provenance, api.Tab
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(testTable(t, 200), crypt.NewWatermarkKeyFromSecret(secret, 25))
+	prot, err := fw.ProtectContext(context.Background(), testTable(t, 200), crypt.NewWatermarkKeyFromSecret(secret, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept []relation.Column
-	for _, col := range prot.Table.Schema().Columns() {
-		if col.Name != "age" {
+	for i := range prot.Table.Schema().NumColumns() {
+		if col := prot.Table.Schema().Column(i); col.Name != "age" {
 			kept = append(kept, col)
 		}
 	}
@@ -341,8 +343,8 @@ func TestHTTPTracebackStream(t *testing.T) {
 	if len(fp.Recipients) != 3 || fp.Recipients[1].Table.CSV == "" {
 		t.Fatalf("csv fingerprint response: %d recipients", len(fp.Recipients))
 	}
-	if reg.Len() != 3 {
-		t.Fatalf("registry holds %d records", reg.Len())
+	if len(reg.List()) != 3 {
+		t.Fatalf("registry holds %d records", len(reg.List()))
 	}
 	leak := []byte(fp.Recipients[1].Table.CSV)
 
@@ -480,11 +482,11 @@ func TestHTTPFingerprintCSVOutput(t *testing.T) {
 	if viaCSV.Stats != viaRows.Stats {
 		t.Fatalf("plan stats diverged: %+v vs %+v", viaCSV.Stats, viaRows.Stats)
 	}
-	if regCSV.Len() != 3 {
-		t.Fatalf("csv path registered %d records", regCSV.Len())
+	if len(regCSV.List()) != 3 {
+		t.Fatalf("csv path registered %d records", len(regCSV.List()))
 	}
-	recRows, _ := regRows.Get("clinic-y")
-	recCSV, ok := regCSV.Get("clinic-y")
+	recRows, _ := regRows.GetIn(tenant.DefaultID, "clinic-y")
+	recCSV, ok := regCSV.GetIn(tenant.DefaultID, "clinic-y")
 	if !ok || recCSV.KeyFingerprint != recRows.KeyFingerprint || recCSV.Plan.Rows != recRows.Plan.Rows {
 		t.Fatalf("registry records diverged: %+v vs %+v", recCSV, recRows)
 	}
@@ -542,8 +544,8 @@ func TestHTTPFingerprintRecipientCap(t *testing.T) {
 	if !strings.Contains(envelope.Error.Message, "at most 2") {
 		t.Fatalf("envelope lost the cap: %s", envelope.Error.Message)
 	}
-	if reg.Len() != 0 {
-		t.Fatalf("refused batch reached the registry (%d records)", reg.Len())
+	if len(reg.List()) != 0 {
+		t.Fatalf("refused batch reached the registry (%d records)", len(reg.List()))
 	}
 	// At the cap passes.
 	status, raw = postJSON(t, capped.URL+"/v1/fingerprint", api.FingerprintRequest{
@@ -566,7 +568,7 @@ func TestJobDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(tbl, key)
+	prot, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}

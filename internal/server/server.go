@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -99,11 +98,11 @@ type Config struct {
 	// Runner, Kinds, Hub and ClassifyError fields are owned by the
 	// server and overwritten.
 	Jobs jobs.Config
-	// Logger receives the job layer's lines; nil disables them.
-	Logger *log.Logger
-	// Access receives one structured line per served request (request
-	// ID, tenant, route, status, duration); nil disables access logs.
-	Access *slog.Logger
+	// Logger receives one structured record per served request (request
+	// ID, tenant, route, status, duration) and, unless Jobs.Logger is
+	// set, one per job lifecycle event (job, kind, state); nil disables
+	// both.
+	Logger *slog.Logger
 	// Tenants enables bearer authentication and per-tenant isolation:
 	// every request must present a token from this store. nil runs the
 	// server open — every request executes as the built-in "default"
@@ -189,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.jobs = mgr
-	s.log = cfg.Access
+	s.log = cfg.Logger
 	s.metrics = newServerMetrics(func() map[string]int64 {
 		out := make(map[string]int64)
 		for _, j := range s.jobs.List(jobs.Filter{}) {
@@ -288,7 +287,7 @@ func (s *Server) envelope(h handler, streaming bool) http.HandlerFunc {
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
-			if _, err := h(w, r); err != nil {
+			if err := h(w, r); err != nil {
 				s.writeError(w, err)
 			}
 		case <-ctx.Done():
@@ -316,7 +315,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handler is the signature of a route behind the service envelope.
-type handler func(w http.ResponseWriter, r *http.Request) (int, error)
+type handler func(w http.ResponseWriter, r *http.Request) error
 
 // op is the JSON transport of one operation: decode its request
 // document and run its core. The synchronous handler and the async job
@@ -373,16 +372,16 @@ var ops = map[string]op{
 // JSON transport otherwise.
 func (s *Server) serve(name string, csv handler) handler {
 	run := ops[name]
-	return func(w http.ResponseWriter, r *http.Request) (int, error) {
+	return func(w http.ResponseWriter, r *http.Request) error {
 		if csv != nil && isCSVRequest(r) {
 			return csv(w, r)
 		}
 		resp, err := run(s, r.Context(), r.Body)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		writeJSON(w, http.StatusOK, resp)
-		return http.StatusOK, nil
+		return nil
 	}
 }
 
@@ -712,14 +711,14 @@ func (s *Server) runTraceback(ctx context.Context, req api.TracebackRequest, src
 	return resp, nil
 }
 
-func (s *Server) handleRecipientsList(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleRecipientsList(w http.ResponseWriter, r *http.Request) error {
 	recs := s.cfg.Registry.ListIn(tenantIDFrom(r.Context()))
 	resp := api.RecipientsResponse{Version: api.Version, Recipients: make([]api.RecipientSummary, len(recs))}
 	for i, rec := range recs {
 		resp.Recipients[i] = api.SummaryOf(rec)
 	}
 	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK, nil
+	return nil
 }
 
 // verifyRecordSecret authorizes access to one registry record: the
@@ -744,63 +743,63 @@ func verifyRecordSecret(r *http.Request, rec registry.Record) error {
 	return nil
 }
 
-func (s *Server) handleRecipientGet(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleRecipientGet(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	rec, ok := s.cfg.Registry.GetIn(tenantIDFrom(r.Context()), id)
 	if !ok {
-		return 0, notFound(fmt.Errorf("recipient %q is not registered", id))
+		return notFound(fmt.Errorf("recipient %q is not registered", id))
 	}
 	if err := verifyRecordSecret(r, rec); err != nil {
-		return 0, err
+		return err
 	}
 	writeJSON(w, http.StatusOK, api.RecipientResponse{Version: api.Version, Recipient: rec})
-	return http.StatusOK, nil
+	return nil
 }
 
-func (s *Server) handleRecipientDelete(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleRecipientDelete(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	tid := tenantIDFrom(r.Context())
 	rec, ok := s.cfg.Registry.GetIn(tid, id)
 	if !ok {
-		return 0, notFound(fmt.Errorf("recipient %q is not registered", id))
+		return notFound(fmt.Errorf("recipient %q is not registered", id))
 	}
 	if err := verifyRecordSecret(r, rec); err != nil {
-		return 0, err
+		return err
 	}
 	had, err := s.cfg.Registry.DeleteIn(tid, id)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !had {
-		return 0, notFound(fmt.Errorf("recipient %q is not registered", id))
+		return notFound(fmt.Errorf("recipient %q is not registered", id))
 	}
 	w.WriteHeader(http.StatusNoContent)
-	return http.StatusNoContent, nil
+	return nil
 }
 
-func (s *Server) handleRecipientImport(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleRecipientImport(w http.ResponseWriter, r *http.Request) error {
 	var rec registry.Record
 	if err := api.DecodeJSON(r.Body, &rec); err != nil {
-		return 0, badRequest(err)
+		return badRequest(err)
 	}
 	// The record lands in the caller's tenant regardless of any
 	// tenant_id in the document — imports cannot plant records in a
 	// foreign namespace.
 	rec.TenantID = tenantIDFrom(r.Context())
 	if err := rec.Validate(); err != nil {
-		return 0, badRequest(err)
+		return badRequest(err)
 	}
 	// Importing requires the secret the record was fingerprinted under:
 	// it proves the caller owns the record and keeps foreign-secret
 	// records (which traceback could never verify) out of the registry.
 	if err := verifyRecordSecret(r, rec); err != nil {
-		return 0, err
+		return err
 	}
 	if err := s.cfg.Registry.Put(rec); err != nil {
-		return 0, err
+		return err
 	}
 	writeJSON(w, http.StatusCreated, api.RecipientResponse{Version: api.Version, Recipient: rec})
-	return http.StatusCreated, nil
+	return nil
 }
 
 // maxEnumLimit caps the per-request exhaustive-search override; the

@@ -287,6 +287,31 @@ func TestErrorMapping(t *testing.T) {
 		t.Fatalf("bad provenance: %d %s", status, raw)
 	}
 
+	// Options the pipeline would misread are refused up front: a loss
+	// threshold of 0.9 would let a wrong key's ~50% loss match, and a
+	// negative ε reached the binning search.
+	var prot api.ProtectResponse
+	status, raw = postJSON(t, ts.URL+"/v1/protect", api.ProtectRequest{
+		Table: wire, Key: api.Key{Secret: "s", Eta: 10}, Options: &api.Options{K: 5},
+	}, &prot)
+	if status != http.StatusOK {
+		t.Fatalf("protect: %d %s", status, raw)
+	}
+	loose := 0.9
+	status, raw = postJSON(t, ts.URL+"/v1/detect", api.DetectRequest{
+		Table: prot.Table, Provenance: prot.Provenance, Key: api.Key{Secret: "wrong", Eta: 10},
+		Options: &api.Options{LossThreshold: &loose},
+	}, nil)
+	if status != http.StatusBadRequest || codeOf(raw) != api.CodeBadConfig {
+		t.Fatalf("loss threshold 0.9: %d %s", status, raw)
+	}
+	status, raw = postJSON(t, ts.URL+"/v1/plan", api.PlanRequest{
+		Table: wire, Key: api.Key{Secret: "s", Eta: 10}, Options: &api.Options{K: 5, Epsilon: -3},
+	}, nil)
+	if status != http.StatusBadRequest || codeOf(raw) != api.CodeBadConfig {
+		t.Fatalf("negative epsilon: %d %s", status, raw)
+	}
+
 	// Unknown output format fails before the pipeline runs.
 	status, raw = postJSON(t, ts.URL+"/v1/protect", api.ProtectRequest{
 		Table: wire, Key: api.Key{Secret: "s", Eta: 10}, Output: "xml",

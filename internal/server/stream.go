@@ -182,10 +182,10 @@ func (in csvRequest) readStats() api.ReadStreamStats {
 // writeTrailers completes a body-less streaming run (plan, detect,
 // traceback): the empty 200 body, the run summary in the StatsTrailer
 // and the result document in the named trailer.
-func writeTrailers(w http.ResponseWriter, stats any, name string, result any) (int, error) {
+func writeTrailers(w http.ResponseWriter, stats any, name string, result any) error {
 	body, err := json.Marshal(result)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	statsJSON, _ := json.Marshal(stats)
 	w.Header().Set("Content-Type", api.ContentTypeCSV)
@@ -196,21 +196,21 @@ func writeTrailers(w http.ResponseWriter, stats any, name string, result any) (i
 	_ = http.NewResponseController(w).Flush()
 	w.Header().Set(api.StatsTrailer, string(statsJSON))
 	w.Header().Set(name, string(body))
-	return http.StatusOK, nil
+	return nil
 }
 
 // handlePlanCSV is the streaming mode of POST /v1/plan: the CSV body
 // folds into the planner's quasi-tuple sketch — memory stays bounded by
 // distinct quasi-tuples — and the computed plan rides the PlanHeader
 // trailer beside a PlanStreamStats StatsTrailer.
-func (s *Server) handlePlanCSV(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handlePlanCSV(w http.ResponseWriter, r *http.Request) error {
 	in, err := s.decodeCSV(r)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	resp, err := s.runPlan(r.Context(), api.PlanRequest{Key: in.key, Options: in.opts}, in.src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	st := resp.Stats
 	stats := api.PlanStreamStats{Rows: st.Rows, Segments: in.src.segments,
@@ -221,18 +221,18 @@ func (s *Server) handlePlanCSV(w http.ResponseWriter, r *http.Request) (int, err
 // handleDetectCSV is the streaming mode of POST /v1/detect: the CSV
 // body is the suspect, the provenance record travels in the
 // ProvenanceHeader, and the DetectResponse rides the ResultTrailer.
-func (s *Server) handleDetectCSV(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleDetectCSV(w http.ResponseWriter, r *http.Request) error {
 	prov, err := api.DecodeProvenanceHeader(r.Header.Get(api.ProvenanceHeader))
 	if err != nil {
-		return 0, badRequest(err)
+		return badRequest(err)
 	}
 	in, err := s.decodeCSV(r)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	resp, err := s.runDetect(r.Context(), api.DetectRequest{Provenance: prov, Key: in.key, Options: in.opts}, in.src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	return writeTrailers(w, in.readStats(), api.ResultTrailer, resp)
 }
@@ -241,14 +241,14 @@ func (s *Server) handleDetectCSV(w http.ResponseWriter, r *http.Request) (int, e
 // CSV body is the leaked table and the TracebackResponse rides the
 // ResultTrailer. Only the master secret travels in headers — the
 // candidates come from the server's recipient registry.
-func (s *Server) handleTracebackCSV(w http.ResponseWriter, r *http.Request) (int, error) {
+func (s *Server) handleTracebackCSV(w http.ResponseWriter, r *http.Request) error {
 	in, err := s.decodeCSV(r)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	resp, err := s.runTraceback(r.Context(), api.TracebackRequest{Secret: in.key.Secret, Options: in.opts}, in.src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	return writeTrailers(w, in.readStats(), api.ResultTrailer, resp)
 }
@@ -260,18 +260,18 @@ func (s *Server) handleTracebackCSV(w http.ResponseWriter, r *http.Request) (int
 // first body byte, errors return to the envelope (ordinary status +
 // JSON error); after it, they land in ErrorTrailer.
 func (s *Server) writeCSV(stream func(*core.Framework, context.Context, core.Segments, *core.Plan, crypt.WatermarkKey, io.Writer) (*core.Streamed, error)) handler {
-	return func(w http.ResponseWriter, r *http.Request) (int, error) {
+	return func(w http.ResponseWriter, r *http.Request) error {
 		plan, err := api.DecodePlanHeader(r.Header.Get(api.PlanHeader))
 		if err != nil {
-			return 0, badRequest(err)
+			return badRequest(err)
 		}
 		in, err := s.decodeCSV(r)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		fw, key, err := s.keyed(in.key, defaultK(in.opts, plan.K))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		w.Header().Set("Content-Type", api.ContentTypeCSV)
 		w.Header().Set("Trailer", api.StatsTrailer+", "+api.PlanHeader+", "+api.ErrorTrailer)
@@ -288,7 +288,7 @@ func (s *Server) writeCSV(stream func(*core.Framework, context.Context, core.Seg
 				stats, _ := json.Marshal(api.StreamStatsOf(res))
 				w.Header().Set(api.StatsTrailer, string(stats))
 				w.Header().Set(api.PlanHeader, planJSON)
-				return http.StatusOK, nil
+				return nil
 			}
 		}
 		if out.n == 0 {
@@ -296,12 +296,12 @@ func (s *Server) writeCSV(stream func(*core.Framework, context.Context, core.Seg
 			// owns the status code and JSON body.
 			w.Header().Del("Trailer")
 			w.Header().Del("Content-Type")
-			return 0, err
+			return err
 		}
 		code, _ := s.classify(err)
 		body, _ := json.Marshal(api.Error{Code: code, Message: err.Error()})
 		w.Header().Set(api.ErrorTrailer, string(body))
 		s.logWarn("stream failed mid-body", "path", r.URL.Path, "error", err.Error())
-		return http.StatusOK, nil
+		return nil
 	}
 }

@@ -92,7 +92,7 @@ func TestHTTPApplyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Apply(tbl, plan, key)
+	prot, err := fw.ApplyContext(context.Background(), tbl, plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestHTTPAppendStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(base, key)
+	prot, err := fw.ProtectContext(context.Background(), base, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := fw.Append(delta, &prot.Plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &prot.Plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +323,11 @@ func TestHTTPStreamMidBodyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := fw.Protect(base, key)
+	prot, err := fw.ProtectContext(context.Background(), base, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := fw.Append(delta, &prot.Plan, key)
+	app, err := fw.AppendContext(context.Background(), delta, &prot.Plan, key)
 	if err != nil {
 		t.Fatal(err)
 	}

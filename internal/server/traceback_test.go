@@ -9,6 +9,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/registry"
+	"repro/internal/tenant"
 )
 
 // TestHTTPFingerprintTraceback drives the multi-recipient story over
@@ -43,8 +44,8 @@ func TestHTTPFingerprintTraceback(t *testing.T) {
 			t.Fatalf("recipient %s: implausible response %+v", r.ID, r)
 		}
 	}
-	if reg.Len() != 3 {
-		t.Fatalf("registry holds %d records", reg.Len())
+	if len(reg.List()) != 3 {
+		t.Fatalf("registry holds %d records", len(reg.List()))
 	}
 
 	// List view.
@@ -118,8 +119,8 @@ func TestHTTPFingerprintTraceback(t *testing.T) {
 	if code := recipientRequest(t, http.MethodDelete, ts.URL+"/v1/recipients/hospital-c", "wrong", nil); code != http.StatusForbidden {
 		t.Fatalf("delete with wrong secret: %d", code)
 	}
-	if reg.Len() != 3 {
-		t.Fatalf("unauthorized delete mutated the registry (%d records)", reg.Len())
+	if len(reg.List()) != 3 {
+		t.Fatalf("unauthorized delete mutated the registry (%d records)", len(reg.List()))
 	}
 	if code := recipientRequest(t, http.MethodDelete, ts.URL+"/v1/recipients/hospital-c", "fleet master secret", nil); code != http.StatusNoContent {
 		t.Fatalf("delete: %d", code)
@@ -127,8 +128,8 @@ func TestHTTPFingerprintTraceback(t *testing.T) {
 	if code := recipientRequest(t, http.MethodGet, ts.URL+"/v1/recipients/hospital-c", "fleet master secret", nil); code != http.StatusNotFound {
 		t.Fatalf("deleted recipient: %d", code)
 	}
-	if reg.Len() != 2 {
-		t.Fatalf("registry holds %d records after delete", reg.Len())
+	if len(reg.List()) != 2 {
+		t.Fatalf("registry holds %d records after delete", len(reg.List()))
 	}
 }
 
@@ -188,7 +189,7 @@ func TestHTTPRecipientImport(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("fingerprint: %d\n%s", status, raw)
 	}
-	rec, ok := regA.Get("clinic-x")
+	rec, ok := regA.GetIn(tenant.DefaultID, "clinic-x")
 	if !ok {
 		t.Fatal("clinic-x not registered")
 	}
@@ -217,7 +218,7 @@ func TestHTTPRecipientImport(t *testing.T) {
 	if code := importReq("not the secret"); code != http.StatusForbidden {
 		t.Fatalf("import with foreign secret: %d", code)
 	}
-	if regB.Len() != 0 {
+	if len(regB.List()) != 0 {
 		t.Fatal("unauthorized import reached the registry")
 	}
 	if code := importReq("shared secret"); code != http.StatusCreated {

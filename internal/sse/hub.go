@@ -69,7 +69,7 @@ func (h *Hub) Subscribe(topic string, buf int) *Subscription {
 // Publish delivers ev to every current subscriber of topic without
 // blocking. Subscribers whose buffers are full are unsubscribed and
 // their channels closed (the slow-consumer drop); they observe the
-// closure as end-of-stream with Dropped() true.
+// closure as end-of-stream.
 func (h *Hub) Publish(topic string, ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -80,7 +80,6 @@ func (h *Hub) Publish(topic string, ev Event) {
 		select {
 		case sub.ch <- ev:
 		default:
-			sub.dropped = true
 			h.removeLocked(sub)
 		}
 	}
@@ -106,14 +105,6 @@ func (h *Hub) Close() {
 	h.topics = make(map[string]map[*Subscription]struct{})
 }
 
-// Subscribers returns the current subscriber count of topic (test and
-// introspection helper).
-func (h *Hub) Subscribers(topic string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.topics[topic])
-}
-
 // removeLocked detaches sub and closes its channel. Callers hold h.mu.
 func (h *Hub) removeLocked(sub *Subscription) {
 	if sub.done {
@@ -133,23 +124,14 @@ type Subscription struct {
 	hub   *Hub
 	topic string
 	ch    chan Event
-	// done and dropped are guarded by hub.mu.
-	done    bool
-	dropped bool
+	// done is guarded by hub.mu.
+	done bool
 }
 
 // Events is the receive channel. It is closed when the subscription
 // ends: Close was called, the hub shut down, or the subscriber was
 // dropped for falling behind.
 func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Dropped reports whether the hub dropped this subscriber for falling
-// behind (meaningful once Events is closed).
-func (s *Subscription) Dropped() bool {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return s.dropped
-}
 
 // Close unsubscribes. Pending buffered events remain readable until the
 // (now closed) channel drains. Close is idempotent.

@@ -33,9 +33,6 @@ func TestHubSubscribeBroadcastOrder(t *testing.T) {
 				t.Fatalf("%s event %d = %q, out of order", name, i, d)
 			}
 		}
-		if sub.Dropped() {
-			t.Fatalf("%s reported dropped without falling behind", name)
-		}
 	}
 
 	select {
@@ -57,6 +54,8 @@ func TestHubSlowConsumerDropped(t *testing.T) {
 		h.Publish("t", Event{Data: []byte{byte('0' + i)}})
 	}
 
+	// The range ends only because the hub closed slow's channel: the
+	// subscriber never called Close.
 	var slowGot int
 	for range slow.Events() {
 		slowGot++
@@ -64,11 +63,11 @@ func TestHubSlowConsumerDropped(t *testing.T) {
 	if slowGot != 2 {
 		t.Fatalf("slow consumer read %d buffered events, want 2", slowGot)
 	}
-	if !slow.Dropped() {
-		t.Fatal("slow consumer not flagged as dropped")
-	}
-	if h.Subscribers("t") != 1 {
-		t.Fatalf("topic has %d subscribers after drop, want 1 (the fast one)", h.Subscribers("t"))
+	h.mu.Lock()
+	n := len(h.topics["t"])
+	h.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("topic has %d subscribers after drop, want 1 (the fast one)", n)
 	}
 
 	fast.Close()
@@ -78,9 +77,6 @@ func TestHubSlowConsumerDropped(t *testing.T) {
 	}
 	if fastGot != 5 {
 		t.Fatalf("fast consumer read %d events, want all 5", fastGot)
-	}
-	if fast.Dropped() {
-		t.Fatal("fast consumer flagged as dropped")
 	}
 }
 
@@ -103,7 +99,6 @@ func TestHubConcurrency(t *testing.T) {
 					sub.Close()
 				}
 			}
-			sub.Dropped() // racy read path under -race
 		}(s)
 	}
 	for p := 0; p < 4; p++ {

@@ -32,7 +32,7 @@ func benchSegments1M(b *testing.B) ([]*relation.Table, crypt.WatermarkKey) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := tbl.MapColumn(identIdx, func(dst []byte, v string) ([]byte, error) {
+	if _, err := tbl.MapColumnCtx(context.Background(), 1, identIdx, func(dst []byte, v string) ([]byte, error) {
 		return cipher.AppendEncryptString(dst, v), nil
 	}); err != nil {
 		b.Fatal(err)
@@ -60,9 +60,13 @@ func benchWalk(b *testing.B, key crypt.WatermarkKey) (map[string]ColumnSpec, Par
 	for col, tree := range ontology.Trees() {
 		columns[col] = ColumnSpec{Tree: tree, MaxGen: dht.RootGenSet(tree), UltiGen: dht.LeafGenSet(tree)}
 	}
+	mark, err := bitstr.FromString("10110010011011010010")
+	if err != nil {
+		b.Fatal(err)
+	}
 	return columns, Params{
 		Key:                    key,
-		Mark:                   bitstr.MustFromString("10110010011011010010"),
+		Mark:                   mark,
 		Duplication:            4,
 		SaltPositionWithColumn: true,
 	}

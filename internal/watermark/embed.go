@@ -85,7 +85,7 @@ func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, bo
 	return plan
 }
 
-// Embed implements the hierarchical Embedding algorithm of Figure 9 over
+// EmbedContext implements the hierarchical Embedding algorithm of Figure 9 over
 // the binned table tbl, in place. identCol names the (encrypted)
 // identifying column used as the stable embedding anchor; columns maps
 // each watermarkable column to its spec.
@@ -106,17 +106,9 @@ func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, bo
 // The embedded table is byte-identical for every Params.Workers value.
 // On error the table is left partially mutated (the rows before the
 // first bad cell are marked); callers must discard the table when
-// Embed fails (Protect embeds into a throwaway clone for this reason).
-func Embed(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
-	return EmbedContext(context.Background(), tbl, identCol, columns, p)
-}
-
-// EmbedContext is Embed under a context: plan the columns, select
-// under (K1, η), then walk the selected rows. The selection scan and the
-// walk poll ctx every pool.CtxStride rows and the run aborts with the
-// context's error. A cancelled embed leaves the table partially
-// mutated, exactly like an embed that failed on a bad row — callers
-// must discard it.
+// the embed fails. The selection scan and the walk poll ctx every
+// pool.CtxStride rows and the run aborts with the context's error; a
+// cancelled embed leaves the table partially mutated in the same way.
 func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
 	identIdx, err := tbl.Schema().Index(identCol)
 	if err != nil {

@@ -58,8 +58,8 @@ func scanSetup(tbl *relation.Table, identCol string, columns map[string]ColumnSp
 	return identIdx, cols, colIdx, nil
 }
 
-// scanDetect is the full-table detection scan: per-shard boards merged
-// in shard order, then folded.
+// scanDetect is the full-table detection scan: per-shard votes cast on
+// one board in shard order, then folded.
 func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (DetectResult, error) {
 	var res DetectResult
 	if err := p.Validate(); err != nil {
@@ -76,10 +76,13 @@ func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, colum
 	prf1 := crypt.NewPRF(p.Key.K1)
 	prf2 := crypt.NewPRF(p.Key.K2)
 	chunks := pool.Chunks(p.Workers, tbl.NumRows())
-	shardBoards := make([]*bitstr.VoteBoard, len(chunks))
+	type vote struct {
+		pos int
+		bit bool
+	}
+	shardVotes := make([][]vote, len(chunks))
 	shardStats := make([]DetectStats, len(chunks))
 	err = pool.ForEachChunkCtx(ctx, p.Workers, tbl.NumRows(), func(si, lo, hi int) error {
-		shardBoard := bitstr.NewVoteBoard(p.wmdLen())
 		shard := &shardStats[si]
 		for row := lo; row < hi; row++ {
 			ident := []byte(tbl.CellAt(row, identIdx))
@@ -95,11 +98,10 @@ func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, colum
 					shard.SkippedCells++
 					continue
 				}
-				shardBoard.Vote(p.positionOf(prf2, ident, plan.colKey), v.bit, 1)
+				shardVotes[si] = append(shardVotes[si], vote{p.positionOf(prf2, ident, plan.colKey), v.bit})
 				shard.VotesCast++
 			}
 		}
-		shardBoards[si] = shardBoard
 		return nil
 	})
 	if err != nil {
@@ -107,8 +109,8 @@ func scanDetect(ctx context.Context, tbl *relation.Table, identCol string, colum
 	}
 	board := bitstr.NewVoteBoard(p.wmdLen())
 	for si := range chunks {
-		if err := board.Merge(shardBoards[si]); err != nil {
-			return res, err
+		for _, v := range shardVotes[si] {
+			board.Vote(v.pos, v.bit, 1)
 		}
 		res.Stats.add(shardStats[si])
 	}
@@ -213,9 +215,13 @@ func FuzzWalkMatchesScan(f *testing.F) {
 			fx = newFixture(t, 400, 1)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		mark := bitstr.New(4 + rng.Intn(20))
-		for i := 0; i < mark.Len(); i++ {
-			mark = mark.Set(i, rng.Intn(2) == 1)
+		digits := make([]byte, 4+rng.Intn(20))
+		for i := range digits {
+			digits[i] = '0' + byte(rng.Intn(2))
+		}
+		mark, err := bitstr.FromString(string(digits))
+		if err != nil {
+			t.Fatal(err)
 		}
 		p := Params{
 			Key:                    crypt.NewWatermarkKeyFromSecret(fmt.Sprint(seed), uint64(eta%8)+1),
@@ -358,6 +364,10 @@ func zipRoleFixture(t *testing.T, rows int) *fixture {
 			t.Fatal(err)
 		}
 	}
+	mark, err := bitstr.FromString("10110010011011010010")
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &fixture{
 		tbl: tbl,
 		columns: map[string]ColumnSpec{
@@ -366,7 +376,7 @@ func zipRoleFixture(t *testing.T, rows int) *fixture {
 		},
 		params: Params{
 			Key:                    crypt.NewWatermarkKeyFromSecret("zip-role-owner", 1),
-			Mark:                   bitstr.MustFromString("10110010011011010010"),
+			Mark:                   mark,
 			Duplication:            1,
 			SaltPositionWithColumn: true,
 		},

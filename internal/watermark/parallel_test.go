@@ -1,6 +1,7 @@
 package watermark
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -34,7 +35,7 @@ func TestEmbedParallelDeterminism(t *testing.T) {
 		p := f.params
 		p.Workers = w
 		marked := f.tbl.Clone()
-		stats, err := Embed(marked, "ssn", f.columns, p)
+		stats, err := EmbedContext(context.Background(), marked, "ssn", f.columns, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -55,7 +56,7 @@ func TestEmbedParallelDeterminism(t *testing.T) {
 func TestDetectParallelDeterminism(t *testing.T) {
 	f := newFixture(t, 3000, 5)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	var base DetectResult
@@ -96,7 +97,7 @@ func TestDetectParallelDeterminism(t *testing.T) {
 func TestDetectParallelDeterminismWeighted(t *testing.T) {
 	f := newFixture(t, 2000, 3)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	var base bitstr.Bits

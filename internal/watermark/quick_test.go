@@ -1,12 +1,14 @@
 package watermark
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
+	"repro/internal/relation"
 )
 
 // Property: any mark roundtrips exactly through embed → detect on a clean
@@ -23,7 +25,7 @@ func TestQuickMarkRoundtrip(t *testing.T) {
 		params.Mark = mark
 		params.Duplication = int(dupRaw)%6 + 1
 		marked := f.tbl.Clone()
-		if _, err := Embed(marked, "ssn", f.columns, params); err != nil {
+		if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, params); err != nil {
 			return false
 		}
 		res, err := detect(marked, "ssn", f.columns, params)
@@ -46,12 +48,16 @@ func TestQuickMarkRoundtrip(t *testing.T) {
 func TestQuickRowOrderIndependence(t *testing.T) {
 	f := newFixture(t, 3000, 6)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	prop := func(seed int64) bool {
-		shuffled := marked.Clone()
-		shuffled.Shuffle(rand.New(rand.NewSource(seed)))
+		shuffled := relation.NewTable(marked.Schema())
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(marked.NumRows()) {
+			if err := shuffled.AppendRow(marked.Row(i)); err != nil {
+				return false
+			}
+		}
 		res, err := detect(shuffled, "ssn", f.columns, f.params)
 		if err != nil {
 			return false
@@ -68,7 +74,7 @@ func TestQuickRowOrderIndependence(t *testing.T) {
 func TestQuickKeySeparation(t *testing.T) {
 	f := newFixture(t, 3000, 6)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	prop := func(secret string) bool {

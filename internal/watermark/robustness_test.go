@@ -1,6 +1,7 @@
 package watermark
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func markedFixture(t *testing.T, rows int, eta uint64) *fixture {
 	t.Helper()
 	f := newFixture(t, rows, eta)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	f.tbl = marked
@@ -200,7 +201,7 @@ func TestSmallerEtaMoreResilient(t *testing.T) {
 	for _, eta := range []uint64{10, 100} {
 		f := newFixture(t, 6000, eta)
 		marked := f.tbl.Clone()
-		if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+		if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(13))
@@ -254,7 +255,7 @@ func TestRespecializationWeightedVoting(t *testing.T) {
 	}
 
 	marked := base.Clone()
-	if _, err := Embed(marked, "ssn", cols, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", cols, f.params); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -290,7 +291,7 @@ func TestIdentifierScrubbingDestroysMark(t *testing.T) {
 	// An attacker who may rewrite identifiers is outside this scheme.
 	f := newFixture(t, 4000, 8)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	ci, _ := marked.Schema().Index("ssn")

@@ -37,7 +37,7 @@ func uniformDepth(spec ColumnSpec, col string) (int, error) {
 }
 
 // EmbedSingleLevel embeds the mark with the single-level scheme, in
-// place. Selection, position addressing and key usage match Embed, so the
+// place. Selection, position addressing and key usage match EmbedContext, so the
 // two schemes are directly comparable.
 func EmbedSingleLevel(tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
 	var stats EmbedStats

@@ -89,7 +89,7 @@ func (s *Suspect) SelectContext(ctx context.Context, k1 []byte, eta uint64, work
 }
 
 // SelectForEmbedContext scans tbl once under (k1, η) and returns the
-// Equation (5) selection — the rows Embed would mark and their
+// Equation (5) selection — the rows EmbedContext would mark and their
 // identifier bytes. The selection depends only on the identifying
 // column, K1 and η, never on K2 or the mark, so a fingerprint fan-out
 // whose recipient keys share K1 and η (crypt.RecipientWatermarkKey)

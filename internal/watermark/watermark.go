@@ -70,7 +70,7 @@ type Params struct {
 	// usage-metric overshoot for bandwidth. Off by default (such tuples
 	// then carry no bits).
 	BoundaryPermutation bool
-	// Workers bounds the goroutines Embed and detection spread the
+	// Workers bounds the goroutines embedding and detection spread the
 	// Equation (5) selection scan (and detection its per-column verdict
 	// tables) over (0 = GOMAXPROCS, 1 = sequential).
 	// Tuples are sharded into contiguous row ranges whose selections are

@@ -144,7 +144,7 @@ func newFixture(t *testing.T, rows int, eta uint64) *fixture {
 func TestEmbedDetectRoundtrip(t *testing.T) {
 	f := newFixture(t, 4000, 10)
 	marked := f.tbl.Clone()
-	stats, err := Embed(marked, "ssn", f.columns, f.params)
+	stats, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEmbedPreservesFrontierValidity(t *testing.T) {
 	// watermarking must not break the binning (seamlessness).
 	f := newFixture(t, 2000, 5)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	for col, spec := range f.columns {
@@ -191,7 +191,7 @@ func TestEmbedRespectsUsageMetrics(t *testing.T) {
 	// node as the original (the §5.1 bandwidth argument).
 	f := newFixture(t, 2000, 5)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	for col, spec := range f.columns {
@@ -212,7 +212,7 @@ func TestEmbedRespectsUsageMetrics(t *testing.T) {
 func TestDetectRequiresKey(t *testing.T) {
 	f := newFixture(t, 4000, 10)
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	wrong := f.params
@@ -231,10 +231,10 @@ func TestEmbedDeterministic(t *testing.T) {
 	f := newFixture(t, 1000, 5)
 	a := f.tbl.Clone()
 	b := f.tbl.Clone()
-	if _, err := Embed(a, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), a, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Embed(b, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), b, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < a.NumRows(); i++ {
@@ -253,11 +253,11 @@ func TestEmbedIdempotentDetection(t *testing.T) {
 	// the walk is a function of (ident, key, mark), not of the cell value.
 	f := newFixture(t, 1500, 5)
 	once := f.tbl.Clone()
-	if _, err := Embed(once, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), once, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	twice := once.Clone()
-	if _, err := Embed(twice, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), twice, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < once.NumRows(); i++ {
@@ -276,11 +276,11 @@ func TestEtaControlsBandwidth(t *testing.T) {
 	fLarge := newFixture(t, 4000, 100) // sparse marking
 	mSmall := fSmall.tbl.Clone()
 	mLarge := fLarge.tbl.Clone()
-	sSmall, err := Embed(mSmall, "ssn", fSmall.columns, fSmall.params)
+	sSmall, err := EmbedContext(context.Background(), mSmall, "ssn", fSmall.columns, fSmall.params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sLarge, err := Embed(mLarge, "ssn", fLarge.columns, fLarge.params)
+	sLarge, err := EmbedContext(context.Background(), mLarge, "ssn", fLarge.columns, fLarge.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestZeroBandwidthWhenUltiEqualsMax(t *testing.T) {
 	f.columns["zip"] = spec
 
 	marked := f.tbl.Clone()
-	stats, err := Embed(marked, "ssn", f.columns, f.params)
+	stats, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestBoundaryPermutation(t *testing.T) {
 	f.params.BoundaryPermutation = true
 
 	marked := f.tbl.Clone()
-	stats, err := Embed(marked, "ssn", f.columns, f.params)
+	stats, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestWeightedVotingRoundtrip(t *testing.T) {
 	f := newFixture(t, 3000, 8)
 	f.params.WeightedVoting = true
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	res, err := detect(marked, "ssn", f.columns, f.params)
@@ -368,7 +368,7 @@ func TestUnsaltedPositionRoundtrip(t *testing.T) {
 	f := newFixture(t, 4000, 8)
 	f.params.SaltPositionWithColumn = false
 	marked := f.tbl.Clone()
-	if _, err := Embed(marked, "ssn", f.columns, f.params); err != nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, f.params); err != nil {
 		t.Fatal(err)
 	}
 	res, err := detect(marked, "ssn", f.columns, f.params)
@@ -386,23 +386,23 @@ func TestParamValidation(t *testing.T) {
 
 	bad := f.params
 	bad.Mark = bitstr.New(0)
-	if _, err := Embed(marked, "ssn", f.columns, bad); err == nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, bad); err == nil {
 		t.Error("empty mark accepted")
 	}
 	bad = f.params
 	bad.Duplication = 0
-	if _, err := Embed(marked, "ssn", f.columns, bad); err == nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, bad); err == nil {
 		t.Error("zero duplication accepted")
 	}
 	bad = f.params
 	bad.Key.Eta = 0
-	if _, err := Embed(marked, "ssn", f.columns, bad); err == nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", f.columns, bad); err == nil {
 		t.Error("eta=0 accepted")
 	}
-	if _, err := Embed(marked, "missing", f.columns, f.params); err == nil {
+	if _, err := EmbedContext(context.Background(), marked, "missing", f.columns, f.params); err == nil {
 		t.Error("missing ident column accepted")
 	}
-	if _, err := Embed(marked, "ssn", map[string]ColumnSpec{}, f.params); err == nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", map[string]ColumnSpec{}, f.params); err == nil {
 		t.Error("no columns accepted")
 	}
 	// cross-tree frontier
@@ -412,7 +412,7 @@ func TestParamValidation(t *testing.T) {
 		MaxGen:  dht.RootGenSet(other),
 		UltiGen: f.columns["zip"].UltiGen,
 	}}
-	if _, err := Embed(marked, "ssn", badCols, f.params); err == nil {
+	if _, err := EmbedContext(context.Background(), marked, "ssn", badCols, f.params); err == nil {
 		t.Error("cross-tree frontier accepted")
 	}
 	// unbinned table: select every tuple (eta=1) so the check must fire
@@ -420,7 +420,7 @@ func TestParamValidation(t *testing.T) {
 	_ = raw.AppendRow([]string{"x", "R0S0Z1", "Nurse"}) // leaf values, not frontier values
 	selectAll := f.params
 	selectAll.Key = crypt.NewWatermarkKeyFromSecret("owner-secret", 1)
-	if _, err := Embed(raw, "ssn", f.columns, selectAll); err == nil {
+	if _, err := EmbedContext(context.Background(), raw, "ssn", f.columns, selectAll); err == nil {
 		t.Error("unbinned values accepted")
 	}
 }

@@ -23,46 +23,45 @@
 //		Workers:     0, // fan out over all cores (1 = sequential)
 //	})
 //	key := medshield.NewKey("hospital secret passphrase", 75)
-//	protected, err := fw.Protect(table, key)
+//	protected, err := fw.ProtectContext(ctx, table, key)
 //	// publish protected.Table; retain protected.Provenance + the secret
 //	// (protected.Plan.AvgLoss and protected.Embed report the run)
 //
 // and later, on a suspected copy:
 //
-//	det, err := fw.Detect(suspect, protected.Provenance, key)
+//	det, err := fw.DetectContext(ctx, suspect, protected.Provenance, key)
 //	if det.Match { /* our mark is present */ }
 //
 // Repositories that grow after the initial release use the staged form
-// of the same pipeline: Protect is exactly PlanContext (binning search +
+// of the same pipeline: ProtectContext is exactly PlanContext (binning search +
 // ownership-mark derivation, producing a serializable Plan) followed by
 // ApplyContext (encrypt, generalize, embed — no search). Retain
 // protected.Plan next to the secret and protect each incoming batch
 // incrementally:
 //
-//	app, err := fw.Append(delta, &plan, key) // no re-search, same mark
+//	app, err := fw.AppendContext(ctx, delta, &plan, key) // no re-search, same mark
 //	// publish app.Table (append to the outsourced copy); plan = app.Plan
 //
-// Every write returns one outcome record. Protect, Apply, Append and
-// each Fingerprint copy return a *Protected: the marked Table, the
-// Provenance, and the embedded Streamed record — the effective or
-// advanced Plan, embedding statistics, bin comparison and row counts.
-// The Stream forms return the *Streamed alone, their rows having gone
-// to a writer; FingerprintStream returns the same FingerprintResult
-// values as Fingerprint, with a nil Protected.Table.
+// Every write returns one outcome record. ProtectContext,
+// ApplyContext, AppendContext and each FingerprintContext copy return a
+// *Protected: the marked Table, the Provenance, and the embedded
+// Streamed record — the effective or advanced Plan, embedding
+// statistics, bin comparison and row counts. The Stream forms return
+// the *Streamed alone, their rows having gone to a writer;
+// FingerprintStream returns the same FingerprintResult values as
+// FingerprintContext, with a nil Protected.Table.
 //
-// Append verifies combined-bin k-safety against the plan's published
+// AppendContext verifies combined-bin k-safety against the plan's published
 // bin record and returns ErrPlanDrift when a batch no longer fits the
 // frozen plan (values outside the planned frontiers, or a new bin below
 // k) — the caller then re-plans over the combined table.
 //
-// Every pipeline entry point has a request-scoped form — ProtectContext,
-// PlanContext, ApplyContext, AppendContext, DetectContext,
-// DisputeContext — that aborts promptly when the context is cancelled or
-// its deadline passes; the plain forms are the Background-context
-// equivalents. Service deployments (cmd/medshield-server exposes the
-// pipeline over HTTP) should always use the Context forms.
+// Every pipeline entry point takes a context and aborts promptly when
+// it is cancelled or its deadline passes; a program with no request
+// scope passes context.Background().
 //
-// Ownership disputes (§5.4 of the paper) are arbitrated with fw.Dispute.
+// Ownership disputes (§5.4 of the paper) are arbitrated with
+// fw.DisputeContext.
 // Failures wrap typed sentinels (ErrBadConfig, ErrBadSchema, ErrBadKey,
 // ErrBadProvenance, ErrUnsatisfiable, ErrKeyMismatch) classifiable with
 // errors.Is.
@@ -94,8 +93,8 @@ type (
 	Framework = core.Framework
 	// Config parameterizes a Framework; see core.Config for field docs.
 	Config = core.Config
-	// Protected is the result of Protect, Apply, Append and each
-	// Fingerprint copy: the outsourcing-ready table plus the write run's
+	// Protected is the result of ProtectContext, ApplyContext,
+	// AppendContext and each FingerprintContext copy: the outsourcing-ready table plus the write run's
 	// Streamed outcome (effective plan and statistics) and the owner's
 	// provenance record.
 	Protected = core.Protected
@@ -115,7 +114,7 @@ type (
 // Streaming data-plane types: Framework.ApplyStream and
 // Framework.AppendStream protect tables segment-at-a-time with peak
 // memory bounded by the segment size (Config.Chunk), and
-// their CSV output is byte-identical to the in-memory Apply/Append.
+// their CSV output is byte-identical to ApplyContext/AppendContext's.
 // The read side streams too — Framework.DetectStream and
 // Framework.TracebackStream consume a suspect segment-at-a-time with
 // bit-identical verdicts — and Framework.FingerprintStream fans one
@@ -136,10 +135,10 @@ type (
 	// byte-identical to the in-memory Plan's.
 	PlannedStream = core.PlannedStream
 	// DetectStreamed is Framework.DetectStream's outcome: the detection
-	// verdict (bit-identical to Detect's) plus ingest counters.
+	// verdict (bit-identical to DetectContext's) plus ingest counters.
 	DetectStreamed = core.DetectStreamed
 	// TracebackStreamed is Framework.TracebackStream's outcome: the
-	// ranked verdicts (bit-identical to Traceback's) plus ingest
+	// ranked verdicts (bit-identical to TracebackContext's) plus ingest
 	// counters.
 	TracebackStreamed = core.TracebackStreamed
 	// SegmentReader ingests a CSV document as a sequence of bounded
@@ -215,10 +214,10 @@ const (
 )
 
 // Sentinel errors of the pipeline, re-exported from core. Every error
-// returned by New, Protect, Detect, Dispute and DecryptIdentifiers
-// wraps exactly one of these (or a context error), so callers classify
-// failures with errors.Is — the HTTP service layer maps them to status
-// codes this way.
+// returned by New, ProtectContext, DetectContext, DisputeContext and
+// DecryptIdentifiers wraps exactly one of these (or a context error),
+// so callers classify failures with errors.Is — the HTTP service layer
+// maps them to status codes this way.
 var (
 	ErrBadConfig     = core.ErrBadConfig
 	ErrBadKey        = core.ErrBadKey
@@ -246,7 +245,7 @@ func MarshalPlan(p *Plan) ([]byte, error) { return core.MarshalPlan(p) }
 //	fw, err := medshield.New(trees, medshield.Config{K: 20, AutoEpsilon: true})
 //
 // Validation is eager: an invalid combination returns an error wrapping
-// ErrBadConfig here, not at the first Protect. The effective (defaulted)
+// ErrBadConfig here, not at the first ProtectContext. The effective (defaulted)
 // configuration is Framework.Config(), which remains the serializable
 // record of how the instance behaves.
 func New(trees map[string]*Tree, cfg Config) (*Framework, error) {

@@ -1,6 +1,7 @@
 package medshield_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -68,11 +69,11 @@ func TestPublicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := medshield.NewKey("public api secret", 25)
-	p, err := fw.Protect(tbl, key)
+	p, err := fw.ProtectContext(context.Background(), tbl, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := fw.Detect(p.Table, p.Provenance, key)
+	det, err := fw.DetectContext(context.Background(), p.Table, p.Provenance, key)
 	if err != nil {
 		t.Fatal(err)
 	}
