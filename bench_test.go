@@ -331,7 +331,7 @@ func TestMain(m *testing.M) {
 // heapGate is the sampler of the bounded-memory gates: it runs fn and
 // fails t when the heap peak, sampled every 2 ms, grows more than
 // budget bytes over the baseline taken just before fn. Where a fixture
-// table stays resident (~100 MiB live), the collector at the default
+// table stays resident (53 MiB live at 1M rows), the collector at the default
 // GOGC=100 would happily let the heap double before collecting —
 // masking exactly the growth the gates police — so fn runs under a
 // tight GC target that keeps sampled peaks close to live memory. run
@@ -480,13 +480,14 @@ func TestPlanStreamBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The measured peak (84 MiB over a ~0 MiB baseline on a 2-vCPU VM)
-	// is the reader's block buffer and in-flight segments, the
+	// The measured peak (67–84 MiB over a ~0 MiB baseline on a 2-vCPU
+	// VM) is the reader's block buffer and in-flight segments, the
 	// quasi-tuple sketch over the Zipf fixture's distinct tuples, then
 	// the search setup's copy of those tuples and the greedy ascent's
 	// bin slab and postings. The budget sits above that noise floor but
-	// below the table-sized (>100 MiB at this scale) state an ingest or
-	// search regression toward whole-table buffering would allocate.
+	// below that peak plus the table (53 MiB live at this scale) an
+	// ingest or search regression toward whole-table buffering would
+	// keep.
 	var ps *medshield.PlannedStream
 	heapGate(t, "PlanStream", 96<<20, "the planner has regressed toward whole-table buffering", func() (err error) {
 		ps, err = fx.fw.PlanStream(context.Background(), sr, fx.key)

@@ -155,7 +155,10 @@ func (g *Generator) Generate() (*relation.Table, error) {
 			return nil, err
 		}
 	}
-	return tbl, nil
+	// The clone drops the value → code maps AppendRow interned through
+	// (one entry per distinct SSN, about half the heap at 1M rows); a
+	// caller that writes cells rebuilds them on demand.
+	return tbl.Clone(), nil
 }
 
 // Generate is a convenience wrapper: build a generator with cfg and run it.

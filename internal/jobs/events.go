@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"encoding/json"
-	"time"
 
 	"repro/internal/sse"
 )
@@ -20,49 +19,17 @@ const (
 	EventProgress = "progress"
 )
 
-// Snapshot is the wire form of a job on event streams and webhook
-// payloads: the full record minus the request and result documents
-// (both can be megabytes; clients fetch the result via the job
-// resource).
-type Snapshot struct {
-	ID             string     `json:"id"`
-	Kind           string     `json:"kind"`
-	State          State      `json:"state"`
-	IdempotencyKey string     `json:"idempotency_key,omitempty"`
-	Error          string     `json:"error,omitempty"`
-	ErrorCode      string     `json:"error_code,omitempty"`
-	Attempts       int        `json:"attempts"`
-	MaxAttempts    int        `json:"max_attempts"`
-	NotBefore      time.Time  `json:"not_before,omitzero"`
-	CreatedAt      time.Time  `json:"created_at"`
-	StartedAt      time.Time  `json:"started_at,omitzero"`
-	FinishedAt     time.Time  `json:"finished_at,omitzero"`
-	Progress       Progress   `json:"progress,omitzero"`
-	Webhook        string     `json:"webhook,omitempty"`
-	Deliveries     []Delivery `json:"deliveries,omitempty"`
-	WebhookOK      bool       `json:"webhook_ok,omitempty"`
-}
+// Snapshot is the wire form of a job on event streams, webhook
+// payloads and job resources: the record with its tenant, request and
+// result cleared (the request can hold the owner's secret, and both it
+// and the result can be megabytes; clients fetch the result via the job
+// resource). All three are omitempty, so they do not appear.
+type Snapshot = Job
 
-// SnapshotOf trims a job to its event/webhook form.
+// SnapshotOf trims a job to its wire form.
 func SnapshotOf(j Job) Snapshot {
-	return Snapshot{
-		ID:             j.ID,
-		Kind:           j.Kind,
-		State:          j.State,
-		IdempotencyKey: j.IdempotencyKey,
-		Error:          j.Error,
-		ErrorCode:      j.ErrorCode,
-		Attempts:       j.Attempts,
-		MaxAttempts:    j.MaxAttempts,
-		NotBefore:      j.NotBefore,
-		CreatedAt:      j.CreatedAt,
-		StartedAt:      j.StartedAt,
-		FinishedAt:     j.FinishedAt,
-		Progress:       j.Progress,
-		Webhook:        j.Webhook,
-		Deliveries:     j.Deliveries,
-		WebhookOK:      j.WebhookOK,
-	}
+	j.TenantID, j.Request, j.Result = "", nil, nil
+	return j
 }
 
 // publish emits a state event for j on its topic.

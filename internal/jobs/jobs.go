@@ -3,8 +3,8 @@
 // traceback) submitted as queued jobs instead of blocking RPCs. A
 // bounded worker pool drains a persistent queue; every state transition
 // is persisted through internal/recstore, so queued and running jobs
-// survive a crash and are re-enqueued on boot. Failed
-// attempts retry with exponential backoff and jitter up to a
+// survive a crash and are re-enqueued on boot. Attempts that run past
+// their deadline retry on a fixed, per-job jittered schedule up to a
 // max-attempts dead-letter state; client-supplied idempotency keys make
 // duplicate submits return the existing job; progress streams out via
 // an internal/sse hub and completion fires HMAC-signed webhooks with
@@ -176,6 +176,9 @@ var (
 	// ErrUnknownKind marks submissions of a kind the manager does not
 	// serve.
 	ErrUnknownKind = errors.New("jobs: unknown job kind")
+	// ErrQuotaExceeded marks submissions refused because the tenant
+	// already has SubmitOptions.MaxActiveJobs jobs queued or running.
+	ErrQuotaExceeded = errors.New("jobs: active-job quota exceeded")
 	// ErrCanceled is the cancellation cause a client cancel injects into
 	// a running job's context; the attempt ends in StateCanceled.
 	ErrCanceled = errors.New("jobs: job canceled by request")
@@ -183,6 +186,18 @@ var (
 	// drained attempt goes back to queued without consuming an attempt.
 	errDrain = errors.New("jobs: draining; job re-queued")
 )
+
+// quotaError is the ErrQuotaExceeded refusal, naming the tenant's count.
+type quotaError struct {
+	tenant        string
+	active, quota int
+}
+
+func (e quotaError) Error() string {
+	return fmt.Sprintf("tenant %q already has %d active jobs (quota %d); wait for one to finish", e.tenant, e.active, e.quota)
+}
+
+func (quotaError) Is(target error) bool { return target == ErrQuotaExceeded }
 
 // NewID returns a fresh job ID: "j-" + 16 hex characters.
 func NewID() string {

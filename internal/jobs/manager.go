@@ -2,11 +2,12 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/url"
 	"slices"
 	"sync"
@@ -30,24 +31,36 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Backoff is the retry delay schedule: Base doubled per failed attempt,
-// capped at Max, with up to ±half-delay jitter unless disabled.
-type Backoff struct {
-	Base time.Duration // delay before the second attempt (default 2s)
-	Max  time.Duration // delay ceiling (default 1m)
+// schedule is a fixed retry delay sequence: base doubled per failed
+// attempt, capped at max.
+type schedule struct {
+	name      string
+	base, max time.Duration
 }
 
-// delay returns the pre-jitter backoff after the given number of
-// completed attempts (>= 1): Base << (attempts-1), capped at Max.
-func (b Backoff) delay(attempts int) time.Duration {
-	d := b.Base
-	for i := 1; i < attempts; i++ {
+// The job layer's two schedules.
+var (
+	// retrySchedule spaces the attempts of a job whose attempt ran past
+	// its deadline: 2s, doubling to at most 1m.
+	retrySchedule = schedule{"retry", 2 * time.Second, time.Minute}
+	// webhookSchedule spaces the deliveries of a completion webhook:
+	// 1s, doubling to at most 30s.
+	webhookSchedule = schedule{"webhook", time.Second, 30 * time.Second}
+)
+
+// delay returns the wait after the given number of completed attempts
+// (>= 1) of job id: base << (attempts-1), capped at max, then spread
+// into [d/2, d) by a hash of (id, schedule, attempts), so failures that
+// happen together do not retry in lockstep, and a job's schedule is
+// the same on every run.
+func (s schedule) delay(id string, attempts int) time.Duration {
+	d := s.base
+	for i := 1; i < attempts && d < s.max; i++ {
 		d *= 2
-		if d >= b.Max {
-			return b.Max
-		}
 	}
-	return min(d, b.Max)
+	d = min(d, s.max)
+	h := sha256.Sum256(fmt.Appendf(nil, "%s\x00%s\x00%d", id, s.name, attempts))
+	return d/2 + time.Duration(binary.BigEndian.Uint64(h[:])%uint64(d-d/2))
 }
 
 // Runner executes one job attempt. Implementations decode Job.Request
@@ -80,33 +93,24 @@ type Config struct {
 	// state (default 3).
 	MaxAttempts int
 	// AttemptTimeout is the per-attempt context deadline (default 15m;
-	// <0 disables).
+	// <0 disables). An attempt that runs past it is retried after 2s,
+	// doubling to at most 1m (retrySchedule).
 	AttemptTimeout time.Duration
-	// Backoff is the retry schedule (defaults: Base 2s, Max 1m).
-	Backoff Backoff
-	// DisableJitter makes retry delays exact (tests).
-	DisableJitter bool
 	// Clock abstracts time (default real time).
 	Clock Clock
 	// Hub receives per-job events on topic "jobs/<id>" (nil = no
 	// events).
 	Hub *sse.Hub
-	// Webhook delivery tuning: attempts (default 5), retry backoff
-	// (defaults: Base 1s, Max 30s) and the POST executor. Deliver is
-	// injectable for tests; nil selects an HTTP client with
-	// WebhookTimeout (default 10s) per request.
-	WebhookMaxAttempts int
-	WebhookBackoff     Backoff
-	WebhookTimeout     time.Duration
-	Deliver            DeliverFunc
+	// Deliver executes one webhook POST (nil = an HTTP POST with a 10s
+	// timeout). A completion webhook gets up to 5 deliveries, spaced 1s
+	// doubling to at most 30s (webhookSchedule).
+	Deliver DeliverFunc
 	// TTL retains terminal jobs (succeeded, failed, canceled, dead) for
-	// this long after they finish; the sweeper then deletes the record
-	// and releases its idempotency key, so the store cannot grow without
-	// bound. 0 disables garbage collection (records are kept forever).
+	// this long after they finish; the sweeper, which runs every
+	// max(TTL/4, 1m), then deletes the record and releases its
+	// idempotency key, so the store cannot grow without bound. 0
+	// disables garbage collection (records are kept forever).
 	TTL time.Duration
-	// GCInterval is the sweep period (default TTL/4, capped at 1m
-	// minimum).
-	GCInterval time.Duration
 	// ClassifyError maps a run error to the wire error code stored on
 	// the job (nil = no codes).
 	ClassifyError func(error) string
@@ -133,9 +137,6 @@ type Manager struct {
 	stop    chan struct{} // closed by Close: timers and deliveries exit
 	workers sync.WaitGroup
 	side    sync.WaitGroup // retry timers + webhook deliveries
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New validates the configuration, recovers the store (running jobs —
@@ -160,29 +161,11 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.AttemptTimeout == 0 {
 		cfg.AttemptTimeout = 15 * time.Minute
 	}
-	if cfg.Backoff.Base <= 0 {
-		cfg.Backoff.Base = 2 * time.Second
-	}
-	if cfg.Backoff.Max <= 0 {
-		cfg.Backoff.Max = time.Minute
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
 	}
-	if cfg.WebhookMaxAttempts <= 0 {
-		cfg.WebhookMaxAttempts = 5
-	}
-	if cfg.WebhookBackoff.Base <= 0 {
-		cfg.WebhookBackoff.Base = time.Second
-	}
-	if cfg.WebhookBackoff.Max <= 0 {
-		cfg.WebhookBackoff.Max = 30 * time.Second
-	}
-	if cfg.WebhookTimeout <= 0 {
-		cfg.WebhookTimeout = 10 * time.Second
-	}
 	if cfg.Deliver == nil {
-		cfg.Deliver = httpDeliver(cfg.WebhookTimeout)
+		cfg.Deliver = httpDeliver
 	}
 	m := &Manager{
 		cfg:      cfg,
@@ -191,7 +174,6 @@ func New(cfg Config) (*Manager, error) {
 		progress: make(map[string]Progress),
 		idem:     make(map[string]string),
 		stop:     make(chan struct{}),
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if err := m.recover(); err != nil {
@@ -202,21 +184,20 @@ func New(cfg Config) (*Manager, error) {
 		go m.worker()
 	}
 	if cfg.TTL > 0 {
-		if m.cfg.GCInterval <= 0 {
-			m.cfg.GCInterval = max(cfg.TTL/4, time.Minute)
-		}
 		m.side.Add(1)
 		go m.sweeper()
 	}
 	return m, nil
 }
 
-// sweeper periodically garbage-collects terminal jobs older than TTL.
+// sweeper garbage-collects terminal jobs older than TTL, every
+// max(TTL/4, 1m).
 func (m *Manager) sweeper() {
 	defer m.side.Done()
+	period := max(m.cfg.TTL/4, time.Minute)
 	for {
 		select {
-		case <-m.cfg.Clock.After(m.cfg.GCInterval):
+		case <-m.cfg.Clock.After(period):
 			m.sweep()
 		case <-m.stop:
 			return
@@ -287,14 +268,18 @@ type SubmitOptions struct {
 	IdempotencyKey string
 	// Webhook is the completion callback URL (http/https; "" = none).
 	Webhook string
-	// MaxAttempts overrides the manager default for this job (0 =
-	// default).
-	MaxAttempts int
+	// MaxActiveJobs is the tenant's quota of queued plus running jobs
+	// (0 = unlimited).
+	MaxActiveJobs int
 }
 
 // Submit enqueues a job. When opts.IdempotencyKey matches an earlier
 // submission of the same kind, the existing job is returned with
-// existing=true and nothing is enqueued — duplicate submits are safe.
+// existing=true and nothing is enqueued — duplicate submits are safe,
+// even at the tenant's quota. A new job that would exceed
+// opts.MaxActiveJobs is refused with ErrQuotaExceeded; the count and
+// the admission happen under one lock, so concurrent submissions cannot
+// together exceed the quota.
 func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (job Job, existing bool, err error) {
 	if !slices.Contains(m.cfg.Kinds, kind) {
 		return Job{}, false, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
@@ -305,11 +290,6 @@ func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (
 			return Job{}, false, fmt.Errorf("jobs: webhook %q is not an absolute http(s) URL", opts.Webhook)
 		}
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = m.cfg.MaxAttempts
-	}
-
 	tenantID := tenant.Normalize(opts.TenantID)
 
 	m.mu.Lock()
@@ -324,6 +304,17 @@ func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (
 			}
 		}
 	}
+	if opts.MaxActiveJobs > 0 {
+		active := 0
+		m.store.Range(func(j Job) {
+			if !j.State.Terminal() && tenant.Normalize(j.TenantID) == tenantID {
+				active++
+			}
+		})
+		if active >= opts.MaxActiveJobs {
+			return Job{}, false, quotaError{tenantID, active, opts.MaxActiveJobs}
+		}
+	}
 	j := Job{
 		ID:             NewID(),
 		Kind:           kind,
@@ -331,7 +322,7 @@ func (m *Manager) Submit(kind string, req json.RawMessage, opts SubmitOptions) (
 		State:          StateQueued,
 		IdempotencyKey: opts.IdempotencyKey,
 		Request:        req,
-		MaxAttempts:    maxAttempts,
+		MaxAttempts:    m.cfg.MaxAttempts,
 		CreatedAt:      m.cfg.Clock.Now().UTC(),
 		Webhook:        opts.Webhook,
 	}
@@ -595,7 +586,7 @@ func (m *Manager) runJob(id string) {
 			j.FinishedAt = now
 			break
 		}
-		delay := m.jittered(m.cfg.Backoff.delay(j.Attempts))
+		delay := retrySchedule.delay(j.ID, j.Attempts)
 		j.State = StateQueued
 		j.NotBefore = now.Add(delay)
 		j.StartedAt = time.Time{}
@@ -672,18 +663,6 @@ func (m *Manager) overlayProgressLocked(j Job) Job {
 		j.Progress = p
 	}
 	return j
-}
-
-// jittered spreads d to [d/2, d) so synchronized failures do not retry
-// in lockstep.
-func (m *Manager) jittered(d time.Duration) time.Duration {
-	if m.cfg.DisableJitter || d <= 0 {
-		return d
-	}
-	m.rngMu.Lock()
-	f := m.rng.Float64()
-	m.rngMu.Unlock()
-	return d/2 + time.Duration(f*float64(d/2))
 }
 
 func (m *Manager) classify(err error) string {

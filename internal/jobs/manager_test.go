@@ -124,7 +124,6 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	if cfg.Kinds == nil {
 		cfg.Kinds = []string{"protect", "noop"}
 	}
-	cfg.DisableJitter = true
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,10 +136,47 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
+// TestScheduleDelay pins the two fixed schedules for one job ID: the
+// pre-jitter delay doubles from the base up to the cap, and the hash of
+// (ID, schedule, attempt) places each delay in [d/2, d).
+func TestScheduleDelay(t *testing.T) {
+	const id = "j-00000000000000ab"
+	ms := func(n ...int) []time.Duration {
+		out := make([]time.Duration, len(n))
+		for i, v := range n {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		s    schedule
+		want []time.Duration
+	}{
+		{retrySchedule, ms(1801, 3042, 7260, 13719, 24989, 56573, 54714, 49126)},
+		{webhookSchedule, ms(506, 1674, 2847, 7263)},
+	} {
+		for i, want := range tc.want {
+			attempt := i + 1
+			d := min(tc.s.base<<i, tc.s.max)
+			got := tc.s.delay(id, attempt)
+			if got < d/2 || got >= d {
+				t.Errorf("%s delay after attempt %d = %s, outside [%s, %s)", tc.s.name, attempt, got, d/2, d)
+			}
+			if got.Truncate(time.Millisecond) != want {
+				t.Errorf("%s delay after attempt %d = %s, want %s", tc.s.name, attempt, got, want)
+			}
+		}
+	}
+	if retrySchedule.delay(id, 1) == retrySchedule.delay("j-00000000000000ac", 1) {
+		t.Error("two job IDs share their first retry delay; the jitter ignores the ID")
+	}
+}
+
 // TestRetryBackoffSchedule drives a job whose every attempt ends with a
-// deadline error through its full retry schedule under the fake clock: delays must
-// follow Base<<n capped at Max, and the job must land in the
-// dead-letter state after MaxAttempts — all without a real sleep.
+// deadline error through its full retry schedule under the fake clock:
+// the delays must be retrySchedule's (2s doubling to the 1m cap,
+// jittered per job), and the job must land in the dead-letter state
+// after MaxAttempts — all without a real sleep.
 func TestRetryBackoffSchedule(t *testing.T) {
 	clock := newFakeClock()
 	var attempts atomic.Int64
@@ -150,8 +186,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 			return nil, fmt.Errorf("upstream wobble: %w", context.DeadlineExceeded)
 		}},
 		Workers:        1,
-		MaxAttempts:    4,
-		Backoff:        Backoff{Base: 2 * time.Second, Max: 5 * time.Second},
+		MaxAttempts:    8,
 		AttemptTimeout: -1,
 		Clock:          clock,
 	})
@@ -161,31 +196,33 @@ func TestRetryBackoffSchedule(t *testing.T) {
 		t.Fatalf("submit: existing=%v err=%v", existing, err)
 	}
 
-	// Expected pre-jitter delays after attempts 1..3: 2s, 4s, 5s (capped).
-	want := []time.Duration{2 * time.Second, 4 * time.Second, 5 * time.Second}
-	for i, d := range want {
+	// Pre-jitter delays after attempts 1..7: 2s, 4s, 8s, 16s, 32s, then
+	// the 1m cap.
+	for i, d := range []time.Duration{2, 4, 8, 16, 32, 60, 60} {
+		d *= time.Second
 		waitFor(t, fmt.Sprintf("retry timer %d", i+1), func() bool {
 			return len(clock.pendingDelays()) == 1
 		})
-		if got := clock.pendingDelays()[0]; got != d {
-			t.Fatalf("retry %d delay = %s, want %s", i+1, got, d)
+		wait := clock.pendingDelays()[0]
+		if want := retrySchedule.delay(j.ID, i+1); wait != want || wait < d/2 || wait >= d {
+			t.Fatalf("retry %d delay = %s, want %s in [%s, %s)", i+1, wait, want, d/2, d)
 		}
 		got, _ := m.Get(j.ID)
 		if got.State != StateQueued {
 			t.Fatalf("retry %d: state = %s, want queued", i+1, got.State)
 		}
-		if got.NotBefore.IsZero() {
-			t.Fatalf("retry %d: NotBefore not recorded", i+1)
+		if want := clock.Now().Add(wait); !got.NotBefore.Equal(want) {
+			t.Fatalf("retry %d: NotBefore = %s, want %s", i+1, got.NotBefore, want)
 		}
-		clock.Advance(d)
+		clock.Advance(wait)
 	}
 
 	final := waitState(t, m, j.ID, StateDead)
-	if n := attempts.Load(); n != 4 {
-		t.Fatalf("runner attempts = %d, want 4", n)
+	if n := attempts.Load(); n != 8 {
+		t.Fatalf("runner attempts = %d, want 8", n)
 	}
-	if final.Attempts != 4 {
-		t.Fatalf("job attempts = %d, want 4", final.Attempts)
+	if final.Attempts != 8 {
+		t.Fatalf("job attempts = %d, want 8", final.Attempts)
 	}
 	if final.Error == "" || final.FinishedAt.IsZero() {
 		t.Fatalf("dead job lacks error/finish time: %+v", final)
@@ -343,7 +380,7 @@ func TestDrainRequeuesRunning(t *testing.T) {
 		<-ctx.Done()
 		return nil, context.Cause(ctx)
 	}}
-	m, err := New(Config{Store: store, Runner: runner, Kinds: []string{"noop"}, Workers: 1, DisableJitter: true})
+	m, err := New(Config{Store: store, Runner: runner, Kinds: []string{"noop"}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +420,7 @@ func TestDrainRequeuesRunning(t *testing.T) {
 	runner2 := &fakeRunner{fn: func(ctx context.Context, job Job, progress func(Progress)) (json.RawMessage, error) {
 		return json.RawMessage(`"after restart"`), nil
 	}}
-	m2, err := New(Config{Store: reloaded, Runner: runner2, Kinds: []string{"noop"}, Workers: 1, DisableJitter: true})
+	m2, err := New(Config{Store: reloaded, Runner: runner2, Kinds: []string{"noop"}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +455,7 @@ func TestCrashRecovery(t *testing.T) {
 		}
 		return json.RawMessage(`"first life"`), nil
 	}}
-	m, err := New(Config{Store: store, Runner: runner, Kinds: []string{"protect"}, Workers: 1, DisableJitter: true})
+	m, err := New(Config{Store: store, Runner: runner, Kinds: []string{"protect"}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +489,7 @@ func TestCrashRecovery(t *testing.T) {
 		attempts.Add(1)
 		return json.RawMessage(`"second life"`), nil
 	}}
-	m2, err := New(Config{Store: store2, Runner: runner2, Kinds: []string{"protect"}, Workers: 2, DisableJitter: true})
+	m2, err := New(Config{Store: store2, Runner: runner2, Kinds: []string{"protect"}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,9 +627,8 @@ func TestManagerTTLSweep(t *testing.T) {
 			}
 			return json.RawMessage(`{"ok":true}`), nil
 		}},
-		Clock:      clock,
-		TTL:        time.Hour,
-		GCInterval: 10 * time.Minute,
+		Clock: clock,
+		TTL:   time.Hour, // swept every 15m
 	})
 
 	done, _, err := m.Submit("protect", json.RawMessage(`{}`), SubmitOptions{IdempotencyKey: "dup"})
@@ -616,10 +652,10 @@ func TestManagerTTLSweep(t *testing.T) {
 		t.Fatal("terminal job collected before its TTL")
 	}
 
-	// Past the TTL: each poll advances one GC interval until a sweep
+	// Past the TTL: each poll advances one sweep period until a sweep
 	// fires and collects the finished job.
 	waitFor(t, "terminal job to expire", func() bool {
-		clock.Advance(10 * time.Minute)
+		clock.Advance(15 * time.Minute)
 		_, ok := m.Get(done.ID)
 		return !ok
 	})

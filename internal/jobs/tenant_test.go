@@ -3,9 +3,12 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tenant"
@@ -113,5 +116,59 @@ func TestStoreMigratesTenantlessJobs(t *testing.T) {
 	got, ok := s2.Get(j.ID)
 	if !ok || got.TenantID != tenant.DefaultID {
 		t.Fatalf("migrated job = %+v, %v; want default tenant", got, ok)
+	}
+}
+
+// TestActiveJobQuotaConcurrentSubmits races many submissions of one
+// tenant under a quota of q while every admitted job blocks: at most q
+// are admitted, the rest are refused with ErrQuotaExceeded, another
+// tenant is not counted against it, and a replay of an admitted job's
+// idempotency key still returns that job.
+func TestActiveJobQuotaConcurrentSubmits(t *testing.T) {
+	block := make(chan struct{})
+	m := newTestManager(t, Config{
+		Runner: &fakeRunner{fn: func(ctx context.Context, job Job, progress func(Progress)) (json.RawMessage, error) {
+			<-block
+			return json.RawMessage(`{}`), nil
+		}},
+		Workers: 2,
+	})
+	defer close(block)
+	const q, n = 3, 32
+	opts := func(i int) SubmitOptions {
+		return SubmitOptions{TenantID: "tenant-a", IdempotencyKey: fmt.Sprintf("k%d", i), MaxActiveJobs: q}
+	}
+	admitted := make([]bool, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := m.Submit("noop", json.RawMessage(`{}`), opts(i))
+			switch {
+			case err == nil:
+				admitted[i] = true
+			case !errors.Is(err, ErrQuotaExceeded):
+				t.Errorf("submit %d: %v, want nil or ErrQuotaExceeded", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	first := -1
+	count := 0
+	for i, ok := range admitted {
+		if ok {
+			count++
+			first = i
+		}
+	}
+	if count != q {
+		t.Fatalf("%d submissions admitted under a quota of %d", count, q)
+	}
+	if _, existing, err := m.Submit("noop", json.RawMessage(`{}`), opts(first)); err != nil || !existing {
+		t.Fatalf("replay at the quota: existing=%v err=%v, want the existing job", existing, err)
+	}
+	if _, _, err := m.Submit("noop", json.RawMessage(`{}`), SubmitOptions{TenantID: "tenant-b", MaxActiveJobs: q}); err != nil {
+		t.Fatalf("another tenant's submit: %v", err)
 	}
 }

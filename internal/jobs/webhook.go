@@ -39,31 +39,33 @@ func VerifySignature(secret string, payload []byte, header string) bool {
 	return hmac.Equal([]byte(Sign(secret, payload)), []byte(header))
 }
 
+// webhookAttempts bounds the deliveries of one completion webhook.
+const webhookAttempts = 5
+
 // DeliverFunc executes one webhook POST and returns the receiver's
 // HTTP status. Injectable for tests; production uses httpDeliver.
 type DeliverFunc func(url string, headers http.Header, body []byte) (status int, err error)
 
-// httpDeliver returns the production DeliverFunc: a plain POST with the
-// given per-request timeout.
-func httpDeliver(timeout time.Duration) DeliverFunc {
-	client := &http.Client{Timeout: timeout}
-	return func(url string, headers http.Header, body []byte) (int, error) {
-		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		req.Header = headers.Clone()
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		resp.Body.Close()
-		return resp.StatusCode, nil
+// webhookClient sends the deliveries, each bounded by 10s.
+var webhookClient = &http.Client{Timeout: 10 * time.Second}
+
+// httpDeliver is the production DeliverFunc: a plain POST.
+func httpDeliver(url string, headers http.Header, body []byte) (int, error) {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
 	}
+	req.Header = headers.Clone()
+	resp, err := webhookClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	resp.Body.Close()
+	return resp.StatusCode, nil
 }
 
 // deliverWebhook posts the terminal job's snapshot to its webhook URL,
-// retrying with backoff up to WebhookMaxAttempts. Every attempt is
+// up to webhookAttempts times, spaced by webhookSchedule. Every attempt is
 // appended to the job's delivery log and persisted, so an operator can
 // audit exactly what the receiver was told and when. Runs on its own
 // goroutine (m.side); shutdown releases the backoff waits.
@@ -90,7 +92,7 @@ func (m *Manager) deliverWebhook(id string) {
 		headers.Set(SignatureHeader, Sign(secret, payload))
 	}
 
-	for attempt := 1; attempt <= m.cfg.WebhookMaxAttempts; attempt++ {
+	for attempt := 1; attempt <= webhookAttempts; attempt++ {
 		headers.Set(DeliveryHeader, fmt.Sprintf("%d", attempt))
 		status, err := m.cfg.Deliver(j.Webhook, headers, payload)
 		d := Delivery{
@@ -110,11 +112,11 @@ func (m *Manager) deliverWebhook(id string) {
 			return
 		}
 		m.logJob(slog.LevelWarn, "webhook attempt failed", j, slog.Int("attempt", attempt), slog.String("err", d.Error))
-		if attempt == m.cfg.WebhookMaxAttempts {
+		if attempt == webhookAttempts {
 			return
 		}
 		select {
-		case <-m.cfg.Clock.After(m.jittered(m.cfg.WebhookBackoff.delay(attempt))):
+		case <-m.cfg.Clock.After(webhookSchedule.delay(id, attempt)):
 		case <-m.stop:
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -64,7 +65,6 @@ func TestWebhookRetriesAndDeliveryLog(t *testing.T) {
 		Clock:          clock,
 		AttemptTimeout: -1,
 		Deliver:        deliver,
-		WebhookBackoff: Backoff{Base: time.Second, Max: 4 * time.Second},
 	})
 
 	j, _, err := m.Submit("noop", json.RawMessage(`{"secret":"owner-master-secret"}`), SubmitOptions{
@@ -74,14 +74,9 @@ func TestWebhookRetriesAndDeliveryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drive the delivery backoffs: 1s after attempt 1, 2s after 2.
-	for _, d := range []time.Duration{time.Second, 2 * time.Second} {
-		waitFor(t, "webhook backoff timer", func() bool {
-			delays := clock.pendingDelays()
-			return len(delays) == 1 && delays[0] == d
-		})
-		clock.Advance(d)
-	}
+	// Drive the delivery waits of webhookSchedule after attempts 1
+	// and 2.
+	driveWebhookWaits(t, clock, j.ID, 2)
 	final := waitState(t, m, j.ID, StateSucceeded)
 	waitFor(t, "webhook delivery to succeed", func() bool {
 		got, _ := m.Get(j.ID)
@@ -146,9 +141,29 @@ func TestWebhookRetriesAndDeliveryLog(t *testing.T) {
 	_ = final
 }
 
+// driveWebhookWaits advances the fake clock through the delivery waits
+// after attempts 1..n of job id's webhook, checking each is
+// webhookSchedule's: 1s doubling (to a 30s cap that five attempts do
+// not reach), jittered per job.
+func driveWebhookWaits(t *testing.T, clock *fakeClock, id string, n int) {
+	t.Helper()
+	for attempt := 1; attempt <= n; attempt++ {
+		d := time.Second << (attempt - 1)
+		want := webhookSchedule.delay(id, attempt)
+		if want < d/2 || want >= d {
+			t.Fatalf("webhook wait after attempt %d = %s, outside [%s, %s)", attempt, want, d/2, d)
+		}
+		waitFor(t, fmt.Sprintf("webhook wait after attempt %d", attempt), func() bool {
+			delays := clock.pendingDelays()
+			return len(delays) == 1 && delays[0] == want
+		})
+		clock.Advance(want)
+	}
+}
+
 // TestWebhookGivesUpAfterMaxAttempts: a receiver that never accepts
-// exhausts WebhookMaxAttempts; the log records each attempt and
-// WebhookOK stays false.
+// exhausts the webhookAttempts deliveries; the log records each attempt
+// and WebhookOK stays false.
 func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
 	var mu sync.Mutex
 	var count int
@@ -166,26 +181,18 @@ func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
 			},
 			secret: "s",
 		},
-		Clock:              clock,
-		AttemptTimeout:     -1,
-		Deliver:            deliver,
-		WebhookMaxAttempts: 3,
-		WebhookBackoff:     Backoff{Base: time.Second, Max: time.Minute},
+		Clock:          clock,
+		AttemptTimeout: -1,
+		Deliver:        deliver,
 	})
 	j, _, err := m.Submit("noop", nil, SubmitOptions{Webhook: "https://receiver.test/hook"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []time.Duration{time.Second, 2 * time.Second} {
-		waitFor(t, "webhook backoff timer", func() bool {
-			delays := clock.pendingDelays()
-			return len(delays) == 1 && delays[0] == d
-		})
-		clock.Advance(d)
-	}
+	driveWebhookWaits(t, clock, j.ID, webhookAttempts-1)
 	waitFor(t, "delivery log to fill", func() bool {
 		got, _ := m.Get(j.ID)
-		return len(got.Deliveries) == 3
+		return len(got.Deliveries) == webhookAttempts
 	})
 	got, _ := m.Get(j.ID)
 	if got.WebhookOK {
@@ -198,7 +205,7 @@ func TestWebhookGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if count != 3 {
-		t.Fatalf("deliverer called %d times, want 3", count)
+	if count != webhookAttempts {
+		t.Fatalf("deliverer called %d times, want %d", count, webhookAttempts)
 	}
 }

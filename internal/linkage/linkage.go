@@ -16,6 +16,7 @@
 package linkage
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dht"
@@ -128,39 +129,52 @@ func Attack(published, external *relation.Table, cols []string, trees map[string
 			}
 		}
 	}
-	for row := 0; row < published.NumRows(); row++ {
-		// candidate set = intersection over columns of externals under
-		// the published node
+	// candidateCount is the size of a published row's candidate set: the
+	// intersection over the join columns of the external rows under the
+	// published node.
+	candidateCount := func(row int) int {
 		var candidates []int32
-		for ci := range cols {
-			code := published.CodeAt(row, pubIdx[ci])
+		for ci, col := range pubIdx {
+			code := published.CodeAt(row, col)
 			if !pubOK[ci][code] {
-				candidates = nil
-				break
+				return 0
 			}
 			rows := perColRows[ci][pubIDs[ci][code]]
 			if ci == 0 {
 				candidates = rows
 				continue
 			}
-			candidates = intersect(candidates, rows)
-			if len(candidates) == 0 {
-				break
+			if candidates = intersect(candidates, rows); len(candidates) == 0 {
+				return 0
 			}
 		}
-		if len(candidates) == 0 {
+		return len(candidates)
+	}
+	// Rows with the same published code tuple have the same candidate
+	// set, so its size is computed once per distinct tuple.
+	countOf := make(map[string]int)
+	var key []byte
+	for row := 0; row < published.NumRows(); row++ {
+		key = key[:0]
+		for ci := range cols {
+			key = binary.AppendUvarint(key, uint64(published.CodeAt(row, pubIdx[ci])))
+		}
+		n, seen := countOf[string(key)]
+		if !seen {
+			n = candidateCount(row)
+			countOf[string(key)] = n
+		}
+		if n == 0 {
 			continue
 		}
 		res.Matched++
-		if len(candidates) == 1 {
+		if n == 1 {
 			res.ReIdentified++
 		}
-		if res.MinCandidates < 0 || len(candidates) < res.MinCandidates {
-			res.MinCandidates = len(candidates)
+		if res.MinCandidates < 0 || n < res.MinCandidates {
+			res.MinCandidates = n
 		}
-		if len(candidates) > res.MaxCandidates {
-			res.MaxCandidates = len(candidates)
-		}
+		res.MaxCandidates = max(res.MaxCandidates, n)
 	}
 	if res.MinCandidates < 0 {
 		res.MinCandidates = 0

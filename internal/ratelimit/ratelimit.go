@@ -18,10 +18,8 @@ type Limiter struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 	now     func() time.Time
-	// idleAfter is how long a bucket may go untouched before eviction.
-	idleAfter time.Duration
 	// lastSweep tracks the previous eviction pass; sweeps run
-	// opportunistically during Allow, at most once per idleAfter.
+	// opportunistically during Allow, at most once per DefaultIdleAfter.
 	lastSweep time.Time
 }
 
@@ -30,27 +28,18 @@ type bucket struct {
 	last   time.Time // last refill instant
 }
 
-// DefaultIdleAfter is the eviction horizon when New receives 0: a
-// bucket untouched for this long is forgotten (a forgotten bucket
-// restarts full, so eviction can only be generous, never punitive).
+// DefaultIdleAfter is the eviction horizon: a bucket untouched for
+// this long is forgotten (a forgotten bucket restarts full, so eviction
+// can only be generous, never punitive).
 const DefaultIdleAfter = 10 * time.Minute
 
-// New returns a limiter evicting buckets idle longer than idleAfter
-// (0 = DefaultIdleAfter). now is the clock (nil = time.Now).
-func New(idleAfter time.Duration, now func() time.Time) *Limiter {
-	if idleAfter <= 0 {
-		idleAfter = DefaultIdleAfter
-	}
+// New returns a limiter evicting buckets idle longer than
+// DefaultIdleAfter. now is the clock (nil = time.Now).
+func New(now func() time.Time) *Limiter {
 	if now == nil {
 		now = time.Now
 	}
-	l := &Limiter{
-		buckets:   make(map[string]*bucket),
-		now:       now,
-		idleAfter: idleAfter,
-	}
-	l.lastSweep = now()
-	return l
+	return &Limiter{buckets: make(map[string]*bucket), now: now, lastSweep: now()}
 }
 
 // Allow spends one token from key's bucket, which refills at rate
@@ -100,15 +89,16 @@ func (l *Limiter) Allow(key string, rate float64, burst int) (ok bool, retryAfte
 	return false, retryAfter
 }
 
-// sweepLocked drops buckets untouched for idleAfter, at most once per
-// idleAfter so a hot limiter does not scan the map on every request.
+// sweepLocked drops buckets untouched for DefaultIdleAfter, at most
+// once per DefaultIdleAfter so a hot limiter does not scan the map on
+// every request.
 func (l *Limiter) sweepLocked(t time.Time) {
-	if t.Sub(l.lastSweep) < l.idleAfter {
+	if t.Sub(l.lastSweep) < DefaultIdleAfter {
 		return
 	}
 	l.lastSweep = t
 	for key, b := range l.buckets {
-		if t.Sub(b.last) >= l.idleAfter {
+		if t.Sub(b.last) >= DefaultIdleAfter {
 			delete(l.buckets, key)
 		}
 	}

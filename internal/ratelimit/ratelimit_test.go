@@ -30,7 +30,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestBurstThenRefused(t *testing.T) {
 	clk := newFakeClock()
-	l := New(0, clk.now)
+	l := New(clk.now)
 	// 60/min = 1/sec, burst 3: three requests pass, the fourth is
 	// refused with a whole-second Retry-After.
 	for i := 0; i < 3; i++ {
@@ -49,7 +49,7 @@ func TestBurstThenRefused(t *testing.T) {
 
 func TestRefillRestoresService(t *testing.T) {
 	clk := newFakeClock()
-	l := New(0, clk.now)
+	l := New(clk.now)
 	for i := 0; i < 2; i++ {
 		l.Allow("k", 2, 2) // drain: 2 tokens/sec, burst 2
 	}
@@ -67,7 +67,7 @@ func TestRefillRestoresService(t *testing.T) {
 
 func TestRetryAfterRoundsUp(t *testing.T) {
 	clk := newFakeClock()
-	l := New(0, clk.now)
+	l := New(clk.now)
 	// rate 0.4/sec, burst 1: after the burst the deficit of one token
 	// takes 2.5s to refill — the header must say 3, never 2.
 	l.Allow("k", 0.4, 1)
@@ -88,7 +88,7 @@ func TestRetryAfterRoundsUp(t *testing.T) {
 
 func TestKeysAreIndependent(t *testing.T) {
 	clk := newFakeClock()
-	l := New(0, clk.now)
+	l := New(clk.now)
 	l.Allow("a", 1, 1)
 	if ok, _ := l.Allow("a", 1, 1); ok {
 		t.Fatal("a's bucket should be empty")
@@ -99,7 +99,7 @@ func TestKeysAreIndependent(t *testing.T) {
 }
 
 func TestUnlimited(t *testing.T) {
-	l := New(0, newFakeClock().now)
+	l := New(newFakeClock().now)
 	for i := 0; i < 1000; i++ {
 		if ok, _ := l.Allow("k", 0, 0); !ok {
 			t.Fatal("unlimited key refused")
@@ -112,18 +112,22 @@ func TestUnlimited(t *testing.T) {
 
 func TestIdleEviction(t *testing.T) {
 	clk := newFakeClock()
-	l := New(time.Minute, clk.now)
+	l := New(clk.now)
 	for _, k := range []string{"a", "b", "c"} {
 		l.Allow(k, 1, 5)
 	}
 	if len(l.buckets) != 3 {
 		t.Fatalf("Len = %d, want 3", len(l.buckets))
 	}
-	// a stays warm; b and c go idle past the horizon.
-	clk.advance(40 * time.Second)
+	// a stays warm; b and c go idle past the 10m horizon.
+	step := DefaultIdleAfter * 2 / 3
+	clk.advance(step)
 	l.Allow("a", 1, 5)
-	clk.advance(40 * time.Second)
-	l.Allow("a", 1, 5) // triggers the sweep: b and c are 80s idle
+	if len(l.buckets) != 3 {
+		t.Fatalf("Len = %d before the idle horizon, want 3", len(l.buckets))
+	}
+	clk.advance(step)
+	l.Allow("a", 1, 5) // triggers the sweep: b and c are 13m20s idle
 	if len(l.buckets) != 1 {
 		t.Fatalf("Len = %d after idle horizon, want 1 (only the warm key)", len(l.buckets))
 	}
@@ -138,7 +142,7 @@ func TestIdleEviction(t *testing.T) {
 
 func TestConcurrentAllow(t *testing.T) {
 	clk := newFakeClock()
-	l := New(0, clk.now)
+	l := New(clk.now)
 	var wg sync.WaitGroup
 	allowed := make([]int, 8)
 	for g := 0; g < 8; g++ {

@@ -129,19 +129,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if !json.Valid(body) {
 		return badRequest(fmt.Errorf("job request body is not valid JSON"))
 	}
-	if err := s.checkJobQuota(r.Context(), tid); err != nil {
-		return err
-	}
-	j, existing, err := s.jobs.Submit(kind, body, jobs.SubmitOptions{
+	opts := jobs.SubmitOptions{
 		TenantID:       tid,
 		IdempotencyKey: r.Header.Get(api.IdempotencyKeyHeader),
 		Webhook:        r.Header.Get(api.WebhookHeader),
-	})
+	}
+	if info := requestInfoFrom(r.Context()); info != nil {
+		opts.MaxActiveJobs = info.tenant.Quota.MaxActiveJobs
+	}
+	j, existing, err := s.jobs.Submit(kind, body, opts)
 	switch {
 	case errors.Is(err, jobs.ErrUnknownKind):
 		return notFound(err)
 	case errors.Is(err, jobs.ErrDraining):
 		return overloaded(err)
+	case errors.Is(err, jobs.ErrQuotaExceeded):
+		return quotaExceeded(err)
 	case err != nil:
 		return badRequest(err)
 	}
@@ -153,29 +156,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	}
 	noteJob(r.Context(), j.ID)
 	writeJSON(w, status, api.JobResponse{Version: api.Version, Job: jobs.SnapshotOf(j), Result: j.Result})
-	return nil
-}
-
-// checkJobQuota enforces the tenant's MaxActiveJobs: queued plus
-// running jobs at submit time.
-func (s *Server) checkJobQuota(ctx context.Context, tid string) error {
-	info := requestInfoFrom(ctx)
-	if info == nil {
-		return nil
-	}
-	q := info.tenant.Quota.MaxActiveJobs
-	if q <= 0 {
-		return nil
-	}
-	active := 0
-	for _, j := range s.jobs.List(jobs.Filter{Tenant: tid}) {
-		if !j.State.Terminal() {
-			active++
-		}
-	}
-	if active >= q {
-		return quotaExceeded(fmt.Errorf("tenant %q already has %d active jobs (quota %d); wait for one to finish", tid, active, q))
-	}
 	return nil
 }
 

@@ -643,11 +643,30 @@ func getJobEvents(url, id string) (int, error) {
 	return r.StatusCode, nil
 }
 
+// instantClock is a jobs.Clock whose timers fire at once, recording
+// each requested wait: a test drives the fixed delivery schedule
+// without sleeping through it.
+type instantClock struct {
+	mu    sync.Mutex
+	waits []time.Duration
+}
+
+func (c *instantClock) Now() time.Time { return time.Now() }
+
+func (c *instantClock) After(d time.Duration) <-chan time.Time {
+	c.mu.Lock()
+	c.waits = append(c.waits, d)
+	c.mu.Unlock()
+	ch := make(chan time.Time, 1)
+	ch <- time.Now()
+	return ch
+}
+
 // TestJobWebhookHTTP points a job's webhook at a receiver that fails
 // twice (once at transport level is not simulable over httptest, so
-// twice with 500) before accepting: delivery retries with backoff, the
-// log records every attempt, and the signature verifies under the job's
-// master secret.
+// twice with 500) before accepting: delivery retries on the fixed
+// schedule (waits in [0.5s, 1s) and [1s, 2s)), the log records every
+// attempt, and the signature verifies under the job's master secret.
 func TestJobWebhookHTTP(t *testing.T) {
 	type hit struct {
 		sig   string
@@ -678,12 +697,10 @@ func TestJobWebhookHTTP(t *testing.T) {
 	}))
 	defer receiver.Close()
 
+	clock := &instantClock{}
 	_, ts := newJobServer(t, Config{
 		Defaults: core.Config{K: 15, AutoEpsilon: true},
-		Jobs: jobs.Config{
-			WebhookBackoff: jobs.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
-			DisableJitter:  true,
-		},
+		Jobs:     jobs.Config{Clock: clock},
 	})
 	status, sub := submitJob(t, ts.URL, "protect", protectBody(t, 300, api.OutputRows), map[string]string{
 		api.WebhookHeader: receiver.URL + "/hook",
@@ -711,6 +728,18 @@ func TestJobWebhookHTTP(t *testing.T) {
 		wantOK := i == 2
 		if d.Attempt != i+1 || d.OK != wantOK {
 			t.Fatalf("delivery %d: %+v", i, d)
+		}
+	}
+
+	clock.mu.Lock()
+	waits := clock.waits
+	clock.mu.Unlock()
+	if len(waits) != 2 {
+		t.Fatalf("delivery waits %v, want 2", waits)
+	}
+	for i, w := range waits {
+		if d := time.Second << i; w < d/2 || w >= d {
+			t.Fatalf("wait after delivery %d = %s, want it in [%s, %s)", i+1, w, d/2, d)
 		}
 	}
 

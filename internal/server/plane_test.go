@@ -385,6 +385,39 @@ func TestActiveJobQuota(t *testing.T) {
 	}
 }
 
+// TestActiveJobQuotaReplay: a tenant at its active-job quota that
+// resubmits with the same Idempotency-Key gets its existing job back
+// (200), not 429 — a replay creates nothing, so the quota does not
+// apply to it.
+func TestActiveJobQuotaReplay(t *testing.T) {
+	ts, tenants := newTenantServer(t, Config{},
+		tenant.Record{ID: "queued-up", Quota: tenant.Quota{MaxActiveJobs: 1}})
+	tok := tenants[0].token
+	key := map[string]string{api.IdempotencyKeyHeader: "nightly-1"}
+	body := protectBody(t, 5000, api.OutputRows)
+
+	r := doAs(t, tok, http.MethodPost, ts.URL+"/v1/jobs/protect", body, key)
+	first := readBody(t, r)
+	if r.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: %d %s", r.StatusCode, first)
+	}
+	r = doAs(t, tok, http.MethodPost, ts.URL+"/v1/jobs/protect", body, key)
+	again := readBody(t, r)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("replay at the job quota: %d %s, want 200 with the existing job", r.StatusCode, again)
+	}
+	var a, b api.JobResponse
+	if err := json.Unmarshal(first, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(again, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Job.ID == "" || b.Job.ID != a.Job.ID {
+		t.Fatalf("replay returned job %q, want %q", b.Job.ID, a.Job.ID)
+	}
+}
+
 // TestMetricsEndpoint: loopback scrapes pass unauthenticated and the
 // exposition carries the service families; off-host scrapes need an
 // admin token.

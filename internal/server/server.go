@@ -94,14 +94,14 @@ type Config struct {
 	Registry *registry.Store
 	// Jobs tunes the async job layer behind /v1/jobs: Store (nil
 	// selects in-memory — jobs then die with the process), Workers,
-	// MaxAttempts, AttemptTimeout, Backoff and webhook delivery. The
-	// Runner, Kinds, Hub and ClassifyError fields are owned by the
-	// server and overwritten.
+	// MaxAttempts, AttemptTimeout and TTL; tests also set its Clock and
+	// Deliver. The retry and webhook schedules are fixed (see
+	// internal/jobs). The Runner, Kinds, Hub, ClassifyError and Logger
+	// fields are owned by the server and overwritten.
 	Jobs jobs.Config
 	// Logger receives one structured record per served request (request
-	// ID, tenant, route, status, duration) and, unless Jobs.Logger is
-	// set, one per job lifecycle event (job, kind, state); nil disables
-	// both.
+	// ID, tenant, route, status, duration) and one per job lifecycle
+	// event (job, kind, state); nil disables both.
 	Logger *slog.Logger
 	// Tenants enables bearer authentication and per-tenant isolation:
 	// every request must present a token from this store. nil runs the
@@ -180,9 +180,7 @@ func New(cfg Config) (*Server, error) {
 	if jc.Store == nil {
 		jc.Store = jobs.NewStore()
 	}
-	if jc.Logger == nil {
-		jc.Logger = cfg.Logger
-	}
+	jc.Logger = cfg.Logger
 	mgr, err := jobs.New(jc)
 	if err != nil {
 		return nil, err
@@ -196,12 +194,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		return out
 	})
-	s.tenantLimiter = ratelimit.New(0, nil)
+	s.tenantLimiter = ratelimit.New(nil)
 	if cfg.IPRatePerMinute > 0 {
 		if s.cfg.IPBurst <= 0 {
 			s.cfg.IPBurst = max(1, cfg.IPRatePerMinute/6)
 		}
-		s.ipLimiter = ratelimit.New(0, nil)
+		s.ipLimiter = ratelimit.New(nil)
 	}
 	return s, nil
 }
