@@ -55,15 +55,9 @@ type Counter struct {
 
 // Add counts tbl's tuples into their bins over cols.
 func (c *Counter) Add(tbl *relation.Table, cols []string) error {
-	dicts := make([][]string, len(cols))
-	codes := make([][]uint32, len(cols))
-	for i, col := range cols {
-		ci, err := tbl.Schema().Index(col)
-		if err != nil {
-			return err
-		}
-		dicts[i] = tbl.DictValues(ci)
-		codes[i] = tbl.Codes(ci)
+	dicts, codes, err := columns(tbl, cols)
+	if err != nil {
+		return err
 	}
 	n := tbl.NumRows()
 	key := c.key
@@ -73,6 +67,39 @@ func (c *Counter) Add(tbl *relation.Table, cols []string) error {
 	}
 	c.key = key
 	return nil
+}
+
+// AddRows adds n (which may be negative) to the bin of each of tbl's
+// given rows over cols. A write run counts a transformed segment once
+// with Add, then takes each marked copy's difference with AddRows over
+// the rows the mark selected: -1 before the embed, +1 after it.
+func (c *Counter) AddRows(tbl *relation.Table, cols []string, rows []int32, n int) error {
+	dicts, codes, err := columns(tbl, cols)
+	if err != nil {
+		return err
+	}
+	key := c.key
+	for _, row := range rows {
+		key = appendBinKey(key[:0], func(i int) string { return dicts[i][codes[i][row]] }, len(cols))
+		c.AddKey(key, n)
+	}
+	c.key = key
+	return nil
+}
+
+// columns returns the dictionaries and code vectors of tbl's cols.
+func columns(tbl *relation.Table, cols []string) ([][]string, [][]uint32, error) {
+	dicts := make([][]string, len(cols))
+	codes := make([][]uint32, len(cols))
+	for i, col := range cols {
+		ci, err := tbl.Schema().Index(col)
+		if err != nil {
+			return nil, nil, err
+		}
+		dicts[i] = tbl.DictValues(ci)
+		codes[i] = tbl.Codes(ci)
+	}
+	return dicts, codes, nil
 }
 
 // AddKey adds n tuples to the bin whose key is key. key is not
@@ -92,9 +119,30 @@ func (c *Counter) AddKey(key []byte, n int) {
 
 // Bins returns the counted bin-size map, keyed as Bins keys it.
 func (c *Counter) Bins() map[string]int {
+	return c.Plus(nil)
+}
+
+// Plus returns the bin-size map of c's counts plus delta's (nil adds
+// nothing): the bins after a transformation, from the bins counted
+// before it and the difference over the tuples it moved. A bin whose
+// size comes to 0 is absent, as it is from Bins over the transformed
+// table.
+func (c *Counter) Plus(delta *Counter) map[string]int {
 	out := make(map[string]int, len(c.counts))
 	for key, s := range c.slot {
-		out[key] = c.counts[s]
+		if n := c.counts[s]; n != 0 {
+			out[key] = n
+		}
+	}
+	if delta == nil {
+		return out
+	}
+	for key, s := range delta.slot {
+		if n := out[key] + delta.counts[s]; n != 0 {
+			out[key] = n
+		} else {
+			delete(out, key)
+		}
 	}
 	return out
 }

@@ -198,7 +198,7 @@ func Generalize(tbl *relation.Table, col string, tree *dht.Tree, ceiling dht.Gen
 			return nil, err
 		}
 		return append(dst, tree.Value(anc)...), nil
-	})
+	}, nil)
 }
 
 // Respecialize implements a laundering attack against hierarchical

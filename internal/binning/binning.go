@@ -108,11 +108,12 @@ func EpsilonForMark(binSizes map[string]int, wmdLen int) int {
 //  4. encrypt identifying columns with cipher (one-to-one replacement),
 //  5. generalize quasi columns to the ultimate generalization nodes.
 //
-// It sketches tbl, searches the sketch (SearchSketch), replays the
-// aggressive rule's suppression on a clone (Suppress) and transforms the
-// survivors (TransformContext) — the stages core.PlanContext and
-// core.ApplyContext run separately — and returns the binned table and
-// the search that produced it. The input table is not modified. Cipher
+// It sketches tbl, searches the sketch (SearchSketch), then, on one
+// clone, replays the aggressive rule's suppression (Suppress) and
+// transforms the survivors (TransformInPlace) — the stages
+// core.PlanContext and core.ApplyContext run separately — and returns
+// the binned table and the search that produced it. The input table is
+// not modified. Cipher
 // must not be nil when the schema has identifying columns.
 func Run(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*relation.Table, *SearchResult, error) {
 	if len(tbl.Schema().IdentColumns()) > 0 && cipher == nil {
@@ -130,15 +131,11 @@ func Run(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*relation.Table
 	if err != nil {
 		return nil, nil, err
 	}
-	work := tbl
-	if len(search.SuppressValues) > 0 {
-		work = tbl.Clone()
-		if _, err := Suppress(work, cfg.Trees, search.SuppressValues); err != nil {
-			return nil, nil, err
-		}
+	out := tbl.Clone()
+	if _, err := Suppress(out, cfg.Trees, search.SuppressValues); err != nil {
+		return nil, nil, err
 	}
-	out, err := TransformContext(ctx, work, search.UltiGens, search.EffectiveK, cipher, cfg.Workers)
-	if err != nil {
+	if err := TransformInPlace(ctx, out, search.UltiGens, search.EffectiveK, cipher, cfg.Workers); err != nil {
 		return nil, nil, err
 	}
 	return out, search, nil
@@ -211,66 +208,80 @@ func Suppress(tbl *relation.Table, trees map[string]*dht.Tree, suppress map[stri
 	return removed, nil
 }
 
-// TransformContext applies searched frontiers to a table — stages 4+5 of
-// Figure 8: encrypt identifying columns with cipher, generalize quasi
-// columns to the ultimate generalization nodes, then defensively verify
-// k-anonymity at the effective level. The input table is not modified.
+// TransformContext applies searched frontiers to a copy of tbl — stages
+// 4+5 of Figure 8 — and returns the copy: TransformInPlace over a
+// clone. The input table is not modified.
+func TransformContext(ctx context.Context, tbl *relation.Table, ultiGens map[string]dht.GenSet, effectiveK int, cipher *crypt.Cipher, workers int) (*relation.Table, error) {
+	out := tbl.Clone()
+	if err := TransformInPlace(ctx, out, ultiGens, effectiveK, cipher, workers); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TransformInPlace applies searched frontiers to tbl itself — stages
+// 4+5 of Figure 8: encrypt identifying columns with cipher, generalize
+// quasi columns to the ultimate generalization nodes, then defensively
+// verify k-anonymity at the effective level. The write loop runs it on
+// the segments it owns; on error tbl is left partly transformed.
 //
 // Both transforms are deterministic per-value, so they rewrite the
 // column dictionaries: encryption runs once per distinct identifier
 // (fanned out over workers — the cipher is safe for concurrent use) and
 // generalization once per distinct quasi value (typically a handful of
 // dictionary entries for 20k+ rows); rows only have their codes
-// remapped. A value that cannot be generalized to the given frontier
-// (not in the tree's domain, or above the frontier) fails the transform.
-func TransformContext(ctx context.Context, tbl *relation.Table, ultiGens map[string]dht.GenSet, effectiveK int, cipher *crypt.Cipher, workers int) (*relation.Table, error) {
+// remapped. Encryption is injective with tokens of known length
+// (crypt.TokenLen), so the identifier dictionary is laid out once
+// without a dedup index. A value that cannot be generalized to the
+// given frontier (not in the tree's domain, or above the frontier)
+// fails the transform.
+func TransformInPlace(ctx context.Context, tbl *relation.Table, ultiGens map[string]dht.GenSet, effectiveK int, cipher *crypt.Cipher, workers int) error {
 	schema := tbl.Schema()
 	quasi := schema.QuasiColumns()
 	idents := schema.IdentColumns()
 	if len(idents) > 0 && cipher == nil {
-		return nil, fmt.Errorf("binning: schema has identifying columns but no cipher")
+		return fmt.Errorf("binning: schema has identifying columns but no cipher")
 	}
 	for _, col := range quasi {
 		if _, ok := ultiGens[col]; !ok {
-			return nil, fmt.Errorf("binning: no ultimate generalization nodes for quasi column %s", col)
+			return fmt.Errorf("binning: no ultimate generalization nodes for quasi column %s", col)
 		}
 	}
-	out := tbl.Clone()
 	for _, col := range idents {
-		colIdx, _ := out.Schema().Index(col)
-		if _, err := out.MapColumnCtx(ctx, workers, colIdx, func(dst []byte, v string) ([]byte, error) {
+		colIdx, _ := schema.Index(col)
+		if _, err := tbl.MapColumnCtx(ctx, workers, colIdx, func(dst []byte, v string) ([]byte, error) {
 			return cipher.AppendEncryptString(dst, v), nil
-		}); err != nil {
-			return nil, err
+		}, crypt.TokenLen); err != nil {
+			return err
 		}
 	}
 	for _, col := range quasi {
 		gen := ultiGens[col]
-		colIdx, _ := out.Schema().Index(col)
-		if _, err := out.MapColumnCtx(ctx, workers, colIdx, func(dst []byte, v string) ([]byte, error) {
+		colIdx, _ := schema.Index(col)
+		if _, err := tbl.MapColumnCtx(ctx, workers, colIdx, func(dst []byte, v string) ([]byte, error) {
 			g, err := gen.GeneralizeValue(v)
 			if err != nil {
 				return nil, fmt.Errorf("binning: column %s value %q: %w", col, v, err)
 			}
 			return append(dst, g...), nil
-		}); err != nil {
-			return nil, err
+		}, nil); err != nil {
+			return err
 		}
 	}
 
 	// Defensive verification: the binned table must satisfy k-anonymity
 	// at the effective level. effectiveK <= 0 disables the check (the
-	// append path verifies the published union instead — a lone delta
-	// batch may legitimately hold small bins) rather than paying a full
-	// bin scan for an unfailable comparison.
-	if effectiveK > 0 && out.NumRows() > 0 {
-		ok, err := anonymity.SatisfiesK(out, quasi, effectiveK)
+	// write loop judges the combined bins of every segment instead — a
+	// lone segment may legitimately hold small bins) rather than paying
+	// a full bin scan for an unfailable comparison.
+	if effectiveK > 0 && tbl.NumRows() > 0 {
+		ok, err := anonymity.SatisfiesK(tbl, quasi, effectiveK)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
-			return nil, fmt.Errorf("binning: internal: output violates k=%d anonymity", effectiveK)
+			return fmt.Errorf("binning: internal: output violates k=%d anonymity", effectiveK)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -432,7 +432,7 @@ func (f *Framework) DecryptIdentifiers(ctx context.Context, tbl *relation.Table,
 			return nil, fmt.Errorf("core: identifier %q: %w: %w", token, err, ErrKeyMismatch)
 		}
 		return dst, nil
-	}); err != nil {
+	}, nil); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -86,9 +86,10 @@ func (f *Framework) FingerprintContext(ctx context.Context, tbl *relation.Table,
 
 // fingerprint plans tbl once and runs one write over it with an output
 // per recipient — the shared body of the fingerprint entry points. With
-// outs nil the table is one segment and every marked copy is kept;
-// otherwise it goes in Config.Chunk segments and copy i to outs[i] as
-// CSV.
+// outs nil a copy of the table is one segment and every marked copy is
+// kept; otherwise it goes in Config.Chunk segments and copy i to
+// outs[i] as CSV. Either way the write loop rewrites segments of its
+// own, never tbl.
 func (f *Framework) fingerprint(ctx context.Context, tbl *relation.Table, recipients []Recipient, outs []io.Writer) ([]FingerprintResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -101,7 +102,7 @@ func (f *Framework) fingerprint(ctx context.Context, tbl *relation.Table, recipi
 	if err != nil {
 		return nil, err
 	}
-	var src Segments = &relation.OneSegment{Table: tbl}
+	var src Segments = &relation.OneSegment{Table: tbl.Clone()}
 	if outs != nil {
 		src = tbl.Segments(f.cfg.Chunk)
 	}

@@ -20,8 +20,19 @@ import (
 // relation.TableSegments (an in-memory table in bounded segments) and
 // relation.OneSegment (an in-memory table whole) all satisfy it.
 //
-// Segments may share dictionary backing (as SegmentReader's do); the
-// pipeline never mutates a yielded segment in place.
+// Ownership: Next hands each segment over to the loop that consumes
+// it. The write loop (ApplyStream, AppendStream, FingerprintStream)
+// rewrites its segments in place — suppression replay, identifier
+// encryption, generalization and the mark of one output — and passes
+// them on to its sink, so a source must yield a segment nobody else
+// reads or writes: a fresh Table per call, as SegmentReader and
+// TableSegments do, and never the caller's table through OneSegment
+// (the in-memory forms copy the table before they do). Segments may
+// share dictionary backing (as SegmentReader's do): a segment's
+// dictionaries are capacity-capped views, and the loop replaces rather
+// than edits a dictionary it rewrites, so the shared backing stays
+// intact. The read loops (DetectStream, TracebackStream) and PlanStream
+// only read their segments.
 //
 // Concurrency: every segment loop reads its source one segment ahead,
 // so Next may run on a helper goroutine while the caller's goroutine

@@ -49,10 +49,10 @@ func keep(dst **relation.Table) func(*relation.Table) error {
 
 // pass is what one write run accumulated: each output's effective plan
 // (its input plan, with the §5.1 decision an apply run took), the bins
-// before watermarking (apply runs only; the quasi cells do not depend on
-// the key, so every output shares them), each output's embedding
-// statistics and bins after watermarking, the row counters, and how
-// many transforms and Equation (5) selections the outputs shared.
+// before watermarking (the quasi cells do not depend on the key, so
+// every output shares them), each output's embedding statistics and
+// bins after watermarking, the row counters, and how many transforms
+// and Equation (5) selections the outputs shared.
 type pass struct {
 	plans                      []*Plan
 	before                     map[string]int
@@ -69,16 +69,20 @@ type pass struct {
 // combined bins), counts the before-bins, selects once per distinct
 // (Enc, K1, η), and embeds each output's mark into a clone of the
 // transformed segment — in place for the last output sharing that
-// transform, so a one-output run clones nothing — counts the after-bins
-// and hands the marked segment to the output's sink. The source is read
-// one segment ahead and the sinks run one marked table behind, on helper
-// goroutines joined before write returns (pipe.go); a sink error wins
-// over any later error of the loop. An apply run whose frontiers leave
-// the hierarchical channel empty (noHierarchy) embeds every output with
-// §5.1 boundary permutation on and records it in the output's effective
-// plan. appending keeps the plan's decision, wraps values outside the
-// planned frontiers in ErrPlanDrift and skips the before-bins, which
-// only the apply verdict reads.
+// transform — and hands the marked segment to the output's sink. The
+// loop owns every segment src yields (Segments), so suppression and
+// the transform of the last distinct key rewrite the segment itself,
+// and a one-output run clones nothing. Each row's bin is counted once,
+// before the embed: an output's after-bins are the before-bins plus
+// its difference over the rows its mark selected, the old bin minus and
+// the new bin plus. The source is read one segment ahead and the sinks
+// run one marked table behind, on helper goroutines joined before write
+// returns (pipe.go); a sink error wins over any later error of the
+// loop. An apply run whose frontiers leave the hierarchical channel
+// empty (noHierarchy) embeds every output with §5.1 boundary
+// permutation on and records it in the output's effective plan.
+// appending keeps the plan's decision and wraps values outside the
+// planned frontiers in ErrPlanDrift.
 func (f *Framework) write(ctx context.Context, src Segments, outs []output, appending bool) (_ *pass, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -157,7 +161,7 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 	// allocated once, however many segments it recurs in.
 	p := &pass{plans: plans, embed: make([]watermark.EmbedStats, len(outs))}
 	var before anonymity.Counter
-	after := make([]anonymity.Counter, len(outs))
+	delta := make([]anonymity.Counter, len(outs))
 	for {
 		seg, err := ahead.Next()
 		if err == io.EOF {
@@ -166,28 +170,30 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 		if err != nil {
 			return nil, err
 		}
-		work := seg
-		if len(plan.Suppress) > 0 {
-			work = seg.Clone()
-			n, err := binning.Suppress(work, f.trees, plan.Suppress)
-			if err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-			p.suppressed += n
+		n, err := binning.Suppress(seg, f.trees, plan.Suppress)
+		if err != nil {
+			return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
 		}
+		p.suppressed += n
 		binned := make(map[string]*relation.Table, len(ciphers))
 		sels := make(map[string]*watermark.Selection, 1)
 		for i, o := range outs {
 			enc := string(o.key.Enc)
 			tbl := binned[enc]
 			if tbl == nil {
-				if tbl, err = binning.TransformContext(ctx, work, ultiGens, 0, ciphers[enc], f.cfg.Workers); err != nil {
+				// The last distinct key transforms the segment itself;
+				// every earlier one, a copy of the plaintext.
+				tbl = seg
+				if len(binned) < len(ciphers)-1 {
+					tbl = seg.Clone()
+				}
+				if err := binning.TransformInPlace(ctx, tbl, ultiGens, 0, ciphers[enc], f.cfg.Workers); err != nil {
 					if appending && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 						return nil, fmt.Errorf("core: delta outside planned frontiers: %w: %w", err, ErrPlanDrift)
 					}
 					return nil, err
 				}
-				if !appending && len(binned) == 0 {
+				if len(binned) == 0 {
 					if err := before.Add(tbl, quasi); err != nil {
 						return nil, err
 					}
@@ -211,28 +217,29 @@ func (f *Framework) write(ctx context.Context, src Segments, outs []output, appe
 			if lastUser[enc] != i {
 				marked = tbl.Clone()
 			}
+			if err := delta[i].AddRows(marked, quasi, sel.Rows(), -1); err != nil {
+				return nil, err
+			}
 			stats, err := watermark.EmbedSelectedContext(ctx, marked, sel, columns, params[i])
 			if err != nil {
 				return nil, o.wrap(err)
 			}
 			addEmbed(&p.embed[i], stats)
-			if err := after[i].Add(marked, quasi); err != nil {
+			if err := delta[i].AddRows(marked, quasi, sel.Rows(), 1); err != nil {
 				return nil, err
 			}
 			if err := sinks.put(o.sink, marked); err != nil {
 				return nil, err
 			}
 		}
-		p.rows += work.NumRows()
+		p.rows += seg.NumRows()
 		p.segments++
 		reportProgress(ctx, Progress{Stage: "stream", Done: p.rows})
 	}
-	if !appending {
-		p.before = before.Bins()
-	}
+	p.before = before.Bins()
 	p.after = make([]map[string]int, len(outs))
-	for i := range after {
-		p.after[i] = after[i].Bins()
+	for i := range delta {
+		p.after[i] = before.Plus(&delta[i])
 	}
 	return p, nil
 }
@@ -265,9 +272,12 @@ func addEmbed(dst *watermark.EmbedStats, s watermark.EmbedStats) {
 
 // applyVerdict closes an apply run for output i: the combined
 // before-bins must hold the planned k+ε floor, the mark must have found
-// bandwidth, and — unless §5.1 boundary permutation is on — no bin may
-// fall below k after watermarking (seamlessness). It returns the
-// effective plan, whose bin record later appends verify against.
+// bandwidth, and — unless §5.1 boundary permutation is on — no
+// published bin, one the marked output holds, may have fewer than k
+// rows (seamlessness). A bin the marking emptied is not published, so
+// it does not count. BinStats is the Figure 14 comparison of the bins
+// before and after marking. It returns the effective plan, whose bin
+// record later appends verify against.
 func applyVerdict(p *pass, i int) (*Streamed, error) {
 	plan := p.plans[i]
 	if plan.EffectiveK > 0 && p.rows > 0 {
@@ -286,16 +296,24 @@ func applyVerdict(p *pass, i int) (*Streamed, error) {
 		return nil, fmt.Errorf(
 			"core: no watermark bandwidth: every selected tuple's cells sit on maximal nodes; lower η to select more tuples, or re-plan with Config.BoundaryPermutation: %w", ErrUnsatisfiable)
 	}
-	binStats := anonymity.Compare(p.before, after, plan.K)
-	if binStats.BelowK > 0 && !plan.BoundaryPermutation {
-		return nil, fmt.Errorf(
-			"core: watermarking pushed %d bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
-			binStats.BelowK, plan.K, ErrUnsatisfiable)
+	if !plan.BoundaryPermutation {
+		thin := 0
+		for _, n := range after {
+			if n < plan.K {
+				thin++
+			}
+		}
+		if thin > 0 {
+			return nil, fmt.Errorf(
+				"core: watermarking pushed %d published bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
+				thin, plan.K, ErrUnsatisfiable)
+		}
 	}
 	eff := *plan
 	eff.Bins = after
 	eff.Rows = p.rows
-	return &Streamed{Plan: eff, Embed: embed, BinStats: binStats, Rows: p.rows, Segments: p.segments, Suppressed: p.suppressed}, nil
+	return &Streamed{Plan: eff, Embed: embed, BinStats: anonymity.Compare(p.before, after, plan.K),
+		Rows: p.rows, Segments: p.segments, Suppressed: p.suppressed}, nil
 }
 
 // appendVerdict closes an append run: existing bins only grow, and a bin
@@ -343,11 +361,13 @@ func verdict(p *pass, appending bool) (*Streamed, error) {
 	return applyVerdict(p, 0)
 }
 
-// writeTable is the in-memory write: the write loop over tbl as one
-// segment, closed by its verdict, the marked table kept.
+// writeTable is the in-memory write: the write loop over a copy of tbl
+// as one segment, closed by its verdict, the marked table kept. The
+// loop rewrites the segments it is handed, so the copy is what keeps
+// the caller's table as it was.
 func (f *Framework) writeTable(ctx context.Context, tbl *relation.Table, plan *Plan, key crypt.WatermarkKey, appending bool) (*Protected, error) {
 	var marked *relation.Table
-	p, err := f.write(ctx, &relation.OneSegment{Table: tbl}, []output{{plan: plan, key: key, sink: keep(&marked)}}, appending)
+	p, err := f.write(ctx, &relation.OneSegment{Table: tbl.Clone()}, []output{{plan: plan, key: key, sink: keep(&marked)}}, appending)
 	if err != nil {
 		return nil, err
 	}

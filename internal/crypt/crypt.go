@@ -187,6 +187,15 @@ func (c *Cipher) AppendEncryptString(dst []byte, plaintext string) []byte {
 	return dst
 }
 
+// TokenLen returns the length of AppendEncryptString's token for
+// plaintext: the base64 of a block of IV, the ciphertext (as long as
+// the plaintext) and the tag. Distinct plaintexts give distinct tokens,
+// so with TokenLen a caller can lay out every token of a dictionary
+// before sealing the first.
+func TokenLen(plaintext string) int {
+	return base64.RawURLEncoding.EncodedLen(aes.BlockSize + len(plaintext) + tagLen)
+}
+
 // AppendDecryptString verifies a token of AppendEncryptString and
 // appends its plaintext to dst, returning the extended buffer. It
 // allocates nothing when dst has room for the plaintext. A token that

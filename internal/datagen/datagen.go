@@ -11,6 +11,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/dht"
 	"repro/internal/ontology"
@@ -102,18 +103,40 @@ func (g *Generator) Generate() (*relation.Table, error) {
 	zipTree := g.trees[ontology.ColZip]
 	doctorTree := g.trees[ontology.ColDoctor]
 
+	// Everything that depends only on the trees is resolved before the
+	// row loop: each chapter's symptom leaves and each class's drug
+	// leaves (indexed by the chapter's or class's position, since node
+	// IDs of different trees collide), the class each chapter maps to,
+	// and the age strings.
 	chapters := symptomTree.Children(symptomTree.Root())
 	classes := prescriptionTree.Children(prescriptionTree.Root())
-	classByValue := make(map[string]dht.NodeID, len(classes))
-	for _, c := range classes {
-		classByValue[prescriptionTree.Value(c)] = c
+	classByValue := make(map[string]int, len(classes))
+	drugLeaves := make([][]dht.NodeID, len(classes))
+	for i, c := range classes {
+		classByValue[prescriptionTree.Value(c)] = i
+		drugLeaves[i] = prescriptionTree.LeavesUnder(c)
+	}
+	symLeaves := make([][]dht.NodeID, len(chapters))
+	chapterClass := make([]int, len(chapters))
+	for i, ch := range chapters {
+		symLeaves[i] = symptomTree.LeavesUnder(ch)
+		chapterClass[i] = -1
+		if mapped, ok := ontology.SymptomChapterToPrescriptionClass[symptomTree.Value(ch)]; ok {
+			chapterClass[i] = classByValue[mapped]
+		}
+	}
+	ages := make([]string, ageBands[len(ageBands)-1].hi)
+	for age := range ages {
+		ages[age] = strconv.Itoa(age)
 	}
 	zipLeaves := zipTree.Leaves()
 	doctorLeaves := doctorTree.Leaves()
 
 	zipPick := newZipfPicker(rng, g.cfg.ZipfS, len(zipLeaves))
 	doctorPick := newZipfPicker(rng, g.cfg.ZipfS, len(doctorLeaves))
+	zipf := zipfIndexer(rng, g.cfg.ZipfS)
 
+	row := make([]string, 6)
 	for i := 0; i < g.cfg.Rows; i++ {
 		ssn := formatSSN(i, rng)
 
@@ -129,28 +152,17 @@ func (g *Generator) Generate() (*relation.Table, error) {
 		} else {
 			chIdx = rng.Intn(len(chapters))
 		}
-		chapter := chapters[chIdx]
-		symLeaves := symptomTree.LeavesUnder(chapter)
-		symptom := symptomTree.Value(symLeaves[zipfIndex(rng, g.cfg.ZipfS, len(symLeaves))])
+		symptom := symptomTree.Value(symLeaves[chIdx][zipf(len(symLeaves[chIdx]))])
 
-		var classNode dht.NodeID
-		chapterVal := symptomTree.Value(chapter)
-		if mapped, ok := ontology.SymptomChapterToPrescriptionClass[chapterVal]; g.cfg.Correlate && ok && rng.Float64() < 0.7 {
-			classNode = classByValue[mapped]
+		var class int
+		if mapped := chapterClass[chIdx]; g.cfg.Correlate && mapped >= 0 && rng.Float64() < 0.7 {
+			class = mapped
 		} else {
-			classNode = classes[rng.Intn(len(classes))]
+			class = rng.Intn(len(classes))
 		}
-		drugLeaves := prescriptionTree.LeavesUnder(classNode)
-		prescription := prescriptionTree.Value(drugLeaves[zipfIndex(rng, g.cfg.ZipfS, len(drugLeaves))])
+		prescription := prescriptionTree.Value(drugLeaves[class][zipf(len(drugLeaves[class]))])
 
-		row := []string{
-			ssn,
-			fmt.Sprintf("%d", age),
-			zip,
-			doctor,
-			symptom,
-			prescription,
-		}
+		row[0], row[1], row[2], row[3], row[4], row[5] = ssn, ages[age], zip, doctor, symptom, prescription
 		if err := tbl.AppendRow(row); err != nil {
 			return nil, err
 		}
@@ -216,11 +228,20 @@ func newZipfPicker(rng *rand.Rand, s float64, n int) func() int {
 	return func() int { return perm[int(z.Uint64())] }
 }
 
-// zipfIndex draws one Zipf-distributed index in [0,n).
-func zipfIndex(rng *rand.Rand, s float64, n int) int {
-	if n == 1 {
-		return 0
+// zipfIndexer returns a function drawing one Zipf-distributed index in
+// [0,n). A rand.Zipf holds only constants of (s, n) besides rng, so one
+// per n serves every draw, as a fresh one per draw would.
+func zipfIndexer(rng *rand.Rand, s float64) func(n int) int {
+	byN := make(map[int]*rand.Zipf)
+	return func(n int) int {
+		if n == 1 {
+			return 0
+		}
+		z := byN[n]
+		if z == nil {
+			z = rand.NewZipf(rng, s, 1, uint64(n-1))
+			byN[n] = z
+		}
+		return int(z.Uint64())
 	}
-	z := rand.NewZipf(rng, s, 1, uint64(n-1))
-	return int(z.Uint64())
 }

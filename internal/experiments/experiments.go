@@ -306,7 +306,7 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		if _, err := binned.MapColumnCtx(context.Background(), 1, ci, func(dst []byte, v string) ([]byte, error) {
 			g, err := ulti.GeneralizeValue(v)
 			return append(dst, g...), err
-		}); err != nil {
+		}, nil); err != nil {
 			return nil, err
 		}
 		columns[col] = watermark.ColumnSpec{Tree: trees[col], MaxGen: maxGens[col], UltiGen: ulti}
@@ -314,7 +314,7 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 	identIdx, _ := binned.Schema().Index(identCol)
 	if _, err := binned.MapColumnCtx(context.Background(), 1, identIdx, func(dst []byte, v string) ([]byte, error) {
 		return cipher.AppendEncryptString(dst, v), nil
-	}); err != nil {
+	}, crypt.TokenLen); err != nil {
 		return nil, err
 	}
 

@@ -43,9 +43,10 @@ var (
 	// retrySchedule spaces the attempts of a job whose attempt ran past
 	// its deadline: 2s, doubling to at most 1m.
 	retrySchedule = schedule{"retry", 2 * time.Second, time.Minute}
-	// webhookSchedule spaces the deliveries of a completion webhook:
-	// 1s, doubling to at most 30s.
-	webhookSchedule = schedule{"webhook", time.Second, 30 * time.Second}
+	// webhookSchedule spaces the webhookAttempts deliveries of a
+	// completion webhook: 1s, 2s, 4s and 8s, the cap the fourth wait
+	// reaches.
+	webhookSchedule = schedule{"webhook", time.Second, 8 * time.Second}
 )
 
 // delay returns the wait after the given number of completed attempts
@@ -102,8 +103,8 @@ type Config struct {
 	// events).
 	Hub *sse.Hub
 	// Deliver executes one webhook POST (nil = an HTTP POST with a 10s
-	// timeout). A completion webhook gets up to 5 deliveries, spaced 1s
-	// doubling to at most 30s (webhookSchedule).
+	// timeout). A completion webhook gets up to 5 deliveries, spaced
+	// 1s, 2s, 4s and 8s before jitter (webhookSchedule).
 	Deliver DeliverFunc
 	// TTL retains terminal jobs (succeeded, failed, canceled, dead) for
 	// this long after they finish; the sweeper, which runs every

@@ -143,8 +143,7 @@ func TestWebhookRetriesAndDeliveryLog(t *testing.T) {
 
 // driveWebhookWaits advances the fake clock through the delivery waits
 // after attempts 1..n of job id's webhook, checking each is
-// webhookSchedule's: 1s doubling (to a 30s cap that five attempts do
-// not reach), jittered per job.
+// webhookSchedule's: 1s, 2s, 4s and 8s, jittered per job.
 func driveWebhookWaits(t *testing.T, clock *fakeClock, id string, n int) {
 	t.Helper()
 	for attempt := 1; attempt <= n; attempt++ {

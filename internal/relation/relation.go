@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unsafe"
 
 	"repro/internal/pool"
 )
@@ -508,15 +509,23 @@ func (t *Table) ForEachRowChunk(chunk int, fn func(lo, hi int) error) error {
 // must be deterministic; a row-level scan applying a deterministic fn
 // yields exactly the same table.
 //
-// The per-entry fn calls fan out over workers (0 = GOMAXPROCS, 1 = sequential) under ctx. The dictionary is
-// split into one contiguous range per worker, and each range appends
-// its outputs to one arena, converted to a string once: the rebuilt
-// dictionary holds substrings of the arenas, deduplicated through a
-// codeIndex, so a column of unique values (encrypted identifiers) costs
-// no allocation per entry. The rebuilt dictionary is ordered by first
-// use regardless of worker count, and the error of the lowest failing
-// dictionary entry is reported.
-func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(dst []byte, value string) ([]byte, error)) (int, error) {
+// The per-entry fn calls fan out over workers (0 = GOMAXPROCS, 1 =
+// sequential) under ctx. The dictionary is split into one contiguous
+// range per worker, and each range appends its outputs to one arena,
+// which is never written again once its range is done: the rebuilt
+// dictionary holds strings over the arenas themselves, so a column of
+// unique values (encrypted identifiers) costs no allocation or copy per
+// entry. Equal outputs are merged through a codeIndex. The rebuilt
+// dictionary is ordered by first use regardless of worker count, and
+// the error of the lowest failing dictionary entry is reported.
+//
+// outLen, when not nil, declares fn injective — distinct values give
+// distinct outputs — with outLen(value) output bytes for value, as
+// crypt.TokenLen does for encryption. Each arena is then sized once,
+// and the rebuilt dictionary is laid out without the codeIndex, since
+// no two entries can merge. A map that is not injective (decryption:
+// two base64 spellings of one token decode alike) passes nil.
+func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(dst []byte, value string) ([]byte, error), outLen func(value string) int) (int, error) {
 	c := &t.cols[col]
 	n := len(c.dict)
 	if n == 0 {
@@ -533,6 +542,15 @@ func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(dst 
 	ends := make([]int, n)
 	if err := pool.ForEachChunkCtx(ctx, workers, n, func(si, lo, hi int) error {
 		var arena []byte
+		if outLen != nil {
+			size := 0
+			for k := lo; k < hi; k++ {
+				if rowsPer[k] > 0 {
+					size += outLen(c.dict[k])
+				}
+			}
+			arena = make([]byte, 0, size)
+		}
 		for k := lo; k < hi; k++ {
 			if err := pool.CtxAt(ctx, k-lo); err != nil {
 				return err
@@ -551,11 +569,24 @@ func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(dst 
 		return 0, err
 	}
 	next := column{}
-	index := newCodeIndex(n)
+	var index codeIndex
+	if outLen != nil {
+		used := 0
+		for _, r := range rowsPer {
+			if r > 0 {
+				used++
+			}
+		}
+		next.dict = make([]string, 0, used)
+	} else {
+		index = newCodeIndex(n)
+	}
 	remap := make([]uint32, n)
 	changed := 0
 	for si, ch := range chunks {
-		arena, str := arenas[si], string(arenas[si])
+		// The arena is complete: the strings over it are never written.
+		arena := arenas[si]
+		str := unsafe.String(unsafe.SliceData(arena), len(arena))
 		start := 0
 		for k := ch.Lo; k < ch.Hi; k++ {
 			b, v := arena[start:ends[k]], str[start:ends[k]]
@@ -563,9 +594,12 @@ func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(dst 
 			if rowsPer[k] == 0 {
 				continue
 			}
-			code, slot, ok := index.find(next.dict, b)
-			if !ok {
-				code = uint32(len(next.dict))
+			code := uint32(len(next.dict))
+			if outLen != nil {
+				next.dict = append(next.dict, v)
+			} else if prev, slot, ok := index.find(next.dict, b); ok {
+				code = prev
+			} else {
 				next.dict = append(next.dict, v)
 				index.add(next.dict, slot)
 			}

@@ -387,7 +387,7 @@ func TestMapColumn(t *testing.T) {
 			return append(dst, "Staff"...), nil
 		}
 		return append(dst, v...), nil
-	})
+	}, nil)
 	if err != nil || changed != 3 {
 		t.Fatalf("MapColumn = %d, %v; want 3 changed", changed, err)
 	}
@@ -403,7 +403,7 @@ func TestMapColumn(t *testing.T) {
 	// Errors abort without committing.
 	if _, err := tbl.MapColumnCtx(context.Background(), 1, ci, func(dst []byte, v string) ([]byte, error) {
 		return nil, fmt.Errorf("boom")
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("MapColumn error not propagated")
 	}
 	if v, _ := tbl.Cell(0, "doctor"); v != "Staff" {
@@ -417,7 +417,7 @@ func TestMapColumn(t *testing.T) {
 			return nil, fmt.Errorf("stale entry visited")
 		}
 		return append(dst, v...), nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Errorf("MapColumn visited a stale dictionary entry: %v", err)
 	}
 }
@@ -447,7 +447,7 @@ func TestMapColumnCtxWorkers(t *testing.T) {
 		return append(dst, v[:2]...), nil
 	}
 	want := build()
-	if _, err := want.MapColumnCtx(context.Background(), 1, 0, prefix); err != nil {
+	if _, err := want.MapColumnCtx(context.Background(), 1, 0, prefix, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := want.DictValues(0); !slices.Equal(got, []string{"s0", "s1", "s2"}) {
@@ -455,7 +455,7 @@ func TestMapColumnCtxWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8, 0} {
 		tbl := build()
-		changed, err := tbl.MapColumnCtx(context.Background(), workers, 0, prefix)
+		changed, err := tbl.MapColumnCtx(context.Background(), workers, 0, prefix, nil)
 		if err != nil || changed != tbl.NumRows() {
 			t.Fatalf("workers=%d: MapColumnCtx = %d, %v; want %d changed", workers, changed, err, tbl.NumRows())
 		}
@@ -467,9 +467,54 @@ func TestMapColumnCtxWorkers(t *testing.T) {
 				return nil, fmt.Errorf("entry %s", v)
 			}
 			return append(dst, v...), nil
-		})
+		}, nil)
 		if err == nil || err.Error() != "entry s150" {
 			t.Errorf("workers=%d: error = %v, want the lowest failing entry s150", workers, err)
+		}
+	}
+}
+
+// TestMapColumnCtxInjective: a map declared injective, with its output
+// lengths, skips the dedup index and sizes each arena once; for every
+// worker count it must build the dictionary, codes and changed count
+// of the dedup path, skipping unused entries the same way.
+func TestMapColumnCtxInjective(t *testing.T) {
+	build := func() *Table {
+		tbl := NewTable(testSchema(t))
+		for i := 0; i < 300; i++ {
+			row := []string{fmt.Sprintf("s%d", i%250), "34", "Nurse", "a"}
+			if err := tbl.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl.DeleteWhereView(func(v RowView) bool { return strings.HasSuffix(v.Cell(0), "7") })
+		return tbl
+	}
+	tag := func(dst []byte, v string) ([]byte, error) {
+		if strings.HasSuffix(v, "7") {
+			return nil, fmt.Errorf("unused entry %q visited", v)
+		}
+		return append(append(dst, "id:"...), v...), nil
+	}
+	tagLen := func(v string) int { return len("id:") + len(v) }
+	for _, workers := range []int{1, 2, 3, 8, 0} {
+		want, got := build(), build()
+		wantChanged, err := want.MapColumnCtx(context.Background(), workers, 0, tag, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed, err := got.MapColumnCtx(context.Background(), workers, 0, tag, tagLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed != wantChanged || changed != got.NumRows() {
+			t.Errorf("workers=%d: %d rows changed, dedup path %d, want %d", workers, changed, wantChanged, got.NumRows())
+		}
+		if !slices.Equal(got.DictValues(0), want.DictValues(0)) || !slices.Equal(got.Codes(0), want.Codes(0)) {
+			t.Errorf("workers=%d: injective dictionary or codes differ from the dedup path", workers)
+		}
+		if n := len(got.DictValues(0)); n != 225 {
+			t.Errorf("workers=%d: dictionary holds %d entries, want the 225 values in use", workers, n)
 		}
 	}
 }

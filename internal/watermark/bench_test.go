@@ -34,7 +34,7 @@ func benchSegments1M(b *testing.B) ([]*relation.Table, crypt.WatermarkKey) {
 	}
 	if _, err := tbl.MapColumnCtx(context.Background(), 1, identIdx, func(dst []byte, v string) ([]byte, error) {
 		return cipher.AppendEncryptString(dst, v), nil
-	}); err != nil {
+	}, crypt.TokenLen); err != nil {
 		b.Fatal(err)
 	}
 	var segs []*relation.Table

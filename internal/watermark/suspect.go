@@ -82,6 +82,10 @@ func (sel *Selection) ident(i int) []byte {
 	return sel.arena[lo:sel.ends[i]]
 }
 
+// Rows returns the selected row indices in ascending order. The slice
+// is the selection's own: treat it as read-only.
+func (sel *Selection) Rows() []int32 { return sel.rows }
+
 // SelectContext scans the suspect once under (k1, η) and returns the
 // selected rows in ascending order.
 func (s *Suspect) SelectContext(ctx context.Context, k1 []byte, eta uint64, workers int) (*Selection, error) {

@@ -125,6 +125,10 @@ type (
 	// in-memory table) both satisfy it. The stream calls read one
 	// segment ahead, so Next may run on a helper goroutine — one call at
 	// a time, in order, and never after the stream call has returned.
+	// Each yielded segment is handed over: ApplyStream, AppendStream and
+	// FingerprintStream rewrite their segments in place, so a custom
+	// source must yield a fresh Table per call, never one it or the
+	// caller still reads.
 	Segments = core.Segments
 	// Streamed is every write run's outcome: the effective/advanced plan
 	// plus statistics. The Stream forms return it alone (the protected
