@@ -43,8 +43,8 @@ type Config struct {
 	// EnumLimit caps exhaustive enumeration (default DefaultEnumLimit).
 	EnumLimit int
 	// Aggressive switches mono-attribute binning to the paper's sketched
-	// aggressive minimality rule (may yield deficient bins, which Run
-	// suppresses).
+	// aggressive minimality rule (may yield deficient bins, whose rows
+	// the search records in SearchResult.SuppressValues for Suppress).
 	Aggressive bool
 	// Workers bounds the goroutines used by the exhaustive
 	// multi-attribute search (0 = GOMAXPROCS, 1 = sequential). The output
@@ -98,47 +98,6 @@ func EpsilonForMark(binSizes map[string]int, wmdLen int) int {
 		return 0
 	}
 	return int(math.Ceil(float64(s) / float64(total) * float64(wmdLen)))
-}
-
-// Run executes the complete binning algorithm of Figure 8 on tbl:
-//
-//  1. derive/validate the usage metrics (maximal generalization nodes),
-//  2. mono-attribute binning per quasi column (Figure 5, downward),
-//  3. multi-attribute binning across columns (Figure 7),
-//  4. encrypt identifying columns with cipher (one-to-one replacement),
-//  5. generalize quasi columns to the ultimate generalization nodes.
-//
-// It sketches tbl, searches the sketch (SearchSketch), then, on one
-// clone, replays the aggressive rule's suppression (Suppress) and
-// transforms the survivors (TransformInPlace) — the stages
-// core.PlanContext and core.ApplyContext run separately — and returns
-// the binned table and the search that produced it. The input table is
-// not modified. Cipher
-// must not be nil when the schema has identifying columns.
-func Run(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*relation.Table, *SearchResult, error) {
-	if len(tbl.Schema().IdentColumns()) > 0 && cipher == nil {
-		return nil, nil, fmt.Errorf("binning: schema has identifying columns but no cipher")
-	}
-	sk, err := NewSketch(tbl.Schema(), cfg.Trees)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := sk.Add(tbl); err != nil {
-		return nil, nil, err
-	}
-	ctx := context.Background()
-	search, err := SearchSketch(ctx, sk, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := tbl.Clone()
-	if _, err := Suppress(out, cfg.Trees, search.SuppressValues); err != nil {
-		return nil, nil, err
-	}
-	if err := TransformInPlace(ctx, out, search.UltiGens, search.EffectiveK, cipher, cfg.Workers); err != nil {
-		return nil, nil, err
-	}
-	return out, search, nil
 }
 
 // suppressColumn removes the rows whose value in column colIdx falls

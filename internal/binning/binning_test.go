@@ -395,6 +395,34 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
+// runBinning is the complete binning algorithm of Figure 8 on tbl, the
+// stages core.PlanContext and core.ApplyContext run separately: sketch
+// tbl, search the sketch, then, on one clone, replay the aggressive
+// rule's suppression and transform the survivors at the effective k.
+// The input table is not modified.
+func runBinning(tbl *relation.Table, cfg Config, cipher *crypt.Cipher) (*relation.Table, *SearchResult, error) {
+	sk, err := NewSketch(tbl.Schema(), cfg.Trees)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := sk.Add(tbl); err != nil {
+		return nil, nil, err
+	}
+	ctx := context.Background()
+	search, err := SearchSketch(ctx, sk, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := tbl.Clone()
+	if _, err := Suppress(out, cfg.Trees, search.SuppressValues); err != nil {
+		return nil, nil, err
+	}
+	if err := TransformInPlace(ctx, out, search.UltiGens, search.EffectiveK, cipher, cfg.Workers); err != nil {
+		return nil, nil, err
+	}
+	return out, search, nil
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	tbl, err := datagen.Generate(datagen.Config{Rows: 1500, Seed: 2, Correlate: true, ZipfS: 1.2})
 	if err != nil {
@@ -408,7 +436,7 @@ func TestRunEndToEnd(t *testing.T) {
 		K:     10,
 		Trees: ontology.Trees(),
 	}
-	binned, res, err := Run(tbl, cfg, cipher)
+	binned, res, err := runBinning(tbl, cfg, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,11 +484,12 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSearchTransformEqualsRun pins Run against the row-scan reference:
-// the reference search followed by the transform of the table it
-// searched must reproduce Run exactly — frontiers, losses, suppression
-// and the binned table. Under the aggressive rule the reference
-// suppresses rows between its per-column searches, while Run replays
+// TestSearchTransformEqualsRun pins the sketch pipeline (runBinning)
+// against the row-scan reference: the reference search followed by the
+// transform of the table it searched must reproduce runBinning exactly —
+// frontiers, losses, suppression and the binned table. Under the
+// aggressive rule the reference suppresses rows between its per-column
+// searches, while runBinning replays
 // the recorded SuppressValues after searching the sketch; both must
 // remove the same rows.
 func TestSearchTransformEqualsRun(t *testing.T) {
@@ -474,7 +503,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 	}
 	for _, aggressive := range []bool{false, true} {
 		cfg := Config{K: 20, Trees: ontology.Trees(), Aggressive: aggressive}
-		binned, run, err := Run(tbl, cfg, cipher)
+		binned, run, err := runBinning(tbl, cfg, cipher)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,14 +513,14 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 		}
 		for col, g := range run.UltiGens {
 			if !search.UltiGens[col].Equal(g) {
-				t.Errorf("aggressive=%v: column %s: search ulti frontier differs from Run", aggressive, col)
+				t.Errorf("aggressive=%v: column %s: search ulti frontier differs from runBinning", aggressive, col)
 			}
 			if !search.MinGens[col].Equal(run.MinGens[col]) {
-				t.Errorf("aggressive=%v: column %s: search min frontier differs from Run", aggressive, col)
+				t.Errorf("aggressive=%v: column %s: search min frontier differs from runBinning", aggressive, col)
 			}
 		}
 		if search.AvgLoss != run.AvgLoss || search.EffectiveK != run.EffectiveK || search.Suppressed != run.Suppressed {
-			t.Errorf("aggressive=%v: search metrics differ from Run", aggressive)
+			t.Errorf("aggressive=%v: search metrics differ from runBinning", aggressive)
 		}
 		out, err := TransformContext(t.Context(), work, search.UltiGens, search.EffectiveK, cipher, 0)
 		if err != nil {
@@ -505,7 +534,7 @@ func TestSearchTransformEqualsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.String() != b.String() {
-			t.Errorf("aggressive=%v: reference search + transform differs from Run", aggressive)
+			t.Errorf("aggressive=%v: reference search + transform differs from runBinning", aggressive)
 		}
 		if !aggressive {
 			if len(search.SuppressValues) != 0 {
@@ -527,7 +556,7 @@ func TestRunWithEpsilon(t *testing.T) {
 		t.Fatal(err)
 	}
 	cipher, _ := crypt.NewCipher([]byte("key"))
-	binned, res, err := Run(tbl, Config{K: 8, Epsilon: 4, Trees: ontology.Trees()}, cipher)
+	binned, res, err := runBinning(tbl, Config{K: 8, Epsilon: 4, Trees: ontology.Trees()}, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +583,7 @@ func TestRunWithMetrics(t *testing.T) {
 		PerColumn: map[string]float64{ontology.ColAge: 0.6},
 		Avg:       1,
 	}
-	_, res, err := Run(tbl, Config{K: 5, Trees: ontology.Trees(), Metrics: metrics}, cipher)
+	_, res, err := runBinning(tbl, Config{K: 5, Trees: ontology.Trees(), Metrics: metrics}, cipher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,16 +601,16 @@ func TestRunWithMetrics(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	tbl, _ := datagen.Generate(datagen.Config{Rows: 100, Seed: 1, Correlate: true, ZipfS: 1.2})
 	cipher, _ := crypt.NewCipher([]byte("key"))
-	if _, _, err := Run(tbl, Config{K: 0, Trees: ontology.Trees()}, cipher); err == nil {
+	if _, _, err := runBinning(tbl, Config{K: 0, Trees: ontology.Trees()}, cipher); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, _, err := Run(tbl, Config{K: 5, Epsilon: -1, Trees: ontology.Trees()}, cipher); err == nil {
+	if _, _, err := runBinning(tbl, Config{K: 5, Epsilon: -1, Trees: ontology.Trees()}, cipher); err == nil {
 		t.Error("negative epsilon accepted")
 	}
-	if _, _, err := Run(tbl, Config{K: 5, Trees: map[string]*dht.Tree{}}, cipher); err == nil {
+	if _, _, err := runBinning(tbl, Config{K: 5, Trees: map[string]*dht.Tree{}}, cipher); err == nil {
 		t.Error("missing trees accepted")
 	}
-	if _, _, err := Run(tbl, Config{K: 5, Trees: ontology.Trees()}, nil); err == nil {
+	if _, _, err := runBinning(tbl, Config{K: 5, Trees: ontology.Trees()}, nil); err == nil {
 		t.Error("nil cipher with identifying columns accepted")
 	}
 }

@@ -223,8 +223,11 @@ func defaultMaxGens(trees map[string]*dht.Tree) (map[string]dht.GenSet, error) {
 const markQuantum = 1e6
 
 // wmSetup is the shared fixture of the watermarking experiments: the
-// original table, its per-column mono-binned version (identifiers
-// encrypted), and the watermark column specs.
+// original table, its per-column mono-binned version (quasi columns on
+// the setup's frontiers, identifiers in the clear), and the watermark
+// column specs. The experiments publish it through release, the
+// product's write loop, which encrypts the identifiers and embeds the
+// mark.
 type wmSetup struct {
 	cfg      Config
 	original *relation.Table
@@ -240,34 +243,11 @@ func (s *wmSetup) key(eta uint64) crypt.WatermarkKey {
 	return crypt.NewWatermarkKeyFromSecret(s.cfg.Secret, eta)
 }
 
-// params builds watermark parameters for a given η. Workers propagates
-// so that Workers=1 runs the whole experiment — sweep points and their
-// inner embed/detect — strictly sequentially, while experiments that
-// loop sequentially (seamlessness trials, drift rates) still fan their
-// embeds out.
-func (s *wmSetup) params(eta uint64) watermark.Params {
-	return watermark.Params{
-		Key:                    s.key(eta),
-		Mark:                   s.mark,
-		Duplication:            s.cfg.Duplication,
-		SaltPositionWithColumn: true,
-		Workers:                s.cfg.Workers,
-	}
-}
-
-// pointParams is params for use inside a sweep that already fans its
-// points out over cfg.Workers: the inner embed/detect stays sequential
-// so the total concurrency is bounded by the flag instead of its square.
-func (s *wmSetup) pointParams(eta uint64) watermark.Params {
-	p := s.params(eta)
-	p.Workers = 1
-	return p
-}
-
 // newWatermarkSetup generates data, states the usage metrics as maximal
 // generalization nodes (§7's simplification), mono-bins every quasi
-// column downward at k, encrypts identifiers, and derives the ownership
-// mark — the common preparation of the Figure 12/13/14 experiments.
+// column downward at k, and derives the ownership mark — the common
+// preparation of the Figure 12/13/14 experiments. The identifiers stay
+// in the clear: release encrypts them.
 func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 	cfg = cfg.Defaults()
 	original, err := generate(cfg)
@@ -280,12 +260,6 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		return nil, err
 	}
 	identCol := original.Schema().IdentColumns()[0]
-
-	key := crypt.NewWatermarkKeyFromSecret(cfg.Secret, 75)
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, err
-	}
 	mark, _, err := ownership.OwnerMark(original, identCol, markQuantum, cfg.MarkBits)
 	if err != nil {
 		return nil, err
@@ -311,12 +285,6 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 		}
 		columns[col] = watermark.ColumnSpec{Tree: trees[col], MaxGen: maxGens[col], UltiGen: ulti}
 	}
-	identIdx, _ := binned.Schema().Index(identCol)
-	if _, err := binned.MapColumnCtx(context.Background(), 1, identIdx, func(dst []byte, v string) ([]byte, error) {
-		return cipher.AppendEncryptString(dst, v), nil
-	}, crypt.TokenLen); err != nil {
-		return nil, err
-	}
 
 	return &wmSetup{
 		cfg:      cfg,
@@ -329,11 +297,51 @@ func newWatermarkSetup(cfg Config, k int) (*wmSetup, error) {
 	}, nil
 }
 
+// release publishes tbl, whose quasi columns sit on the given frontiers
+// and whose identifiers are in the clear, through the product's write
+// loop: core.Framework.ApplyContext under a K=1 plan that marks the
+// given columns with the setup's mark. A quasi column absent from
+// columns is planned with its setup frontier as both its ultimate and
+// its maximal nodes, so it carries no bit and publishes unchanged. The
+// core encrypts the identifiers under key.Enc; Protected.Provenance is
+// the record the mark detects under (markLoss). workers is the core's
+// Workers: sweep points that already fan out pass 1.
+func (s *wmSetup) release(tbl *relation.Table, columns map[string]watermark.ColumnSpec, key crypt.WatermarkKey, workers int) (*core.Protected, error) {
+	plan := &core.Plan{
+		Provenance: core.Provenance{
+			IdentCol:               s.identCol,
+			K:                      1,
+			Mark:                   s.mark.String(),
+			Quantum:                markQuantum,
+			Duplication:            s.cfg.Duplication,
+			SaltPositionWithColumn: true,
+			Columns:                make(map[string]core.ColumnProvenance, len(s.columns)),
+		},
+		FormatVersion: core.PlanVersion,
+		EffectiveK:    1,
+		QuasiCols:     tbl.Schema().QuasiColumns(),
+	}
+	for col, spec := range s.columns {
+		if c, ok := columns[col]; ok {
+			spec = c
+		} else {
+			spec.MaxGen = spec.UltiGen
+		}
+		plan.Columns[col] = core.ColumnProvenance{Ulti: spec.UltiGen.Values(), Max: spec.MaxGen.Values()}
+	}
+	fw, err := core.New(s.trees, core.Config{K: 1, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return fw.ApplyContext(context.Background(), tbl, plan, key)
+}
+
 // zipAtDepth is the fixed-frontier fixture of the zip experiments (E8,
 // E10): the binned table with its zip column re-generalized from the
 // original to the frontier at the given depth, and that column's spec
 // under region usage metrics (depth 1). The other columns keep their
-// binned values and carry no mark.
+// binned values; release plans them with no bandwidth, so they carry
+// no mark.
 func (s *wmSetup) zipAtDepth(depth int) (*relation.Table, map[string]watermark.ColumnSpec, error) {
 	tree := s.trees[ontology.ColZip]
 	ulti, err := FrontierAtDepth(tree, depth)
@@ -368,26 +376,12 @@ func (s *wmSetup) frontierValues() map[string][]string {
 	return out
 }
 
-// markLoss detects the setup's mark in tbl under s.key(eta) through
-// the product's read loop, core.Framework.DetectContext, and returns
-// its loss. The provenance names the given column specs' frontiers;
-// weighted selects the §5.3 level-weighted voting. Detection runs
-// sequentially: its callers already fan their sweep points out over
-// cfg.Workers.
-func (s *wmSetup) markLoss(tbl *relation.Table, columns map[string]watermark.ColumnSpec, eta uint64, weighted bool) (float64, error) {
-	prov := core.Provenance{
-		IdentCol:               s.identCol,
-		K:                      1,
-		Mark:                   s.mark.String(),
-		Quantum:                markQuantum,
-		Duplication:            s.cfg.Duplication,
-		SaltPositionWithColumn: true,
-		WeightedVoting:         weighted,
-		Columns:                make(map[string]core.ColumnProvenance, len(columns)),
-	}
-	for col, spec := range columns {
-		prov.Columns[col] = core.ColumnProvenance{Ulti: spec.UltiGen.Values(), Max: spec.MaxGen.Values()}
-	}
+// markLoss detects the setup's mark in tbl under s.key(eta) and the
+// provenance record a release returned, through the product's read
+// loop, core.Framework.DetectContext, and returns its loss. Detection
+// runs sequentially: its callers already fan their sweep points out
+// over cfg.Workers.
+func (s *wmSetup) markLoss(tbl *relation.Table, prov core.Provenance, eta uint64) (float64, error) {
 	fw, err := core.New(s.trees, core.Config{K: 1, Workers: 1})
 	if err != nil {
 		return 0, err

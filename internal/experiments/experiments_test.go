@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/crypt"
 	"repro/internal/ontology"
+	"repro/internal/relation"
+	"repro/internal/watermark"
 )
 
 // small keeps experiment tests fast while exercising the full code paths.
@@ -506,6 +510,142 @@ func TestFigure12Golden(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertRows(t, tbl, tc.rows)
+		})
+	}
+}
+
+// TestFigure13Golden pins the E5 sweep on the small fixture: tuples
+// marked, cells changed and the extra information loss at every η.
+func TestFigure13Golden(t *testing.T) {
+	tbl, err := Figure13(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"50", "76", "281", "0.2"},
+		{"75", "43", "159", "0.1"},
+		{"100", "41", "155", "0.1"},
+		{"150", "22", "74", "0.1"},
+		{"200", "24", "95", "0.1"},
+	})
+}
+
+// TestFigure14Golden pins the E6 rows on the small fixture: total bins,
+// bins changed and bins below k per quasi column at every k.
+func TestFigure14Golden(t *testing.T) {
+	tbl, err := Figure14(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRows(t, tbl, [][]string{
+		{"10", "20 17 0", "20 16 0", "17 10 0", "12 0 0", "17 9 0"},
+		{"20", "20 17 0", "16 12 0", "10 7 0", "12 0 0", "9 0 0"},
+		{"45", "19 17 0", "12 10 0", "6 3 0", "12 0 0", "7 0 0"},
+		{"100", "19 17 0", "8 5 0", "6 3 0", "12 0 0", "7 0 0"},
+	})
+}
+
+// handRelease is the experiments' former write path, kept as the oracle
+// wmSetup.release must match: map every quasi column of the original
+// table to its frontier (the ultimate nodes in columns, else the
+// setup's), encrypt the identifiers under key.Enc, and embed the
+// setup's mark into columns with watermark.EmbedContext.
+func handRelease(s *wmSetup, columns map[string]watermark.ColumnSpec, key crypt.WatermarkKey) (*relation.Table, watermark.EmbedStats, error) {
+	ctx := context.Background()
+	tbl := s.original.Clone()
+	for _, col := range tbl.Schema().QuasiColumns() {
+		spec, ok := columns[col]
+		if !ok {
+			spec = s.columns[col]
+		}
+		ci, _ := tbl.Schema().Index(col)
+		if _, err := tbl.MapColumnCtx(ctx, 1, ci, func(dst []byte, v string) ([]byte, error) {
+			g, err := spec.UltiGen.GeneralizeValue(v)
+			return append(dst, g...), err
+		}, nil); err != nil {
+			return nil, watermark.EmbedStats{}, err
+		}
+	}
+	cipher, err := crypt.NewCipher(key.Enc)
+	if err != nil {
+		return nil, watermark.EmbedStats{}, err
+	}
+	identIdx, _ := tbl.Schema().Index(s.identCol)
+	if _, err := tbl.MapColumnCtx(ctx, 1, identIdx, func(dst []byte, v string) ([]byte, error) {
+		return cipher.AppendEncryptString(dst, v), nil
+	}, crypt.TokenLen); err != nil {
+		return nil, watermark.EmbedStats{}, err
+	}
+	stats, err := watermark.EmbedContext(ctx, tbl, s.identCol, columns, watermark.Params{
+		Key:                    key,
+		Mark:                   s.mark,
+		Duplication:            s.cfg.Duplication,
+		SaltPositionWithColumn: true,
+		Workers:                1,
+	})
+	return tbl, stats, err
+}
+
+// TestReleaseMatchesHandPipeline requires the experiments' release
+// through the core's write loop to publish the cells, and report the
+// embedding statistics, of the hand pipeline it replaced: at every
+// Figure 12 η, on both zip fixtures of E8 and E10, and under a
+// binDrift trial key.
+func TestReleaseMatchesHandPipeline(t *testing.T) {
+	setup, err := newWatermarkSetup(small(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zip3, zip3Cols, err := setup.zipAtDepth(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zip4, zip4Cols, err := setup.zipAtDepth(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		tbl     *relation.Table
+		columns map[string]watermark.ColumnSpec
+		key     crypt.WatermarkKey
+	}{
+		{"eta50", setup.binned, setup.columns, setup.key(50)},
+		{"eta75", setup.binned, setup.columns, setup.key(75)},
+		{"eta100", setup.binned, setup.columns, setup.key(100)},
+		{"zip3", zip3, zip3Cols, setup.key(25)},
+		{"zip4", zip4, zip4Cols, setup.key(25)},
+		{"trial3", setup.binned, setup.columns, trialKey(setup.key(50), 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prot, err := setup.release(tc.tbl, tc.columns, tc.key, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, stats, err := handRelease(setup, tc.columns, tc.key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.CellsChanged == 0 {
+				t.Fatal("the hand pipeline changed no cell; the comparison is vacuous")
+			}
+			var got, exp strings.Builder
+			if err := prot.Table.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WriteCSV(&exp); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != exp.String() {
+				t.Error("release publishes other cells than the hand pipeline")
+			}
+			// release plans every quasi column absent from columns with
+			// no bandwidth: one zero-bandwidth cell per selected tuple
+			// each, where the hand pipeline did not embed at all.
+			stats.ZeroBandwidth += (len(setup.columns) - len(tc.columns)) * stats.TuplesSelected
+			if prot.Embed != stats {
+				t.Errorf("release embed stats %+v, hand pipeline %+v", prot.Embed, stats)
+			}
 		})
 	}
 }

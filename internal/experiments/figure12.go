@@ -6,9 +6,8 @@ import (
 	"math/rand"
 
 	"repro/internal/attack"
+	"repro/internal/core"
 	"repro/internal/pool"
-	"repro/internal/relation"
-	"repro/internal/watermark"
 )
 
 // Figure 12 (E2-E4): robustness of the hierarchical watermarking scheme
@@ -57,20 +56,12 @@ func figure12(cfg Config, kind attackKind, figure string) (*Table, error) {
 		return nil, err
 	}
 
-	// One watermarked table per η; the three embeds are independent.
-	markedByEta, err := pool.MapCtx(context.Background(), cfg.Workers, len(figure12Etas), func(i int) (*relation.Table, error) {
-		m := setup.binned.Clone()
-		if _, err := watermark.EmbedContext(context.Background(), m, setup.identCol, setup.columns, setup.pointParams(figure12Etas[i])); err != nil {
-			return nil, err
-		}
-		return m, nil
+	// One release per η; the three releases are independent.
+	marked, err := pool.MapCtx(context.Background(), cfg.Workers, len(figure12Etas), func(i int) (*core.Protected, error) {
+		return setup.release(setup.binned, setup.columns, setup.key(figure12Etas[i]), 1)
 	})
 	if err != nil {
 		return nil, err
-	}
-	marked := make(map[uint64]*relation.Table, len(figure12Etas))
-	for i, eta := range figure12Etas {
-		marked[eta] = markedByEta[i]
 	}
 
 	out := &Table{
@@ -88,21 +79,13 @@ func figure12(cfg Config, kind attackKind, figure string) (*Table, error) {
 	// The attack battery is a grid of independent (strength, η) cells:
 	// each clones its own table, attacks it with a seed derived from the
 	// cell coordinates, and detects. Flattening the grid into one point
-	// list load-balances across workers; rows are assembled in sweep
-	// order afterwards, so the table never depends on scheduling.
-	type point struct {
-		frac float64
-		eta  uint64
-	}
-	points := make([]point, 0, len(figure12Fracs)*len(figure12Etas))
-	for _, frac := range figure12Fracs {
-		for _, eta := range figure12Etas {
-			points = append(points, point{frac: frac, eta: eta})
-		}
-	}
-	losses, err := pool.MapCtx(context.Background(), cfg.Workers, len(points), func(pi int) (string, error) {
-		frac, eta := points[pi].frac, points[pi].eta
-		attacked := marked[eta].Clone()
+	// list (frac-major) load-balances across workers; rows are assembled
+	// in sweep order afterwards, so the table never depends on
+	// scheduling.
+	losses, err := pool.MapCtx(context.Background(), cfg.Workers, len(figure12Fracs)*len(figure12Etas), func(pi int) (string, error) {
+		frac, ei := figure12Fracs[pi/len(figure12Etas)], pi%len(figure12Etas)
+		eta := figure12Etas[ei]
+		attacked := marked[ei].Table.Clone()
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(frac*100) + int64(eta)))
 		switch kind {
 		case subsetAlteration:
@@ -119,7 +102,7 @@ func figure12(cfg Config, kind attackKind, figure string) (*Table, error) {
 				return "", err
 			}
 		}
-		loss, err := setup.markLoss(attacked, setup.columns, eta, false)
+		loss, err := setup.markLoss(attacked, marked[ei].Provenance, eta)
 		if err != nil {
 			return "", err
 		}

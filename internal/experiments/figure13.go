@@ -7,7 +7,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/infoloss"
 	"repro/internal/pool"
-	"repro/internal/watermark"
 )
 
 // Figure13 reproduces "information loss of watermarking" (E5): the extra
@@ -31,16 +30,16 @@ func Figure13(cfg Config) (*Table, error) {
 		Header: []string{"η", "tuples marked", "cells changed", "extra info loss %"},
 	}
 
-	// Each η embeds into its own clone and scans it against the shared
+	// Each η releases its own copy and scans it against the shared
 	// read-only binned table — independent points, merged in η order.
 	quasi := setup.binned.Schema().QuasiColumns()
 	rows, err := pool.MapCtx(context.Background(), cfg.Workers, len(etas), func(ei int) ([]string, error) {
 		eta := etas[ei]
-		marked := setup.binned.Clone()
-		stats, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, setup.columns, setup.pointParams(eta))
+		prot, err := setup.release(setup.binned, setup.columns, setup.key(eta), 1)
 		if err != nil {
 			return nil, err
 		}
+		marked, stats := prot.Table, prot.Embed
 
 		// Per column: average per-cell charge delta between the
 		// watermarked assignment and the pure binning assignment.

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/anonymity"
 	"repro/internal/binning"
-	"repro/internal/watermark"
 )
 
 // Figure14 reproduces "effect of watermarking on binning" (E6): for each
@@ -63,8 +61,8 @@ func Figure14(cfg Config) (*Table, error) {
 			eps /= 2
 		}
 
-		marked := setup.binned.Clone()
-		if _, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, setup.columns, setup.params(eta)); err != nil {
+		prot, err := setup.release(setup.binned, setup.columns, setup.key(eta), cfg.Workers)
+		if err != nil {
 			return nil, err
 		}
 
@@ -77,7 +75,7 @@ func Figure14(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			after, err := anonymity.Bins(marked, []string{col})
+			after, err := anonymity.Bins(prot.Table, []string{col})
 			if err != nil {
 				return nil, err
 			}

@@ -34,12 +34,24 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 	}
 	zip := cols[ontology.ColZip]
 
-	params := setup.params(eta)
-	hier := base.Clone()
-	if _, err := watermark.EmbedContext(context.Background(), hier, setup.identCol, cols, params); err != nil {
+	hier, err := setup.release(base, cols, setup.key(eta), cfg.Workers)
+	if err != nil {
 		return nil, err
 	}
+	// The §5.2 strawman has no core path: it embeds into base under the
+	// identifiers the release encrypted. The plan suppresses no row, so
+	// the two tables line up row for row.
 	single := base.Clone()
+	identIdx, _ := single.Schema().Index(setup.identCol)
+	for i := 0; i < single.NumRows(); i++ {
+		single.SetCellAt(i, identIdx, hier.Table.CellAt(i, identIdx))
+	}
+	params := watermark.Params{
+		Key:                    setup.key(eta),
+		Mark:                   setup.mark,
+		Duplication:            cfg.Duplication,
+		SaltPositionWithColumn: true,
+	}
 	if _, err := watermark.EmbedSingleLevel(single, setup.identCol, cols, params); err != nil {
 		return nil, err
 	}
@@ -54,10 +66,9 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 		},
 	}
 	// Each attack depth clones and judges both schemes independently;
-	// inside the fan-out the detects run sequentially (pointParams).
+	// inside the fan-out the detects run sequentially.
 	rows, err := pool.MapCtx(context.Background(), cfg.Workers, 3, func(levels int) ([]string, error) {
-		params := setup.pointParams(eta)
-		hAtt := hier.Clone()
+		hAtt := hier.Table.Clone()
 		sAtt := single.Clone()
 		if levels > 0 {
 			if _, err := attack.Generalize(hAtt, ontology.ColZip, zip.Tree, zip.MaxGen, levels); err != nil {
@@ -75,7 +86,7 @@ func GeneralizationAttack(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		hLoss, err := setup.markLoss(hAtt, cols, eta, false)
+		hLoss, err := setup.markLoss(hAtt, hier.Provenance, eta)
 		if err != nil {
 			return nil, err
 		}

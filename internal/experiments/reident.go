@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/binning"
+	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/linkage"
 	"repro/internal/ontology"
@@ -11,9 +12,11 @@ import (
 
 // ReIdentification (E12) quantifies the privacy premise of §1: the
 // re-identification risk of a naive de-identified release (SSN removed,
-// quasi columns raw) versus the binned release, against a worst-case
-// adversary holding an external identified table covering every patient
-// (the "voting records" of the paper's example). Swept over k.
+// quasi columns raw) versus the core's protected release
+// (core.Framework.ProtectContext: binned, identifiers encrypted,
+// marked), against a worst-case adversary holding an external
+// identified table covering every patient (the "voting records" of the
+// paper's example). Swept over k.
 func ReIdentification(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
 	original, err := generate(cfg)
@@ -58,16 +61,18 @@ func ReIdentification(cfg Config) (*Table, error) {
 		fmt.Sprintf("%d", res.MaxCandidates),
 	})
 
-	cipher, err := crypt.NewCipher([]byte(cfg.Secret))
-	if err != nil {
-		return nil, err
-	}
+	// Binned releases: the product's protected output at each k.
+	key := crypt.NewWatermarkKeyFromSecret(cfg.Secret, 75)
 	for _, k := range []int{5, 10, 25, 50} {
-		binned, _, err := binning.Run(original, binning.Config{K: k, Trees: trees}, cipher)
+		fw, err := core.New(trees, core.Config{K: k, Workers: cfg.Workers})
+		if err != nil {
+			return nil, err
+		}
+		prot, err := fw.ProtectContext(context.Background(), original, key)
 		if err != nil {
 			return nil, fmt.Errorf("k=%d: %w", k, err)
 		}
-		res, err := linkage.Attack(binned, external, quasi, trees)
+		res, err := linkage.Attack(prot.Table, external, quasi, trees)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/anonymity"
-	"repro/internal/watermark"
+	"repro/internal/crypt"
 )
 
 // Seamlessness empirically validates Lemmas 1 and 2 of Section 6 (E7):
@@ -55,6 +54,15 @@ func Seamlessness(cfg Config) (*Table, error) {
 	return out, nil
 }
 
+// trialKey is key with its selection and position keys salted by the
+// trial number: binDrift's independent keys. The encryption key stays,
+// so every trial publishes the same identifier tokens.
+func trialKey(key crypt.WatermarkKey, trial int) crypt.WatermarkKey {
+	key.K1 = append([]byte{byte(trial)}, key.K1...)
+	key.K2 = append([]byte{byte(trial)}, key.K2...)
+	return key
+}
+
 // colDrift is one quasi column's bin drift over repeated embeddings.
 type colDrift struct {
 	col     string
@@ -65,10 +73,10 @@ type colDrift struct {
 	rel     float64 // drift / size
 }
 
-// binDrift embeds the setup's mark under trials independent keys at η
-// and measures, per quasi column in schema order, how far watermarking
-// moves tuples between that column's bins (the E7 metric, which E11 also
-// reports with and without restrained swapping).
+// binDrift releases the setup's binned table under trials independent
+// keys at η (trialKey) and measures, per quasi column in schema order,
+// how far watermarking moves tuples between that column's bins (the E7
+// metric, which E11 also reports with and without restrained swapping).
 func binDrift(setup *wmSetup, eta uint64, trials int) ([]colDrift, error) {
 	quasi := setup.binned.Schema().QuasiColumns()
 	type agg struct {
@@ -81,15 +89,12 @@ func binDrift(setup *wmSetup, eta uint64, trials int) ([]colDrift, error) {
 	}
 
 	for trial := 0; trial < trials; trial++ {
-		params := setup.params(eta)
-		params.Key.K1 = append([]byte{byte(trial)}, params.Key.K1...)
-		params.Key.K2 = append([]byte{byte(trial)}, params.Key.K2...)
-		marked := setup.binned.Clone()
-		if _, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, setup.columns, params); err != nil {
+		prot, err := setup.release(setup.binned, setup.columns, trialKey(setup.key(eta), trial), setup.cfg.Workers)
+		if err != nil {
 			return nil, err
 		}
 		for _, col := range quasi {
-			flows, err := anonymity.Flow(setup.binned, marked, []string{col})
+			flows, err := anonymity.Flow(setup.binned, prot.Table, []string{col})
 			if err != nil {
 				return nil, err
 			}

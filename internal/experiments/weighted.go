@@ -9,7 +9,6 @@ import (
 	"repro/internal/binning"
 	"repro/internal/ontology"
 	"repro/internal/pool"
-	"repro/internal/watermark"
 )
 
 // WeightedVotingAblation (E10) quantifies the §5.3 policy that "the copy
@@ -37,11 +36,11 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 	zip := cols[ontology.ColZip]
 	ci, _ := base.Schema().Index(ontology.ColZip)
 
-	embedParams := setup.params(eta)
-	marked := base.Clone()
-	if _, err := watermark.EmbedContext(context.Background(), marked, setup.identCol, cols, embedParams); err != nil {
+	prot, err := setup.release(base, cols, setup.key(eta), cfg.Workers)
+	if err != nil {
 		return nil, err
 	}
+	marked := prot.Table
 
 	out := &Table{
 		ID:     "E10 / §5.3 weighted voting",
@@ -74,7 +73,9 @@ func WeightedVotingAblation(cfg Config) (*Table, error) {
 		}
 		row := []string{pct(frac)}
 		for _, weighted := range []bool{false, true} {
-			loss, err := setup.markLoss(attacked, cols, eta, weighted)
+			prov := prot.Provenance
+			prov.WeightedVoting = weighted
+			loss, err := setup.markLoss(attacked, prov, eta)
 			if err != nil {
 				return nil, err
 			}

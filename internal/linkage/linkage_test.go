@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/anonymity"
-	"repro/internal/binning"
+	"repro/internal/core"
 	"repro/internal/crypt"
 	"repro/internal/datagen"
 	"repro/internal/dht"
@@ -179,16 +179,16 @@ func TestLinkingAttackBeforeAndAfterBinning(t *testing.T) {
 		t.Errorf("naive release re-identification rate %.2f; expected most tuples unique over 5 quasi columns", rawRes.Rate())
 	}
 
-	// Binned release at k=10.
-	cipher, err := crypt.NewCipher([]byte("linkage"))
+	// The core's protected release at k=10.
+	fw, err := core.New(trees, core.Config{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binned, _, err := binning.Run(original, binning.Config{K: 10, Trees: trees}, cipher)
+	prot, err := fw.ProtectContext(t.Context(), original, crypt.NewWatermarkKeyFromSecret("linkage", 75))
 	if err != nil {
 		t.Fatal(err)
 	}
-	binRes, err := Attack(binned, external, quasi, trees)
+	binRes, err := Attack(prot.Table, external, quasi, trees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestLinkingAttackBeforeAndAfterBinning(t *testing.T) {
 		t.Errorf("min candidate set %d < k=10", binRes.MinCandidates)
 	}
 	// sanity: the binned table is k-anonymous
-	ok, err := anonymity.SatisfiesK(binned, quasi, 10)
+	ok, err := anonymity.SatisfiesK(prot.Table, quasi, 10)
 	if err != nil || !ok {
 		t.Error("binned table not k-anonymous")
 	}

@@ -109,6 +109,12 @@ func buildEmbedPlan(tbl *relation.Table, col string, ci int, spec ColumnSpec, bo
 // the embed fails. The selection scan and the walk poll ctx every
 // pool.CtxStride rows and the run aborts with the context's error; a
 // cancelled embed leaves the table partially mutated in the same way.
+//
+// Releases do not call it: the core's write loop selects once and
+// embeds through EmbedSelectedContext. Its remaining callers are the
+// benchmark module's layer-by-layer replay of that loop (medbench) and
+// the examples/ownership_dispute thief, who marks a stolen copy outside
+// the pipeline.
 func EmbedContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, p Params) (EmbedStats, error) {
 	identIdx, err := tbl.Schema().Index(identCol)
 	if err != nil {
